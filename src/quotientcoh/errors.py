@@ -71,6 +71,20 @@ class BoundViolated(EngineError):
         )
 
 
+class NonFiniteValue(EngineError):
+    """A float the witness pipeline certifies came out NaN or infinite.
+
+    Every comparison with NaN is false, so such a value would pass any
+    bound check; it is refused instead.  Like BoundViolated it points at
+    an implementation or range problem, never at bad input syntax.
+    """
+
+    def __init__(self, what: str, value: float):
+        self.what = what
+        self.value = value
+        super().__init__("%s is not finite (%r)" % (what, value))
+
+
 class ParseError(EngineError):
     """A job file line could not be parsed.
 

@@ -210,16 +210,21 @@ class Subspace:
         return all(x == 0 for x in self.reduce(v))
 
 
-def ideal_check(g: LieAlgebra, h: Subspace) -> bool:
-    """True iff [g, h] lies in h, tested on basis vectors exactly."""
+def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
+    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None."""
     if h.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
     for i in range(g.dim):
         e_i = tuple(Fraction(int(t == i)) for t in range(g.dim))
-        for b in h.basis:
+        for bi, b in enumerate(h.basis):
             if not h.contains(g.bracket(e_i, b)):
-                return False
-    return True
+                return i, bi
+    return None
+
+
+def ideal_check(g: LieAlgebra, h: Subspace) -> bool:
+    """True iff [g, h] lies in h, tested on basis vectors exactly."""
+    return _ideal_failure(g, h) is None
 
 
 @dataclass(frozen=True)
@@ -239,13 +244,9 @@ class QuotientAlgebra:
 
 def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     """Form g/h, raising NotAnIdeal when h is not bracket-closed."""
-    if h.ambient_dim != g.dim:
-        raise ValueError("subspace ambient dimension does not match algebra")
-    for i in range(g.dim):
-        e_i = tuple(Fraction(int(t == i)) for t in range(g.dim))
-        for bi, b in enumerate(h.basis):
-            if not h.contains(g.bracket(e_i, b)):
-                raise NotAnIdeal(i, bi)
+    failure = _ideal_failure(g, h)
+    if failure is not None:
+        raise NotAnIdeal(*failure)
     complement = tuple(c for c in range(g.dim) if c not in set(h.pivots))
     q = len(complement)
     table = [[[Fraction(0)] * q for _ in range(q)] for _ in range(q)]

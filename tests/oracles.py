@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain Gaussian elimination over
 Fractions, determinant expansion by minors, differential entries
 evaluated from the alternating-sum definition with determinant
-evaluation of monomials, and the bump-sup level ratios in closed form.
+evaluation of monomials, the bump-sup level ratios in closed form, and
+the bump's derivative polynomials expanded in x and evaluated exactly.
 None of it shares code paths with the package internals it checks.
 """
 
@@ -250,3 +251,55 @@ def predicted_monotone_breaks(levels, max_order: int) -> dict:
                 if log_ratio >= 0:
                     breaks[(family, m, a, b)] = math.exp(log_ratio)
     return breaks
+
+
+def bump_polynomials_x(max_order: int) -> list[list[int]]:
+    """P_0..P_max_order with phi^(m) = P_m * phi / q^(2m), q = x(1-x),
+    as integer coefficients in x, lowest first.
+
+    Expanded straight from P_(m+1) = q^2 P_m' + q'(1 - 2mq) P_m in the
+    monomial basis of x, without the q-basis the package uses.
+    """
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def add(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, u in enumerate(a):
+            out[i] += u
+        for i, v in enumerate(b):
+            out[i] += v
+        return out
+
+    q = [0, 1, -1]
+    dq = [1, -2]
+    polys = [[1]]
+    for m in range(max_order):
+        p = polys[-1]
+        deriv = [i * c for i, c in enumerate(p)][1:] or [0]
+        polys.append(add(mul(mul(q, q), deriv),
+                         mul(mul(dq, add([1], [-2 * m * c for c in q])), p)))
+    return polys
+
+
+def exact_profile_constants(max_order: int, samples: int) -> list[float]:
+    """max |phi^(m)| over the grid i/(n+1), i = 1..n, with P_m(x)
+    evaluated exactly at every grid point and only the factor
+    exp(-1/q - 2m log q) taken in floats."""
+    n1 = samples + 1
+    out = []
+    for m, poly in enumerate(bump_polynomials_x(max_order)):
+        deg = len(poly) - 1
+        best = 0.0
+        for i in range(1, samples + 1):
+            # n1^deg * P_m(i / n1), in integers
+            num = sum(c * i ** j * n1 ** (deg - j) for j, c in enumerate(poly))
+            q = float(Fraction(i * (n1 - i), n1 * n1))
+            value = abs(float(Fraction(num, n1 ** deg)))
+            best = max(best, value * math.exp(-1.0 / q - 2 * m * math.log(q)))
+        out.append(best)
+    return out

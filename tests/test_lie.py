@@ -92,6 +92,22 @@ def test_quotient_refuses_non_ideal():
         quotient(sl2(), Subspace.span(3, [_unit(3, 1)]))
 
 
+def test_non_ideal_refusal_names_the_first_failing_pair():
+    # (basis vector i, subspace generator bi), the first in row order
+    with pytest.raises(NotAnIdeal) as exc:
+        quotient(sl2(), Subspace.span(3, [_unit(3, 1)]))
+    assert str(exc.value) == (
+        "bracket of basis vector 2 with subspace generator 0 leaves the "
+        "subspace"
+    )
+    with pytest.raises(NotAnIdeal) as exc:
+        quotient(heisenberg(), Subspace.span(3, [_unit(3, 0), _unit(3, 1)]))
+    assert str(exc.value) == (
+        "bracket of basis vector 0 with subspace generator 1 leaves the "
+        "subspace"
+    )
+
+
 def test_quotient_by_whole_algebra_gives_point():
     g = sl2()
     whole = Subspace.span(3, [_unit(3, i) for i in range(3)])

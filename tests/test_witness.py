@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quotientcoh import witness
+from quotientcoh.cli import main
+from quotientcoh.errors import NonFiniteValue
 from quotientcoh.witness import (
     BumpFamily,
     build_bumps,
     degree_one_obstruction,
+    derivative_polynomials,
     forced_levels,
     interval,
     intervals_are_disjoint,
     lift_obstruction,
     verify_bounds,
 )
+
+from oracles import bump_polynomials_x, exact_profile_constants
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +172,125 @@ def test_forced_levels_pairs(family):
     pairs = forced_levels(family)
     assert [k for k, _ in pairs] == sorted(family.k_range)
     assert all(k == lvl for k, lvl in pairs)
+
+
+def test_derivative_polynomials_match_sympy():
+    # P_m = (1-2x)^(m mod 2) S_m(x(1-x)) against sympy's own m-th
+    # derivative of exp(-1/q), times q^(2m)/phi, at exact rational points
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    q = x * (1 - x)
+    phi = sympy.exp(-1 / q)
+    derivative = phi
+    for m, s_m in enumerate(derivative_polynomials(6)):
+        p_m = sympy.Poly(
+            (1 - 2 * x) ** (m % 2) * sum(c * q ** j for j, c in enumerate(s_m)),
+            x,
+        )
+        assert p_m.degree() == (3 * m - 2 if m else 0)
+        ratio = derivative * q ** (2 * m) / phi
+        points = [sympy.Rational(i, 3 * m + 7) for i in range(1, 3 * m + 7)]
+        for r in points:
+            assert ratio.xreplace({x: r}) == p_m.eval(r), (m, r)
+        derivative = sympy.diff(derivative, x)
+
+
+def test_derivative_polynomials_match_the_x_expansion():
+    # the q-basis recursion against the plain recursion in x, compared
+    # exactly at more integer points than the degree 3m - 2
+    x_polys = bump_polynomials_x(12)
+    for m, s_m in enumerate(derivative_polynomials(12)):
+        for x in range(-20, 20):
+            q = x * (1 - x)
+            lhs = (1 - 2 * x) ** (m % 2) * sum(
+                c * q ** j for j, c in enumerate(s_m))
+            rhs = sum(c * x ** j for j, c in enumerate(x_polys[m]))
+            assert lhs == rhs, (m, x)
+
+
+def test_profile_constants_agree_with_exact_evaluation_at_order_10():
+    # Horner in x on the expanded P_m is off by about 0.3 relative here;
+    # the q-basis evaluation must stay on the exact values
+    fam = build_bumps([2, 3], max_derivative_order=10,
+                      samples_per_interval=2001)
+    exact = exact_profile_constants(10, 2001)
+    for m, (c, e) in enumerate(zip(fam.profile_constants(), exact)):
+        assert c == pytest.approx(e, rel=1e-9), m
+
+
+def test_verify_bounds_does_level_work_once(monkeypatch, family):
+    calls = {"profile_constants": 0, "forced_levels": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(BumpFamily, "profile_constants", counted(
+        "profile_constants", BumpFamily.profile_constants))
+    monkeypatch.setattr(witness, "forced_levels", counted(
+        "forced_levels", witness.forced_levels))
+    report = verify_bounds(family)
+    assert calls == {"profile_constants": 1, "forced_levels": 1}
+    assert report.lift_obstruction
+
+
+def _recast(cls, base: BumpFamily) -> BumpFamily:
+    """base's fields in an instance of the BumpFamily subclass cls."""
+    fields = dataclasses.fields(base)
+    return cls(**{f.name: getattr(base, f.name) for f in fields})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_derivative_fails_closed(value):
+    # every evaluation of phi'' has one bad sample, so C_2 is bad
+    class Poisoned(BumpFamily):
+        def phi_derivative(self, order, s):
+            out = super().phi_derivative(order, s)
+            if order == 2:
+                out[len(out) // 2] = value
+            return out
+
+    base = build_bumps([2, 3, 4], max_derivative_order=3,
+                       samples_per_interval=501)
+    with pytest.raises(NonFiniteValue, match="profile constant C_2"):
+        verify_bounds(_recast(Poisoned, base))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_level_sup_fails_closed(value):
+    # the profile constants are clean; only the level-3 samples are bad
+    class BadLevel(BumpFamily):
+        def bump_values(self, k, order=0):
+            out = super().bump_values(k, order)
+            if k == 3:
+                out[len(out) // 2] = value
+            return out
+
+    base = build_bumps([2, 3, 4], max_derivative_order=2,
+                       samples_per_interval=501)
+    with pytest.raises(NonFiniteValue, match="sup of f at level k=3"):
+        verify_bounds(_recast(BadLevel, base))
+
+
+def test_overflowing_level_scale_fails_closed():
+    # 2^(2km) overflows a float once 2km > 1023: k = 40, m = 13
+    fam = build_bumps([40, 41], max_derivative_order=13,
+                      samples_per_interval=101)
+    with pytest.raises(NonFiniteValue, match="level k=40, order m=13"):
+        verify_bounds(fam)
+
+
+def test_non_finite_witness_job_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(
+        "[witness]\nk_min = 40\nk_max = 41\n"
+        "max_derivative_order = 13\nsamples_per_interval = 101\n"
+    )
+    out = tmp_path / "report.json"
+    code = main(["--input", str(cfg), "--format", "json",
+                 "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "not finite" in capsys.readouterr().err
