@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .exterior import enumerate_basis, rank_index, remove_pair, unrank_index, wedge_insert
+from .exterior import enumerate_basis, remove_pair, wedge_insert
 from .lie import (
     BettiReport,
     CochainComplex,
@@ -113,7 +113,6 @@ __all__ = [
     "phi_sign_check",
     "quotient",
     "rank",
-    "rank_index",
     "remove_pair",
     "rref",
     "sl2",
@@ -121,7 +120,6 @@ __all__ = [
     "survives",
     "torus_betti",
     "transverse_frame",
-    "unrank_index",
     "verify_bounds",
     "wedge_insert",
 ]

@@ -50,6 +50,11 @@ _SECTIONS = {
 _REPEATABLE = {("lie", "bracket"), ("lie", "ideal"), ("torus", "foliation")}
 _MODE_SECTIONS = ("lie", "torus", "witness")
 _FORMATS = ("table", "json", "csv")
+# Highest bump derivative order the float evaluation in witness.py can
+# carry: from order 17 the Horner evaluation in q drifts past the 1e-9
+# relative slack of verify_bounds, from order 86 exp overflows, and from
+# order 152 the integer coefficients no longer fit in a float.
+MAX_DERIVATIVE_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -282,6 +287,13 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
         if order < 0:
             raise ValidationError(
                 "max_derivative_order", "must be nonnegative"
+            )
+        if order > MAX_DERIVATIVE_ORDER:
+            raise ValidationError(
+                "max_derivative_order",
+                "at most %d: above that the floating-point bump "
+                "derivatives are no longer accurate to the 1e-9 relative "
+                "slack of the sup bounds" % MAX_DERIVATIVE_ORDER,
             )
     samples = 10001
     if "samples_per_interval" in single:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
-from math import comb
 
 MultiIndex = tuple[int, ...]
 
@@ -30,38 +29,6 @@ def enumerate_basis(n: int, k: int) -> list[MultiIndex]:
     if k < 0:
         return []
     return list(combinations(range(n), k))
-
-
-def rank_index(m: MultiIndex, n: int) -> int:
-    """Position of m in enumerate_basis(n, len(m))."""
-    check_multi_index(m)
-    k = len(m)
-    r = 0
-    prev = -1
-    for t, c in enumerate(m):
-        for v in range(prev + 1, c):
-            r += comb(n - 1 - v, k - 1 - t)
-        prev = c
-    return r
-
-
-def unrank_index(r: int, k: int, n: int) -> MultiIndex:
-    """Inverse of rank_index: the r-th k-tuple in lexicographic order."""
-    if not 0 <= r < comb(n, k):
-        raise ValueError("rank %d out of range for (n=%d, k=%d)" % (r, n, k))
-    out = []
-    prev = -1
-    for t in range(k):
-        v = prev + 1
-        while True:
-            block = comb(n - 1 - v, k - 1 - t)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(out)
 
 
 def wedge_insert(i: int, m: MultiIndex) -> tuple[int, MultiIndex] | None:

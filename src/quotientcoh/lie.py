@@ -28,7 +28,15 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import NotAnIdeal
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
-from .scalars import ExactMatrix, RationalLike, nullspace_basis, rank, rref
+from .scalars import (
+    EchelonBasis,
+    ExactMatrix,
+    RationalLike,
+    dense_row,
+    nullspace_basis,
+    rank,
+    rref,
+)
 
 StructureTable = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -267,11 +275,13 @@ class CochainComplex:
 
     d[k] is the matrix of the degree-k differential with respect to the
     lexicographic monomial bases, shape C(n, k+1) x C(n, k); the tuple
-    has length n since the top differential is zero.
+    has length n since the top differential is zero.  algebra is the
+    structure table the differentials were built from.
     """
 
     dim: int
     d: tuple[ExactMatrix, ...]
+    algebra: LieAlgebra
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -303,32 +313,37 @@ def ce_complex(x: AlgebraLike) -> CochainComplex:
     inside it, contract the pair out (remove_pair), bracket it through
     the structure table, and wedge the result back in (wedge_insert).
     The pair (-1)^(s+t) prefactor equals minus the contraction sign, so
-    each contribution is -sign_rm * sign_w * c.
+    each contribution is -sign_rm * sign_w * c.  Rows are assembled as
+    sparse {column: value} maps.
     """
     g = _algebra_of(x)
     n = g.dim
+    brackets = {
+        (i, j): [(u, c) for u, c in enumerate(g.structure[i][j]) if c != 0]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     mats = []
     for k in range(n):
-        rows_basis = enumerate_basis(n, k + 1)
         col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
-        grid = [[Fraction(0)] * len(col_index) for _ in rows_basis]
-        for r, jmono in enumerate(rows_basis):
+        rows = []
+        for jmono in enumerate_basis(n, k + 1):
+            row: dict[int, Fraction] = {}
             for s in range(k + 1):
                 for t in range(s + 1, k + 1):
                     removed = remove_pair(jmono, jmono[s], jmono[t])
                     assert removed is not None
                     sign_rm, rest = removed
-                    for u in range(n):
-                        c = g.structure[jmono[s]][jmono[t]][u]
-                        if c == 0:
-                            continue
+                    for u, c in brackets[jmono[s], jmono[t]]:
                         inserted = wedge_insert(u, rest)
                         if inserted is None:
                             continue
                         sign_w, imono = inserted
-                        grid[r][col_index[imono]] -= sign_rm * sign_w * c
-        mats.append(ExactMatrix.from_rows(grid, cols=len(col_index)))
-    return CochainComplex(n, tuple(mats))
+                        col = col_index[imono]
+                        row[col] = row.get(col, 0) - sign_rm * sign_w * c
+            rows.append(row)
+        mats.append(ExactMatrix.from_sparse(len(col_index), rows))
+    return CochainComplex(n, tuple(mats), g)
 
 
 @dataclass(frozen=True)
@@ -348,31 +363,6 @@ class BettiReport:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
-
-
-class _EchelonAccumulator:
-    """Grows an echelon set one vector at a time, reporting residuals."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, tuple[Fraction, ...]]] = []
-
-    def add(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Reduce v by the current rows; absorb and return the residual
-        (normalized to leading coefficient 1) if independent, else None."""
-        w = list(v)
-        for p, row in self.rows:
-            f = w[p]
-            if f != 0:
-                w = [a - f * b for a, b in zip(w, row)]
-        lead = next((i for i, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            return None
-        inv = w[lead]
-        normalized = tuple(x / inv for x in w)
-        self.rows.append((lead, normalized))
-        self.rows.sort(key=lambda item: item[0])
-        return normalized
 
 
 def betti(c: CochainComplex) -> BettiReport:
@@ -400,19 +390,16 @@ def betti(c: CochainComplex) -> BettiReport:
         if k < n:
             kernel = nullspace_basis(c.d[k])
         else:
-            kernel = [
-                tuple(Fraction(int(i == j)) for i in range(width))
-                for j in range(width)
-            ]
-        acc = _EchelonAccumulator(width)
+            kernel = [(Fraction(1),)]  # the top form; d_n = 0
+        acc = EchelonBasis()
         if k >= 1:
-            for j in range(c.d[k - 1].cols):
-                acc.add(c.d[k - 1].column(j))
+            for column in c.d[k - 1].columns():
+                acc.add(column)
         chosen = []
         for v in kernel:
-            residual = acc.add(v)
+            residual = acc.add({j: x for j, x in enumerate(v) if x})
             if residual is not None:
-                chosen.append(residual)
+                chosen.append(dense_row(residual.items(), width))
         gens_out.append(tuple(chosen))
         monos_out.append(tuple(enumerate_basis(n, k)))
     return BettiReport(
@@ -420,17 +407,68 @@ def betti(c: CochainComplex) -> BettiReport:
     )
 
 
-def phi_sign_check(c: CochainComplex) -> bool:
-    """Certify that the degreewise twist S_k = (-1)^k I intertwines
-    -d with d: S_{k+1} (-d_k) = d_k' S_k as literal matrix identities.
+def _permutation_sign(seq: Sequence[int]) -> int:
+    """(-1) to the number of inversions of seq."""
+    inversions = sum(
+        1
+        for a in range(len(seq))
+        for b in range(a + 1, len(seq))
+        if seq[a] > seq[b]
+    )
+    return -1 if inversions % 2 else 1
 
-    This is the sign bookkeeping that matches evaluation-at-identity
-    against the algebraic differential; it holds for every complex
-    produced by ce_complex.
+
+def _evaluation_differential(
+    g: LieAlgebra, k: int
+) -> list[dict[int, Fraction]]:
+    """The rows of d_k rebuilt from the evaluation formula alone.
+
+    Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s < t and u of
+    (-1)^(s+t) c[J_s][J_t][u] e^I(e_u, e_rest), where rest is J without
+    J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
+    sorts (u, rest) into I, or 0 when (u, rest) does not list I.
     """
+    col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
+    rows = []
+    for jmono in enumerate_basis(g.dim, k + 1):
+        row: dict[int, Fraction] = {}
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
+                for u, c in enumerate(g.structure[jmono[s]][jmono[t]]):
+                    if c == 0:
+                        continue
+                    args = (u,) + rest
+                    col = col_index.get(tuple(sorted(args)))
+                    if col is None:
+                        continue  # u repeats an index of rest
+                    value = (-1) ** (s + t) * _permutation_sign(args) * c
+                    row[col] = row.get(col, 0) + value
+        rows.append({j: x for j, x in row.items() if x != 0})
+    return rows
+
+
+def phi_sign_check(c: CochainComplex) -> bool:
+    """Certify the signs of c against the evaluation formula.
+
+    Each D_k is rebuilt from c.algebra by _evaluation_differential,
+    which shares no code with ce_complex (no remove_pair, no
+    wedge_insert).  With the degreewise twist S_k = (-1)^k I, the
+    certificate is the identity S_{k+1} (-D_k) = d_k S_k, which matches
+    evaluation on basis vectors against the algebraic differential; it
+    is checked entrywise on sparse rows and fails as soon as one entry
+    of one d_k differs from the formula.
+    """
+    g = c.algebra
+    if len(c.d) != g.dim:
+        return False
     for k, dk in enumerate(c.d):
-        s_k = ExactMatrix.identity(dk.cols).scale((-1) ** k)
-        s_k1 = ExactMatrix.identity(dk.rows).scale((-1) ** (k + 1))
-        if s_k1 @ dk.scale(-1) != dk @ s_k:
+        if (dk.rows, dk.cols) != (comb(g.dim, k + 1), comb(g.dim, k)):
             return False
+        twist_k, twist_k1 = (-1) ** k, (-1) ** (k + 1)
+        for built, row in zip(_evaluation_differential(g, k), dk.sparse_rows):
+            lhs = {j: twist_k1 * -x for j, x in built.items()}
+            rhs = {j: x * twist_k for j, x in row}
+            if lhs != rhs:
+                return False
     return True

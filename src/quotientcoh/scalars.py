@@ -1,11 +1,23 @@
-"""Exact scalars and dense exact linear algebra.
+"""Exact scalars and sparse exact linear algebra.
 
 Every rank, kernel and echelon form in this package is computed over the
 rationals with `fractions.Fraction`, so results are exact and runs are
-reproducible.  Rank uses fraction-free Bareiss elimination on integer
-rows (denominators are cleared row by row, which never changes the
-rank), keeping intermediate entries at minor-determinant size instead of
-letting numerators and denominators blow up.
+reproducible.  Matrices are row-sparse: `ExactMatrix` keeps, for each
+row, only its nonzero entries as (column, value) pairs in increasing
+column order.  The differentials the pipelines build are mostly zero (a
+dim-7 cochain differential has tens of nonzeros among thousands of
+cells), so products, ranks and echelon forms cost time in proportion to
+the nonzeros and the fill-in they create, not to the number of cells.
+A dense view (`ExactMatrix.entries`) is built only when asked for.
+
+Elimination is incremental.  `EchelonBasis` reduces one sparse row at a
+time against the rows it holds, each scaled to leading coefficient 1,
+clearing their pivot columns in increasing order, and keeps the residual
+when it is nonzero.  That residual is the unique vector of v + span that
+vanishes on every pivot column, so it is fixed by the span and the pivot
+set alone; rank, the reduced row echelon form (the canonical
+representative of a row span) and the kernel basis read off from it are
+therefore independent of the order in which rows are eliminated.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -18,10 +30,10 @@ pipelines that consume them are arranged so the product is never needed.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -112,25 +124,57 @@ def parse_ext_scalar(text: str) -> ExtScalar:
     return ExtScalar(rat, irr)
 
 
-def _coerce_row(row: Iterable[RationalLike], cols: int | None) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(x) for x in row)
-    if cols is not None and len(out) != cols:
-        raise ValueError("row length %d != expected %d" % (len(out), cols))
-    return out
+SparseRow = tuple[tuple[int, Fraction], ...]
+SparseVector = Union[Mapping[int, Fraction], SparseRow]
+
+_ZERO = Fraction(0)
+
+
+def dense_row(
+    entries: Iterable[tuple[int, Fraction]], width: int
+) -> tuple[Fraction, ...]:
+    """The dense tuple of a sparse row given as (column, value) pairs."""
+    out = [_ZERO] * width
+    for j, x in entries:
+        out[j] = x
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable row-sparse matrix with Fraction entries.
+
+    sparse_rows[i] lists the nonzero entries of row i as (column, value)
+    pairs in increasing column order, so two matrices are equal iff
+    their fields are.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[SparseRow, ...]
+
+    @classmethod
+    def from_sparse(
+        cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
+    ) -> "ExactMatrix":
+        """Build from one {column: value} map per row; zeros are dropped."""
+        data = []
+        for row in rows:
+            for j in row:
+                if not 0 <= j < cols:
+                    raise ValueError(
+                        "column %d out of range for width %d" % (j, cols)
+                    )
+            data.append(tuple(
+                (j, Fraction(row[j])) for j in sorted(row) if row[j] != 0
+            ))
+        return cls(len(data), cols, tuple(data))
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Iterable[RationalLike]], cols: int | None = None
     ) -> "ExactMatrix":
+        """Build from dense rows."""
         data = [tuple(Fraction(x) for x in r) for r in rows]
         if cols is None:
             if not data:
@@ -139,38 +183,18 @@ class ExactMatrix:
         for r in data:
             if len(r) != cols:
                 raise ValueError("ragged rows: %d != %d" % (len(r), cols))
-        return cls(len(data), cols, tuple(data))
+        return cls(len(data), cols, tuple(
+            tuple((j, x) for j, x in enumerate(r) if x != 0) for r in data
+        ))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        row = (Fraction(0),) * cols
-        return cls(rows, cols, (row,) * rows)
+        return cls(rows, cols, ((),) * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            n, n,
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows,
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-        )
-
-    def scale(self, c: RationalLike) -> "ExactMatrix":
-        f = Fraction(c)
-        return ExactMatrix(
-            self.rows, self.cols,
-            tuple(tuple(x * f for x in row) for row in self.entries),
-        )
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows, built on each access."""
+        return tuple(dense_row(row, self.cols) for row in self.sparse_rows)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -178,20 +202,38 @@ class ExactMatrix:
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        bt = other.transpose().entries
-        return ExactMatrix(
-            self.rows, other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            ),
-        )
+        right = other.sparse_rows
+        out = []
+        for row in self.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for j, a in row:
+                for col, b in right[j]:
+                    acc[col] = acc.get(col, _ZERO) + a * b
+            out.append(tuple(
+                (col, acc[col]) for col in sorted(acc) if acc[col] != 0
+            ))
+        return ExactMatrix(self.rows, other.cols, tuple(out))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        """Column j as a dense tuple."""
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d out of range for width %d"
+                             % (j, self.cols))
+        return tuple(
+            next((x for c, x in row if c == j), _ZERO)
+            for row in self.sparse_rows
+        )
+
+    def columns(self) -> list[dict[int, Fraction]]:
+        """Every column as a sparse {row: value} map."""
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                out[j][i] = x
+        return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
 
 MatrixLike = Union[ExactMatrix, Sequence[Sequence[RationalLike]]]
@@ -203,74 +245,112 @@ def as_matrix(m: MatrixLike, cols: int | None = None) -> ExactMatrix:
     return ExactMatrix.from_rows(m, cols=cols)
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank and row span shape.
-    out = []
-    for row in m.entries:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+class EchelonBasis:
+    """An echelon basis of sparse rows, grown one vector at a time.
+
+    rows maps each pivot column to the row that owns it: a {column:
+    value} map with value 1 at the pivot and nothing to its left.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    def reduce(self, v: SparseVector) -> dict[int, Fraction]:
+        """The residual of v (nonzero entries only, as a {column: value}
+        map or (column, value) pairs) that vanishes on every pivot column.
+
+        Pivot columns are cleared in increasing order; subtracting the
+        row of pivot c only touches columns right of c, so a sorted list
+        of the pivot columns present in the residual visits each in turn.
+        """
+        w = dict(v)
+        pivots = self.rows
+        pending = sorted(c for c in w if c in pivots)
+        while pending:
+            c = pending.pop(0)
+            f = w.pop(c, None)
+            if f is None:
+                continue  # cancelled to zero after it was listed
+            for j, x in pivots[c].items():
+                if j == c:
+                    continue
+                y = w.get(j)
+                if y is None:
+                    w[j] = -f * x
+                    if j in pivots:
+                        insort(pending, j)
+                else:
+                    y -= f * x
+                    if y:
+                        w[j] = y
+                    else:
+                        del w[j]
+        return w
+
+    def add(self, v: SparseVector) -> dict[int, Fraction] | None:
+        """Absorb v: return its residual scaled to leading coefficient 1
+        (now a row of the basis; do not mutate it), or None when v lies
+        in the span."""
+        w = self.reduce(v)
+        if not w:
+            return None
+        lead = min(w)
+        inv = w[lead]
+        if inv != 1:
+            w = {j: x / inv for j, x in w.items()}
+        self.rows[lead] = w
+        return w
+
+
+def _echelon(mat: ExactMatrix) -> EchelonBasis:
+    basis = EchelonBasis()
+    for row in mat.sparse_rows:
+        basis.add(row)
+    return basis
 
 
 def rank(m: MatrixLike) -> int:
-    """Exact rank via fraction-free Bareiss elimination.
+    """Exact rank: the number of rows an EchelonBasis absorbs."""
+    return len(_echelon(as_matrix(m)).rows)
 
-    Pivots are the first nonzero entry scanning down each column in
-    order, so the computation is deterministic.  All intermediate values
-    are integers (minors of the cleared matrix), which keeps the entry
-    growth polynomial instead of the exponential blowup of naive
-    fraction arithmetic.
-    """
-    mat = as_matrix(m)
-    a = _integer_rows(mat)
-    nrows, ncols = mat.rows, mat.cols
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            for j in range(c + 1, ncols):
-                # Bareiss one-step update: exact integer division.
-                a[i][j] = (p * a[i][j] - f * a[r][j]) // prev
-            a[i][c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+
+def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, Fraction]]:
+    """The reduced row echelon rows of mat, sparse, keyed by pivot."""
+    basis = _echelon(mat)
+    # Back substitution from the last pivot up: a reduced row is zero on
+    # every other pivot column, so subtracting it creates no new pivot
+    # entries and one pass over each row's pivot entries suffices.
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for p in sorted(basis.rows, reverse=True):
+        row = basis.rows[p]
+        for q in [j for j in row if j != p and j in reduced]:
+            f = row.pop(q)
+            for j, x in reduced[q].items():
+                if j == q:
+                    continue
+                y = row.get(j, _ZERO) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+        reduced[p] = row
+    return reduced
 
 
 def rref(m: MatrixLike) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the nonzero rows and the pivot column indices.  The output
-    is the canonical representative of the row span: two matrices have
-    the same row span iff their rref rows agree.
+    Returns the nonzero rows (dense) and the pivot column indices.  The
+    output is the canonical representative of the row span: two
+    matrices have the same row span iff their rref rows agree.
     """
     mat = as_matrix(m)
-    a = [list(row) for row in mat.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(mat.cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+    reduced = _reduced_rows(mat)
+    pivots = tuple(sorted(reduced))
+    return (
+        tuple(dense_row(reduced[p].items(), mat.cols) for p in pivots),
+        pivots,
+    )
 
 
 def nullspace_basis(m: MatrixLike) -> list[tuple[Fraction, ...]]:
@@ -278,16 +358,19 @@ def nullspace_basis(m: MatrixLike) -> list[tuple[Fraction, ...]]:
 
     Each basis vector has a 1 in its free coordinate and zeros in the
     other free coordinates, so the list has exactly cols - rank members
-    and m @ v = 0 holds exactly for each.
+    and m @ v = 0 holds exactly for each.  The vector of free column f
+    holds -r[f] at the pivot of each reduced row r.
     """
     mat = as_matrix(m)
-    rows, pivots = rref(mat)
-    free = [c for c in range(mat.cols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * mat.cols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+    reduced = _reduced_rows(mat)
+    by_free: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in reduced.items():
+        for j, x in row.items():
+            if j != p:
+                by_free.setdefault(j, []).append((p, -x))
+    one = Fraction(1)
+    return [
+        dense_row([(f, one), *by_free.get(f, ())], mat.cols)
+        for f in range(mat.cols)
+        if f not in reduced
+    ]

@@ -240,7 +240,7 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
     for k in range(q):
         col_basis = basis[k]
         row_index = {mono: r for r, mono in enumerate(basis[k + 1])}
-        grid = [[Fraction(0)] * len(col_basis) for _ in row_index]
+        rows: list[dict[int, int]] = [{} for _ in row_index]
         for c, mono in enumerate(col_basis):
             for pos, weight in enumerate(w):
                 if weight == 0:
@@ -249,8 +249,9 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
                 if inserted is None:
                     continue
                 sign, merged = inserted
-                grid[row_index[merged]][c] += sign * weight
-        mats.append(ExactMatrix.from_rows(grid, cols=len(col_basis)))
+                row = rows[row_index[merged]]
+                row[c] = row.get(c, 0) + sign * weight
+        mats.append(ExactMatrix.from_sparse(len(col_basis), rows))
     return ModeComplex(
         Mode(mode, w), frame.free_cols, basis, tuple(mats)
     )
@@ -444,8 +445,11 @@ def cross_check_ce(spec: TorusSpec) -> bool:
     must reproduce the same Betti numbers exactly.  This route goes
     through completely different code (echelon quotient plus cochain
     ranks instead of mode counting), which is the point of the check.
+    The torus side runs at truncation 0: its Betti numbers are fixed by
+    the transverse frame before any mode is audited, and the audit only
+    decides all_modes_acyclic, which this comparison does not read.
     """
-    report = torus_betti(spec)
+    report = torus_betti(spec, truncation=0)
     skeleton = rational_skeleton(spec)
     quot = quotient(abelian(spec.n), skeleton)
     algebraic = lie_betti(ce_complex(quot))

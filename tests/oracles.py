@@ -1,9 +1,9 @@
 """Independent slow recomputations used to pin expected values.
 
-Everything here is deliberately naive: plain Gaussian elimination over
-Fractions, determinant expansion by minors, differential entries
-evaluated from the alternating-sum definition with determinant
-evaluation of monomials, the bump-sup level ratios in closed form, and
+Everything here is deliberately naive: plain Gaussian and Gauss-Jordan
+elimination over dense rows of Fractions, determinant expansion by
+minors, differential entries evaluated from the alternating-sum
+definition with determinant evaluation of monomials, the bump-sup level ratios in closed form, and
 the bump's derivative polynomials expanded in x and evaluated exactly.
 None of it shares code paths with the package internals it checks.
 """
@@ -37,6 +37,28 @@ def gauss_rank(rows) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
     return r
+
+
+def naive_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions on dense rows, scanning the
+    columns in order; returns (nonzero rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
 
 
 def det_laplace(rows) -> Fraction:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +220,33 @@ def test_usage_error_reports_to_stderr():
     proc = _run_cli([])
     assert proc.returncode != 0
     assert "usage" in proc.stderr.lower()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [("std7-check", True), ("random7-check", True), ("quotient8", False)],
+)
+def test_lie_reports_match_committed_fixtures(name, check):
+    # Dim 7-8 jobs (a filiform4+sl2 sum, a dense random rational basis,
+    # filiform8 modulo its centre) with the canonical reports recorded
+    # from the earlier dense-matrix implementation.
+    text = (FIXTURES / (name + ".cfg")).read_text()
+    payload, code = run_job(parse_config(text), check=check)
+    payload["exit"] = code
+    assert canonical_json(payload) == (FIXTURES / (name + ".json")).read_text()
+
+
+@pytest.mark.parametrize("order", [17, 160])
+def test_witness_order_above_the_float_range_exits_one(tmp_path, capsys,
+                                                        order):
+    cfg = _write(tmp_path, "job.cfg", WITNESS_CFG.replace(
+        "max_derivative_order = 2", "max_derivative_order = %d" % order))
+    out = tmp_path / "report.json"
+    code = main(["--input", cfg, "--format", "json", "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at most 16" in err

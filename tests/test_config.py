@@ -142,6 +142,14 @@ def test_range_validation():
         parse_config("[output]\nformat = yaml\n[torus]\nn = 2\n")
 
 
+def test_derivative_order_is_capped_at_16():
+    job = "[witness]\nk_min = 2\nk_max = 3\nmax_derivative_order = %d\n"
+    assert parse_config(job % 16).witness.max_derivative_order == 16
+    for order in (17, 18, 152, 160):
+        with pytest.raises(ValidationError, match="at most 16"):
+            parse_config(job % order)
+
+
 def test_missing_required_keys():
     with pytest.raises(ValidationError, match="missing"):
         parse_config("[torus]\ntruncation = 2\n")

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotientcoh.exterior import (
+    check_multi_index,
     enumerate_basis,
-    rank_index,
     remove_pair,
-    unrank_index,
     wedge_insert,
 )
 
@@ -33,21 +32,6 @@ def test_enumeration_is_lexicographic_and_complete():
             assert len(basis) == (comb(n, k) if k <= n else 0)
             assert basis == sorted(basis)
             assert len(set(basis)) == len(basis)
-
-
-def test_rank_unrank_bijection_up_to_ten():
-    for n in range(11):
-        for k in range(n + 1):
-            for r, mono in enumerate(enumerate_basis(n, k)):
-                assert rank_index(mono, n) == r
-                assert unrank_index(r, k, n) == mono
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        unrank_index(3, 2, 3)
-    with pytest.raises(ValueError):
-        unrank_index(-1, 1, 3)
 
 
 def test_wedge_insert_examples():
@@ -74,7 +58,7 @@ def test_rejects_non_increasing_input():
     with pytest.raises(ValueError):
         remove_pair((1, 1), 1, 0)
     with pytest.raises(ValueError):
-        rank_index((3, 2), 5)
+        check_multi_index((3, 2))
 
 
 @given(st.integers(0, 7), st.data())

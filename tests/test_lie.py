@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 
 from quotientcoh import (
+    CochainComplex,
     LieAlgebra,
     NotAnIdeal,
     Subspace,
@@ -26,6 +28,7 @@ from quotientcoh.scalars import ExactMatrix, rank
 from oracles import (
     ce_matrix_bruteforce,
     change_basis,
+    filiform,
     gauss_rank,
     random_invertible,
     random_lie_algebra,
@@ -250,6 +253,64 @@ def test_quotient_betti_of_abelian_by_random_subspace():
 def test_phi_sign_check_on_reference_complexes():
     for g in (abelian(0), abelian(3), heisenberg(), sl2()):
         assert phi_sign_check(ce_complex(g))
+
+
+def _with_entry(c, k, i, j, value):
+    """c with entry (i, j) of d_k replaced by value."""
+    rows = [list(row) for row in c.d[k].entries]
+    rows[i][j] = Fraction(value)
+    d = list(c.d)
+    d[k] = ExactMatrix.from_rows(rows, cols=c.d[k].cols)
+    return dataclasses.replace(c, d=tuple(d))
+
+
+def test_phi_sign_check_fails_on_any_single_changed_entry():
+    c = ce_complex(sl2())
+    assert phi_sign_check(c)
+    changed = 0
+    for k, dk in enumerate(c.d):
+        for i, row in enumerate(dk.entries):
+            for j, x in enumerate(row):
+                # flip a nonzero entry's sign, or fill a zero one
+                wrong = -x if x != 0 else Fraction(1)
+                assert not phi_sign_check(_with_entry(c, k, i, j, wrong))
+                changed += 1
+    assert changed == 3 + 9 + 3
+
+
+def test_d_squared_check_sees_cancelling_row_products():
+    # each nonzero row of d_1 d_0 is a sum of two products that cancel
+    d0 = ExactMatrix.from_rows([[1], [1], [2]])
+    d1 = ExactMatrix.from_rows([[1, -1, 0], [2, 0, -1], [0, 0, 0]])
+    d2 = ExactMatrix.from_rows([[0, 0, 5]])
+    c = CochainComplex(3, (d0, d1, d2), abelian(3))
+    assert c.d_squared_violation() is None
+    assert _with_entry(c, 1, 1, 1, -2).d_squared_violation() == 0
+    assert _with_entry(c, 2, 0, 0, 1).d_squared_violation() == 1
+
+
+def test_d_squared_check_reports_the_perturbed_degree():
+    rng = random.Random(8128)
+    for _ in range(6):
+        g = random_lie_algebra(rng, 5)
+        c = ce_complex(g)
+        assert c.d_squared_violation() is None
+        for k in range(1, g.dim - 1):
+            # changing d_k at (i, j) moves row i of d_k d_{k-1} by a
+            # multiple of row j of d_{k-1}, so pick a nonzero one
+            j = next((r for r, row in enumerate(c.d[k - 1].sparse_rows)
+                      if row), None)
+            if j is None:
+                continue
+            i = rng.randrange(c.d[k].rows)
+            value = c.d[k].entries[i][j] + 1
+            assert _with_entry(c, k, i, j, value).d_squared_violation() == k - 1
+
+
+def test_betti_of_filiform_10():
+    report = betti(ce_complex(filiform(10)))
+    assert report.betti == (1, 2, 5, 12, 20, 24, 20, 12, 5, 2, 1)
+    assert [len(g) for g in report.generators] == list(report.betti)
 
 
 def test_betti_rejects_non_complex():

@@ -17,7 +17,7 @@ from quotientcoh.scalars import (
     rref,
 )
 
-from oracles import gauss_rank, minor_rank
+from oracles import gauss_rank, minor_rank, naive_rref
 
 
 def _random_matrix(rng, rows, cols, denom=True):
@@ -29,15 +29,23 @@ def _random_matrix(rng, rows, cols, denom=True):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
 def test_rank_examples():
     assert rank([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank(ExactMatrix.identity(4)) == 4
+    assert rank(_identity(4)) == 4
     assert rank(ExactMatrix.zero(3, 5)) == 0
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == 2
 
 
 def test_nullspace_examples():
-    assert nullspace_basis(ExactMatrix.identity(3)) == []
+    assert nullspace_basis(_identity(3)) == []
     null = nullspace_basis([[1, 1]])
     assert len(null) == 1
     v = null[0]
@@ -55,7 +63,7 @@ def test_rank_matches_oracles_on_random_matrices():
         r = rank(m)
         assert r == gauss_rank(m)
         assert r == minor_rank(m)
-        assert r == rank(ExactMatrix.from_rows(m).transpose())
+        assert r == rank(_transpose(m))
 
 
 def test_rank_transpose_on_larger_matrices():
@@ -65,7 +73,7 @@ def test_rank_transpose_on_larger_matrices():
         cols = rng.randint(1, 7)
         m = _random_matrix(rng, rows, cols)
         assert rank(m) == gauss_rank(m)
-        assert rank(m) == rank(ExactMatrix.from_rows(m).transpose())
+        assert rank(m) == rank(_transpose(m))
 
 
 def test_nullspace_is_exact_and_complete():
@@ -83,6 +91,78 @@ def test_nullspace_is_exact_and_complete():
             assert all(x == 0 for x in image)
         if basis:
             assert rank(basis) == len(basis)
+
+
+def _sparse_random_matrix(rng, rows, cols):
+    """Mostly-zero rational entries, with some rows and columns all zero."""
+    density = rng.choice([0.1, 0.3, 0.6, 1.0])
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols or rng.random() > density:
+                row.append(Fraction(0))
+            else:
+                row.append(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        out.append(row)
+    return out
+
+
+def test_sparse_core_against_dense_oracles():
+    rng = random.Random(20261018)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (5, 1), (1, 5)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
+    for rows, cols in shapes:
+        dense = _sparse_random_matrix(rng, rows, cols)
+        m = ExactMatrix.from_rows(dense, cols=cols)
+        assert m.entries == tuple(tuple(row) for row in dense)
+        expected_rows, expected_pivots = naive_rref(dense, cols)
+        assert rank(m) == gauss_rank(dense) == len(expected_pivots)
+        assert rref(m) == (expected_rows, expected_pivots)
+        kernel = nullspace_basis(m)
+        free = [c for c in range(cols) if c not in expected_pivots]
+        assert len(kernel) == len(free)
+        for f, v in zip(free, kernel):
+            expected = [Fraction(int(c == f)) for c in range(cols)]
+            for row, p in zip(expected_rows, expected_pivots):
+                expected[p] = -row[f]
+            assert v == tuple(expected)
+            assert all(
+                sum(a * b for a, b in zip(row, v)) == 0 for row in dense
+            )
+
+
+def test_sparse_storage_is_canonical():
+    dense = [[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, -1]]
+    m = ExactMatrix.from_rows(dense)
+    assert m.sparse_rows == (
+        ((1, Fraction(1, 2)),), (), ((0, Fraction(3)), (2, Fraction(-1))),
+    )
+    assert m == ExactMatrix.from_sparse(3, [{1: Fraction(1, 2), 0: 0}, {},
+                                            {2: -1, 0: 3}])
+    assert m.column(2) == (Fraction(0), Fraction(0), Fraction(-1))
+    assert m.columns() == [{2: 3}, {0: Fraction(1, 2)}, {2: -1}]
+    with pytest.raises(ValueError):
+        ExactMatrix.from_sparse(2, [{2: 1}])
+
+
+def test_sparse_product_matches_dense_product():
+    rng = random.Random(31)
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        a = _sparse_random_matrix(rng, n, k)
+        b = _sparse_random_matrix(rng, k, m)
+        product = ExactMatrix.from_rows(a, cols=k) @ ExactMatrix.from_rows(
+            b, cols=m)
+        expected = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+             for j in range(m)]
+            for i in range(n)
+        ]
+        assert product == ExactMatrix.from_rows(expected, cols=m)
+        assert product.is_zero() == all(x == 0 for r in expected for x in r)
 
 
 def test_rref_is_canonical_for_the_row_span():
@@ -159,10 +239,8 @@ def test_parse_decimal_message_is_pointed():
 def test_matrix_shapes_and_ops():
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
-    assert m.transpose().transpose() == m
-    i2 = ExactMatrix.identity(2)
-    assert i2 @ m == m
-    assert m.scale(0).is_zero()
+    assert ExactMatrix.from_rows(_identity(2)) @ m == m
+    assert (ExactMatrix.zero(4, 2) @ m).is_zero()
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):

@@ -274,6 +274,14 @@ def test_non_finite_level_sup_fails_closed(value):
         verify_bounds(_recast(BadLevel, base))
 
 
+def test_order_16_bounds_hold():
+    # the highest order a job file may ask for
+    fam = build_bumps([2, 3], max_derivative_order=16,
+                      samples_per_interval=2001)
+    report = verify_bounds(fam)
+    assert {r.order for r in report.sup_records} == set(range(17))
+
+
 def test_overflowing_level_scale_fails_closed():
     # 2^(2km) overflows a float once 2km > 1023: k = 40, m = 13
     fam = build_bumps([40, 41], max_derivative_order=13,
