@@ -5,8 +5,8 @@ Three pipelines share an exact linear-algebra core:
   * lie: cochain cohomology of a structure-constant Lie algebra or its
     quotient by an ideal, with certified ranks and representatives;
   * torus: the translation-invariant basic complex of a linear torus
-    foliation, computed mode by mode with acyclicity certificates for
-    the audited nonzero Fourier modes;
+    foliation, computed mode by mode with one acyclicity certificate
+    per class of audited nonzero Fourier modes;
   * witness: a numeric bump-family construction certifying why smooth
     local data need not lift through a quotient map, plus the static
     degree-one obstruction certificate.

@@ -141,6 +141,7 @@ def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     for cert in report.acyclicity_certificates:
         entry = {
             "mode": list(cert.mode),
+            "modes": cert.modes,
             "ranks": list(cert.ranks),
             "ok": cert.ok,
         }

@@ -1,4 +1,4 @@
-"""Invariant basic forms of linear torus foliations, one Fourier mode at a time.
+"""Invariant basic forms of linear torus foliations, one class of Fourier modes at a time.
 
 A constant-coefficient foliation of the n-torus is spanned by direction
 vectors whose entries are rational or rational + rational*alpha for one
@@ -19,6 +19,25 @@ itself nonzero, which makes the complex exact in every degree.  The
 zero mode has zero differential.  Betti numbers are therefore binomial
 coefficients C(n - p, k); the nonzero-mode audit certifies this with
 explicit ranks.
+
+The audit visits every surviving mode of sup norm at most the
+truncation T without scanning the box.  Survival is an integer linear
+system: the rational and alpha parts of every direction, scaled to
+integers, plus m_j = 0 on the invariance coordinates.  Its reduced row
+echelon form writes each pivot coordinate as a rational combination of
+the non-pivot ones.  A surviving mode in the box has all coordinates in
+[-T, T], the non-pivot ones included, so enumerating the non-pivot
+coordinates over [-T, T] and keeping the derived pivot values that are
+integers in [-T, T] finds every survivor, and nothing else, in
+(2T + 1)^(n - |inv| - r) steps for r the rank of the constraint rows.
+
+The surviving modes then fall into classes keyed by the sorted absolute
+values of the transverse covector divided by their gcd.  Permuting the
+transverse coordinates, negating some of them and scaling the covector
+by a nonzero factor conjugate the mode complex by invertible maps, so
+all members of a class have the same ranks.  Each class is built and
+certified once, on its lexicographically first member, and reported
+once with the number of modes it stands for.
 
 The irrational alpha is handled symbolically: independence and pivot
 columns of the direction matrix A + alpha*B are decided by substituting
@@ -259,16 +278,20 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
 
 @dataclass(frozen=True)
 class KoszulCertificate:
-    """Rank evidence that one nonzero mode contributes no cohomology.
+    """Rank evidence that nonzero modes contribute no cohomology.
 
-    ok holds iff every degree has zero cohomology; on failure
-    failed_degree records the first degree with a nonzero defect.
+    ranks are the exact ranks of the complex of mode; ok holds iff every
+    degree has zero cohomology, and on failure failed_degree records the
+    first degree with a nonzero defect.  modes counts the audited modes
+    the certificate stands for: mode itself and the members of its
+    class (see torus_betti), which share its ranks.
     """
 
     mode: tuple[int, ...]
     ranks: tuple[int, ...]
     ok: bool
     failed_degree: int | None
+    modes: int = 1
 
 
 def _certificate_from_ranks(
@@ -306,9 +329,9 @@ class TorusBettiReport:
     """Betti numbers of the invariant basic complex plus the mode audit.
 
     betti has length n - p + 1 and equals the zero-mode cohomology;
-    acyclicity_certificates hold one KoszulCertificate per audited
-    nonzero mode in lexicographic order; all_modes_acyclic summarizes
-    them.
+    acyclicity_certificates hold one KoszulCertificate per class of
+    audited nonzero modes, ordered by their first members, whose modes
+    counts sum to audited_modes; all_modes_acyclic summarizes them.
     """
 
     n: int
@@ -346,36 +369,70 @@ def _integer_constraints(spec: TorusSpec) -> list[tuple[int, ...]]:
 def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     """All modes with sup norm <= bound that survive, lexicographically.
 
-    Invariance coordinates are pinned to zero up front; the remaining
-    coordinates run over {-bound..bound} and are filtered by integer
-    dot products (equivalent to `survives`, tested as such).
+    Invariance coordinates are pinned to zero up front.  On the other
+    (open) coordinates the survival set is the integer kernel of the
+    constraint rows, which is also the kernel of their reduced row
+    echelon form R: each pivot coordinate equals minus the R-combination
+    of the non-pivot coordinates of its row.  Enumerating the non-pivot
+    coordinates over {-bound..bound} and deriving every pivot coordinate
+    exactly, kept only when it is an integer inside the box, is
+    complete: every coordinate of a kernel point in the box, the
+    non-pivot ones included, lies in {-bound..bound}, so the point is
+    reached from its own non-pivot coordinates, and the pivot values
+    derived from them are its own.  It is also sound, since every point
+    kept satisfies R.  The work is (2*bound + 1)^(open - r) for r the
+    rank of the constraint rows, not (2*bound + 1)^open.  `survives` is
+    the reference predicate this is tested against.
     """
-    free_positions = [j for j in range(spec.n) if j not in spec.invariance_coords]
-    constraints = _integer_constraints(spec)
-    reduced = [tuple(row[j] for j in free_positions) for row in constraints]
-    out = []
+    open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
+    rows = [[row[j] for j in open_cols] for row in _integer_constraints(spec)]
+    reduced, pivots = rref(ExactMatrix.from_rows(rows, cols=len(open_cols)))
+    enumerated = set(open_cols) - {open_cols[c] for c in pivots}
     values = range(-bound, bound + 1)
-    for combo in product(values, repeat=len(free_positions)):
-        if all(
-            sum(c * m for c, m in zip(row, combo)) == 0 for row in reduced
-        ):
-            mode = [0] * spec.n
-            for j, m in zip(free_positions, combo):
-                mode[j] = m
+    axes = [values if j in enumerated else (0,) for j in range(spec.n)]
+    if not pivots:
+        # the product over per-coordinate ranges is already lexicographic
+        return list(product(*axes))
+    # pivot coordinate = (sum of coefficient * enumerated coordinate) / denom
+    solved = []
+    for row, c in zip(reduced, pivots):
+        denom = lcm(*(row[k].denominator for k in range(len(row))))
+        terms = tuple(
+            (open_cols[k], int(-row[k] * denom))
+            for k in range(len(row))
+            if k != c and row[k] != 0
+        )
+        solved.append((open_cols[c], denom, terms))
+    out = []
+    for point in product(*axes):
+        mode = list(point)
+        for col, denom, terms in solved:
+            value, rest = divmod(sum(a * point[j] for j, a in terms), denom)
+            if rest or not -bound <= value <= bound:
+                break
+            mode[col] = value
+        else:
             out.append(tuple(mode))
+    out.sort()
     return out
 
 
 def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiReport:
-    """Betti numbers with a per-mode acyclicity audit.
+    """Betti numbers with an acyclicity audit, one certificate per class.
 
     The zero mode fixes the Betti numbers, C(n - p, k) on the
     transverse frame; every other surviving mode with sup norm at most
-    the truncation is certified exact.  Certified rank profiles are
-    cached by the canonical form of the transverse covector (sorted
-    absolute values divided by their gcd): permuting or negating
-    coordinates and global scaling conjugate the complex by
-    invertible maps, so the per-degree ranks agree.
+    the truncation is certified exact.  The surviving modes are grouped
+    by the canonical form of their transverse covector w: sorted |w_i|
+    divided by their gcd.  Two modes with the same form have complexes
+    conjugate by invertible maps: a permutation of the transverse
+    coordinates permutes the wedge monomials, negating a coordinate
+    rescales monomials by signs, and scaling w by a nonzero factor
+    scales each differential.  Conjugate complexes have the same rank
+    in every degree, so each class is built and certified once, on its
+    lexicographically first member, with exact ranks.  The report
+    carries one certificate per class, in the order of those first
+    members, and each counts the audited modes of its class.
     """
     bound = spec.truncation if truncation is None else truncation
     if bound < 0:
@@ -391,21 +448,33 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
         )
         for k in range(q + 1)
     )
-    cache: dict[tuple[int, ...], tuple[tuple[int, ...], bool, int | None]] = {}
-    certificates = []
-    all_ok = True
+    # Survivors come in lexicographic order, so each sorted |w| first
+    # appears with its least mode, and the first such key of a class
+    # (dicts keep insertion order) holds the least member of the class.
+    by_abs: dict[tuple[int, ...], list] = {}
     for mode in surviving_modes(spec, bound):
-        if all(m == 0 for m in mode):
-            continue
-        w = _mode_transverse(mode, frame)
-        g = gcd(*(abs(x) for x in w))
-        key = tuple(sorted(abs(x) // g for x in w))
-        if key not in cache:
-            cert = koszul_certificate(build_mode_complex(mode, spec))
-            cache[key] = (cert.ranks, cert.ok, cert.failed_degree)
-        ranks, ok, failed = cache[key]
-        certificates.append(KoszulCertificate(mode, ranks, ok, failed))
-        all_ok = all_ok and ok
+        raw = tuple(sorted(map(abs, _mode_transverse(mode, frame))))
+        entry = by_abs.get(raw)
+        if entry is None:
+            by_abs[raw] = [mode, 1]
+        else:
+            entry[1] += 1
+    classes: dict[tuple[int, ...], list] = {}
+    for raw, (mode, count) in by_abs.items():
+        if not any(raw):
+            continue  # the zero mode, the only one with w = 0
+        g = gcd(*raw)
+        key = tuple(x // g for x in raw)
+        if key in classes:
+            classes[key][1] += count
+        else:
+            classes[key] = [mode, count]
+    certificates = []
+    for mode, count in classes.values():
+        cert = koszul_certificate(build_mode_complex(mode, spec))
+        certificates.append(KoszulCertificate(
+            mode, cert.ranks, cert.ok, cert.failed_degree, count
+        ))
     return TorusBettiReport(
         n=spec.n,
         p=spec.p,
@@ -416,8 +485,8 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
         ranks=(0,) * q,
         mode_zero_generators=gens,
         acyclicity_certificates=tuple(certificates),
-        audited_modes=len(certificates),
-        all_modes_acyclic=all_ok,
+        audited_modes=sum(cert.modes for cert in certificates),
+        all_modes_acyclic=all(cert.ok for cert in certificates),
     )
 
 

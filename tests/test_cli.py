@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,31 @@ def test_truncation_override(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["audited_modes"] == 2
     assert payload["betti"] == [1, 2, 1]
+
+
+def test_torus_report_lists_each_class_once(tmp_path):
+    # p = 0 on T^5 at truncation 3: every nonzero mode of the 7^5 box is
+    # audited, and the report carries one koszul entry per class
+    cfg = _write(tmp_path, "job.cfg", "[torus]\nn = 5\ntruncation = 3\n")
+    out = tmp_path / "report.json"
+    code = main(["--input", cfg, "--format", "json", "--output", str(out)])
+    assert code == 0
+    assert out.stat().st_size < 100_000
+    payload = json.loads(out.read_text())
+    assert payload["audited_modes"] == 7 ** 5 - 1
+    classes: dict = {}
+    for mode in product(range(-3, 4), repeat=5):
+        if any(mode):
+            g = gcd(*mode)
+            key = tuple(sorted(abs(x) // g for x in mode))
+            classes.setdefault(key, []).append(mode)
+    koszul = payload["certificates"]["koszul"]
+    assert len(koszul) == len(classes)
+    firsts = {min(members): len(members) for members in classes.values()}
+    for entry in koszul:
+        assert entry["ok"] is True
+        assert firsts[tuple(entry["mode"])] == entry["modes"]
+    assert sum(entry["modes"] for entry in koszul) == payload["audited_modes"]
 
 
 def test_witness_job(tmp_path, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -63,7 +63,9 @@ def test_survives_examples():
     assert not survives((3, -2), kron)
 
 
-def test_survives_matches_bruteforce_enumeration():
+def _lattice_specs():
+    """Specs for the lattice enumeration: fixed corner cases, then seeded
+    random ones with rational denominators, alpha parts and invariance."""
     specs = [
         example_spec(),
         kronecker_spec(),
@@ -81,15 +83,77 @@ def test_survives_matches_bruteforce_enumeration():
             invariance_coords=frozenset({3}),
             truncation=2,
         ),
+        # every coordinate invariant: only the zero mode survives
+        TorusSpec(
+            n=3,
+            foliation_dirs=(_ints(1, 1, 0),),
+            invariance_coords=frozenset({0, 1, 2}),
+            truncation=3,
+        ),
+        # (1 + alpha) * (1, 2, 1/2, 0): the rational and alpha rows agree
+        TorusSpec(
+            n=4,
+            foliation_dirs=(
+                (E(1, 1), E(2, 2), E(Fraction(1, 2), Fraction(1, 2)), E(0)),
+            ),
+            truncation=3,
+        ),
+        # the alpha part of each direction is the rational part of the other
+        TorusSpec(
+            n=4,
+            foliation_dirs=(
+                (E(1), E(0, 1), E(0), E(1)),
+                (E(0, 1), E(1), E(0), E(0, 1)),
+            ),
+            truncation=3,
+        ),
+        # directions living on an invariance coordinate
+        TorusSpec(
+            n=3,
+            foliation_dirs=((E(0), E(Fraction(2, 3), 1), E(0)),),
+            invariance_coords=frozenset({1}),
+            truncation=1,
+        ),
     ]
-    for spec in specs:
+    rng = random.Random(2718)
+    for i in range(24):
+        n = rng.randint(1, 4)
+        dirs = []
+        for _ in range(rng.randint(0, min(2, n))):
+            rat = [
+                Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                if rng.random() < 0.6 else Fraction(0)
+                for _ in range(n)
+            ]
+            style = rng.choice(["rational", "alpha", "dependent"])
+            if style == "rational":
+                irr = [Fraction(0)] * n
+            elif style == "alpha":
+                irr = [Fraction(rng.randint(-2, 2)) if rng.random() < 0.4
+                       else Fraction(0) for _ in range(n)]
+            else:
+                # alpha part a multiple of the rational part
+                irr = [Fraction(rng.randint(-2, 2), 2) * x for x in rat]
+            vec = tuple(E(a, b) for a, b in zip(rat, irr))
+            if not all(x.is_zero() for x in vec):
+                dirs.append(vec)
+        inv = frozenset(j for j in range(n) if rng.random() < 0.25)
+        specs.append(TorusSpec(
+            n=n, foliation_dirs=tuple(dirs), invariance_coords=inv,
+            truncation=i % 4,
+        ))
+    return specs
+
+
+def test_survives_matches_bruteforce_enumeration():
+    for spec in _lattice_specs():
         bound = spec.truncation
         expected = [
             m
             for m in product(range(-bound, bound + 1), repeat=spec.n)
             if survives(m, spec)
         ]
-        assert surviving_modes(spec, bound) == expected
+        assert surviving_modes(spec, bound) == expected, spec
 
 
 def test_transverse_frame_examples():
@@ -240,24 +304,56 @@ def test_invariance_shrinks_the_survivor_set():
         assert small <= big
 
 
+def _class_key(mode, spec):
+    w = [mode[f] for f in transverse_frame(spec).free_cols]
+    g = gcd(*w)
+    return tuple(sorted(abs(x) // g for x in w))
+
+
 def test_certificate_ranks_match_direct_recomputation():
-    # the audit reuses rank profiles across equivalent modes; check
-    # every reported certificate against an uncached direct run
-    spec = TorusSpec(
-        n=4,
-        foliation_dirs=((E(1), E(1), E(0), E(0)),),
-        invariance_coords=frozenset({3}),
-        truncation=2,
-    )
-    report = torus_betti(spec)
-    assert report.audited_modes > 0
-    for cert in report.acyclicity_certificates:
-        direct = koszul_certificate(build_mode_complex(cert.mode, spec))
-        assert direct.ranks == cert.ranks
-        assert direct.ok == cert.ok
-        # and the ranks agree with the naive elimination oracle
-        mc = build_mode_complex(cert.mode, spec)
-        assert cert.ranks == tuple(gauss_rank(d.entries) for d in mc.d_matrices)
+    # the audit certifies one mode per class; check every surviving mode
+    # of each class against an uncached direct run and the naive oracle
+    specs = [
+        # invariance
+        TorusSpec(
+            n=4,
+            foliation_dirs=((E(1), E(1), E(0), E(0)),),
+            invariance_coords=frozenset({3}),
+            truncation=2,
+        ),
+        # alpha: 2m0 + m1 - 2m3 = 0 and m2 = 0
+        TorusSpec(
+            n=4,
+            foliation_dirs=((E(1), E(Fraction(1, 2)), E(0, 1), E(-1)),),
+            truncation=2,
+        ),
+        # p = 0: the whole box
+        TorusSpec(n=3, truncation=2),
+    ]
+    for spec in specs:
+        report = torus_betti(spec)
+        by_class = {_class_key(c.mode, spec): c
+                    for c in report.acyclicity_certificates}
+        assert len(by_class) == len(report.acyclicity_certificates)
+        members: dict = {}
+        for mode in surviving_modes(spec, spec.truncation):
+            if not any(mode):
+                continue
+            cert = by_class[_class_key(mode, spec)]
+            members.setdefault(cert.mode, []).append(mode)
+            mc = build_mode_complex(mode, spec)
+            direct = koszul_certificate(mc)
+            assert direct.ranks == cert.ranks
+            assert direct.ok == cert.ok
+            # and the ranks agree with the naive elimination oracle
+            assert cert.ranks == tuple(
+                gauss_rank(d.entries) for d in mc.d_matrices)
+        assert len(members) > 1
+        for cert in report.acyclicity_certificates:
+            assert cert.mode == min(members[cert.mode])
+            assert cert.modes == len(members[cert.mode])
+        assert report.audited_modes == sum(
+            c.modes for c in report.acyclicity_certificates)
 
 
 def test_rational_skeleton_matches_frame():
