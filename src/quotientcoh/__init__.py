@@ -42,7 +42,7 @@ from .lie import (
     quotient,
     sl2,
 )
-from .scalars import ExactMatrix, ExtScalar, ext_is_zero, nullspace_basis, parse_ext_scalar, rank, rref
+from .scalars import ExactMatrix, ExtScalar, nullspace_basis, parse_ext_scalar, rank, rref
 from .torus import (
     KoszulCertificate,
     Mode,
@@ -102,7 +102,6 @@ __all__ = [
     "cross_check_ce",
     "degree_one_obstruction",
     "enumerate_basis",
-    "ext_is_zero",
     "heisenberg",
     "ideal_check",
     "jacobi_check",

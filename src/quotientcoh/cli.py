@@ -38,21 +38,10 @@ from .lie import (
     phi_sign_check,
     quotient,
 )
-from .torus import (
-    TorusSpec,
-    coordinate_names,
-    cross_check_ce,
-    monomial_label,
-    torus_betti,
-)
+from .torus import TorusSpec, cross_check_ce, torus_betti
 from .witness import build_bumps, degree_one_obstruction, interval, verify_bounds
 
 PROG = "engine"
-
-REPORT_KEYS = (
-    "mode", "betti", "ranks", "generators", "certificates",
-    "audited_modes", "exit",
-)
 
 
 def _term_join(terms: list[str]) -> str:
@@ -68,12 +57,11 @@ def _term_join(terms: list[str]) -> str:
 
 
 def _vector_label(
-    vec: tuple[Fraction, ...], labels: list[str]
+    vec: tuple[tuple[int, Fraction], ...], labels: list[str]
 ) -> str:
     terms = []
-    for coeff, label in zip(vec, labels):
-        if coeff == 0:
-            continue
+    for j, coeff in vec:
+        label = labels[j]
         if label == "1":
             terms.append(str(coeff))
         elif coeff == 1:
@@ -427,7 +415,12 @@ def main(argv=None) -> int:
     rendered = render(payload, args.format or config.output.format)
     out_path = args.output or config.output.path
     if out_path:
-        Path(out_path).write_text(rendered)
+        try:
+            Path(out_path).write_text(rendered)
+        except OSError as exc:
+            print("%s: cannot write output: %s" % (PROG, exc),
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     return code

@@ -8,10 +8,12 @@ alternating forms follows the convention
                            ^Y_i, ..., ^Y_j, ..., Y_k),
 
 so in degree one (d a)(X, Y) = -a([X, Y]), and d o d = 0 is equivalent
-to the Jacobi identity.  Betti numbers come from exact ranks of the
-differential matrices; representatives are kernel vectors reduced
-against the image of the previous differential, which leaves exactly
-one representative per cohomology dimension.
+to the Jacobi identity.  Each differential is eliminated once: its
+kernel basis gives both its rank (the width minus the kernel size, from
+which the Betti numbers follow) and the candidate cocycles.
+Representatives are those kernel vectors reduced against the image of
+the previous differential, which leaves exactly one representative per
+cohomology dimension; they stay sparse (column, value) rows.
 
 Quotients by an ideal h use the coordinate splitting given by the
 echelon form of h: the non-pivot coordinates form a complement, and the
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import NotAnIdeal
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
@@ -32,9 +34,9 @@ from .scalars import (
     EchelonBasis,
     ExactMatrix,
     RationalLike,
-    dense_row,
+    SparseRow,
     nullspace_basis,
-    rank,
+    rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
     rref,
 )
 
@@ -283,11 +285,6 @@ class CochainComplex:
     d: tuple[ExactMatrix, ...]
     algebra: LieAlgebra
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        """All form degrees carried by the complex: 0 through dim."""
-        return tuple(range(self.dim + 1))
-
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None."""
         for k in range(len(self.d) - 1):
@@ -350,27 +347,41 @@ def ce_complex(x: AlgebraLike) -> CochainComplex:
 class BettiReport:
     """Cohomology of one cochain complex with audit data.
 
-    betti[k] = C(n, k) - rank d_k - rank d_{k-1}; generators[k] holds
-    the chosen representative cocycles as coordinate vectors over
-    monomials[k], each normalized to leading coefficient 1.
+    betti[k] = C(n, k) - rank d_k - rank d_{k-1}, with each rank read
+    off the one elimination of d_k that also gave its kernel;
+    generators[k] holds the chosen representative cocycles as sparse
+    rows of (column, value) pairs over monomials[k], in increasing
+    column order, each normalized to leading coefficient 1.
     """
 
     dim: int
     betti: tuple[int, ...]
     ranks: tuple[int, ...]
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    generators: tuple[tuple[SparseRow, ...], ...]
     monomials: tuple[tuple[MultiIndex, ...], ...]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def betti(c: CochainComplex) -> BettiReport:
-    """Betti numbers and representative cocycles from exact ranks.
+def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
+    """C(n, k) - rank d_k - rank d_{k-1} for k = 0..n, where ranks lists
+    the n differentials of a complex of exterior powers of R^n."""
+    return tuple(
+        comb(n, k) - (ranks[k] if k < n else 0) - (ranks[k - 1] if k else 0)
+        for k in range(n + 1)
+    )
 
-    Representatives in degree k are the kernel basis vectors of d_k
-    reduced against the span of the columns of d_{k-1} plus the
-    representatives already chosen; exactly betti[k] of them survive.
+
+def betti(c: CochainComplex) -> BettiReport:
+    """Betti numbers and representative cocycles, one elimination per d_k.
+
+    The kernel basis of d_k has C(n, k) - rank d_k members, so a single
+    nullspace_basis call per degree yields both the rank and the
+    candidate cocycles.  Representatives in degree k are those sparse
+    kernel vectors reduced against the span of the columns of d_{k-1}
+    plus the representatives already chosen; exactly betti[k] of them
+    survive.
     """
     violation = c.d_squared_violation()
     if violation is not None:
@@ -378,32 +389,29 @@ def betti(c: CochainComplex) -> BettiReport:
             "not a cochain complex: d.d != 0 at degree %d" % violation
         )
     n = c.dim
-    ranks = tuple(rank(dk) for dk in c.d)
-    betti_out = []
+    ranks = []
     gens_out = []
     monos_out = []
     for k in range(n + 1):
-        width = comb(n, k)
-        rk = ranks[k] if k < n else 0
-        rk_prev = ranks[k - 1] if k >= 1 else 0
-        betti_out.append(width - rk - rk_prev)
         if k < n:
             kernel = nullspace_basis(c.d[k])
+            ranks.append(comb(n, k) - len(kernel))
         else:
-            kernel = [(Fraction(1),)]  # the top form; d_n = 0
+            kernel = [((0, Fraction(1)),)]  # the top form; d_n = 0
         acc = EchelonBasis()
         if k >= 1:
             for column in c.d[k - 1].columns():
                 acc.add(column)
         chosen = []
         for v in kernel:
-            residual = acc.add({j: x for j, x in enumerate(v) if x})
+            residual = acc.add(v)
             if residual is not None:
-                chosen.append(dense_row(residual.items(), width))
+                chosen.append(tuple(sorted(residual.items())))
         gens_out.append(tuple(chosen))
         monos_out.append(tuple(enumerate_basis(n, k)))
     return BettiReport(
-        n, tuple(betti_out), ranks, tuple(gens_out), tuple(monos_out)
+        n, betti_numbers(n, ranks), tuple(ranks), tuple(gens_out),
+        tuple(monos_out),
     )
 
 

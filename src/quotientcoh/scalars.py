@@ -17,7 +17,12 @@ when it is nonzero.  That residual is the unique vector of v + span that
 vanishes on every pivot column, so it is fixed by the span and the pivot
 set alone; rank, the reduced row echelon form (the canonical
 representative of a row span) and the kernel basis read off from it are
-therefore independent of the order in which rows are eliminated.
+therefore independent of the order in which rows are eliminated.  One
+elimination serves both the rank and the kernel of a matrix: the kernel
+basis has cols - rank members, so callers that need both (the cochain
+pipeline, once per differential d_k) call `nullspace_basis` alone and
+read the rank off its length.  Kernel vectors come back sparse, as
+(column, value) pairs, and stay sparse until a caller renders them.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -82,20 +87,11 @@ class ExtScalar:
     def is_zero(self) -> bool:
         return self.rat == 0 and self.irr == 0
 
-    def substitute(self, value: RationalLike) -> Fraction:
-        """Evaluate at a rational stand-in for alpha."""
-        return self.rat + self.irr * Fraction(value)
-
     def __str__(self) -> str:
         if self.irr == 0:
             return str(self.rat)
         sign = "+" if self.irr >= 0 else "-"
         return "%s%s%s*alpha" % (self.rat, sign, abs(self.irr))
-
-
-def ext_is_zero(s: ExtScalar) -> bool:
-    """Exact zero test for p + q*alpha: true iff p = q = 0."""
-    return s.is_zero()
 
 
 def parse_ext_scalar(text: str) -> ExtScalar:
@@ -214,16 +210,6 @@ class ExactMatrix:
             ))
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """Column j as a dense tuple."""
-        if not 0 <= j < self.cols:
-            raise IndexError("column %d out of range for width %d"
-                             % (j, self.cols))
-        return tuple(
-            next((x for c, x in row if c == j), _ZERO)
-            for row in self.sparse_rows
-        )
-
     def columns(self) -> list[dict[int, Fraction]]:
         """Every column as a sparse {row: value} map."""
         out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
@@ -234,15 +220,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
-
-
-MatrixLike = Union[ExactMatrix, Sequence[Sequence[RationalLike]]]
-
-
-def as_matrix(m: MatrixLike, cols: int | None = None) -> ExactMatrix:
-    if isinstance(m, ExactMatrix):
-        return m
-    return ExactMatrix.from_rows(m, cols=cols)
 
 
 class EchelonBasis:
@@ -309,9 +286,9 @@ def _echelon(mat: ExactMatrix) -> EchelonBasis:
     return basis
 
 
-def rank(m: MatrixLike) -> int:
+def rank(m: ExactMatrix) -> int:
     """Exact rank: the number of rows an EchelonBasis absorbs."""
-    return len(_echelon(as_matrix(m)).rows)
+    return len(_echelon(m).rows)
 
 
 def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, Fraction]]:
@@ -337,40 +314,39 @@ def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, Fraction]]:
     return reduced
 
 
-def rref(m: MatrixLike) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+def rref(m: ExactMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the nonzero rows (dense) and the pivot column indices.  The
-    output is the canonical representative of the row span: two
-    matrices have the same row span iff their rref rows agree.
+    Returns the nonzero rows (dense) and the pivot column indices, so
+    the rank is the number of pivots.  The output is the canonical
+    representative of the row span: two matrices have the same row span
+    iff their rref rows agree.
     """
-    mat = as_matrix(m)
-    reduced = _reduced_rows(mat)
+    reduced = _reduced_rows(m)
     pivots = tuple(sorted(reduced))
     return (
-        tuple(dense_row(reduced[p].items(), mat.cols) for p in pivots),
+        tuple(dense_row(reduced[p].items(), m.cols) for p in pivots),
         pivots,
     )
 
 
-def nullspace_basis(m: MatrixLike) -> list[tuple[Fraction, ...]]:
+def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:
     """Deterministic exact kernel basis with one vector per free column.
 
-    Each basis vector has a 1 in its free coordinate and zeros in the
-    other free coordinates, so the list has exactly cols - rank members
-    and m @ v = 0 holds exactly for each.  The vector of free column f
-    holds -r[f] at the pivot of each reduced row r.
+    Each basis vector is a sparse row of (column, value) pairs in
+    increasing column order.  It has a 1 in its free coordinate and
+    zeros in the other free coordinates, so the list has exactly
+    cols - rank members and m @ v = 0 holds exactly for each: one
+    elimination gives both the kernel and the rank.  The vector of free
+    column f holds -r[f] at the pivot of each reduced row r.
     """
-    mat = as_matrix(m)
-    reduced = _reduced_rows(mat)
-    by_free: dict[int, list[tuple[int, Fraction]]] = {}
+    reduced = _reduced_rows(m)
+    one = Fraction(1)
+    by_free: dict[int, list[tuple[int, Fraction]]] = {
+        f: [(f, one)] for f in range(m.cols) if f not in reduced
+    }
     for p, row in reduced.items():
         for j, x in row.items():
             if j != p:
-                by_free.setdefault(j, []).append((p, -x))
-    one = Fraction(1)
-    return [
-        dense_row([(f, one), *by_free.get(f, ())], mat.cols)
-        for f in range(mat.cols)
-        if f not in reduced
-    ]
+                by_free[j].append((p, -x))
+    return [tuple(sorted(pairs)) for pairs in by_free.values()]

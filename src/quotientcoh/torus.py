@@ -49,7 +49,7 @@ fixes the pivot columns used by the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -57,8 +57,8 @@ from typing import Sequence
 
 from .errors import InvalidSpec, ModeKilled
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .lie import Subspace, abelian, betti as lie_betti, ce_complex, quotient
-from .scalars import ExactMatrix, ExtScalar, ext_is_zero, rank, rref
+from .lie import Subspace, abelian, betti as lie_betti, betti_numbers, ce_complex, quotient
+from .scalars import ExactMatrix, ExtScalar, rank, rref
 
 NORMALIZATION_NOTE = (
     "fourier differential normalized: the overall 2*pi*i factor is scaled "
@@ -110,7 +110,7 @@ class TorusSpec:
                 )
             if not all(isinstance(x, ExtScalar) for x in v):
                 raise ValueError("direction entries must be ExtScalar")
-            if all(ext_is_zero(x) for x in v):
+            if all(x.is_zero() for x in v):
                 raise InvalidSpec("a foliation direction vector is zero")
         object.__setattr__(
             self, "invariance_coords", frozenset(self.invariance_coords)
@@ -144,7 +144,7 @@ def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
         for m_i, v_i in zip(mode, v):
             if m_i != 0:
                 dot = dot + v_i * m_i
-        if not ext_is_zero(dot):
+        if not dot.is_zero():
             return False
     return True
 
@@ -185,9 +185,8 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
             [aij + Fraction(r) * bij for aij, bij in zip(ra, rb)]
             for ra, rb in zip(a, b)
         ]
-        mat = ExactMatrix.from_rows(trial, cols=spec.n)
-        if rank(mat) == p:
-            _, pivots = rref(mat)
+        _, pivots = rref(ExactMatrix.from_rows(trial, cols=spec.n))
+        if len(pivots) == p:
             free = tuple(c for c in range(spec.n) if c not in set(pivots))
             return TransverseFrame(pivots, free, Fraction(r))
     raise InvalidSpec(
@@ -210,15 +209,14 @@ class Mode:
 class ModeComplex:
     """The exterior complex one surviving mode contributes.
 
-    transverse_basis lists, degree by degree, the monomials on the
-    transverse coordinates (whose global indices are transverse_cols);
-    d_matrices[k] is left wedge with the mode covector, with the
-    2*pi*i factor normalized away.
+    It lives on the monomials in the transverse coordinates (whose
+    global indices are transverse_cols), in lexicographic order degree
+    by degree; d_matrices[k] is left wedge with the mode covector, with
+    the 2*pi*i factor normalized away.
     """
 
     mode: Mode
     transverse_cols: tuple[int, ...]
-    transverse_basis: tuple[tuple[MultiIndex, ...], ...]
     d_matrices: tuple[ExactMatrix, ...]
 
     @property
@@ -271,9 +269,7 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
                 row = rows[row_index[merged]]
                 row[c] = row.get(c, 0) + sign * weight
         mats.append(ExactMatrix.from_sparse(len(col_basis), rows))
-    return ModeComplex(
-        Mode(mode, w), frame.free_cols, basis, tuple(mats)
-    )
+    return ModeComplex(Mode(mode, w), frame.free_cols, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -294,20 +290,6 @@ class KoszulCertificate:
     modes: int = 1
 
 
-def _certificate_from_ranks(
-    mode: tuple[int, ...], q: int, ranks: tuple[int, ...]
-) -> KoszulCertificate:
-    failed = None
-    for k in range(q + 1):
-        width = comb(q, k)
-        rk = ranks[k] if k < q else 0
-        rk_prev = ranks[k - 1] if k >= 1 else 0
-        if width - rk - rk_prev != 0:
-            failed = k
-            break
-    return KoszulCertificate(mode, ranks, failed is None, failed)
-
-
 def koszul_certificate(mc: ModeComplex) -> KoszulCertificate:
     """Certify exactness of a nonzero-mode complex by direct ranks.
 
@@ -321,7 +303,10 @@ def koszul_certificate(mc: ModeComplex) -> KoszulCertificate:
         raise ValueError("the zero mode is not eligible for an exactness "
                          "certificate; its differential is zero")
     ranks = tuple(rank(dk) for dk in mc.d_matrices)
-    return _certificate_from_ranks(mc.mode.m, mc.q, ranks)
+    failed = next(
+        (k for k, b in enumerate(betti_numbers(mc.q, ranks)) if b), None
+    )
+    return KoszulCertificate(mc.mode.m, ranks, failed is None, failed)
 
 
 @dataclass(frozen=True)
@@ -472,9 +457,7 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
     certificates = []
     for mode, count in classes.values():
         cert = koszul_certificate(build_mode_complex(mode, spec))
-        certificates.append(KoszulCertificate(
-            mode, cert.ranks, cert.ok, cert.failed_degree, count
-        ))
+        certificates.append(replace(cert, modes=count))
     return TorusBettiReport(
         n=spec.n,
         p=spec.p,

@@ -61,6 +61,13 @@ def naive_rref(rows, ncols):
     return tuple(tuple(row) for row in a[:r]), tuple(pivots)
 
 
+def densify(vector, width):
+    """The dense tuple of a sparse vector: (index, value) pairs or an
+    {index: value} map, every index absent from it read as zero."""
+    pairs = dict(vector)
+    return tuple(Fraction(pairs.get(i, 0)) for i in range(width))
+
+
 def det_laplace(rows) -> Fraction:
     """Determinant by first-row cofactor expansion."""
     n = len(rows)

@@ -160,6 +160,17 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_one_without_traceback(tmp_path):
+    cfg = _write(tmp_path, "job.cfg", LIE_QUOTIENT_CFG)
+    out = tmp_path / "no" / "such" / "dir" / "out.json"
+    proc = _run_cli(["--input", cfg, "--output", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("engine: cannot write output: ")
+    assert str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_check_flag_runs_cross_checks(tmp_path, capsys):
     cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
     code = main(["--input", cfg, "--format", "json", "--check"])

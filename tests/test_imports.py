@@ -1,4 +1,5 @@
-"""The lie and torus pipelines start without numpy or sympy.
+"""The lie and torus pipelines start without numpy or sympy, and the
+names the bench tracer wraps still resolve.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both libraries for other tests.
@@ -6,6 +7,7 @@ long since imported both libraries for other tests.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -74,3 +76,41 @@ def test_lie_and_torus_jobs_load_neither_library(tmp_path):
         assert code == 0, name
         assert json.loads(out.read_text())["betti"] == betti, name
         assert loaded == [], name
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_spans():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANNED
+
+
+def test_tracer_wraps_names_that_exist(tmp_path):
+    # install() replaces each (module, attribute) of SPANNED and COUNTED
+    # by name, so a refactor that drops one kills every traced run; the
+    # tracer also opens cli.main and lie.d_squared_violation itself
+    allowed = set(_tracer_spans()) | {"cli.main", "lie.d_squared_violation"}
+    for name, text, expected in (
+        ("heisenberg", HEISENBERG_CFG,
+         {"lie.betti", "scalars.nullspace_basis", "lie.phi_sign_check"}),
+        ("torus", TORUS_CFG,
+         {"torus.torus_betti", "torus.koszul_certificate",
+          "torus.cross_check_ce"}),
+    ):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        spans_out = tmp_path / (name + ".spans.json")
+        done = subprocess.run(
+            [sys.executable, str(TRACER), str(spans_out), "--input",
+             str(cfg), "--format", "json", "--check"],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        traced = json.loads(spans_out.read_text())
+        names = {span[0] for span in traced["spans"]}
+        assert "cli.main" in names, name
+        assert names <= allowed, (name, names - allowed)
+        assert expected <= names, (name, expected - names)
