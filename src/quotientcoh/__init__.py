@@ -2,8 +2,8 @@
 
 Three pipelines share an exact linear-algebra core:
 
-  * lie: cochain cohomology of a structure-constant Lie algebra or its
-    quotient by an ideal, with certified ranks and representatives;
+  * lie: cochain cohomology of a Lie algebra given by its brackets, or of
+    its quotient by an ideal, with certified ranks and representatives;
   * torus: the translation-invariant basic complex of a linear torus
     foliation, computed mode by mode with one acyclicity certificate
     per class of audited nonzero Fourier modes;

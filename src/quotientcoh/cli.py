@@ -84,17 +84,15 @@ def _lie_monomial_labels(dim: int, k: int, names: list[str]) -> list[str]:
 
 
 def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
-    algebra = LieAlgebra.from_brackets(
-        job.dim, {(i, j, k): v for i, j, k, v in job.brackets}
-    )
+    algebra = job.algebra
     ok, triple = jacobi_check(algebra)
     if not ok:
         raise NotALieAlgebra(triple)
     certificates: dict = {"jacobi": True, "ideal": None}
     target: LieAlgebra | QuotientAlgebra = algebra
-    names = ["e%d" % i for i in range(job.dim)]
+    names = ["e%d" % i for i in range(algebra.dim)]
     if job.ideal_vectors is not None:
-        sub = Subspace.span(job.dim, job.ideal_vectors)
+        sub = Subspace.span(algebra.dim, job.ideal_vectors)
         quot = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
         target = quot

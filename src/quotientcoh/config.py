@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
+from .lie import LieAlgebra
 from .scalars import ExtScalar, parse_ext_scalar
 from .torus import TorusSpec
 
@@ -59,10 +60,9 @@ MAX_DERIVATIVE_ORDER = 16
 
 @dataclass(frozen=True)
 class LieJob:
-    """A lie-algebra cohomology job: a table and an optional quotient."""
+    """A lie-algebra cohomology job: an algebra and an optional quotient."""
 
-    dim: int
-    brackets: tuple[tuple[int, int, int, Fraction], ...]
+    algebra: LieAlgebra
     ideal_vectors: tuple[tuple[Fraction, ...], ...] | None
 
 
@@ -102,7 +102,10 @@ def _exact_fraction(key: str, token: str) -> Fraction:
         )
     if not _FRACTION_RE.match(token):
         raise ValidationError(key, "cannot parse %r as a fraction" % token)
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValidationError(key, "zero denominator in %r" % token) from None
 
 
 def _exact_int(key: str, token: str) -> int:
@@ -168,7 +171,7 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
     dim = _exact_int("dim", single["dim"])
     if dim < 0:
         raise ValidationError("dim", "dimension must be nonnegative")
-    brackets: list[tuple[int, int, int, Fraction]] = []
+    brackets: dict[tuple[int, int, int], Fraction] = {}
     ideal: list[tuple[Fraction, ...]] = []
     for key, value, line_no in entries:
         if key == "bracket":
@@ -177,21 +180,13 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
                 raise ParseError(
                     line_no, key, "expected 'bracket = i j k value'"
                 )
-            i = _exact_int(key, tokens[0])
-            j = _exact_int(key, tokens[1])
-            k = _exact_int(key, tokens[2])
-            for idx in (i, j, k):
-                if not 0 <= idx < dim:
-                    raise ValidationError(
-                        key, "index %d out of range for dim %d" % (idx, dim)
-                    )
+            ijk = tuple(_exact_int(key, t) for t in tokens[:3])
             v = _exact_fraction(key, tokens[3])
-            if i == j and v != 0:
+            # a repeated key would silently overwrite the first value
+            if brackets.setdefault(ijk, v) != v:
                 raise ValidationError(
-                    key,
-                    "antisymmetry forces [e_%d, e_%d] = 0, got %s" % (i, i, v),
+                    key, "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
                 )
-            brackets.append((i, j, k, v))
         elif key == "ideal":
             tokens = [t.strip() for t in value.split(",")]
             if len(tokens) != dim:
@@ -201,17 +196,11 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
                     % (len(tokens), dim),
                 )
             ideal.append(tuple(_exact_fraction(key, t) for t in tokens))
-    pairs: dict[tuple[int, int, int], Fraction] = {}
-    for i, j, k, v in brackets:
-        for key2, val2 in (((i, j, k), v), ((j, i, k), -v)):
-            if key2 in pairs and pairs[key2] != val2:
-                raise ValidationError(
-                    "bracket",
-                    "conflicting values for [e_%d, e_%d] -> e_%d"
-                    % key2,
-                )
-            pairs[key2] = val2
-    return LieJob(dim, tuple(brackets), tuple(ideal) if ideal else None)
+    try:
+        algebra = LieAlgebra.from_brackets(dim, brackets)
+    except ValueError as exc:
+        raise ValidationError("bracket", str(exc)) from exc
+    return LieJob(algebra, tuple(ideal) if ideal else None)
 
 
 def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:

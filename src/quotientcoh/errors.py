@@ -31,7 +31,7 @@ class NotAnIdeal(MathematicalRefusal):
 
 
 class NotALieAlgebra(MathematicalRefusal):
-    """A structure-constant table fails the Jacobi identity."""
+    """A bracket matrix fails the Jacobi identity."""
 
     def __init__(self, triple: tuple[int, int, int]):
         self.triple = triple
@@ -83,6 +83,16 @@ class NonFiniteValue(EngineError):
         self.what = what
         self.value = value
         super().__init__("%s is not finite (%r)" % (what, value))
+
+
+class LevelNotRecovered(EngineError):
+    """The witness could not read a level off its sampled bumps.
+
+    At a high level the damping exp(-k^2) underflows to 0.0, so no
+    sample of f_k is positive and no ratio can be taken.  Like
+    BoundViolated it points at a range or implementation problem, never
+    at bad input syntax.
+    """
 
 
 class ParseError(EngineError):

@@ -1,14 +1,17 @@
 """Finite-dimensional Lie algebras, quotients, and their cochain cohomology.
 
-A Lie algebra is presented by rational structure constants
-c[i][j][k] = coefficient of e_k in [e_i, e_j].  The differential on
-alternating forms follows the convention
+A Lie algebra is presented by its bracket matrix, the linear map
+Lambda^2 g -> g as one sparse ExactMatrix: row p holds the coordinates
+of [e_i, e_j] for the p-th pair i < j in the lexicographic order of
+exterior.enumerate_basis(n, 2).  The differential on alternating forms
+follows the convention
 
     (d a)(Y_0, ..., Y_k) = sum_{i<j} (-1)^(i+j) a([Y_i, Y_j], Y_0, ...,
                            ^Y_i, ..., ^Y_j, ..., Y_k),
 
-so in degree one (d a)(X, Y) = -a([X, Y]), and d o d = 0 is equivalent
-to the Jacobi identity.  Each differential is eliminated once: its
+so in degree one (d a)(X, Y) = -a([X, Y]): d_1 is minus the bracket
+matrix, and d_2 d_1 = 0 is the Jacobi identity, which is how
+jacobi_check tests it.  Each differential is eliminated once: its
 kernel basis gives both its rank (the width minus the kernel size, from
 which the Betti numbers follow) and the candidate cocycles.
 Representatives are those kernel vectors reduced against the image of
@@ -35,42 +38,35 @@ from .scalars import (
     ExactMatrix,
     RationalLike,
     SparseRow,
+    dense_row,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
     rref,
 )
 
-StructureTable = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
-    """A Lie algebra given by an antisymmetric structure-constant table.
+    """A Lie algebra given by its bracket matrix Lambda^2 g -> g.
 
-    Antisymmetry is enforced at construction; the Jacobi identity is
+    Row p of table is [e_i, e_j] for the p-th pair i < j of
+    enumerate_basis(dim, 2), so table has shape C(dim, 2) x dim and is
+    minus the degree-one differential d_1.  Only pairs i < j are stored,
+    so antisymmetry holds by construction; the Jacobi identity is
     checked separately by jacobi_check so deliberately broken tables can
     still be built and examined.
     """
 
     dim: int
-    structure: StructureTable
+    table: ExactMatrix
 
     def __post_init__(self):
         n = self.dim
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        if len(self.structure) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in self.structure
-        ):
-            raise ValueError("structure table must be %d x %d x %d" % (n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    if self.structure[i][j][k] != -self.structure[j][i][k]:
-                        raise ValueError(
-                            "antisymmetry fails at c[%d][%d][%d]" % (i, j, k)
-                        )
+        if (self.table.rows, self.table.cols) != (comb(n, 2), n):
+            raise ValueError(
+                "bracket matrix must be %d x %d" % (comb(n, 2), n)
+            )
 
     @classmethod
     def from_brackets(
@@ -80,13 +76,10 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         """Build from sparse entries {(i, j, k): c_ij^k}.
 
-        The mirrored entry c_ji^k is filled in automatically; giving
-        both sides is allowed only when they are consistent.
+        An entry with i > j is stored as c_ji^k = -c_ij^k; giving both
+        sides is allowed only when they are consistent.
         """
-        table = [
-            [[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)
-        ]
-        seen: dict[tuple[int, int, int], Fraction] = {}
+        pairs: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), raw in brackets.items():
             v = Fraction(raw)
             for idx in (i, j, k):
@@ -100,37 +93,37 @@ class LieAlgebra:
                         "antisymmetry forces [e_%d, e_%d] = 0" % (i, i)
                     )
                 continue
-            for key, val in (((i, j, k), v), ((j, i, k), -v)):
-                if key in seen and seen[key] != val:
-                    raise ValueError(
-                        "conflicting values for c[%d][%d][%d]" % key
-                    )
-                seen[key] = val
-                table[key[0]][key[1]][key[2]] = val
-        return cls(dim, tuple(tuple(tuple(r) for r in p) for p in table))
-
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[e_i, e_j] as a coordinate vector."""
-        return self.structure[i][j]
+            key, val = ((i, j, k), v) if i < j else ((j, i, k), -v)
+            if pairs.setdefault(key, val) != val:
+                raise ValueError(
+                    "conflicting values for c[%d][%d][%d]" % (i, j, k)
+                )
+        row_of = {pair: p for p, pair in enumerate(enumerate_basis(dim, 2))}
+        rows: list[dict[int, Fraction]] = [{} for _ in row_of]
+        for (i, j, k), v in pairs.items():
+            rows[row_of[i, j]][k] = v
+        return cls(dim, ExactMatrix.from_sparse(dim, rows))
 
     def bracket(
         self, x: Sequence[RationalLike], y: Sequence[RationalLike]
     ) -> tuple[Fraction, ...]:
-        """Bilinear extension of the structure table."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
+        """Bilinear extension of the bracket matrix."""
+        x = [Fraction(t) for t in x]
+        y = [Fraction(t) for t in y]
+        out = [Fraction(0)] * self.dim
+        for (i, j), row in _pair_rows(self).items():
+            if not row:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                coeff = Fraction(xi) * Fraction(yj)
-                for k in range(n):
-                    c = self.structure[i][j][k]
-                    if c != 0:
-                        out[k] += coeff * c
+            coeff = x[i] * y[j] - x[j] * y[i]
+            if coeff != 0:
+                for k, c in row:
+                    out[k] += coeff * c
         return tuple(out)
+
+
+def _pair_rows(g: LieAlgebra) -> dict[tuple[int, int], SparseRow]:
+    """{(i, j): [e_i, e_j] as sparse (k, c_ij^k) pairs} for every i < j."""
+    return dict(zip(enumerate_basis(g.dim, 2), g.table.sparse_rows))
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -153,26 +146,19 @@ def sl2() -> LieAlgebra:
 def jacobi_check(
     g: LieAlgebra,
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi test.
+    """Exact Jacobi test, read off d_2 d_1.
 
-    Returns (True, None), or (False, (i, j, k)) with the first basis
-    triple, in lexicographic order, where the cyclic sum is nonzero.
+    Row (i, j, k), column m of d_2 d_1 is (d d e^m)(e_i, e_j, e_k), the
+    e_m coordinate of the cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+    + [[e_k, e_i], e_j].  Rows follow the lexicographic order of the
+    triples i < j < k, so the first nonzero row names the first failing
+    triple.  Returns (True, None), or (False, (i, j, k)) with that
+    triple.
     """
-    n = g.dim
-    c = g.structure
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for m in range(n):
-                    total = Fraction(0)
-                    for u in range(n):
-                        total += (
-                            c[i][j][u] * c[u][k][m]
-                            + c[j][k][u] * c[u][i][m]
-                            + c[k][i][u] * c[u][j][m]
-                        )
-                    if total != 0:
-                        return False, (i, j, k)
+    product = _differential(g, 2) @ _differential(g, 1)
+    for triple, row in zip(enumerate_basis(g.dim, 3), product.sparse_rows):
+        if row:
+            return False, triple
     return True, None
 
 
@@ -243,7 +229,7 @@ class QuotientAlgebra:
 
     ``complement`` lists the ambient coordinates that survive as the
     quotient basis, in increasing order; ``algebra`` is the induced
-    bracket table on those coordinates.
+    bracket matrix on those coordinates.
     """
 
     parent: LieAlgebra
@@ -258,15 +244,16 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     if failure is not None:
         raise NotAnIdeal(*failure)
     complement = tuple(c for c in range(g.dim) if c not in set(h.pivots))
-    q = len(complement)
-    table = [[[Fraction(0)] * q for _ in range(q)] for _ in range(q)]
-    for a_pos, a in enumerate(complement):
-        for b_pos, b in enumerate(complement):
-            residual = h.reduce(g.bracket_basis(a, b))
-            for k_pos, k in enumerate(complement):
-                table[a_pos][b_pos][k_pos] = residual[k]
+    position = {c: p for p, c in enumerate(complement)}
+    # parent pairs of complement coordinates come in the lexicographic
+    # order of their positions, since complement is increasing
+    rows = []
+    for (a, b), row in _pair_rows(g).items():
+        if a in position and b in position:
+            residual = h.reduce(dense_row(row, g.dim))
+            rows.append({position[k]: residual[k] for k in complement})
     induced = LieAlgebra(
-        q, tuple(tuple(tuple(r) for r in p) for p in table)
+        len(complement), ExactMatrix.from_sparse(len(complement), rows)
     )
     return QuotientAlgebra(g, h, complement, induced)
 
@@ -278,7 +265,7 @@ class CochainComplex:
     d[k] is the matrix of the degree-k differential with respect to the
     lexicographic monomial bases, shape C(n, k+1) x C(n, k); the tuple
     has length n since the top differential is zero.  algebra is the
-    structure table the differentials were built from.
+    Lie algebra the differentials were built from.
     """
 
     dim: int
@@ -303,44 +290,44 @@ def _algebra_of(x: AlgebraLike) -> LieAlgebra:
     return x.algebra if isinstance(x, QuotientAlgebra) else x
 
 
-def ce_complex(x: AlgebraLike) -> CochainComplex:
-    """Build every differential matrix of the cochain complex of x.
+def _differential(g: LieAlgebra, k: int) -> ExactMatrix:
+    """The degree-k differential of g, shape C(n, k+1) x C(n, k).
 
     The entry recipe: for a degree-(k+1) monomial J and each index pair
     inside it, contract the pair out (remove_pair), bracket it through
-    the structure table, and wedge the result back in (wedge_insert).
+    the bracket matrix, and wedge the result back in (wedge_insert).
     The pair (-1)^(s+t) prefactor equals minus the contraction sign, so
     each contribution is -sign_rm * sign_w * c.  Rows are assembled as
     sparse {column: value} maps.
     """
-    g = _algebra_of(x)
     n = g.dim
-    brackets = {
-        (i, j): [(u, c) for u, c in enumerate(g.structure[i][j]) if c != 0]
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    mats = []
-    for k in range(n):
-        col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
-        rows = []
-        for jmono in enumerate_basis(n, k + 1):
-            row: dict[int, Fraction] = {}
-            for s in range(k + 1):
-                for t in range(s + 1, k + 1):
-                    removed = remove_pair(jmono, jmono[s], jmono[t])
-                    assert removed is not None
-                    sign_rm, rest = removed
-                    for u, c in brackets[jmono[s], jmono[t]]:
-                        inserted = wedge_insert(u, rest)
-                        if inserted is None:
-                            continue
-                        sign_w, imono = inserted
-                        col = col_index[imono]
-                        row[col] = row.get(col, 0) - sign_rm * sign_w * c
-            rows.append(row)
-        mats.append(ExactMatrix.from_sparse(len(col_index), rows))
-    return CochainComplex(n, tuple(mats), g)
+    brackets = _pair_rows(g)
+    col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
+    rows = []
+    for jmono in enumerate_basis(n, k + 1):
+        row: dict[int, Fraction] = {}
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                removed = remove_pair(jmono, jmono[s], jmono[t])
+                assert removed is not None
+                sign_rm, rest = removed
+                for u, c in brackets[jmono[s], jmono[t]]:
+                    inserted = wedge_insert(u, rest)
+                    if inserted is None:
+                        continue
+                    sign_w, imono = inserted
+                    col = col_index[imono]
+                    row[col] = row.get(col, 0) - sign_rm * sign_w * c
+        rows.append(row)
+    return ExactMatrix.from_sparse(len(col_index), rows)
+
+
+def ce_complex(x: AlgebraLike) -> CochainComplex:
+    """Build every differential matrix of the cochain complex of x."""
+    g = _algebra_of(x)
+    return CochainComplex(
+        g.dim, tuple(_differential(g, k) for k in range(g.dim)), g
+    )
 
 
 @dataclass(frozen=True)
@@ -432,10 +419,11 @@ def _evaluation_differential(
     """The rows of d_k rebuilt from the evaluation formula alone.
 
     Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s < t and u of
-    (-1)^(s+t) c[J_s][J_t][u] e^I(e_u, e_rest), where rest is J without
+    (-1)^(s+t) c_{J_s J_t}^u e^I(e_u, e_rest), where rest is J without
     J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
     sorts (u, rest) into I, or 0 when (u, rest) does not list I.
     """
+    brackets = _pair_rows(g)
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
     rows = []
     for jmono in enumerate_basis(g.dim, k + 1):
@@ -443,9 +431,7 @@ def _evaluation_differential(
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                for u, c in enumerate(g.structure[jmono[s]][jmono[t]]):
-                    if c == 0:
-                        continue
+                for u, c in brackets[jmono[s], jmono[t]]:
                     args = (u,) + rest
                     col = col_index.get(tuple(sorted(args)))
                     if col is None:
@@ -460,8 +446,8 @@ def phi_sign_check(c: CochainComplex) -> bool:
     """Certify the signs of c against the evaluation formula.
 
     Each D_k is rebuilt from c.algebra by _evaluation_differential,
-    which shares no code with ce_complex (no remove_pair, no
-    wedge_insert).  With the degreewise twist S_k = (-1)^k I, the
+    which reads the same bracket matrix but shares none of ce_complex's
+    sign code (no remove_pair, no wedge_insert).  With the degreewise twist S_k = (-1)^k I, the
     certificate is the identity S_{k+1} (-D_k) = d_k S_k, which matches
     evaluation on basis vectors against the algebraic differential; it
     is checked entrywise on sparse rows and fails as soon as one entry

@@ -111,12 +111,13 @@ def parse_ext_scalar(text: str) -> ExtScalar:
             "cannot parse %r as an exact scalar "
             "(expected p or p+q*alpha with p, q rational)" % raw
         )
-    rat = Fraction(match.group("rat"))
-    irr = Fraction(0)
-    if match.group("irr") is not None:
-        irr = Fraction(match.group("irr"))
-        if match.group("sign") == "-":
-            irr = -irr
+    try:
+        rat = Fraction(match.group("rat"))
+        irr = Fraction(match.group("irr") or 0)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % raw) from None
+    if match.group("sign") == "-":
+        irr = -irr
     return ExtScalar(rat, irr)
 
 

@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import exp, inf, isfinite
 from typing import TYPE_CHECKING
 
-from .errors import BoundViolated, NonFiniteValue
+from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .exterior import enumerate_basis
 
 if TYPE_CHECKING:
@@ -261,7 +261,9 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
 
     With alpha = f_k and beta = 2^k f_k, beta/alpha is the constant 2^k
     wherever alpha > 0, exactly in floating point since the scale is a
-    power of two.  The returned pairs are (k, recovered level).
+    power of two.  The returned pairs are (k, recovered level).  A level
+    with no positive sample, or with an inexact ratio, raises
+    LevelNotRecovered.
     """
     out = []
     for k in b.k_range:
@@ -269,12 +271,13 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
         beta = 2.0 ** k * a
         positive = a > 0.0
         if not positive.any():
-            raise ValueError(
-                "no positive samples at level %d; grid too coarse" % k
+            raise LevelNotRecovered(
+                "no positive samples at level %d: the grid is too coarse "
+                "or exp(-k^2) underflows" % k
             )
         ratios = beta[positive] / a[positive]
         if not (ratios == 2.0 ** k).all():
-            raise ValueError(
+            raise LevelNotRecovered(
                 "the two families fail to have exact ratio 2^%d" % k
             )
         out.append((k, k))

@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: plain Gaussian and Gauss-Jordan
 elimination over dense rows of Fractions, determinant expansion by
-minors, differential entries evaluated from the alternating-sum
-definition with determinant evaluation of monomials, the bump-sup level ratios in closed form, and
-the bump's derivative polynomials expanded in x and evaluated exactly.
-None of it shares code paths with the package internals it checks.
+minors, a dense n x n x n structure-constant cube read off the bracket
+matrix, differential entries evaluated from the alternating-sum
+definition with determinant evaluation of monomials, the Jacobiator as
+a cyclic sum over that cube, the bump-sup level ratios in closed form,
+and the bump's derivative polynomials expanded in x and evaluated
+exactly.  None of it shares code paths with the package internals it
+checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from quotientcoh import LieAlgebra, abelian, heisenberg, sl2
 from quotientcoh.exterior import enumerate_basis
@@ -100,6 +103,37 @@ def minor_rank(rows) -> int:
     return 0
 
 
+def dense_cube(g: LieAlgebra):
+    """c[i][j][k] = coefficient of e_k in [e_i, e_j], from g.table."""
+    n = g.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in zip(combinations(range(n), 2), g.table.sparse_rows):
+        for k, v in row:
+            c[i][j][k] = v
+            c[j][i][k] = -v
+    return c
+
+
+def jacobi_failure(g: LieAlgebra):
+    """The first triple i < j < k, in lexicographic order, where some
+    coordinate of the cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i] +
+    [[e_k, e_i], e_j] is nonzero, or None."""
+    n = g.dim
+    c = dense_cube(g)
+    for i, j, k in combinations(range(n), 3):
+        for m in range(n):
+            total = Fraction(0)
+            for u in range(n):
+                total += (
+                    c[i][j][u] * c[u][k][m]
+                    + c[j][k][u] * c[u][i][m]
+                    + c[k][i][u] * c[u][j][m]
+                )
+            if total != 0:
+                return i, j, k
+    return None
+
+
 def eval_monomial(mono, vectors) -> Fraction:
     """e_mono evaluated on a list of coordinate vectors, as a determinant."""
     k = len(mono)
@@ -116,10 +150,11 @@ def ce_entry_bruteforce(g: LieAlgebra, col_mono, row_mono) -> Fraction:
     Y_i the basis vectors named by row_mono.
     """
     k1 = len(row_mono)
+    cube = dense_cube(g)
     total = Fraction(0)
     for s in range(k1):
         for t in range(s + 1, k1):
-            bracket = list(g.bracket_basis(row_mono[s], row_mono[t]))
+            bracket = cube[row_mono[s]][row_mono[t]]
             others = [
                 _unit(g.dim, row_mono[u])
                 for u in range(k1)
@@ -165,23 +200,25 @@ def invert_fraction_matrix(rows):
 def change_basis(g: LieAlgebra, p_rows) -> LieAlgebra:
     """Transport the bracket through the invertible matrix P.
 
-    New basis f_i = sum_j P[i][j] e_j; the new table is
-    c'[i][j] = P^-1-coordinates of [f_i, f_j].
+    New basis f_i = sum_j P[i][j] e_j; the new constants c'_ij^k are the
+    P^-1-coordinates of [f_i, f_j].
     """
     n = g.dim
     p_inv = invert_fraction_matrix(p_rows)
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            w = g.bracket(p_rows[i], p_rows[j])
-            # coordinates of w in the new basis: w @ P^-1 (rows act)
-            coords = [
-                sum(Fraction(w[t]) * p_inv[t][kk] for t in range(n))
-                for kk in range(n)
-            ]
-            for kk in range(n):
-                table[i][j][kk] = coords[kk]
-    return LieAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in table))
+    cube = dense_cube(g)
+    table = {}
+    for i, j in combinations(range(n), 2):
+        # [f_i, f_j] in old coordinates, then w @ P^-1 (rows act)
+        w = [
+            sum(p_rows[i][a] * p_rows[j][b] * cube[a][b][t]
+                for a in range(n) for b in range(n))
+            for t in range(n)
+        ]
+        for kk in range(n):
+            table[(i, j, kk)] = sum(
+                Fraction(w[t]) * p_inv[t][kk] for t in range(n)
+            )
+    return LieAlgebra.from_brackets(n, table)
 
 
 def random_invertible(rng: random.Random, n: int):
@@ -207,21 +244,13 @@ def solvable2() -> LieAlgebra:
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
-    n, m = g.dim, h.dim
     table = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = g.structure[i][j][k]
-                if c != 0:
-                    table[(i, j, k)] = c
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c = h.structure[i][j][k]
-                if c != 0:
-                    table[(n + i, n + j, n + k)] = c
-    return LieAlgebra.from_brackets(n + m, table)
+    for offset, part in ((0, g), (g.dim, h)):
+        cube = dense_cube(part)
+        for i, j, k in product(range(part.dim), repeat=3):
+            if cube[i][j][k] != 0:
+                table[(offset + i, offset + j, offset + k)] = cube[i][j][k]
+    return LieAlgebra.from_brackets(g.dim + h.dim, table)
 
 
 def random_lie_algebra(rng: random.Random, dim: int) -> LieAlgebra:
@@ -239,8 +268,6 @@ def random_lie_algebra(rng: random.Random, dim: int) -> LieAlgebra:
 
 def random_nonjacobi_table(rng: random.Random, dim: int) -> LieAlgebra:
     """An antisymmetric table that fails the Jacobi identity."""
-    from quotientcoh import jacobi_check
-
     # below dim 3 there is no triple to break, so every table passes
     assert dim >= 3
     while True:
@@ -253,8 +280,7 @@ def random_nonjacobi_table(rng: random.Random, dim: int) -> LieAlgebra:
                         if v:
                             brackets[(i, j, k)] = v
         g = LieAlgebra.from_brackets(dim, brackets)
-        ok, _ = jacobi_check(g)
-        if not ok:
+        if jacobi_failure(g) is not None:
             return g
 
 

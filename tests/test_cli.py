@@ -154,6 +154,15 @@ def test_parse_failure_exits_one(tmp_path, capsys):
     assert "decimal" in capsys.readouterr().err
 
 
+def test_zero_denominator_exits_one_without_traceback(tmp_path):
+    cfg = _write(tmp_path, "job.cfg", "[lie]\ndim = 3\nbracket = 0 1 2 1/0\n")
+    proc = _run_cli(["--input", cfg])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("engine: configuration error: ")
+    assert "zero denominator" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     code = main(["--input", str(tmp_path / "absent.cfg")])
     assert code == 1

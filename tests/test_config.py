@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quotientcoh import ExtScalar, ParseError, ValidationError
+from quotientcoh import ExtScalar, LieAlgebra, ParseError, ValidationError
 from quotientcoh.config import parse_config
 
 EXAMPLE_TORUS = """
@@ -49,8 +49,7 @@ def test_parse_lie_job():
         "[lie]\ndim = 3\nbracket = 0 1 2 1\nideal = 0,0,1\n"
     )
     assert cfg.mode == "lie"
-    assert cfg.lie.dim == 3
-    assert cfg.lie.brackets == ((0, 1, 2, Fraction(1)),)
+    assert cfg.lie.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
     assert cfg.lie.ideal_vectors == ((Fraction(0), Fraction(0), Fraction(1)),)
 
 
@@ -67,19 +66,22 @@ def test_bracket_on_the_diagonal_is_rejected():
         parse_config("[lie]\ndim = 2\nbracket = 0 0 1 1\n")
     # an explicit zero on the diagonal is harmless
     cfg = parse_config("[lie]\ndim = 2\nbracket = 0 0 1 0\n")
-    assert cfg.lie.brackets == ((0, 0, 1, Fraction(0)),)
+    assert cfg.lie.algebra == LieAlgebra.from_brackets(2, {})
 
 
 def test_conflicting_brackets_are_rejected():
-    with pytest.raises(ValidationError, match="conflicting"):
-        parse_config(
-            "[lie]\ndim = 3\nbracket = 0 1 2 1\nbracket = 1 0 2 1\n"
-        )
+    # a mirrored pair that is not antisymmetric, or one key given twice
+    for second in ("1 0 2 1", "0 1 2 2"):
+        with pytest.raises(ValidationError, match="conflicting"):
+            parse_config(
+                "[lie]\ndim = 3\nbracket = 0 1 2 1\nbracket = %s\n"
+                % second
+            )
     # consistent mirror entries are fine
     cfg = parse_config(
         "[lie]\ndim = 3\nbracket = 0 1 2 1\nbracket = 1 0 2 -1\n"
     )
-    assert len(cfg.lie.brackets) == 2
+    assert cfg.lie.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
 
 
 def test_decimal_literals_are_rejected_everywhere():
@@ -89,6 +91,17 @@ def test_decimal_literals_are_rejected_everywhere():
         parse_config("[lie]\ndim = 2\nbracket = 0 1 1 0.5\n")
     with pytest.raises(ValidationError, match="decimal"):
         parse_config("[torus]\nn = 2\ntruncation = 1.5\n")
+
+
+@pytest.mark.parametrize("job", [
+    "[lie]\ndim = 3\nbracket = 0 1 2 1/0\n",
+    "[lie]\ndim = 3\nideal = 1/0,0,0\n",
+    "[torus]\nn = 2\nfoliation = 1/0,1\n",
+    "[torus]\nn = 2\nfoliation = 1,1+1/0*alpha\n",
+], ids=["bracket", "ideal", "foliation", "alpha"])
+def test_zero_denominators_are_rejected_everywhere(job):
+    with pytest.raises(ValidationError, match="zero denominator"):
+        parse_config(job)
 
 
 def test_unknown_sections_and_keys():

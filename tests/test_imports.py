@@ -1,5 +1,6 @@
-"""The lie and torus pipelines start without numpy or sympy, and the
-names the bench tracer wraps still resolve.
+"""The lie and torus pipelines start without numpy or sympy, the names
+the bench tracer wraps still resolve, and the test oracles import no
+production check.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both libraries for other tests.
@@ -7,6 +8,7 @@ long since imported both libraries for other tests.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -114,3 +116,21 @@ def test_tracer_wraps_names_that_exist(tmp_path):
         assert "cli.main" in names, name
         assert names <= allowed, (name, names - allowed)
         assert expected <= names, (name, expected - names)
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+# constructors and the monomial order; nothing that decides a result
+ORACLE_IMPORTS = {"LieAlgebra", "abelian", "heisenberg", "sl2",
+                  "enumerate_basis"}
+
+
+def test_oracles_import_no_production_check():
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "quotientcoh"
+                           for a in node.names), ast.unparse(node)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "quotientcoh"):
+            imported |= {a.name for a in node.names}
+    assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS

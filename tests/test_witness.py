@@ -302,3 +302,20 @@ def test_non_finite_witness_job_exits_one(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "not finite" in capsys.readouterr().err
+
+
+def test_underflowing_level_exits_one(tmp_path, capsys):
+    # exp(-28^2) underflows to 0.0, so level 28 has no positive sample
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(
+        "[witness]\nk_min = 27\nk_max = 28\n"
+        "max_derivative_order = 0\nsamples_per_interval = 101\n"
+    )
+    out = tmp_path / "report.json"
+    code = main(["--input", str(cfg), "--format", "json",
+                 "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("engine: internal error: ")
+    assert "no positive samples at level 28" in err
