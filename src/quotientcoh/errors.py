@@ -89,7 +89,9 @@ class LevelNotRecovered(EngineError):
     """The witness could not read a level off its sampled bumps.
 
     At a high level the damping exp(-k^2) underflows to 0.0, so no
-    sample of f_k is positive and no ratio can be taken.  Like
+    sample of f_k is positive and no ratio can be taken; higher still,
+    the sample points of I_k round onto its ends and the level cannot
+    be sampled at all.  Like
     BoundViolated it points at a range or implementation problem, never
     at bad input syntax.
     """

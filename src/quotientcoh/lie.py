@@ -39,6 +39,7 @@ from .scalars import (
     RationalLike,
     SparseRow,
     dense_row,
+    lead_one,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
     rref,
@@ -393,7 +394,7 @@ def betti(c: CochainComplex) -> BettiReport:
         for v in kernel:
             residual = acc.add(v)
             if residual is not None:
-                chosen.append(tuple(sorted(residual.items())))
+                chosen.append(lead_one(residual))
         gens_out.append(tuple(chosen))
         monos_out.append(tuple(enumerate_basis(n, k)))
     return BettiReport(

@@ -1,23 +1,39 @@
 """Exact scalars and sparse exact linear algebra.
 
-Every rank, kernel and echelon form in this package is computed over the
-rationals with `fractions.Fraction`, so results are exact and runs are
-reproducible.  Matrices are row-sparse: `ExactMatrix` keeps, for each
-row, only its nonzero entries as (column, value) pairs in increasing
-column order.  The differentials the pipelines build are mostly zero (a
-dim-7 cochain differential has tens of nonzeros among thousands of
-cells), so products, ranks and echelon forms cost time in proportion to
-the nonzeros and the fill-in they create, not to the number of cells.
-A dense view (`ExactMatrix.entries`) is built only when asked for.
+Every rank, kernel and echelon form in this package is exact over the
+rationals, so results are reproducible.  `fractions.Fraction` is the
+interface: matrices hold Fraction entries, and echelon forms, kernel
+vectors and products come back as Fractions.  The arithmetic inside
+runs on Python ints, which avoids the gcd that every Fraction operation
+pays to normalise its result.
+
+Matrices are row-sparse: `ExactMatrix` keeps, for each row, only its
+nonzero entries as (column, value) pairs in increasing column order.
+The differentials the pipelines build are mostly zero (a dim-7 cochain
+differential has tens of nonzeros among thousands of cells), so
+products, ranks and echelon forms cost time in proportion to the
+nonzeros and the fill-in they create, not to the number of cells.  A
+dense view (`ExactMatrix.entries`) is built only when asked for.
+
+Integers enter by scaling.  A row times a nonzero constant spans the
+same line, so an elimination may clear each row of its denominators
+separately, and may scale a row again at every step, without changing
+any rank, pivot set, reduced echelon form or kernel.  A product is
+different: D * A @ B = 0 iff A @ B = 0 for a single constant D, but
+scaling the rows of B one by one inserts a diagonal matrix between the
+factors, and A @ diag(s) @ B need not vanish when A @ B does.  So `@`
+clears each operand by one common denominator.
 
 Elimination is incremental.  `EchelonBasis` reduces one sparse row at a
-time against the rows it holds, each scaled to leading coefficient 1,
-clearing their pivot columns in increasing order, and keeps the residual
-when it is nonzero.  That residual is the unique vector of v + span that
-vanishes on every pivot column, so it is fixed by the span and the pivot
-set alone; rank, the reduced row echelon form (the canonical
-representative of a row span) and the kernel basis read off from it are
-therefore independent of the order in which rows are eliminated.  One
+time against the primitive integer rows it holds, clearing their pivot
+columns in increasing order by cross-multiplication, and keeps the
+residual, divided by its content, when it is nonzero.  Up to a nonzero
+factor that residual is the unique vector of v + span that vanishes on
+every pivot column, so it is fixed by the span and the pivot set
+alone; scaled to leading coefficient 1 it is unique.  Rank, the reduced
+row echelon form (the canonical representative of a row span) and the
+kernel basis read off from it are therefore independent of the order
+in which rows are eliminated, and of every scaling on the way.  One
 elimination serves both the rank and the kernel of a matrix: the kernel
 basis has cols - rank members, so callers that need both (the cochain
 pipeline, once per differential d_k) call `nullspace_basis` alone and
@@ -38,6 +54,8 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -193,21 +211,53 @@ class ExactMatrix:
         """Dense rows, built on each access."""
         return tuple(dense_row(row, self.cols) for row in self.sparse_rows)
 
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(D, D * sparse_rows): the least common denominator D of the
+        entries, and the integer rows it gives, as (column, int) pairs.
+
+        Built on first access and kept, so a differential that takes
+        part in two products and an elimination is converted once.
+        """
+        rows = self.sparse_rows
+        den = lcm(*{x.denominator for row in rows for _, x in row})
+        if den == 1:
+            return 1, tuple(
+                tuple((j, x.numerator) for j, x in row) for row in rows
+            )
+        return den, tuple(
+            tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+            for row in rows
+        )
+
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The exact product, computed on integers.
+
+        Each operand is cleared by one common denominator, D_self and
+        D_other, the integer product is formed, and its nonzero entries
+        come back as Fractions over D_self * D_other.  A single scale
+        per matrix is what keeps zero tests exact: scaling the rows of
+        the right factor one by one would multiply by a diagonal matrix
+        between the two factors, and d_{k+1} diag(s) d_k need not
+        vanish when d_{k+1} d_k does.
+        """
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        right = other.sparse_rows
+        left_den, left = self._cleared
+        right_den, right = other._cleared
+        den = left_den * right_den
         out = []
-        for row in self.sparse_rows:
-            acc: dict[int, Fraction] = {}
+        for row in left:
+            acc: dict[int, int] = {}
             for j, a in row:
                 for col, b in right[j]:
-                    acc[col] = acc.get(col, _ZERO) + a * b
+                    acc[col] = acc.get(col, 0) + a * b
             out.append(tuple(
-                (col, acc[col]) for col in sorted(acc) if acc[col] != 0
+                (col, Fraction(acc[col], den)) for col in sorted(acc)
+                if acc[col]
             ))
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
@@ -223,25 +273,79 @@ class ExactMatrix:
         return not any(self.sparse_rows)
 
 
+def _make_primitive(w: dict[int, int]) -> dict[int, int]:
+    """Divide the nonzero integer row w, in place, by its content, signed
+    so that its leading entry comes out positive."""
+    g = gcd(*w.values())
+    if w[min(w)] < 0:
+        g = -g
+    if g != 1:
+        for j in w:
+            w[j] //= g
+    return w
+
+
+def lead_one(row: Mapping[int, int]) -> SparseRow:
+    """A nonzero integer row divided by its leading entry, as (column,
+    Fraction) pairs in increasing column order."""
+    cols = sorted(row)
+    lead = row[cols[0]]
+    return tuple((j, Fraction(row[j], lead)) for j in cols)
+
+
 class EchelonBasis:
-    """An echelon basis of sparse rows, grown one vector at a time.
+    """An echelon basis of sparse integer rows, grown one vector at a time.
 
     rows maps each pivot column to the row that owns it: a {column:
-    value} map with value 1 at the pivot and nothing to its left.
+    value} map of ints with nothing left of the pivot, a positive value
+    at the pivot, and content 1 (a primitive row).  Incoming rows may
+    hold Fractions; each is cleared to integers first.  Rows are
+    never divided by their lead, so no Fraction is formed: a pivot is
+    cleared by cross-multiplication, and the residual is divided by
+    its content once at the end.  Every step scales a whole row by a
+    nonzero constant, which leaves its span, and hence the rank, the
+    pivots, the reduced echelon form and the kernel, unchanged; a
+    caller that wants the lead-1 form divides by the lead (`lead_one`).
     """
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, v: SparseVector) -> dict[int, Fraction]:
-        """The residual of v (nonzero entries only, as a {column: value}
-        map or (column, value) pairs) that vanishes on every pivot column.
-
-        Pivot columns are cleared in increasing order; subtracting the
-        row of pivot c only touches columns right of c, so a sorted list
-        of the pivot columns present in the residual visits each in turn.
+    def reduce(self, v: SparseVector) -> dict[int, int]:
+        """A nonzero multiple of the residual of v (nonzero entries only,
+        as a {column: value} map or (column, value) pairs) that vanishes
+        on every pivot column, primitive with a positive lead; empty
+        when v lies in the span.  v may hold ints or Fractions: it is
+        first multiplied by the least common denominator of its entries.
         """
         w = dict(v)
+        den = 1
+        for x in w.values():
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+        for j, x in w.items():
+            w[j] = x.numerator * (den // x.denominator)
+        return self._residual(w)
+
+    def add(self, v: SparseVector) -> dict[int, int] | None:
+        """Absorb v: return its primitive residual (now a row of the
+        basis; do not mutate it), or None when v lies in the span."""
+        w = self.reduce(v)
+        if not w:
+            return None
+        self.rows[min(w)] = w
+        return w
+
+    def _residual(self, w: dict[int, int]) -> dict[int, int]:
+        """Reduce the integer row w in place against the basis.
+
+        Pivot columns are cleared in increasing order.  To clear pivot c
+        of w against its row r, with f = w[c], a = r[c] and
+        g = gcd(a, f), w becomes (a/g) w - (f/g) r.  That only touches
+        columns right of c, so a sorted list of the pivot columns
+        present in w visits each in turn.  The result is divided by its
+        content once, at the end (a lead of 1 already has content 1).
+        """
         pivots = self.rows
         pending = sorted(c for c in w if c in pivots)
         while pending:
@@ -249,7 +353,16 @@ class EchelonBasis:
             f = w.pop(c, None)
             if f is None:
                 continue  # cancelled to zero after it was listed
-            for j, x in pivots[c].items():
+            row = pivots[c]
+            a = row[c]
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            if a != 1:
+                for j in w:
+                    w[j] *= a
+            for j, x in row.items():
                 if j == c:
                     continue
                 y = w.get(j)
@@ -263,27 +376,20 @@ class EchelonBasis:
                         w[j] = y
                     else:
                         del w[j]
-        return w
-
-    def add(self, v: SparseVector) -> dict[int, Fraction] | None:
-        """Absorb v: return its residual scaled to leading coefficient 1
-        (now a row of the basis; do not mutate it), or None when v lies
-        in the span."""
-        w = self.reduce(v)
-        if not w:
-            return None
-        lead = min(w)
-        inv = w[lead]
-        if inv != 1:
-            w = {j: x / inv for j, x in w.items()}
-        self.rows[lead] = w
+        if w and w[min(w)] != 1:
+            _make_primitive(w)
         return w
 
 
 def _echelon(mat: ExactMatrix) -> EchelonBasis:
+    """The rows of mat absorbed in order.  They enter as the integer rows
+    of mat._cleared, all scaled by the one denominator, which changes no
+    span."""
     basis = EchelonBasis()
-    for row in mat.sparse_rows:
-        basis.add(row)
+    for row in mat._cleared[1]:
+        w = basis._residual(dict(row))
+        if w:
+            basis.rows[min(w)] = w
     return basis
 
 
@@ -292,41 +398,53 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(m).rows)
 
 
-def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, Fraction]]:
-    """The reduced row echelon rows of mat, sparse, keyed by pivot."""
+def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, int]]:
+    """The reduced row echelon rows of mat, sparse and primitive, keyed
+    by pivot: each is a positive multiple of its lead-1 row."""
     basis = _echelon(mat)
     # Back substitution from the last pivot up: a reduced row is zero on
     # every other pivot column, so subtracting it creates no new pivot
-    # entries and one pass over each row's pivot entries suffices.
-    reduced: dict[int, dict[int, Fraction]] = {}
+    # entries and one pass over each row's pivot entries suffices.  The
+    # multipliers a/g are positive, so every lead stays positive.
+    reduced: dict[int, dict[int, int]] = {}
     for p in sorted(basis.rows, reverse=True):
         row = basis.rows[p]
-        for q in [j for j in row if j != p and j in reduced]:
+        targets = [j for j in row if j != p and j in reduced]
+        for q in targets:
             f = row.pop(q)
-            for j, x in reduced[q].items():
+            other = reduced[q]
+            a = other[q]
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in other.items():
                 if j == q:
                     continue
-                y = row.get(j, _ZERO) - f * x
+                y = row.get(j, 0) - f * x
                 if y:
                     row[j] = y
                 else:
                     row.pop(j, None)
-        reduced[p] = row
+        reduced[p] = _make_primitive(row) if targets else row
     return reduced
 
 
 def rref(m: ExactMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the nonzero rows (dense) and the pivot column indices, so
-    the rank is the number of pivots.  The output is the canonical
-    representative of the row span: two matrices have the same row span
-    iff their rref rows agree.
+    Returns the nonzero rows (dense, leading coefficient 1) and the
+    pivot column indices, so the rank is the number of pivots.  The
+    output is the canonical representative of the row span: two
+    matrices have the same row span iff their rref rows agree.
     """
     reduced = _reduced_rows(m)
     pivots = tuple(sorted(reduced))
     return (
-        tuple(dense_row(reduced[p].items(), m.cols) for p in pivots),
+        tuple(dense_row(lead_one(reduced[p]), m.cols) for p in pivots),
         pivots,
     )
 
@@ -334,12 +452,12 @@ def rref(m: ExactMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, .
 def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:
     """Deterministic exact kernel basis with one vector per free column.
 
-    Each basis vector is a sparse row of (column, value) pairs in
+    Each basis vector is a sparse row of (column, Fraction) pairs in
     increasing column order.  It has a 1 in its free coordinate and
     zeros in the other free coordinates, so the list has exactly
     cols - rank members and m @ v = 0 holds exactly for each: one
     elimination gives both the kernel and the rank.  The vector of free
-    column f holds -r[f] at the pivot of each reduced row r.
+    column f holds -r[f] at the pivot of each lead-1 reduced row r.
     """
     reduced = _reduced_rows(m)
     one = Fraction(1)
@@ -347,7 +465,8 @@ def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:
         f: [(f, one)] for f in range(m.cols) if f not in reduced
     }
     for p, row in reduced.items():
+        lead = row[p]
         for j, x in row.items():
             if j != p:
-                by_free[j].append((p, -x))
+                by_free[j].append((p, Fraction(-x, lead)))
     return [tuple(sorted(pairs)) for pairs in by_free.values()]

@@ -165,11 +165,23 @@ class BumpFamily:
         t = 2^-k + 2^-2k * s rounds once; t - 2^-k is then exact
         (the two floats are within a factor of two), so mapping back
         multiplies by a power of two and loses nothing further.
+
+        A point is lost when 2^-2k * s is below half the float spacing
+        at 2^-k: t rounds onto an end of I_k (every point does from
+        k = 53 on).  Rounding is monotone, so the offsets t - 2^-k grow
+        with s and the two outermost points show whether any is lost.
+        A lost point raises LevelNotRecovered, before 2^(2k) is formed,
+        which would overflow a float from k = 512 on.
         """
         left = 2.0 ** (-k)
         width = 2.0 ** (-2 * k)
-        t = left + width * self.s_grid()
-        return (t - left) * 2.0 ** (2 * k)
+        offsets = left + width * self.s_grid() - left
+        if not (offsets[0] > 0.0 and offsets[-1] < width):
+            raise LevelNotRecovered(
+                "level %d lies below float resolution: its sample points "
+                "round onto the ends of I_%d" % (k, k)
+            )
+        return offsets * 2.0 ** (2 * k)
 
     def bump_values(self, k: int, order: int = 0) -> np.ndarray:
         """Samples of f_k^(order) on the level-k grid."""

@@ -297,3 +297,20 @@ def test_witness_order_above_the_float_range_exits_one(tmp_path, capsys,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error" in err and "at most 16" in err
+
+
+def test_witness_level_below_float_resolution_exits_one(tmp_path):
+    # the sample points of I_511 round onto its ends, and 2^(2*512)
+    # overflows a float: the job must stop with an engine line
+    cfg = _write(tmp_path, "job.cfg", WITNESS_CFG.replace(
+        "k_min = 2\nk_max = 5\nmax_derivative_order = 2\n"
+        "samples_per_interval = 2001",
+        "k_min = 511\nk_max = 512\nmax_derivative_order = 0\n"
+        "samples_per_interval = 101"))
+    out = tmp_path / "report.json"
+    proc = _run_cli(["--input", cfg, "--format", "json", "--output", str(out)])
+    assert proc.returncode == 1
+    assert not out.exists()
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("engine: internal error: ")
+    assert "level 511 lies below float resolution" in proc.stderr

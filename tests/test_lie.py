@@ -201,6 +201,24 @@ def test_betti_ranks_match_gauss_oracle():
             assert report.ranks[k] == gauss_rank(dk.entries)
 
 
+def test_betti_of_a_random_basis_dim_7_algebra_matches_gauss_oracle():
+    # dense rational structure constants, as in the random-basis jobs:
+    # the integer core must give every rank the Fraction oracle gives
+    rng = random.Random(7001)
+    g = change_basis(direct_sum(heisenberg(), filiform(4)),
+                     random_invertible(rng, 7))
+    c = ce_complex(g)
+    report = betti(c)
+    for k, dk in enumerate(c.d):
+        assert report.ranks[k] == gauss_rank(dk.entries)
+    standard = betti(ce_complex(direct_sum(heisenberg(), filiform(4))))
+    assert report.betti == standard.betti
+    for gens in report.generators:
+        for v in gens:
+            assert v[0][1] == 1
+            assert all(type(x) is Fraction for _, x in v)
+
+
 def test_generators_are_reduced_cocycles():
     rng = random.Random(12345)
     for case in range(8):

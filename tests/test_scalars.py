@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotientcoh.scalars import (
+    EchelonBasis,
     ExactMatrix,
     ExtScalar,
     nullspace_basis,
@@ -171,6 +173,96 @@ def test_sparse_product_matches_dense_product():
         ]
         assert product == ExactMatrix.from_rows(expected, cols=m)
         assert product.is_zero() == all(x == 0 for r in expected for x in r)
+
+
+def _wide_random_rows(rng, rows, cols):
+    """Sparse rows for the integer core: numerators and denominators up
+    to 10^6 (mostly coprime), negative leads, rows whose integer form
+    has a content above 1, and int entries mixed with Fractions."""
+    out = []
+    for _ in range(rows):
+        row = {}
+        for j in range(cols):
+            if rng.random() < 0.4:
+                num = rng.randint(-10 ** 6, 10 ** 6) or 1
+                if rng.random() < 0.3:
+                    row[j] = num  # a plain int
+                else:
+                    row[j] = Fraction(num, rng.randint(1, 10 ** 6))
+        if row and rng.random() < 0.3:
+            # a common factor the content division has to remove
+            factor = Fraction(rng.choice([6, 35, 1001]), rng.randint(1, 9))
+            row = {j: factor * x for j, x in row.items()}
+        if row and rng.random() < 0.5:
+            lead = min(row)
+            row[lead] = -abs(row[lead])
+        out.append(row)
+    return out
+
+
+def test_integer_core_against_dense_fraction_oracles():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        sparse = _wide_random_rows(rng, rows, cols)
+        dense = [densify(row, cols) for row in sparse]
+        m = ExactMatrix.from_sparse(cols, sparse)
+        expected_rows, expected_pivots = naive_rref(dense, cols)
+        assert rank(m) == gauss_rank(dense) == len(expected_pivots)
+        assert rref(m) == (expected_rows, expected_pivots)
+        free = [c for c in range(cols) if c not in expected_pivots]
+        kernel = nullspace_basis(m)
+        assert len(kernel) == len(free)
+        for f, v in zip(free, kernel):
+            assert all(type(x) is Fraction for _, x in v)
+            expected = [Fraction(int(c == f)) for c in range(cols)]
+            for row, p in zip(expected_rows, expected_pivots):
+                expected[p] = -row[f]
+            assert densify(v, cols) == tuple(expected)
+        # the same rows absorbed one by one, ints and Fractions mixed
+        basis = EchelonBasis()
+        for row in sparse:
+            basis.add(row)
+        assert sorted(basis.rows) == list(expected_pivots)
+        # products: each side cleared by its own common denominator
+        other = _wide_random_rows(rng, cols, rng.randint(1, 5))
+        width = max((j + 1 for row in other for j in row), default=1)
+        b = ExactMatrix.from_sparse(width, other)
+        b_dense = [densify(row, width) for row in other]
+        expected_product = [
+            [sum((dense[i][t] * b_dense[t][j] for t in range(cols)),
+                 Fraction(0)) for j in range(width)]
+            for i in range(rows)
+        ]
+        assert m @ b == ExactMatrix.from_rows(expected_product, cols=width)
+
+
+def test_echelon_rows_stay_integer_after_fraction_input():
+    basis = EchelonBasis()
+    rows = [
+        {0: Fraction(-3, 7), 2: Fraction(9, 14), 3: 6},
+        {1: Fraction(10, 3), 2: Fraction(-4, 9)},
+        {0: Fraction(1, 999983), 1: Fraction(2, 999979), 3: Fraction(5, 4)},
+    ]
+    for row in rows:
+        assert basis.add(row) is not None
+    assert basis.add({0: Fraction(-3, 7), 2: Fraction(9, 14), 3: 6}) is None
+    for p, row in basis.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+    # the first row: -3/7 e0 + 9/14 e2 + 6 e3 cleared and made primitive
+    assert basis.rows[0] == {0: 2, 2: -3, 3: -28}
+
+
+def test_product_zero_test_uses_one_denominator_per_factor():
+    # A @ B = 2/2 - 3/3 = 0, but scaling B's rows by their own
+    # denominators (2 and 3) would give 2*1 - 3*1 = -1
+    a = ExactMatrix.from_rows([[2, 3]])
+    b = ExactMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 3)]])
+    assert (a @ b).is_zero()
+    c = ExactMatrix.from_rows([[Fraction(1, 5), Fraction(1, 7)]])
+    assert (c @ b).sparse_rows == (((0, Fraction(1, 10) - Fraction(1, 21)),),)
 
 
 def test_rref_is_canonical_for_the_row_span():
