@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .exterior import enumerate_basis, remove_pair, wedge_insert
+from .exterior import enumerate_basis, wedge_insert
 from .lie import (
     BettiReport,
     CochainComplex,
@@ -112,7 +112,6 @@ __all__ = [
     "phi_sign_check",
     "quotient",
     "rank",
-    "remove_pair",
     "rref",
     "sl2",
     "surviving_modes",

@@ -208,8 +208,6 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
     if "n" not in single:
         raise ValidationError("n", "missing required key in [torus]")
     n = _exact_int("n", single["n"])
-    if n < 1:
-        raise ValidationError("n", "torus dimension must be at least 1")
     dirs: list[tuple[ExtScalar, ...]] = []
     for key, value, _line in entries:
         if key != "foliation":
@@ -228,25 +226,10 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
     invariance: set[int] = set()
     if "invariance" in single:
         for token in single["invariance"].split(","):
-            j = _exact_int("invariance", token.strip())
-            if not 0 <= j < n:
-                raise ValidationError(
-                    "invariance",
-                    "coordinate %d out of range for n = %d" % (j, n),
-                )
-            invariance.add(j)
-    truncation = 3
-    if "truncation" in single:
-        truncation = _exact_int("truncation", single["truncation"])
-        if truncation < 0:
-            raise ValidationError("truncation", "must be nonnegative")
+            invariance.add(_exact_int("invariance", token.strip()))
+    truncation = _exact_int("truncation", single.get("truncation", "3"))
     try:
-        return TorusSpec(
-            n=n,
-            foliation_dirs=tuple(dirs),
-            invariance_coords=frozenset(invariance),
-            truncation=truncation,
-        )
+        return TorusSpec(n, tuple(dirs), frozenset(invariance), truncation)
     except ValueError as exc:
         raise ValidationError("torus", str(exc)) from exc
 

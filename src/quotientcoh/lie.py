@@ -11,12 +11,14 @@ follows the convention
 
 so in degree one (d a)(X, Y) = -a([X, Y]): d_1 is minus the bracket
 matrix, and d_2 d_1 = 0 is the Jacobi identity, which is how
-jacobi_check tests it.  Each differential is eliminated once: its
-kernel basis gives both its rank (the width minus the kernel size, from
-which the Betti numbers follow) and the candidate cocycles.
-Representatives are those kernel vectors reduced against the image of
-the previous differential, which leaves exactly one representative per
-cohomology dimension; they stay sparse (column, value) rows.
+jacobi_check tests it.  ce_differential also takes coefficients of
+weight w, which on abelian R^q give one torus Fourier mode.  Each
+differential is eliminated once: its kernel basis gives both its rank
+(the width minus the kernel size, from which the Betti numbers follow)
+and the candidate cocycles.  Representatives are those kernel vectors
+reduced against the image of the previous differential, which leaves
+exactly one representative per cohomology dimension; they stay sparse
+(column, value) rows.
 
 Quotients by an ideal h use the coordinate splitting given by the
 echelon form of h: the non-pivot coordinates form a complement, and the
@@ -32,6 +34,7 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .errors import NotAnIdeal
+# remove_pair is unused here, but perfbench/tracer.py wraps lie.remove_pair by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
 from .scalars import (
     EchelonBasis,
@@ -156,7 +159,7 @@ def jacobi_check(
     triple.  Returns (True, None), or (False, (i, j, k)) with that
     triple.
     """
-    product = _differential(g, 2) @ _differential(g, 1)
+    product = ce_differential(g, 2) @ ce_differential(g, 1)
     for triple, row in zip(enumerate_basis(g.dim, 3), product.sparse_rows):
         if row:
             return False, triple
@@ -259,6 +262,14 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     return QuotientAlgebra(g, h, complement, induced)
 
 
+def first_d_squared_violation(d: Sequence[ExactMatrix]) -> int | None:
+    """First degree k with d[k+1] @ d[k] != 0, or None."""
+    for k in range(len(d) - 1):
+        if not (d[k + 1] @ d[k]).is_zero():
+            return k
+    return None
+
+
 @dataclass(frozen=True)
 class CochainComplex:
     """The alternating-forms complex of an n-dimensional algebra.
@@ -275,10 +286,7 @@ class CochainComplex:
 
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None."""
-        for k in range(len(self.d) - 1):
-            if not (self.d[k + 1] @ self.d[k]).is_zero():
-                return k
-        return None
+        return first_d_squared_violation(self.d)
 
     def d_squared_is_zero(self) -> bool:
         return self.d_squared_violation() is None
@@ -291,34 +299,51 @@ def _algebra_of(x: AlgebraLike) -> LieAlgebra:
     return x.algebra if isinstance(x, QuotientAlgebra) else x
 
 
-def _differential(g: LieAlgebra, k: int) -> ExactMatrix:
-    """The degree-k differential of g, shape C(n, k+1) x C(n, k).
+def ce_differential(
+    g: LieAlgebra, k: int, weight: Sequence[RationalLike] = ()
+) -> ExactMatrix:
+    """Degree-k Chevalley-Eilenberg differential of g, shape C(n, k+1) x
+    C(n, k), with coefficients in the character of the given weight
+    (trivial when empty).  For J = (J_0 < ... < J_k), entry (J, I) is
 
-    The entry recipe: for a degree-(k+1) monomial J and each index pair
-    inside it, contract the pair out (remove_pair), bracket it through
-    the bracket matrix, and wedge the result back in (wedge_insert).
-    The pair (-1)^(s+t) prefactor equals minus the contraction sign, so
-    each contribution is -sign_rm * sign_w * c.  Rows are assembled as
-    sparse {column: value} maps.
+        sum_s (-1)^s w[J_s] [I = J - J_s]
+        + sum_{s<t} (-1)^(s+t) sum_u c_{J_s J_t}^u eps(u, J - {J_s, J_t} -> I)
+
+    with eps the sign of wedge_insert (0 when u repeats an index); d^2 = 0
+    iff w vanishes on [g, g].  On abelian R^q only the first sum is left:
+    left wedge with w, the complex of one torus Fourier mode of weight w.
+    Only index pairs with a nonzero bracket row are visited.
     """
     n = g.dim
-    brackets = _pair_rows(g)
+    if weight and len(weight) != n:
+        raise ValueError("weight length %d != dim %d" % (len(weight), n))
+    partners: dict[int, dict[int, SparseRow]] = {}
+    for (i, j), bracket in _pair_rows(g).items():
+        if bracket:
+            partners.setdefault(i, {})[j] = bracket
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
     rows = []
     for jmono in enumerate_basis(n, k + 1):
         row: dict[int, Fraction] = {}
-        for s in range(k + 1):
+        for s, i in enumerate(jmono):
+            if weight and weight[i]:
+                col = col_index[jmono[:s] + jmono[s + 1:]]
+                row[col] = row.get(col, 0) + (-1) ** s * weight[i]
+            with_i = partners.get(i)
+            if with_i is None:
+                continue
             for t in range(s + 1, k + 1):
-                removed = remove_pair(jmono, jmono[s], jmono[t])
-                assert removed is not None
-                sign_rm, rest = removed
-                for u, c in brackets[jmono[s], jmono[t]]:
+                bracket = with_i.get(jmono[t])
+                if bracket is None:
+                    continue
+                rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
+                for u, c in bracket:
                     inserted = wedge_insert(u, rest)
                     if inserted is None:
                         continue
                     sign_w, imono = inserted
                     col = col_index[imono]
-                    row[col] = row.get(col, 0) - sign_rm * sign_w * c
+                    row[col] = row.get(col, 0) + (-1) ** (s + t) * sign_w * c
         rows.append(row)
     return ExactMatrix.from_sparse(len(col_index), rows)
 
@@ -327,7 +352,7 @@ def ce_complex(x: AlgebraLike) -> CochainComplex:
     """Build every differential matrix of the cochain complex of x."""
     g = _algebra_of(x)
     return CochainComplex(
-        g.dim, tuple(_differential(g, k) for k in range(g.dim)), g
+        g.dim, tuple(ce_differential(g, k) for k in range(g.dim)), g
     )
 
 
@@ -447,12 +472,12 @@ def phi_sign_check(c: CochainComplex) -> bool:
     """Certify the signs of c against the evaluation formula.
 
     Each D_k is rebuilt from c.algebra by _evaluation_differential,
-    which reads the same bracket matrix but shares none of ce_complex's
-    sign code (no remove_pair, no wedge_insert).  With the degreewise twist S_k = (-1)^k I, the
-    certificate is the identity S_{k+1} (-D_k) = d_k S_k, which matches
-    evaluation on basis vectors against the algebraic differential; it
-    is checked entrywise on sparse rows and fails as soon as one entry
-    of one d_k differs from the formula.
+    which reads the same bracket matrix but shares none of
+    ce_differential's sign code (no wedge_insert).  With the degreewise
+    twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
+    = d_k S_k, which matches evaluation on basis vectors against the
+    algebraic differential; it is checked entrywise on sparse rows and
+    fails as soon as one entry of one d_k differs from the formula.
     """
     g = c.algebra
     if len(c.d) != g.dim:

@@ -12,13 +12,14 @@ decompose over Fourier modes m in Z^n, and a mode contributes iff
 Constant coefficients along the leaves leave a transverse coordinate
 frame: the free columns of the echelonized direction matrix.  On one
 surviving mode the whole complex is the exterior algebra of the
-transverse frame, the differential is left multiplication by the mode
-covector (the overall 2*pi*i factor is normalized to 1; a nonzero
-scalar never changes a rank), and for a nonzero mode that covector is
-itself nonzero, which makes the complex exact in every degree.  The
-zero mode has zero differential.  Betti numbers are therefore binomial
-coefficients C(n - p, k); the nonzero-mode audit certifies this with
-explicit ranks.
+transverse frame, and the differential is left multiplication by the
+mode covector w (the overall 2*pi*i factor is normalized to 1; a nonzero
+scalar never changes a rank): lie.ce_differential of the transverse
+translation algebra R^q with coefficients of weight w.  For a nonzero
+mode w is itself nonzero, which makes the complex exact in every degree.
+The zero mode has zero differential.  Betti numbers are therefore
+binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
+with explicit ranks.
 
 The audit visits every surviving mode of sup norm at most the
 truncation T without scanning the box.  Survival is an integer linear
@@ -56,8 +57,10 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidSpec, ModeKilled
+# wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .lie import Subspace, abelian, betti as lie_betti, betti_numbers, ce_complex, quotient
+from .lie import (Subspace, abelian, betti as lie_betti, betti_numbers, ce_complex,
+                  ce_differential, first_d_squared_violation, quotient)
 from .scalars import ExactMatrix, ExtScalar, rank, rref
 
 NORMALIZATION_NOTE = (
@@ -211,8 +214,8 @@ class ModeComplex:
 
     It lives on the monomials in the transverse coordinates (whose
     global indices are transverse_cols), in lexicographic order degree
-    by degree; d_matrices[k] is left wedge with the mode covector, with
-    the 2*pi*i factor normalized away.
+    by degree; d_matrices[k] is left wedge with the mode covector w, the
+    weight-w differential of R^q, with the 2*pi*i factor normalized away.
     """
 
     mode: Mode
@@ -235,9 +238,9 @@ def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, 
 def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
     """Assemble the per-mode complex, or raise ModeKilled.
 
-    The differential in degree k sends a transverse monomial to the
-    mode covector wedged in from the left, entry by entry through
-    wedge_insert.
+    A surviving mode with transverse covector w contributes the cochain
+    complex of the translation algebra R^q with coefficients of weight
+    w: d_k is ce_differential(abelian(q), k, w), left wedge with w.
     """
     mode = tuple(int(m) for m in mode)
     if not survives(mode, spec):
@@ -251,36 +254,21 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
         raise ModeKilled(mode, reason)
     frame = transverse_frame(spec)
     w = _mode_transverse(mode, frame)
-    q = len(w)
-    basis = tuple(tuple(enumerate_basis(q, k)) for k in range(q + 1))
-    mats = []
-    for k in range(q):
-        col_basis = basis[k]
-        row_index = {mono: r for r, mono in enumerate(basis[k + 1])}
-        rows: list[dict[int, int]] = [{} for _ in row_index]
-        for c, mono in enumerate(col_basis):
-            for pos, weight in enumerate(w):
-                if weight == 0:
-                    continue
-                inserted = wedge_insert(pos, mono)
-                if inserted is None:
-                    continue
-                sign, merged = inserted
-                row = rows[row_index[merged]]
-                row[c] = row.get(c, 0) + sign * weight
-        mats.append(ExactMatrix.from_sparse(len(col_basis), rows))
-    return ModeComplex(Mode(mode, w), frame.free_cols, tuple(mats))
+    g = abelian(len(w))
+    mats = tuple(ce_differential(g, k, w) for k in range(g.dim))
+    return ModeComplex(Mode(mode, w), frame.free_cols, mats)
 
 
 @dataclass(frozen=True)
 class KoszulCertificate:
     """Rank evidence that nonzero modes contribute no cohomology.
 
-    ranks are the exact ranks of the complex of mode; ok holds iff every
-    degree has zero cohomology, and on failure failed_degree records the
-    first degree with a nonzero defect.  modes counts the audited modes
-    the certificate stands for: mode itself and the members of its
-    class (see torus_betti), which share its ranks.
+    ranks are the exact ranks of the complex of mode; ok holds iff the
+    squares d_{k+1} d_k vanish and every degree has zero cohomology, and
+    on failure failed_degree records the first degree where either
+    fails.  modes counts the audited modes the certificate stands for:
+    mode itself and the members of its class (see torus_betti), which
+    share its ranks.
     """
 
     mode: tuple[int, ...]
@@ -291,21 +279,23 @@ class KoszulCertificate:
 
 
 def koszul_certificate(mc: ModeComplex) -> KoszulCertificate:
-    """Certify exactness of a nonzero-mode complex by direct ranks.
+    """Certify exactness of a nonzero-mode complex by d.d and direct ranks.
 
     Wedging with a nonzero covector is exact, so ok is always true for
     a correctly built complex; a failure therefore indicates an
     implementation bug, which is exactly what the certificate is for.
-    The zero mode is rejected: its differential vanishes and exactness
-    is the wrong question.
+    Ranks cannot see a non-complex, so the first k with d_{k+1} d_k != 0
+    fails at degree k + 1 before any degree with nonzero cohomology
+    does.  The zero mode is rejected: its differential vanishes and
+    exactness is the wrong question.
     """
     if mc.mode.is_zero():
         raise ValueError("the zero mode is not eligible for an exactness "
                          "certificate; its differential is zero")
     ranks = tuple(rank(dk) for dk in mc.d_matrices)
-    failed = next(
-        (k for k, b in enumerate(betti_numbers(mc.q, ranks)) if b), None
-    )
+    violation = first_d_squared_violation(mc.d_matrices)
+    failed = violation + 1 if violation is not None else next(
+        (k for k, b in enumerate(betti_numbers(mc.q, ranks)) if b), None)
     return KoszulCertificate(mc.mode.m, ranks, failed is None, failed)
 
 

@@ -3,12 +3,12 @@
 Everything here is deliberately naive: plain Gaussian and Gauss-Jordan
 elimination over dense rows of Fractions, determinant expansion by
 minors, a dense n x n x n structure-constant cube read off the bracket
-matrix, differential entries evaluated from the alternating-sum
-definition with determinant evaluation of monomials, the Jacobiator as
-a cyclic sum over that cube, the bump-sup level ratios in closed form,
-and the bump's derivative polynomials expanded in x and evaluated
-exactly.  None of it shares code paths with the package internals it
-checks.
+matrix, differential entries (with an optional character weight)
+evaluated from the alternating-sum definition with determinant
+evaluation of monomials, the Jacobiator as a cyclic sum over that cube,
+the bump-sup level ratios in closed form, and the bump's derivative
+polynomials expanded in x and evaluated exactly.  None of it shares code
+paths with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -142,24 +142,28 @@ def eval_monomial(mono, vectors) -> Fraction:
     return det_laplace(grid)
 
 
-def ce_entry_bruteforce(g: LieAlgebra, col_mono, row_mono) -> Fraction:
+def ce_entry_bruteforce(g: LieAlgebra, col_mono, row_mono, weight=()) -> Fraction:
     """One differential entry from the alternating-sum definition.
 
-    (d a)(Y_0..Y_k) = sum_{s<t} (-1)^(s+t) a([Y_s, Y_t], others), with
-    a = e_col_mono evaluated on coordinate vectors by determinants and
-    Y_i the basis vectors named by row_mono.
+    (d a)(Y_0..Y_k) = sum_s (-1)^s w(Y_s) a(others)
+                      + sum_{s<t} (-1)^(s+t) a([Y_s, Y_t], others),
+    with a = e_col_mono evaluated on coordinate vectors by determinants,
+    Y_i the basis vectors named by row_mono, and w(Y) the dot product
+    of the weight with Y (the first sum is absent for an empty weight).
     """
     k1 = len(row_mono)
     cube = dense_cube(g)
+    units = [_unit(g.dim, i) for i in row_mono]
     total = Fraction(0)
+    if weight:
+        for s in range(k1):
+            acts = sum(Fraction(w) * y for w, y in zip(weight, units[s]))
+            others = units[:s] + units[s + 1:]
+            total += (-1) ** s * acts * eval_monomial(col_mono, others)
     for s in range(k1):
         for t in range(s + 1, k1):
             bracket = cube[row_mono[s]][row_mono[t]]
-            others = [
-                _unit(g.dim, row_mono[u])
-                for u in range(k1)
-                if u != s and u != t
-            ]
+            others = [units[u] for u in range(k1) if u != s and u != t]
             value = eval_monomial(col_mono, [bracket] + others)
             total += (-1) ** (s + t) * value
     return total
@@ -169,12 +173,14 @@ def _unit(n, i):
     return [Fraction(int(t == i)) for t in range(n)]
 
 
-def ce_matrix_bruteforce(g: LieAlgebra, k: int):
-    """Full degree-k differential matrix from the definition."""
+def ce_matrix_bruteforce(g: LieAlgebra, k: int, weight=()):
+    """Full degree-k differential matrix from the definition, with
+    coefficients in the character of the given weight (trivial when
+    empty)."""
     rows = enumerate_basis(g.dim, k + 1)
     cols = enumerate_basis(g.dim, k)
     return [
-        [ce_entry_bruteforce(g, cm, rm) for cm in cols] for rm in rows
+        [ce_entry_bruteforce(g, cm, rm, weight) for cm in cols] for rm in rows
     ]
 
 

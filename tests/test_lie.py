@@ -23,6 +23,7 @@ from quotientcoh import (
     sl2,
 )
 from quotientcoh.exterior import enumerate_basis
+from quotientcoh.lie import ce_differential
 from quotientcoh.scalars import ExactMatrix, rank
 
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     random_invertible,
     random_lie_algebra,
     random_nonjacobi_table,
+    solvable2,
 )
 
 
@@ -145,13 +147,47 @@ def test_ce_matrices_match_bruteforce_oracle():
 
 def test_ce_matrices_match_bruteforce_on_random_algebras():
     rng = random.Random(314159)
+    # drawn from their own stream so the algebras stay the same
+    weights = random.Random(161803)
     for _ in range(6):
         dim = rng.randint(3, 4)
         g = random_lie_algebra(rng, dim)
         c = ce_complex(g)
+        w = tuple(weights.randint(-3, 3) for _ in range(dim))
         for k in range(dim):
             oracle = ce_matrix_bruteforce(g, k)
             assert c.d[k] == ExactMatrix.from_rows(oracle, cols=comb(dim, k))
+            assert ce_differential(g, k) == c.d[k]
+            # the weight term need not give a complex to be checked here
+            twisted = ce_matrix_bruteforce(g, k, w)
+            assert ce_differential(g, k, w) == ExactMatrix.from_rows(
+                twisted, cols=comb(dim, k))
+
+
+def test_weighted_differential_squares_to_zero_iff_weight_kills_brackets():
+    # (d d w)(X, Y) = -w([X, Y]), and a character makes a module
+    cases = [
+        (heisenberg(), (2, -1, 0), True),
+        (heisenberg(), (0, 0, 1), False),
+        (sl2(), (0, 0, 0), True),
+        (sl2(), (1, 0, 0), False),
+        (solvable2(), (3, 0), True),
+        (solvable2(), (0, 1), False),
+        (filiform(5), (1, -2, 0, 0, 0), True),
+        (filiform(5), (1, 0, 0, 0, 1), False),
+        (abelian(4), (1, -2, 3, 5), True),
+    ]
+    for g, w, character in cases:
+        d = [ce_differential(g, k, w) for k in range(g.dim)]
+        assert CochainComplex(g.dim, tuple(d), g).d_squared_is_zero() \
+            == character, (g.dim, w)
+        if not character:
+            assert not (d[1] @ d[0]).is_zero()
+
+
+def test_ce_differential_rejects_a_weight_of_the_wrong_length():
+    with pytest.raises(ValueError, match="weight"):
+        ce_differential(heisenberg(), 1, (1, 2))
 
 
 def test_d_squared_zero_iff_jacobi():

@@ -10,8 +10,11 @@ import pytest
 from quotientcoh import (
     ExtScalar,
     InvalidSpec,
+    Mode,
+    ModeComplex,
     ModeKilled,
     TorusSpec,
+    abelian,
     build_mode_complex,
     cross_check_ce,
     koszul_certificate,
@@ -20,10 +23,10 @@ from quotientcoh import (
     torus_betti,
     transverse_frame,
 )
-from quotientcoh.scalars import rank
+from quotientcoh.scalars import ExactMatrix, rank
 from quotientcoh.torus import rational_skeleton
 
-from oracles import gauss_rank
+from oracles import ce_matrix_bruteforce, gauss_rank
 
 E = ExtScalar
 
@@ -215,6 +218,20 @@ def test_koszul_certificate_examples():
     assert cert2.ok
 
 
+def test_koszul_certificate_fails_on_a_non_complex():
+    # ranks (1, 1) make every Betti number zero, but d_1 d_0 = 2
+    mc = ModeComplex(
+        Mode((1, 1), (1, 1)),
+        (0, 1),
+        (ExactMatrix.from_rows([[1], [1]], cols=1),
+         ExactMatrix.from_rows([[1, 1]], cols=2)),
+    )
+    cert = koszul_certificate(mc)
+    assert cert.ranks == (1, 1)
+    assert not cert.ok
+    assert cert.failed_degree == 1
+
+
 def test_koszul_rejects_zero_mode():
     with pytest.raises(ValueError):
         koszul_certificate(build_mode_complex((0, 0, 0), example_spec()))
@@ -230,6 +247,26 @@ def test_mode_complex_d_squared_is_zero():
         mc = build_mode_complex(mode, free)
         for k in range(len(mc.d_matrices) - 1):
             assert (mc.d_matrices[k + 1] @ mc.d_matrices[k]).is_zero()
+
+
+def test_mode_complexes_match_the_weighted_oracle():
+    # a mode complex is the weight-w complex of the abelian algebra R^q,
+    # checked against the determinant definition on random specs
+    checked = 0
+    for spec in _lattice_specs():
+        try:
+            q = len(transverse_frame(spec).free_cols)
+        except InvalidSpec:
+            continue
+        for mode in surviving_modes(spec, min(spec.truncation, 1))[:4]:
+            mc = build_mode_complex(mode, spec)
+            assert len(mc.d_matrices) == q
+            for k, dk in enumerate(mc.d_matrices):
+                oracle = ce_matrix_bruteforce(
+                    abelian(q), k, mc.mode.transverse)
+                assert dk == ExactMatrix.from_rows(oracle, cols=comb(q, k))
+            checked += any(mode)
+    assert checked >= 10
 
 
 def test_torus_betti_example():
