@@ -4,20 +4,21 @@
            [--truncation N] [--check]
 
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
-degenerate foliation, broken Jacobi table), 3 when --check finds a
-cross-check mismatch, 1 for bad job files and internal errors.
+degenerate foliation, broken Jacobi table), 3 when a certificate fails
+(d.d != 0, a non-acyclic audited mode, or a --check cross-check), 1 for
+bad job files and internal errors.
 
 The JSON report always carries the keys mode, betti, ranks, generators,
 certificates, audited_modes and exit; fields that make no sense for a
-pipeline are null.  timing_seconds is informational and excluded from
-the canonical serialization used for byte-identity comparisons.
+pipeline, or for a lie job whose d.d check failed, are null.
+timing_seconds is informational and excluded from the canonical
+serialization used for byte-identity comparisons.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -38,6 +39,7 @@ from .lie import (
     phi_sign_check,
     quotient,
 )
+from .record import replace
 from .torus import TorusSpec, cross_check_ce, torus_betti
 from .witness import build_bumps, degree_one_obstruction, interval, verify_bounds
 
@@ -98,26 +100,32 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
         target = quot
         names = ["e%d" % c for c in quot.complement]
     complex_ = ce_complex(target)
-    report = betti(complex_)
-    certificates["d_squared_zero"] = True  # betti() would have raised
-    code = 0
+    is_complex = complex_.d_squared_violation() is None
+    certificates["d_squared_zero"] = is_complex
+    code = 0 if is_complex else 3
     if check:
         twist = phi_sign_check(complex_)
         certificates["sign_twist"] = twist
         if not twist:
             code = 3
+    payload = {
+        "mode": "lie",
+        "betti": None,
+        "ranks": None,
+        "generators": None,
+        "certificates": certificates,
+        "audited_modes": None,
+    }
+    if not is_complex:
+        return payload, code  # no cohomology to report
+    report = betti(complex_, checked=True)
     generators = []
     for k, gens in enumerate(report.generators):
         labels = _lie_monomial_labels(report.dim, k, names)
         generators.append([_vector_label(v, labels) for v in gens])
-    payload = {
-        "mode": "lie",
-        "betti": list(report.betti),
-        "ranks": list(report.ranks),
-        "generators": generators,
-        "certificates": certificates,
-        "audited_modes": None,
-    }
+    payload["betti"] = list(report.betti)
+    payload["ranks"] = list(report.ranks)
+    payload["generators"] = generators
     return payload, code
 
 
@@ -246,12 +254,17 @@ def _render_json(payload: dict) -> str:
 def _render_table(payload: dict) -> str:
     lines = ["mode: %s" % payload["mode"]]
     if payload["mode"] in ("lie", "torus"):
-        lines.append("betti: %s" % " ".join(str(b) for b in payload["betti"]))
-        lines.append("degree | betti | generators")
-        for k, (b, gens) in enumerate(
-            zip(payload["betti"], payload["generators"])
-        ):
-            lines.append("%6d | %5d | %s" % (k, b, ", ".join(gens)))
+        if payload["betti"] is None:
+            lines.append("betti: not computed, d.d != 0")
+        else:
+            lines.append(
+                "betti: %s" % " ".join(str(b) for b in payload["betti"])
+            )
+            lines.append("degree | betti | generators")
+            for k, (b, gens) in enumerate(
+                zip(payload["betti"], payload["generators"])
+            ):
+                lines.append("%6d | %5d | %s" % (k, b, ", ".join(gens)))
         certs = payload["certificates"]
         if payload["mode"] == "torus":
             lines.append(
@@ -333,7 +346,7 @@ def _render_csv(payload: dict) -> str:
     if payload["mode"] in ("lie", "torus"):
         writer.writerow(["degree", "betti", "generators"])
         for k, (b, gens) in enumerate(
-            zip(payload["betti"], payload["generators"])
+            zip(payload["betti"] or (), payload["generators"] or ())
         ):
             writer.writerow([k, b, "; ".join(gens)])
     else:
@@ -386,11 +399,9 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.truncation is not None and config.torus is not None:
-            config = dataclasses.replace(
+            config = replace(
                 config,
-                torus=dataclasses.replace(
-                    config.torus, truncation=args.truncation
-                ),
+                torus=replace(config.torus, truncation=args.truncation),
             )
     except MathematicalRefusal as exc:
         print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),

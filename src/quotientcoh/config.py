@@ -27,11 +27,11 @@ whole job, and configparser fights all three.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
+from .record import record
 from .scalars import ExtScalar, parse_ext_scalar
 from .torus import TorusSpec
 
@@ -58,7 +58,7 @@ _FORMATS = ("table", "json", "csv")
 MAX_DERIVATIVE_ORDER = 16
 
 
-@dataclass(frozen=True)
+@record
 class LieJob:
     """A lie-algebra cohomology job: an algebra and an optional quotient."""
 
@@ -66,7 +66,7 @@ class LieJob:
     ideal_vectors: tuple[tuple[Fraction, ...], ...] | None
 
 
-@dataclass(frozen=True)
+@record
 class WitnessJob:
     """Levels and sampling resolution for the bump-family witness."""
 
@@ -76,13 +76,13 @@ class WitnessJob:
     samples_per_interval: int
 
 
-@dataclass(frozen=True)
+@record
 class OutputConfig:
     format: str = "table"
     path: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class JobConfig:
     """One parsed job: exactly one of the three pipelines plus output."""
 
@@ -90,7 +90,7 @@ class JobConfig:
     lie: LieJob | None = None
     torus: TorusSpec | None = None
     witness: WitnessJob | None = None
-    output: OutputConfig = field(default_factory=OutputConfig)
+    output: OutputConfig = OutputConfig()
 
 
 def _exact_fraction(key: str, token: str) -> Fraction:

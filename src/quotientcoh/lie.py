@@ -28,7 +28,6 @@ by h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence, Union
@@ -36,6 +35,7 @@ from typing import Mapping, Sequence, Union
 from .errors import NotAnIdeal
 # remove_pair is unused here, but perfbench/tracer.py wraps lie.remove_pair by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
+from .record import record
 from .scalars import (
     EchelonBasis,
     ExactMatrix,
@@ -48,7 +48,7 @@ from .scalars import (
     rref,
 )
 
-@dataclass(frozen=True)
+@record
 class LieAlgebra:
     """A Lie algebra given by its bracket matrix Lambda^2 g -> g.
 
@@ -166,7 +166,7 @@ def jacobi_check(
     return True, None
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A linear subspace stored as the echelon basis of its span.
 
@@ -227,7 +227,7 @@ def ideal_check(g: LieAlgebra, h: Subspace) -> bool:
     return _ideal_failure(g, h) is None
 
 
-@dataclass(frozen=True)
+@record
 class QuotientAlgebra:
     """g/h with the complement of h given by non-pivot coordinates.
 
@@ -270,7 +270,7 @@ def first_d_squared_violation(d: Sequence[ExactMatrix]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class CochainComplex:
     """The alternating-forms complex of an n-dimensional algebra.
 
@@ -356,7 +356,7 @@ def ce_complex(x: AlgebraLike) -> CochainComplex:
     )
 
 
-@dataclass(frozen=True)
+@record
 class BettiReport:
     """Cohomology of one cochain complex with audit data.
 
@@ -386,7 +386,7 @@ def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def betti(c: CochainComplex) -> BettiReport:
+def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     """Betti numbers and representative cocycles, one elimination per d_k.
 
     The kernel basis of d_k has C(n, k) - rank d_k members, so a single
@@ -395,8 +395,12 @@ def betti(c: CochainComplex) -> BettiReport:
     kernel vectors reduced against the span of the columns of d_{k-1}
     plus the representatives already chosen; exactly betti[k] of them
     survive.
+
+    A non-complex raises ValueError.  checked=True says the caller has
+    already found d_squared_violation() to be None, and skips the
+    products that test it.
     """
-    violation = c.d_squared_violation()
+    violation = None if checked else c.d_squared_violation()
     if violation is not None:
         raise ValueError(
             "not a cochain complex: d.d != 0 at degree %d" % violation

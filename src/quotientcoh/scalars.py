@@ -52,11 +52,12 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
+
+from .record import record
 
 RationalLike = Union[int, Fraction]
 
@@ -66,7 +67,7 @@ _EXT_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class ExtScalar:
     """A number p + q*alpha with p, q rational and alpha a fixed irrational.
 
@@ -155,7 +156,7 @@ def dense_row(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class ExactMatrix:
     """Immutable row-sparse matrix with Fraction entries.
 

@@ -50,7 +50,6 @@ fixes the pivot columns used by the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -61,6 +60,7 @@ from .errors import InvalidSpec, ModeKilled
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .lie import (Subspace, abelian, betti as lie_betti, betti_numbers, ce_complex,
                   ce_differential, first_d_squared_violation, quotient)
+from .record import record, replace
 from .scalars import ExactMatrix, ExtScalar, rank, rref
 
 NORMALIZATION_NOTE = (
@@ -83,7 +83,7 @@ def monomial_label(mono: MultiIndex, names: Sequence[str]) -> str:
     return "^".join("d" + names[i] for i in mono)
 
 
-@dataclass(frozen=True)
+@record
 class TorusSpec:
     """A linear foliation of T^n with translation-invariance coordinates.
 
@@ -152,7 +152,7 @@ def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class TransverseFrame:
     """Coordinate splitting induced by the echelonized direction matrix.
 
@@ -197,7 +197,7 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Mode:
     """One Fourier mode with its transverse covector coordinates."""
 
@@ -208,7 +208,7 @@ class Mode:
         return all(c == 0 for c in self.m)
 
 
-@dataclass(frozen=True)
+@record
 class ModeComplex:
     """The exterior complex one surviving mode contributes.
 
@@ -259,7 +259,7 @@ def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
     return ModeComplex(Mode(mode, w), frame.free_cols, mats)
 
 
-@dataclass(frozen=True)
+@record
 class KoszulCertificate:
     """Rank evidence that nonzero modes contribute no cohomology.
 
@@ -299,7 +299,7 @@ def koszul_certificate(mc: ModeComplex) -> KoszulCertificate:
     return KoszulCertificate(mc.mode.m, ranks, failed is None, failed)
 
 
-@dataclass(frozen=True)
+@record
 class TorusBettiReport:
     """Betti numbers of the invariant basic complex plus the mode audit.
 

@@ -47,13 +47,13 @@ profile constant raises NonFiniteValue instead of passing a comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf, isfinite
 from typing import TYPE_CHECKING
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .exterior import enumerate_basis
+from .record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,7 +114,7 @@ def _level_scale(k: int, order: int) -> float:
         return inf
 
 
-@dataclass(frozen=True)
+@record
 class BumpFamily:
     """The bumps f_k for k in k_range with derivative data up to max_order.
 
@@ -214,7 +214,7 @@ def build_bumps(
     )
 
 
-@dataclass(frozen=True)
+@record
 class SupRecord:
     """Measured derivative sup against its certified bound."""
 
@@ -225,7 +225,7 @@ class SupRecord:
     bound: float
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneViolation:
     """Consecutive levels where a derivative sup grew instead of shrinking."""
 
@@ -236,7 +236,7 @@ class MonotoneViolation:
     ratio: float
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     """Everything verify_bounds measured, plus the lift obstruction."""
 
@@ -368,7 +368,7 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DegreeOneCertificate:
     """Dimension bookkeeping for the degree-one pullback obstruction.
 

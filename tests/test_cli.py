@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from quotientcoh import CochainComplex, ExactMatrix, ce_complex, cli, heisenberg
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.config import parse_config
 from quotientcoh.cli import run_job
+from quotientcoh.record import replace
 
 TORUS_CFG = """\
 [torus]
@@ -42,6 +44,12 @@ NON_JACOBI_CFG = """\
 dim = 3
 bracket = 0 1 0 1
 bracket = 1 2 1 1
+"""
+
+HEISENBERG_CFG = """\
+[lie]
+dim = 3
+bracket = 0 1 2 1
 """
 
 WITNESS_CFG = """\
@@ -195,6 +203,79 @@ def test_truncation_override(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["audited_modes"] == 2
     assert payload["betti"] == [1, 2, 1]
+
+
+def test_negative_truncation_override_exits_one(tmp_path, capsys):
+    cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
+    code = main(["--input", cfg, "--truncation", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "engine: configuration error: truncation must be nonnegative\n")
+
+
+def _counting_d_squared(monkeypatch) -> list:
+    calls = []
+    check = CochainComplex.d_squared_violation
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CochainComplex, "d_squared_violation", counted)
+    return calls
+
+
+def test_lie_job_runs_the_d_squared_check_once(monkeypatch):
+    calls = _counting_d_squared(monkeypatch)
+    payload, code = run_job(parse_config(HEISENBERG_CFG), check=True)
+    assert code == 0 and len(calls) == 1
+    assert payload["certificates"]["d_squared_zero"] is True
+    assert payload["betti"] == [1, 2, 2, 1]
+
+
+@pytest.fixture
+def broken_complex(monkeypatch):
+    # the Heisenberg complex with d_0 e^() = e^2, so that d_1 d_0 != 0;
+    # the Jacobi table is fine, only the built complex is wrong
+    good = ce_complex(heisenberg())
+    bad = replace(good, d=(ExactMatrix.from_rows([[0], [0], [1]]),)
+                  + good.d[1:])
+    assert bad.d_squared_violation() == 0
+    monkeypatch.setattr(cli, "ce_complex", lambda target: bad)
+    return bad
+
+
+def test_non_complex_exits_three_with_false_certificate(
+        broken_complex, monkeypatch):
+    calls = _counting_d_squared(monkeypatch)
+    payload, code = run_job(parse_config(HEISENBERG_CFG))
+    assert code == 3 and calls == [broken_complex]
+    assert payload["certificates"] == {
+        "jacobi": True, "ideal": None, "d_squared_zero": False}
+    assert payload["betti"] is None
+    assert payload["ranks"] is None
+    assert payload["generators"] is None
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_non_complex_report_renders(broken_complex, tmp_path, capsys, fmt):
+    cfg = _write(tmp_path, "job.cfg", HEISENBERG_CFG)
+    code = main(["--input", cfg, "--format", fmt, "--check"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "table":
+        assert "betti: not computed, d.d != 0" in captured.out
+        assert "d_squared_zero=false sign_twist=false" in captured.out
+        assert captured.out.endswith("exit: 3\n")
+    elif fmt == "json":
+        payload = json.loads(captured.out)
+        assert payload["exit"] == 3
+        assert payload["certificates"]["d_squared_zero"] is False
+    else:
+        assert captured.out == "degree,betti,generators\n"
 
 
 def test_torus_report_lists_each_class_once(tmp_path):

@@ -1,6 +1,7 @@
-"""The lie and torus pipelines start without numpy or sympy, the names
-the bench tracer wraps still resolve, and the test oracles import no
-production check.
+"""The lie and torus pipelines start without numpy or sympy, the package
+imports without dataclasses or inspect and compiles no source at run
+time, the names the bench tracer wraps still resolve, and the test
+oracles import no production check.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both libraries for other tests.
@@ -12,6 +13,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,12 +23,15 @@ import quotientcoh
 SRC = str(Path(quotientcoh.__file__).resolve().parents[1])
 
 HEAVY = ("numpy", "sympy")
+# dataclasses compiles generated methods and brings in inspect, ast, dis
+# and tokenize; quotientcoh.record replaces it
+CODEGEN = ("dataclasses", "inspect")
 
 IMPORT_ONLY = """
 import json, sys
 import quotientcoh, quotientcoh.cli
 print(json.dumps(sorted(n for n in %r if n in sys.modules)))
-""" % (HEAVY,)
+""" % (HEAVY + CODEGEN,)
 
 RUN_JOB = """
 import json, sys
@@ -63,7 +68,19 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_package_import_loads_neither_library():
-    assert json.loads(_python(IMPORT_ONLY)) == []
+    assert not set(json.loads(_python(IMPORT_ONLY))) & set(HEAVY)
+
+
+def test_package_import_loads_no_code_generation():
+    assert not set(json.loads(_python(IMPORT_ONLY))) & set(CODEGEN)
+
+
+def test_package_compiles_no_source_at_run_time():
+    calls = re.compile(r"\b(exec|eval)\(")
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for line_no, line in enumerate(path.read_text().splitlines(), 1):
+            assert not calls.search(line), (path.name, line_no, line)
 
 
 def test_lie_and_torus_jobs_load_neither_library(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -24,6 +23,7 @@ from quotientcoh import (
 )
 from quotientcoh.exterior import enumerate_basis
 from quotientcoh.lie import ce_differential
+from quotientcoh.record import replace
 from quotientcoh.scalars import ExactMatrix, rank
 
 from oracles import (
@@ -330,7 +330,7 @@ def _with_entry(c, k, i, j, value):
     rows[i][j] = Fraction(value)
     d = list(c.d)
     d[k] = ExactMatrix.from_rows(rows, cols=c.d[k].cols)
-    return dataclasses.replace(c, d=tuple(d))
+    return replace(c, d=tuple(d))
 
 
 def test_phi_sign_check_fails_on_any_single_changed_entry():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ import pytest
 from quotientcoh import witness
 from quotientcoh.cli import main
 from quotientcoh.errors import NonFiniteValue
+from quotientcoh.record import fields
 from quotientcoh.witness import (
     BumpFamily,
     build_bumps,
@@ -238,8 +238,7 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
 
 def _recast(cls, base: BumpFamily) -> BumpFamily:
     """base's fields in an instance of the BumpFamily subclass cls."""
-    fields = dataclasses.fields(base)
-    return cls(**{f.name: getattr(base, f.name) for f in fields})
+    return cls(**{name: getattr(base, name) for name in fields(base)})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
