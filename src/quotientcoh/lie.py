@@ -22,8 +22,8 @@ exactly one representative per cohomology dimension; they stay sparse
 
 Quotients by an ideal h use the coordinate splitting given by the
 echelon form of h: the non-pivot coordinates form a complement, and the
-induced bracket is the residual of the parent bracket after reduction
-by h.
+induced bracket is the residual of the sparse parent bracket row after
+reduction by h.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .scalars import (
     ExactMatrix,
     RationalLike,
     SparseRow,
-    dense_row,
+    SparseVector,
     lead_one,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
@@ -108,22 +108,6 @@ class LieAlgebra:
             rows[row_of[i, j]][k] = v
         return cls(dim, ExactMatrix.from_sparse(dim, rows))
 
-    def bracket(
-        self, x: Sequence[RationalLike], y: Sequence[RationalLike]
-    ) -> tuple[Fraction, ...]:
-        """Bilinear extension of the bracket matrix."""
-        x = [Fraction(t) for t in x]
-        y = [Fraction(t) for t in y]
-        out = [Fraction(0)] * self.dim
-        for (i, j), row in _pair_rows(self).items():
-            if not row:
-                continue
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff != 0:
-                for k, c in row:
-                    out[k] += coeff * c
-        return tuple(out)
-
 
 def _pair_rows(g: LieAlgebra) -> dict[tuple[int, int], SparseRow]:
     """{(i, j): [e_i, e_j] as sparse (k, c_ij^k) pairs} for every i < j."""
@@ -170,14 +154,13 @@ def jacobi_check(
 class Subspace:
     """A linear subspace stored as the echelon basis of its span.
 
-    The reduced row echelon rows are a canonical representative: two
-    spanning sets give equal Subspace objects iff they span the same
-    subspace.
+    The reduced row echelon rows, sparse with leading coefficient 1, are
+    a canonical representative: two spanning sets give equal Subspace
+    objects iff they span the same subspace.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[int, ...]
+    basis: tuple[SparseRow, ...]
 
     @classmethod
     def span(
@@ -188,37 +171,48 @@ class Subspace:
                 raise ValueError(
                     "vector length %d != ambient dim %d" % (len(v), ambient_dim)
                 )
-        if not vectors:
-            return cls(ambient_dim, (), ())
-        rows, pivots = rref(ExactMatrix.from_rows(vectors, cols=ambient_dim))
-        return cls(ambient_dim, rows, pivots)
+        rows, _ = rref(ExactMatrix.from_rows(vectors, cols=ambient_dim))
+        return cls(ambient_dim, rows)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Residual of v after subtracting its projection along the pivots."""
-        w = [Fraction(x) for x in v]
-        for row, p in zip(self.basis, self.pivots):
-            f = w[p]
-            if f != 0:
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(row[0][0] for row in self.basis)
 
-    def contains(self, v: Sequence[RationalLike]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+    def reduce(self, v: SparseVector) -> dict[int, Fraction]:
+        """Nonzero entries of the residual of the sparse vector v after
+        subtracting its projection along the pivots; empty iff v is in
+        the subspace."""
+        w = dict(v)
+        for row in self.basis:
+            f = w.get(row[0][0])
+            if f:
+                for j, x in row:
+                    w[j] = w.get(j, 0) - f * x
+        return {j: x for j, x in w.items() if x}
 
 
 def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
-    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None."""
+    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None.
+
+    The brackets are one sparse product: the rows e_i ^ h.basis[bi], in
+    the pair basis of Lambda^2 g, times the bracket matrix.
+    """
     if h.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
-    for i in range(g.dim):
-        e_i = tuple(Fraction(int(t == i)) for t in range(g.dim))
-        for bi, b in enumerate(h.basis):
-            if not h.contains(g.bracket(e_i, b)):
-                return i, bi
+    pair_row = {pair: p for p, pair in enumerate(enumerate_basis(g.dim, 2))}
+    wedges = [
+        {pair_row[min(i, j), max(i, j)]: x if i < j else -x
+         for j, x in b if j != i}
+        for i in range(g.dim) for b in h.basis
+    ]
+    brackets = ExactMatrix.from_sparse(g.table.rows, wedges) @ g.table
+    for r, row in enumerate(brackets.sparse_rows):
+        if h.reduce(row):
+            return divmod(r, h.dim)
     return None
 
 
@@ -243,19 +237,24 @@ class QuotientAlgebra:
 
 
 def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
-    """Form g/h, raising NotAnIdeal when h is not bracket-closed."""
+    """Form g/h, raising NotAnIdeal when h is not bracket-closed.
+
+    The induced bracket of two complement coordinates is the sparse
+    residual of their parent bracket row after reduction by h, which
+    vanishes on every pivot of h.
+    """
     failure = _ideal_failure(g, h)
     if failure is not None:
         raise NotAnIdeal(*failure)
-    complement = tuple(c for c in range(g.dim) if c not in set(h.pivots))
+    pivots = set(h.pivots)
+    complement = tuple(c for c in range(g.dim) if c not in pivots)
     position = {c: p for p, c in enumerate(complement)}
     # parent pairs of complement coordinates come in the lexicographic
     # order of their positions, since complement is increasing
     rows = []
     for (a, b), row in _pair_rows(g).items():
         if a in position and b in position:
-            residual = h.reduce(dense_row(row, g.dim))
-            rows.append({position[k]: residual[k] for k in complement})
+            rows.append({position[k]: x for k, x in h.reduce(row).items()})
     induced = LieAlgebra(
         len(complement), ExactMatrix.from_sparse(len(complement), rows)
     )

@@ -12,8 +12,9 @@ nonzero entries as (column, value) pairs in increasing column order.
 The differentials the pipelines build are mostly zero (a dim-7 cochain
 differential has tens of nonzeros among thousands of cells), so
 products, ranks and echelon forms cost time in proportion to the
-nonzeros and the fill-in they create, not to the number of cells.  A
-dense view (`ExactMatrix.entries`) is built only when asked for.
+nonzeros and the fill-in they create, not to the number of cells.
+Dense rows enter only through `ExactMatrix.from_rows` (job input), and
+the dense view `ExactMatrix.entries` is for tests and the bench tracer.
 
 Integers enter by scaling.  A row times a nonzero constant spans the
 same line, so an elimination may clear each row of its denominators
@@ -37,8 +38,9 @@ in which rows are eliminated, and of every scaling on the way.  One
 elimination serves both the rank and the kernel of a matrix: the kernel
 basis has cols - rank members, so callers that need both (the cochain
 pipeline, once per differential d_k) call `nullspace_basis` alone and
-read the rank off its length.  Kernel vectors come back sparse, as
-(column, value) pairs, and stay sparse until a caller renders them.
+read the rank off its length.  Reduced echelon rows and kernel vectors
+come back sparse, as (column, Fraction) pairs, and stay sparse until a
+caller renders them.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -402,52 +404,28 @@ def rank(m: ExactMatrix) -> int:
 def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, int]]:
     """The reduced row echelon rows of mat, sparse and primitive, keyed
     by pivot: each is a positive multiple of its lead-1 row."""
-    basis = _echelon(mat)
-    # Back substitution from the last pivot up: a reduced row is zero on
-    # every other pivot column, so subtracting it creates no new pivot
-    # entries and one pass over each row's pivot entries suffices.  The
-    # multipliers a/g are positive, so every lead stays positive.
-    reduced: dict[int, dict[int, int]] = {}
-    for p in sorted(basis.rows, reverse=True):
-        row = basis.rows[p]
-        targets = [j for j in row if j != p and j in reduced]
-        for q in targets:
-            f = row.pop(q)
-            other = reduced[q]
-            a = other[q]
-            g = gcd(a, f)
-            if g != 1:
-                a //= g
-                f //= g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, x in other.items():
-                if j == q:
-                    continue
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                else:
-                    row.pop(j, None)
-        reduced[p] = _make_primitive(row) if targets else row
-    return reduced
+    rows = _echelon(mat).rows
+    # Back substitution from the last pivot up, against the rows already
+    # reduced: they are zero on every other pivot column, so no new pivot
+    # entry appears, and the multipliers a/g keep every lead positive.
+    reduced = EchelonBasis()
+    for p in sorted(rows, reverse=True):
+        reduced.rows[p] = reduced._residual(rows[p])
+    return reduced.rows
 
 
-def rref(m: ExactMatrix) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+def rref(m: ExactMatrix) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the nonzero rows (dense, leading coefficient 1) and the
-    pivot column indices, so the rank is the number of pivots.  The
-    output is the canonical representative of the row span: two
-    matrices have the same row span iff their rref rows agree.
+    Returns the nonzero rows (sparse (column, Fraction) pairs, leading
+    coefficient 1) and the pivot column indices, so the rank is the
+    number of pivots.  The output is the canonical representative of the
+    row span: two matrices have the same row span iff their rref rows
+    agree.
     """
     reduced = _reduced_rows(m)
     pivots = tuple(sorted(reduced))
-    return (
-        tuple(dense_row(lead_one(reduced[p]), m.cols) for p in pivots),
-        pivots,
-    )
+    return tuple(lead_one(reduced[p]) for p in pivots), pivots
 
 
 def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:

@@ -22,9 +22,9 @@ binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
 with explicit ranks.
 
 The audit visits every surviving mode of sup norm at most the
-truncation T without scanning the box.  Survival is an integer linear
-system: the rational and alpha parts of every direction, scaled to
-integers, plus m_j = 0 on the invariance coordinates.  Its reduced row
+truncation T without scanning the box.  Survival is a linear system
+over the integer modes: the rational and alpha parts of every
+direction, plus m_j = 0 on the invariance coordinates.  Its reduced row
 echelon form writes each pivot coordinate as a rational combination of
 the non-pivot ones.  A surviving mode in the box has all coordinates in
 [-T, T], the non-pivot ones included, so enumerating the non-pivot
@@ -323,44 +323,28 @@ class TorusBettiReport:
     normalization: str = NORMALIZATION_NOTE
 
 
-def _integer_constraints(spec: TorusSpec) -> list[tuple[int, ...]]:
-    """Integer row vectors whose simultaneous kernel is the survival set.
-
-    m . (a + alpha*b) = 0 splits into m . a = 0 and m . b = 0; each
-    rational part is scaled by its denominator lcm to integers, which
-    does not move the kernel.
-    """
-    rows: list[tuple[int, ...]] = []
-    a, b = _direction_parts(spec)
-    for part in (a, b):
-        for vec in part:
-            if all(x == 0 for x in vec):
-                continue
-            scale = lcm(*(x.denominator for x in vec))
-            rows.append(tuple(int(x * scale) for x in vec))
-    return rows
-
-
 def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     """All modes with sup norm <= bound that survive, lexicographically.
 
     Invariance coordinates are pinned to zero up front.  On the other
     (open) coordinates the survival set is the integer kernel of the
-    constraint rows, which is also the kernel of their reduced row
-    echelon form R: each pivot coordinate equals minus the R-combination
-    of the non-pivot coordinates of its row.  Enumerating the non-pivot
-    coordinates over {-bound..bound} and deriving every pivot coordinate
-    exactly, kept only when it is an integer inside the box, is
-    complete: every coordinate of a kernel point in the box, the
-    non-pivot ones included, lies in {-bound..bound}, so the point is
-    reached from its own non-pivot coordinates, and the pivot values
-    derived from them are its own.  It is also sound, since every point
-    kept satisfies R.  The work is (2*bound + 1)^(open - r) for r the
+    rational and alpha parts of the directions (m . (a + alpha*b) = 0
+    splits into m . a = 0 and m . b = 0), which is also the kernel of
+    their reduced row echelon form R: each sparse row of R writes its
+    pivot coordinate as minus a combination of non-pivot coordinates.
+    Enumerating the non-pivot coordinates over {-bound..bound} and
+    deriving every pivot coordinate exactly, kept only when it is an
+    integer inside the box, is complete: every coordinate of a kernel
+    point in the box, the non-pivot ones included, lies in
+    {-bound..bound}, so the point is reached from its own non-pivot
+    coordinates, and the pivot values derived from them are its own.
+    It is also sound, since every point kept satisfies R.  The work is (2*bound + 1)^(open - r) for r the
     rank of the constraint rows, not (2*bound + 1)^open.  `survives` is
     the reference predicate this is tested against.
     """
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
-    rows = [[row[j] for j in open_cols] for row in _integer_constraints(spec)]
+    a, b = _direction_parts(spec)
+    rows = [[row[j] for j in open_cols] for row in a + b]
     reduced, pivots = rref(ExactMatrix.from_rows(rows, cols=len(open_cols)))
     enumerated = set(open_cols) - {open_cols[c] for c in pivots}
     values = range(-bound, bound + 1)
@@ -370,13 +354,9 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
         return list(product(*axes))
     # pivot coordinate = (sum of coefficient * enumerated coordinate) / denom
     solved = []
-    for row, c in zip(reduced, pivots):
-        denom = lcm(*(row[k].denominator for k in range(len(row))))
-        terms = tuple(
-            (open_cols[k], int(-row[k] * denom))
-            for k in range(len(row))
-            if k != c and row[k] != 0
-        )
+    for (c, _), *rest in reduced:
+        denom = lcm(*(x.denominator for _, x in rest))
+        terms = tuple((open_cols[k], int(-x * denom)) for k, x in rest)
         solved.append((open_cols[c], denom, terms))
     out = []
     for point in product(*axes):

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain Gaussian and Gauss-Jordan
 elimination over dense rows of Fractions, determinant expansion by
 minors, a dense n x n x n structure-constant cube read off the bracket
-matrix, differential entries (with an optional character weight)
+matrix, the bilinear bracket, ideal test and quotient table over that
+cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
 evaluation of monomials, the Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, and the bump's derivative
@@ -112,6 +113,50 @@ def dense_cube(g: LieAlgebra):
             c[i][j][k] = v
             c[j][i][k] = -v
     return c
+
+
+def naive_bracket(g: LieAlgebra, x, y):
+    """[x, y] for dense coordinate vectors: sum of x_i y_j c[i][j]."""
+    n = g.dim
+    c = dense_cube(g)
+    return [
+        sum((Fraction(x[i]) * y[j] * c[i][j][k]
+             for i in range(n) for j in range(n)), Fraction(0))
+        for k in range(n)
+    ]
+
+
+def naive_ideal_failure(g: LieAlgebra, vectors):
+    """The first (i, bi), i outermost, such that [e_i, r] leaves the span
+    of the dense vectors, where r is row bi of their Gauss-Jordan form;
+    None when the span is an ideal.  Membership is a rank test."""
+    rows, _ = naive_rref(vectors, g.dim)
+    for i in range(g.dim):
+        for bi, row in enumerate(rows):
+            image = naive_bracket(g, _unit(g.dim, i), row)
+            if gauss_rank(list(rows) + [image]) > len(rows):
+                return i, bi
+    return None
+
+
+def naive_quotient_table(g: LieAlgebra, vectors):
+    """{(a, b, k): c} for g modulo the span of the dense vectors, on the
+    coordinates that are not pivots of their Gauss-Jordan form, numbered
+    0, 1, ... in increasing order: [e_a, e_b] minus, for every pivot p,
+    its p-th coordinate times the Gauss-Jordan row of p, read on those
+    coordinates."""
+    rows, pivots = naive_rref(vectors, g.dim)
+    kept = [c for c in range(g.dim) if c not in pivots]
+    table = {}
+    for a, b in combinations(range(len(kept)), 2):
+        w = naive_bracket(g, _unit(g.dim, kept[a]), _unit(g.dim, kept[b]))
+        for row, p in zip(rows, pivots):
+            f = w[p]
+            w = [x - f * y for x, y in zip(w, row)]
+        for k, c in enumerate(kept):
+            if w[c] != 0:
+                table[(a, b, k)] = w[c]
+    return table
 
 
 def jacobi_failure(g: LieAlgebra):

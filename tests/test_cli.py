@@ -155,6 +155,16 @@ def test_degenerate_foliation_refusal(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_out_of_range_invariance_exits_one(tmp_path, capsys):
+    # a validation error, not an InvalidSpec refusal (exit 2)
+    cfg = _write(tmp_path, "job.cfg",
+                 "[torus]\nn = 3\nfoliation = 1,0,0\ninvariance = 5\n")
+    assert main(["--input", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "engine: configuration error: key 'torus': invariance coordinate 5 "
+        "out of range for n = 3\n")
+
+
 def test_parse_failure_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "job.cfg", "[torus]\nn = 2\nfoliation = 0.5,1\n")
     code = main(["--input", cfg])
@@ -353,18 +363,36 @@ def test_usage_error_reports_to_stderr():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize(
-    "name, check",
-    [("std7-check", True), ("random7-check", True), ("quotient8", False)],
-)
-def test_lie_reports_match_committed_fixtures(name, check):
-    # Dim 7-8 jobs (a filiform4+sl2 sum, a dense random rational basis,
-    # filiform8 modulo its centre) with the canonical reports recorded
-    # from the earlier dense-matrix implementation.
+def _matches_fixture(name, check):
     text = (FIXTURES / (name + ".cfg")).read_text()
     payload, code = run_job(parse_config(text), check=check)
     payload["exit"] = code
     assert canonical_json(payload) == (FIXTURES / (name + ".json")).read_text()
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [("std7-check", True), ("random7-check", True), ("quotient8", False),
+     ("quotient-random8-check", True)],
+)
+def test_lie_reports_match_committed_fixtures(name, check):
+    # Dim 7-8 jobs (a filiform4+sl2 sum, a dense random rational basis,
+    # filiform8 modulo its centre) with the canonical reports recorded
+    # from the earlier dense-matrix implementation, and filiform5+sl2 in
+    # a random rational basis modulo a 2-dimensional ideal given by three
+    # fractional, non-echelon vectors, recorded before echelon rows and
+    # subspaces became sparse.
+    _matches_fixture(name, check)
+
+
+@pytest.mark.parametrize("name", ["torus-alpha6-check"])
+def test_torus_reports_match_committed_fixtures(name):
+    # A T^6 job with --check: two directions with fractional rational
+    # and alpha parts (dependent at alpha = 0, so the frame substitutes
+    # 1), an invariance coordinate, and survivors whose derived pivot
+    # coordinates are half-integers for odd free values; recorded before
+    # echelon rows and subspaces became sparse.
+    _matches_fixture(name, True)
 
 
 @pytest.mark.parametrize("order", [17, 160])

@@ -1,7 +1,7 @@
 """The lie and torus pipelines start without numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
-time, the names the bench tracer wraps still resolve, and the test
-oracles import no production check.
+time, only scalars builds dense rows, the names the bench tracer wraps
+still resolve, and the test oracles import no production check.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both libraries for other tests.
@@ -81,6 +81,19 @@ def test_package_compiles_no_source_at_run_time():
     for path in sorted(package.glob("*.py")):
         for line_no, line in enumerate(path.read_text().splitlines(), 1):
             assert not calls.search(line), (path.name, line_no, line)
+
+
+def test_only_scalars_reads_the_dense_view():
+    # echelon rows, subspaces and brackets stay sparse; dense rows are
+    # built only in scalars (ExactMatrix.entries), for tests and the
+    # bench tracer, so dropping that view touches one module
+    dense = re.compile(r"\bdense_row\b|\.entries\b")
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for line_no, line in enumerate(path.read_text().splitlines(), 1):
+            assert not dense.search(line), (path.name, line_no, line)
 
 
 def test_lie_and_torus_jobs_load_neither_library(tmp_path):

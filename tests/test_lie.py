@@ -29,11 +29,16 @@ from quotientcoh.scalars import ExactMatrix, rank
 from oracles import (
     ce_matrix_bruteforce,
     change_basis,
+    dense_cube,
     densify,
     direct_sum,
     filiform,
     gauss_rank,
     jacobi_failure,
+    naive_bracket,
+    naive_ideal_failure,
+    naive_quotient_table,
+    naive_rref,
     random_invertible,
     random_lie_algebra,
     random_nonjacobi_table,
@@ -112,6 +117,83 @@ def test_non_ideal_refusal_names_the_first_failing_pair():
         "bracket of basis vector 0 with subspace generator 1 leaves the "
         "subspace"
     )
+
+
+def _centre(g):
+    """A basis of the centre: the kernel of x -> ([e_i, x])_i."""
+    n = g.dim
+    c = dense_cube(g)
+    rows, pivots = naive_rref(
+        [[c[i][j][k] for j in range(n)] for i in range(n) for k in range(n)],
+        n)
+    basis = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = _unit(n, f)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def _brackets_with(g, vectors):
+    """A basis of [g, span(vectors)]."""
+    images = [naive_bracket(g, _unit(g.dim, i), v)
+              for i in range(g.dim) for v in vectors]
+    return [list(row) for row in naive_rref(images, g.dim)[0]]
+
+
+def _disguised(rng, basis):
+    """A non-echelon spanning set of span(basis) with fractional entries:
+    the rows of a random invertible matrix with rows scaled by random
+    fractions, times basis, sometimes with a redundant vector, shuffled."""
+    if not basis:
+        return []
+    k = len(basis)
+    mix = random_invertible(rng, k)
+    out = []
+    for coeffs in mix:
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                         rng.randint(1, 7))
+        out.append([scale * sum(a * v[t] for a, v in zip(coeffs, basis))
+                    for t in range(len(basis[0]))])
+    if rng.random() < 0.5:
+        out.append([Fraction(3, 2) * x - Fraction(2, 5) * y
+                    for x, y in zip(out[0], out[-1])])
+    rng.shuffle(out)
+    return out
+
+
+def test_ideal_test_and_quotient_match_dense_oracles():
+    # Random algebras in random rational bases; their centre, [g, g] and
+    # [g, [g, g]] (ideals) and two random subspaces (often not ideals), each
+    # given by a disguised spanning set.  The sparse ideal test must name
+    # the oracle's first failing (i, bi), and the quotient bracket matrix
+    # must be the oracle's table.
+    rng = random.Random(20261019)
+    outcomes = {"ideal": 0, "refused": 0}
+    for _ in range(30):
+        g = random_lie_algebra(rng, rng.randint(2, 5))
+        derived = _brackets_with(g, [_unit(g.dim, i) for i in range(g.dim)])
+        spans = [_centre(g), derived, _brackets_with(g, derived)]
+        for _ in range(2):
+            spans.append([[Fraction(rng.randint(-3, 3)) for _ in range(g.dim)]
+                          for _ in range(rng.randint(1, g.dim - 1))])
+        for basis in spans:
+            vectors = _disguised(rng, basis)
+            h = Subspace.span(g.dim, vectors)
+            expected = naive_ideal_failure(g, vectors)
+            if expected is None:
+                outcomes["ideal"] += 1
+                q = quotient(g, h)
+                assert q.algebra == LieAlgebra.from_brackets(
+                    q.algebra.dim, naive_quotient_table(g, vectors))
+            else:
+                outcomes["refused"] += 1
+                with pytest.raises(NotAnIdeal) as exc:
+                    quotient(g, h)
+                assert (exc.value.generator_index,
+                        exc.value.basis_index) == expected
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_quotient_by_whole_algebra_gives_point():

@@ -42,6 +42,19 @@ def _mat(rows):
     return ExactMatrix.from_rows(rows)
 
 
+def _is_sparse_row(v):
+    """Nonzero values at strictly increasing columns."""
+    return [j for j, _ in v] == sorted({j for j, x in v if x != 0})
+
+
+def _assert_sparse_rref(rows, pivots):
+    """Sparse rref rows: each in sparse form, led by a 1 at its pivot."""
+    assert len(rows) == len(pivots)
+    for row, p in zip(rows, pivots):
+        assert _is_sparse_row(row)
+        assert row[0] == (p, 1)
+
+
 def test_rank_examples():
     assert rank(_mat([[1, 2], [2, 4], [3, 6]])) == 1
     assert rank(_mat(_identity(4))) == 4
@@ -125,11 +138,13 @@ def test_sparse_core_against_dense_oracles():
         assert m.entries == tuple(tuple(row) for row in dense)
         expected_rows, expected_pivots = naive_rref(dense, cols)
         assert rank(m) == gauss_rank(dense) == len(expected_pivots)
-        assert rref(m) == (expected_rows, expected_pivots)
+        echelon, pivots = rref(m)
+        assert pivots == expected_pivots
+        assert tuple(densify(row, cols) for row in echelon) == expected_rows
+        _assert_sparse_rref(echelon, pivots)
         sparse_kernel = nullspace_basis(m)
         for v in sparse_kernel:
-            # sparse rows: nonzero values at strictly increasing columns
-            assert [j for j, _ in v] == sorted({j for j, x in v if x != 0})
+            assert _is_sparse_row(v)
         kernel = [densify(v, cols) for v in sparse_kernel]
         free = [c for c in range(cols) if c not in expected_pivots]
         assert len(kernel) == len(free)
@@ -209,7 +224,10 @@ def test_integer_core_against_dense_fraction_oracles():
         m = ExactMatrix.from_sparse(cols, sparse)
         expected_rows, expected_pivots = naive_rref(dense, cols)
         assert rank(m) == gauss_rank(dense) == len(expected_pivots)
-        assert rref(m) == (expected_rows, expected_pivots)
+        echelon, pivots = rref(m)
+        assert pivots == expected_pivots
+        assert tuple(densify(row, cols) for row in echelon) == expected_rows
+        _assert_sparse_rref(echelon, pivots)
         free = [c for c in range(cols) if c not in expected_pivots]
         kernel = nullspace_basis(m)
         assert len(kernel) == len(free)
@@ -279,7 +297,9 @@ def test_rref_pivots_are_increasing():
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         rows, pivots = rref(_mat(m))
         assert list(pivots) == sorted(pivots)
+        _assert_sparse_rref(rows, pivots)
         for row, p in zip(rows, pivots):
+            row = densify(row, len(m[0]))
             assert row[p] == 1
             assert all(row[c] == 0 for c in range(p))
 
