@@ -19,7 +19,6 @@ from .errors import (
     EngineError,
     InvalidSpec,
     MathematicalRefusal,
-    ModeKilled,
     NotALieAlgebra,
     NotAnIdeal,
     ParseError,
@@ -45,8 +44,6 @@ from .lie import (
 from .scalars import ExactMatrix, ExtScalar, nullspace_basis, parse_ext_scalar, rank, rref
 from .torus import (
     KoszulCertificate,
-    Mode,
-    ModeComplex,
     TorusBettiReport,
     TorusSpec,
     build_mode_complex,
@@ -82,9 +79,6 @@ __all__ = [
     "KoszulCertificate",
     "LieAlgebra",
     "MathematicalRefusal",
-    "Mode",
-    "ModeComplex",
-    "ModeKilled",
     "NotALieAlgebra",
     "NotAnIdeal",
     "ParseError",

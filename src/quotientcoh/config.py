@@ -32,13 +32,12 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
 from .record import record
-from .scalars import ExtScalar, parse_ext_scalar
+from .scalars import DECIMAL_RE, ExtScalar, parse_ext_scalar
 from .torus import TorusSpec
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
-_DECIMAL_RE = re.compile(r"\d\.\d|^\.\d|\d\.$")
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal"},
@@ -94,7 +93,7 @@ class JobConfig:
 
 
 def _exact_fraction(key: str, token: str) -> Fraction:
-    if _DECIMAL_RE.search(token):
+    if DECIMAL_RE.search(token):
         raise ValidationError(
             key,
             "decimal literal %r not allowed in an exact field; "
@@ -109,7 +108,7 @@ def _exact_fraction(key: str, token: str) -> Fraction:
 
 
 def _exact_int(key: str, token: str) -> int:
-    if _DECIMAL_RE.search(token):
+    if DECIMAL_RE.search(token):
         raise ValidationError(
             key, "decimal literal %r not allowed; use an integer" % token
         )

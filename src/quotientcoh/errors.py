@@ -44,15 +44,6 @@ class InvalidSpec(MathematicalRefusal):
     """A foliation description is degenerate (dependent direction vectors)."""
 
 
-class ModeKilled(EngineError):
-    """A Fourier mode was requested that the constraints annihilate."""
-
-    def __init__(self, mode: tuple[int, ...], reason: str):
-        self.mode = mode
-        self.reason = reason
-        super().__init__("mode %r does not survive: %s" % (mode, reason))
-
-
 class BoundViolated(EngineError):
     """A measured derivative sup exceeded its certified bound.
 

@@ -12,8 +12,9 @@ follows the convention
 so in degree one (d a)(X, Y) = -a([X, Y]): d_1 is minus the bracket
 matrix, and d_2 d_1 = 0 is the Jacobi identity, which is how
 jacobi_check tests it.  ce_differential also takes coefficients of
-weight w, which on abelian R^q give one torus Fourier mode.  Each
-differential is eliminated once: its kernel basis gives both its rank
+weight w, and a CochainComplex records the weight it was built with;
+on abelian R^q that is the complex of a class of torus Fourier modes.
+Each differential is eliminated once: its kernel basis gives both its rank
 (the width minus the kernel size, from which the Betti numbers follow)
 and the candidate cocycles.  Representatives are those kernel vectors
 reduced against the image of the previous differential, which leaves
@@ -162,6 +163,17 @@ class Subspace:
     ambient_dim: int
     basis: tuple[SparseRow, ...]
 
+    def __post_init__(self):
+        # reduce() reads the pivots off the leads: accept only span()'s form
+        leads = [row[0][0] if row else -1 for row in self.basis]
+        if any(b <= a for a, b in zip([-1] + leads, leads)):
+            raise ValueError("subspace rows need strictly increasing leads")
+        if any(row[0][1] != 1 for row in self.basis):
+            raise ValueError("subspace rows need leading coefficient 1")
+        pivots = set(leads)
+        if any(j in pivots and x for row in self.basis for j, x in row[1:]):
+            raise ValueError("a subspace row is nonzero at another row's pivot")
+
     @classmethod
     def span(
         cls, ambient_dim: int, vectors: Sequence[Sequence[RationalLike]]
@@ -261,31 +273,29 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     return QuotientAlgebra(g, h, complement, induced)
 
 
-def first_d_squared_violation(d: Sequence[ExactMatrix]) -> int | None:
-    """First degree k with d[k+1] @ d[k] != 0, or None."""
-    for k in range(len(d) - 1):
-        if not (d[k + 1] @ d[k]).is_zero():
-            return k
-    return None
-
-
 @record
 class CochainComplex:
     """The alternating-forms complex of an n-dimensional algebra.
 
     d[k] is the matrix of the degree-k differential with respect to the
     lexicographic monomial bases, shape C(n, k+1) x C(n, k); the tuple
-    has length n since the top differential is zero.  algebra is the
-    Lie algebra the differentials were built from.
+    has length n since the top differential is zero.  d[k] is
+    ce_differential(algebra, k, weight), with trivial coefficients when
+    weight is empty; a torus mode class has a nonzero weight on R^q.
     """
 
     dim: int
     d: tuple[ExactMatrix, ...]
     algebra: LieAlgebra
+    weight: tuple[RationalLike, ...] = ()
 
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None."""
-        return first_d_squared_violation(self.d)
+        d = self.d
+        for k in range(len(d) - 1):
+            if not (d[k + 1] @ d[k]).is_zero():
+                return k
+        return None
 
     def d_squared_is_zero(self) -> bool:
         return self.d_squared_violation() is None
@@ -443,14 +453,17 @@ def _permutation_sign(seq: Sequence[int]) -> int:
 
 
 def _evaluation_differential(
-    g: LieAlgebra, k: int
+    g: LieAlgebra, k: int, weight: Sequence[RationalLike]
 ) -> list[dict[int, Fraction]]:
     """The rows of d_k rebuilt from the evaluation formula alone.
 
-    Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s < t and u of
+    Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s of (-1)^s
+    w[J_s] e^I(e_{J - J_s}) plus the sum over s < t and u of
     (-1)^(s+t) c_{J_s J_t}^u e^I(e_u, e_rest), where rest is J without
     J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
-    sorts (u, rest) into I, or 0 when (u, rest) does not list I.
+    sorts (u, rest) into I, or 0 when (u, rest) does not list I.  The
+    first sum is the action of e_{J_s} on the coefficients, absent when
+    weight is empty.
     """
     brackets = _pair_rows(g)
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
@@ -458,6 +471,9 @@ def _evaluation_differential(
     for jmono in enumerate_basis(g.dim, k + 1):
         row: dict[int, Fraction] = {}
         for s in range(k + 1):
+            if weight:
+                col = col_index[jmono[:s] + jmono[s + 1:]]
+                row[col] = row.get(col, 0) + (-1) ** s * weight[jmono[s]]
             for t in range(s + 1, k + 1):
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
                 for u, c in brackets[jmono[s], jmono[t]]:
@@ -474,22 +490,24 @@ def _evaluation_differential(
 def phi_sign_check(c: CochainComplex) -> bool:
     """Certify the signs of c against the evaluation formula.
 
-    Each D_k is rebuilt from c.algebra by _evaluation_differential,
-    which reads the same bracket matrix but shares none of
-    ce_differential's sign code (no wedge_insert).  With the degreewise
+    Each D_k is rebuilt from c.algebra and c.weight by
+    _evaluation_differential, which reads the same bracket matrix and
+    weight but shares none of ce_differential's sign code (no
+    wedge_insert).  With the degreewise
     twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
     = d_k S_k, which matches evaluation on basis vectors against the
     algebraic differential; it is checked entrywise on sparse rows and
     fails as soon as one entry of one d_k differs from the formula.
     """
     g = c.algebra
-    if len(c.d) != g.dim:
+    if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
         return False
     for k, dk in enumerate(c.d):
         if (dk.rows, dk.cols) != (comb(g.dim, k + 1), comb(g.dim, k)):
             return False
         twist_k, twist_k1 = (-1) ** k, (-1) ** (k + 1)
-        for built, row in zip(_evaluation_differential(g, k), dk.sparse_rows):
+        built_rows = _evaluation_differential(g, k, c.weight)
+        for built, row in zip(built_rows, dk.sparse_rows):
             lhs = {j: twist_k1 * -x for j, x in built.items()}
             rhs = {j: x * twist_k for j, x in row}
             if lhs != rhs:

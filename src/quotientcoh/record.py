@@ -1,9 +1,9 @@
 """Frozen value records: the package's immutable data classes.
 
     @record
-    class Mode:
-        m: tuple[int, ...]
-        transverse: tuple[int, ...]
+    class Frame:
+        pivot_cols: tuple[int, ...]
+        free_cols: tuple[int, ...] = ()
 
 The fields of a record are the annotated names of its own class body,
 in order; a field whose name is also assigned in the body takes that

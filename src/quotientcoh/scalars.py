@@ -67,6 +67,8 @@ _EXT_RE = re.compile(
     r"^(?P<rat>-?\d+(?:/\d+)?)"
     r"(?:(?P<sign>[+-])(?P<irr>\d+(?:/\d+)?)\*alpha)?$"
 )
+# a digit on either side of a point: 0.5, .5, -.5, 5.
+DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 
 @record
@@ -123,7 +125,7 @@ def parse_ext_scalar(text: str) -> ExtScalar:
     raw = text.strip()
     match = _EXT_RE.match(raw)
     if match is None:
-        if re.search(r"\d\.\d|\.\d|\d\.", raw):
+        if DECIMAL_RE.search(raw):
             raise ValueError(
                 "decimal literal %r not allowed in an exact field; "
                 "use an integer or a fraction like 3/10" % raw

@@ -14,7 +14,7 @@ frame: the free columns of the echelonized direction matrix.  On one
 surviving mode the whole complex is the exterior algebra of the
 transverse frame, and the differential is left multiplication by the
 mode covector w (the overall 2*pi*i factor is normalized to 1; a nonzero
-scalar never changes a rank): lie.ce_differential of the transverse
+scalar never changes a rank): the lie.CochainComplex of the transverse
 translation algebra R^q with coefficients of weight w.  For a nonzero
 mode w is itself nonzero, which makes the complex exact in every degree.
 The zero mode has zero differential.  Betti numbers are therefore
@@ -37,8 +37,9 @@ values of the transverse covector divided by their gcd.  Permuting the
 transverse coordinates, negating some of them and scaling the covector
 by a nonzero factor conjugate the mode complex by invertible maps, so
 all members of a class have the same ranks.  Each class is built and
-certified once, on its lexicographically first member, and reported
-once with the number of modes it stands for.
+certified once, on its lexicographically first member, in the one
+transverse frame of the audit, and reported once with the number of
+modes it stands for.
 
 The irrational alpha is handled symbolically: independence and pivot
 columns of the direction matrix A + alpha*B are decided by substituting
@@ -55,12 +56,12 @@ from itertools import product
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .errors import InvalidSpec, ModeKilled
+from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .lie import (Subspace, abelian, betti as lie_betti, betti_numbers, ce_complex,
-                  ce_differential, first_d_squared_violation, quotient)
-from .record import record, replace
+from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
+                  betti_numbers, ce_complex, ce_differential, quotient)
+from .record import record
 from .scalars import ExactMatrix, ExtScalar, rank, rref
 
 NORMALIZATION_NOTE = (
@@ -197,36 +198,6 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
     )
 
 
-@record
-class Mode:
-    """One Fourier mode with its transverse covector coordinates."""
-
-    m: tuple[int, ...]
-    transverse: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.m)
-
-
-@record
-class ModeComplex:
-    """The exterior complex one surviving mode contributes.
-
-    It lives on the monomials in the transverse coordinates (whose
-    global indices are transverse_cols), in lexicographic order degree
-    by degree; d_matrices[k] is left wedge with the mode covector w, the
-    weight-w differential of R^q, with the 2*pi*i factor normalized away.
-    """
-
-    mode: Mode
-    transverse_cols: tuple[int, ...]
-    d_matrices: tuple[ExactMatrix, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.transverse_cols)
-
-
 def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, ...]:
     # In the annihilator frame of the leaves, the covector of a
     # surviving mode has exactly the free-column components of the mode:
@@ -235,28 +206,13 @@ def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, 
     return tuple(mode[f] for f in frame.free_cols)
 
 
-def build_mode_complex(mode: Sequence[int], spec: TorusSpec) -> ModeComplex:
-    """Assemble the per-mode complex, or raise ModeKilled.
-
-    A surviving mode with transverse covector w contributes the cochain
-    complex of the translation algebra R^q with coefficients of weight
-    w: d_k is ce_differential(abelian(q), k, w), left wedge with w.
-    """
-    mode = tuple(int(m) for m in mode)
-    if not survives(mode, spec):
-        bad_inv = next(
-            (j for j in sorted(spec.invariance_coords) if mode[j] != 0), None
-        )
-        if bad_inv is not None:
-            reason = "nonzero on invariance coordinate %d" % bad_inv
-        else:
-            reason = "mode does not annihilate the foliation directions"
-        raise ModeKilled(mode, reason)
-    frame = transverse_frame(spec)
-    w = _mode_transverse(mode, frame)
+def build_mode_complex(w: Sequence[int]) -> CochainComplex:
+    """The complex of a surviving mode with transverse covector w: the
+    cochain complex of R^q with coefficients of weight w, whose d_k is
+    ce_differential(abelian(q), k, w), left wedge with w."""
     g = abelian(len(w))
-    mats = tuple(ce_differential(g, k, w) for k in range(g.dim))
-    return ModeComplex(Mode(mode, w), frame.free_cols, mats)
+    return CochainComplex(g.dim, tuple(
+        ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
 
 
 @record
@@ -278,25 +234,28 @@ class KoszulCertificate:
     modes: int = 1
 
 
-def koszul_certificate(mc: ModeComplex) -> KoszulCertificate:
-    """Certify exactness of a nonzero-mode complex by d.d and direct ranks.
+def koszul_certificate(
+    mode: Sequence[int], c: CochainComplex, modes: int = 1
+) -> KoszulCertificate:
+    """Certify exactness of the complex c of a nonzero mode by d.d and
+    direct ranks; modes is the number of audited modes it stands for.
 
     Wedging with a nonzero covector is exact, so ok is always true for
     a correctly built complex; a failure therefore indicates an
     implementation bug, which is exactly what the certificate is for.
     Ranks cannot see a non-complex, so the first k with d_{k+1} d_k != 0
     fails at degree k + 1 before any degree with nonzero cohomology
-    does.  The zero mode is rejected: its differential vanishes and
-    exactness is the wrong question.
+    does.  A zero weight (the zero mode) is rejected: its differential
+    vanishes and exactness is the wrong question.
     """
-    if mc.mode.is_zero():
+    if not any(c.weight):
         raise ValueError("the zero mode is not eligible for an exactness "
                          "certificate; its differential is zero")
-    ranks = tuple(rank(dk) for dk in mc.d_matrices)
-    violation = first_d_squared_violation(mc.d_matrices)
+    ranks = tuple(rank(dk) for dk in c.d)
+    violation = c.d_squared_violation()
     failed = violation + 1 if violation is not None else next(
-        (k for k, b in enumerate(betti_numbers(mc.q, ranks)) if b), None)
-    return KoszulCertificate(mc.mode.m, ranks, failed is None, failed)
+        (k for k, b in enumerate(betti_numbers(c.dim, ranks)) if b), None)
+    return KoszulCertificate(tuple(mode), ranks, failed is None, failed, modes)
 
 
 @record
@@ -424,10 +383,11 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
             classes[key][1] += count
         else:
             classes[key] = [mode, count]
-    certificates = []
-    for mode, count in classes.values():
-        cert = koszul_certificate(build_mode_complex(mode, spec))
-        certificates.append(replace(cert, modes=count))
+    certificates = [
+        koszul_certificate(
+            mode, build_mode_complex(_mode_transverse(mode, frame)), count)
+        for mode, count in classes.values()
+    ]
     return TorusBettiReport(
         n=spec.n,
         p=spec.p,

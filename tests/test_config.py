@@ -94,6 +94,19 @@ def test_decimal_literals_are_rejected_everywhere():
 
 
 @pytest.mark.parametrize("job", [
+    "[lie]\ndim = 3\nbracket = 0 1 2 -.5\n",
+    "[lie]\ndim = 3\nbracket = 0 1 2 1\nideal = 0,0,-.5\n",
+    "[lie]\ndim = 3\nbracket = 0 1 2 -.5/2\n",
+    "[torus]\nn = 2\nfoliation = -.5,1\n",
+], ids=["bracket", "ideal", "fraction", "foliation"])
+def test_signed_point_decimals_get_the_decimal_message(job):
+    # -.5 has no digit before its point; config and parse_ext_scalar
+    # share one pattern for decimal literals
+    with pytest.raises(ValidationError, match="decimal literal '-.5"):
+        parse_config(job)
+
+
+@pytest.mark.parametrize("job", [
     "[lie]\ndim = 3\nbracket = 0 1 2 1/0\n",
     "[lie]\ndim = 3\nideal = 1/0,0,0\n",
     "[torus]\nn = 2\nfoliation = 1/0,1\n",

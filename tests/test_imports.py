@@ -112,19 +112,36 @@ def test_lie_and_torus_jobs_load_neither_library(tmp_path):
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+QUOTIENT_CFG = HEISENBERG_CFG + "ideal = 0,0,1\n"
 
-def _tracer_spans():
+
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANNED
+    return module
+
+
+def _traced_spans(tmp_path, name: str, text: str) -> list:
+    """The spans of one traced --check job, which must exit 0."""
+    cfg = tmp_path / (name + ".cfg")
+    cfg.write_text(text)
+    spans_out = tmp_path / (name + ".spans.json")
+    done = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_out), "--input",
+         str(cfg), "--format", "json", "--check"],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert done.returncode == 0, (name, done.stderr)
+    return json.loads(spans_out.read_text())["spans"]
 
 
 def test_tracer_wraps_names_that_exist(tmp_path):
     # install() replaces each (module, attribute) of SPANNED and COUNTED
     # by name, so a refactor that drops one kills every traced run; the
     # tracer also opens cli.main and lie.d_squared_violation itself
-    allowed = set(_tracer_spans()) | {"cli.main", "lie.d_squared_violation"}
+    allowed = set(_tracer_module().SPANNED) | {
+        "cli.main", "lie.d_squared_violation"}
     for name, text, expected in (
         ("heisenberg", HEISENBERG_CFG,
          {"lie.betti", "scalars.nullspace_basis", "lie.phi_sign_check"}),
@@ -132,20 +149,36 @@ def test_tracer_wraps_names_that_exist(tmp_path):
          {"torus.torus_betti", "torus.koszul_certificate",
           "torus.cross_check_ce"}),
     ):
-        cfg = tmp_path / (name + ".cfg")
-        cfg.write_text(text)
-        spans_out = tmp_path / (name + ".spans.json")
-        done = subprocess.run(
-            [sys.executable, str(TRACER), str(spans_out), "--input",
-             str(cfg), "--format", "json", "--check"],
-            capture_output=True, text=True, env=dict(os.environ),
-        )
-        assert done.returncode == 0, (name, done.stderr)
-        traced = json.loads(spans_out.read_text())
-        names = {span[0] for span in traced["spans"]}
+        names = {span[0] for span in _traced_spans(tmp_path, name, text)}
         assert "cli.main" in names, name
         assert names <= allowed, (name, names - allowed)
         assert expected <= names, (name, expected - names)
+
+
+def test_tracer_spans_the_class_complexes(tmp_path):
+    # every site the tracer patches resolves, and the d.d check of a
+    # torus class complex is the CochainComplex method it spans
+    from quotientcoh import cli, lie, scalars, torus
+
+    tracer = _tracer_module()
+    modules = {"cli": cli, "lie": lie, "scalars": scalars, "torus": torus}
+    for table in (tracer.SPANNED, tracer.COUNTED):
+        for sites in table.values():
+            for module, attr in sites:
+                assert callable(getattr(modules[module], attr, None)), (
+                    module, attr)
+    assert callable(lie.CochainComplex.d_squared_violation)
+    spans = _traced_spans(tmp_path, "torus", TORUS_CFG)
+    names = [span[0] for span in spans]
+    assert {"torus.build_mode_complex", "torus.koszul_certificate",
+            "lie.d_squared_violation"} <= set(names)
+    assert any(name == "lie.d_squared_violation"
+               and names[parent] == "torus.koszul_certificate"
+               for name, _, _, parent in spans)
+    names = {span[0] for span in _traced_spans(tmp_path, "quotient",
+                                                QUOTIENT_CFG)}
+    assert {"lie.quotient", "lie.d_squared_violation",
+            "lie.phi_sign_check"} <= names
 
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"

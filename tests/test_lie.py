@@ -8,11 +8,13 @@ import pytest
 
 from quotientcoh import (
     CochainComplex,
+    InvalidSpec,
     LieAlgebra,
     NotAnIdeal,
     Subspace,
     abelian,
     betti,
+    build_mode_complex,
     ce_complex,
     heisenberg,
     ideal_check,
@@ -20,6 +22,8 @@ from quotientcoh import (
     phi_sign_check,
     quotient,
     sl2,
+    torus_betti,
+    transverse_frame,
 )
 from quotientcoh.exterior import enumerate_basis
 from quotientcoh.lie import ce_differential
@@ -44,6 +48,7 @@ from oracles import (
     random_nonjacobi_table,
     solvable2,
 )
+from test_torus import _lattice_specs
 
 
 def _unit(n, i):
@@ -89,6 +94,25 @@ def test_subspace_is_canonical():
     b = Subspace.span(3, [[1, 0, -1], [0, 2, 2], [1, 1, 0]])
     assert a == b
     assert a.dim == 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((((1, 1),), ((0, 1),)), "increasing leads"),
+    ((((0, 1),), ((0, 1), (2, 3))), "increasing leads"),
+    ((((0, 1),), ()), "increasing leads"),
+    ((((0, 2),),), "leading coefficient 1"),
+    ((((0, 1), (1, Fraction(1, 2))), ((1, 1),)), "another row's pivot"),
+], ids=["decreasing", "repeated", "empty", "lead-2", "pivot-entry"])
+def test_subspace_rejects_rows_not_in_reduced_form(rows, message):
+    # reduce() trusts the lead-1 reduced form: a lead-2 row would leave
+    # {0: -1} of e_0, which lies in its span
+    rows = tuple(tuple((j, Fraction(x)) for j, x in row) for row in rows)
+    with pytest.raises(ValueError, match=message):
+        Subspace(3, rows)
+    assert Subspace.span(3, [[2, 0, 0]]).reduce({0: 1}) == {}
+    reduced = Subspace(3, (((0, Fraction(1)), (2, Fraction(1, 2))),
+                           ((1, Fraction(1)),)))
+    assert reduced == Subspace.span(3, [[2, 0, 1], [0, 3, 0]])
 
 
 def test_quotient_heisenberg_by_center():
@@ -404,6 +428,28 @@ def test_quotient_betti_of_abelian_by_random_subspace():
 def test_phi_sign_check_on_reference_complexes():
     for g in (abelian(0), abelian(3), heisenberg(), sl2()):
         assert phi_sign_check(ce_complex(g))
+
+
+def test_phi_sign_check_on_torus_class_complexes():
+    # a torus class complex is the weight-w complex of R^q, and the sign
+    # check rebuilds the weight term from the evaluation formula as well
+    checked = 0
+    for spec in _lattice_specs():
+        try:
+            report = torus_betti(spec)
+        except InvalidSpec:
+            continue
+        free = transverse_frame(spec).free_cols
+        for cert in report.acyclicity_certificates:
+            c = build_mode_complex(tuple(cert.mode[f] for f in free))
+            assert phi_sign_check(c), (spec, cert.mode)
+            checked += 1
+    assert checked >= 10
+    c = build_mode_complex((1, 2, 0))
+    assert phi_sign_check(c)
+    assert not phi_sign_check(replace(c, weight=(1, -2, 0)))
+    assert not phi_sign_check(replace(c, weight=()))
+    assert not phi_sign_check(replace(c, weight=(1, 2)))
 
 
 def _with_entry(c, k, i, j, value):

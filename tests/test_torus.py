@@ -8,11 +8,9 @@ from math import comb, gcd
 import pytest
 
 from quotientcoh import (
+    CochainComplex,
     ExtScalar,
     InvalidSpec,
-    Mode,
-    ModeComplex,
-    ModeKilled,
     TorusSpec,
     abelian,
     build_mode_complex,
@@ -24,6 +22,7 @@ from quotientcoh import (
     transverse_frame,
 )
 from quotientcoh.scalars import ExactMatrix, rank
+from quotientcoh import torus
 from quotientcoh.torus import rational_skeleton
 
 from oracles import ce_matrix_bruteforce, gauss_rank
@@ -188,45 +187,43 @@ def test_zero_direction_is_rejected():
         TorusSpec(n=2, foliation_dirs=(_ints(0, 0),))
 
 
+def _transverse(mode, spec):
+    return tuple(mode[f] for f in transverse_frame(spec).free_cols)
+
+
 def test_mode_complex_example():
-    spec = example_spec()
-    mc = build_mode_complex((0, 0, 1), spec)
-    assert mc.transverse_cols == (1, 2)
-    assert mc.mode.transverse == (0, 1)
+    # mode (0, 0, 1) of the example has transverse covector (0, 1) on (y, z)
+    assert _transverse((0, 0, 1), example_spec()) == (0, 1)
+    c = build_mode_complex((0, 1))
+    assert (c.dim, c.algebra, c.weight) == (2, abelian(2), (0, 1))
     # 1 -> dz and dy -> -dy^dz, dz -> 0
-    assert mc.d_matrices[0].entries == ((Fraction(0),), (Fraction(1),))
-    assert mc.d_matrices[1].entries == ((Fraction(-1), Fraction(0)),)
-
-
-def test_mode_complex_rejects_killed_modes():
-    spec = example_spec()
-    with pytest.raises(ModeKilled):
-        build_mode_complex((1, 0, 0), spec)
-    with pytest.raises(ModeKilled):
-        build_mode_complex((0, 2, 0), spec)
+    assert c.d[0].entries == ((Fraction(0),), (Fraction(1),))
+    assert c.d[1].entries == ((Fraction(-1), Fraction(0)),)
 
 
 def test_koszul_certificate_examples():
-    spec = example_spec()
-    cert = koszul_certificate(build_mode_complex((0, 0, 1), spec))
+    cert = koszul_certificate((0, 0, 1), build_mode_complex((0, 1)))
+    assert cert.mode == (0, 0, 1)
     assert cert.ranks == (1, 1)
     assert cert.ok
     assert cert.failed_degree is None
-    free = TorusSpec(n=2, truncation=3)
-    cert2 = koszul_certificate(build_mode_complex((1, 0), free))
+    assert cert.modes == 1
+    cert2 = koszul_certificate((1, 0), build_mode_complex((1, 0)), 7)
     assert cert2.ranks == (1, 1)
     assert cert2.ok
+    assert cert2.modes == 7
 
 
 def test_koszul_certificate_fails_on_a_non_complex():
     # ranks (1, 1) make every Betti number zero, but d_1 d_0 = 2
-    mc = ModeComplex(
-        Mode((1, 1), (1, 1)),
-        (0, 1),
+    c = CochainComplex(
+        2,
         (ExactMatrix.from_rows([[1], [1]], cols=1),
          ExactMatrix.from_rows([[1, 1]], cols=2)),
+        abelian(2),
+        (1, 1),
     )
-    cert = koszul_certificate(mc)
+    cert = koszul_certificate((1, 1), c)
     assert cert.ranks == (1, 1)
     assert not cert.ok
     assert cert.failed_degree == 1
@@ -234,19 +231,19 @@ def test_koszul_certificate_fails_on_a_non_complex():
 
 def test_koszul_rejects_zero_mode():
     with pytest.raises(ValueError):
-        koszul_certificate(build_mode_complex((0, 0, 0), example_spec()))
+        koszul_certificate((0, 0, 0), build_mode_complex((0, 0)))
 
 
 def test_mode_complex_d_squared_is_zero():
     rng = random.Random(606)
-    free = TorusSpec(n=4, truncation=3)
     for _ in range(20):
-        mode = tuple(rng.randint(-3, 3) for _ in range(4))
-        if all(m == 0 for m in mode):
+        w = tuple(rng.randint(-3, 3) for _ in range(4))
+        if all(m == 0 for m in w):
             continue
-        mc = build_mode_complex(mode, free)
-        for k in range(len(mc.d_matrices) - 1):
-            assert (mc.d_matrices[k + 1] @ mc.d_matrices[k]).is_zero()
+        c = build_mode_complex(w)
+        for k in range(len(c.d) - 1):
+            assert (c.d[k + 1] @ c.d[k]).is_zero()
+        assert c.d_squared_violation() is None
 
 
 def test_mode_complexes_match_the_weighted_oracle():
@@ -259,11 +256,11 @@ def test_mode_complexes_match_the_weighted_oracle():
         except InvalidSpec:
             continue
         for mode in surviving_modes(spec, min(spec.truncation, 1))[:4]:
-            mc = build_mode_complex(mode, spec)
-            assert len(mc.d_matrices) == q
-            for k, dk in enumerate(mc.d_matrices):
-                oracle = ce_matrix_bruteforce(
-                    abelian(q), k, mc.mode.transverse)
+            w = _transverse(mode, spec)
+            c = build_mode_complex(w)
+            assert len(c.d) == q
+            for k, dk in enumerate(c.d):
+                oracle = ce_matrix_bruteforce(abelian(q), k, w)
                 assert dk == ExactMatrix.from_rows(oracle, cols=comb(q, k))
             checked += any(mode)
     assert checked >= 10
@@ -342,7 +339,7 @@ def test_invariance_shrinks_the_survivor_set():
 
 
 def _class_key(mode, spec):
-    w = [mode[f] for f in transverse_frame(spec).free_cols]
+    w = _transverse(mode, spec)
     g = gcd(*w)
     return tuple(sorted(abs(x) // g for x in w))
 
@@ -378,19 +375,41 @@ def test_certificate_ranks_match_direct_recomputation():
                 continue
             cert = by_class[_class_key(mode, spec)]
             members.setdefault(cert.mode, []).append(mode)
-            mc = build_mode_complex(mode, spec)
-            direct = koszul_certificate(mc)
+            c = build_mode_complex(_transverse(mode, spec))
+            direct = koszul_certificate(mode, c)
             assert direct.ranks == cert.ranks
             assert direct.ok == cert.ok
             # and the ranks agree with the naive elimination oracle
-            assert cert.ranks == tuple(
-                gauss_rank(d.entries) for d in mc.d_matrices)
+            assert cert.ranks == tuple(gauss_rank(d.entries) for d in c.d)
         assert len(members) > 1
         for cert in report.acyclicity_certificates:
             assert cert.mode == min(members[cert.mode])
             assert cert.modes == len(members[cert.mode])
         assert report.audited_modes == sum(
             c.modes for c in report.acyclicity_certificates)
+
+
+def test_torus_betti_finds_the_frame_once(monkeypatch):
+    # one frame per audit, read by every class; one complex per class
+    calls = {"transverse_frame": 0, "build_mode_complex": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(torus, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(torus, name, counted)
+    for spec in (
+        TorusSpec(n=3, truncation=2),
+        TorusSpec(n=4, foliation_dirs=((E(1), E(1), E(0), E(0)),),
+                  invariance_coords=frozenset({3}), truncation=2),
+    ):
+        for key in calls:
+            calls[key] = 0
+        report = torus_betti(spec)
+        assert len(report.acyclicity_certificates) > 1
+        assert calls == {
+            "transverse_frame": 1,
+            "build_mode_complex": len(report.acyclicity_certificates),
+        }
 
 
 def test_rational_skeleton_matches_frame():
