@@ -145,14 +145,14 @@ def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     certificates: dict = {
         "normalization": report.normalization,
         "transverse_coordinates": [
-            report.coordinate_names[c] for c in report.transverse_cols
+            report.coordinate_names[c] for c in report.frame.free_cols
         ],
         "all_modes_acyclic": report.all_modes_acyclic,
         "koszul": koszul,
     }
     code = 0 if report.all_modes_acyclic else 3
     if check:
-        agreed = cross_check_ce(spec)
+        agreed = cross_check_ce(report)
         certificates["cross_check_ce"] = agreed
         if not agreed:
             code = 3

@@ -496,8 +496,10 @@ def phi_sign_check(c: CochainComplex) -> bool:
     wedge_insert).  With the degreewise
     twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
     = d_k S_k, which matches evaluation on basis vectors against the
-    algebraic differential; it is checked entrywise on sparse rows and
-    fails as soon as one entry of one d_k differs from the formula.
+    algebraic differential.  Both sides are (-1)^k times D_k and d_k, so
+    the identity holds iff D_k = d_k: the rows are compared directly,
+    entrywise on sparse rows, and the check fails as soon as one entry
+    of one d_k differs from the formula.
     """
     g = c.algebra
     if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
@@ -505,11 +507,8 @@ def phi_sign_check(c: CochainComplex) -> bool:
     for k, dk in enumerate(c.d):
         if (dk.rows, dk.cols) != (comb(g.dim, k + 1), comb(g.dim, k)):
             return False
-        twist_k, twist_k1 = (-1) ** k, (-1) ** (k + 1)
         built_rows = _evaluation_differential(g, k, c.weight)
         for built, row in zip(built_rows, dk.sparse_rows):
-            lhs = {j: twist_k1 * -x for j, x in built.items()}
-            rhs = {j: x * twist_k for j, x in row}
-            if lhs != rhs:
+            if built != dict(row):
                 return False
     return True

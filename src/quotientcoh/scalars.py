@@ -44,10 +44,9 @@ caller renders them.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
-relation, so p + q*alpha = 0 forces p = q = 0, and only the linear
-operations the rest of the package needs are defined: sums, negation,
-and scaling by rationals.  Two ExtScalars are never multiplied; the
-pipelines that consume them are arranged so the product is never needed.
+relation, so p + q*alpha = 0 forces p = q = 0.  ExtScalar is plain data
+with an exact zero test and no arithmetic: the torus pipeline splits
+every direction into its rational and alpha parts and works on those.
 """
 
 from __future__ import annotations
@@ -86,35 +85,8 @@ class ExtScalar:
         object.__setattr__(self, "rat", Fraction(self.rat))
         object.__setattr__(self, "irr", Fraction(self.irr))
 
-    def __add__(self, other: "ExtScalar") -> "ExtScalar":
-        if not isinstance(other, ExtScalar):
-            return NotImplemented
-        return ExtScalar(self.rat + other.rat, self.irr + other.irr)
-
-    def __sub__(self, other: "ExtScalar") -> "ExtScalar":
-        if not isinstance(other, ExtScalar):
-            return NotImplemented
-        return ExtScalar(self.rat - other.rat, self.irr - other.irr)
-
-    def __neg__(self) -> "ExtScalar":
-        return ExtScalar(-self.rat, -self.irr)
-
-    def __mul__(self, other: RationalLike) -> "ExtScalar":
-        if isinstance(other, ExtScalar):
-            raise TypeError("products of two ExtScalars are not defined")
-        c = Fraction(other)
-        return ExtScalar(self.rat * c, self.irr * c)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.rat == 0 and self.irr == 0
-
-    def __str__(self) -> str:
-        if self.irr == 0:
-            return str(self.rat)
-        sign = "+" if self.irr >= 0 else "-"
-        return "%s%s%s*alpha" % (self.rat, sign, abs(self.irr))
 
 
 def parse_ext_scalar(text: str) -> ExtScalar:
@@ -403,9 +375,14 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(m).rows)
 
 
-def _reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, int]]:
-    """The reduced row echelon rows of mat, sparse and primitive, keyed
-    by pivot: each is a positive multiple of its lead-1 row."""
+def reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, int]]:
+    """The reduced row echelon rows of mat as primitive integer rows.
+
+    Each maps its pivot column to a {column: int} row with a positive
+    value at the pivot, zeros at every other pivot and content 1: the
+    least positive integer multiple of its lead-1 `rref` row.  Callers
+    that work on integers (the torus mode scan) read these directly.
+    """
     rows = _echelon(mat).rows
     # Back substitution from the last pivot up, against the rows already
     # reduced: they are zero on every other pivot column, so no new pivot
@@ -425,7 +402,7 @@ def rref(m: ExactMatrix) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     row span: two matrices have the same row span iff their rref rows
     agree.
     """
-    reduced = _reduced_rows(m)
+    reduced = reduced_rows(m)
     pivots = tuple(sorted(reduced))
     return tuple(lead_one(reduced[p]) for p in pivots), pivots
 
@@ -440,7 +417,7 @@ def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:
     elimination gives both the kernel and the rank.  The vector of free
     column f holds -r[f] at the pivot of each lead-1 reduced row r.
     """
-    reduced = _reduced_rows(m)
+    reduced = reduced_rows(m)
     one = Fraction(1)
     by_free: dict[int, list[tuple[int, Fraction]]] = {
         f: [(f, one)] for f in range(m.cols) if f not in reduced

@@ -10,12 +10,15 @@ decompose over Fourier modes m in Z^n, and a mode contributes iff
   * m_j = 0 for every invariance coordinate j (invariant).
 
 Constant coefficients along the leaves leave a transverse coordinate
-frame: the free columns of the echelonized direction matrix.  On one
-surviving mode the whole complex is the exterior algebra of the
-transverse frame, and the differential is left multiplication by the
-mode covector w (the overall 2*pi*i factor is normalized to 1; a nonzero
-scalar never changes a rank): the lie.CochainComplex of the transverse
-translation algebra R^q with coefficients of weight w.  For a nonzero
+frame: the free columns of the echelonized direction matrix.  Its
+echelon rows span the rational skeleton of the leaves (alpha replaced
+by a rational stand-in), and the basic complex is the exterior algebra
+of the dual of R^n modulo that span.  On one surviving mode the whole
+complex is the exterior algebra of the transverse frame, and the
+differential is left multiplication by the mode covector w (the
+overall 2*pi*i factor is normalized to 1; a nonzero scalar never
+changes a rank): the lie.CochainComplex of the transverse translation
+algebra R^q with coefficients of weight w.  For a nonzero
 mode w is itself nonzero, which makes the complex exact in every degree.
 The zero mode has zero differential.  Betti numbers are therefore
 binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
@@ -46,14 +49,17 @@ columns of the direction matrix A + alpha*B are decided by substituting
 rationals r for alpha.  Any p x p minor is a polynomial of degree at
 most p in alpha, so if no r in {0, ..., p} gives rank p the symbolic
 rank is below p, and the first r that does certifies independence and
-fixes the pivot columns used by the frame.
+fixes the pivot columns used by the frame.  The frame keeps the echelon
+rows of that trial as its skeleton; every consumer of the report, the
+--check cross-check included, reads this one frame.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Sequence
 
 from .errors import InvalidSpec
@@ -62,7 +68,7 @@ from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
                   betti_numbers, ce_complex, ce_differential, quotient)
 from .record import record
-from .scalars import ExactMatrix, ExtScalar, rank, rref
+from .scalars import ExactMatrix, ExtScalar, rank, reduced_rows, rref
 
 NORMALIZATION_NOTE = (
     "fourier differential normalized: the overall 2*pi*i factor is scaled "
@@ -136,19 +142,17 @@ class TorusSpec:
 def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
     """Exact test that a Fourier mode carries basic invariant forms.
 
-    The mode must annihilate every direction vector (an ExtScalar zero
-    test, hence exact) and vanish on every invariance coordinate.
+    The mode must annihilate every direction vector and vanish on every
+    invariance coordinate.  alpha is a pure symbol, so m . v = 0 holds
+    iff m . rat(v) = 0 and m . irr(v) = 0, two exact Fraction sums.
     """
     if len(mode) != spec.n:
         raise ValueError("mode length %d != n = %d" % (len(mode), spec.n))
     if any(mode[j] != 0 for j in spec.invariance_coords):
         return False
     for v in spec.foliation_dirs:
-        dot = ExtScalar()
-        for m_i, v_i in zip(mode, v):
-            if m_i != 0:
-                dot = dot + v_i * m_i
-        if not dot.is_zero():
+        if (sum(m_i * v_i.rat for m_i, v_i in zip(mode, v))
+                or sum(m_i * v_i.irr for m_i, v_i in zip(mode, v))):
             return False
     return True
 
@@ -157,14 +161,25 @@ def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
 class TransverseFrame:
     """Coordinate splitting induced by the echelonized direction matrix.
 
-    pivot_cols carry the leafwise directions, free_cols the transverse
-    ones; substitution records the rational stand-in for alpha that
-    certified independence and fixed the pivots.
+    skeleton is the span of the directions with alpha replaced by
+    substitution, the rational stand-in that certified independence;
+    its lead-1 echelon rows fix the split.  pivot_cols, the leads of
+    those rows, carry the leafwise directions, free_cols the transverse
+    ones.
     """
 
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
+    skeleton: Subspace
     substitution: Fraction
+
+    @property
+    def pivot_cols(self) -> tuple[int, ...]:
+        return self.skeleton.pivots
+
+    @cached_property
+    def free_cols(self) -> tuple[int, ...]:
+        pivots = set(self.skeleton.pivots)
+        return tuple(c for c in range(self.skeleton.ambient_dim)
+                     if c not in pivots)
 
 
 def _direction_parts(spec: TorusSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -178,21 +193,20 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
 
     Writes the direction matrix as A + alpha*B and tries the rationals
     0..p in place of alpha; degree counting on the p x p minors shows
-    this decides symbolic independence.
+    this decides symbolic independence.  The first trial of rank p
+    gives the frame: its rref rows become the skeleton, and their leads
+    the pivot columns.  With no directions the skeleton is the zero
+    subspace and every column is transverse.
     """
-    p = spec.p
-    if p == 0:
-        return TransverseFrame((), tuple(range(spec.n)), Fraction(0))
     a, b = _direction_parts(spec)
-    for r in range(p + 1):
+    for r in range(spec.p + 1):
         trial = [
-            [aij + Fraction(r) * bij for aij, bij in zip(ra, rb)]
+            [aij + r * bij for aij, bij in zip(ra, rb)]
             for ra, rb in zip(a, b)
         ]
-        _, pivots = rref(ExactMatrix.from_rows(trial, cols=spec.n))
-        if len(pivots) == p:
-            free = tuple(c for c in range(spec.n) if c not in set(pivots))
-            return TransverseFrame(pivots, free, Fraction(r))
+        rows, pivots = rref(ExactMatrix.from_rows(trial, cols=spec.n))
+        if len(pivots) == spec.p:
+            return TransverseFrame(Subspace(spec.n, rows), Fraction(r))
     raise InvalidSpec(
         "foliation directions are linearly dependent over the scalars"
     )
@@ -266,12 +280,13 @@ class TorusBettiReport:
     acyclicity_certificates hold one KoszulCertificate per class of
     audited nonzero modes, ordered by their first members, whose modes
     counts sum to audited_modes; all_modes_acyclic summarizes them.
+    frame is the transverse frame the Betti numbers were read from.
     """
 
     n: int
     p: int
     truncation: int
-    transverse_cols: tuple[int, ...]
+    frame: TransverseFrame
     coordinate_names: tuple[str, ...]
     betti: tuple[int, ...]
     ranks: tuple[int, ...]
@@ -289,8 +304,9 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     (open) coordinates the survival set is the integer kernel of the
     rational and alpha parts of the directions (m . (a + alpha*b) = 0
     splits into m . a = 0 and m . b = 0), which is also the kernel of
-    their reduced row echelon form R: each sparse row of R writes its
-    pivot coordinate as minus a combination of non-pivot coordinates.
+    their reduced row echelon form R.  Each row of R, taken as its
+    primitive integer multiple from `reduced_rows`, writes lead * pivot
+    coordinate as minus an integer combination of non-pivot ones.
     Enumerating the non-pivot coordinates over {-bound..bound} and
     deriving every pivot coordinate exactly, kept only when it is an
     integer inside the box, is complete: every coordinate of a kernel
@@ -304,24 +320,24 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
     a, b = _direction_parts(spec)
     rows = [[row[j] for j in open_cols] for row in a + b]
-    reduced, pivots = rref(ExactMatrix.from_rows(rows, cols=len(open_cols)))
-    enumerated = set(open_cols) - {open_cols[c] for c in pivots}
+    reduced = reduced_rows(ExactMatrix.from_rows(rows, cols=len(open_cols)))
+    enumerated = set(open_cols) - {open_cols[c] for c in reduced}
     values = range(-bound, bound + 1)
     axes = [values if j in enumerated else (0,) for j in range(spec.n)]
-    if not pivots:
+    if not reduced:
         # the product over per-coordinate ranges is already lexicographic
         return list(product(*axes))
-    # pivot coordinate = (sum of coefficient * enumerated coordinate) / denom
-    solved = []
-    for (c, _), *rest in reduced:
-        denom = lcm(*(x.denominator for _, x in rest))
-        terms = tuple((open_cols[k], int(-x * denom)) for k, x in rest)
-        solved.append((open_cols[c], denom, terms))
+    # pivot coordinate = (sum of coefficient * enumerated coordinate) / lead
+    solved = [
+        (open_cols[c], row[c],
+         tuple((open_cols[k], -x) for k, x in row.items() if k != c))
+        for c, row in sorted(reduced.items())
+    ]
     out = []
     for point in product(*axes):
         mode = list(point)
-        for col, denom, terms in solved:
-            value, rest = divmod(sum(a * point[j] for j, a in terms), denom)
+        for col, lead, terms in solved:
+            value, rest = divmod(sum(a * point[j] for j, a in terms), lead)
             if rest or not -bound <= value <= bound:
                 break
             mode[col] = value
@@ -392,7 +408,7 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
         n=spec.n,
         p=spec.p,
         truncation=bound,
-        transverse_cols=frame.free_cols,
+        frame=frame,
         coordinate_names=names,
         betti=betti_out,
         ranks=(0,) * q,
@@ -403,36 +419,17 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
     )
 
 
-def rational_skeleton(spec: TorusSpec) -> Subspace:
-    """The leafwise subspace with alpha replaced by the frame's rational
-    stand-in, as a subspace of R^n.
+def cross_check_ce(report: TorusBettiReport) -> bool:
+    """Compare the Betti numbers of a torus report with an algebraic
+    recomputation.
 
-    The substitution preserves the pivot structure by construction, so
-    the quotient complement matches the transverse frame.
+    The translation algebra of T^n is abelian R^n; quotienting it by the
+    skeleton of the report's own frame and running the cochain pipeline
+    must reproduce report.betti exactly.  This route goes through
+    completely different code (echelon quotient plus cochain ranks
+    instead of binomial counting on the free columns), which is the
+    point of the check, and it certifies the numbers the report carries
+    rather than those of a second run.
     """
-    frame = transverse_frame(spec)
-    a, b = _direction_parts(spec)
-    vectors = [
-        [aij + frame.substitution * bij for aij, bij in zip(ra, rb)]
-        for ra, rb in zip(a, b)
-    ]
-    return Subspace.span(spec.n, vectors)
-
-
-def cross_check_ce(spec: TorusSpec) -> bool:
-    """Compare the torus Betti numbers with an algebraic recomputation.
-
-    The translation algebra of T^n is abelian R^n; quotienting by the
-    rational skeleton of the foliation and running the cochain pipeline
-    must reproduce the same Betti numbers exactly.  This route goes
-    through completely different code (echelon quotient plus cochain
-    ranks instead of mode counting), which is the point of the check.
-    The torus side runs at truncation 0: its Betti numbers are fixed by
-    the transverse frame before any mode is audited, and the audit only
-    decides all_modes_acyclic, which this comparison does not read.
-    """
-    report = torus_betti(spec, truncation=0)
-    skeleton = rational_skeleton(spec)
-    quot = quotient(abelian(spec.n), skeleton)
-    algebraic = lie_betti(ce_complex(quot))
-    return tuple(report.betti) == tuple(algebraic.betti)
+    quot = quotient(abelian(report.n), report.frame.skeleton)
+    return tuple(report.betti) == tuple(lie_betti(ce_complex(quot)).betti)

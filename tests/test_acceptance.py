@@ -36,10 +36,10 @@ from quotientcoh import (
     quotient,
     sl2,
     torus_betti,
+    transverse_frame,
     verify_bounds,
 )
 from quotientcoh.cli import canonical_json
-from quotientcoh.torus import rational_skeleton
 
 from oracles import (
     gauss_rank,
@@ -140,7 +140,7 @@ def _criteria_234_complexes():
         complexes.append(ce_complex(abelian(n)))
     for spec in (_example_spec(), _kronecker_spec()):
         complexes.append(
-            ce_complex(quotient(abelian(spec.n), rational_skeleton(spec)))
+            ce_complex(quotient(abelian(spec.n), transverse_frame(spec).skeleton))
         )
     rng = random.Random(424242)
     for _ in range(50):
@@ -166,8 +166,8 @@ def test_criterion_01_reference_torus_job():
 
 
 def test_criterion_02_cross_check_against_cochain_pipeline():
-    ok_example = cross_check_ce(_example_spec())
-    ok_kron = cross_check_ce(_kronecker_spec())
+    ok_example = cross_check_ce(torus_betti(_example_spec()))
+    ok_kron = cross_check_ce(torus_betti(_kronecker_spec()))
     _report(2, "torus vs cochain cross-check, both reference specs",
             ok_example and ok_kron)
     assert ok_example

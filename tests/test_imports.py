@@ -1,7 +1,8 @@
 """The lie and torus pipelines start without numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
-time, only scalars builds dense rows, the names the bench tracer wraps
-still resolve, and the test oracles import no production check.
+time, only scalars builds dense rows, no module imports another's
+private names, the names the bench tracer wraps still resolve, and the
+test oracles import no production check.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported both libraries for other tests.
@@ -94,6 +95,19 @@ def test_only_scalars_reads_the_dense_view():
             continue
         for line_no, line in enumerate(path.read_text().splitlines(), 1):
             assert not dense.search(line), (path.name, line_no, line)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name stays inside its module; what another module
+    # needs (scalars.reduced_rows for the torus scan) is made public
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").startswith("quotientcoh"):
+                private = [a.name for a in node.names if a.name[0] == "_"]
+                assert not private, (path.name, ast.unparse(node))
 
 
 def test_lie_and_torus_jobs_load_neither_library(tmp_path):

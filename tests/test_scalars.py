@@ -304,27 +304,11 @@ def test_rref_pivots_are_increasing():
             assert all(row[c] == 0 for c in range(p))
 
 
-@given(
-    st.integers(-50, 50), st.integers(-50, 50),
-    st.integers(-50, 50), st.integers(-50, 50),
-)
+@given(st.integers(-50, 50), st.integers(-50, 50))
 @settings(max_examples=60)
-def test_ext_scalar_zero_test(p_num, q_num, r_num, s_num):
+def test_ext_scalar_zero_test(p_num, q_num):
     a = ExtScalar(Fraction(p_num, 7), Fraction(q_num, 5))
-    b = ExtScalar(Fraction(r_num, 7), Fraction(s_num, 5))
-    assert (a - a).is_zero()
-    assert (a + b).is_zero() == (p_num + r_num == 0 and q_num + s_num == 0)
     assert a.is_zero() == (p_num == 0 and q_num == 0)
-
-
-def test_ext_scalar_arithmetic():
-    a = ExtScalar(Fraction(1, 2), Fraction(3))
-    b = ExtScalar(Fraction(1, 2), Fraction(-3))
-    assert (a - a).is_zero()
-    assert (a + b).irr == 0
-    assert (a * 2).rat == 1
-    assert (Fraction(1, 3) * a).irr == 1
-    assert (-a).rat == Fraction(-1, 2)
 
 
 def test_ext_scalar_products_are_rejected():

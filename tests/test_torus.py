@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from quotientcoh import (
     CochainComplex,
     ExtScalar,
     InvalidSpec,
+    Subspace,
     TorusSpec,
     abelian,
     build_mode_complex,
@@ -22,8 +24,10 @@ from quotientcoh import (
     transverse_frame,
 )
 from quotientcoh.scalars import ExactMatrix, rank
-from quotientcoh import torus
-from quotientcoh.torus import rational_skeleton
+from quotientcoh import cli, torus
+from quotientcoh.cli import run_job
+from quotientcoh.config import parse_config
+from quotientcoh.record import replace
 
 from oracles import ce_matrix_bruteforce, gauss_rank
 
@@ -269,7 +273,7 @@ def test_mode_complexes_match_the_weighted_oracle():
 def test_torus_betti_example():
     report = torus_betti(example_spec())
     assert report.betti == (1, 2, 1)
-    assert report.transverse_cols == (1, 2)
+    assert report.frame.free_cols == (1, 2)
     assert report.mode_zero_generators == (("1",), ("dy", "dz"), ("dy^dz",))
     assert report.audited_modes == 6
     assert report.all_modes_acyclic
@@ -412,19 +416,59 @@ def test_torus_betti_finds_the_frame_once(monkeypatch):
         }
 
 
-def test_rational_skeleton_matches_frame():
-    spec = example_spec()
-    skel = rational_skeleton(spec)
-    assert skel.pivots == transverse_frame(spec).pivot_cols
-    kron = kronecker_spec()
-    skel2 = rational_skeleton(kron)
-    assert skel2.pivots == transverse_frame(kron).pivot_cols
-    assert skel2.dim == 1
+ALPHA6 = Path(__file__).parent / "fixtures" / "torus-alpha6-check.cfg"
+
+
+def test_check_torus_job_finds_one_frame_and_one_report(monkeypatch):
+    # the --check cross-check reads the job's own report and frame
+    # instead of auditing again and searching the frame twice more
+    calls = {"transverse_frame": 0, "torus_betti": 0}
+    originals = {name: getattr(torus, name) for name in calls}
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(torus, "transverse_frame", counting("transverse_frame"))
+    for module in (torus, cli):
+        monkeypatch.setattr(module, "torus_betti", counting("torus_betti"))
+    payload, code = run_job(parse_config(ALPHA6.read_text()), check=True)
+    assert (code, payload["certificates"]["cross_check_ce"]) == (0, True)
+    assert calls == {"transverse_frame": 1, "torus_betti": 1}
+
+
+def _directions_at(spec, r):
+    return [[x.rat + r * x.irr for x in v] for v in spec.foliation_dirs]
+
+
+def test_frame_skeleton_spans_the_directions_at_its_substitution():
+    # (1, alpha, 0) and (1, 0, 0) are dependent at alpha = 0, and the
+    # fixture's two directions are too, so both frames substitute 1
+    dependent_at_zero = TorusSpec(
+        n=3, foliation_dirs=((E(1), E(0, 1), E(0)), _ints(1, 0, 0)))
+    specs = [example_spec(), kronecker_spec(), dependent_at_zero,
+             parse_config(ALPHA6.read_text()).torus, TorusSpec(n=2)]
+    rng = random.Random(16)
+    specs += [_random_spec(rng, rng.randint(2, 5), rng.randint(0, 2))
+              for _ in range(30)]
+    substitutions = set()
+    for spec in specs:
+        frame = transverse_frame(spec)
+        assert frame.skeleton == Subspace.span(
+            spec.n, _directions_at(spec, frame.substitution)), spec
+        assert frame.skeleton.dim == spec.p
+        assert frame.pivot_cols == frame.skeleton.pivots
+        assert sorted(frame.pivot_cols + frame.free_cols) == list(range(spec.n))
+        substitutions.add(frame.substitution)
+    assert transverse_frame(dependent_at_zero).substitution == 1
+    assert substitutions >= {0, 1}
 
 
 def test_cross_check_ce():
-    assert cross_check_ce(example_spec())
-    assert cross_check_ce(kronecker_spec())
+    assert cross_check_ce(torus_betti(example_spec()))
+    assert cross_check_ce(torus_betti(kronecker_spec()))
     spec = TorusSpec(
         n=4,
         foliation_dirs=(
@@ -434,8 +478,26 @@ def test_cross_check_ce():
         invariance_coords=frozenset({2}),
         truncation=2,
     )
-    assert cross_check_ce(spec)
-    assert torus_betti(spec).betti == (1, 2, 1)
+    report = torus_betti(spec)
+    assert cross_check_ce(report)
+    assert report.betti == (1, 2, 1)
+
+
+def test_cross_check_ce_fails_on_a_changed_betti_number():
+    for spec in (example_spec(), kronecker_spec()):
+        report = torus_betti(spec)
+        assert cross_check_ce(report)
+        for k in range(len(report.betti)):
+            betti = list(report.betti)
+            betti[k] += 1
+            assert not cross_check_ce(replace(report, betti=tuple(betti)))
+
+
+def test_cross_check_ce_fails_on_a_skeleton_of_the_wrong_dimension():
+    report = torus_betti(example_spec())  # skeleton span{e0} in R^3
+    for vectors in ([], [[1, 0, 0], [0, 0, 1]]):
+        frame = replace(report.frame, skeleton=Subspace.span(3, vectors))
+        assert not cross_check_ce(replace(report, frame=frame)), vectors
 
 
 def _random_spec(rng: random.Random, n: int, p: int, with_alpha=None) -> TorusSpec:
