@@ -55,6 +55,10 @@ _FORMATS = ("table", "json", "csv")
 # relative slack of verify_bounds, from order 86 exp overflows, and from
 # order 152 the integer coefficients no longer fit in a float.
 MAX_DERIVATIVE_ORDER = 16
+# Most witness grid points a job may ask for, samples_per_interval times
+# the number of levels: forced_levels reads every order-0 sample of every
+# level in pure Python, and 2e6 points take about a second on a 2-core VM.
+MAX_GRID_POINTS = 2_000_000
 
 
 @record
@@ -275,6 +279,14 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
             raise ValidationError(
                 "samples_per_interval", "need at least 3 samples"
             )
+    points = samples * (k_max - k_min + 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            "samples_per_interval",
+            "%d samples on each of %d levels make %d grid points, over the "
+            "cap of %d" % (samples, k_max - k_min + 1, points,
+                           MAX_GRID_POINTS),
+        )
     return WitnessJob(k_min, k_max, order, samples)
 
 

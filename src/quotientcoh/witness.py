@@ -37,28 +37,49 @@ expanded P_m would be ill-conditioned: its coefficients are large and
 alternate, and the profile constants drift by 0.3 relative at order
 10 on a 2,001-point grid.
 
-This is the only module that computes with floats, and the only one
-that needs numpy, which it imports inside the functions that touch
-grids, so the other pipelines start without it.  Everything it
-certifies is either an interval statement checked with Fractions or a
-bound with an explicit relative slack; a non-finite sup, bound or
-profile constant raises NonFiniteValue instead of passing a comparison.
+A grid sup is found without scanning the grid.  The next derivative is
+phi^(m+1) = q'^((m+1) mod 2) * S_(m+1)(q) * phi / q^(2m+2), and
+phi / q^(2m+2) > 0 on (0, 1), so phi^(m) is monotone between
+consecutive real roots of q'^((m+1) mod 2) * S_(m+1)(x(1-x)).  On any
+sorted grid the largest |phi^(m)| therefore sits at a grid end or at a
+grid point in or next to a bracket around such a root.  The roots of
+S_(m+1) on (0, 1/4] are isolated once per order by an integer Sturm
+chain bisected at dyadic points (sturm.root_brackets, imported only
+when a family is built), mapped to x on
+(0, 1/2] and mirrored by x -> 1 - x, with each float end checked
+exactly against its rational bracket (critical_brackets); x = 1/2 joins
+them when m + 1 is odd.  peak_candidates then picks the grid ends and
+the points in or next to each bracket by bisection, and phi^(m) is
+evaluated only there.  forced_levels still reads every order-0 sample
+of every level.
+
+This is the only module that computes with floats, all of it in plain
+Python floats and the math module.  Everything it certifies is either
+an interval statement checked with Fractions or a bound with an
+explicit relative slack; a non-finite sup, bound or profile constant
+raises NonFiniteValue instead of passing a comparison.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import exp, inf, isfinite
-from typing import TYPE_CHECKING
+from functools import cached_property
+from math import exp, inf, isfinite, log, nextafter, sqrt
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .exterior import enumerate_basis
 from .record import record
 
-if TYPE_CHECKING:
-    import numpy as np
-
 RELATIVE_SLACK = 1e-9
+
+
+class Points(tuple):
+    """Sample points: a tuple that also answers to ``size``, the point
+    count a caller timing phi_derivative reads (perfbench/tracer.py)."""
+
+    __slots__ = ()
+    size = property(len)
 
 
 def interval(k: int) -> tuple[Fraction, Fraction]:
@@ -105,6 +126,74 @@ def derivative_polynomials(max_order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(polys)
 
 
+def _x_of_q(q: Fraction, up: bool) -> float:
+    """A float x in [0, 1/2] below (or, with up, above) the root
+    x(q) = (1 - sqrt(1 - 4q))/2 of x(1-x) = q, checked exactly: on
+    [0, 1/2] the map x -> x(1-x) increases, so x <= x(q) iff
+    x(1-x) <= q."""
+    qf = float(q)
+    x = min(2.0 * qf / (1.0 + sqrt(max(1.0 - 4.0 * qf, 0.0))), 0.5)
+    step = 0.5 if up else 0.0
+    while True:
+        fx = Fraction(x)
+        value = fx * (1 - fx)
+        if (value >= q) if up else (value <= q):
+            return x
+        x = nextafter(x, step)
+
+
+def _one_minus(x: float, up: bool) -> float:
+    """A float below (or, with up, above) 1 - x, checked exactly."""
+    y = 1.0 - x
+    exact = 1 - Fraction(x)
+    while (Fraction(y) < exact) if up else (Fraction(y) > exact):
+        y = nextafter(y, 1.0 if up else 0.0)
+    return y
+
+
+def critical_brackets(
+    s_next: tuple[int, ...], odd: bool, width: float
+) -> tuple[tuple[float, float], ...]:
+    """Float brackets [lo, hi], sorted and disjoint, that hold every real
+    root in (0, 1) of (1-2x)^odd * s_next(x(1-x)).
+
+    The roots of s_next in q on (0, 1/4] come from root_brackets, fine
+    enough that each x bracket is at most width wide
+    (|x(q) - x(q')| <= sqrt(|q - q'|)); each is rounded outward to
+    floats on (0, 1/2] and mirrored by x -> 1 - x.  x = 1/2 is added
+    when odd.
+    """
+    from .sturm import root_brackets
+
+    fine = Fraction(width) ** 2
+    brackets = [(0.5, 0.5)] if odd else []
+    for a, b in root_brackets(s_next, fine):
+        lo, hi = _x_of_q(a, False), _x_of_q(b, True)
+        brackets.append((lo, hi))
+        brackets.append((_one_minus(hi, False), _one_minus(lo, True)))
+    brackets.sort()
+    merged: list[tuple[float, float]] = []
+    for lo, hi in brackets:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _sup_abs(values) -> float:
+    """max |v| over values, NaN if any value is NaN (max alone would
+    skip a NaN that does not come first), 0.0 for none."""
+    top = 0.0
+    for v in values:
+        a = abs(v)
+        if a > top:
+            top = a
+        elif a != a:
+            return a
+    return top
+
+
 def _level_scale(k: int, order: int) -> float:
     """exp(-k^2) * 2^(2k*order), the factor f_k^(order) carries over
     phi^(order); inf when the power of two overflows a float."""
@@ -120,47 +209,83 @@ class BumpFamily:
 
     samples_per_interval interior points are shared between the
     reference constants C_m and every level, so measured ratios carry
-    no gridding bias.
+    no gridding bias.  _brackets[m] holds the critical_brackets of
+    phi^(m), the places where a grid sup of |phi^(m)| can sit.
     """
 
     k_range: tuple[int, ...]
     max_derivative_order: int
     samples_per_interval: int
     _polys: tuple[tuple[int, ...], ...]
+    _brackets: tuple[tuple[tuple[float, float], ...], ...]
 
-    def s_grid(self) -> np.ndarray:
-        """Interior sample points of the unit interval."""
-        import numpy as np
+    @cached_property
+    def _s(self) -> Points:
+        n1 = self.samples_per_interval + 1
+        return Points([i / n1 for i in range(1, n1)])
 
-        n = self.samples_per_interval
-        return np.arange(1, n + 1, dtype=float) / (n + 1)
+    def s_grid(self) -> Points:
+        """Interior sample points of the unit interval, ascending."""
+        return self._s
 
-    def phi_derivative(self, order: int, s: np.ndarray) -> np.ndarray:
-        """phi^(order) at the points s of (0, 1)."""
-        import numpy as np
+    def phi_derivative(self, order: int, s) -> list[float]:
+        """phi^(order) at the points s of (0, 1).
 
+        An exponential that overflows becomes inf, which the callers'
+        finiteness checks refuse.
+        """
         if not 0 <= order <= self.max_derivative_order:
             raise ValueError("derivative order %d out of range" % order)
-        s = np.asarray(s, dtype=float)
-        q = s * (1.0 - s)
-        coeffs = self._polys[order]
-        acc = np.full_like(q, float(coeffs[-1]))
-        for c in reversed(coeffs[:-1]):
-            acc = acc * q + float(c)
-        if order % 2:
-            acc = acc * (1.0 - 2.0 * s)
-        return acc * np.exp(-1.0 / q - 2 * order * np.log(q))
+        if order == 0:
+            # the exponent -1/q is negative: no overflow, and P_0 = 1
+            return [exp(-1.0 / (x * (1.0 - x))) for x in s]
+        coeffs = [float(c) for c in reversed(self._polys[order])]
+        lead, rest = coeffs[0], coeffs[1:]
+        twice = 2 * order
+        out = []
+        for x in s:
+            q = x * (1.0 - x)
+            acc = lead
+            for c in rest:
+                acc = acc * q + c
+            if order % 2:
+                acc = acc * (1.0 - 2.0 * x)
+            try:
+                out.append(acc * exp(-1.0 / q - twice * log(q)))
+            except OverflowError:
+                out.append(acc * inf)
+        return out
+
+    def peak_candidates(self, order: int, grid) -> Points:
+        """The points of the ascending grid where max |phi^(order)| over
+        the grid can sit: both ends, and every point in or next to a
+        critical bracket.  Between two brackets phi^(order) is monotone,
+        so the grid points there peak at their outermost two.
+        """
+        n = len(grid)
+        picked = {0, n - 1}
+        for lo, hi in self._brackets[order]:
+            first = bisect_left(grid, lo)
+            last = bisect_right(grid, hi)
+            picked.update(range(max(first - 1, 0), min(last + 1, n)))
+        return Points([grid[i] for i in sorted(picked)])
+
+    def grid_sup(self, order: int, grid) -> float:
+        """max |phi^(order)| over the ascending grid, NaN if a value
+        evaluated is NaN."""
+        return _sup_abs(
+            self.phi_derivative(order, self.peak_candidates(order, grid)))
 
     def profile_constants(self) -> tuple[float, ...]:
         """C_m = max |phi^(m)| over the shared grid, for each order."""
         s = self.s_grid()
         return tuple(
-            float(abs(self.phi_derivative(m, s)).max())
-            for m in range(self.max_derivative_order + 1)
+            self.grid_sup(m, s) for m in range(self.max_derivative_order + 1)
         )
 
-    def level_arguments(self, k: int) -> np.ndarray:
-        """The unit-interval preimages of the level-k sample points.
+    def level_arguments(self, k: int) -> Points:
+        """The unit-interval preimages of the level-k sample points,
+        ascending.
 
         t = 2^-k + 2^-2k * s rounds once; t - 2^-k is then exact
         (the two floats are within a factor of two), so mapping back
@@ -175,18 +300,23 @@ class BumpFamily:
         """
         left = 2.0 ** (-k)
         width = 2.0 ** (-2 * k)
-        offsets = left + width * self.s_grid() - left
-        if not (offsets[0] > 0.0 and offsets[-1] < width):
+        s = self.s_grid()
+        if not (left + width * s[0] - left > 0.0
+                and left + width * s[-1] - left < width):
             raise LevelNotRecovered(
                 "level %d lies below float resolution: its sample points "
                 "round onto the ends of I_%d" % (k, k)
             )
-        return offsets * 2.0 ** (2 * k)
+        scale = 2.0 ** (2 * k)
+        return Points([(left + width * x - left) * scale for x in s])
 
-    def bump_values(self, k: int, order: int = 0) -> np.ndarray:
-        """Samples of f_k^(order) on the level-k grid."""
-        s_back = self.level_arguments(k)
-        return _level_scale(k, order) * self.phi_derivative(order, s_back)
+    def bump_values(self, k: int, order: int = 0, s=None) -> list[float]:
+        """Samples of f_k^(order) at the level-k preimages s, by default
+        at every point of the level-k grid."""
+        if s is None:
+            s = self.level_arguments(k)
+        scale = _level_scale(k, order)
+        return [scale * v for v in self.phi_derivative(order, s)]
 
 
 def build_bumps(
@@ -194,7 +324,8 @@ def build_bumps(
     max_derivative_order: int = 4,
     samples_per_interval: int = 10001,
 ) -> BumpFamily:
-    """Construct the family, validating levels and exact disjointness."""
+    """Construct the family, validating levels and exact disjointness,
+    and cover the critical points of phi^(m) for every order m."""
     ks = tuple(sorted(set(int(k) for k in k_range)))
     if not ks:
         raise ValueError("k_range must be nonempty")
@@ -206,11 +337,18 @@ def build_bumps(
         raise ValueError("need at least 3 samples per interval")
     if not intervals_are_disjoint(ks[-1]):
         raise ValueError("support intervals overlap; construction broken")
+    polys = derivative_polynomials(max_derivative_order + 1)
+    # one grid spacing: a bracket then holds at most a few grid points
+    spacing = 1.0 / (samples_per_interval + 1)
     return BumpFamily(
         ks,
         max_derivative_order,
         samples_per_interval,
-        derivative_polynomials(max_derivative_order),
+        polys[:-1],
+        tuple(
+            critical_brackets(polys[m + 1], (m + 1) % 2 == 1, spacing)
+            for m in range(max_derivative_order + 1)
+        ),
     )
 
 
@@ -259,8 +397,10 @@ def _sup_tables(
         "f": {}, "scaled": {}
     }
     for k in b.k_range:
+        grid = b.level_arguments(k)
         for m in range(b.max_derivative_order + 1):
-            measured = float(abs(b.bump_values(k, m)).max())
+            picked = b.peak_candidates(m, grid)
+            measured = _sup_abs(b.bump_values(k, m, picked))
             bound = constants[m] * _level_scale(k, m)
             out["f"][(k, m)] = (measured, bound)
             # the rescaled family 2^k f_k; the factor is exact in floats
@@ -273,22 +413,21 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
 
     With alpha = f_k and beta = 2^k f_k, beta/alpha is the constant 2^k
     wherever alpha > 0, exactly in floating point since the scale is a
-    power of two.  The returned pairs are (k, recovered level).  A level
+    power of two.  Every positive order-0 sample of every level is
+    checked.  The returned pairs are (k, recovered level).  A level
     with no positive sample, or with an inexact ratio, raises
     LevelNotRecovered.
     """
     out = []
     for k in b.k_range:
-        a = b.bump_values(k, 0)
-        beta = 2.0 ** k * a
-        positive = a > 0.0
-        if not positive.any():
+        scale = 2.0 ** k
+        ratios = {scale * a / a for a in b.bump_values(k, 0) if a > 0.0}
+        if not ratios:
             raise LevelNotRecovered(
                 "no positive samples at level %d: the grid is too coarse "
                 "or exp(-k^2) underflows" % k
             )
-        ratios = beta[positive] / a[positive]
-        if not (ratios == 2.0 ** k).all():
+        if ratios != {scale}:
             raise LevelNotRecovered(
                 "the two families fail to have exact ratio 2^%d" % k
             )

@@ -8,7 +8,8 @@ cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
 evaluation of monomials, the Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, and the bump's derivative
-polynomials expanded in x and evaluated exactly.  None of it shares code
+polynomials expanded in x and evaluated exactly, at every point of a
+grid for the grid sups.  None of it shares code
 paths with the package internals it checks.
 """
 
@@ -409,3 +410,57 @@ def exact_profile_constants(max_order: int, samples: int) -> list[float]:
             best = max(best, value * math.exp(-1.0 / q - 2 * m * math.log(q)))
         out.append(best)
     return out
+
+
+def _q_basis(poly, odd: bool) -> list[int]:
+    """S with poly(x) = (1-2x)^odd * S(x(1-x)), in q = x(1-x), lowest
+    first: divide out 1-2x, then peel the top power of q off the top
+    coefficient of what is left, (x - x^2)^j starting with (-1)^j x^(2j).
+    """
+    rest = list(poly)
+    if odd:
+        # (1-2x) r = p: r_0 = p_0, r_i = p_i + 2 r_(i-1)
+        quotient = []
+        for c in rest[:-1]:
+            quotient.append(c + 2 * quotient[-1] if quotient else c)
+        assert rest[-1] == -2 * quotient[-1]
+        rest = quotient
+    out = [0] * (len(rest) // 2 + 1)
+    while any(rest):
+        while rest[-1] == 0:
+            rest.pop()
+        j = (len(rest) - 1) // 2
+        out[j] = rest[-1] * (-1) ** j
+        power = [1]
+        for _ in range(j):
+            power = [a - b for a, b in zip(power + [0, 0], [0] + power + [0])]
+            power = [0] + power[:-1]
+        for i, c in enumerate(power):
+            rest[i] -= out[j] * c
+    return out
+
+
+def grid_sup_bruteforce(order: int, points) -> float:
+    """max |phi^(order)| over every point of (0, 1) in points.
+
+    P_order comes from bump_polynomials_x and is rewritten exactly as
+    (1-2x)^(order mod 2) * S(q); each point is then evaluated the way
+    the package documents its float formula (Horner in q, times 1-2x,
+    times exp(-1/q - 2m log q)), so a mismatch with the package's sup
+    means a point it should have visited, not a rounding difference.
+    exact_profile_constants checks the formula's accuracy itself.
+    """
+    s = [float(c) for c in _q_basis(bump_polynomials_x(order)[order],
+                                     order % 2 == 1)]
+    best = 0.0
+    for x in points:
+        q = x * (1.0 - x)
+        acc = s[-1]
+        for c in reversed(s[:-1]):
+            acc = acc * q + c
+        if order % 2:
+            acc = acc * (1.0 - 2.0 * x)
+        value = abs(acc * math.exp(-1.0 / q - 2 * order * math.log(q)))
+        if not value <= best:
+            best = value
+    return best

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quotientcoh import ExtScalar, LieAlgebra, ParseError, ValidationError
-from quotientcoh.config import parse_config
+from quotientcoh.config import MAX_GRID_POINTS, parse_config
 
 EXAMPLE_TORUS = """
 # axis foliation with a dense invariance direction
@@ -174,6 +174,17 @@ def test_derivative_order_is_capped_at_16():
     for order in (17, 18, 152, 160):
         with pytest.raises(ValidationError, match="at most 16"):
             parse_config(job % order)
+
+
+def test_witness_grid_is_capped_at_two_million_points():
+    # samples_per_interval times the number of levels; only parsed here,
+    # the job at the cap is never run
+    job = "[witness]\nk_min = 2\nk_max = 3\nsamples_per_interval = %d\n"
+    assert MAX_GRID_POINTS == 2_000_000
+    at_cap = parse_config(job % 1_000_000).witness
+    assert at_cap.samples_per_interval * 2 == MAX_GRID_POINTS
+    with pytest.raises(ValidationError, match="make 2000002 grid points"):
+        parse_config(job % 1_000_001)
 
 
 def test_missing_required_keys():

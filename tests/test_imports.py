@@ -1,4 +1,4 @@
-"""The lie and torus pipelines start without numpy or sympy, the package
+"""No pipeline starts with numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
 time, only scalars builds dense rows, no module imports another's
 private names, the names the bench tracer wraps still resolve, and the
@@ -54,6 +54,14 @@ n = 3
 foliation = 1,0,0
 invariance = 1
 truncation = 3
+"""
+
+WITNESS_CFG = """\
+[witness]
+k_min = 2
+k_max = 4
+max_derivative_order = 4
+samples_per_interval = 2001
 """
 
 
@@ -114,6 +122,7 @@ def test_lie_and_torus_jobs_load_neither_library(tmp_path):
     for name, text, betti in (
         ("heisenberg", HEISENBERG_CFG, [1, 2, 2, 1]),
         ("torus", TORUS_CFG, [1, 2, 1]),
+        ("witness", WITNESS_CFG, None),
     ):
         cfg = tmp_path / (name + ".cfg")
         cfg.write_text(text)
@@ -162,6 +171,8 @@ def test_tracer_wraps_names_that_exist(tmp_path):
         ("torus", TORUS_CFG,
          {"torus.torus_betti", "torus.koszul_certificate",
           "torus.cross_check_ce"}),
+        ("witness", WITNESS_CFG,
+         {"witness.build_bumps", "witness.verify_bounds"}),
     ):
         names = {span[0] for span in _traced_spans(tmp_path, name, text)}
         assert "cli.main" in names, name

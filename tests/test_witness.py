@@ -8,8 +8,9 @@ import pytest
 
 from quotientcoh import witness
 from quotientcoh.cli import main
-from quotientcoh.errors import NonFiniteValue
+from quotientcoh.errors import LevelNotRecovered, NonFiniteValue
 from quotientcoh.record import fields
+from quotientcoh.sturm import root_brackets
 from quotientcoh.witness import (
     BumpFamily,
     build_bumps,
@@ -22,7 +23,11 @@ from quotientcoh.witness import (
     verify_bounds,
 )
 
-from oracles import bump_polynomials_x, exact_profile_constants
+from oracles import (
+    bump_polynomials_x,
+    exact_profile_constants,
+    grid_sup_bruteforce,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +67,7 @@ def test_intervals_are_disjoint_far_down():
 def test_level3_support_is_inside_its_interval(family):
     left, right = interval(3)
     # sampled points all fall inside the open interval, exactly
-    s = family.s_grid()
+    s = np.asarray(family.s_grid())
     t = 2.0 ** -3 + 2.0 ** -6 * s
     assert float(left) < t.min() and t.max() < float(right)
 
@@ -129,7 +134,7 @@ def test_forced_levels_recover_k(report):
 
 def test_forced_level_ratio_is_exact(family):
     for k in family.k_range:
-        a = family.bump_values(k, 0)
+        a = np.asarray(family.bump_values(k, 0))
         positive = a > 0
         assert positive.any()
         ratios = (2.0 ** k * a)[positive] / a[positive]
@@ -261,8 +266,8 @@ def test_non_finite_derivative_fails_closed(value):
 def test_non_finite_level_sup_fails_closed(value):
     # the profile constants are clean; only the level-3 samples are bad
     class BadLevel(BumpFamily):
-        def bump_values(self, k, order=0):
-            out = super().bump_values(k, order)
+        def bump_values(self, k, order=0, s=None):
+            out = super().bump_values(k, order, s)
             if k == 3:
                 out[len(out) // 2] = value
             return out
@@ -318,3 +323,203 @@ def test_underflowing_level_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("engine: internal error: ")
     assert "no positive samples at level 28" in err
+
+
+SWEEP_SAMPLES = (3, 4, 101, 2000, 2001)
+SWEEP_LEVELS = (1, 2, 8, 40, 50)
+SWEEP_ORDER = 16
+
+
+def _level_grid(k: int, s) -> list:
+    """The level-k preimages of the unit grid s, computed as the engine
+    documents them, keeping those that stay inside (0, 1).  At k = 40
+    and 50 they are coarse and some coincide; at k = 50 the outermost
+    ones of a fine grid round onto the ends."""
+    left, width = 2.0 ** -k, 2.0 ** (-2 * k)
+    points = [(left + width * x - left) * 2.0 ** (2 * k) for x in s]
+    return [x for x in points if 0.0 < x < 1.0]
+
+
+def _sweep_grids():
+    """(label, samples, grid) for the profile grid and the unscaled
+    level grids of every swept sample count."""
+    for n in SWEEP_SAMPLES:
+        s = [i / (n + 1) for i in range(1, n + 1)]
+        yield ("profile", n, s)
+        for k in SWEEP_LEVELS:
+            yield ("level %d" % k, n, _level_grid(k, s))
+
+
+@pytest.fixture(scope="module")
+def oracle_sups():
+    """{(label, samples, order): full-scan sup}, computed once."""
+    return {
+        (label, n, m): grid_sup_bruteforce(m, grid)
+        for label, n, grid in _sweep_grids()
+        for m in range(SWEEP_ORDER + 1)
+    }
+
+
+def _sweep_failures(oracle_sups) -> list:
+    """The sweep cells where the engine's sup misses the full scan by
+    more than 1e-12 relative."""
+    failures = []
+    families = {
+        n: build_bumps([2, 3], max_derivative_order=SWEEP_ORDER,
+                       samples_per_interval=n)
+        for n in SWEEP_SAMPLES
+    }
+    for label, n, grid in _sweep_grids():
+        fam = families[n]
+        if label == "profile":
+            assert list(fam.s_grid()) == grid
+        for m in range(SWEEP_ORDER + 1):
+            got = fam.grid_sup(m, grid)
+            want = oracle_sups[(label, n, m)]
+            if not abs(got - want) <= 1e-12 * want:
+                failures.append((label, n, m, got, want))
+    return failures
+
+
+def test_grid_sups_match_the_full_scan(oracle_sups):
+    assert _sweep_failures(oracle_sups) == []
+
+
+def test_level_grids_of_the_sweep_are_the_engines():
+    # the sweep's level grids are the ones the engine samples, wherever
+    # the engine can sample the level at all
+    for n in SWEEP_SAMPLES:
+        fam = build_bumps(SWEEP_LEVELS, max_derivative_order=0,
+                          samples_per_interval=n)
+        s = fam.s_grid()
+        for k in SWEEP_LEVELS:
+            grid = _level_grid(k, s)
+            if len(grid) == n:
+                assert list(fam.level_arguments(k)) == grid, (n, k)
+            else:
+                with pytest.raises(LevelNotRecovered):
+                    fam.level_arguments(k)
+
+
+def test_dropping_a_critical_bracket_fails_the_sweep(monkeypatch,
+                                                     oracle_sups):
+    # the brackets are load-bearing: without the first one of each
+    # order (x = 1/2 for phi itself) some grid sup is missed
+    cover = witness.critical_brackets
+
+    def dropped(*args):
+        return cover(*args)[1:]
+
+    monkeypatch.setattr(witness, "critical_brackets", dropped)
+    assert _sweep_failures(oracle_sups)
+
+
+@pytest.mark.parametrize("m", range(18))
+def test_root_brackets_hold_the_roots_of_s_m(m):
+    # sympy isolates each root of S_m in (0, 1/4] to within 2^-36 (2^-64
+    # when that is not enough); every such interval lies inside exactly
+    # one bracket of width <= 2^-30, and there are as many brackets as
+    # sympy counts roots
+    sympy = pytest.importorskip("sympy")
+    s_m = derivative_polynomials(m)[m]
+    quarter = Fraction(1, 4)
+    width = Fraction(1, 2 ** 30)
+    brackets = root_brackets(s_m, width)
+    poly = sympy.Poly(list(reversed(s_m)), sympy.symbols("q"))
+    assert len(brackets) == poly.count_roots(0, sympy.Rational(1, 4))
+    for a, b in brackets:
+        assert 0 < a <= b <= quarter and b - a <= width
+    isolated = poly.intervals(inf=0, sup=sympy.Rational(1, 4),
+                              eps=sympy.Rational(1, 2 ** 36))
+    assert len(isolated) == len(brackets)
+    for (lo, hi), _ in isolated:
+        for eps in (None, sympy.Rational(1, 2 ** 64)):
+            if eps is not None:
+                # the root sits within 2^-36 of a bracket end
+                lo, hi = poly.refine_root(lo, hi, eps=eps)
+            inside = sum(1 for a, b in brackets
+                         if a <= Fraction(int(lo.p), int(lo.q))
+                         and Fraction(int(hi.p), int(hi.q)) <= b)
+            if inside:
+                break
+        assert inside == 1, (m, lo, hi)
+
+
+def test_critical_brackets_hold_every_critical_point():
+    # the critical points of phi^(m) are the roots of P_(m+1) in (0, 1),
+    # all simple.  P_(m+1) vanishes on each point bracket and changes
+    # sign across every other one, so each of the disjoint brackets
+    # holds a root; there are as many brackets as sympy counts roots,
+    # so each holds exactly one and none is missed
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    width = 1.0 / 2002
+    polys = derivative_polynomials(SWEEP_ORDER + 1)
+    for m, p_x in enumerate(bump_polynomials_x(SWEEP_ORDER + 1)[1:]):
+        brackets = witness.critical_brackets(polys[m + 1], m % 2 == 0,
+                                             width)
+        assert all(lo <= hi < nxt for (lo, hi), (nxt, _) in
+                   zip(brackets, brackets[1:])), m
+        assert all(0 < lo and hi < 1 and hi - lo <= 2 * width
+                   for lo, hi in brackets), m
+
+        def sign(point):
+            value = Fraction(0)
+            for c in reversed(p_x):
+                value = value * Fraction(point) + c
+            return (value > 0) - (value < 0)
+
+        for lo, hi in brackets:
+            if lo == hi:
+                assert sign(lo) == 0, (m, lo)
+            else:
+                assert sign(lo) * sign(hi) < 0, (m, lo, hi)
+        poly = sympy.Poly(list(reversed(p_x)), x)
+        assert len(brackets) == poly.count_roots(0, 1), m
+
+
+def test_a_root_on_a_bisection_point_gets_its_own_bracket():
+    # (8q - 1)(16q - 3)(5q - 1): 1/8 and 3/16 are midpoints the
+    # bisection of (0, 1/4] lands on, 1/5 is not dyadic
+    poly = (-3, 55, -328, 640)
+    width = Fraction(1, 2 ** 20)
+    brackets = root_brackets(poly, width)
+    assert brackets[:2] == ((Fraction(1, 8), Fraction(1, 8)),
+                            (Fraction(3, 16), Fraction(3, 16)))
+    (a, b), = brackets[2:]
+    assert a < Fraction(1, 5) < b and b - a <= width
+    # a double root at 1/8 counts once; a root at the upper end counts
+    squared = (1, -21, 144, -320)   # (8q - 1)^2 (5q - 1)
+    assert root_brackets(squared, width)[0] == (
+        Fraction(1, 8), Fraction(1, 8))
+    assert len(root_brackets(squared, width)) == 2
+    assert root_brackets((-1, 4), width) == (
+        (Fraction(1, 4), Fraction(1, 4)),)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_bad_value_anywhere_among_the_candidates_fails_closed(value):
+    # max() skips a NaN unless it comes first; the sup must not
+    class LastBad(BumpFamily):
+        def phi_derivative(self, order, s):
+            out = super().phi_derivative(order, s)
+            if order == 1:
+                out[-1] = value
+            return out
+
+    base = build_bumps([2, 3], max_derivative_order=1,
+                       samples_per_interval=501)
+    with pytest.raises(NonFiniteValue, match="profile constant C_1"):
+        verify_bounds(_recast(LastBad, base))
+
+
+def test_an_overflowing_exponential_fails_closed():
+    # exp(-1/q - 2m log q) overflows a float from order 86 on; the value
+    # becomes inf, never an exception or a finite number.  The family is
+    # built without critical brackets (only the grid ends are sampled),
+    # since covering the roots of S_91 is not what is tested here.
+    fam = BumpFamily((2, 3), 90, 101, derivative_polynomials(90),
+                     ((),) * 91)
+    assert not math.isfinite(fam.phi_derivative(90, [0.01])[0])
+    with pytest.raises(NonFiniteValue, match="profile constant C_8[6-9]"):
+        verify_bounds(fam)
