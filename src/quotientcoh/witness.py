@@ -45,10 +45,9 @@ sorted grid the largest |phi^(m)| therefore sits at a grid end or at a
 grid point in or next to a bracket around such a root.  The roots of
 S_(m+1) on (0, 1/4] are isolated once per order by an integer Sturm
 chain bisected at dyadic points (sturm.root_brackets, imported only
-when a family is built), mapped to x on
-(0, 1/2] and mirrored by x -> 1 - x, with each float end checked
-exactly against its rational bracket (critical_brackets); x = 1/2 joins
-them when m + 1 is odd.  peak_candidates then picks the grid ends and
+when a family is built), mapped to x on (0, 1/2] and mirrored by
+x -> 1 - x, with each float end checked exactly against its rational
+bracket (critical_brackets); x = 1/2 joins them when m + 1 is odd.  peak_candidates then picks the grid ends and
 the points in or next to each bracket by bisection, and phi^(m) is
 evaluated only there.  forced_levels still reads every order-0 sample
 of every level.
