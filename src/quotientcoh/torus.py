@@ -24,7 +24,7 @@ The zero mode has zero differential.  Betti numbers are therefore
 binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
 with explicit ranks.
 
-The audit visits every surviving mode of sup norm at most the
+The audit covers every surviving mode of sup norm at most the
 truncation T without scanning the box.  Survival is a linear system
 over the integer modes: the rational and alpha parts of every
 direction, plus m_j = 0 on the invariance coordinates.  Its reduced row
@@ -34,13 +34,18 @@ the non-pivot ones.  A surviving mode in the box has all coordinates in
 coordinates over [-T, T] and keeping the derived pivot values that are
 integers in [-T, T] finds every survivor, and nothing else, in
 (2T + 1)^(n - |inv| - r) steps for r the rank of the constraint rows.
+A coordinate that is neither invariant nor reached by any direction is
+untouched: no constraint row involves it and it is never a pivot, so
+the survivors are S x [-T, T]^U, S the survivors that vanish on the
+untouched coordinates U.  Only S is enumerated; the box over U is
+counted in closed form.
 
-The surviving modes then fall into classes keyed by the sorted absolute
+The surviving modes fall into classes keyed by the sorted absolute
 values of the transverse covector divided by their gcd.  Permuting the
 transverse coordinates, negating some of them and scaling the covector
 by a nonzero factor conjugate the mode complex by invertible maps, so
 all members of a class have the same ranks.  Each class is built and
-certified once, on its lexicographically first member, in the one
+certified once, on its lexicographically least member, in the one
 transverse frame of the audit, and reported once with the number of
 modes it stands for.
 
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 from typing import Sequence
 
@@ -67,7 +72,7 @@ from .errors import InvalidSpec
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
                   betti_numbers, ce_complex, ce_differential, quotient)
-from .record import record
+from .record import record, replace
 from .scalars import ExactMatrix, ExtScalar, rank, reduced_rows, rref
 
 NORMALIZATION_NOTE = (
@@ -278,7 +283,7 @@ class TorusBettiReport:
 
     betti has length n - p + 1 and equals the zero-mode cohomology;
     acyclicity_certificates hold one KoszulCertificate per class of
-    audited nonzero modes, ordered by their first members, whose modes
+    audited nonzero modes, ordered by their least members, whose modes
     counts sum to audited_modes; all_modes_acyclic summarizes them.
     frame is the transverse frame the Betti numbers were read from.
     """
@@ -360,9 +365,15 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
     rescales monomials by signs, and scaling w by a nonzero factor
     scales each differential.  Conjugate complexes have the same rank
     in every degree, so each class is built and certified once, on its
-    lexicographically first member, with exact ranks.  The report
-    carries one certificate per class, in the order of those first
+    lexicographically least member, with exact ranks.  The report
+    carries one certificate per class, in the order of those least
     members, and each counts the audited modes of its class.
+
+    Untouched coordinates U are counted, not visited: for each survivor
+    s vanishing on U and each multiset M of |u| over U, the modes s + u
+    share the key sorted(|w of s| + M); there are |U|! / prod(mult!) *
+    2^(nonzeros of M) of them, and the least puts -M, ascending, on U.
+    The work is |S| * C(T + |U|, |U|), not |S| * (2T + 1)^|U|.
     """
     bound = spec.truncation if truncation is None else truncation
     if bound < 0:
@@ -378,31 +389,44 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
         )
         for k in range(q + 1)
     )
-    # Survivors come in lexicographic order, so each sorted |w| first
-    # appears with its least mode, and the first such key of a class
-    # (dicts keep insertion order) holds the least member of the class.
+    untouched = [j for j in range(spec.n) if j not in spec.invariance_coords
+                 and all(v[j].is_zero() for v in spec.foliation_dirs)]
+    constrained = [f for f in frame.free_cols if f not in untouched]
+    multisets = []  # (M descending, the number of modes it stands for)
+    for ms in combinations_with_replacement(range(bound, -1, -1),
+                                            len(untouched)):
+        count, left = 2 ** (len(ms) - ms.count(0)), len(ms)
+        for v in set(ms):
+            count *= comb(left, ms.count(v))
+            left -= ms.count(v)
+        multisets.append((list(ms), count))
+    # sorted |w| -> [least member, number of modes], then the same per class
     by_abs: dict[tuple[int, ...], list] = {}
-    for mode in surviving_modes(spec, bound):
-        raw = tuple(sorted(map(abs, _mode_transverse(mode, frame))))
-        entry = by_abs.get(raw)
-        if entry is None:
-            by_abs[raw] = [mode, 1]
-        else:
-            entry[1] += 1
+    pinned = replace(spec, invariance_coords=spec.invariance_coords.union(
+        untouched))
+    for s in surviving_modes(pinned, bound):
+        base = [abs(s[f]) for f in constrained]
+        for ms, count in multisets:
+            raw = tuple(sorted(base + ms))
+            mode = list(s)
+            for j, v in zip(untouched, ms):
+                mode[j] = -v
+            least = tuple(mode)
+            entry = by_abs.setdefault(raw, [least, 0])
+            entry[0] = min(entry[0], least)
+            entry[1] += count
     classes: dict[tuple[int, ...], list] = {}
     for raw, (mode, count) in by_abs.items():
         if not any(raw):
             continue  # the zero mode, the only one with w = 0
         g = gcd(*raw)
-        key = tuple(x // g for x in raw)
-        if key in classes:
-            classes[key][1] += count
-        else:
-            classes[key] = [mode, count]
+        entry = classes.setdefault(tuple(x // g for x in raw), [mode, 0])
+        entry[0] = min(entry[0], mode)
+        entry[1] += count
     certificates = [
         koszul_certificate(
             mode, build_mode_complex(_mode_transverse(mode, frame)), count)
-        for mode, count in classes.values()
+        for mode, count in sorted(classes.values())
     ]
     return TorusBettiReport(
         n=spec.n,

@@ -390,13 +390,17 @@ class WitnessReport:
 
 def _sup_tables(
     b: BumpFamily, constants: tuple[float, ...]
-) -> dict[str, dict[tuple[int, int], tuple[float, float]]]:
-    """measured and bound for both families at every (k, m)."""
+) -> tuple[dict[str, dict[tuple[int, int], tuple[float, float]]], list[str]]:
+    """measured and bound for both families at every (k, m), and why
+    each level that forced_levels would refuse fails, read off the same
+    level grid."""
     out: dict[str, dict[tuple[int, int], tuple[float, float]]] = {
         "f": {}, "scaled": {}
     }
+    failures = []
     for k in b.k_range:
         grid = b.level_arguments(k)
+        failures.append(_level_failure(b, k, grid))
         for m in range(b.max_derivative_order + 1):
             picked = b.peak_candidates(m, grid)
             measured = _sup_abs(b.bump_values(k, m, picked))
@@ -404,7 +408,24 @@ def _sup_tables(
             out["f"][(k, m)] = (measured, bound)
             # the rescaled family 2^k f_k; the factor is exact in floats
             out["scaled"][(k, m)] = (2.0 ** k * measured, 2.0 ** k * bound)
-    return out
+    return out, [f for f in failures if f]
+
+
+def _level_failure(b: BumpFamily, k: int, grid) -> str | None:
+    """Why level k cannot be read off the ratio of the two families on
+    its grid, or None when it can."""
+    scale = 2.0 ** k
+    level = _level_scale(k, 0)
+    # the samples of f_k, as bump_values(k, 0, grid) gives them, without
+    # holding a second list of them
+    samples = (level * v for v in b.phi_derivative(0, grid))
+    ratios = {scale * a / a for a in samples if a > 0.0}
+    if not ratios:
+        return ("no positive samples at level %d: the grid is too coarse "
+                "or exp(-k^2) underflows" % k)
+    if ratios != {scale}:
+        return "the two families fail to have exact ratio 2^%d" % k
+    return None
 
 
 def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
@@ -417,21 +438,11 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
     with no positive sample, or with an inexact ratio, raises
     LevelNotRecovered.
     """
-    out = []
     for k in b.k_range:
-        scale = 2.0 ** k
-        ratios = {scale * a / a for a in b.bump_values(k, 0) if a > 0.0}
-        if not ratios:
-            raise LevelNotRecovered(
-                "no positive samples at level %d: the grid is too coarse "
-                "or exp(-k^2) underflows" % k
-            )
-        if ratios != {scale}:
-            raise LevelNotRecovered(
-                "the two families fail to have exact ratio 2^%d" % k
-            )
-        out.append((k, k))
-    return tuple(out)
+        failure = _level_failure(b, k, b.level_arguments(k))
+        if failure:
+            raise LevelNotRecovered(failure)
+    return tuple((k, k) for k in b.k_range)
 
 
 def _levels_differ(forced: tuple[tuple[int, int], ...]) -> bool:
@@ -467,7 +478,7 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
     for m, c in enumerate(constants):
         if not isfinite(c):
             raise NonFiniteValue("profile constant C_%d" % m, c)
-    tables = _sup_tables(b, constants)
+    tables, failures = _sup_tables(b, constants)
     records = []
     violations = []
     for family in ("f", "scaled"):
@@ -493,7 +504,9 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
                     violations.append(
                         MonotoneViolation(family, m, k_prev, k_next, here / prev)
                     )
-    forced = forced_levels(b)
+    if failures:
+        raise LevelNotRecovered(failures[0])
+    forced = tuple((k, k) for k in b.k_range)
     return WitnessReport(
         k_range=b.k_range,
         max_derivative_order=b.max_derivative_order,

@@ -7,9 +7,10 @@ matrix, the bilinear bracket, ideal test and quotient table over that
 cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
 evaluation of monomials, the Jacobiator as a cyclic sum over that cube,
-the bump-sup level ratios in closed form, and the bump's derivative
+the bump-sup level ratios in closed form, the bump's derivative
 polynomials expanded in x and evaluated exactly, at every point of a
-grid for the grid sups.  None of it shares code
+grid for the grid sups, and the torus mode classes grouped from every
+point of the mode box.  None of it shares code
 paths with the package internals it checks.
 """
 
@@ -393,20 +394,28 @@ def bump_polynomials_x(max_order: int) -> list[list[int]]:
     return polys
 
 
-def exact_profile_constants(max_order: int, samples: int) -> list[float]:
-    """max |phi^(m)| over the grid i/(n+1), i = 1..n, with P_m(x)
-    evaluated exactly at every grid point and only the factor
+def exact_profile_constants(max_order: int, samples: int,
+                            min_order: int = 0) -> list[float]:
+    """max |phi^(m)| over the grid i/(n+1), i = 1..n, for m from
+    min_order to max_order, with P_m(x) evaluated exactly at every grid
+    point (and rounded once to a float) and only the factor
     exp(-1/q - 2m log q) taken in floats."""
     n1 = samples + 1
     out = []
     for m, poly in enumerate(bump_polynomials_x(max_order)):
+        if m < min_order:
+            continue
         deg = len(poly) - 1
+        powers = [n1 ** e for e in range(deg + 1)]
         best = 0.0
         for i in range(1, samples + 1):
-            # n1^deg * P_m(i / n1), in integers
-            num = sum(c * i ** j * n1 ** (deg - j) for j, c in enumerate(poly))
-            q = float(Fraction(i * (n1 - i), n1 * n1))
-            value = abs(float(Fraction(num, n1 ** deg)))
+            # n1^deg * P_m(i / n1), in integers, by Horner
+            num = poly[deg]
+            for j in range(deg - 1, -1, -1):
+                num = num * i + poly[j] * powers[deg - j]
+            # int / int rounds the exact quotient once
+            q = i * (n1 - i) / (n1 * n1)
+            value = abs(num) / powers[deg]
             best = max(best, value * math.exp(-1.0 / q - 2 * m * math.log(q)))
         out.append(best)
     return out
@@ -464,3 +473,40 @@ def grid_sup_bruteforce(order: int, points) -> float:
         if not value <= best:
             best = value
     return best
+
+
+def naive_mode_classes(spec, bound: int):
+    """(classes, audited) for the torus audit of the TorusSpec spec up to
+    sup norm bound: classes lists (least member, number of modes) per
+    class of nonzero surviving modes, ordered by least member, and
+    audited counts them all.
+
+    Every point of the (2*bound + 1)^n box is tested as `survives`
+    defines survival, by its own dot products: zero on the invariance
+    coordinates, and zero against the rational and the alpha part of
+    every direction.  The transverse columns are the non-pivot columns
+    of the first substitution r = 0..p of alpha that gives the
+    directions rank p, and a mode's class is the sorted absolute values
+    of its transverse components divided by their gcd.
+    """
+    for r in range(spec.p + 1):
+        rows = [[x.rat + r * x.irr for x in v] for v in spec.foliation_dirs]
+        _, pivots = naive_rref(rows, spec.n)
+        if len(pivots) == spec.p:
+            break
+    free = [j for j in range(spec.n) if j not in pivots]
+    classes: dict = {}
+    for mode in product(range(-bound, bound + 1), repeat=spec.n):
+        if (not any(mode)
+                or any(mode[j] for j in spec.invariance_coords)
+                or any(sum(m * x.rat for m, x in zip(mode, v))
+                       or sum(m * x.irr for m, x in zip(mode, v))
+                       for v in spec.foliation_dirs)):
+            continue
+        raw = sorted(abs(mode[j]) for j in free)
+        g = math.gcd(*raw)
+        members = classes.setdefault(tuple(x // g for x in raw), [])
+        members.append(mode)
+    found = sorted((min(members), len(members))
+                   for members in classes.values())
+    return found, sum(count for _, count in found)

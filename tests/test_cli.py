@@ -385,14 +385,22 @@ def test_lie_reports_match_committed_fixtures(name, check):
     _matches_fixture(name, check)
 
 
-@pytest.mark.parametrize("name", ["torus-alpha6-check"])
+@pytest.mark.parametrize(
+    "name", ["torus-alpha6-check", "torus-inv6", "torus-mixed6-check"])
 def test_torus_reports_match_committed_fixtures(name):
-    # A T^6 job with --check: two directions with fractional rational
-    # and alpha parts (dependent at alpha = 0, so the frame substitutes
-    # 1), an invariance coordinate, and survivors whose derived pivot
+    # alpha6-check: two directions with fractional rational and alpha
+    # parts (dependent at alpha = 0, so the frame substitutes 1), an
+    # invariance coordinate, and survivors whose derived pivot
     # coordinates are half-integers for odd free values; recorded before
-    # echelon rows and subspaces became sparse.
-    _matches_fixture(name, True)
+    # echelon rows and subspaces became sparse.  inv6: a rational
+    # direction inside the invariance coordinate, so the other five
+    # coordinates are untouched and the 9^5 box is counted in closed
+    # form.  mixed6-check: alpha parts on three coordinates, one
+    # invariance coordinate and two untouched ones, so both the pinned
+    # survivors and the untouched box are nontrivial.  Both recorded
+    # while every survivor was still grouped one by one.  A -check name
+    # runs with --check.
+    _matches_fixture(name, name.endswith("-check"))
 
 
 @pytest.mark.parametrize("order", [17, 160])

@@ -29,7 +29,7 @@ from quotientcoh.cli import run_job
 from quotientcoh.config import parse_config
 from quotientcoh.record import replace
 
-from oracles import ce_matrix_bruteforce, gauss_rank
+from oracles import ce_matrix_bruteforce, gauss_rank, naive_mode_classes
 
 E = ExtScalar
 
@@ -414,6 +414,87 @@ def test_torus_betti_finds_the_frame_once(monkeypatch):
             "transverse_frame": 1,
             "build_mode_complex": len(report.acyclicity_certificates),
         }
+
+
+def _mixed_spec(rng: random.Random) -> TorusSpec:
+    """A valid random spec on n = 1..6 whose directions, with rational
+    and alpha parts, reach only some coordinates, so untouched
+    coordinates mix with constrained and invariance ones; T in 0..3,
+    lowered until the box has at most 7^4 points."""
+    while True:
+        n = rng.randint(1, 6)
+        reached = [j for j in range(n) if rng.random() < 0.6]
+        dirs = []
+        for _ in range(rng.randint(0, min(3, len(reached)))):
+            vec = [E(0)] * n
+            for j in reached:
+                if rng.random() < 0.6:
+                    vec[j] = E(
+                        Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])),
+                        Fraction(rng.randint(-2, 2)) if rng.random() < 0.3
+                        else 0)
+            if not all(x.is_zero() for x in vec):
+                dirs.append(tuple(vec))
+        bound = rng.randint(0, 3)
+        while (2 * bound + 1) ** n > 7 ** 4:
+            bound -= 1
+        spec = TorusSpec(
+            n=n, foliation_dirs=tuple(dirs), truncation=bound,
+            invariance_coords=frozenset(
+                j for j in reached if rng.random() < 0.3))
+        try:
+            transverse_frame(spec)
+        except InvalidSpec:
+            continue
+        return spec
+
+
+def test_mode_classes_match_the_box_oracle():
+    # class sizes counted in closed form on the untouched coordinates
+    # against every point of the box grouped one by one
+    rng = random.Random(1802)
+    mixed = 0
+    # an untouched coordinate before a constrained transverse one, so a
+    # class's least member need not come from its least pinned survivor
+    corner = [TorusSpec(n=3, foliation_dirs=(_ints(0, 1, -1),),
+                        truncation=t) for t in (2, 4)]
+    for spec in corner + [_mixed_spec(rng) for _ in range(320)]:
+        report = torus_betti(spec)
+        classes, audited = naive_mode_classes(spec, spec.truncation)
+        got = [(c.mode, c.modes) for c in report.acyclicity_certificates]
+        assert got == classes, spec
+        assert report.audited_modes == audited, spec
+        untouched = [j for j in range(spec.n)
+                     if j not in spec.invariance_coords
+                     and all(v[j].is_zero() for v in spec.foliation_dirs)]
+        mixed += 0 < len(untouched) < spec.n - len(spec.invariance_coords)
+    assert mixed >= 60
+
+
+INV6 = TorusSpec(
+    n=6, foliation_dirs=((E(0), E(0), E(Fraction(3, 2)), E(0), E(0), E(0)),),
+    invariance_coords=frozenset({2}), truncation=4)
+
+
+def test_untouched_coordinates_are_counted_not_scanned(monkeypatch):
+    # p = 0 boxes and a direction inside the invariance coordinate leave
+    # every open coordinate untouched: the scan sees only the zero mode
+    scans = []
+
+    def recorded(spec, bound):
+        scans.append(surviving_modes(spec, bound))
+        return scans[-1]
+
+    monkeypatch.setattr(torus, "surviving_modes", recorded)
+    for spec in (TorusSpec(n=3, truncation=2), TorusSpec(n=6, truncation=3),
+                 INV6):
+        scans.clear()
+        report = torus_betti(spec)
+        assert scans == [[(0,) * spec.n]]
+        open_coords = spec.n - len(spec.invariance_coords)
+        assert report.audited_modes == (
+            (2 * spec.truncation + 1) ** open_coords - 1)
+    assert torus_betti(TorusSpec(n=8, truncation=2)).audited_modes == 390624
 
 
 ALPHA6 = Path(__file__).parent / "fixtures" / "torus-alpha6-check.cfg"

@@ -223,8 +223,26 @@ def test_profile_constants_agree_with_exact_evaluation_at_order_10():
         assert c == pytest.approx(e, rel=1e-9), m
 
 
+@pytest.mark.parametrize("samples", [3, 10001])
+def test_profile_constants_stay_within_the_stated_error_up_to_order_16(
+        samples):
+    # config.MAX_DERIVATIVE_ORDER and the README state the measured drift:
+    # 1e-10 relative through order 11, 5e-8 through order 16 (C_16 is
+    # off by 3.6e-8 on 3 points), so past the 1e-9 slack from order 12
+    fam = build_bumps([2, 3], max_derivative_order=16,
+                      samples_per_interval=samples)
+    constants = fam.profile_constants()
+    exact = exact_profile_constants(16, samples, min_order=11)
+    for m, e in enumerate(exact, start=11):
+        assert constants[m] == pytest.approx(
+            e, rel=1e-10 if m == 11 else 5e-8), m
+
+
 def test_verify_bounds_does_level_work_once(monkeypatch, family):
-    calls = {"profile_constants": 0, "forced_levels": 0}
+    # the profile constants once, and per level one grid, read by both
+    # the sup tables and the forced-level check
+    calls = {"profile_constants": 0, "level_arguments": 0,
+             "_level_failure": 0, "forced_levels": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -232,12 +250,17 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(BumpFamily, "profile_constants", counted(
-        "profile_constants", BumpFamily.profile_constants))
-    monkeypatch.setattr(witness, "forced_levels", counted(
-        "forced_levels", witness.forced_levels))
+    for name in ("profile_constants", "level_arguments"):
+        monkeypatch.setattr(BumpFamily, name, counted(
+            name, getattr(BumpFamily, name)))
+    for name in ("_level_failure", "forced_levels"):
+        monkeypatch.setattr(witness, name, counted(
+            name, getattr(witness, name)))
     report = verify_bounds(family)
-    assert calls == {"profile_constants": 1, "forced_levels": 1}
+    levels = len(family.k_range)
+    assert calls == {"profile_constants": 1, "level_arguments": levels,
+                     "_level_failure": levels, "forced_levels": 0}
+    assert report.forced_levels == forced_levels(family)
     assert report.lift_obstruction
 
 
