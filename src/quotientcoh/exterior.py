@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
+from operator import ge
 
 MultiIndex = tuple[int, ...]
 
 
 def check_multi_index(m: MultiIndex) -> None:
     """Reject tuples that are not strictly increasing."""
-    if any(a >= b for a, b in zip(m, m[1:])):
+    if any(map(ge, m, m[1:])):
         raise ValueError("multi-index %r is not strictly increasing" % (m,))
 
 

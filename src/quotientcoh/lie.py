@@ -30,7 +30,8 @@ reduction by h.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import NotAnIdeal
@@ -40,6 +41,7 @@ from .record import record
 from .scalars import (
     EchelonBasis,
     ExactMatrix,
+    IntRow,
     RationalLike,
     SparseRow,
     SparseVector,
@@ -110,9 +112,18 @@ class LieAlgebra:
         return cls(dim, ExactMatrix.from_sparse(dim, rows))
 
 
-def _pair_rows(g: LieAlgebra) -> dict[tuple[int, int], SparseRow]:
-    """{(i, j): [e_i, e_j] as sparse (k, c_ij^k) pairs} for every i < j."""
-    return dict(zip(enumerate_basis(g.dim, 2), g.table.sparse_rows))
+def _cleared_brackets(
+    g: LieAlgebra, weight: Sequence[RationalLike]
+) -> tuple[int, dict[tuple[int, int], IntRow], list[int]]:
+    """(D, brackets, w): the least common denominator D of the bracket
+    matrix and the weight, {(i, j): D [e_i, e_j] as (k, int) pairs} for
+    every i < j, and D times the weight."""
+    table = g.table
+    den = lcm(table.den, *(x.denominator for x in weight))
+    scale = den // table.den
+    rows = [tuple((k, c * scale) for k, c in row) for row in table.int_rows]
+    return den, dict(zip(enumerate_basis(g.dim, 2), rows)), [
+        x.numerator * (den // x.denominator) for x in weight]
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -145,7 +156,7 @@ def jacobi_check(
     triple.
     """
     product = ce_differential(g, 2) @ ce_differential(g, 1)
-    for triple, row in zip(enumerate_basis(g.dim, 3), product.sparse_rows):
+    for triple, row in zip(enumerate_basis(g.dim, 3), product.int_rows):
         if row:
             return False, triple
     return True, None
@@ -264,7 +275,7 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     # parent pairs of complement coordinates come in the lexicographic
     # order of their positions, since complement is increasing
     rows = []
-    for (a, b), row in _pair_rows(g).items():
+    for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.sparse_rows):
         if a in position and b in position:
             rows.append({position[k]: x for k, x in h.reduce(row).items()})
     induced = LieAlgebra(
@@ -321,23 +332,25 @@ def ce_differential(
     with eps the sign of wedge_insert (0 when u repeats an index); d^2 = 0
     iff w vanishes on [g, g].  On abelian R^q only the first sum is left:
     left wedge with w, the complex of one torus Fourier mode of weight w.
-    Only index pairs with a nonzero bracket row are visited.
+    Only index pairs with a nonzero bracket row are visited; entries are
+    summed as the integers _cleared_brackets gives.
     """
     n = g.dim
     if weight and len(weight) != n:
         raise ValueError("weight length %d != dim %d" % (len(weight), n))
-    partners: dict[int, dict[int, SparseRow]] = {}
-    for (i, j), bracket in _pair_rows(g).items():
+    den, brackets, w = _cleared_brackets(g, weight)
+    partners: dict[int, dict[int, IntRow]] = {}
+    for (i, j), bracket in brackets.items():
         if bracket:
             partners.setdefault(i, {})[j] = bracket
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
     rows = []
     for jmono in enumerate_basis(n, k + 1):
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for s, i in enumerate(jmono):
-            if weight and weight[i]:
+            if weight and w[i]:
                 col = col_index[jmono[:s] + jmono[s + 1:]]
-                row[col] = row.get(col, 0) + (-1) ** s * weight[i]
+                row[col] = row.get(col, 0) + (-w[i] if s % 2 else w[i])
             with_i = partners.get(i)
             if with_i is None:
                 continue
@@ -346,15 +359,16 @@ def ce_differential(
                 if bracket is None:
                     continue
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
+                sign = -1 if (s + t) % 2 else 1
                 for u, c in bracket:
                     inserted = wedge_insert(u, rest)
                     if inserted is None:
                         continue
                     sign_w, imono = inserted
                     col = col_index[imono]
-                    row[col] = row.get(col, 0) + (-1) ** (s + t) * sign_w * c
+                    row[col] = row.get(col, 0) + sign * sign_w * c
         rows.append(row)
-    return ExactMatrix.from_sparse(len(col_index), rows)
+    return ExactMatrix.from_int_rows(len(col_index), den, rows)
 
 
 def ce_complex(x: AlgebraLike) -> CochainComplex:
@@ -401,9 +415,9 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     The kernel basis of d_k has C(n, k) - rank d_k members, so a single
     nullspace_basis call per degree yields both the rank and the
     candidate cocycles.  Representatives in degree k are those sparse
-    kernel vectors reduced against the span of the columns of d_{k-1}
-    plus the representatives already chosen; exactly betti[k] of them
-    survive.
+    kernel vectors reduced against the image of d_{k-1}, spanned by its
+    rank-many pivot columns, plus the representatives already chosen;
+    exactly betti[k] of them survive.
 
     A non-complex raises ValueError.  checked=True says the caller has
     already found d_squared_violation() to be None, and skips the
@@ -418,16 +432,26 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     ranks = []
     gens_out = []
     monos_out = []
+    kernel: list[SparseRow] = []
     for k in range(n + 1):
+        acc = EchelonBasis()
+        if k:
+            # the pivot columns of d_{k-1} span its image: those that are
+            # no kernel vector's free column, which is its last entry
+            image = {p: {} for p in range(c.d[k - 1].cols)}
+            for v in kernel:
+                del image[v[-1][0]]
+            for i, row in enumerate(c.d[k - 1].int_rows):
+                for j, x in row:
+                    if j in image:
+                        image[j][i] = x
+            for column in image.values():
+                acc.add(column)
         if k < n:
             kernel = nullspace_basis(c.d[k])
             ranks.append(comb(n, k) - len(kernel))
         else:
             kernel = [((0, Fraction(1)),)]  # the top form; d_n = 0
-        acc = EchelonBasis()
-        if k >= 1:
-            for column in c.d[k - 1].columns():
-                acc.add(column)
         chosen = []
         for v in kernel:
             residual = acc.add(v)
@@ -443,19 +467,13 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
 
 def _permutation_sign(seq: Sequence[int]) -> int:
     """(-1) to the number of inversions of seq."""
-    inversions = sum(
-        1
-        for a in range(len(seq))
-        for b in range(a + 1, len(seq))
-        if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def _evaluation_differential(
     g: LieAlgebra, k: int, weight: Sequence[RationalLike]
-) -> list[dict[int, Fraction]]:
-    """The rows of d_k rebuilt from the evaluation formula alone.
+) -> ExactMatrix:
+    """d_k rebuilt from the evaluation formula alone.
 
     Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s of (-1)^s
     w[J_s] e^I(e_{J - J_s}) plus the sum over s < t and u of
@@ -463,17 +481,17 @@ def _evaluation_differential(
     J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
     sorts (u, rest) into I, or 0 when (u, rest) does not list I.  The
     first sum is the action of e_{J_s} on the coefficients, absent when
-    weight is empty.
+    weight is empty.  Entries are summed as _cleared_brackets gives them.
     """
-    brackets = _pair_rows(g)
+    den, brackets, w = _cleared_brackets(g, weight)
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
     rows = []
     for jmono in enumerate_basis(g.dim, k + 1):
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for s in range(k + 1):
             if weight:
                 col = col_index[jmono[:s] + jmono[s + 1:]]
-                row[col] = row.get(col, 0) + (-1) ** s * weight[jmono[s]]
+                row[col] = row.get(col, 0) + (-1) ** s * w[jmono[s]]
             for t in range(s + 1, k + 1):
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
                 for u, c in brackets[jmono[s], jmono[t]]:
@@ -483,8 +501,8 @@ def _evaluation_differential(
                         continue  # u repeats an index of rest
                     value = (-1) ** (s + t) * _permutation_sign(args) * c
                     row[col] = row.get(col, 0) + value
-        rows.append({j: x for j, x in row.items() if x != 0})
-    return rows
+        rows.append(row)
+    return ExactMatrix.from_int_rows(len(col_index), den, rows)
 
 
 def phi_sign_check(c: CochainComplex) -> bool:
@@ -497,9 +515,9 @@ def phi_sign_check(c: CochainComplex) -> bool:
     twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
     = d_k S_k, which matches evaluation on basis vectors against the
     algebraic differential.  Both sides are (-1)^k times D_k and d_k, so
-    the identity holds iff D_k = d_k: the rows are compared directly,
-    entrywise on sparse rows, and the check fails as soon as one entry
-    of one d_k differs from the formula.
+    the identity holds iff D_k = d_k: the two matrices are compared in
+    their normal forms, and the check fails as soon as one entry of one
+    d_k differs from the formula.
     """
     g = c.algebra
     if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
@@ -507,8 +525,6 @@ def phi_sign_check(c: CochainComplex) -> bool:
     for k, dk in enumerate(c.d):
         if (dk.rows, dk.cols) != (comb(g.dim, k + 1), comb(g.dim, k)):
             return False
-        built_rows = _evaluation_differential(g, k, c.weight)
-        for built, row in zip(built_rows, dk.sparse_rows):
-            if built != dict(row):
-                return False
+        if _evaluation_differential(g, k, c.weight) != dk:
+            return False
     return True

@@ -1,11 +1,12 @@
 """Exact scalars and sparse exact linear algebra.
 
 Every rank, kernel and echelon form in this package is exact over the
-rationals, so results are reproducible.  `fractions.Fraction` is the
-interface: matrices hold Fraction entries, and echelon forms, kernel
-vectors and products come back as Fractions.  The arithmetic inside
-runs on Python ints, which avoids the gcd that every Fraction operation
-pays to normalise its result.
+rationals, so results are reproducible.  The arithmetic runs on Python
+ints, which avoids the gcd that every Fraction operation pays to
+normalise its result: `ExactMatrix` stores integer rows over one
+positive denominator, and `fractions.Fraction` appears only at the
+edges: in the `sparse_rows` view, and in the sparse (column, Fraction)
+echelon rows and kernel vectors that callers render or read.
 
 Matrices are row-sparse: `ExactMatrix` keeps, for each row, only its
 nonzero entries as (column, value) pairs in increasing column order.
@@ -16,14 +17,13 @@ nonzeros and the fill-in they create, not to the number of cells.
 Dense rows enter only through `ExactMatrix.from_rows` (job input), and
 the dense view `ExactMatrix.entries` is for tests and the bench tracer.
 
-Integers enter by scaling.  A row times a nonzero constant spans the
-same line, so an elimination may clear each row of its denominators
-separately, and may scale a row again at every step, without changing
-any rank, pivot set, reduced echelon form or kernel.  A product is
-different: D * A @ B = 0 iff A @ B = 0 for a single constant D, but
-scaling the rows of B one by one inserts a diagonal matrix between the
-factors, and A @ diag(s) @ B need not vanish when A @ B does.  So `@`
-clears each operand by one common denominator.
+One denominator per matrix is what keeps products exact.  A row times a
+nonzero constant spans the same line, so an elimination may clear or
+scale each row separately without changing any rank, pivot set,
+reduced echelon form or kernel.  A product is different: D * A @ B = 0
+iff A @ B = 0 for a single constant D, but scaling the rows of B one by
+one inserts a diagonal matrix between the factors, and A @ diag(s) @ B
+need not vanish when A @ B does.
 
 Elimination is incremental.  `EchelonBasis` reduces one sparse row at a
 time against the primitive integer rows it holds, clearing their pivot
@@ -38,9 +38,7 @@ in which rows are eliminated, and of every scaling on the way.  One
 elimination serves both the rank and the kernel of a matrix: the kernel
 basis has cols - rank members, so callers that need both (the cochain
 pipeline, once per differential d_k) call `nullspace_basis` alone and
-read the rank off its length.  Reduced echelon rows and kernel vectors
-come back sparse, as (column, Fraction) pairs, and stay sparse until a
-caller renders them.
+read the rank off its length.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -118,56 +116,69 @@ def parse_ext_scalar(text: str) -> ExtScalar:
 
 SparseRow = tuple[tuple[int, Fraction], ...]
 SparseVector = Union[Mapping[int, Fraction], SparseRow]
-
-_ZERO = Fraction(0)
-
-
-def dense_row(
-    entries: Iterable[tuple[int, Fraction]], width: int
-) -> tuple[Fraction, ...]:
-    """The dense tuple of a sparse row given as (column, value) pairs."""
-    out = [_ZERO] * width
-    for j, x in entries:
-        out[j] = x
-    return tuple(out)
+IntRow = tuple[tuple[int, int], ...]
 
 
 @record
 class ExactMatrix:
-    """Immutable row-sparse matrix with Fraction entries.
+    """Immutable row-sparse rational matrix: integer rows over one denominator.
 
-    sparse_rows[i] lists the nonzero entries of row i as (column, value)
-    pairs in increasing column order, so two matrices are equal iff
-    their fields are.
+    int_rows[i] lists the nonzero entries of row i, times den, as
+    (column, int) pairs in increasing column order.  den is positive and
+    has no common factor with all the numerators, so two matrices are
+    equal iff their fields are.
     """
 
     rows: int
     cols: int
-    sparse_rows: tuple[SparseRow, ...]
+    den: int
+    int_rows: tuple[IntRow, ...]
+
+    def __post_init__(self):
+        den = self.den
+        if den < 1:
+            raise ValueError("denominator must be positive, got %d" % den)
+        for row in self.int_rows:
+            for _, x in row:
+                if den == 1:
+                    return
+                den = gcd(den, x)
+        if den != 1:  # also reached by a zero matrix over den > 1
+            object.__setattr__(self, "den", self.den // den)
+            object.__setattr__(self, "int_rows", tuple(
+                tuple((j, x // den) for j, x in row) for row in self.int_rows
+            ))
 
     @classmethod
-    def from_sparse(
-        cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
-    ) -> "ExactMatrix":
-        """Build from one {column: value} map per row; zeros are dropped."""
-        data = []
-        for row in rows:
-            for j in row:
-                if not 0 <= j < cols:
-                    raise ValueError(
-                        "column %d out of range for width %d" % (j, cols)
-                    )
-            data.append(tuple(
-                (j, Fraction(row[j])) for j in sorted(row) if row[j] != 0
-            ))
-        return cls(len(data), cols, tuple(data))
+    def from_int_rows(cls, cols: int, den: int,
+                      rows: Sequence[Mapping[int, int]]) -> "ExactMatrix":
+        """Build from one {column: numerator} map per row, every value
+        read over den; zeros are dropped."""
+        return cls(len(rows), cols, den, tuple(
+            tuple((j, row[j]) for j in sorted(row) if row[j]) for row in rows
+        ))
+
+    @classmethod
+    def from_sparse(cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
+                    ) -> "ExactMatrix":
+        """Build from one {column: value} map per row, with int or
+        Fraction values cleared by their least common denominator."""
+        outside = [j for row in rows for j in row if not 0 <= j < cols]
+        if outside:
+            raise ValueError("column %d out of range for width %d"
+                             % (outside[0], cols))
+        den = lcm(*{x.denominator for row in rows for x in row.values()})
+        return cls.from_int_rows(cols, den, [
+            {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for row in rows
+        ])
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Iterable[RationalLike]], cols: int | None = None
     ) -> "ExactMatrix":
-        """Build from dense rows."""
-        data = [tuple(Fraction(x) for x in r) for r in rows]
+        """Build from dense rows of ints or Fractions."""
+        data = [dict(enumerate(r)) for r in rows]
         if cols is None:
             if not data:
                 raise ValueError("cannot infer width of a matrix with no rows")
@@ -175,79 +186,47 @@ class ExactMatrix:
         for r in data:
             if len(r) != cols:
                 raise ValueError("ragged rows: %d != %d" % (len(r), cols))
-        return cls(len(data), cols, tuple(
-            tuple((j, x) for j, x in enumerate(r) if x != 0) for r in data
-        ))
+        return cls.from_sparse(cols, data)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, ((),) * rows)
+        return cls(rows, cols, 1, ((),) * rows)
+
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """The rows as (column, Fraction) pairs, built on first access:
+        a view for callers that render, reduce a Subspace, or test."""
+        den = self.den
+        return tuple(tuple((j, Fraction(x, den)) for j, x in row)
+                     for row in self.int_rows)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense rows, built on each access."""
-        return tuple(dense_row(row, self.cols) for row in self.sparse_rows)
-
-    @cached_property
-    def _cleared(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(D, D * sparse_rows): the least common denominator D of the
-        entries, and the integer rows it gives, as (column, int) pairs.
-
-        Built on first access and kept, so a differential that takes
-        part in two products and an elimination is converted once.
-        """
-        rows = self.sparse_rows
-        den = lcm(*{x.denominator for row in rows for _, x in row})
-        if den == 1:
-            return 1, tuple(
-                tuple((j, x.numerator) for j, x in row) for row in rows
-            )
-        return den, tuple(
-            tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
-            for row in rows
-        )
+        zero = Fraction(0)
+        return tuple(tuple(dict(row).get(j, zero) for j in range(self.cols))
+                     for row in self.sparse_rows)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The exact product, computed on integers.
-
-        Each operand is cleared by one common denominator, D_self and
-        D_other, the integer product is formed, and its nonzero entries
-        come back as Fractions over D_self * D_other.  A single scale
-        per matrix is what keeps zero tests exact: scaling the rows of
-        the right factor one by one would multiply by a diagonal matrix
-        between the two factors, and d_{k+1} diag(s) d_k need not
-        vanish when d_{k+1} d_k does.
-        """
+        """The exact product: the integer rows multiplied, over the
+        product of the two denominators, then normalised."""
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        left_den, left = self._cleared
-        right_den, right = other._cleared
-        den = left_den * right_den
+        right = other.int_rows
         out = []
-        for row in left:
+        for row in self.int_rows:
             acc: dict[int, int] = {}
             for j, a in row:
                 for col, b in right[j]:
                     acc[col] = acc.get(col, 0) + a * b
-            out.append(tuple(
-                (col, Fraction(acc[col], den)) for col in sorted(acc)
-                if acc[col]
-            ))
-        return ExactMatrix(self.rows, other.cols, tuple(out))
-
-    def columns(self) -> list[dict[int, Fraction]]:
-        """Every column as a sparse {row: value} map."""
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, x in row:
-                out[j][i] = x
-        return out
+            out.append(acc)
+        return ExactMatrix.from_int_rows(other.cols, self.den * other.den, out)
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self.int_rows)
 
 
 def _make_primitive(w: dict[int, int]) -> dict[int, int]:
@@ -296,10 +275,7 @@ class EchelonBasis:
         first multiplied by the least common denominator of its entries.
         """
         w = dict(v)
-        den = 1
-        for x in w.values():
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
+        den = lcm(*{x.denominator for x in w.values()})
         for j, x in w.items():
             w[j] = x.numerator * (den // x.denominator)
         return self._residual(w)
@@ -359,11 +335,10 @@ class EchelonBasis:
 
 
 def _echelon(mat: ExactMatrix) -> EchelonBasis:
-    """The rows of mat absorbed in order.  They enter as the integer rows
-    of mat._cleared, all scaled by the one denominator, which changes no
-    span."""
+    """The integer rows of mat absorbed in order: all are scaled by the
+    one denominator, which changes no span."""
     basis = EchelonBasis()
-    for row in mat._cleared[1]:
+    for row in mat.int_rows:
         w = basis._residual(dict(row))
         if w:
             basis.rows[min(w)] = w

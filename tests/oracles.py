@@ -6,7 +6,9 @@ minors, a dense n x n x n structure-constant cube read off the bracket
 matrix, the bilinear bracket, ideal test and quotient table over that
 cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
-evaluation of monomials, the Jacobiator as a cyclic sum over that cube,
+evaluation of monomials, cohomology representatives reduced against
+Gauss-Jordan rows of every column of the previous differential, the
+Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, the bump's derivative
 polynomials expanded in x and evaluated exactly, at every point of a
 grid for the grid sups, and the torus mode classes grouped from every
@@ -229,6 +231,44 @@ def ce_matrix_bruteforce(g: LieAlgebra, k: int, weight=()):
     return [
         [ce_entry_bruteforce(g, cm, rm, weight) for cm in cols] for rm in rows
     ]
+
+
+def naive_generators(d, n):
+    """Representative cocycles per degree of a complex of exterior powers
+    of R^n, given its differentials as dense rows.
+
+    The kernel of d_k is read off its Gauss-Jordan form: one vector per
+    free column, 1 there and minus that column of each reduced row at
+    the row's pivot.  Each kernel vector in turn is reduced against the
+    Gauss-Jordan rows of every column of d_{k-1} plus the
+    representatives already kept, and kept, scaled to lead 1, when
+    something is left.
+    """
+    out = []
+    for k in range(n + 1):
+        width = math.comb(n, k)
+        if k < n:
+            rows, pivots = naive_rref(d[k], width)
+            kernel = []
+            for f in (c for c in range(width) if c not in pivots):
+                v = [Fraction(int(c == f)) for c in range(width)]
+                for row, p in zip(rows, pivots):
+                    v[p] = -row[f]
+                kernel.append(v)
+        else:
+            kernel = [[Fraction(1)]]
+        span = [list(col) for col in zip(*d[k - 1])] if k else []
+        kept = []
+        basis, pivots = naive_rref(span, width)
+        for v in kernel:
+            for row, p in zip(basis, pivots):
+                v = [x - v[p] * y for x, y in zip(v, row)]
+            lead = next((x for x in v if x != 0), None)
+            if lead is not None:
+                kept.append([x / lead for x in v])
+                basis, pivots = naive_rref(span + kept, width)
+        out.append([tuple(v) for v in kept])
+    return out
 
 
 def invert_fraction_matrix(rows):

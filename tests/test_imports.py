@@ -1,11 +1,12 @@
 """No pipeline starts with numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
 time, only scalars builds dense rows, no module imports another's
-private names, the names the bench tracer wraps still resolve, and the
-test oracles import no production check.
+private names, the names the bench tracer wraps still resolve, the
+test oracles import no production check, and the differentials and
+their certificates build no Fraction per entry.
 
-Each check runs in a fresh interpreter, since this test process has
-long since imported both libraries for other tests.
+The import checks run in a fresh interpreter, since this test process
+has long since imported both libraries for other tests.
 """
 
 from __future__ import annotations
@@ -222,3 +223,32 @@ def test_oracles_import_no_production_check():
               and node.module.split(".")[0] == "quotientcoh"):
             imported |= {a.name for a in node.names}
     assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS
+
+
+def test_differentials_and_their_certificates_build_no_fraction(monkeypatch):
+    # every Fraction the exact core builds goes through the name
+    # Fraction that scalars or lie binds; count those constructions
+    from fractions import Fraction
+
+    from quotientcoh import lie, scalars
+    from quotientcoh.torus import build_mode_complex, koszul_certificate
+
+    from oracles import filiform
+
+    g = filiform(8)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(scalars, "Fraction", counted)
+    monkeypatch.setattr(lie, "Fraction", counted)
+    c = lie.ce_complex(g)
+    assert c.d_squared_violation() is None
+    for w in ((1, 0, 0), (2, -3, 0, 1)):
+        assert koszul_certificate(w, build_mode_complex(w)).ok
+    assert built == []
+    # the counter sees the Fraction view and the generators
+    assert c.d[1].sparse_rows and lie.betti(c, checked=True).generators
+    assert built

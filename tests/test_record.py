@@ -88,7 +88,8 @@ def test_post_init_normalises_and_cached_property_caches():
     s = ExtScalar(1, 2)
     assert type(s.rat) is Fraction and type(s.irr) is Fraction
     m = ExactMatrix.from_rows([[Fraction(1, 2), 1]])
-    assert m._cleared is m._cleared == (2, (((0, 1), (1, 2)),))
+    assert (m.den, m.int_rows) == (2, (((0, 1), (1, 2)),))
+    assert m.sparse_rows is m.sparse_rows
 
 
 def test_replace_rebuilds_through_init():
