@@ -60,8 +60,10 @@ _FORMATS = ("table", "json", "csv")
 # a float.
 MAX_DERIVATIVE_ORDER = 16
 # Most witness grid points a job may ask for, samples_per_interval times
-# the number of levels: forced_levels reads every order-0 sample of every
-# level in pure Python, and 2e6 points take about a second on a 2-core VM.
+# the number of levels.  The cap bounds time: forced_levels reads every
+# order-0 sample of every level in pure Python, and 2e6 points take about
+# a second on a 2-core VM.  Memory no longer grows with the grid, since
+# the grids are computed on demand and the scan streams them in blocks.
 MAX_GRID_POINTS = 2_000_000
 
 

@@ -47,23 +47,31 @@ S_(m+1) on (0, 1/4] are isolated once per order by an integer Sturm
 chain bisected at dyadic points (sturm.root_brackets, imported only
 when a family is built), mapped to x on (0, 1/2] and mirrored by
 x -> 1 - x, with each float end checked exactly against its rational
-bracket (critical_brackets); x = 1/2 joins them when m + 1 is odd.  peak_candidates then picks the grid ends and
-the points in or next to each bracket by bisection, and phi^(m) is
-evaluated only there.  forced_levels still reads every order-0 sample
-of every level.
+bracket (critical_brackets); x = 1/2 joins them when m + 1 is odd.
+peak_candidates then picks the grid ends and the points in or next to
+each bracket by bisection, and phi^(m) is evaluated only there.
+
+No grid is stored.  s_grid and level_arguments return a Grid, which
+computes a point when it is read, so finding the candidates
+materialises only the candidates.  forced_levels still reads every
+order-0 sample of every level, but it streams them: the unit grid is
+cut into blocks of BLOCK_POINTS, and each block is mapped to every
+level and evaluated there by one phi_derivative call.  The memory of a
+witness job is therefore bounded by the block size, not by the grid;
+the grid cap (config.MAX_GRID_POINTS) bounds its time.
 
 This is the only module that computes with floats, all of it in plain
 Python floats and the math module.  Everything it certifies is either
 an interval statement checked with Fractions or a bound with an
-explicit relative slack; a non-finite sup, bound or profile constant
-raises NonFiniteValue instead of passing a comparison.
+explicit relative slack; a non-finite sup, bound, profile constant or
+order-0 level sample raises NonFiniteValue instead of passing a
+comparison.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from math import exp, inf, isfinite, log, nextafter, sqrt
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
@@ -71,14 +79,64 @@ from .exterior import enumerate_basis
 from .record import record
 
 RELATIVE_SLACK = 1e-9
+# Unit-grid points the forced-level check maps to every level at once:
+# the scan holds one block of unit points, of level points and of
+# values, never a list the size of a level.
+BLOCK_POINTS = 4096
 
 
 class Points(tuple):
-    """Sample points: a tuple that also answers to ``size``, the point
-    count a caller timing phi_derivative reads (perfbench/tracer.py)."""
+    """Points phi_derivative is evaluated at, held at once: the peak
+    candidates of a grid, or one block of a level scan.  A tuple that
+    also answers to ``size``, the point count a caller timing
+    phi_derivative reads (perfbench/tracer.py)."""
 
     __slots__ = ()
     size = property(len)
+
+
+class Grid:
+    """The ascending sample points (left + width * x - left) * scale at the
+    points x = i / n1, i = 1, ..., n1 - 1, of the unit grid, computed when
+    read instead of stored.
+
+    With the defaults every x maps to itself: that is the unit grid.  An
+    index gives one float, a slice gives the Points it covers, and
+    iteration yields the points in order; ``size`` is the point count,
+    as on Points.
+    """
+
+    __slots__ = ("n1", "left", "width", "scale")
+
+    def __init__(self, n1: int, left: float = 0.0, width: float = 1.0,
+                 scale: float = 1.0):
+        self.n1 = n1
+        self.left = left
+        self.width = width
+        self.scale = scale
+
+    def __len__(self) -> int:
+        return self.n1 - 1
+
+    size = property(__len__)
+
+    def __getitem__(self, index):
+        i = range(1, self.n1)[index]
+        if isinstance(i, range):
+            n1 = self.n1
+            return self.image([j / n1 for j in i])
+        # image at one point, without building Points
+        x = i / self.n1
+        return (self.left + self.width * x - self.left) * self.scale
+
+    def __iter__(self):
+        for start in range(0, len(self), BLOCK_POINTS):
+            yield from self[start:start + BLOCK_POINTS]
+
+    def image(self, xs) -> Points:
+        """The points of this grid at the unit-grid points xs."""
+        left, width, scale = self.left, self.width, self.scale
+        return Points([(left + width * x - left) * scale for x in xs])
 
 
 def interval(k: int) -> tuple[Fraction, Fraction]:
@@ -193,6 +251,26 @@ def _sup_abs(values) -> float:
     return top
 
 
+def _insertion(find, grid, x: float) -> int:
+    """find(grid, x), for find bisect_left or bisect_right and any
+    ascending grid of n points.
+
+    The points of every grid here lie near (i + 1) / (n + 1), so the
+    search runs first in the four points around x's place on that
+    uniform grid, which reads two or three points of a Grid instead of
+    about log2(n).  An answer at an inner edge of the window may lie
+    outside it, and is searched again over the whole grid.
+    """
+    n = len(grid)
+    guess = int(x * (n + 1))
+    lo, hi = max(guess - 2, 0), min(guess + 2, n)
+    if lo < hi:
+        i = find(grid, x, lo, hi)
+        if (lo < i or lo == 0) and (i < hi or hi == n):
+            return i
+    return find(grid, x)
+
+
 def _level_scale(k: int, order: int) -> float:
     """exp(-k^2) * 2^(2k*order), the factor f_k^(order) carries over
     phi^(order); inf when the power of two overflows a float."""
@@ -218,14 +296,10 @@ class BumpFamily:
     _polys: tuple[tuple[int, ...], ...]
     _brackets: tuple[tuple[tuple[float, float], ...], ...]
 
-    @cached_property
-    def _s(self) -> Points:
-        n1 = self.samples_per_interval + 1
-        return Points([i / n1 for i in range(1, n1)])
-
-    def s_grid(self) -> Points:
-        """Interior sample points of the unit interval, ascending."""
-        return self._s
+    def s_grid(self) -> Grid:
+        """Interior sample points i / n1 of the unit interval, ascending,
+        with n1 = samples_per_interval + 1."""
+        return Grid(self.samples_per_interval + 1)
 
     def phi_derivative(self, order: int, s) -> list[float]:
         """phi^(order) at the points s of (0, 1).
@@ -262,12 +336,20 @@ class BumpFamily:
         so the grid points there peak at their outermost two.
         """
         n = len(grid)
-        picked = {0, n - 1}
+        ranges = [(0, 1)]
         for lo, hi in self._brackets[order]:
-            first = bisect_left(grid, lo)
-            last = bisect_right(grid, hi)
-            picked.update(range(max(first - 1, 0), min(last + 1, n)))
-        return Points([grid[i] for i in sorted(picked)])
+            ranges.append((max(_insertion(bisect_left, grid, lo) - 1, 0),
+                         min(_insertion(bisect_right, grid, hi) + 1, n)))
+        ranges.append((n - 1, n))
+        # the index ranges start in ascending order; merge the ones that
+        # touch, and take each merged range as one slice of the grid
+        spans = []
+        for first, last in ranges:
+            if spans and first <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], last)
+            else:
+                spans.append([first, last])
+        return Points([x for first, last in spans for x in grid[first:last]])
 
     def grid_sup(self, order: int, grid) -> float:
         """max |phi^(order)| over the ascending grid, NaN if a value
@@ -282,9 +364,9 @@ class BumpFamily:
             self.grid_sup(m, s) for m in range(self.max_derivative_order + 1)
         )
 
-    def level_arguments(self, k: int) -> Points:
+    def level_arguments(self, k: int) -> Grid:
         """The unit-interval preimages of the level-k sample points,
-        ascending.
+        ascending, as a Grid.
 
         t = 2^-k + 2^-2k * s rounds once; t - 2^-k is then exact
         (the two floats are within a factor of two), so mapping back
@@ -306,8 +388,7 @@ class BumpFamily:
                 "level %d lies below float resolution: its sample points "
                 "round onto the ends of I_%d" % (k, k)
             )
-        scale = 2.0 ** (2 * k)
-        return Points([(left + width * x - left) * scale for x in s])
+        return Grid(s.n1, left, width, 2.0 ** (2 * k))
 
     def bump_values(self, k: int, order: int = 0, s=None) -> list[float]:
         """Samples of f_k^(order) at the level-k preimages s, by default
@@ -393,14 +474,13 @@ def _sup_tables(
 ) -> tuple[dict[str, dict[tuple[int, int], tuple[float, float]]], list[str]]:
     """measured and bound for both families at every (k, m), and why
     each level that forced_levels would refuse fails, read off the same
-    level grid."""
+    level grids."""
     out: dict[str, dict[tuple[int, int], tuple[float, float]]] = {
         "f": {}, "scaled": {}
     }
-    failures = []
-    for k in b.k_range:
-        grid = b.level_arguments(k)
-        failures.append(_level_failure(b, k, grid))
+    grids = {k: b.level_arguments(k) for k in b.k_range}
+    failures = _level_failures(b, grids)
+    for k, grid in grids.items():
         for m in range(b.max_derivative_order + 1):
             picked = b.peak_candidates(m, grid)
             measured = _sup_abs(b.bump_values(k, m, picked))
@@ -408,24 +488,48 @@ def _sup_tables(
             out["f"][(k, m)] = (measured, bound)
             # the rescaled family 2^k f_k; the factor is exact in floats
             out["scaled"][(k, m)] = (2.0 ** k * measured, 2.0 ** k * bound)
-    return out, [f for f in failures if f]
+    return out, failures
 
 
-def _level_failure(b: BumpFamily, k: int, grid) -> str | None:
-    """Why level k cannot be read off the ratio of the two families on
-    its grid, or None when it can."""
-    scale = 2.0 ** k
-    level = _level_scale(k, 0)
-    # the samples of f_k, as bump_values(k, 0, grid) gives them, without
-    # holding a second list of them
-    samples = (level * v for v in b.phi_derivative(0, grid))
-    ratios = {scale * a / a for a in samples if a > 0.0}
-    if not ratios:
-        return ("no positive samples at level %d: the grid is too coarse "
-                "or exp(-k^2) underflows" % k)
-    if ratios != {scale}:
-        return "the two families fail to have exact ratio 2^%d" % k
-    return None
+def _level_failures(b: BumpFamily, grids: dict[int, Grid]) -> list[str]:
+    """Why each level k of grids, level -> its level_arguments, cannot be
+    read off the ratio of the two families, for the levels that cannot.
+
+    The unit grid is read in blocks of BLOCK_POINTS.  Each block is
+    mapped to every level and evaluated there by one phi_derivative
+    call, so every point of every level is read while each unit point
+    i / n1 is computed once.  A NaN or infinite sample raises
+    NonFiniteValue: a > 0.0 is false for NaN, so the ratio test alone
+    would skip it.
+    """
+    n1 = b.samples_per_interval + 1
+    ratios: dict[int, set[float]] = {k: set() for k in grids}
+    for start in range(1, n1, BLOCK_POINTS):
+        xs = [i / n1 for i in range(start, min(start + BLOCK_POINTS, n1))]
+        for k, grid in grids.items():
+            scale = 2.0 ** k
+            level = _level_scale(k, 0)
+            values = b.phi_derivative(0, grid.image(xs))
+            # a sum of finite samples can only overflow, which the search
+            # below then clears; a NaN or an inf always reaches the sum
+            if not isfinite(sum(values)):
+                for v in values:
+                    if not isfinite(v):
+                        raise NonFiniteValue(
+                            "order-0 sample of f at level k=%d" % k,
+                            level * v)
+            # the samples of f_k, as bump_values(k, 0, grid) gives them
+            ratios[k] |= {scale * a / a for v in values
+                          if (a := level * v) > 0.0}
+    failures = []
+    for k, found in ratios.items():
+        if not found:
+            failures.append("no positive samples at level %d: the grid is "
+                            "too coarse or exp(-k^2) underflows" % k)
+        elif found != {2.0 ** k}:
+            failures.append("the two families fail to have exact ratio 2^%d"
+                            % k)
+    return failures
 
 
 def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
@@ -438,10 +542,10 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
     with no positive sample, or with an inexact ratio, raises
     LevelNotRecovered.
     """
-    for k in b.k_range:
-        failure = _level_failure(b, k, b.level_arguments(k))
-        if failure:
-            raise LevelNotRecovered(failure)
+    failures = _level_failures(
+        b, {k: b.level_arguments(k) for k in b.k_range})
+    if failures:
+        raise LevelNotRecovered(failures[0])
     return tuple((k, k) for k in b.k_range)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,10 +240,10 @@ def test_profile_constants_stay_within_the_stated_error_up_to_order_16(
 
 
 def test_verify_bounds_does_level_work_once(monkeypatch, family):
-    # the profile constants once, and per level one grid, read by both
-    # the sup tables and the forced-level check
+    # the profile constants once, per level one grid, read by both the
+    # sup tables and the forced-level check, and one scan of all levels
     calls = {"profile_constants": 0, "level_arguments": 0,
-             "_level_failure": 0, "forced_levels": 0}
+             "_level_failures": 0, "forced_levels": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -253,13 +254,13 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
     for name in ("profile_constants", "level_arguments"):
         monkeypatch.setattr(BumpFamily, name, counted(
             name, getattr(BumpFamily, name)))
-    for name in ("_level_failure", "forced_levels"):
+    for name in ("_level_failures", "forced_levels"):
         monkeypatch.setattr(witness, name, counted(
             name, getattr(witness, name)))
     report = verify_bounds(family)
     levels = len(family.k_range)
     assert calls == {"profile_constants": 1, "level_arguments": levels,
-                     "_level_failure": levels, "forced_levels": 0}
+                     "_level_failures": 1, "forced_levels": 0}
     assert report.forced_levels == forced_levels(family)
     assert report.lift_obstruction
 
@@ -546,3 +547,101 @@ def test_an_overflowing_exponential_fails_closed():
     assert not math.isfinite(fam.phi_derivative(90, [0.01])[0])
     with pytest.raises(NonFiniteValue, match="profile constant C_8[6-9]"):
         verify_bounds(fam)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_level_blocks_are_the_whole_level_list(n):
+    # the forced-level scan hands phi_derivative one block per level in
+    # turn; joined per level, the blocks are the whole level grid bit for
+    # bit, with no point skipped or repeated
+    seen = []
+
+    class Recording(BumpFamily):
+        def phi_derivative(self, order, s):
+            assert order == 0 and isinstance(s, witness.Points)
+            seen.append(s)
+            return super().phi_derivative(order, s)
+
+    levels = (2, 3)
+    fam = _recast(Recording, build_bumps(levels, max_derivative_order=0,
+                                         samples_per_interval=n))
+    assert forced_levels(fam) == ((2, 2), (3, 3))
+    blocks = -(-n // witness.BLOCK_POINTS)
+    assert len(seen) == blocks * len(levels)
+    assert {s.size for s in seen[:-len(levels)]} <= {witness.BLOCK_POINTS}
+    unit = [i / (n + 1) for i in range(1, n + 1)]
+    for j, k in enumerate(levels):
+        whole = _level_grid(k, unit)
+        assert len(whole) == n
+        joined = [x.hex() for s in seen[j::len(levels)] for x in s]
+        assert joined == [x.hex() for x in whole], (n, k)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_grid_indexing_matches_its_list(n):
+    fam = build_bumps([3], max_derivative_order=0, samples_per_interval=n)
+    for grid in (fam.s_grid(), fam.level_arguments(3)):
+        full = list(grid)
+        assert len(full) == len(grid) == grid.size == n
+        for i in (0, 1, 4094, n - 1, -1, -2, -4095, -n):
+            assert grid[i].hex() == full[i].hex(), i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                grid[i]
+        for part in (slice(None), slice(4090, 4100), slice(-5, None),
+                     slice(None, -4096), slice(3, n, 7), slice(None, None, -1),
+                     slice(-1, -9, -3), slice(n, None), slice(5, 2)):
+            got = grid[part]
+            assert isinstance(got, witness.Points)
+            assert [x.hex() for x in got] == [x.hex() for x in full[part]]
+    unit = [i / (n + 1) for i in range(1, n + 1)]
+    assert list(fam.s_grid()) == unit
+    assert list(fam.level_arguments(3)) == _level_grid(3, unit)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_bad_order0_level_sample_fails_closed(value):
+    # a > 0.0 is false for NaN, so a ratio test alone would skip this
+    # sample.  It sits in the last block of the last level, at no peak
+    # candidate of any order and on no other level, so only the
+    # forced-level scan reads it
+    base = build_bumps([2, 3, 4], max_derivative_order=2,
+                       samples_per_interval=5001)
+    grid = base.level_arguments(4)
+    others = set(base.level_arguments(2)) | set(base.level_arguments(3))
+    index = next(i for i in range(len(grid) - 100, 0, -1)
+                 if grid[i] not in others)
+    target = grid[index]
+    assert index >= witness.BLOCK_POINTS
+    assert all(target not in base.peak_candidates(m, g)
+               for m in range(3) for g in (grid, base.s_grid()))
+
+    class BadSample(BumpFamily):
+        def phi_derivative(self, order, s):
+            out = super().phi_derivative(order, s)
+            if order == 0:
+                out = [value if x == target else v for x, v in zip(s, out)]
+            return out
+
+    bad = _recast(BadSample, base)
+    for check in (verify_bounds, forced_levels):
+        with pytest.raises(NonFiniteValue,
+                           match="order-0 sample of f at level k=4 "):
+            check(bad)
+
+
+def test_verify_bounds_memory_does_not_grow_with_the_grid():
+    # one block of unit points, of level points and of values is about
+    # 3 * 32 * BLOCK_POINTS bytes; a list of the 40,001 points of a level
+    # alone is over 1.2 MB
+    peaks = []
+    for n in (2001, 40001):
+        fam = build_bumps([2, 3, 4, 5], max_derivative_order=2,
+                          samples_per_interval=n)
+        tracemalloc.start()
+        try:
+            verify_bounds(fam)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 100 * witness.BLOCK_POINTS, peaks
