@@ -392,8 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read input: %s" % (PROG, exc), file=sys.stderr)
         return 1
     try:

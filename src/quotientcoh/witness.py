@@ -53,19 +53,24 @@ each bracket by bisection, and phi^(m) is evaluated only there.
 
 No grid is stored.  s_grid and level_arguments return a Grid, which
 computes a point when it is read, so finding the candidates
-materialises only the candidates.  forced_levels still reads every
-order-0 sample of every level, but it streams them: the unit grid is
-cut into blocks of BLOCK_POINTS, and each block is mapped to every
-level and evaluated there by one phi_derivative call.  The memory of a
-witness job is therefore bounded by the block size, not by the grid;
-the grid cap (config.MAX_GRID_POINTS) bounds its time.
+materialises only the candidates, and neither the time nor the memory
+of verify_bounds grows with the grid.
+
+The level k is read off the ratio of the two families: beta / alpha
+for alpha = f_k and beta = 2^k f_k.  In floats that ratio is 2^k at
+every alpha > 0 as an identity of the construction, since scaling a
+finite positive float by a power of two is exact short of overflow and
+the division is correctly rounded; it is not checked again at run time.
+What can fail is that a level has no positive sample at all, when
+exp(-k^2) * phi underflows.  The largest sample of f_k is among the
+order-0 peak candidates, so that is read off the order-0 sup of the
+level, which the sup tables hold anyway.
 
 This is the only module that computes with floats, all of it in plain
 Python floats and the math module.  Everything it certifies is either
 an interval statement checked with Fractions or a bound with an
-explicit relative slack; a non-finite sup, bound, profile constant or
-order-0 level sample raises NonFiniteValue instead of passing a
-comparison.
+explicit relative slack; a non-finite sup, bound or profile constant
+raises NonFiniteValue instead of passing a comparison.
 """
 
 from __future__ import annotations
@@ -79,17 +84,13 @@ from .exterior import enumerate_basis
 from .record import record
 
 RELATIVE_SLACK = 1e-9
-# Unit-grid points the forced-level check maps to every level at once:
-# the scan holds one block of unit points, of level points and of
-# values, never a list the size of a level.
-BLOCK_POINTS = 4096
 
 
 class Points(tuple):
     """Points phi_derivative is evaluated at, held at once: the peak
-    candidates of a grid, or one block of a level scan.  A tuple that
-    also answers to ``size``, the point count a caller timing
-    phi_derivative reads (perfbench/tracer.py)."""
+    candidates of a grid, or a slice of a Grid.  A tuple that also
+    answers to ``size``, the point count a caller timing phi_derivative
+    reads (perfbench/tracer.py)."""
 
     __slots__ = ()
     size = property(len)
@@ -101,9 +102,8 @@ class Grid:
     read instead of stored.
 
     With the defaults every x maps to itself: that is the unit grid.  An
-    index gives one float, a slice gives the Points it covers, and
-    iteration yields the points in order; ``size`` is the point count,
-    as on Points.
+    index gives one float and a slice gives the Points it covers;
+    ``size`` is the point count, as on Points.
     """
 
     __slots__ = ("n1", "left", "width", "scale")
@@ -122,21 +122,11 @@ class Grid:
 
     def __getitem__(self, index):
         i = range(1, self.n1)[index]
+        n1, left, width, scale = self.n1, self.left, self.width, self.scale
         if isinstance(i, range):
-            n1 = self.n1
-            return self.image([j / n1 for j in i])
-        # image at one point, without building Points
-        x = i / self.n1
-        return (self.left + self.width * x - self.left) * self.scale
-
-    def __iter__(self):
-        for start in range(0, len(self), BLOCK_POINTS):
-            yield from self[start:start + BLOCK_POINTS]
-
-    def image(self, xs) -> Points:
-        """The points of this grid at the unit-grid points xs."""
-        left, width, scale = self.left, self.width, self.scale
-        return Points([(left + width * x - left) * scale for x in xs])
+            return Points([(left + width * (j / n1) - left) * scale
+                           for j in i])
+        return (left + width * (i / n1) - left) * scale
 
 
 def interval(k: int) -> tuple[Fraction, Fraction]:
@@ -469,67 +459,49 @@ class WitnessReport:
     relative_slack: float = RELATIVE_SLACK
 
 
+def _level_sup(b: BumpFamily, k: int, order: int, grid: Grid) -> float:
+    """max |f_k^(order)| over the level-k grid, read at its peak
+    candidates."""
+    return _sup_abs(b.bump_values(k, order, b.peak_candidates(order, grid)))
+
+
 def _sup_tables(
     b: BumpFamily, constants: tuple[float, ...]
-) -> tuple[dict[str, dict[tuple[int, int], tuple[float, float]]], list[str]]:
-    """measured and bound for both families at every (k, m), and why
-    each level that forced_levels would refuse fails, read off the same
-    level grids."""
+) -> dict[str, dict[tuple[int, int], tuple[float, float]]]:
+    """measured and bound for both families at every (k, m)."""
     out: dict[str, dict[tuple[int, int], tuple[float, float]]] = {
         "f": {}, "scaled": {}
     }
-    grids = {k: b.level_arguments(k) for k in b.k_range}
-    failures = _level_failures(b, grids)
-    for k, grid in grids.items():
+    for k in b.k_range:
+        grid = b.level_arguments(k)
         for m in range(b.max_derivative_order + 1):
-            picked = b.peak_candidates(m, grid)
-            measured = _sup_abs(b.bump_values(k, m, picked))
+            measured = _level_sup(b, k, m, grid)
             bound = constants[m] * _level_scale(k, m)
             out["f"][(k, m)] = (measured, bound)
             # the rescaled family 2^k f_k; the factor is exact in floats
             out["scaled"][(k, m)] = (2.0 ** k * measured, 2.0 ** k * bound)
-    return out, failures
+    return out
 
 
-def _level_failures(b: BumpFamily, grids: dict[int, Grid]) -> list[str]:
-    """Why each level k of grids, level -> its level_arguments, cannot be
-    read off the ratio of the two families, for the levels that cannot.
+def _recovered_levels(
+    order0_sups: dict[int, float]
+) -> tuple[tuple[int, int], ...]:
+    """The pairs (k, k) for the levels of order0_sups, level -> max f_k
+    over the level grid.
 
-    The unit grid is read in blocks of BLOCK_POINTS.  Each block is
-    mapped to every level and evaluated there by one phi_derivative
-    call, so every point of every level is read while each unit point
-    i / n1 is computed once.  A NaN or infinite sample raises
-    NonFiniteValue: a > 0.0 is false for NaN, so the ratio test alone
-    would skip it.
+    A level whose sup is not positive has no positive sample, so no
+    ratio to read the level off: it raises LevelNotRecovered.  The
+    finiteness test comes first, since NaN > 0.0 is false and inf > 0.0
+    is true; a NaN or infinite sup raises NonFiniteValue.
     """
-    n1 = b.samples_per_interval + 1
-    ratios: dict[int, set[float]] = {k: set() for k in grids}
-    for start in range(1, n1, BLOCK_POINTS):
-        xs = [i / n1 for i in range(start, min(start + BLOCK_POINTS, n1))]
-        for k, grid in grids.items():
-            scale = 2.0 ** k
-            level = _level_scale(k, 0)
-            values = b.phi_derivative(0, grid.image(xs))
-            # a sum of finite samples can only overflow, which the search
-            # below then clears; a NaN or an inf always reaches the sum
-            if not isfinite(sum(values)):
-                for v in values:
-                    if not isfinite(v):
-                        raise NonFiniteValue(
-                            "order-0 sample of f at level k=%d" % k,
-                            level * v)
-            # the samples of f_k, as bump_values(k, 0, grid) gives them
-            ratios[k] |= {scale * a / a for v in values
-                          if (a := level * v) > 0.0}
-    failures = []
-    for k, found in ratios.items():
-        if not found:
-            failures.append("no positive samples at level %d: the grid is "
-                            "too coarse or exp(-k^2) underflows" % k)
-        elif found != {2.0 ** k}:
-            failures.append("the two families fail to have exact ratio 2^%d"
-                            % k)
-    return failures
+    for k, sup in order0_sups.items():
+        if not isfinite(sup):
+            raise NonFiniteValue("order-0 sup of f at level k=%d" % k, sup)
+        if not sup > 0.0:
+            raise LevelNotRecovered(
+                "no positive samples at level %d: the grid is too coarse "
+                "or exp(-k^2) underflows" % k)
+    return tuple((k, k) for k in order0_sups)
 
 
 def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
@@ -537,16 +509,13 @@ def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
 
     With alpha = f_k and beta = 2^k f_k, beta/alpha is the constant 2^k
     wherever alpha > 0, exactly in floating point since the scale is a
-    power of two.  Every positive order-0 sample of every level is
-    checked.  The returned pairs are (k, recovered level).  A level
-    with no positive sample, or with an inexact ratio, raises
-    LevelNotRecovered.
+    power of two (the module docstring says why that needs no run-time
+    check).  The returned pairs are (k, recovered level).  A level with
+    no positive sample raises LevelNotRecovered, read off the order-0
+    sup of the level.
     """
-    failures = _level_failures(
-        b, {k: b.level_arguments(k) for k in b.k_range})
-    if failures:
-        raise LevelNotRecovered(failures[0])
-    return tuple((k, k) for k in b.k_range)
+    return _recovered_levels({
+        k: _level_sup(b, k, 0, b.level_arguments(k)) for k in b.k_range})
 
 
 def _levels_differ(forced: tuple[tuple[int, int], ...]) -> bool:
@@ -575,14 +544,16 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
     BoundViolated: the bounds are identities of the construction, so
     that can only mean an implementation bug.  A NaN or infinite
     profile constant, sup or bound raises NonFiniteValue, since no
-    comparison with it means anything.  Monotonicity breaks are not
-    errors; they are facts of the family and land in the report.
+    comparison with it means anything.  A level with no positive
+    sample raises LevelNotRecovered, after every bound is checked.
+    Monotonicity breaks are not errors; they are facts of the family
+    and land in the report.
     """
     constants = b.profile_constants()
     for m, c in enumerate(constants):
         if not isfinite(c):
             raise NonFiniteValue("profile constant C_%d" % m, c)
-    tables, failures = _sup_tables(b, constants)
+    tables = _sup_tables(b, constants)
     records = []
     violations = []
     for family in ("f", "scaled"):
@@ -608,9 +579,8 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
                     violations.append(
                         MonotoneViolation(family, m, k_prev, k_next, here / prev)
                     )
-    if failures:
-        raise LevelNotRecovered(failures[0])
-    forced = tuple((k, k) for k in b.k_range)
+    forced = _recovered_levels(
+        {k: tables["f"][(k, 0)][0] for k in b.k_range})
     return WitnessReport(
         k_range=b.k_range,
         max_derivative_order=b.max_derivative_order,

@@ -187,6 +187,16 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_one_without_traceback(tmp_path):
+    # a UTF-16 byte order mark is not UTF-8, whatever the locale says
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"\xff\xfe" + TORUS_CFG.encode("utf-16-le"))
+    proc = _run_cli(["--input", str(cfg)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("engine: cannot read input: ")
+
+
 def test_unwritable_output_exits_one_without_traceback(tmp_path):
     cfg = _write(tmp_path, "job.cfg", LIE_QUOTIENT_CFG)
     out = tmp_path / "no" / "such" / "dir" / "out.json"
@@ -401,6 +411,14 @@ def test_torus_reports_match_committed_fixtures(name):
     # while every survivor was still grouped one by one.  A -check name
     # runs with --check.
     _matches_fixture(name, name.endswith("-check"))
+
+
+def test_witness_reports_match_committed_fixtures():
+    # levels 2..8 at order 4 on an odd grid of 4,001 samples, with the
+    # order-4 monotone break from level 2 to 3 in both families; recorded
+    # while every order-0 sample of every level was still scanned to
+    # recover the levels
+    _matches_fixture("witness-order4", False)
 
 
 @pytest.mark.parametrize("order", [17, 160])

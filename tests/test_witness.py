@@ -240,10 +240,11 @@ def test_profile_constants_stay_within_the_stated_error_up_to_order_16(
 
 
 def test_verify_bounds_does_level_work_once(monkeypatch, family):
-    # the profile constants once, per level one grid, read by both the
-    # sup tables and the forced-level check, and one scan of all levels
+    # the profile constants once, per level one grid, and one candidate
+    # set per grid and order: level recovery reads the order-0 sups of
+    # the sup tables instead of sampling the levels again
     calls = {"profile_constants": 0, "level_arguments": 0,
-             "_level_failures": 0, "forced_levels": 0}
+             "peak_candidates": 0, "forced_levels": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -251,16 +252,17 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
             return fn(*args)
         return wrapper
 
-    for name in ("profile_constants", "level_arguments"):
+    for name in ("profile_constants", "level_arguments", "peak_candidates"):
         monkeypatch.setattr(BumpFamily, name, counted(
             name, getattr(BumpFamily, name)))
-    for name in ("_level_failures", "forced_levels"):
-        monkeypatch.setattr(witness, name, counted(
-            name, getattr(witness, name)))
+    monkeypatch.setattr(witness, "forced_levels", counted(
+        "forced_levels", witness.forced_levels))
     report = verify_bounds(family)
     levels = len(family.k_range)
+    orders = family.max_derivative_order + 1
     assert calls == {"profile_constants": 1, "level_arguments": levels,
-                     "_level_failures": 1, "forced_levels": 0}
+                     "peak_candidates": (levels + 1) * orders,
+                     "forced_levels": 0}
     assert report.forced_levels == forced_levels(family)
     assert report.lift_obstruction
 
@@ -330,6 +332,17 @@ def test_non_finite_witness_job_exits_one(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "not finite" in capsys.readouterr().err
+
+
+def test_underflowing_level_is_not_recovered():
+    # exp(-28^2) underflows to 0.0: the order-0 sup of level 28 is 0.0,
+    # while level 27 keeps subnormal positive samples
+    fam = build_bumps([27, 28], max_derivative_order=0,
+                      samples_per_interval=101)
+    for check in (forced_levels, lift_obstruction, verify_bounds):
+        with pytest.raises(LevelNotRecovered,
+                           match="no positive samples at level 28:"):
+            check(fam)
 
 
 def test_underflowing_level_exits_one(tmp_path, capsys):
@@ -550,34 +563,6 @@ def test_an_overflowing_exponential_fails_closed():
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
-def test_level_blocks_are_the_whole_level_list(n):
-    # the forced-level scan hands phi_derivative one block per level in
-    # turn; joined per level, the blocks are the whole level grid bit for
-    # bit, with no point skipped or repeated
-    seen = []
-
-    class Recording(BumpFamily):
-        def phi_derivative(self, order, s):
-            assert order == 0 and isinstance(s, witness.Points)
-            seen.append(s)
-            return super().phi_derivative(order, s)
-
-    levels = (2, 3)
-    fam = _recast(Recording, build_bumps(levels, max_derivative_order=0,
-                                         samples_per_interval=n))
-    assert forced_levels(fam) == ((2, 2), (3, 3))
-    blocks = -(-n // witness.BLOCK_POINTS)
-    assert len(seen) == blocks * len(levels)
-    assert {s.size for s in seen[:-len(levels)]} <= {witness.BLOCK_POINTS}
-    unit = [i / (n + 1) for i in range(1, n + 1)]
-    for j, k in enumerate(levels):
-        whole = _level_grid(k, unit)
-        assert len(whole) == n
-        joined = [x.hex() for s in seen[j::len(levels)] for x in s]
-        assert joined == [x.hex() for x in whole], (n, k)
-
-
-@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
 def test_grid_indexing_matches_its_list(n):
     fam = build_bumps([3], max_derivative_order=0, samples_per_interval=n)
     for grid in (fam.s_grid(), fam.level_arguments(3)):
@@ -601,20 +586,16 @@ def test_grid_indexing_matches_its_list(n):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a_bad_order0_level_sample_fails_closed(value):
-    # a > 0.0 is false for NaN, so a ratio test alone would skip this
-    # sample.  It sits in the last block of the last level, at no peak
-    # candidate of any order and on no other level, so only the
-    # forced-level scan reads it
+    # a > 0.0 is false for NaN, so a positivity test alone would pass
+    # over this sample.  It is an order-0 peak candidate of level 4 and
+    # of no other grid, so the order-0 sup of level 4 reads it and no
+    # other sup does
     base = build_bumps([2, 3, 4], max_derivative_order=2,
                        samples_per_interval=5001)
-    grid = base.level_arguments(4)
-    others = set(base.level_arguments(2)) | set(base.level_arguments(3))
-    index = next(i for i in range(len(grid) - 100, 0, -1)
-                 if grid[i] not in others)
-    target = grid[index]
-    assert index >= witness.BLOCK_POINTS
-    assert all(target not in base.peak_candidates(m, g)
-               for m in range(3) for g in (grid, base.s_grid()))
+    grids = {k: base.level_arguments(k) for k in base.k_range}
+    elsewhere = set(base.s_grid()) | set(grids[2]) | set(grids[3])
+    target = next(x for x in base.peak_candidates(0, grids[4])
+                  if x not in elsewhere)
 
     class BadSample(BumpFamily):
         def phi_derivative(self, order, s):
@@ -624,16 +605,15 @@ def test_a_bad_order0_level_sample_fails_closed(value):
             return out
 
     bad = _recast(BadSample, base)
-    for check in (verify_bounds, forced_levels):
-        with pytest.raises(NonFiniteValue,
-                           match="order-0 sample of f at level k=4 "):
+    for check in (verify_bounds, forced_levels, lift_obstruction):
+        with pytest.raises(NonFiniteValue, match="level k=4"):
             check(bad)
 
 
 def test_verify_bounds_memory_does_not_grow_with_the_grid():
-    # one block of unit points, of level points and of values is about
-    # 3 * 32 * BLOCK_POINTS bytes; a list of the 40,001 points of a level
-    # alone is over 1.2 MB
+    # verify_bounds holds only peak candidates, whose number does not
+    # grow with the grid; a list of the 40,001 points of a level alone
+    # is over 1.2 MB
     peaks = []
     for n in (2001, 40001):
         fam = build_bumps([2, 3, 4, 5], max_derivative_order=2,
@@ -644,4 +624,23 @@ def test_verify_bounds_memory_does_not_grow_with_the_grid():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 100 * witness.BLOCK_POINTS, peaks
+    assert peaks[1] - peaks[0] <= 409_600, peaks
+
+
+def test_verify_bounds_evaluates_phi_at_a_fixed_number_of_points():
+    # phi_derivative is read only at the peak candidates, whose number
+    # is set by the critical brackets, not by the grid size
+    counts = []
+    for n in (2001, 40001):
+        seen = []
+
+        class Counting(BumpFamily):
+            def phi_derivative(self, order, s):
+                seen.append(len(s))
+                return super().phi_derivative(order, s)
+
+        base = build_bumps([2, 3, 4, 5], max_derivative_order=4,
+                           samples_per_interval=n)
+        verify_bounds(_recast(Counting, base))
+        counts.append(sum(seen))
+    assert counts[1] <= counts[0], counts
