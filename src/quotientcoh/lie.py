@@ -16,14 +16,14 @@ weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
 Each differential is eliminated once: its kernel basis gives both its rank
 (the width minus the kernel size, from which the Betti numbers follow)
-and the candidate cocycles.  Representatives are those kernel vectors
-reduced against the image of the previous differential, which leaves
-exactly one representative per cohomology dimension; they stay sparse
-(column, value) rows.
+and the candidate cocycles.  Representatives are those integer kernel
+vectors reduced against the image of the previous differential, which
+leaves exactly one representative per cohomology dimension; only the
+report's copies are divided by their lead.
 
 Quotients by an ideal h use the coordinate splitting given by the
 echelon form of h: the non-pivot coordinates form a complement, and the
-induced bracket is the residual of the sparse parent bracket row after
+induced bracket is the residual of the integer parent bracket row after
 reduction by h.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import NotAnIdeal
@@ -44,7 +44,6 @@ from .scalars import (
     IntRow,
     RationalLike,
     SparseRow,
-    SparseVector,
     lead_one,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
@@ -164,25 +163,32 @@ def jacobi_check(
 
 @record
 class Subspace:
-    """A linear subspace stored as the echelon basis of its span.
+    """A linear subspace stored as the reduced echelon basis of its span.
 
-    The reduced row echelon rows, sparse with leading coefficient 1, are
-    a canonical representative: two spanning sets give equal Subspace
-    objects iff they span the same subspace.
+    The rows are `rref`'s primitive integer rows, as (column, int)
+    pairs: content 1, a positive lead, and zero at every other row's
+    pivot.  They are a canonical representative: two spanning sets give
+    equal Subspace objects iff they span the same subspace.
     """
 
     ambient_dim: int
-    basis: tuple[SparseRow, ...]
+    basis: tuple[IntRow, ...]
 
     def __post_init__(self):
-        # reduce() reads the pivots off the leads: accept only span()'s form
-        leads = [row[0][0] if row else -1 for row in self.basis]
+        # each row as sorted (column, value) pairs, zeros dropped
+        basis = tuple(tuple((j, x) for j, x in sorted(dict(row).items()) if x)
+                      for row in self.basis)
+        object.__setattr__(self, "basis", basis)
+        # reduce() reads the pivots off the leads: accept only rref's form
+        leads = [row[0][0] if row else -1 for row in basis]
         if any(b <= a for a, b in zip([-1] + leads, leads)):
             raise ValueError("subspace rows need strictly increasing leads")
-        if any(row[0][1] != 1 for row in self.basis):
-            raise ValueError("subspace rows need leading coefficient 1")
+        if any(row[0][1] < 1 for row in basis):
+            raise ValueError("subspace rows need a positive lead")
+        if any(gcd(*(x for _, x in row)) != 1 for row in basis):
+            raise ValueError("subspace rows need content 1")
         pivots = set(leads)
-        if any(j in pivots and x for row in self.basis for j, x in row[1:]):
+        if any(j in pivots for row in basis for j, _ in row[1:]):
             raise ValueError("a subspace row is nonzero at another row's pivot")
 
     @classmethod
@@ -194,8 +200,8 @@ class Subspace:
                 raise ValueError(
                     "vector length %d != ambient dim %d" % (len(v), ambient_dim)
                 )
-        rows, _ = rref(ExactMatrix.from_rows(vectors, cols=ambient_dim))
-        return cls(ambient_dim, rows)
+        reduced = rref(ExactMatrix.from_rows(vectors, cols=ambient_dim))
+        return cls(ambient_dim, tuple(reduced.values()))
 
     @property
     def dim(self) -> int:
@@ -205,14 +211,20 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(row[0][0] for row in self.basis)
 
-    def reduce(self, v: SparseVector) -> dict[int, Fraction]:
-        """Nonzero entries of the residual of the sparse vector v after
-        subtracting its projection along the pivots; empty iff v is in
-        the subspace."""
-        w = dict(v)
+    def reduce(self, v: Mapping[int, int] | IntRow) -> dict[int, int]:
+        """L times the residual of the integer vector v (a {column:
+        value} map or (column, value) pairs) along the pivots, with L
+        the lcm of the leads a_p: L v - sum_p v[p] (L / a_p) r_p, as its
+        nonzero entries.  One pass suffices because each row r_p
+        vanishes on the other pivots.  Empty iff v is in the subspace.
+        """
+        scale = lcm(*(row[0][1] for row in self.basis))
+        w = {j: scale * x for j, x in dict(v).items()}
         for row in self.basis:
-            f = w.get(row[0][0])
+            p, a = row[0]
+            f = w.get(p)
             if f:
+                f //= a
                 for j, x in row:
                     w[j] = w.get(j, 0) - f * x
         return {j: x for j, x in w.items() if x}
@@ -221,8 +233,9 @@ class Subspace:
 def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
     """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None.
 
-    The brackets are one sparse product: the rows e_i ^ h.basis[bi], in
-    the pair basis of Lambda^2 g, times the bracket matrix.
+    The brackets are one integer sparse product: the rows
+    e_i ^ h.basis[bi], in the pair basis of Lambda^2 g, times the
+    bracket matrix.
     """
     if h.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension does not match algebra")
@@ -232,8 +245,8 @@ def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
          for j, x in b if j != i}
         for i in range(g.dim) for b in h.basis
     ]
-    brackets = ExactMatrix.from_sparse(g.table.rows, wedges) @ g.table
-    for r, row in enumerate(brackets.sparse_rows):
+    brackets = ExactMatrix.from_int_rows(g.table.rows, 1, wedges) @ g.table
+    for r, row in enumerate(brackets.int_rows):
         if h.reduce(row):
             return divmod(r, h.dim)
     return None
@@ -264,7 +277,9 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
 
     The induced bracket of two complement coordinates is the sparse
     residual of their parent bracket row after reduction by h, which
-    vanishes on every pivot of h.
+    vanishes on every pivot of h.  `Subspace.reduce` returns it times
+    L, the lcm of the leads of h, from integer rows over the table's
+    denominator, so the induced table is those rows over den * L.
     """
     failure = _ideal_failure(g, h)
     if failure is not None:
@@ -275,12 +290,12 @@ def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
     # parent pairs of complement coordinates come in the lexicographic
     # order of their positions, since complement is increasing
     rows = []
-    for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.sparse_rows):
+    for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.int_rows):
         if a in position and b in position:
             rows.append({position[k]: x for k, x in h.reduce(row).items()})
-    induced = LieAlgebra(
-        len(complement), ExactMatrix.from_sparse(len(complement), rows)
-    )
+    scale = lcm(*(row[0][1] for row in h.basis))
+    induced = LieAlgebra(len(complement), ExactMatrix.from_int_rows(
+        len(complement), g.table.den * scale, rows))
     return QuotientAlgebra(g, h, complement, induced)
 
 
@@ -432,7 +447,7 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     ranks = []
     gens_out = []
     monos_out = []
-    kernel: list[SparseRow] = []
+    kernel: list[IntRow] = []
     for k in range(n + 1):
         acc = EchelonBasis()
         if k:
@@ -451,7 +466,7 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
             kernel = nullspace_basis(c.d[k])
             ranks.append(comb(n, k) - len(kernel))
         else:
-            kernel = [((0, Fraction(1)),)]  # the top form; d_n = 0
+            kernel = [((0, 1),)]  # the top form; d_n = 0
         chosen = []
         for v in kernel:
             residual = acc.add(v)

@@ -5,8 +5,8 @@ rationals, so results are reproducible.  The arithmetic runs on Python
 ints, which avoids the gcd that every Fraction operation pays to
 normalise its result: `ExactMatrix` stores integer rows over one
 positive denominator, and `fractions.Fraction` appears only at the
-edges: in the `sparse_rows` view, and in the sparse (column, Fraction)
-echelon rows and kernel vectors that callers render or read.
+edges: at job input, in the dense `entries` view, and in the lead-1
+rows (`lead_one`) that reports render.
 
 Matrices are row-sparse: `ExactMatrix` keeps, for each row, only its
 nonzero entries as (column, value) pairs in increasing column order.
@@ -25,20 +25,22 @@ iff A @ B = 0 for a single constant D, but scaling the rows of B one by
 one inserts a diagonal matrix between the factors, and A @ diag(s) @ B
 need not vanish when A @ B does.
 
-Elimination is incremental.  `EchelonBasis` reduces one sparse row at a
-time against the primitive integer rows it holds, clearing their pivot
-columns in increasing order by cross-multiplication, and keeps the
-residual, divided by its content, when it is nonzero.  Up to a nonzero
-factor that residual is the unique vector of v + span that vanishes on
-every pivot column, so it is fixed by the span and the pivot set
-alone; scaled to leading coefficient 1 it is unique.  Rank, the reduced
-row echelon form (the canonical representative of a row span) and the
-kernel basis read off from it are therefore independent of the order
-in which rows are eliminated, and of every scaling on the way.  One
-elimination serves both the rank and the kernel of a matrix: the kernel
-basis has cols - rank members, so callers that need both (the cochain
-pipeline, once per differential d_k) call `nullspace_basis` alone and
-read the rank off its length.
+Echelon rows have one form throughout: primitive integer rows, with
+content 1, a positive lead, and (once reduced) a zero at every other
+pivot.  `EchelonBasis` reduces one sparse integer row at a time against
+the rows it holds, clearing their pivot columns in increasing order by
+cross-multiplication, and keeps the residual, divided by its content,
+when it is nonzero.  Up to a nonzero factor that residual is the unique
+vector of v + span that vanishes on every pivot column, so it is fixed
+by the span and the pivot set alone, and as a primitive row with a
+positive lead it is unique.  Rank, the reduced row echelon form (the
+canonical representative of a row span) and the kernel basis read off
+from it are therefore independent of the order in which rows are
+eliminated, and of every scaling on the way.  One elimination serves
+both the rank and the kernel of a matrix: the kernel basis has
+cols - rank members, so callers that need both (the cochain pipeline,
+once per differential d_k) call `nullspace_basis` alone and read the
+rank off its length.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -52,7 +54,6 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -115,7 +116,6 @@ def parse_ext_scalar(text: str) -> ExtScalar:
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
-SparseVector = Union[Mapping[int, Fraction], SparseRow]
 IntRow = tuple[tuple[int, int], ...]
 
 
@@ -192,20 +192,17 @@ class ExactMatrix:
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, 1, ((),) * rows)
 
-    @cached_property
-    def sparse_rows(self) -> tuple[SparseRow, ...]:
-        """The rows as (column, Fraction) pairs, built on first access:
-        a view for callers that render, reduce a Subspace, or test."""
-        den = self.den
-        return tuple(tuple((j, Fraction(x, den)) for j, x in row)
-                     for row in self.int_rows)
-
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows, built on each access."""
+        """Dense rows of Fractions, built on each access."""
         zero = Fraction(0)
-        return tuple(tuple(dict(row).get(j, zero) for j in range(self.cols))
-                     for row in self.sparse_rows)
+        out = []
+        for row in self.int_rows:
+            dense = [zero] * self.cols
+            for j, x in row:
+                dense[j] = Fraction(x, self.den)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """The exact product: the integer rows multiplied, over the
@@ -254,36 +251,24 @@ class EchelonBasis:
 
     rows maps each pivot column to the row that owns it: a {column:
     value} map of ints with nothing left of the pivot, a positive value
-    at the pivot, and content 1 (a primitive row).  Incoming rows may
-    hold Fractions; each is cleared to integers first.  Rows are
-    never divided by their lead, so no Fraction is formed: a pivot is
-    cleared by cross-multiplication, and the residual is divided by
-    its content once at the end.  Every step scales a whole row by a
-    nonzero constant, which leaves its span, and hence the rank, the
-    pivots, the reduced echelon form and the kernel, unchanged; a
-    caller that wants the lead-1 form divides by the lead (`lead_one`).
+    at the pivot, and content 1 (a primitive row).  Rows are never
+    divided by their lead, so no Fraction is formed: a pivot is cleared
+    by cross-multiplication, and the residual is divided by its content
+    once at the end.  Every step scales a whole row by a nonzero
+    constant, which leaves its span, and hence the rank, the pivots, the
+    reduced echelon form and the kernel, unchanged; a caller that wants
+    the lead-1 form divides by the lead (`lead_one`).
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, v: SparseVector) -> dict[int, int]:
-        """A nonzero multiple of the residual of v (nonzero entries only,
-        as a {column: value} map or (column, value) pairs) that vanishes
-        on every pivot column, primitive with a positive lead; empty
-        when v lies in the span.  v may hold ints or Fractions: it is
-        first multiplied by the least common denominator of its entries.
-        """
-        w = dict(v)
-        den = lcm(*{x.denominator for x in w.values()})
-        for j, x in w.items():
-            w[j] = x.numerator * (den // x.denominator)
-        return self._residual(w)
-
-    def add(self, v: SparseVector) -> dict[int, int] | None:
-        """Absorb v: return its primitive residual (now a row of the
-        basis; do not mutate it), or None when v lies in the span."""
-        w = self.reduce(v)
+    def add(self, v: Mapping[int, int] | IntRow) -> dict[int, int] | None:
+        """Absorb the integer row v (a {column: value} map or (column,
+        value) pairs): return its primitive residual, which vanishes on
+        the pivots held before and is now a row of the basis (do not
+        mutate it), or None when v lies in the span."""
+        w = self._residual(dict(v))
         if not w:
             return None
         self.rows[min(w)] = w
@@ -339,9 +324,7 @@ def _echelon(mat: ExactMatrix) -> EchelonBasis:
     one denominator, which changes no span."""
     basis = EchelonBasis()
     for row in mat.int_rows:
-        w = basis._residual(dict(row))
-        if w:
-            basis.rows[min(w)] = w
+        basis.add(row)
     return basis
 
 
@@ -350,56 +333,51 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(m).rows)
 
 
-def reduced_rows(mat: ExactMatrix) -> dict[int, dict[int, int]]:
-    """The reduced row echelon rows of mat as primitive integer rows.
+def rref(m: ExactMatrix) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form over the rationals, as integer rows.
 
-    Each maps its pivot column to a {column: int} row with a positive
-    value at the pivot, zeros at every other pivot and content 1: the
-    least positive integer multiple of its lead-1 `rref` row.  Callers
-    that work on integers (the torus mode scan) read these directly.
+    Maps each pivot column, in increasing order, to its {column: int}
+    row: positive at the pivot, zero at every other pivot, content 1.
+    That is the least positive integer multiple of the lead-1 reduced
+    row, so the rows are the canonical representative of the row span:
+    two matrices have the same row span iff their rref agree.  The rank
+    is the number of pivots.
     """
-    rows = _echelon(mat).rows
+    rows = _echelon(m).rows
     # Back substitution from the last pivot up, against the rows already
     # reduced: they are zero on every other pivot column, so no new pivot
     # entry appears, and the multipliers a/g keep every lead positive.
     reduced = EchelonBasis()
     for p in sorted(rows, reverse=True):
         reduced.rows[p] = reduced._residual(rows[p])
-    return reduced.rows
+    return dict(sorted(reduced.rows.items()))
 
 
-def rref(m: ExactMatrix) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns the nonzero rows (sparse (column, Fraction) pairs, leading
-    coefficient 1) and the pivot column indices, so the rank is the
-    number of pivots.  The output is the canonical representative of the
-    row span: two matrices have the same row span iff their rref rows
-    agree.
-    """
-    reduced = reduced_rows(m)
-    pivots = tuple(sorted(reduced))
-    return tuple(lead_one(reduced[p]) for p in pivots), pivots
-
-
-def nullspace_basis(m: ExactMatrix) -> list[SparseRow]:
+def nullspace_basis(m: ExactMatrix) -> list[IntRow]:
     """Deterministic exact kernel basis with one vector per free column.
 
-    Each basis vector is a sparse row of (column, Fraction) pairs in
-    increasing column order.  It has a 1 in its free coordinate and
-    zeros in the other free coordinates, so the list has exactly
-    cols - rank members and m @ v = 0 holds exactly for each: one
-    elimination gives both the kernel and the rank.  The vector of free
-    column f holds -r[f] at the pivot of each lead-1 reduced row r.
+    Each basis vector is a sparse integer row of (column, int) pairs in
+    increasing column order, with content 1, a positive entry at its
+    own free column, which is its last entry, and zeros at the other
+    free columns.  The list has exactly cols - rank members and
+    m @ v = 0 holds exactly for each: one elimination gives both the
+    kernel and the rank.  Divided by its free-column entry, the vector
+    of free column f holds -r[f] / r[p] at the pivot p of each reduced
+    row r; it is scaled by the lcm of those denominators.
     """
-    reduced = reduced_rows(m)
-    one = Fraction(1)
-    by_free: dict[int, list[tuple[int, Fraction]]] = {
-        f: [(f, one)] for f in range(m.cols) if f not in reduced
+    reduced = rref(m)
+    by_free: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(m.cols) if f not in reduced
     }
     for p, row in reduced.items():
         lead = row[p]
         for j, x in row.items():
             if j != p:
-                by_free[j].append((p, Fraction(-x, lead)))
-    return [tuple(sorted(pairs)) for pairs in by_free.values()]
+                g = gcd(lead, x)
+                by_free[j].append((p, -x // g, lead // g))
+    out = []
+    for f, terms in by_free.items():
+        scale = lcm(*(den for _, _, den in terms))
+        out.append(tuple(sorted((p, num * (scale // den))
+                                for p, num, den in terms)) + ((f, scale),))
+    return out

@@ -73,7 +73,7 @@ from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
                   betti_numbers, ce_complex, ce_differential, quotient)
 from .record import record, replace
-from .scalars import ExactMatrix, ExtScalar, rank, reduced_rows, rref
+from .scalars import ExactMatrix, ExtScalar, rank, rref
 
 NORMALIZATION_NOTE = (
     "fourier differential normalized: the overall 2*pi*i factor is scaled "
@@ -168,9 +168,9 @@ class TransverseFrame:
 
     skeleton is the span of the directions with alpha replaced by
     substitution, the rational stand-in that certified independence;
-    its lead-1 echelon rows fix the split.  pivot_cols, the leads of
-    those rows, carry the leafwise directions, free_cols the transverse
-    ones.
+    its reduced echelon rows, primitive integer rows, fix the split.
+    pivot_cols, the leads of those rows, carry the leafwise directions,
+    free_cols the transverse ones.
     """
 
     skeleton: Subspace
@@ -209,9 +209,10 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
             [aij + r * bij for aij, bij in zip(ra, rb)]
             for ra, rb in zip(a, b)
         ]
-        rows, pivots = rref(ExactMatrix.from_rows(trial, cols=spec.n))
-        if len(pivots) == spec.p:
-            return TransverseFrame(Subspace(spec.n, rows), Fraction(r))
+        reduced = rref(ExactMatrix.from_rows(trial, cols=spec.n))
+        if len(reduced) == spec.p:
+            return TransverseFrame(Subspace(spec.n, tuple(reduced.values())),
+                                   Fraction(r))
     raise InvalidSpec(
         "foliation directions are linearly dependent over the scalars"
     )
@@ -309,9 +310,9 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     (open) coordinates the survival set is the integer kernel of the
     rational and alpha parts of the directions (m . (a + alpha*b) = 0
     splits into m . a = 0 and m . b = 0), which is also the kernel of
-    their reduced row echelon form R.  Each row of R, taken as its
-    primitive integer multiple from `reduced_rows`, writes lead * pivot
-    coordinate as minus an integer combination of non-pivot ones.
+    their reduced row echelon form R.  Each row of R, a primitive
+    integer row from `rref`, writes lead * pivot coordinate as minus an
+    integer combination of non-pivot ones.
     Enumerating the non-pivot coordinates over {-bound..bound} and
     deriving every pivot coordinate exactly, kept only when it is an
     integer inside the box, is complete: every coordinate of a kernel
@@ -325,7 +326,7 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
     a, b = _direction_parts(spec)
     rows = [[row[j] for j in open_cols] for row in a + b]
-    reduced = reduced_rows(ExactMatrix.from_rows(rows, cols=len(open_cols)))
+    reduced = rref(ExactMatrix.from_rows(rows, cols=len(open_cols)))
     enumerated = set(open_cols) - {open_cols[c] for c in reduced}
     values = range(-bound, bound + 1)
     axes = [values if j in enumerated else (0,) for j in range(spec.n)]
@@ -336,7 +337,7 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     solved = [
         (open_cols[c], row[c],
          tuple((open_cols[k], -x) for k, x in row.items() if k != c))
-        for c, row in sorted(reduced.items())
+        for c, row in reduced.items()
     ]
     out = []
     for point in product(*axes):

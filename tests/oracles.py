@@ -112,8 +112,8 @@ def dense_cube(g: LieAlgebra):
     """c[i][j][k] = coefficient of e_k in [e_i, e_j], from g.table."""
     n = g.dim
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in zip(combinations(range(n), 2), g.table.sparse_rows):
-        for k, v in row:
+    for (i, j), row in zip(combinations(range(n), 2), g.table.entries):
+        for k, v in enumerate(row):
             c[i][j][k] = v
             c[j][i][k] = -v
     return c

@@ -1,9 +1,10 @@
 """No pipeline starts with numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
 time, only scalars builds dense rows, no module imports another's
-private names, the names the bench tracer wraps still resolve, the
-test oracles import no production check, and the differentials and
-their certificates build no Fraction per entry.
+private names or a name it does not use, the names the bench tracer
+wraps still resolve, the test oracles import no production check, and
+the differentials, their certificates, the subspace and quotient code
+and the torus frame and mode scan build no Fraction.
 
 The import checks run in a fresh interpreter, since this test process
 has long since imported both libraries for other tests.
@@ -108,7 +109,7 @@ def test_only_scalars_reads_the_dense_view():
 
 def test_no_module_imports_a_private_name_of_another():
     # an underscore name stays inside its module; what another module
-    # needs (scalars.reduced_rows for the torus scan) is made public
+    # needs (scalars.rref for the torus scan) is made public
     package = Path(quotientcoh.__file__).parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -207,6 +208,47 @@ def test_tracer_spans_the_class_complexes(tmp_path):
             "lie.phi_sign_check"} <= names
 
 
+def test_tracer_spans_the_mode_scan_elimination(tmp_path):
+    # surviving_modes eliminates through its own name torus.rref, which
+    # the tracer spans as scalars.rref
+    spans = _traced_spans(tmp_path, "torus", TORUS_CFG)
+    names = [span[0] for span in spans]
+    assert any(name == "scalars.rref" and parent >= 0
+               and names[parent] == "torus.surviving_modes"
+               for name, _, _, parent in spans)
+
+
+def test_every_imported_name_is_used():
+    # a leftover import after a refactor fails here; the only exemptions
+    # are the (module, name) sites the bench tracer wraps, which a module
+    # may import for the tracer alone (lie.rank, lie.remove_pair and
+    # torus.wedge_insert)
+    tracer = _tracer_module()
+    exempt = {site for table in (tracer.SPANNED, tracer.COUNTED)
+              for sites in table.values() for site in sites}
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused = {name for name in imported - used
+                  if (path.stem, name) not in exempt}
+        assert not unused, (path.name, sorted(unused))
+
+
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # constructors and the monomial order; nothing that decides a result
 ORACLE_IMPORTS = {"LieAlgebra", "abelian", "heisenberg", "sl2",
@@ -230,12 +272,28 @@ def test_differentials_and_their_certificates_build_no_fraction(monkeypatch):
     # Fraction that scalars or lie binds; count those constructions
     from fractions import Fraction
 
-    from quotientcoh import lie, scalars
-    from quotientcoh.torus import build_mode_complex, koszul_certificate
+    from quotientcoh import ExtScalar, TorusSpec, lie, scalars
+    from quotientcoh.torus import (
+        build_mode_complex, koszul_certificate, surviving_modes,
+        transverse_frame)
 
-    from oracles import filiform
+    from oracles import direct_sum, filiform
 
     g = filiform(8)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # an ideal given by fractional vectors, and one whose echelon row
+    # (0, 0, 2, 3) has lead 2 in heisenberg + R, where e2 and e3 are central
+    ideals = (
+        (g, [[0] * 5 + [half, third, 0], [0] * 5 + [1, 0, Fraction(-2, 5)],
+             [0] * 6 + [Fraction(3, 4), 1]]),
+        (direct_sum(lie.heisenberg(), lie.abelian(1)),
+         [[0, 0, half, Fraction(3, 4)]]),
+    )
+    not_ideal = [[0, 1, half, 0, 0, 0, 0, 0]]
+    spec = TorusSpec(4, ((ExtScalar(half), ExtScalar(third, 1), ExtScalar(0),
+                          ExtScalar(Fraction(2, 5))),
+                         (ExtScalar(0), ExtScalar(1), ExtScalar(2, third),
+                          ExtScalar(0))), {3}, 2)
     built = []
 
     def counted(*args):
@@ -248,7 +306,16 @@ def test_differentials_and_their_certificates_build_no_fraction(monkeypatch):
     assert c.d_squared_violation() is None
     for w in ((1, 0, 0), (2, -3, 0, 1)):
         assert koszul_certificate(w, build_mode_complex(w)).ok
+    for algebra, vectors in ideals:
+        h = lie.Subspace.span(algebra.dim, vectors)
+        assert lie.ideal_check(algebra, h)
+        assert lie.quotient(algebra, h).algebra.dim == algebra.dim - h.dim
+    assert not lie.ideal_check(g, lie.Subspace.span(8, not_ideal))
+    for dk in c.d:
+        scalars.nullspace_basis(dk)
+    assert len(transverse_frame(spec).free_cols) == 2
+    assert surviving_modes(spec, 2)
     assert built == []
-    # the counter sees the Fraction view and the generators
-    assert c.d[1].sparse_rows and lie.betti(c, checked=True).generators
+    # the counter sees the generators, divided by their leads
+    assert lie.betti(c, checked=True).generators
     assert built

@@ -100,19 +100,23 @@ def test_subspace_is_canonical():
     ((((1, 1),), ((0, 1),)), "increasing leads"),
     ((((0, 1),), ((0, 1), (2, 3))), "increasing leads"),
     ((((0, 1),), ()), "increasing leads"),
-    ((((0, 2),),), "leading coefficient 1"),
-    ((((0, 1), (1, Fraction(1, 2))), ((1, 1),)), "another row's pivot"),
-], ids=["decreasing", "repeated", "empty", "lead-2", "pivot-entry"])
+    ((((0, 2),),), "content 1"),
+    ((((0, 2), (1, 1)), ((1, 1),)), "another row's pivot"),
+    ((((0, -1), (2, 3)),), "positive lead"),
+    ((((0, 3), (2, 6)), ((1, 1),)), "content 1"),
+    ((((0, 1), (2, 1)), ((2, 1),)), "another row's pivot"),
+], ids=["decreasing", "repeated", "empty", "lead-2", "pivot-entry",
+        "negative-lead", "content-3", "entry-at-later-pivot"])
 def test_subspace_rejects_rows_not_in_reduced_form(rows, message):
-    # reduce() trusts the lead-1 reduced form: a lead-2 row would leave
-    # {0: -1} of e_0, which lies in its span
-    rows = tuple(tuple((j, Fraction(x)) for j, x in row) for row in rows)
+    # equality needs rref's canonical rows (content 1, positive lead),
+    # and reduce() subtracts each row once, so a row nonzero at another
+    # pivot would leave a residual there for vectors in the span
     with pytest.raises(ValueError, match=message):
         Subspace(3, rows)
     assert Subspace.span(3, [[2, 0, 0]]).reduce({0: 1}) == {}
-    reduced = Subspace(3, (((0, Fraction(1)), (2, Fraction(1, 2))),
-                           ((1, Fraction(1)),)))
+    reduced = Subspace(3, (((0, 2), (2, 1)), ((1, 1),)))
     assert reduced == Subspace.span(3, [[2, 0, 1], [0, 3, 0]])
+    assert reduced == Subspace(3, ({2: 1, 0: 2}, {1: 1}))
 
 
 def test_quotient_heisenberg_by_center():
@@ -492,7 +496,7 @@ def test_d_squared_check_reports_the_perturbed_degree():
         for k in range(1, g.dim - 1):
             # changing d_k at (i, j) moves row i of d_k d_{k-1} by a
             # multiple of row j of d_{k-1}, so pick a nonzero one
-            j = next((r for r, row in enumerate(c.d[k - 1].sparse_rows)
+            j = next((r for r, row in enumerate(c.d[k - 1].int_rows)
                       if row), None)
             if j is None:
                 continue

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotientcoh import ExactMatrix, ExtScalar, Subspace, TorusSpec
+from quotientcoh import (
+    ExactMatrix, ExtScalar, Subspace, TorusSpec, transverse_frame)
 from quotientcoh.config import JobConfig, OutputConfig
 from quotientcoh.record import FrozenRecordError, fields, record, replace
 
@@ -89,7 +90,10 @@ def test_post_init_normalises_and_cached_property_caches():
     assert type(s.rat) is Fraction and type(s.irr) is Fraction
     m = ExactMatrix.from_rows([[Fraction(1, 2), 1]])
     assert (m.den, m.int_rows) == (2, (((0, 1), (1, 2)),))
-    assert m.sparse_rows is m.sparse_rows
+    frame = transverse_frame(TorusSpec(3, ((ExtScalar(1), ExtScalar(2),
+                                            ExtScalar(0)),)))
+    assert frame.free_cols == (1, 2)
+    assert frame.free_cols is frame.free_cols
 
 
 def test_replace_rebuilds_through_init():

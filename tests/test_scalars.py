@@ -47,12 +47,35 @@ def _is_sparse_row(v):
     return [j for j, _ in v] == sorted({j for j, x in v if x != 0})
 
 
-def _assert_sparse_rref(rows, pivots):
-    """Sparse rref rows: each in sparse form, led by a 1 at its pivot."""
-    assert len(rows) == len(pivots)
-    for row, p in zip(rows, pivots):
-        assert _is_sparse_row(row)
-        assert row[0] == (p, 1)
+def _assert_primitive(v):
+    """A sparse integer row with content 1."""
+    assert _is_sparse_row(v)
+    assert all(type(x) is int for _, x in v)
+    assert math.gcd(*(x for _, x in v)) == 1
+
+
+def _rref_lead_one(reduced, cols):
+    """The dense lead-1 rows and the pivots of rref's integer rows, after
+    checking their form: increasing pivots, each row primitive with a
+    positive lead at its pivot and zero at every other pivot."""
+    pivots = tuple(reduced)
+    assert list(pivots) == sorted(pivots)
+    rows = []
+    for p, row in reduced.items():
+        pairs = sorted(row.items())
+        _assert_primitive(pairs)
+        assert pairs[0][0] == p and pairs[0][1] > 0
+        assert not any(j in reduced for j, _ in pairs[1:])
+        rows.append(tuple(x / row[p] for x in densify(row, cols)))
+    return tuple(rows), pivots
+
+
+def _kernel_over_free(v, cols):
+    """A kernel vector of nullspace_basis divided by its free-column
+    entry (its last, positive), after checking it is primitive."""
+    _assert_primitive(v)
+    assert v[-1][1] > 0
+    return tuple(x / v[-1][1] for x in densify(v, cols))
 
 
 def test_rank_examples():
@@ -138,14 +161,13 @@ def test_sparse_core_against_dense_oracles():
         assert m.entries == tuple(tuple(row) for row in dense)
         expected_rows, expected_pivots = naive_rref(dense, cols)
         assert rank(m) == gauss_rank(dense) == len(expected_pivots)
-        echelon, pivots = rref(m)
+        echelon, pivots = _rref_lead_one(rref(m), cols)
         assert pivots == expected_pivots
-        assert tuple(densify(row, cols) for row in echelon) == expected_rows
-        _assert_sparse_rref(echelon, pivots)
+        assert echelon == expected_rows
         sparse_kernel = nullspace_basis(m)
         for v in sparse_kernel:
             assert _is_sparse_row(v)
-        kernel = [densify(v, cols) for v in sparse_kernel]
+        kernel = [_kernel_over_free(v, cols) for v in sparse_kernel]
         free = [c for c in range(cols) if c not in expected_pivots]
         assert len(kernel) == len(free)
         for f, v in zip(free, kernel):
@@ -161,8 +183,8 @@ def test_sparse_core_against_dense_oracles():
 def test_sparse_storage_is_canonical():
     dense = [[0, Fraction(1, 2), 0], [0, 0, 0], [3, 0, -1]]
     m = ExactMatrix.from_rows(dense)
-    assert m.sparse_rows == (
-        ((1, Fraction(1, 2)),), (), ((0, Fraction(3)), (2, Fraction(-1))),
+    assert m.entries == (
+        (0, Fraction(1, 2), 0), (0, 0, 0), (Fraction(3), 0, Fraction(-1)),
     )
     assert m == ExactMatrix.from_sparse(3, [{1: Fraction(1, 2), 0: 0}, {},
                                             {2: -1, 0: 3}])
@@ -222,23 +244,23 @@ def test_integer_core_against_dense_fraction_oracles():
         m = ExactMatrix.from_sparse(cols, sparse)
         expected_rows, expected_pivots = naive_rref(dense, cols)
         assert rank(m) == gauss_rank(dense) == len(expected_pivots)
-        echelon, pivots = rref(m)
+        echelon, pivots = _rref_lead_one(rref(m), cols)
         assert pivots == expected_pivots
-        assert tuple(densify(row, cols) for row in echelon) == expected_rows
-        _assert_sparse_rref(echelon, pivots)
+        assert echelon == expected_rows
         free = [c for c in range(cols) if c not in expected_pivots]
         kernel = nullspace_basis(m)
         assert len(kernel) == len(free)
         for f, v in zip(free, kernel):
-            assert all(type(x) is Fraction for _, x in v)
+            assert v[-1][0] == f
             expected = [Fraction(int(c == f)) for c in range(cols)]
             for row, p in zip(expected_rows, expected_pivots):
                 expected[p] = -row[f]
-            assert densify(v, cols) == tuple(expected)
-        # the same rows absorbed one by one, ints and Fractions mixed
+            assert _kernel_over_free(v, cols) == tuple(expected)
+        # the same rows absorbed one by one, each cleared to integers
         basis = EchelonBasis()
         for row in sparse:
-            basis.add(row)
+            den = math.lcm(*(Fraction(x).denominator for x in row.values()))
+            basis.add({j: int(x * den) for j, x in row.items()})
         assert sorted(basis.rows) == list(expected_pivots)
         # products: each side cleared by its own common denominator
         other = _wide_random_rows(rng, cols, rng.randint(1, 5))
@@ -255,19 +277,21 @@ def test_integer_core_against_dense_fraction_oracles():
 
 def test_echelon_rows_stay_integer_after_fraction_input():
     basis = EchelonBasis()
+    # the rational rows -3/7 e0 + 9/14 e2 + 6 e3, 10/3 e1 - 4/9 e2 and
+    # e0 / 999983 + 2 e1 / 999979 + 5/4 e3, cleared to integers
     rows = [
-        {0: Fraction(-3, 7), 2: Fraction(9, 14), 3: 6},
-        {1: Fraction(10, 3), 2: Fraction(-4, 9)},
-        {0: Fraction(1, 999983), 1: Fraction(2, 999979), 3: Fraction(5, 4)},
+        {0: -6, 2: 9, 3: 84},
+        {1: 30, 2: -4},
+        {0: 4 * 999979, 1: 8 * 999983, 3: 5 * 999983 * 999979},
     ]
     for row in rows:
         assert basis.add(row) is not None
-    assert basis.add({0: Fraction(-3, 7), 2: Fraction(9, 14), 3: 6}) is None
+    assert basis.add({0: -6, 2: 9, 3: 84}) is None
     for p, row in basis.rows.items():
         assert all(type(x) is int for x in row.values())
         assert min(row) == p and row[p] > 0
         assert math.gcd(*row.values()) == 1
-    # the first row: -3/7 e0 + 9/14 e2 + 6 e3 cleared and made primitive
+    # the first row divided by its content 3, its lead made positive
     assert basis.rows[0] == {0: 2, 2: -3, 3: -28}
 
 
@@ -278,7 +302,7 @@ def test_product_zero_test_uses_one_denominator_per_factor():
     b = ExactMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 3)]])
     assert (a @ b).is_zero()
     c = ExactMatrix.from_rows([[Fraction(1, 5), Fraction(1, 7)]])
-    assert (c @ b).sparse_rows == (((0, Fraction(1, 10) - Fraction(1, 21)),),)
+    assert (c @ b).entries == ((Fraction(1, 10) - Fraction(1, 21),),)
 
 
 def test_rref_is_canonical_for_the_row_span():
@@ -293,11 +317,9 @@ def test_rref_pivots_are_increasing():
     rng = random.Random(11)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        rows, pivots = rref(_mat(m))
+        rows, pivots = _rref_lead_one(rref(_mat(m)), len(m[0]))
         assert list(pivots) == sorted(pivots)
-        _assert_sparse_rref(rows, pivots)
         for row, p in zip(rows, pivots):
-            row = densify(row, len(m[0]))
             assert row[p] == 1
             assert all(row[c] == 0 for c in range(p))
 
