@@ -12,106 +12,56 @@ Three pipelines share an exact linear-algebra core:
     degree-one obstruction certificate.
 
 The command line entry point is ``engine``; see the cli module.
+
+Importing the package loads no pipeline.  Each exported name resolves on
+first access, which imports its home module (PEP 562), so
+``from quotientcoh import betti`` loads the lie pipeline and nothing of
+the torus or the witness.
 """
 
-from .errors import (
-    BoundViolated,
-    EngineError,
-    InvalidSpec,
-    MathematicalRefusal,
-    NotALieAlgebra,
-    NotAnIdeal,
-    ParseError,
-    ValidationError,
-)
-from .exterior import enumerate_basis, wedge_insert
-from .lie import (
-    BettiReport,
-    CochainComplex,
-    LieAlgebra,
-    QuotientAlgebra,
-    Subspace,
-    abelian,
-    betti,
-    ce_complex,
-    heisenberg,
-    ideal_check,
-    jacobi_check,
-    phi_sign_check,
-    quotient,
-    sl2,
-)
-from .scalars import ExactMatrix, ExtScalar, nullspace_basis, parse_ext_scalar, rank, rref
-from .torus import (
-    KoszulCertificate,
-    TorusBettiReport,
-    TorusSpec,
-    build_mode_complex,
-    cross_check_ce,
-    koszul_certificate,
-    surviving_modes,
-    survives,
-    torus_betti,
-    transverse_frame,
-)
-from .witness import (
-    BumpFamily,
-    DegreeOneCertificate,
-    WitnessReport,
-    build_bumps,
-    degree_one_obstruction,
-    lift_obstruction,
-    verify_bounds,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiReport",
-    "BoundViolated",
-    "BumpFamily",
-    "CochainComplex",
-    "DegreeOneCertificate",
-    "EngineError",
-    "ExactMatrix",
-    "ExtScalar",
-    "InvalidSpec",
-    "KoszulCertificate",
-    "LieAlgebra",
-    "MathematicalRefusal",
-    "NotALieAlgebra",
-    "NotAnIdeal",
-    "ParseError",
-    "QuotientAlgebra",
-    "Subspace",
-    "TorusBettiReport",
-    "TorusSpec",
-    "ValidationError",
-    "WitnessReport",
-    "abelian",
-    "betti",
-    "build_bumps",
-    "build_mode_complex",
-    "ce_complex",
-    "cross_check_ce",
-    "degree_one_obstruction",
-    "enumerate_basis",
-    "heisenberg",
-    "ideal_check",
-    "jacobi_check",
-    "koszul_certificate",
-    "lift_obstruction",
-    "nullspace_basis",
-    "parse_ext_scalar",
-    "phi_sign_check",
-    "quotient",
-    "rank",
-    "rref",
-    "sl2",
-    "surviving_modes",
-    "survives",
-    "torus_betti",
-    "transverse_frame",
-    "verify_bounds",
-    "wedge_insert",
-]
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "errors": (
+        "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
+        "NotALieAlgebra", "NotAnIdeal", "ParseError", "ValidationError",
+    ),
+    "exterior": ("enumerate_basis", "wedge_insert"),
+    "lie": (
+        "BettiReport", "CochainComplex", "LieAlgebra", "QuotientAlgebra",
+        "Subspace", "abelian", "betti", "ce_complex", "heisenberg",
+        "ideal_check", "jacobi_check", "phi_sign_check", "quotient", "sl2",
+    ),
+    "scalars": (
+        "ExactMatrix", "ExtScalar", "nullspace_basis", "parse_ext_scalar",
+        "rank", "rref",
+    ),
+    "torus": (
+        "KoszulCertificate", "TorusBettiReport", "TorusSpec",
+        "build_mode_complex", "cross_check_ce", "koszul_certificate",
+        "surviving_modes", "survives", "torus_betti", "transverse_frame",
+    ),
+    "witness": (
+        "BumpFamily", "DegreeOneCertificate", "WitnessReport", "build_bumps",
+        "degree_one_obstruction", "lift_obstruction", "verify_bounds",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

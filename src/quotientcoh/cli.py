@@ -18,32 +18,55 @@ serialization used for byte-identity comparisons.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import JobConfig, LieJob, WitnessJob, parse_config
 from .errors import EngineError, MathematicalRefusal, NotALieAlgebra, ParseError, ValidationError
-from .exterior import enumerate_basis
-from .lie import (
-    LieAlgebra,
-    QuotientAlgebra,
-    Subspace,
-    betti,
-    ce_complex,
-    jacobi_check,
-    phi_sign_check,
-    quotient,
-)
 from .record import replace
-from .torus import TorusSpec, cross_check_ce, torus_betti
-from .witness import build_bumps, degree_one_obstruction, interval, verify_bounds
+
+if TYPE_CHECKING:
+    from .torus import TorusSpec
 
 PROG = "engine"
+
+# pipeline -> the names this module calls from it.  A job imports only its
+# own pipeline: run_job binds that pipeline's names here, and module
+# attribute access (cli.betti) binds them on demand before that.
+_PIPELINE_NAMES = {
+    "lie": ("Subspace", "betti", "ce_complex", "jacobi_check",
+            "phi_sign_check", "quotient"),
+    "torus": ("cross_check_ce", "torus_betti"),
+    "witness": ("build_bumps", "degree_one_obstruction", "interval",
+                "verify_bounds"),
+}
+_PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
+                for name in names}
+
+
+def _bind(pipeline: str) -> None:
+    """Import a pipeline and bind its names in this module's namespace.
+
+    setdefault keeps a name that is already bound: a wrapper installed on
+    ``cli.betti`` and the like before the first job (the bench tracer
+    patches them by name) stays the callable the job calls.
+    """
+    module = import_module("." + pipeline, __package__)
+    namespace = globals()
+    for name in _PIPELINE_NAMES[pipeline]:
+        namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    pipeline = _PIPELINE_OF.get(name)
+    if pipeline is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    _bind(pipeline)
+    return globals()[name]
 
 
 def _term_join(terms: list[str]) -> str:
@@ -76,6 +99,8 @@ def _vector_label(
 
 
 def _lie_monomial_labels(dim: int, k: int, names: list[str]) -> list[str]:
+    from .exterior import enumerate_basis
+
     labels = []
     for mono in enumerate_basis(dim, k):
         if not mono:
@@ -91,7 +116,7 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     if not ok:
         raise NotALieAlgebra(triple)
     certificates: dict = {"jacobi": True, "ideal": None}
-    target: LieAlgebra | QuotientAlgebra = algebra
+    target = algebra
     names = ["e%d" % i for i in range(algebra.dim)]
     if job.ideal_vectors is not None:
         sub = Subspace.span(algebra.dim, job.ideal_vectors)
@@ -234,6 +259,7 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     Mathematical refusals propagate as exceptions so the caller can
     separate them from ordinary failures.
     """
+    _bind(config.mode)
     if config.mode == "lie":
         return _run_lie(config.lie, check)
     if config.mode == "torus":
@@ -241,13 +267,20 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     return _run_witness(config.witness, check)
 
 
+# json and csv are imported where a report is rendered, after the job's
+# pipeline has compiled: their modules then reuse the memory that compile
+# freed instead of raising the process's peak under it.
 def canonical_json(payload: dict) -> str:
     """Deterministic serialization: timing dropped, keys sorted."""
+    import json
+
     trimmed = {k: v for k, v in payload.items() if k != "timing_seconds"}
     return json.dumps(trimmed, sort_keys=True, indent=2) + "\n"
 
 
 def _render_json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -341,6 +374,9 @@ def _render_table(payload: dict) -> str:
 
 
 def _render_csv(payload: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if payload["mode"] in ("lie", "torus"):

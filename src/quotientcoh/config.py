@@ -17,7 +17,10 @@ of them must be present.  Keys that repeat to build up a list are
 every other key may appear once.  All numeric fields of the exact
 pipelines take integers or fractions only; decimal literals are
 rejected with a pointed message, since silently rounding them would
-defeat the purpose of an exact engine.
+defeat the purpose of an exact engine.  Each section builder imports
+its own pipeline's types once the section's fields have passed these
+checks, so parsing a job loads no other pipeline, and a job whose values
+do not parse loads neither lie nor torus.
 
 The parser is deliberately hand-rolled rather than configparser-based:
 repeated keys, exact-field validation and line-precise errors are the
@@ -28,12 +31,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import ParseError, ValidationError
-from .lie import LieAlgebra
+from .errors import DECIMAL_RE, ParseError, ValidationError
 from .record import record
-from .scalars import DECIMAL_RE, ExtScalar, parse_ext_scalar
-from .torus import TorusSpec
+
+if TYPE_CHECKING:
+    from .lie import LieAlgebra
+    from .scalars import ExtScalar
+    from .torus import TorusSpec
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -207,6 +213,8 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
                     % (len(tokens), dim),
                 )
             ideal.append(tuple(_exact_fraction(key, t) for t in tokens))
+    from .lie import LieAlgebra
+
     try:
         algebra = LieAlgebra.from_brackets(dim, brackets)
     except ValueError as exc:
@@ -215,6 +223,8 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
 
 
 def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
+    from .scalars import parse_ext_scalar
+
     single = _section_map(entries)
     if "n" not in single:
         raise ValidationError("n", "missing required key in [torus]")
@@ -239,6 +249,8 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
         for token in single["invariance"].split(","):
             invariance.add(_exact_int("invariance", token.strip()))
     truncation = _exact_int("truncation", single.get("truncation", "3"))
+    from .torus import TorusSpec
+
     try:
         return TorusSpec(n, tuple(dirs), frozenset(invariance), truncation)
     except ValueError as exc:

@@ -57,6 +57,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from .errors import DECIMAL_RE
 from .record import record
 
 RationalLike = Union[int, Fraction]
@@ -65,8 +66,6 @@ _EXT_RE = re.compile(
     r"^(?P<rat>-?\d+(?:/\d+)?)"
     r"(?:(?P<sign>[+-])(?P<irr>\d+(?:/\d+)?)\*alpha)?$"
 )
-# a digit on either side of a point: 0.5, .5, -.5, 5.
-DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 
 @record

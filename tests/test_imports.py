@@ -1,6 +1,9 @@
 """No pipeline starts with numpy or sympy, the package
 imports without dataclasses or inspect and compiles no source at run
-time, only scalars builds dense rows, no module imports another's
+time, importing the package or the cli loads no pipeline and a job loads
+only its own, the package's names resolve lazily to their home objects,
+a wrapper set on a cli name before the first job is the one called,
+only scalars builds dense rows, no module imports another's
 private names or a name it does not use, the names the bench tracer
 wraps still resolve, the test oracles import no production check, and
 the differentials, their certificates, the subspace and quotient code
@@ -241,8 +244,11 @@ def test_every_imported_name_is_used():
             elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, (ast.List, ast.Tuple))
                   and any(isinstance(t, ast.Name) and t.id == "__all__"
                           for t in node.targets)):
+                # a literal __all__ re-exports what the module imports;
+                # the package's own __all__ is derived and imports nothing
                 used |= set(ast.literal_eval(node.value))
         unused = {name for name in imported - used
                   if (path.stem, name) not in exempt}
@@ -319,3 +325,165 @@ def test_differentials_and_their_certificates_build_no_fraction(monkeypatch):
     # the counter sees the generators, divided by their leads
     assert lie.betti(c, checked=True).generators
     assert built
+
+
+PIPELINES = ("quotientcoh.lie", "quotientcoh.torus", "quotientcoh.witness",
+             "quotientcoh.sturm")
+WATCHED = PIPELINES + ("csv",)
+
+IMPORT_FRONT = """
+import json, sys
+import quotientcoh, quotientcoh.cli
+print(json.dumps(sorted(n for n in %r if n in sys.modules)))
+""" % (WATCHED,)
+
+RUN_JOB_MODULES = """
+import json, sys
+from quotientcoh.cli import main
+code = main(["--input", sys.argv[1], "--format", sys.argv[3],
+             "--output", sys.argv[2]])
+print(json.dumps([code, sorted(n for n in %r if n in sys.modules)]))
+""" % (WATCHED,)
+
+
+def test_package_and_cli_import_load_no_pipeline():
+    assert json.loads(_python(IMPORT_FRONT)) == []
+
+
+def test_each_job_loads_only_its_own_pipeline(tmp_path):
+    # a torus job loads lie too: its mode complexes are cochain complexes
+    for name, text, fmt, loads, absent in (
+        ("heisenberg", HEISENBERG_CFG, "json", "quotientcoh.lie",
+         {"quotientcoh.torus", "quotientcoh.witness", "quotientcoh.sturm"}),
+        ("torus", TORUS_CFG, "json", "quotientcoh.torus",
+         {"quotientcoh.witness", "quotientcoh.sturm"}),
+        ("witness", WITNESS_CFG, "json", "quotientcoh.witness",
+         {"quotientcoh.lie", "quotientcoh.torus"}),
+        ("quotient", QUOTIENT_CFG, "table", "quotientcoh.lie",
+         {"quotientcoh.torus", "quotientcoh.witness", "csv"}),
+    ):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        out = tmp_path / (name + ".out")
+        code, loaded = json.loads(
+            _python(RUN_JOB_MODULES, str(cfg), str(out), fmt))
+        assert code == 0, name
+        assert loads in loaded, (name, loaded)
+        assert not set(loaded) & absent, (name, loaded)
+
+
+def test_csv_job_loads_csv_and_renders(tmp_path):
+    cfg = tmp_path / "heisenberg.cfg"
+    cfg.write_text(HEISENBERG_CFG)
+    out = tmp_path / "heisenberg.csv"
+    code, loaded = json.loads(
+        _python(RUN_JOB_MODULES, str(cfg), str(out), "csv"))
+    assert code == 0
+    assert "csv" in loaded
+    assert out.read_text() == (
+        "degree,betti,generators\n0,1,1\n1,2,e0; e1\n"
+        "2,2,e0^e2; e1^e2\n3,1,e0^e1^e2\n")
+
+
+def test_every_exported_name_resolves_to_its_home_object():
+    # the names resolve lazily (PEP 562); each is the object its home
+    # module defines, and the table behind __all__ names every home
+    homes = quotientcoh._EXPORTS
+    assert sorted(quotientcoh.__all__) == sorted(
+        name for names in homes.values() for name in names)
+    assert len(set(quotientcoh.__all__)) == len(quotientcoh.__all__)
+    for module, names in homes.items():
+        home = importlib.import_module("quotientcoh." + module)
+        for name in names:
+            assert getattr(quotientcoh, name) is getattr(home, name), name
+    assert set(quotientcoh.__all__) <= set(dir(quotientcoh))
+    assert "__version__" in dir(quotientcoh)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import pytest
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quotientcoh.no_such_name
+    with pytest.raises(ImportError):
+        from quotientcoh import no_such_name  # noqa: F401
+
+
+STAR_IMPORT = """
+import json, sys
+import quotientcoh
+from quotientcoh import *
+scope = dir()
+print(json.dumps([sorted(quotientcoh.__all__),
+                  sorted(n for n in quotientcoh.__all__ if n in scope)]))
+"""
+
+LAZY_ACCESS = """
+import json, sys
+import quotientcoh
+quotientcoh.betti
+print(json.dumps(sorted(n for n in %r if n in sys.modules)))
+""" % (WATCHED,)
+
+
+def test_star_import_binds_every_exported_name():
+    exported, bound = json.loads(_python(STAR_IMPORT))
+    assert bound == exported
+
+
+def test_first_access_imports_only_the_home_module():
+    assert json.loads(_python(LAZY_ACCESS)) == ["quotientcoh.lie"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_runs():
+    # the "Library use" snippet: its import line goes through the lazy
+    # namespace, and each print matches the comment beside it
+    text = README.read_text().split("## Library use", 1)[1]
+    snippet = text.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip()
+                for line in snippet.splitlines()
+                if line.startswith("print(") and "#" in line]
+    printed = _python(snippet).splitlines()
+    assert printed == expected
+
+
+# wrap each name through getattr and setattr, as the bench tracer does,
+# or by plain assignment before cli ever resolved it; either way the
+# wrapper is the callable the first job of that pipeline calls
+WRAP_BEFORE_FIRST_JOB = """
+import importlib, json, sys
+from quotientcoh import cli
+how, name, home = sys.argv[3], sys.argv[4], sys.argv[5]
+calls = []
+if how == "getattr":
+    original = getattr(cli, name)
+else:
+    original = getattr(importlib.import_module("quotientcoh." + home), name)
+
+def wrapper(*args, **kwargs):
+    calls.append(name)
+    return original(*args, **kwargs)
+
+setattr(cli, name, wrapper)
+code = cli.main(["--input", sys.argv[1], "--format", "json",
+                 "--output", sys.argv[2]])
+print(json.dumps([code, calls, getattr(cli, name) is wrapper]))
+"""
+
+
+def test_wrapper_set_before_first_job_is_called(tmp_path):
+    for name, home, text in (
+        ("betti", "lie", HEISENBERG_CFG),
+        ("torus_betti", "torus", TORUS_CFG),
+        ("build_bumps", "witness", WITNESS_CFG),
+    ):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        out = tmp_path / (name + ".json")
+        for how in ("getattr", "assign"):
+            code, calls, kept = json.loads(_python(
+                WRAP_BEFORE_FIRST_JOB, str(cfg), str(out), how, name, home))
+            assert (code, calls, kept) == (0, [name], True), (name, how)
