@@ -373,10 +373,15 @@ def test_usage_error_reports_to_stderr():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _matches_fixture(name, check):
+def _fixture_payload(name, check):
     text = (FIXTURES / (name + ".cfg")).read_text()
     payload, code = run_job(parse_config(text), check=check)
     payload["exit"] = code
+    return payload
+
+
+def _matches_fixture(name, check):
+    payload = _fixture_payload(name, check)
     assert canonical_json(payload) == (FIXTURES / (name + ".json")).read_text()
 
 
@@ -419,6 +424,22 @@ def test_witness_reports_match_committed_fixtures():
     # while every order-0 sample of every level was still scanned to
     # recover the levels
     _matches_fixture("witness-order4", False)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize(
+    "name, check",
+    [("quotient-random8-check", True), ("torus-mixed6-check", True),
+     ("witness-order4", False)],
+)
+def test_rendered_reports_match_committed_fixtures(name, check, fmt):
+    # the table and CSV renders byte for byte: a Lie quotient with every
+    # certificate on the table's certificates line, a torus job with its
+    # cross-check line, and the witness sup table with its monotone
+    # breaks, forced levels and degree-one line
+    payload = _fixture_payload(name, check)
+    expected = (FIXTURES / ("%s.%s" % (name, fmt))).read_text()
+    assert render(payload, fmt) == expected
 
 
 @pytest.mark.parametrize("order", [17, 160])
