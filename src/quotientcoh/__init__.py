@@ -46,7 +46,7 @@ _EXPORTS = {
     ),
     "witness": (
         "BumpFamily", "DegreeOneCertificate", "WitnessReport", "build_bumps",
-        "degree_one_obstruction", "lift_obstruction", "verify_bounds",
+        "degree_one_obstruction", "verify_bounds",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

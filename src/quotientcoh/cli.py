@@ -13,6 +13,12 @@ certificates, audited_modes and exit; fields that make no sense for a
 pipeline, or for a lie job whose d.d check failed, are null.
 timing_seconds is informational and excluded from the canonical
 serialization used for byte-identity comparisons.
+
+Every value is read off the pipeline's report records.  An entry of
+koszul, sup_bounds or monotone_violations, and degree_one, is the fields
+of its record (KoszulCertificate, SupRecord, MonotoneViolation,
+DegreeOneCertificate) with None fields left out, so a new record field
+is a new report key.
 """
 
 from __future__ import annotations
@@ -20,16 +26,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import JobConfig, LieJob, WitnessJob, parse_config
 from .errors import EngineError, MathematicalRefusal, NotALieAlgebra, ParseError, ValidationError
-from .record import replace
+from .record import fields, replace
 
 if TYPE_CHECKING:
+    from .exterior import MultiIndex
+    from .scalars import SparseRow
     from .torus import TorusSpec
 
 PROG = "engine"
@@ -82,12 +89,12 @@ def _term_join(terms: list[str]) -> str:
 
 
 def _vector_label(
-    vec: tuple[tuple[int, Fraction], ...], labels: list[str]
+    vec: SparseRow, monomials: tuple[MultiIndex, ...], names: list[str]
 ) -> str:
     terms = []
     for j, coeff in vec:
-        label = labels[j]
-        if label == "1":
+        label = "^".join(names[i] for i in monomials[j])
+        if not label:
             terms.append(str(coeff))
         elif coeff == 1:
             terms.append(label)
@@ -98,16 +105,32 @@ def _vector_label(
     return _term_join(terms)
 
 
-def _lie_monomial_labels(dim: int, k: int, names: list[str]) -> list[str]:
-    from .exterior import enumerate_basis
+def _json(value):
+    """A report value as JSON values: a tuple becomes a list, and a record
+    an object of its fields, leaving out a field that is None."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if hasattr(value, "_record_fields"):
+        return {name: _json(getattr(value, name)) for name in fields(value)
+                if getattr(value, name) is not None}
+    return value
 
-    labels = []
-    for mono in enumerate_basis(dim, k):
-        if not mono:
-            labels.append("1")
-        else:
-            labels.append("^".join(names[i] for i in mono))
-    return labels
+
+def _named(report, *names: str) -> dict:
+    """The named fields of a report record, as JSON values."""
+    return {name: _json(getattr(report, name)) for name in names}
+
+
+def _payload(mode: str, certificates: dict, betti=None, ranks=None,
+             generators=None, audited_modes=None) -> dict:
+    return {
+        "mode": mode,
+        "betti": betti,
+        "ranks": ranks,
+        "generators": generators,
+        "certificates": certificates,
+        "audited_modes": audited_modes,
+    }
 
 
 def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
@@ -133,63 +156,32 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
         certificates["sign_twist"] = twist
         if not twist:
             code = 3
-    payload = {
-        "mode": "lie",
-        "betti": None,
-        "ranks": None,
-        "generators": None,
-        "certificates": certificates,
-        "audited_modes": None,
-    }
     if not is_complex:
-        return payload, code  # no cohomology to report
+        return _payload("lie", certificates), code  # no cohomology to report
     report = betti(complex_, checked=True)
-    generators = []
-    for k, gens in enumerate(report.generators):
-        labels = _lie_monomial_labels(report.dim, k, names)
-        generators.append([_vector_label(v, labels) for v in gens])
-    payload["betti"] = list(report.betti)
-    payload["ranks"] = list(report.ranks)
-    payload["generators"] = generators
-    return payload, code
+    generators = [
+        [_vector_label(v, monomials, names) for v in gens]
+        for gens, monomials in zip(report.generators, report.monomials)
+    ]
+    return _payload("lie", certificates, _json(report.betti),
+                    _json(report.ranks), generators), code
 
 
 def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     report = torus_betti(spec)  # raises InvalidSpec when refused
-    koszul = []
-    for cert in report.acyclicity_certificates:
-        entry = {
-            "mode": list(cert.mode),
-            "modes": cert.modes,
-            "ranks": list(cert.ranks),
-            "ok": cert.ok,
-        }
-        if not cert.ok:
-            entry["failed_degree"] = cert.failed_degree
-        koszul.append(entry)
-    certificates: dict = {
-        "normalization": report.normalization,
-        "transverse_coordinates": [
-            report.coordinate_names[c] for c in report.frame.free_cols
-        ],
-        "all_modes_acyclic": report.all_modes_acyclic,
-        "koszul": koszul,
-    }
+    certificates = _named(report, "normalization", "all_modes_acyclic")
+    certificates["transverse_coordinates"] = [
+        report.coordinate_names[c] for c in report.frame.free_cols]
+    certificates["koszul"] = _json(report.acyclicity_certificates)
     code = 0 if report.all_modes_acyclic else 3
     if check:
         agreed = cross_check_ce(report)
         certificates["cross_check_ce"] = agreed
         if not agreed:
             code = 3
-    payload = {
-        "mode": "torus",
-        "betti": list(report.betti),
-        "ranks": list(report.ranks),
-        "generators": [list(g) for g in report.mode_zero_generators],
-        "certificates": certificates,
-        "audited_modes": report.audited_modes,
-    }
-    return payload, code
+    return _payload("torus", certificates, _json(report.betti),
+                    _json(report.ranks), _json(report.mode_zero_generators),
+                    report.audited_modes), code
 
 
 def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
@@ -199,58 +191,14 @@ def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
         samples_per_interval=job.samples_per_interval,
     )
     report = verify_bounds(family)
-    degree_one = degree_one_obstruction()
-    certificates = {
-        "profile_constants": list(report.profile_constants),
-        "relative_slack": report.relative_slack,
-        "samples_per_interval": report.samples_per_interval,
-        "sup_bounds": [
-            {
-                "family": r.family,
-                "level": r.level,
-                "order": r.order,
-                "measured": r.measured,
-                "bound": r.bound,
-            }
-            for r in report.sup_records
-        ],
-        "monotone_violations": [
-            {
-                "family": v.family,
-                "order": v.order,
-                "level_from": v.level_from,
-                "level_to": v.level_to,
-                "ratio": v.ratio,
-            }
-            for v in report.monotone_violations
-        ],
-        "forced_levels": [list(pair) for pair in report.forced_levels],
-        "lift_obstruction": report.lift_obstruction,
-        "intervals": [
-            [k, str(interval(k)[0]), str(interval(k)[1])]
-            for k in report.k_range
-        ],
-        "degree_one": {
-            "quotient_degree1_dim": degree_one.quotient_degree1_dim,
-            "invariant_basic_degree1_dim": (
-                degree_one.invariant_basic_degree1_dim
-            ),
-            "invariant_witness": degree_one.invariant_witness,
-            "pullback_surjective_degree1": (
-                degree_one.pullback_surjective_degree1
-            ),
-            "conclusion": degree_one.conclusion,
-        },
-    }
-    payload = {
-        "mode": "witness",
-        "betti": None,
-        "ranks": None,
-        "generators": None,
-        "certificates": certificates,
-        "audited_modes": None,
-    }
-    return payload, 0
+    certificates = _named(
+        report, "profile_constants", "relative_slack", "samples_per_interval",
+        "monotone_violations", "forced_levels", "lift_obstruction")
+    certificates["sup_bounds"] = _json(report.sup_records)
+    certificates["intervals"] = [
+        [k, str(interval(k)[0]), str(interval(k)[1])] for k in report.k_range]
+    certificates["degree_one"] = _json(degree_one_obstruction())
+    return _payload("witness", certificates), 0
 
 
 def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
@@ -319,11 +267,9 @@ def _render_table(payload: dict) -> str:
                 )
             lines.append(certs["normalization"])
         else:
-            flags = []
-            for name in ("jacobi", "ideal", "d_squared_zero", "sign_twist"):
-                if name in certs and certs[name] is not None:
-                    flags.append("%s=%s" % (name, str(certs[name]).lower()))
-            lines.append("certificates: %s" % " ".join(flags))
+            lines.append("certificates: %s" % " ".join(
+                "%s=%s" % (name, str(value).lower())
+                for name, value in certs.items() if value is not None))
     else:
         certs = payload["certificates"]
         lines.append(

@@ -353,12 +353,12 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiReport:
+def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     """Betti numbers with an acyclicity audit, one certificate per class.
 
     The zero mode fixes the Betti numbers, C(n - p, k) on the
     transverse frame; every other surviving mode with sup norm at most
-    the truncation is certified exact.  The surviving modes are grouped
+    spec.truncation is certified exact.  The surviving modes are grouped
     by the canonical form of their transverse covector w: sorted |w_i|
     divided by their gcd.  Two modes with the same form have complexes
     conjugate by invertible maps: a permutation of the transverse
@@ -376,9 +376,7 @@ def torus_betti(spec: TorusSpec, truncation: int | None = None) -> TorusBettiRep
     2^(nonzeros of M) of them, and the least puts -M, ascending, on U.
     The work is |S| * C(T + |U|, |U|), not |S| * (2T + 1)^|U|.
     """
-    bound = spec.truncation if truncation is None else truncation
-    if bound < 0:
-        raise ValueError("truncation must be nonnegative")
+    bound = spec.truncation
     frame = transverse_frame(spec)
     q = len(frame.free_cols)
     names = coordinate_names(spec.n)

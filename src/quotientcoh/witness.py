@@ -446,7 +446,14 @@ class MonotoneViolation:
 
 @record
 class WitnessReport:
-    """Everything verify_bounds measured, plus the lift obstruction."""
+    """Everything verify_bounds measured, plus the lift obstruction.
+
+    forced_levels pairs each k with the level read off the ratio of the
+    two families on I_k.  lift_obstruction is true iff two of those
+    levels differ: with the supports marching down to zero and a
+    different level forced on each, no neighbourhood of zero admits a
+    single choice, which is the obstruction.
+    """
 
     k_range: tuple[int, ...]
     max_derivative_order: int
@@ -504,38 +511,6 @@ def _recovered_levels(
     return tuple((k, k) for k in order0_sups)
 
 
-def forced_levels(b: BumpFamily) -> tuple[tuple[int, int], ...]:
-    """On each I_k, read the level off the ratio of the two families.
-
-    With alpha = f_k and beta = 2^k f_k, beta/alpha is the constant 2^k
-    wherever alpha > 0, exactly in floating point since the scale is a
-    power of two (the module docstring says why that needs no run-time
-    check).  The returned pairs are (k, recovered level).  A level with
-    no positive sample raises LevelNotRecovered, read off the order-0
-    sup of the level.
-    """
-    return _recovered_levels({
-        k: _level_sup(b, k, 0, b.level_arguments(k)) for k in b.k_range})
-
-
-def _levels_differ(forced: tuple[tuple[int, int], ...]) -> bool:
-    return len({lvl for _, lvl in forced}) >= 2
-
-
-def lift_obstruction(b: BumpFamily) -> bool:
-    """True iff the forced levels cannot be locally constant near zero.
-
-    Needs at least two levels; with the supports marching down to zero
-    and a different level forced on each, no neighbourhood of zero
-    admits a single choice, which is the obstruction.
-    """
-    if len(b.k_range) < 2:
-        raise ValueError(
-            "need at least two levels to witness non-constancy near zero"
-        )
-    return _levels_differ(forced_levels(b))
-
-
 def verify_bounds(b: BumpFamily) -> WitnessReport:
     """Measure every derivative sup, check it against its bound, and
     record how the sups move in k.
@@ -589,7 +564,7 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
         sup_records=tuple(records),
         monotone_violations=tuple(violations),
         forced_levels=forced,
-        lift_obstruction=_levels_differ(forced),
+        lift_obstruction=len({lvl for _, lvl in forced}) >= 2,
     )
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from quotientcoh import CochainComplex, ExactMatrix, ce_complex, cli, heisenberg
+from quotientcoh import (
+    CochainComplex, ExactMatrix, KoszulCertificate, ce_complex, cli, heisenberg,
+)
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.config import parse_config
 from quotientcoh.cli import run_job
@@ -335,6 +337,18 @@ def test_witness_job(tmp_path, capsys):
     assert payload["betti"] is None
     # orders up to 2 only, so no monotone break in this run
     assert certs["monotone_violations"] == []
+
+
+def test_report_records_convert_field_by_field():
+    # a record becomes an object of its fields with tuples as lists, and a
+    # None field is left out: failed_degree shows only on a failed class
+    ok = KoszulCertificate((0, -1), (1, 2), True, None, 4)
+    assert cli._json(ok) == {"mode": [0, -1], "ranks": [1, 2], "ok": True,
+                             "modes": 4}
+    failed = replace(ok, ok=False, failed_degree=1)
+    assert cli._json((failed,)) == [{"mode": [0, -1], "ranks": [1, 2],
+                                     "ok": False, "failed_degree": 1,
+                                     "modes": 4}]
 
 
 def test_report_round_trips_through_json(tmp_path):

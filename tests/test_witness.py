@@ -17,10 +17,8 @@ from quotientcoh.witness import (
     build_bumps,
     degree_one_obstruction,
     derivative_polynomials,
-    forced_levels,
     interval,
     intervals_are_disjoint,
-    lift_obstruction,
     verify_bounds,
 )
 
@@ -142,16 +140,8 @@ def test_forced_level_ratio_is_exact(family):
         assert (ratios == 2.0 ** k).all()
 
 
-def test_lift_obstruction(family, report):
-    assert lift_obstruction(family)
+def test_lift_obstruction(report):
     assert report.lift_obstruction
-
-
-def test_lift_obstruction_needs_two_levels():
-    lone = build_bumps([4], max_derivative_order=1,
-                       samples_per_interval=501)
-    with pytest.raises(ValueError):
-        lift_obstruction(lone)
 
 
 def test_build_bumps_validation():
@@ -172,12 +162,6 @@ def test_degree_one_obstruction_certificate():
     assert cert.invariant_witness == "dx"
     assert not cert.pullback_surjective_degree1
     assert cert.conclusion == "pullback-not-surjective"
-
-
-def test_forced_levels_pairs(family):
-    pairs = forced_levels(family)
-    assert [k for k, _ in pairs] == sorted(family.k_range)
-    assert all(k == lvl for k, lvl in pairs)
 
 
 def test_derivative_polynomials_match_sympy():
@@ -244,7 +228,7 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
     # set per grid and order: level recovery reads the order-0 sups of
     # the sup tables instead of sampling the levels again
     calls = {"profile_constants": 0, "level_arguments": 0,
-             "peak_candidates": 0, "forced_levels": 0}
+             "peak_candidates": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -255,15 +239,12 @@ def test_verify_bounds_does_level_work_once(monkeypatch, family):
     for name in ("profile_constants", "level_arguments", "peak_candidates"):
         monkeypatch.setattr(BumpFamily, name, counted(
             name, getattr(BumpFamily, name)))
-    monkeypatch.setattr(witness, "forced_levels", counted(
-        "forced_levels", witness.forced_levels))
     report = verify_bounds(family)
     levels = len(family.k_range)
     orders = family.max_derivative_order + 1
     assert calls == {"profile_constants": 1, "level_arguments": levels,
-                     "peak_candidates": (levels + 1) * orders,
-                     "forced_levels": 0}
-    assert report.forced_levels == forced_levels(family)
+                     "peak_candidates": (levels + 1) * orders}
+    assert report.forced_levels == tuple((k, k) for k in family.k_range)
     assert report.lift_obstruction
 
 
@@ -339,10 +320,9 @@ def test_underflowing_level_is_not_recovered():
     # while level 27 keeps subnormal positive samples
     fam = build_bumps([27, 28], max_derivative_order=0,
                       samples_per_interval=101)
-    for check in (forced_levels, lift_obstruction, verify_bounds):
-        with pytest.raises(LevelNotRecovered,
-                           match="no positive samples at level 28:"):
-            check(fam)
+    with pytest.raises(LevelNotRecovered,
+                       match="no positive samples at level 28:"):
+        verify_bounds(fam)
 
 
 def test_underflowing_level_exits_one(tmp_path, capsys):
@@ -605,9 +585,8 @@ def test_a_bad_order0_level_sample_fails_closed(value):
             return out
 
     bad = _recast(BadSample, base)
-    for check in (verify_bounds, forced_levels, lift_obstruction):
-        with pytest.raises(NonFiniteValue, match="level k=4"):
-            check(bad)
+    with pytest.raises(NonFiniteValue, match="level k=4"):
+        verify_bounds(bad)
 
 
 def test_verify_bounds_memory_does_not_grow_with_the_grid():
