@@ -31,9 +31,9 @@ _EXPORTS = {
     ),
     "exterior": ("enumerate_basis", "wedge_insert"),
     "lie": (
-        "BettiReport", "CochainComplex", "LieAlgebra", "QuotientAlgebra",
-        "Subspace", "abelian", "betti", "ce_complex", "heisenberg",
-        "ideal_check", "jacobi_check", "phi_sign_check", "quotient", "sl2",
+        "BettiReport", "CochainComplex", "LieAlgebra", "Subspace", "abelian",
+        "betti", "ce_complex", "heisenberg", "ideal_check", "jacobi_check",
+        "phi_sign_check", "quotient", "sl2",
     ),
     "scalars": (
         "ExactMatrix", "ExtScalar", "nullspace_basis", "parse_ext_scalar",

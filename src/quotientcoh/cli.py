@@ -139,15 +139,13 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     if not ok:
         raise NotALieAlgebra(triple)
     certificates: dict = {"jacobi": True, "ideal": None}
-    target = algebra
     names = ["e%d" % i for i in range(algebra.dim)]
     if job.ideal_vectors is not None:
         sub = Subspace.span(algebra.dim, job.ideal_vectors)
-        quot = quotient(algebra, sub)  # raises NotAnIdeal when refused
+        algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
-        target = quot
-        names = ["e%d" % c for c in quot.complement]
-    complex_ = ce_complex(target)
+        names = ["e%d" % c for c in sub.complement]
+    complex_ = ce_complex(algebra)
     is_complex = complex_.d_squared_violation() is None
     certificates["d_squared_zero"] = is_complex
     code = 0 if is_complex else 3
@@ -171,7 +169,7 @@ def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     report = torus_betti(spec)  # raises InvalidSpec when refused
     certificates = _named(report, "normalization", "all_modes_acyclic")
     certificates["transverse_coordinates"] = [
-        report.coordinate_names[c] for c in report.frame.free_cols]
+        report.coordinate_names[c] for c in report.frame.skeleton.complement]
     certificates["koszul"] = _json(report.acyclicity_certificates)
     code = 0 if report.all_modes_acyclic else 3
     if check:
@@ -218,18 +216,16 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
 # json and csv are imported where a report is rendered, after the job's
 # pipeline has compiled: their modules then reuse the memory that compile
 # freed instead of raising the process's peak under it.
-def canonical_json(payload: dict) -> str:
-    """Deterministic serialization: timing dropped, keys sorted."""
-    import json
-
-    trimmed = {k: v for k, v in payload.items() if k != "timing_seconds"}
-    return json.dumps(trimmed, sort_keys=True, indent=2) + "\n"
-
-
 def _render_json(payload: dict) -> str:
     import json
 
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def canonical_json(payload: dict) -> str:
+    """Deterministic serialization: the JSON render with timing dropped."""
+    return _render_json(
+        {k: v for k, v in payload.items() if k != "timing_seconds"})
 
 
 def _render_table(payload: dict) -> str:

@@ -30,12 +30,12 @@ class MathematicalRefusal(EngineError):
 class NotAnIdeal(MathematicalRefusal):
     """The requested quotient subspace is not closed under the bracket."""
 
-    def __init__(self, generator_index: int, basis_index: int):
-        self.generator_index = generator_index
+    def __init__(self, basis_index: int, generator_index: int):
         self.basis_index = basis_index
+        self.generator_index = generator_index
         super().__init__(
             "bracket of basis vector %d with subspace generator %d "
-            "leaves the subspace" % (generator_index, basis_index)
+            "leaves the subspace" % (basis_index, generator_index)
         )
 
 

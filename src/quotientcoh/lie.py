@@ -21,18 +21,21 @@ vectors reduced against the image of the previous differential, which
 leaves exactly one representative per cohomology dimension; only the
 report's copies are divided by their lead.
 
-Quotients by an ideal h use the coordinate splitting given by the
-echelon form of h: the non-pivot coordinates form a complement, and the
-induced bracket is the residual of the integer parent bracket row after
-reduction by h.
+A Subspace owns the coordinate splitting given by its echelon form:
+its complement is the non-pivot coordinates and its scale the lcm of
+its leads.  The quotient by an ideal h is the LieAlgebra on
+h.complement whose bracket is the residual of the integer parent
+bracket row after reduction by h, over the parent's denominator times
+h.scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import NotAnIdeal
 # remove_pair is unused here, but perfbench/tracer.py wraps lie.remove_pair by name
@@ -211,14 +214,26 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(row[0][0] for row in self.basis)
 
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        """The non-pivot coordinates, ascending: the coordinates of the
+        quotient by this subspace."""
+        pivots = set(self.pivots)
+        return tuple(c for c in range(self.ambient_dim) if c not in pivots)
+
+    @cached_property
+    def scale(self) -> int:
+        """L, the lcm of the leads of the rows (1 for the zero subspace)."""
+        return lcm(*(row[0][1] for row in self.basis))
+
     def reduce(self, v: Mapping[int, int] | IntRow) -> dict[int, int]:
         """L times the residual of the integer vector v (a {column:
-        value} map or (column, value) pairs) along the pivots, with L
-        the lcm of the leads a_p: L v - sum_p v[p] (L / a_p) r_p, as its
-        nonzero entries.  One pass suffices because each row r_p
-        vanishes on the other pivots.  Empty iff v is in the subspace.
+        value} map or (column, value) pairs) along the pivots, with L =
+        self.scale: L v - sum_p v[p] (L / a_p) r_p for a_p the lead of
+        r_p, as its nonzero entries.  One pass suffices because each row
+        r_p vanishes on the other pivots.  Empty iff v is in the subspace.
         """
-        scale = lcm(*(row[0][1] for row in self.basis))
+        scale = self.scale
         w = {j: scale * x for j, x in dict(v).items()}
         for row in self.basis:
             p, a = row[0]
@@ -257,63 +272,50 @@ def ideal_check(g: LieAlgebra, h: Subspace) -> bool:
     return _ideal_failure(g, h) is None
 
 
-@record
-class QuotientAlgebra:
-    """g/h with the complement of h given by non-pivot coordinates.
+def quotient(g: LieAlgebra, h: Subspace) -> LieAlgebra:
+    """g/h on the coordinates h.complement, raising NotAnIdeal when h is
+    not bracket-closed.
 
-    ``complement`` lists the ambient coordinates that survive as the
-    quotient basis, in increasing order; ``algebra`` is the induced
-    bracket matrix on those coordinates.
-    """
-
-    parent: LieAlgebra
-    ideal: Subspace
-    complement: tuple[int, ...]
-    algebra: LieAlgebra
-
-
-def quotient(g: LieAlgebra, h: Subspace) -> QuotientAlgebra:
-    """Form g/h, raising NotAnIdeal when h is not bracket-closed.
-
-    The induced bracket of two complement coordinates is the sparse
-    residual of their parent bracket row after reduction by h, which
-    vanishes on every pivot of h.  `Subspace.reduce` returns it times
-    L, the lcm of the leads of h, from integer rows over the table's
-    denominator, so the induced table is those rows over den * L.
+    Basis vector p of the quotient is e_c for c = h.complement[p].  The
+    induced bracket of two complement coordinates is the sparse residual
+    of their parent bracket row after reduction by h, which vanishes on
+    every pivot of h.  `Subspace.reduce` returns it times h.scale from
+    integer rows over the table's denominator, so the induced table is
+    those rows over den * h.scale.
     """
     failure = _ideal_failure(g, h)
     if failure is not None:
         raise NotAnIdeal(*failure)
-    pivots = set(h.pivots)
-    complement = tuple(c for c in range(g.dim) if c not in pivots)
-    position = {c: p for p, c in enumerate(complement)}
+    position = {c: p for p, c in enumerate(h.complement)}
     # parent pairs of complement coordinates come in the lexicographic
     # order of their positions, since complement is increasing
     rows = []
     for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.int_rows):
         if a in position and b in position:
             rows.append({position[k]: x for k, x in h.reduce(row).items()})
-    scale = lcm(*(row[0][1] for row in h.basis))
-    induced = LieAlgebra(len(complement), ExactMatrix.from_int_rows(
-        len(complement), g.table.den * scale, rows))
-    return QuotientAlgebra(g, h, complement, induced)
+    return LieAlgebra(len(position), ExactMatrix.from_int_rows(
+        len(position), g.table.den * h.scale, rows))
 
 
 @record
 class CochainComplex:
     """The alternating-forms complex of an n-dimensional algebra.
 
-    d[k] is the matrix of the degree-k differential with respect to the
-    lexicographic monomial bases, shape C(n, k+1) x C(n, k); the tuple
-    has length n since the top differential is zero.  d[k] is
-    ce_differential(algebra, k, weight), with trivial coefficients when
-    weight is empty; a torus mode class has a nonzero weight on R^q.
+    n is algebra.dim, read as the property dim.  d[k] is the matrix of
+    the degree-k differential with respect to the lexicographic monomial
+    bases, shape C(n, k+1) x C(n, k); the tuple has length n since the
+    top differential is zero.  d[k] is ce_differential(algebra, k,
+    weight), with trivial coefficients when weight is empty; a torus
+    mode class has a nonzero weight on R^q.
     """
 
-    dim: int
     d: tuple[ExactMatrix, ...]
     algebra: LieAlgebra
     weight: tuple[RationalLike, ...] = ()
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
 
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None."""
@@ -325,13 +327,6 @@ class CochainComplex:
 
     def d_squared_is_zero(self) -> bool:
         return self.d_squared_violation() is None
-
-
-AlgebraLike = Union[LieAlgebra, QuotientAlgebra]
-
-
-def _algebra_of(x: AlgebraLike) -> LieAlgebra:
-    return x.algebra if isinstance(x, QuotientAlgebra) else x
 
 
 def ce_differential(
@@ -386,12 +381,9 @@ def ce_differential(
     return ExactMatrix.from_int_rows(len(col_index), den, rows)
 
 
-def ce_complex(x: AlgebraLike) -> CochainComplex:
-    """Build every differential matrix of the cochain complex of x."""
-    g = _algebra_of(x)
-    return CochainComplex(
-        g.dim, tuple(ce_differential(g, k) for k in range(g.dim)), g
-    )
+def ce_complex(g: LieAlgebra) -> CochainComplex:
+    """Build every differential matrix of the cochain complex of g."""
+    return CochainComplex(tuple(ce_differential(g, k) for k in range(g.dim)), g)
 
 
 @record

@@ -10,10 +10,11 @@ decompose over Fourier modes m in Z^n, and a mode contributes iff
   * m_j = 0 for every invariance coordinate j (invariant).
 
 Constant coefficients along the leaves leave a transverse coordinate
-frame: the free columns of the echelonized direction matrix.  Its
-echelon rows span the rational skeleton of the leaves (alpha replaced
-by a rational stand-in), and the basic complex is the exterior algebra
-of the dual of R^n modulo that span.  On one surviving mode the whole
+frame.  The echelon rows of the direction matrix span the rational
+skeleton of the leaves (alpha replaced by a rational stand-in), a
+lie.Subspace, and the basic complex is the exterior algebra of the dual
+of R^n modulo that span: its transverse coordinates are the skeleton's
+complement, the non-pivot coordinates.  On one surviving mode the whole
 complex is the exterior algebra of the transverse frame, and the
 differential is left multiplication by the mode covector w (the
 overall 2*pi*i factor is normalized to 1; a nonzero scalar never
@@ -62,7 +63,6 @@ rows of that trial as its skeleton; every consumer of the report, the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
 from typing import Sequence
@@ -169,22 +169,12 @@ class TransverseFrame:
     skeleton is the span of the directions with alpha replaced by
     substitution, the rational stand-in that certified independence;
     its reduced echelon rows, primitive integer rows, fix the split.
-    pivot_cols, the leads of those rows, carry the leafwise directions,
-    free_cols the transverse ones.
+    skeleton.pivots, the leads of those rows, carry the leafwise
+    directions, skeleton.complement the transverse ones.
     """
 
     skeleton: Subspace
     substitution: Fraction
-
-    @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return self.skeleton.pivots
-
-    @cached_property
-    def free_cols(self) -> tuple[int, ...]:
-        pivots = set(self.skeleton.pivots)
-        return tuple(c for c in range(self.skeleton.ambient_dim)
-                     if c not in pivots)
 
 
 def _direction_parts(spec: TorusSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -220,10 +210,10 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
 
 def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, ...]:
     # In the annihilator frame of the leaves, the covector of a
-    # surviving mode has exactly the free-column components of the mode:
-    # both sides agree on free coordinates, and an annihilator element
-    # supported on the pivot columns must vanish.
-    return tuple(mode[f] for f in frame.free_cols)
+    # surviving mode has exactly the transverse components of the mode:
+    # both sides agree on the skeleton's complement, and an annihilator
+    # element supported on the pivot columns must vanish.
+    return tuple(mode[f] for f in frame.skeleton.complement)
 
 
 def build_mode_complex(w: Sequence[int]) -> CochainComplex:
@@ -231,7 +221,7 @@ def build_mode_complex(w: Sequence[int]) -> CochainComplex:
     cochain complex of R^q with coefficients of weight w, whose d_k is
     ce_differential(abelian(q), k, w), left wedge with w."""
     g = abelian(len(w))
-    return CochainComplex(g.dim, tuple(
+    return CochainComplex(tuple(
         ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
 
 
@@ -282,16 +272,15 @@ def koszul_certificate(
 class TorusBettiReport:
     """Betti numbers of the invariant basic complex plus the mode audit.
 
-    betti has length n - p + 1 and equals the zero-mode cohomology;
-    acyclicity_certificates hold one KoszulCertificate per class of
-    audited nonzero modes, ordered by their least members, whose modes
-    counts sum to audited_modes; all_modes_acyclic summarizes them.
-    frame is the transverse frame the Betti numbers were read from.
+    betti has length n - p + 1 for the spec's n and p, and equals the
+    zero-mode cohomology; acyclicity_certificates hold one
+    KoszulCertificate per class of audited nonzero modes, ordered by
+    their least members, whose modes counts sum to audited_modes;
+    all_modes_acyclic summarizes them.
+    frame is the transverse frame the Betti numbers were read from; its
+    skeleton's ambient dimension is n.
     """
 
-    n: int
-    p: int
-    truncation: int
     frame: TransverseFrame
     coordinate_names: tuple[str, ...]
     betti: tuple[int, ...]
@@ -378,19 +367,20 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     """
     bound = spec.truncation
     frame = transverse_frame(spec)
-    q = len(frame.free_cols)
+    free = frame.skeleton.complement
+    q = len(free)
     names = coordinate_names(spec.n)
     betti_out = tuple(comb(q, k) for k in range(q + 1))
     gens = tuple(
         tuple(
-            monomial_label(tuple(frame.free_cols[i] for i in mono), names)
+            monomial_label(tuple(free[i] for i in mono), names)
             for mono in enumerate_basis(q, k)
         )
         for k in range(q + 1)
     )
     untouched = [j for j in range(spec.n) if j not in spec.invariance_coords
                  and all(v[j].is_zero() for v in spec.foliation_dirs)]
-    constrained = [f for f in frame.free_cols if f not in untouched]
+    constrained = [f for f in free if f not in untouched]
     multisets = []  # (M descending, the number of modes it stands for)
     for ms in combinations_with_replacement(range(bound, -1, -1),
                                             len(untouched)):
@@ -399,38 +389,30 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
             count *= comb(left, ms.count(v))
             left -= ms.count(v)
         multisets.append((list(ms), count))
-    # sorted |w| -> [least member, number of modes], then the same per class
-    by_abs: dict[tuple[int, ...], list] = {}
+    # sorted |w| / gcd -> [least member, number of modes]
+    classes: dict[tuple[int, ...], list] = {}
     pinned = replace(spec, invariance_coords=spec.invariance_coords.union(
         untouched))
     for s in surviving_modes(pinned, bound):
         base = [abs(s[f]) for f in constrained]
         for ms, count in multisets:
-            raw = tuple(sorted(base + ms))
+            raw = sorted(base + ms)
+            g = gcd(*raw)
+            if not g:
+                continue  # the zero mode, the only one with w = 0
             mode = list(s)
             for j, v in zip(untouched, ms):
                 mode[j] = -v
             least = tuple(mode)
-            entry = by_abs.setdefault(raw, [least, 0])
+            entry = classes.setdefault(tuple(x // g for x in raw), [least, 0])
             entry[0] = min(entry[0], least)
             entry[1] += count
-    classes: dict[tuple[int, ...], list] = {}
-    for raw, (mode, count) in by_abs.items():
-        if not any(raw):
-            continue  # the zero mode, the only one with w = 0
-        g = gcd(*raw)
-        entry = classes.setdefault(tuple(x // g for x in raw), [mode, 0])
-        entry[0] = min(entry[0], mode)
-        entry[1] += count
     certificates = [
         koszul_certificate(
             mode, build_mode_complex(_mode_transverse(mode, frame)), count)
         for mode, count in sorted(classes.values())
     ]
     return TorusBettiReport(
-        n=spec.n,
-        p=spec.p,
-        truncation=bound,
         frame=frame,
         coordinate_names=names,
         betti=betti_out,
@@ -450,9 +432,10 @@ def cross_check_ce(report: TorusBettiReport) -> bool:
     skeleton of the report's own frame and running the cochain pipeline
     must reproduce report.betti exactly.  This route goes through
     completely different code (echelon quotient plus cochain ranks
-    instead of binomial counting on the free columns), which is the
-    point of the check, and it certifies the numbers the report carries
-    rather than those of a second run.
+    instead of binomial counting on the skeleton's complement), which is
+    the point of the check, and it certifies the numbers the report
+    carries rather than those of a second run.
     """
-    quot = quotient(abelian(report.n), report.frame.skeleton)
+    skeleton = report.frame.skeleton
+    quot = quotient(abelian(skeleton.ambient_dim), skeleton)
     return tuple(report.betti) == tuple(lie_betti(ce_complex(quot)).betti)

@@ -92,8 +92,8 @@ def test_post_init_normalises_and_cached_property_caches():
     assert (m.den, m.int_rows) == (2, (((0, 1), (1, 2)),))
     frame = transverse_frame(TorusSpec(3, ((ExtScalar(1), ExtScalar(2),
                                             ExtScalar(0)),)))
-    assert frame.free_cols == (1, 2)
-    assert frame.free_cols is frame.free_cols
+    assert frame.skeleton.complement == (1, 2)
+    assert frame.skeleton.complement is frame.skeleton.complement
 
 
 def test_replace_rebuilds_through_init():

@@ -163,12 +163,12 @@ def test_survives_matches_bruteforce_enumeration():
 
 
 def test_transverse_frame_examples():
-    frame = transverse_frame(example_spec())
-    assert frame.pivot_cols == (0,)
-    assert frame.free_cols == (1, 2)
-    kron = transverse_frame(kronecker_spec())
-    assert kron.pivot_cols == (0,)
-    assert kron.free_cols == (1,)
+    skeleton = transverse_frame(example_spec()).skeleton
+    assert skeleton.pivots == (0,)
+    assert skeleton.complement == (1, 2)
+    kron = transverse_frame(kronecker_spec()).skeleton
+    assert kron.pivots == (0,)
+    assert kron.complement == (1,)
 
 
 def test_transverse_frame_rejects_dependence():
@@ -192,7 +192,7 @@ def test_zero_direction_is_rejected():
 
 
 def _transverse(mode, spec):
-    return tuple(mode[f] for f in transverse_frame(spec).free_cols)
+    return tuple(mode[f] for f in transverse_frame(spec).skeleton.complement)
 
 
 def test_mode_complex_example():
@@ -221,7 +221,6 @@ def test_koszul_certificate_examples():
 def test_koszul_certificate_fails_on_a_non_complex():
     # ranks (1, 1) make every Betti number zero, but d_1 d_0 = 2
     c = CochainComplex(
-        2,
         (ExactMatrix.from_rows([[1], [1]], cols=1),
          ExactMatrix.from_rows([[1, 1]], cols=2)),
         abelian(2),
@@ -256,7 +255,7 @@ def test_mode_complexes_match_the_weighted_oracle():
     checked = 0
     for spec in _lattice_specs():
         try:
-            q = len(transverse_frame(spec).free_cols)
+            q = len(transverse_frame(spec).skeleton.complement)
         except InvalidSpec:
             continue
         for mode in surviving_modes(spec, min(spec.truncation, 1))[:4]:
@@ -273,7 +272,7 @@ def test_mode_complexes_match_the_weighted_oracle():
 def test_torus_betti_example():
     report = torus_betti(example_spec())
     assert report.betti == (1, 2, 1)
-    assert report.frame.free_cols == (1, 2)
+    assert report.frame.skeleton.complement == (1, 2)
     assert report.mode_zero_generators == (("1",), ("dy", "dz"), ("dy^dz",))
     assert report.audited_modes == 6
     assert report.all_modes_acyclic
@@ -540,8 +539,8 @@ def test_frame_skeleton_spans_the_directions_at_its_substitution():
         assert frame.skeleton == Subspace.span(
             spec.n, _directions_at(spec, frame.substitution)), spec
         assert frame.skeleton.dim == spec.p
-        assert frame.pivot_cols == frame.skeleton.pivots
-        assert sorted(frame.pivot_cols + frame.free_cols) == list(range(spec.n))
+        split = frame.skeleton.pivots + frame.skeleton.complement
+        assert sorted(split) == list(range(spec.n))
         substitutions.add(frame.substitution)
     assert transverse_frame(dependent_at_zero).substitution == 1
     assert substitutions >= {0, 1}
