@@ -6,7 +6,9 @@
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
 degenerate foliation, broken Jacobi table), 3 when a certificate fails
 (d.d != 0, a non-acyclic audited mode, or a --check cross-check), 1 for
-bad job files and internal errors.
+bad job files and internal errors.  A malformed command line prints the
+usage and an ``engine: error:`` line to stderr and exits 2; -h or --help
+prints the options to stdout and exits 0.
 
 The JSON report always carries the keys mode, betti, ranks, generators,
 certificates, audited_modes and exit; fields that make no sense for a
@@ -23,14 +25,13 @@ is a new report key.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import JobConfig, LieJob, WitnessJob, parse_config
+from .config import FORMATS, JobConfig, LieJob, WitnessJob, parse_config
 from .errors import EngineError, MathematicalRefusal, NotALieAlgebra, ParseError, ValidationError
 from .record import fields, replace
 
@@ -345,41 +346,100 @@ def render(payload: dict, fmt: str) -> str:
     return _render_table(payload)
 
 
+USAGE = """\
+usage: engine [-h] --input INPUT [--output OUTPUT] [--format {table,json,csv}]
+              [--truncation TRUNCATION] [--check]
+"""
+
+HELP = USAGE + """
+exact cohomology of group quotients via finite invariant complexes
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         job file to run
+  --output OUTPUT       write the report here instead of stdout
+  --format {table,json,csv}
+                        report format (default: job file setting, else table)
+  --truncation TRUNCATION
+                        override the audit truncation of a torus job
+  --check               run the redundant cross-checks; mismatch exits 3
+"""
+
+
+class _UsageError(Exception):
+    """A malformed command line; main prints it under the usage."""
+
+
+def _is_option(token: str) -> bool:
+    # a negative integer is a value, so --truncation -1 reaches the
+    # configuration check
+    return token.startswith("-") and not token[1:].isdigit()
+
+
+def _parse_args(argv: list[str]) -> dict | None:
+    """The options of a command line, or None when it asks for help.
+
+    Each option is ``--opt value`` or ``--opt=value``, the last of a
+    repeated one wins, and every malformed token raises _UsageError.
+    """
+    args = {"input": None, "output": None, "format": None,
+            "truncation": None, "check": False}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        option, explicit, value = token.partition("=")
+        key = option[2:]
+        if option == "--check":
+            if explicit:
+                raise _UsageError(
+                    "argument --check: ignored explicit argument %r" % value)
+            args["check"] = True
+            continue
+        if not option.startswith("--") or key not in args:
+            raise _UsageError("unrecognized arguments: %s" % token)
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise _UsageError("argument %s: expected one argument" % option)
+        if key == "format" and value not in FORMATS:
+            raise _UsageError(
+                "argument --format: invalid choice: %r (choose from %s)"
+                % (value, ", ".join(repr(f) for f in FORMATS)))
+        if key == "truncation":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(
+                    "argument --truncation: invalid int value: %r" % value
+                ) from None
+        args[key] = value
+    if args["input"] is None:
+        raise _UsageError("the following arguments are required: --input")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description=(
-            "exact cohomology of group quotients via finite invariant "
-            "complexes"
-        ),
-    )
-    parser.add_argument("--input", required=True, help="job file to run")
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("table", "json", "csv"),
-        help="report format (default: job file setting, else table)",
-    )
-    parser.add_argument(
-        "--truncation", type=int,
-        help="override the audit truncation of a torus job",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="run the redundant cross-checks; mismatch exits 3",
-    )
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write("%s%s: error: %s\n" % (USAGE, PROG, exc))
+        return 2
+    if args is None:
+        sys.stdout.write(HELP)
+        return 0
     started = time.perf_counter()
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args["input"]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read input: %s" % (PROG, exc), file=sys.stderr)
         return 1
     try:
         config = parse_config(text)
-        if args.truncation is not None and config.torus is not None:
+        if args["truncation"] is not None and config.torus is not None:
             config = replace(
                 config,
-                torus=replace(config.torus, truncation=args.truncation),
+                torus=replace(config.torus, truncation=args["truncation"]),
             )
     except MathematicalRefusal as exc:
         print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),
@@ -389,7 +449,7 @@ def main(argv=None) -> int:
         print("%s: configuration error: %s" % (PROG, exc), file=sys.stderr)
         return 1
     try:
-        payload, code = run_job(config, check=args.check)
+        payload, code = run_job(config, check=args["check"])
     except MathematicalRefusal as exc:
         print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),
               file=sys.stderr)
@@ -399,8 +459,8 @@ def main(argv=None) -> int:
         return 1
     payload["exit"] = code
     payload["timing_seconds"] = round(time.perf_counter() - started, 6)
-    rendered = render(payload, args.format or config.output.format)
-    out_path = args.output or config.output.path
+    rendered = render(payload, args["format"] or config.output.format)
+    out_path = args["output"] or config.output.path
     if out_path:
         try:
             Path(out_path).write_text(rendered)

@@ -55,7 +55,8 @@ _SECTIONS = {
 }
 _REPEATABLE = {("lie", "bracket"), ("lie", "ideal"), ("torus", "foliation")}
 _MODE_SECTIONS = ("lie", "torus", "witness")
-_FORMATS = ("table", "json", "csv")
+# the report formats of [output] format and of the --format option
+FORMATS = ("table", "json", "csv")
 # Highest bump derivative order the float evaluation in witness.py may
 # carry.  Against exact evaluation of P_m on grids of 3 to 10,001 points,
 # the Horner evaluation in q puts C_m within 1e-10 relative through order
@@ -313,10 +314,10 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
 def _build_output(entries: list[tuple[str, str, int]]) -> OutputConfig:
     single = _section_map(entries)
     fmt = single.get("format", "table")
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise ValidationError(
             "format", "unknown format %r; expected one of %s"
-            % (fmt, ", ".join(_FORMATS))
+            % (fmt, ", ".join(FORMATS))
         )
     return OutputConfig(fmt, single.get("path"))
 

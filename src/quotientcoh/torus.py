@@ -299,9 +299,9 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     (open) coordinates the survival set is the integer kernel of the
     rational and alpha parts of the directions (m . (a + alpha*b) = 0
     splits into m . a = 0 and m . b = 0), which is also the kernel of
-    their reduced row echelon form R.  Each row of R, a primitive
-    integer row from `rref`, writes lead * pivot coordinate as minus an
-    integer combination of non-pivot ones.
+    their reduced row echelon form R, the basis of their `Subspace`
+    span.  Each row of R, a primitive integer row, writes lead * pivot
+    coordinate as minus an integer combination of non-pivot ones.
     Enumerating the non-pivot coordinates over {-bound..bound} and
     deriving every pivot coordinate exactly, kept only when it is an
     integer inside the box, is complete: every coordinate of a kernel
@@ -314,19 +314,18 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     """
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
     a, b = _direction_parts(spec)
-    rows = [[row[j] for j in open_cols] for row in a + b]
-    reduced = rref(ExactMatrix.from_rows(rows, cols=len(open_cols)))
-    enumerated = set(open_cols) - {open_cols[c] for c in reduced}
+    constraints = Subspace.span(
+        len(open_cols), [[row[j] for j in open_cols] for row in a + b])
+    enumerated = {open_cols[c] for c in constraints.complement}
     values = range(-bound, bound + 1)
     axes = [values if j in enumerated else (0,) for j in range(spec.n)]
-    if not reduced:
+    if not constraints.basis:
         # the product over per-coordinate ranges is already lexicographic
         return list(product(*axes))
     # pivot coordinate = (sum of coefficient * enumerated coordinate) / lead
     solved = [
-        (open_cols[c], row[c],
-         tuple((open_cols[k], -x) for k, x in row.items() if k != c))
-        for c, row in reduced.items()
+        (open_cols[c], lead, tuple((open_cols[k], -x) for k, x in others))
+        for (c, lead), *others in constraints.basis
     ]
     out = []
     for point in product(*axes):

@@ -384,6 +384,74 @@ def test_usage_error_reports_to_stderr():
     assert "usage" in proc.stderr.lower()
 
 
+def test_equals_form_reads_the_same_options(tmp_path, capsys):
+    cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
+    assert main(["--input", cfg, "--format", "json", "--truncation", "1"]) == 0
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["--input=" + cfg, "--format=json", "--truncation=1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert canonical_json(json.loads(captured.out)) == canonical_json(spaced)
+    assert spaced["audited_modes"] == 2
+
+
+def test_last_of_a_repeated_option_wins(tmp_path, capsys):
+    cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
+    assert main(["--input", cfg, "--format", "csv", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 2, 1]
+    assert main(["--input", cfg, "--format=json", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("degree,betti,generators\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_options_and_exits_zero(tmp_path, capsys, flag):
+    # help wins over the rest of the line, as long as it comes first
+    assert main([flag, "--format", "xml"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(
+        "usage: engine [-h] --input INPUT [--output OUTPUT] "
+        "[--format {table,json,csv}]\n")
+    for option in ("-h, --help", "--input INPUT", "--output OUTPUT",
+                   "--format {table,json,csv}", "--truncation TRUNCATION",
+                   "--check"):
+        assert "\n  " + option in captured.out, option
+
+
+USAGE_ERRORS = [
+    (["--input", "job.cfg", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' "
+     "(choose from 'table', 'json', 'csv')"),
+    (["--input", "job.cfg", "--truncation", "x"],
+     "argument --truncation: invalid int value: 'x'"),
+    (["--input", "job.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+    # no prefix matching: --in is not --input
+    (["--in", "job.cfg"], "unrecognized arguments: --in"),
+    (["--input", "job.cfg", "stray"], "unrecognized arguments: stray"),
+    (["--input"], "argument --input: expected one argument"),
+    (["--output", "--check", "--input", "job.cfg"],
+     "argument --output: expected one argument"),
+    (["--input", "job.cfg", "--check=1"],
+     "argument --check: ignored explicit argument '1'"),
+    ([], "the following arguments are required: --input"),
+    (["--format", "json", "--check"],
+     "the following arguments are required: --input"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", USAGE_ERRORS)
+def test_usage_errors_exit_two_with_the_usage(tmp_path, capsys, argv,
+                                              reason):
+    cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
+    argv = [cfg if token == "job.cfg" else token for token in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: engine [-h] --input INPUT ")
+    assert lines[-1] == "engine: error: " + reason
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 

@@ -3,6 +3,7 @@ imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
+no job process loads argparse, gettext or locale,
 only scalars builds dense rows, no module imports another's
 private names or a name it does not use, the names the bench tracer
 wraps still resolve, the test oracles import no production check, and
@@ -47,6 +48,33 @@ code = main(["--input", sys.argv[1], "--format", "json",
 print(json.dumps([code, sorted(n for n in %r if n in sys.modules)]))
 """ % (HEAVY,)
 
+# argparse loads gettext, whose language lookup loads locale; the cli
+# parses its five options itself
+ARGPARSE = ("argparse", "gettext", "locale")
+
+# the cli import, then one job per pipeline and a usage error, each
+# through main; after each step, its exit code and which of those modules
+# are loaded
+NO_ARGPARSE = """
+import json, sys
+import quotientcoh.cli
+from quotientcoh.cli import main
+
+def loaded():
+    return sorted(n for n in %r if n in sys.modules)
+
+steps = [["import", None, loaded()]]
+lie, torus, witness, out = sys.argv[1:]
+for name, argv in (
+    ("lie", ["--input", lie, "--format", "json", "--output", out]),
+    ("torus", ["--input", torus, "--format", "json", "--output", out]),
+    ("witness", ["--input", witness, "--format", "json", "--output", out]),
+    ("usage", ["--input", lie, "--format", "xml"]),
+):
+    steps.append([name, main(argv), loaded()])
+print(json.dumps(steps))
+""" % (ARGPARSE,)
+
 HEISENBERG_CFG = """\
 [lie]
 dim = 3
@@ -87,6 +115,19 @@ def test_package_import_loads_neither_library():
 
 def test_package_import_loads_no_code_generation():
     assert not set(json.loads(_python(IMPORT_ONLY))) & set(CODEGEN)
+
+
+def test_no_job_process_loads_argparse_gettext_or_locale(tmp_path):
+    cfgs = []
+    for name, text in (("lie", HEISENBERG_CFG), ("torus", TORUS_CFG),
+                       ("witness", WITNESS_CFG)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        cfgs.append(str(cfg))
+    out = str(tmp_path / "report.json")
+    assert json.loads(_python(NO_ARGPARSE, *cfgs, out)) == [
+        ["import", None, []], ["lie", 0, []], ["torus", 0, []],
+        ["witness", 0, []], ["usage", 2, []]]
 
 
 def test_package_compiles_no_source_at_run_time():
@@ -212,8 +253,8 @@ def test_tracer_spans_the_class_complexes(tmp_path):
 
 
 def test_tracer_spans_the_mode_scan_elimination(tmp_path):
-    # surviving_modes eliminates through its own name torus.rref, which
-    # the tracer spans as scalars.rref
+    # surviving_modes eliminates through Subspace.span, which calls
+    # lie.rref, and the tracer spans that name as scalars.rref
     spans = _traced_spans(tmp_path, "torus", TORUS_CFG)
     names = [span[0] for span in spans]
     assert any(name == "scalars.rref" and parent >= 0
