@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from .config import FORMATS, JobConfig, LieJob, WitnessJob, parse_config
 from .errors import EngineError, MathematicalRefusal, NotALieAlgebra, ParseError, ValidationError
+from .ratio import ratio_str
 from .record import fields, replace
 
 if TYPE_CHECKING:
@@ -96,13 +97,13 @@ def _vector_label(
     for j, coeff in vec:
         label = "^".join(names[i] for i in monomials[j])
         if not label:
-            terms.append(str(coeff))
-        elif coeff == 1:
+            terms.append(ratio_str(coeff))
+        elif coeff == (1, 1):
             terms.append(label)
-        elif coeff == -1:
+        elif coeff == (-1, 1):
             terms.append("-" + label)
         else:
-            terms.append("%s*%s" % (coeff, label))
+            terms.append("%s*%s" % (ratio_str(coeff), label))
     return _term_join(terms)
 
 
@@ -195,7 +196,7 @@ def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
         "monotone_violations", "forced_levels", "lift_obstruction")
     certificates["sup_bounds"] = _json(report.sup_records)
     certificates["intervals"] = [
-        [k, str(interval(k)[0]), str(interval(k)[1])] for k in report.k_range]
+        [k, *map(ratio_str, interval(k))] for k in report.k_range]
     certificates["degree_one"] = _json(degree_one_obstruction())
     return _payload("witness", certificates), 0
 

@@ -15,12 +15,13 @@ Sections [lie], [torus] and [witness] select the pipeline; exactly one
 of them must be present.  Keys that repeat to build up a list are
 ``bracket`` and ``ideal`` in [lie] and ``foliation`` in [torus];
 every other key may appear once.  All numeric fields of the exact
-pipelines take integers or fractions only; decimal literals are
-rejected with a pointed message, since silently rounding them would
-defeat the purpose of an exact engine.  Each section builder imports
-its own pipeline's types once the section's fields have passed these
-checks, so parsing a job loads no other pipeline, and a job whose values
-do not parse loads neither lie nor torus.
+pipelines take integers or ratios a/b only, read into exact
+(numerator, denominator) pairs; decimal literals are rejected with a
+pointed message, since silently rounding them would defeat the purpose
+of an exact engine.  Each section builder imports its own pipeline's
+types once the section's fields have passed these checks, so parsing a
+job loads no other pipeline, and a job whose values do not parse loads
+neither lie nor torus.
 
 The parser is deliberately hand-rolled rather than configparser-based:
 repeated keys, exact-field validation and line-precise errors are the
@@ -30,10 +31,10 @@ whole job, and configparser fights all three.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DECIMAL_RE, ParseError, ValidationError
+from .ratio import Ratio, parse_ratio
 from .record import record
 
 if TYPE_CHECKING:
@@ -81,7 +82,7 @@ class LieJob:
     """A lie-algebra cohomology job: an algebra and an optional quotient."""
 
     algebra: LieAlgebra
-    ideal_vectors: tuple[tuple[Fraction, ...], ...] | None
+    ideal_vectors: tuple[tuple[Ratio, ...], ...] | None
 
 
 @record
@@ -111,7 +112,7 @@ class JobConfig:
     output: OutputConfig = OutputConfig()
 
 
-def _exact_fraction(key: str, token: str) -> Fraction:
+def _exact_ratio(key: str, token: str) -> Ratio:
     if DECIMAL_RE.search(token):
         raise ValidationError(
             key,
@@ -121,7 +122,7 @@ def _exact_fraction(key: str, token: str) -> Fraction:
     if not _FRACTION_RE.match(token):
         raise ValidationError(key, "cannot parse %r as a fraction" % token)
     try:
-        return Fraction(token)
+        return parse_ratio(token)
     except ZeroDivisionError:
         raise ValidationError(key, "zero denominator in %r" % token) from None
 
@@ -189,8 +190,8 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
     dim = _exact_int("dim", single["dim"])
     if dim < 0:
         raise ValidationError("dim", "dimension must be nonnegative")
-    brackets: dict[tuple[int, int, int], Fraction] = {}
-    ideal: list[tuple[Fraction, ...]] = []
+    brackets: dict[tuple[int, int, int], Ratio] = {}
+    ideal: list[tuple[Ratio, ...]] = []
     for key, value, line_no in entries:
         if key == "bracket":
             tokens = value.split()
@@ -199,7 +200,7 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
                     line_no, key, "expected 'bracket = i j k value'"
                 )
             ijk = tuple(_exact_int(key, t) for t in tokens[:3])
-            v = _exact_fraction(key, tokens[3])
+            v = _exact_ratio(key, tokens[3])
             # a repeated key would silently overwrite the first value
             if brackets.setdefault(ijk, v) != v:
                 raise ValidationError(
@@ -213,7 +214,7 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
                     "ideal vector has %d entries, expected dim = %d"
                     % (len(tokens), dim),
                 )
-            ideal.append(tuple(_exact_fraction(key, t) for t in tokens))
+            ideal.append(tuple(_exact_ratio(key, t) for t in tokens))
     from .lie import LieAlgebra
 
     try:

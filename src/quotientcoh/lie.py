@@ -31,7 +31,6 @@ h.scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -40,6 +39,7 @@ from typing import Mapping, Sequence
 from .errors import NotAnIdeal
 # remove_pair is unused here, but perfbench/tracer.py wraps lie.remove_pair by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
+from .ratio import Ratio, as_ratio
 from .record import record
 from .scalars import (
     EchelonBasis,
@@ -85,30 +85,31 @@ class LieAlgebra:
     ) -> "LieAlgebra":
         """Build from sparse entries {(i, j, k): c_ij^k}.
 
-        An entry with i > j is stored as c_ji^k = -c_ij^k; giving both
-        sides is allowed only when they are consistent.
+        Values may be ints, Fractions or Ratios.  An entry with i > j is
+        stored as c_ji^k = -c_ij^k; giving both sides is allowed only
+        when they are consistent.
         """
-        pairs: dict[tuple[int, int, int], Fraction] = {}
+        pairs: dict[tuple[int, int, int], Ratio] = {}
         for (i, j, k), raw in brackets.items():
-            v = Fraction(raw)
+            v = as_ratio(raw)
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise ValueError(
                         "bracket index %d out of range for dim %d" % (idx, dim)
                     )
             if i == j:
-                if v != 0:
+                if v[0]:
                     raise ValueError(
                         "antisymmetry forces [e_%d, e_%d] = 0" % (i, i)
                     )
                 continue
-            key, val = ((i, j, k), v) if i < j else ((j, i, k), -v)
+            key, val = ((i, j, k), v) if i < j else ((j, i, k), (-v[0], v[1]))
             if pairs.setdefault(key, val) != val:
                 raise ValueError(
                     "conflicting values for c[%d][%d][%d]" % (i, j, k)
                 )
         row_of = {pair: p for p, pair in enumerate(enumerate_basis(dim, 2))}
-        rows: list[dict[int, Fraction]] = [{} for _ in row_of]
+        rows: list[dict[int, Ratio]] = [{} for _ in row_of]
         for (i, j, k), v in pairs.items():
             rows[row_of[i, j]][k] = v
         return cls(dim, ExactMatrix.from_sparse(dim, rows))
@@ -121,11 +122,12 @@ def _cleared_brackets(
     matrix and the weight, {(i, j): D [e_i, e_j] as (k, int) pairs} for
     every i < j, and D times the weight."""
     table = g.table
-    den = lcm(table.den, *(x.denominator for x in weight))
+    weight = [as_ratio(x) for x in weight]
+    den = lcm(table.den, *(d for _, d in weight))
     scale = den // table.den
     rows = [tuple((k, c * scale) for k, c in row) for row in table.int_rows]
     return den, dict(zip(enumerate_basis(g.dim, 2), rows)), [
-        x.numerator * (den // x.denominator) for x in weight]
+        n * (den // d) for n, d in weight]
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -393,7 +395,7 @@ class BettiReport:
     betti[k] = C(n, k) - rank d_k - rank d_{k-1}, with each rank read
     off the one elimination of d_k that also gave its kernel;
     generators[k] holds the chosen representative cocycles as sparse
-    rows of (column, value) pairs over monomials[k], in increasing
+    rows of (column, Ratio) pairs over monomials[k], in increasing
     column order, each normalized to leading coefficient 1.
     """
 

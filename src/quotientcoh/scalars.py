@@ -4,9 +4,12 @@ Every rank, kernel and echelon form in this package is exact over the
 rationals, so results are reproducible.  The arithmetic runs on Python
 ints, which avoids the gcd that every Fraction operation pays to
 normalise its result: `ExactMatrix` stores integer rows over one
-positive denominator, and `fractions.Fraction` appears only at the
-edges: at job input, in the dense `entries` view, and in the lead-1
-rows (`lead_one`) that reports render.
+positive denominator.  A rational the core makes or returns is a
+`Ratio`, an int pair (numerator, denominator) in lowest terms: the
+lead-1 rows (`lead_one`) that reports render and the parts of an
+`ExtScalar`.  Inputs may be ints, Fractions or Ratios (`as_ratio` reads
+all three), and a `Fraction` is built only by the dense `entries` view,
+which imports it when read.
 
 Matrices are row-sparse: `ExactMatrix` keeps, for each row, only its
 nonzero entries as (column, value) pairs in increasing column order.
@@ -53,14 +56,15 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DECIMAL_RE
+from .ratio import Ratio, as_ratio, parse_ratio, ratio
 from .record import record
 
-RationalLike = Union[int, Fraction]
+# an int, a Fraction (read through its numerator and denominator) or a Ratio
+RationalLike = Union[int, "Fraction", Ratio]
 
 _EXT_RE = re.compile(
     r"^(?P<rat>-?\d+(?:/\d+)?)"
@@ -72,19 +76,21 @@ _EXT_RE = re.compile(
 class ExtScalar:
     """A number p + q*alpha with p, q rational and alpha a fixed irrational.
 
-    alpha is treated as a pure symbol, so the zero test is exact:
-    the scalar vanishes iff both components vanish.
+    p and q are stored as Ratios (rat, irr); either may be given as an
+    int, a Fraction or a Ratio.  alpha is treated as a pure symbol, so
+    the zero test is exact: the scalar vanishes iff both components
+    vanish.
     """
 
-    rat: Fraction = Fraction(0)
-    irr: Fraction = Fraction(0)
+    rat: Ratio = (0, 1)
+    irr: Ratio = (0, 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "irr", Fraction(self.irr))
+        object.__setattr__(self, "rat", as_ratio(self.rat))
+        object.__setattr__(self, "irr", as_ratio(self.irr))
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
+        return not (self.rat[0] or self.irr[0])
 
 
 def parse_ext_scalar(text: str) -> ExtScalar:
@@ -105,16 +111,16 @@ def parse_ext_scalar(text: str) -> ExtScalar:
             "(expected p or p+q*alpha with p, q rational)" % raw
         )
     try:
-        rat = Fraction(match.group("rat"))
-        irr = Fraction(match.group("irr") or 0)
+        rat = parse_ratio(match.group("rat"))
+        irr = parse_ratio(match.group("irr") or "0")
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % raw) from None
     if match.group("sign") == "-":
-        irr = -irr
+        irr = (-irr[0], irr[1])
     return ExtScalar(rat, irr)
 
 
-SparseRow = tuple[tuple[int, Fraction], ...]
+SparseRow = tuple[tuple[int, Ratio], ...]
 IntRow = tuple[tuple[int, int], ...]
 
 
@@ -160,23 +166,24 @@ class ExactMatrix:
     @classmethod
     def from_sparse(cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
                     ) -> "ExactMatrix":
-        """Build from one {column: value} map per row, with int or
-        Fraction values cleared by their least common denominator."""
+        """Build from one {column: value} map per row, with int,
+        Fraction or Ratio values cleared by their least common
+        denominator."""
         outside = [j for row in rows for j in row if not 0 <= j < cols]
         if outside:
             raise ValueError("column %d out of range for width %d"
                              % (outside[0], cols))
-        den = lcm(*{x.denominator for row in rows for x in row.values()})
+        rows = [{j: as_ratio(x) for j, x in row.items()} for row in rows]
+        den = lcm(*{d for row in rows for _, d in row.values()})
         return cls.from_int_rows(cols, den, [
-            {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-            for row in rows
+            {j: n * (den // d) for j, (n, d) in row.items()} for row in rows
         ])
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Iterable[RationalLike]], cols: int | None = None
     ) -> "ExactMatrix":
-        """Build from dense rows of ints or Fractions."""
+        """Build from dense rows of ints, Fractions or Ratios."""
         data = [dict(enumerate(r)) for r in rows]
         if cols is None:
             if not data:
@@ -193,7 +200,10 @@ class ExactMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dense rows of Fractions, built on each access."""
+        """Dense rows of Fractions, built on each access: the one view
+        that builds a Fraction, imported here so that no job loads it."""
+        from fractions import Fraction
+
         zero = Fraction(0)
         out = []
         for row in self.int_rows:
@@ -239,10 +249,10 @@ def _make_primitive(w: dict[int, int]) -> dict[int, int]:
 
 def lead_one(row: Mapping[int, int]) -> SparseRow:
     """A nonzero integer row divided by its leading entry, as (column,
-    Fraction) pairs in increasing column order."""
+    Ratio) pairs in increasing column order."""
     cols = sorted(row)
     lead = row[cols[0]]
-    return tuple((j, Fraction(row[j], lead)) for j in cols)
+    return tuple((j, ratio(row[j], lead)) for j in cols)
 
 
 class EchelonBasis:
@@ -251,7 +261,7 @@ class EchelonBasis:
     rows maps each pivot column to the row that owns it: a {column:
     value} map of ints with nothing left of the pivot, a positive value
     at the pivot, and content 1 (a primitive row).  Rows are never
-    divided by their lead, so no Fraction is formed: a pivot is cleared
+    divided by their lead, so no rational is formed: a pivot is cleared
     by cross-multiplication, and the residual is divided by its content
     once at the end.  Every step scales a whole row by a nonzero
     constant, which leaves its span, and hence the rank, the pivots, the

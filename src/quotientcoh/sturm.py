@@ -15,8 +15,9 @@ a bump family, so the other pipelines start without it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+
+from .ratio import Ratio, ratio
 
 
 def _sign_at(poly: tuple[int, ...], u: int, e: int) -> int:
@@ -90,8 +91,8 @@ def _variations(chain, u: int, e: int) -> int:
 
 
 def root_brackets(
-    poly: tuple[int, ...], width: Fraction
-) -> tuple[tuple[Fraction, Fraction], ...]:
+    poly: tuple[int, ...], width: Ratio
+) -> tuple[tuple[Ratio, Ratio], ...]:
     """Disjoint brackets [a, b], sorted, one around each distinct real
     root of the integer polynomial poly in (0, 1/4].
 
@@ -101,8 +102,9 @@ def root_brackets(
     constant.  Intervals are halved at their midpoints until each holds
     one root with a sign change at its ends, which plain bisection on
     the signs of poly then narrows to at most width.  A root at a
-    midpoint or at 1/4 becomes the bracket [c, c].  An endpoint is an
-    integer numerator u over 2^e.
+    midpoint or at 1/4 becomes the bracket [c, c].  The search keeps an
+    endpoint as an integer numerator u over 2^e, and returns it as the
+    Ratio of u / 2^e.
     """
     chain = sturm_chain(poly)
     if len(chain[-1]) > 1:
@@ -113,15 +115,12 @@ def root_brackets(
     p = chain[0]
     if len(p) < 2:
         return ()
-    out = []
-
-    def emit(ua: int, ub: int, e: int) -> None:
-        out.append((Fraction(ua, 1 << e), Fraction(ub, 1 << e)))
-
+    out = []  # (u_a, u_b, e) for the bracket [u_a, u_b] / 2^e
+    emit = out.append
     v_lo, v_hi = _variations(chain, 0, 2), _variations(chain, 1, 2)
     on_hi = _sign_at(p, 1, 2) == 0
     if on_hi:
-        emit(1, 1, 2)
+        emit((1, 1, 2))
     # (a, b, e, V(a), V(b), number of roots in the open (a, b) / 2^e)
     todo = [(0, 1, 2, v_lo, v_hi, v_lo - v_hi - on_hi)]
     while todo:
@@ -131,7 +130,7 @@ def root_brackets(
         sign_a = _sign_at(p, a, e)
         if count == 1 and sign_a * _sign_at(p, b, e) < 0:
             # b - a > width, in integers: (b - a) / 2^e vs n / d
-            while (b - a) * width.denominator > width.numerator << e:
+            while (b - a) * width[1] > width[0] << e:
                 a, b, e = 2 * a, 2 * b, e + 1
                 c = (a + b) // 2
                 sign_c = _sign_at(p, c, e)
@@ -141,15 +140,18 @@ def root_brackets(
                     a = c
                 else:
                     b = c
-            emit(a, b, e)
+            emit((a, b, e))
             continue
         a, b, e = 2 * a, 2 * b, e + 1
         c = (a + b) // 2
         v_c = _variations(chain, c, e)
         on_c = _sign_at(p, c, e) == 0
         if on_c:
-            emit(c, c, e)
+            emit((c, c, e))
         left = v_a - v_c - on_c
         todo.append((a, c, e, v_a, v_c, left))
         todo.append((c, b, e, v_c, v_b, count - left - on_c))
-    return tuple(sorted(out))
+    # sorted by value: both ends over the finest 2^e of the search
+    top = max((e for _, _, e in out), default=0)
+    out.sort(key=lambda t: (t[0] << (top - t[2]), t[1] << (top - t[2])))
+    return tuple((ratio(a, 1 << e), ratio(b, 1 << e)) for a, b, e in out)

@@ -62,9 +62,8 @@ rows of that trial as its skeleton; every consumer of the report, the
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidSpec
@@ -72,6 +71,7 @@ from .errors import InvalidSpec
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
                   betti_numbers, ce_complex, ce_differential, quotient)
+from .ratio import Ratio
 from .record import record, replace
 from .scalars import ExactMatrix, ExtScalar, rank, rref
 
@@ -149,17 +149,16 @@ def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
 
     The mode must annihilate every direction vector and vanish on every
     invariance coordinate.  alpha is a pure symbol, so m . v = 0 holds
-    iff m . rat(v) = 0 and m . irr(v) = 0, two exact Fraction sums.
+    iff m . rat(v) = 0 and m . irr(v) = 0, two exact integer sums once
+    v is cleared of its denominators.
     """
     if len(mode) != spec.n:
         raise ValueError("mode length %d != n = %d" % (len(mode), spec.n))
     if any(mode[j] != 0 for j in spec.invariance_coords):
         return False
-    for v in spec.foliation_dirs:
-        if (sum(m_i * v_i.rat for m_i, v_i in zip(mode, v))
-                or sum(m_i * v_i.irr for m_i, v_i in zip(mode, v))):
-            return False
-    return True
+    a, b = _direction_parts(spec)
+    return not any(sum(m_i * x for m_i, x in zip(mode, row))
+                   for row in a + b)
 
 
 @record
@@ -167,19 +166,28 @@ class TransverseFrame:
     """Coordinate splitting induced by the echelonized direction matrix.
 
     skeleton is the span of the directions with alpha replaced by
-    substitution, the rational stand-in that certified independence;
-    its reduced echelon rows, primitive integer rows, fix the split.
-    skeleton.pivots, the leads of those rows, carry the leafwise
-    directions, skeleton.complement the transverse ones.
+    substitution, the rational stand-in that certified independence (a
+    Ratio, (r, 1) for the trial r); its reduced echelon rows, primitive
+    integer rows, fix the split.  skeleton.pivots, the leads of those
+    rows, carry the leafwise directions, skeleton.complement the
+    transverse ones.
     """
 
     skeleton: Subspace
-    substitution: Fraction
+    substitution: Ratio
 
 
-def _direction_parts(spec: TorusSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    a = [[x.rat for x in v] for v in spec.foliation_dirs]
-    b = [[x.irr for x in v] for v in spec.foliation_dirs]
+def _direction_parts(spec: TorusSpec) -> tuple[list[list[int]], list[list[int]]]:
+    """(A, B): the rational and alpha parts of each direction, both
+    times the lcm of that direction's denominators.  A direction scaled
+    by a nonzero constant spans the same line and has the same
+    annihilator, so every span, rank and survival test reads these
+    integer rows."""
+    a, b = [], []
+    for v in spec.foliation_dirs:
+        den = lcm(*(x.rat[1] for x in v), *(x.irr[1] for x in v))
+        a.append([n * (den // d) for n, d in (x.rat for x in v)])
+        b.append([n * (den // d) for n, d in (x.irr for x in v)])
     return a, b
 
 
@@ -196,13 +204,13 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
     a, b = _direction_parts(spec)
     for r in range(spec.p + 1):
         trial = [
-            [aij + r * bij for aij, bij in zip(ra, rb)]
+            {j: aij + r * bij for j, (aij, bij) in enumerate(zip(ra, rb))}
             for ra, rb in zip(a, b)
         ]
-        reduced = rref(ExactMatrix.from_rows(trial, cols=spec.n))
+        reduced = rref(ExactMatrix.from_int_rows(spec.n, 1, trial))
         if len(reduced) == spec.p:
             return TransverseFrame(Subspace(spec.n, tuple(reduced.values())),
-                                   Fraction(r))
+                                   (r, 1))
     raise InvalidSpec(
         "foliation directions are linearly dependent over the scalars"
     )

@@ -68,19 +68,22 @@ level, which the sup tables hold anyway.
 
 This is the only module that computes with floats, all of it in plain
 Python floats and the math module.  Everything it certifies is either
-an interval statement checked with Fractions or a bound with an
-explicit relative slack; a non-finite sup, bound or profile constant
-raises NonFiniteValue instead of passing a comparison.
+an interval statement checked exactly or a bound with an explicit
+relative slack, and a non-finite sup, bound or profile constant raises
+NonFiniteValue instead of passing a comparison.  The exact side is
+integers: the support intervals and the Sturm brackets are dyadic
+Ratios, (numerator, denominator) int pairs, and a float is compared
+with one through the integer pair of float.as_integer_ratio().
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from math import exp, inf, isfinite, log, nextafter, sqrt
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .exterior import enumerate_basis
+from .ratio import Ratio
 from .record import record
 
 RELATIVE_SLACK = 1e-9
@@ -129,20 +132,19 @@ class Grid:
         return (left + width * (i / n1) - left) * scale
 
 
-def interval(k: int) -> tuple[Fraction, Fraction]:
-    """The open support interval I_k = (2^-k, 2^-k + 2^-2k), exactly."""
+def interval(k: int) -> tuple[Ratio, Ratio]:
+    """The open support interval I_k = (2^-k, 2^-k + 2^-2k), exactly:
+    (1/2^k, (2^k + 1)/4^k), both in lowest terms since 2^k + 1 is odd."""
     if k < 1:
         raise ValueError("levels start at k = 1")
-    left = Fraction(1, 2 ** k)
-    return left, left + Fraction(1, 4 ** k)
+    return (1, 2 ** k), (2 ** k + 1, 4 ** k)
 
 
 def intervals_are_disjoint(k_max: int) -> bool:
     """Exact check that I_{k+1} sits strictly below I_k for k < k_max."""
     for k in range(1, k_max):
-        sup_next = interval(k + 1)[1]
-        inf_here = interval(k)[0]
-        if not sup_next < inf_here:
+        (a, b), (c, d) = interval(k + 1)[1], interval(k)[0]
+        if not a * d < c * b:  # a/b < c/d over positive denominators
             return False
     return True
 
@@ -173,29 +175,34 @@ def derivative_polynomials(max_order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(polys)
 
 
-def _x_of_q(q: Fraction, up: bool) -> float:
+def _x_of_q(q: Ratio, up: bool) -> float:
     """A float x in [0, 1/2] below (or, with up, above) the root
     x(q) = (1 - sqrt(1 - 4q))/2 of x(1-x) = q, checked exactly: on
     [0, 1/2] the map x -> x(1-x) increases, so x <= x(q) iff
-    x(1-x) <= q."""
-    qf = float(q)
+    x(1-x) <= q, which for x = n/d is n(d - n) q_d <= q_n d^2."""
+    qn, qd = q
+    qf = qn / qd
     x = min(2.0 * qf / (1.0 + sqrt(max(1.0 - 4.0 * qf, 0.0))), 0.5)
     step = 0.5 if up else 0.0
     while True:
-        fx = Fraction(x)
-        value = fx * (1 - fx)
-        if (value >= q) if up else (value <= q):
+        n, d = x.as_integer_ratio()
+        value, bound = n * (d - n) * qd, qn * d * d
+        if (value >= bound) if up else (value <= bound):
             return x
         x = nextafter(x, step)
 
 
 def _one_minus(x: float, up: bool) -> float:
-    """A float below (or, with up, above) 1 - x, checked exactly."""
+    """A float below (or, with up, above) 1 - x, checked exactly: for
+    x = a/b and y = c/d, y - (1 - x) has the sign of c b - (b - a) d."""
     y = 1.0 - x
-    exact = 1 - Fraction(x)
-    while (Fraction(y) < exact) if up else (Fraction(y) > exact):
+    a, b = x.as_integer_ratio()
+    while True:
+        c, d = y.as_integer_ratio()
+        gap = c * b - (b - a) * d
+        if (gap >= 0) if up else (gap <= 0):
+            return y
         y = nextafter(y, 1.0 if up else 0.0)
-    return y
 
 
 def critical_brackets(
@@ -212,7 +219,8 @@ def critical_brackets(
     """
     from .sturm import root_brackets
 
-    fine = Fraction(width) ** 2
+    n, d = width.as_integer_ratio()
+    fine = (n * n, d * d)  # width^2, in lowest terms as width is
     brackets = [(0.5, 0.5)] if odd else []
     for a, b in root_brackets(s_next, fine):
         lo, hi = _x_of_q(a, False), _x_of_q(b, True)

@@ -71,9 +71,14 @@ def naive_rref(rows, ncols):
 
 def densify(vector, width):
     """The dense tuple of a sparse vector: (index, value) pairs or an
-    {index: value} map, every index absent from it read as zero."""
+    {index: value} map, every index absent from it read as zero; a value
+    is a number or a (numerator, denominator) pair."""
     pairs = dict(vector)
-    return tuple(Fraction(pairs.get(i, 0)) for i in range(width))
+    return tuple(_fraction(pairs.get(i, 0)) for i in range(width))
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(*x) if isinstance(x, tuple) else Fraction(x)
 
 
 def det_laplace(rows) -> Fraction:
@@ -530,7 +535,8 @@ def naive_mode_classes(spec, bound: int):
     of its transverse components divided by their gcd.
     """
     for r in range(spec.p + 1):
-        rows = [[x.rat + r * x.irr for x in v] for v in spec.foliation_dirs]
+        rows = [[Fraction(*x.rat) + r * Fraction(*x.irr) for x in v]
+                for v in spec.foliation_dirs]
         _, pivots = naive_rref(rows, spec.n)
         if len(pivots) == spec.p:
             break
@@ -539,8 +545,8 @@ def naive_mode_classes(spec, bound: int):
     for mode in product(range(-bound, bound + 1), repeat=spec.n):
         if (not any(mode)
                 or any(mode[j] for j in spec.invariance_coords)
-                or any(sum(m * x.rat for m, x in zip(mode, v))
-                       or sum(m * x.irr for m, x in zip(mode, v))
+                or any(sum(m * Fraction(*x.rat) for m, x in zip(mode, v))
+                       or sum(m * Fraction(*x.irr) for m, x in zip(mode, v))
                        for v in spec.foliation_dirs)):
             continue
         raw = sorted(abs(mode[j]) for j in free)

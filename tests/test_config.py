@@ -50,7 +50,9 @@ def test_parse_lie_job():
     )
     assert cfg.mode == "lie"
     assert cfg.lie.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
-    assert cfg.lie.ideal_vectors == ((Fraction(0), Fraction(0), Fraction(1)),)
+    assert tuple(tuple(Fraction(*x) for x in v)
+                 for v in cfg.lie.ideal_vectors) == (
+        (Fraction(0), Fraction(0), Fraction(1)),)
 
 
 def test_parse_witness_job_defaults():

@@ -3,12 +3,13 @@ imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
-no job process loads argparse, gettext or locale,
-only scalars builds dense rows, no module imports another's
-private names or a name it does not use, the names the bench tracer
-wraps still resolve, the test oracles import no production check, and
-the differentials, their certificates, the subspace and quotient code
-and the torus frame and mode scan build no Fraction.
+no job process loads argparse, gettext or locale, nor fractions,
+decimal, _decimal or numbers, only scalars builds dense rows, no module
+imports another's private names or a name it does not use, the names
+the bench tracer wraps still resolve, the test oracles import no
+production check, and the differentials, their certificates and
+generators, the subspace and quotient code and the torus frame and mode
+scan never load fractions.
 
 The import checks run in a fresh interpreter, since this test process
 has long since imported both libraries for other tests.
@@ -314,58 +315,124 @@ def test_oracles_import_no_production_check():
     assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS
 
 
-def test_differentials_and_their_certificates_build_no_fraction(monkeypatch):
-    # every Fraction the exact core builds goes through the name
-    # Fraction that scalars or lie binds; count those constructions
-    from fractions import Fraction
+# the exact core and every report field run on (numerator, denominator)
+# int pairs; the fractions module, and the decimal and numbers modules it
+# imports, are loaded only by the dense ExactMatrix.entries view
+RATIONALS = ("fractions", "decimal", "_decimal", "numbers")
 
-    from quotientcoh import ExtScalar, TorusSpec, lie, scalars
-    from quotientcoh.torus import (
-        build_mode_complex, koszul_certificate, surviving_modes,
-        transverse_frame)
+# the computations of the exact core on fractional input given as pairs,
+# generators included, in one fresh interpreter; then the modules of
+# RATIONALS that are loaded
+CORE_BUILDS_NO_FRACTION = """
+import json, sys
+from quotientcoh import ExtScalar, TorusSpec, lie, scalars
+from quotientcoh.torus import (
+    build_mode_complex, koszul_certificate, surviving_modes,
+    transverse_frame)
 
-    from oracles import direct_sum, filiform
+# filiform(8), and heisenberg + R, as the test oracles build them
+g = lie.LieAlgebra.from_brackets(8, {(0, i, i + 1): 1 for i in range(1, 7)})
+heis_r = lie.LieAlgebra.from_brackets(4, {(0, 1, 2): 1})
+half, third = (1, 2), (1, 3)
+# an ideal given by fractional vectors, and one whose echelon row
+# (0, 0, 2, 3) has lead 2 in heisenberg + R, where e2 and e3 are central
+ideals = (
+    (g, [[0] * 5 + [half, third, 0], [0] * 5 + [1, 0, (-2, 5)],
+         [0] * 6 + [(3, 4), 1]]),
+    (heis_r, [[0, 0, half, (3, 4)]]),
+)
+not_ideal = [[0, 1, half, 0, 0, 0, 0, 0]]
+spec = TorusSpec(4, ((ExtScalar(half), ExtScalar(third, 1), ExtScalar(0),
+                      ExtScalar((2, 5))),
+                     (ExtScalar(0), ExtScalar(1), ExtScalar(2, third),
+                      ExtScalar(0))), {3}, 2)
+c = lie.ce_complex(g)
+assert c.d_squared_violation() is None
+for w in ((1, 0, 0), (2, -3, 0, 1)):
+    assert koszul_certificate(w, build_mode_complex(w)).ok
+for algebra, vectors in ideals:
+    h = lie.Subspace.span(algebra.dim, vectors)
+    assert lie.ideal_check(algebra, h)
+    assert lie.quotient(algebra, h).dim == algebra.dim - h.dim
+assert not lie.ideal_check(g, lie.Subspace.span(8, not_ideal))
+for dk in c.d:
+    scalars.nullspace_basis(dk)
+assert len(transverse_frame(spec).skeleton.complement) == 2
+assert surviving_modes(spec, 2)
+# the generators, divided by their leads
+assert lie.betti(c, checked=True).generators
+print(json.dumps(sorted(n for n in %r if n in sys.modules)))
+""" % (RATIONALS,)
 
-    g = filiform(8)
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    # an ideal given by fractional vectors, and one whose echelon row
-    # (0, 0, 2, 3) has lead 2 in heisenberg + R, where e2 and e3 are central
-    ideals = (
-        (g, [[0] * 5 + [half, third, 0], [0] * 5 + [1, 0, Fraction(-2, 5)],
-             [0] * 6 + [Fraction(3, 4), 1]]),
-        (direct_sum(lie.heisenberg(), lie.abelian(1)),
-         [[0, 0, half, Fraction(3, 4)]]),
-    )
-    not_ideal = [[0, 1, half, 0, 0, 0, 0, 0]]
-    spec = TorusSpec(4, ((ExtScalar(half), ExtScalar(third, 1), ExtScalar(0),
-                          ExtScalar(Fraction(2, 5))),
-                         (ExtScalar(0), ExtScalar(1), ExtScalar(2, third),
-                          ExtScalar(0))), {3}, 2)
-    built = []
 
-    def counted(*args):
-        built.append(args)
-        return Fraction(*args)
+def test_differentials_and_their_certificates_build_no_fraction():
+    # a fresh interpreter that never loads fractions has built no Fraction
+    assert json.loads(_python(CORE_BUILDS_NO_FRACTION)) == []
 
-    monkeypatch.setattr(scalars, "Fraction", counted)
-    monkeypatch.setattr(lie, "Fraction", counted)
-    c = lie.ce_complex(g)
-    assert c.d_squared_violation() is None
-    for w in ((1, 0, 0), (2, -3, 0, 1)):
-        assert koszul_certificate(w, build_mode_complex(w)).ok
-    for algebra, vectors in ideals:
-        h = lie.Subspace.span(algebra.dim, vectors)
-        assert lie.ideal_check(algebra, h)
-        assert lie.quotient(algebra, h).dim == algebra.dim - h.dim
-    assert not lie.ideal_check(g, lie.Subspace.span(8, not_ideal))
-    for dk in c.d:
-        scalars.nullspace_basis(dk)
-    assert len(transverse_frame(spec).skeleton.complement) == 2
-    assert surviving_modes(spec, 2)
-    assert built == []
-    # the counter sees the generators, divided by their leads
-    assert lie.betti(c, checked=True).generators
-    assert built
+
+# the cli import, a lie job with a fractional bracket and ideal, a torus
+# job with a fractional alpha direction, a witness job, a decimal-literal
+# refusal and a usage error, each through main; after each step, its exit
+# code and which of RATIONALS are loaded
+NO_RATIONALS = """
+import json, sys
+import quotientcoh.cli
+from quotientcoh.cli import main
+
+def loaded():
+    return sorted(n for n in %r if n in sys.modules)
+
+steps = [["import", None, loaded()]]
+lie, torus, witness, decimal, out = sys.argv[1:]
+for name, path in (("lie", lie), ("torus", torus), ("witness", witness),
+                   ("decimal", decimal)):
+    argv = ["--input", path, "--format", "json", "--check",
+            "--output", out + "/" + name + ".json"]
+    steps.append([name, main(argv), loaded()])
+steps.append(["usage", main(["--input", lie, "--truncation", "x"]), loaded()])
+print(json.dumps(steps))
+""" % (RATIONALS,)
+
+FRACTIONAL_LIE_CFG = """\
+[lie]
+dim = 4
+bracket = 0 1 2 1/2
+bracket = 0 1 3 1/3
+bracket = 0 1 0 2/5
+ideal = 0,0,1/2,-3/4
+"""
+
+FRACTIONAL_TORUS_CFG = """\
+[torus]
+n = 3
+foliation = 1/2+1/3*alpha,1,0
+truncation = 2
+"""
+
+DECIMAL_CFG = """\
+[lie]
+dim = 3
+bracket = 0 1 2 0.5
+"""
+
+
+def test_no_job_process_loads_fractions_or_decimal(tmp_path):
+    cfgs = []
+    for name, text in (("lie", FRACTIONAL_LIE_CFG),
+                       ("torus", FRACTIONAL_TORUS_CFG),
+                       ("witness", WITNESS_CFG), ("decimal", DECIMAL_CFG)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        cfgs.append(str(cfg))
+    steps = json.loads(_python(NO_RATIONALS, *cfgs, str(tmp_path)))
+    assert steps == [
+        ["import", None, []], ["lie", 0, []], ["torus", 0, []],
+        ["witness", 0, []], ["decimal", 1, []], ["usage", 2, []]]
+    # both reports rendered their rationals from pairs, as str(Fraction)
+    lie = json.loads((tmp_path / "lie.json").read_text())
+    assert lie["generators"][1] == ["e1", "e0 - 24/65*e3"]
+    witness = json.loads((tmp_path / "witness.json").read_text())
+    assert witness["certificates"]["intervals"][0] == [2, "1/4", "5/16"]
 
 
 PIPELINES = ("quotientcoh.lie", "quotientcoh.torus", "quotientcoh.witness",

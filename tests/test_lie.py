@@ -369,8 +369,11 @@ def test_betti_of_a_random_basis_dim_7_algebra_matches_gauss_oracle():
     assert report.betti == standard.betti
     for gens in report.generators:
         for v in gens:
-            assert v[0][1] == 1
-            assert all(type(x) is Fraction for _, x in v)
+            assert Fraction(*v[0][1]) == 1
+            # each entry is a (numerator, denominator) pair in lowest
+            # terms with a positive denominator
+            assert all(type(x) is tuple
+                       and Fraction(*x).as_integer_ratio() == x for _, x in v)
 
 
 def test_generators_are_reduced_cocycles():

@@ -1,10 +1,13 @@
 """Spaces of the paper that the engine computes today, each run as a
-job through the command line and checked against its Betti vector.
+job through the command line and checked against its Betti vector, and
+the README table that lists them with the rows still pending.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +53,25 @@ def test_paper_example_betti_numbers(tmp_path, capsys, name):
     payload = json.loads(capsys.readouterr().out)
     assert payload["betti"] == expected
     assert payload["exit"] == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _table_rows() -> list[list[str]]:
+    """The cells of each body row of the README's paper-example table."""
+    section = README.read_text().split("## Paper examples", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines[2:]]
+
+
+def test_readme_table_lists_exactly_the_live_examples():
+    live = {}
+    for space, betti, _source, _through, status in _table_rows():
+        if status == "pending":
+            continue
+        name = re.fullmatch(r"live: `([a-z0-9-]+)`", status).group(1)
+        live[name] = [int(b) for b in betti.strip("()").split(",")]
+    assert live == {name: vector for name, (_, vector) in EXAMPLES.items()}

@@ -87,7 +87,10 @@ def test_subspace_span_is_canonical():
 
 def test_post_init_normalises_and_cached_property_caches():
     s = ExtScalar(1, 2)
-    assert type(s.rat) is Fraction and type(s.irr) is Fraction
+    # int, Fraction or pair inputs all become (numerator, denominator) pairs
+    assert (Fraction(*s.rat), Fraction(*s.irr)) == (1, 2)
+    assert ExtScalar(Fraction(2, 4), (6, -3)) == ExtScalar((1, 2), -2)
+    assert ExtScalar(Fraction(2, 4), (6, -3)).irr == (-2, 1)
     m = ExactMatrix.from_rows([[Fraction(1, 2), 1]])
     assert (m.den, m.int_rows) == (2, (((0, 1), (1, 2)),))
     frame = transverse_frame(TorusSpec(3, ((ExtScalar(1), ExtScalar(2),

@@ -520,7 +520,8 @@ def test_check_torus_job_finds_one_frame_and_one_report(monkeypatch):
 
 
 def _directions_at(spec, r):
-    return [[x.rat + r * x.irr for x in v] for v in spec.foliation_dirs]
+    return [[Fraction(*x.rat) + Fraction(*r) * Fraction(*x.irr) for x in v]
+            for v in spec.foliation_dirs]
 
 
 def test_frame_skeleton_spans_the_directions_at_its_substitution():
@@ -541,8 +542,8 @@ def test_frame_skeleton_spans_the_directions_at_its_substitution():
         assert frame.skeleton.dim == spec.p
         split = frame.skeleton.pivots + frame.skeleton.complement
         assert sorted(split) == list(range(spec.n))
-        substitutions.add(frame.substitution)
-    assert transverse_frame(dependent_at_zero).substitution == 1
+        substitutions.add(Fraction(*frame.substitution))
+    assert Fraction(*transverse_frame(dependent_at_zero).substitution) == 1
     assert substitutions >= {0, 1}
 
 

@@ -51,12 +51,20 @@ def test_profile_vanishes_to_all_orders_at_the_edges(family):
         assert np.max(np.abs(family.phi_derivative(m, near_edge))) < 1e-300
 
 
+def _exact(k):
+    return tuple(Fraction(*end) for end in interval(k))
+
+
 def test_intervals_exact():
-    assert interval(1) == (Fraction(1, 2), Fraction(3, 4))
-    assert interval(2) == (Fraction(1, 4), Fraction(5, 16))
-    assert interval(3) == (Fraction(1, 8), Fraction(1, 8) + Fraction(1, 64))
+    assert _exact(1) == (Fraction(1, 2), Fraction(3, 4))
+    assert _exact(2) == (Fraction(1, 4), Fraction(5, 16))
+    assert _exact(3) == (Fraction(1, 8), Fraction(1, 8) + Fraction(1, 64))
     # the level-2 interval tops out strictly below the level-1 interval
-    assert interval(2)[1] == Fraction(5, 16) < Fraction(1, 2) == interval(1)[0]
+    assert _exact(2)[1] == Fraction(5, 16) < Fraction(1, 2) == _exact(1)[0]
+    # each end is a (numerator, denominator) pair in lowest terms
+    for k in range(1, 12):
+        assert all(Fraction(*end).as_integer_ratio() == end
+                   for end in interval(k))
 
 
 def test_intervals_are_disjoint_far_down():
@@ -64,7 +72,7 @@ def test_intervals_are_disjoint_far_down():
 
 
 def test_level3_support_is_inside_its_interval(family):
-    left, right = interval(3)
+    left, right = _exact(3)
     # sampled points all fall inside the open interval, exactly
     s = np.asarray(family.s_grid())
     t = 2.0 ** -3 + 2.0 ** -6 * s
@@ -431,6 +439,13 @@ def test_dropping_a_critical_bracket_fails_the_sweep(monkeypatch,
     assert _sweep_failures(oracle_sups)
 
 
+def _fraction_brackets(poly, width):
+    """root_brackets at a Fraction width, each bracket end, a
+    (numerator, denominator) pair, read back as a Fraction."""
+    return tuple((Fraction(*a), Fraction(*b))
+                 for a, b in root_brackets(poly, width.as_integer_ratio()))
+
+
 @pytest.mark.parametrize("m", range(18))
 def test_root_brackets_hold_the_roots_of_s_m(m):
     # sympy isolates each root of S_m in (0, 1/4] to within 2^-36 (2^-64
@@ -441,11 +456,13 @@ def test_root_brackets_hold_the_roots_of_s_m(m):
     s_m = derivative_polynomials(m)[m]
     quarter = Fraction(1, 4)
     width = Fraction(1, 2 ** 30)
-    brackets = root_brackets(s_m, width)
+    brackets = _fraction_brackets(s_m, width)
     poly = sympy.Poly(list(reversed(s_m)), sympy.symbols("q"))
     assert len(brackets) == poly.count_roots(0, sympy.Rational(1, 4))
     for a, b in brackets:
         assert 0 < a <= b <= quarter and b - a <= width
+    # disjoint, in increasing order of value
+    assert all(b < c for (_, b), (c, _) in zip(brackets, brackets[1:]))
     isolated = poly.intervals(inf=0, sup=sympy.Rational(1, 4),
                               eps=sympy.Rational(1, 2 ** 36))
     assert len(isolated) == len(brackets)
@@ -500,18 +517,21 @@ def test_a_root_on_a_bisection_point_gets_its_own_bracket():
     # bisection of (0, 1/4] lands on, 1/5 is not dyadic
     poly = (-3, 55, -328, 640)
     width = Fraction(1, 2 ** 20)
-    brackets = root_brackets(poly, width)
+    brackets = _fraction_brackets(poly, width)
     assert brackets[:2] == ((Fraction(1, 8), Fraction(1, 8)),
                             (Fraction(3, 16), Fraction(3, 16)))
     (a, b), = brackets[2:]
     assert a < Fraction(1, 5) < b and b - a <= width
     # a double root at 1/8 counts once; a root at the upper end counts
     squared = (1, -21, 144, -320)   # (8q - 1)^2 (5q - 1)
-    assert root_brackets(squared, width)[0] == (
+    assert _fraction_brackets(squared, width)[0] == (
         Fraction(1, 8), Fraction(1, 8))
-    assert len(root_brackets(squared, width)) == 2
-    assert root_brackets((-1, 4), width) == (
+    assert len(_fraction_brackets(squared, width)) == 2
+    assert _fraction_brackets((-1, 4), width) == (
         (Fraction(1, 4), Fraction(1, 4)),)
+    # the ends come back as dyadic pairs in lowest terms
+    assert root_brackets(poly, (1, 2 ** 20))[:2] == (((1, 8), (1, 8)),
+                                                     ((3, 16), (3, 16)))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
