@@ -137,18 +137,24 @@ def _payload(mode: str, certificates: dict, betti=None, ranks=None,
 
 def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     algebra = job.algebra
-    ok, triple = jacobi_check(algebra)
-    if not ok:
-        raise NotALieAlgebra(triple)
     certificates: dict = {"jacobi": True, "ideal": None}
     names = ["e%d" % i for i in range(algebra.dim)]
     if job.ideal_vectors is not None:
+        ok, triple = jacobi_check(algebra)
+        if not ok:
+            raise NotALieAlgebra(triple)
         sub = Subspace.span(algebra.dim, job.ideal_vectors)
         algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
         names = ["e%d" % c for c in sub.complement]
     complex_ = ce_complex(algebra)
-    is_complex = complex_.d_squared_violation() is None
+    violation = complex_.d_squared_violation()
+    if violation == 1 and job.ideal_vectors is None:
+        # d_2 d_1 of the complex of the job's algebra is the product
+        # jacobi_check tests, so the d.d check has run the Jacobi test:
+        # the refusal names the first failing triple
+        raise NotALieAlgebra(jacobi_check(algebra)[1])
+    is_complex = violation is None
     certificates["d_squared_zero"] = is_complex
     code = 0 if is_complex else 3
     if check:

@@ -14,12 +14,16 @@ matrix, and d_2 d_1 = 0 is the Jacobi identity, which is how
 jacobi_check tests it.  ce_differential also takes coefficients of
 weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
+The d.d and Jacobi checks are zero tests that multiply row by row and
+stop at the first nonzero row, building no product matrix.
 Each differential is eliminated once: its kernel basis gives both its rank
 (the width minus the kernel size, from which the Betti numbers follow)
 and the candidate cocycles.  Representatives are those integer kernel
 vectors reduced against the image of the previous differential, which
 leaves exactly one representative per cohomology dimension; only the
-report's copies are divided by their lead.
+report's copies are divided by their lead.  Only the kernel vectors that
+survive are reduced: which ones is read off the image restricted to the
+free columns of the differential (see betti).
 
 A Subspace owns the coordinate splitting given by its echelon form:
 its complement is the non-pivot coordinates and its scale the lcm of
@@ -31,13 +35,15 @@ h.scale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import NotAnIdeal
-# remove_pair is unused here, but perfbench/tracer.py wraps lie.remove_pair by name
+# remove_pair and wedge_insert are unused here, but perfbench/tracer.py
+# wraps lie.remove_pair and lie.wedge_insert by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
 from .ratio import Ratio, as_ratio
 from .record import record
@@ -47,6 +53,7 @@ from .scalars import (
     IntRow,
     RationalLike,
     SparseRow,
+    kernel_survivors,
     lead_one,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
@@ -125,14 +132,15 @@ def _cleared_brackets(
     weight = [as_ratio(x) for x in weight]
     den = lcm(table.den, *(d for _, d in weight))
     scale = den // table.den
-    rows = [tuple((k, c * scale) for k, c in row) for row in table.int_rows]
+    rows = table.int_rows if scale == 1 else [
+        tuple((k, c * scale) for k, c in row) for row in table.int_rows]
     return den, dict(zip(enumerate_basis(g.dim, 2), rows)), [
         n * (den // d) for n, d in weight]
 
 
 def abelian(n: int) -> LieAlgebra:
     """The abelian Lie algebra R^n (all brackets zero)."""
-    return LieAlgebra.from_brackets(n, {})
+    return LieAlgebra(n, ExactMatrix.zero(comb(n, 2), n))
 
 
 def heisenberg() -> LieAlgebra:
@@ -156,14 +164,14 @@ def jacobi_check(
     e_m coordinate of the cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
     + [[e_k, e_i], e_j].  Rows follow the lexicographic order of the
     triples i < j < k, so the first nonzero row names the first failing
-    triple.  Returns (True, None), or (False, (i, j, k)) with that
-    triple.
+    triple; the product is tested row by row and never built.  Returns
+    (True, None), or (False, (i, j, k)) with that triple.
     """
-    product = ce_differential(g, 2) @ ce_differential(g, 1)
-    for triple, row in zip(enumerate_basis(g.dim, 3), product.int_rows):
-        if row:
-            return False, triple
-    return True, None
+    row = ce_differential(g, 2).first_nonzero_product_row(
+        ce_differential(g, 1))
+    if row is None:
+        return True, None
+    return False, enumerate_basis(g.dim, 3)[row]
 
 
 @record
@@ -320,10 +328,11 @@ class CochainComplex:
         return self.algebra.dim
 
     def d_squared_violation(self) -> int | None:
-        """First degree k with d_{k+1} d_k != 0, or None."""
+        """First degree k with d_{k+1} d_k != 0, or None; each product
+        is tested row by row and never built."""
         d = self.d
         for k in range(len(d) - 1):
-            if not (d[k + 1] @ d[k]).is_zero():
+            if d[k + 1].first_nonzero_product_row(d[k]) is not None:
                 return k
         return None
 
@@ -345,12 +354,15 @@ def ce_differential(
     iff w vanishes on [g, g].  On abelian R^q only the first sum is left:
     left wedge with w, the complex of one torus Fourier mode of weight w.
     Only index pairs with a nonzero bracket row are visited; entries are
-    summed as the integers _cleared_brackets gives.
+    summed as the integers _cleared_brackets gives.  A term is placed by
+    one bisection of rest, the rule of wedge_insert without its input
+    check: rest is a sub-tuple of the increasing J, so it is increasing.
     """
     n = g.dim
     if weight and len(weight) != n:
         raise ValueError("weight length %d != dim %d" % (len(weight), n))
     den, brackets, w = _cleared_brackets(g, weight)
+    w = w or [0] * n
     partners: dict[int, dict[int, IntRow]] = {}
     for (i, j), bracket in brackets.items():
         if bracket:
@@ -358,11 +370,10 @@ def ce_differential(
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
     rows = []
     for jmono in enumerate_basis(n, k + 1):
-        row: dict[int, int] = {}
-        for s, i in enumerate(jmono):
-            if weight and w[i]:
-                col = col_index[jmono[:s] + jmono[s + 1:]]
-                row[col] = row.get(col, 0) + (-w[i] if s % 2 else w[i])
+        # the faces J - J_s are distinct columns: no sums in the first term
+        row = {col_index[jmono[:s] + jmono[s + 1:]]: -w[i] if s % 2 else w[i]
+               for s, i in enumerate(jmono) if w[i]}
+        for s, i in enumerate(jmono if partners else ()):
             with_i = partners.get(i)
             if with_i is None:
                 continue
@@ -373,12 +384,12 @@ def ce_differential(
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
                 sign = -1 if (s + t) % 2 else 1
                 for u, c in bracket:
-                    inserted = wedge_insert(u, rest)
-                    if inserted is None:
+                    pos = bisect_left(rest, u)
+                    if pos < k - 1 and rest[pos] == u:
                         continue
-                    sign_w, imono = inserted
-                    col = col_index[imono]
-                    row[col] = row.get(col, 0) + sign * sign_w * c
+                    col = col_index[rest[:pos] + (u,) + rest[pos:]]
+                    value = -sign * c if pos % 2 else sign * c
+                    row[col] = row.get(col, 0) + value
         rows.append(row)
     return ExactMatrix.from_int_rows(len(col_index), den, rows)
 
@@ -426,7 +437,13 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     candidate cocycles.  Representatives in degree k are those sparse
     kernel vectors reduced against the image of d_{k-1}, spanned by its
     rank-many pivot columns, plus the representatives already chosen;
-    exactly betti[k] of them survive.
+    exactly betti[k] of them survive.  Only those are reduced: d.d = 0
+    puts the image in the kernel, so kernel_survivors picks them from the
+    image restricted to the free columns of d_k, and a kernel vector that
+    would reduce to zero is never added.  Skipping it leaves the basis as it
+    was, so every representative is the residual it would be if all
+    kernel vectors were reduced in order.  A degree with betti[k] = 0
+    reduces nothing.
 
     A non-complex raises ValueError.  checked=True says the caller has
     already found d_squared_violation() to be None, and skips the
@@ -443,29 +460,29 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     monos_out = []
     kernel: list[IntRow] = []
     for k in range(n + 1):
-        acc = EchelonBasis()
+        image: dict[int, dict[int, int]] = {}
         if k:
             # the pivot columns of d_{k-1} span its image: those that are
             # no kernel vector's free column, which is its last entry
             image = {p: {} for p in range(c.d[k - 1].cols)}
             for v in kernel:
                 del image[v[-1][0]]
-            for i, row in enumerate(c.d[k - 1].int_rows):
-                for j, x in row:
-                    if j in image:
-                        image[j][i] = x
-            for column in image.values():
-                acc.add(column)
         if k < n:
             kernel = nullspace_basis(c.d[k])
             ranks.append(comb(n, k) - len(kernel))
         else:
             kernel = [((0, 1),)]  # the top form; d_n = 0
         chosen = []
-        for v in kernel:
-            residual = acc.add(v)
-            if residual is not None:
-                chosen.append(lead_one(residual))
+        if len(kernel) > len(image):  # betti[k] > 0
+            for i, row in enumerate(c.d[k - 1].int_rows if image else ()):
+                for j, x in row:
+                    if j in image:
+                        image[j][i] = x
+            survivors = kernel_survivors(kernel, image.values())
+            acc = EchelonBasis()
+            for column in image.values():
+                acc.add(column)
+            chosen = [lead_one(acc.add(v)) for v in survivors]
         gens_out.append(tuple(chosen))
         monos_out.append(tuple(enumerate_basis(n, k)))
     return BettiReport(
@@ -494,6 +511,8 @@ def _evaluation_differential(
     """
     den, brackets, w = _cleared_brackets(g, weight)
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
+    # (u, rest) -> (column or None, permutation sign), for this call only
+    placed: dict[MultiIndex, tuple[int | None, int]] = {}
     rows = []
     for jmono in enumerate_basis(g.dim, k + 1):
         row: dict[int, int] = {}
@@ -505,10 +524,13 @@ def _evaluation_differential(
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
                 for u, c in brackets[jmono[s], jmono[t]]:
                     args = (u,) + rest
-                    col = col_index.get(tuple(sorted(args)))
+                    if args not in placed:
+                        placed[args] = (col_index.get(tuple(sorted(args))),
+                                        _permutation_sign(args))
+                    col, sign = placed[args]
                     if col is None:
                         continue  # u repeats an index of rest
-                    value = (-1) ** (s + t) * _permutation_sign(args) * c
+                    value = (-1) ** (s + t) * sign * c
                     row[col] = row.get(col, 0) + value
         rows.append(row)
     return ExactMatrix.from_int_rows(len(col_index), den, rows)

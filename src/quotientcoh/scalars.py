@@ -16,7 +16,9 @@ nonzero entries as (column, value) pairs in increasing column order.
 The differentials the pipelines build are mostly zero (a dim-7 cochain
 differential has tens of nonzeros among thousands of cells), so
 products, ranks and echelon forms cost time in proportion to the
-nonzeros and the fill-in they create, not to the number of cells.
+nonzeros and the fill-in they create, not to the number of cells.  A
+zero test of a product (`first_nonzero_product_row`) multiplies row by
+row and stops at the first nonzero row, without building the product.
 Dense rows enter only through `ExactMatrix.from_rows` (job input), and
 the dense view `ExactMatrix.entries` is for tests and the bench tracer.
 
@@ -43,7 +45,9 @@ eliminated, and of every scaling on the way.  One elimination serves
 both the rank and the kernel of a matrix: the kernel basis has
 cols - rank members, so callers that need both (the cochain pipeline,
 once per differential d_k) call `nullspace_basis` alone and read the
-rank off its length.
+rank off its length.  A kernel vector is fixed by its free-column
+entries, so `kernel_survivors` tells which kernel vectors lie outside
+the span of given kernel elements from those entries alone.
 
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
@@ -159,9 +163,12 @@ class ExactMatrix:
                       rows: Sequence[Mapping[int, int]]) -> "ExactMatrix":
         """Build from one {column: numerator} map per row, every value
         read over den; zeros are dropped."""
-        return cls(len(rows), cols, den, tuple(
-            tuple((j, row[j]) for j in sorted(row) if row[j]) for row in rows
-        ))
+        out = []
+        for row in rows:
+            if 0 in row.values():
+                row = {j: x for j, x in row.items() if x}
+            out.append(tuple(sorted(row.items())))
+        return cls(len(rows), cols, den, tuple(out))
 
     @classmethod
     def from_sparse(cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
@@ -213,23 +220,36 @@ class ExactMatrix:
             out.append(tuple(dense))
         return tuple(out)
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The exact product: the integer rows multiplied, over the
-        product of the two denominators, then normalised."""
+    def _product_rows(self, other: "ExactMatrix"):
+        """The integer rows of self @ other, over self.den * other.den,
+        one {column: int} map at a time; zeros are not dropped."""
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         right = other.int_rows
-        out = []
         for row in self.int_rows:
             acc: dict[int, int] = {}
             for j, a in row:
                 for col, b in right[j]:
                     acc[col] = acc.get(col, 0) + a * b
-            out.append(acc)
-        return ExactMatrix.from_int_rows(other.cols, self.den * other.den, out)
+            yield acc
+
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The exact product: the integer rows multiplied, over the
+        product of the two denominators, then normalised."""
+        return ExactMatrix.from_int_rows(
+            other.cols, self.den * other.den, list(self._product_rows(other)))
+
+    def first_nonzero_product_row(self, other: "ExactMatrix") -> int | None:
+        """The index of the first nonzero row of self @ other, or None
+        when the product vanishes: a zero test that multiplies row by
+        row, stops at the first nonzero row and builds no product."""
+        for i, acc in enumerate(self._product_rows(other)):
+            if any(acc.values()):
+                return i
+        return None
 
     def is_zero(self) -> bool:
         return not any(self.int_rows)
@@ -390,3 +410,22 @@ def nullspace_basis(m: ExactMatrix) -> list[IntRow]:
         out.append(tuple(sorted((p, num * (scale // den))
                                 for p, num, den in terms)) + ((f, scale),))
     return out
+
+
+def kernel_survivors(kernel: Sequence[IntRow],
+                     image: Iterable[Mapping[int, int]]) -> list[IntRow]:
+    """The vectors v_f of a nullspace_basis kernel that lie outside the
+    span of image and of the v_f' with f' < f, in order, for image
+    vectors inside that kernel.
+
+    A kernel vector is fixed by its entries on the free columns F, where
+    v_f is a positive multiple of the unit vector at f.  So v_f is in
+    that span iff some image vector, restricted to F, has its last
+    nonzero entry at f: iff f is a pivot of the restricted image with
+    its columns taken in decreasing order.
+    """
+    free = {v[-1][0] for v in kernel}
+    restricted = EchelonBasis()
+    for v in image:
+        restricted.add({-j: x for j, x in v.items() if j in free})
+    return [v for v in kernel if -v[-1][0] not in restricted.rows]

@@ -23,7 +23,9 @@ algebra R^q with coefficients of weight w.  For a nonzero
 mode w is itself nonzero, which makes the complex exact in every degree.
 The zero mode has zero differential.  Betti numbers are therefore
 binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
-with explicit ranks.
+with exact ranks that a monomial submatrix witnesses and the d.d check
+bounds from above, so a correctly built mode complex is never
+eliminated (koszul_certificate).
 
 The audit covers every surviving mode of sup norm at most the
 truncation T without scanning the box.  Survival is a linear system
@@ -237,12 +239,13 @@ def build_mode_complex(w: Sequence[int]) -> CochainComplex:
 class KoszulCertificate:
     """Rank evidence that nonzero modes contribute no cohomology.
 
-    ranks are the exact ranks of the complex of mode; ok holds iff the
-    squares d_{k+1} d_k vanish and every degree has zero cohomology, and
-    on failure failed_degree records the first degree where either
-    fails.  modes counts the audited modes the certificate stands for:
-    mode itself and the members of its class (see torus_betti), which
-    share its ranks.
+    ranks are the exact ranks of the complex of mode: C(q - 1, k) by the
+    rank witness of koszul_certificate, or eliminated when d.d or the
+    witness fails.  ok holds iff the squares d_{k+1} d_k vanish and every
+    degree has zero cohomology, and on failure failed_degree records the
+    first degree where either fails.  modes counts the audited modes the
+    certificate stands for: mode itself and the members of its class
+    (see torus_betti), which share its ranks.
     """
 
     mode: tuple[int, ...]
@@ -255,8 +258,21 @@ class KoszulCertificate:
 def koszul_certificate(
     mode: Sequence[int], c: CochainComplex, modes: int = 1
 ) -> KoszulCertificate:
-    """Certify exactness of the complex c of a nonzero mode by d.d and
-    direct ranks; modes is the number of audited modes it stands for.
+    """Certify exactness of the complex c of a nonzero mode by d.d and a
+    rank witness; modes is the number of audited modes it stands for.
+
+    The ranks need no elimination.  Let q = c.dim and i0 the first
+    coordinate with w_i0 != 0 for the weight w.  In d_k = (w ^ .), the
+    rows J that contain i0, restricted to the columns I that do not,
+    have one nonzero each, +-w_i0 at I = J - {i0}: a monomial submatrix
+    of size C(q - 1, k), nonsingular, so rank d_k >= C(q - 1, k).  With
+    d.d = 0, the image of d_{k-1} lies in the kernel of d_k, so
+    rank d_{k-1} + rank d_k <= C(q, k) = C(q - 1, k - 1) + C(q - 1, k).
+    The lower bounds then force rank d_k = C(q - 1, k) in every degree,
+    and every Betti number is 0.  `_monomial_witness` checks the
+    submatrices on the built integer rows in one scan; only when d.d or
+    the witness fails are the ranks eliminated (`rank`), so a broken
+    complex gets the exact ranks it has.
 
     Wedging with a nonzero covector is exact, so ok is always true for
     a correctly built complex; a failure therefore indicates an
@@ -269,11 +285,41 @@ def koszul_certificate(
     if not any(c.weight):
         raise ValueError("the zero mode is not eligible for an exactness "
                          "certificate; its differential is zero")
-    ranks = tuple(rank(dk) for dk in c.d)
     violation = c.d_squared_violation()
+    if violation is None and _monomial_witness(c):
+        ranks = tuple(comb(c.dim - 1, k) for k in range(c.dim))
+    else:
+        ranks = tuple(rank(dk) for dk in c.d)
     failed = violation + 1 if violation is not None else next(
         (k for k, b in enumerate(betti_numbers(c.dim, ranks)) if b), None)
     return KoszulCertificate(tuple(mode), ranks, failed is None, failed, modes)
+
+
+def _monomial_witness(c: CochainComplex) -> bool:
+    """True iff every d_k of c has the shape C(q, k + 1) x C(q, k) and,
+    for i0 the first nonzero coordinate of the weight, each row J that
+    contains i0 has exactly one nonzero entry among the columns I that
+    do not, at I = J - {i0}: the lower rank bounds of
+    koszul_certificate.  Dropping i0 keeps the lexicographic order, so
+    the m-th such row J is matched with the m-th such column I."""
+    q = c.dim
+    if len(c.d) != q or len(c.weight) != q:
+        return False
+    i0 = next(i for i, x in enumerate(c.weight) if x)
+    columns = enumerate_basis(q, 0)
+    for k, dk in enumerate(c.d):
+        rows = enumerate_basis(q, k + 1)
+        if (dk.rows, dk.cols) != (len(rows), len(columns)):
+            return False
+        outside = [i0 not in mono for mono in columns]
+        faces = iter([j for j, out in enumerate(outside) if out])
+        for jmono, row in zip(rows, dk.int_rows):
+            if i0 in jmono:
+                hits = [j for j, x in row if x and outside[j]]
+                if hits != [next(faces)]:
+                    return False
+        columns = rows
+    return True
 
 
 @record
@@ -362,9 +408,9 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     rescales monomials by signs, and scaling w by a nonzero factor
     scales each differential.  Conjugate complexes have the same rank
     in every degree, so each class is built and certified once, on its
-    lexicographically least member, with exact ranks.  The report
-    carries one certificate per class, in the order of those least
-    members, and each counts the audited modes of its class.
+    lexicographically least member, with exact witnessed ranks.  The
+    report carries one certificate per class, in the order of those
+    least members, and each counts the audited modes of its class.
 
     Untouched coordinates U are counted, not visited: for each survivor
     s vanishing on U and each multiset M of |u| over U, the modes s + u

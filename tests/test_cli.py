@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from itertools import product
@@ -13,9 +14,13 @@ from quotientcoh import (
     CochainComplex, ExactMatrix, KoszulCertificate, ce_complex, cli, heisenberg,
 )
 from quotientcoh.cli import canonical_json, main, render
+from quotientcoh.exterior import enumerate_basis
 from quotientcoh.config import parse_config
 from quotientcoh.cli import run_job
 from quotientcoh.record import replace
+
+from oracles import (
+    change_basis, jacobi_failure, random_invertible, random_nonjacobi_table)
 
 TORUS_CFG = """\
 [torus]
@@ -145,6 +150,36 @@ def test_non_jacobi_refusal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "NotALieAlgebra" in err
     assert "(0, 1, 2)" in err
+
+
+def _lie_text(g, ideal=None) -> str:
+    """A [lie] job for the algebra g, with an optional ideal line."""
+    lines = ["[lie]", "dim = %d" % g.dim]
+    for (i, j), row in zip(enumerate_basis(g.dim, 2), g.table.int_rows):
+        for k, x in row:
+            lines.append("bracket = %d %d %d %d/%d" % (i, j, k, x, g.table.den))
+    if ideal is not None:
+        lines.append("ideal = " + ",".join(map(str, ideal)))
+    return "\n".join(lines) + "\n"
+
+
+def test_a_broken_table_is_refused_at_its_first_triple(tmp_path, capsys):
+    # with no ideal the d.d check of the job's own complex runs the Jacobi
+    # test; with one, jacobi_check runs before the quotient: both refuse
+    # with the first failing triple, and nothing is reported
+    rng = random.Random(4243)
+    for dim in (3, 4, 5, 5):
+        bad = change_basis(random_nonjacobi_table(rng, dim),
+                           random_invertible(rng, dim))
+        triple = jacobi_failure(bad)
+        for ideal in (None, [0] * (dim - 1) + [1]):
+            out = tmp_path / "out.json"
+            cfg = _write(tmp_path, "job.cfg", _lie_text(bad, ideal))
+            assert main(["--input", cfg, "--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "engine: refused: NotALieAlgebra: Jacobi identity fails at "
+                "basis triple %s\n" % (triple,))
+            assert not out.exists()
 
 
 def test_degenerate_foliation_refusal(tmp_path, capsys):

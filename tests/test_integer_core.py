@@ -13,10 +13,11 @@ from math import comb
 import pytest
 
 from quotientcoh import (
-    betti, ce_complex, heisenberg, jacobi_check, lie, phi_sign_check)
+    betti, ce_complex, heisenberg, jacobi_check, lie, phi_sign_check, sl2)
 from quotientcoh.record import replace
+from quotientcoh import scalars
 from quotientcoh.scalars import (
-    EchelonBasis, ExactMatrix, nullspace_basis, rank)
+    EchelonBasis, ExactMatrix, kernel_survivors, nullspace_basis, rank)
 
 from oracles import (
     change_basis,
@@ -159,6 +160,50 @@ def test_a_broken_rational_table_fails_both_checks_at_the_first_triple():
         assert ce_complex(bad).d_squared_violation() == 1
 
 
+def _counted_betti(monkeypatch, c):
+    """betti(c), and the number of adds to each EchelonBasis it filled,
+    in order: the bases betti and kernel_survivors build, not the
+    eliminations inside nullspace_basis, which scalars runs on its own
+    bases."""
+    calls = []
+
+    class Counted(EchelonBasis):
+        def add(self, v):
+            calls.append(self)
+            return super().add(v)
+
+    def counted_survivors(kernel, image):
+        monkeypatch.setattr(scalars, "EchelonBasis", Counted)
+        try:
+            return kernel_survivors(kernel, image)
+        finally:
+            monkeypatch.setattr(scalars, "EchelonBasis", EchelonBasis)
+
+    monkeypatch.setattr(lie, "EchelonBasis", Counted)
+    monkeypatch.setattr(lie, "kernel_survivors", counted_survivors)
+    report = betti(c)
+    monkeypatch.setattr(lie, "EchelonBasis", EchelonBasis)
+    monkeypatch.setattr(lie, "kernel_survivors", kernel_survivors)
+    # calls keeps every basis alive, so no two share an id
+    return report, [len(list(run)) for _, run in groupby(calls, key=id)]
+
+
+def _expected_adds(c):
+    """In degree k, with r = rank d_{k-1} and b = betti[k]: r adds of the
+    pivot columns of d_{k-1} restricted to the free columns of d_k, which
+    pick the b surviving kernel vectors (none when r = 0), then r + b to
+    the representative basis; a degree with b = 0 adds nothing."""
+    n = c.dim
+    ranks = [gauss_rank(dk.entries) for dk in c.d] + [0]
+    expected = []
+    for k in range(n + 1):
+        r = ranks[k - 1] if k else 0
+        b = comb(n, k) - ranks[k] - r
+        if b:
+            expected += [r, r + b] if r else [b]
+    return expected
+
+
 def test_betti_adds_pivot_columns_and_kernel_vectors_only(monkeypatch):
     rng = random.Random(194)
     algebras = [random_lie_algebra(rng, dim) for dim in (3, 4, 4, 5, 5, 6)]
@@ -166,25 +211,35 @@ def test_betti_adds_pivot_columns_and_kernel_vectors_only(monkeypatch):
                                  random_invertible(rng, 6)))
     for g in algebras:
         c = ce_complex(g)
-        calls = []
-
-        # count the adds to the bases betti builds, not the eliminations
-        # inside nullspace_basis, which scalars runs on its own bases
-        class Counted(EchelonBasis):
-            def add(self, v, calls=calls):
-                calls.append(self)
-                return super().add(v)
-
-        monkeypatch.setattr(lie, "EchelonBasis", Counted)
-        report = betti(c)
-        monkeypatch.setattr(lie, "EchelonBasis", EchelonBasis)
+        report, added = _counted_betti(monkeypatch, c)
+        assert added == _expected_adds(c)
         n = g.dim
-        ranks = [gauss_rank(dk.entries) for dk in c.d] + [0]
-        expected = [(ranks[k - 1] if k else 0) + comb(n, k) - ranks[k]
-                    for k in range(n + 1)]
-        # each degree fills its own EchelonBasis
-        added = [len(list(run)) for _, run in groupby(calls, key=id)]
-        assert added == [x for x in expected if x]
+        oracle = naive_generators([dk.entries for dk in c.d], n)
+        assert [[densify(v, comb(n, k)) for v in gens]
+                for k, gens in enumerate(report.generators)] == oracle
+
+
+def test_betti_adds_no_kernel_vector_that_lies_in_the_image(monkeypatch):
+    # in a random basis, sl2 + sl2 has betti (1, 0, 0, 2, 0, 0, 1) and
+    # sl2 has (1, 0, 0, 1): most kernel vectors are coboundaries, and
+    # the degrees with betti 0 add nothing
+    rng = random.Random(195)
+    for g, betti_numbers, adds, before in (
+        (change_basis(direct_sum(sl2(), sl2()), random_invertible(rng, 6)),
+         (1, 0, 0, 2, 0, 0, 1), [1, 9, 11, 1], 64),
+        (change_basis(sl2(), random_invertible(rng, 3)), (1, 0, 0, 1),
+         [1, 1], 8),
+    ):
+        c = ce_complex(g)
+        report, added = _counted_betti(monkeypatch, c)
+        assert report.betti == betti_numbers
+        assert added == adds == _expected_adds(c)
+        n = g.dim
+        # adding every image column and every kernel vector would take
+        # rank d_{k-1} + dim ker d_k = 2 rank d_{k-1} + betti[k] adds
+        # per degree
+        assert sum(2 * r + b for r, b in zip(
+            (0,) + report.ranks, report.betti)) == before > sum(added)
         oracle = naive_generators([dk.entries for dk in c.d], n)
         assert [[densify(v, comb(n, k)) for v in gens]
                 for k, gens in enumerate(report.generators)] == oracle

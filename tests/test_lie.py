@@ -516,6 +516,54 @@ def test_d_squared_check_reports_the_perturbed_degree():
             assert _with_entry(c, k, i, j, value).d_squared_violation() == k - 1
 
 
+def _built_violation(c):
+    """The first k whose built product d_{k+1} @ d_k is not zero."""
+    d = c.d
+    return next((k for k in range(len(d) - 1)
+                 if not (d[k + 1] @ d[k]).is_zero()), None)
+
+
+def _first_built_row(a, b):
+    return next((i for i, row in enumerate((a @ b).int_rows) if row), None)
+
+
+def test_streaming_zero_test_matches_the_built_product():
+    # complexes whose first d.d violation is at k >= 2: change one entry
+    # of d_{k+1} against a nonzero row of d_k
+    rng = random.Random(8129)
+    seen = set()
+    for _ in range(6):
+        g = random_lie_algebra(rng, 6)
+        c = ce_complex(g)
+        for k in range(2, g.dim - 1):
+            j = next((r for r, row in enumerate(c.d[k].int_rows) if row),
+                     None)
+            if j is None:
+                continue
+            i = rng.randrange(c.d[k + 1].rows)
+            value = c.d[k + 1].entries[i][j] + rng.choice([-2, -1, 1, 3])
+            bad = _with_entry(c, k + 1, i, j, value)
+            assert bad.d_squared_violation() == _built_violation(bad) == k
+            for m in range(len(bad.d) - 1):
+                a, b = bad.d[m + 1], bad.d[m]
+                assert a.first_nonzero_product_row(b) == \
+                    _first_built_row(a, b)
+            seen.add(k)
+    assert seen == {2, 3, 4}
+    # broken bracket tables: the triple of the first nonzero row of the
+    # built product d_2 @ d_1
+    for dim in (3, 4, 4, 5, 5, 6):
+        bad = change_basis(random_nonjacobi_table(rng, dim),
+                           random_invertible(rng, dim))
+        row = _first_built_row(ce_differential(bad, 2),
+                               ce_differential(bad, 1))
+        assert jacobi_check(bad) == (False, enumerate_basis(dim, 3)[row])
+        assert ce_complex(bad).d_squared_violation() == 1
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ExactMatrix.zero(2, 3).first_nonzero_product_row(
+            ExactMatrix.zero(2, 2))
+
+
 def test_betti_of_filiform_10():
     report = betti(ce_complex(filiform(10)))
     assert report.betti == (1, 2, 5, 12, 20, 24, 20, 12, 5, 2, 1)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd
 from pathlib import Path
 
@@ -235,6 +235,157 @@ def test_koszul_certificate_fails_on_a_non_complex():
 def test_koszul_rejects_zero_mode():
     with pytest.raises(ValueError):
         koszul_certificate((0, 0, 0), build_mode_complex((0, 0)))
+
+
+def _counting_rank(monkeypatch):
+    """Count the eliminations koszul_certificate runs."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(torus, "rank", counted)
+    return calls
+
+
+def _eliminated_certificate(mode, c):
+    """What koszul_certificate reports from dense ranks and products
+    alone: the first d_{k+1} d_k != 0 fails degree k + 1, else the first
+    nonzero Betti number fails its degree."""
+    ranks = tuple(gauss_rank(d.entries) for d in c.d)
+    failed = None
+    for k in range(len(c.d) - 1):
+        a, b = c.d[k + 1].entries, c.d[k].entries
+        if any(sum(x * b[t][j] for t, x in enumerate(row))
+               for row in a for j in range(len(b[0]))):
+            failed = k + 1
+            break
+    if failed is None:
+        q = c.dim
+        betti = [comb(q, k) - (ranks[k] if k < q else 0)
+                 - (ranks[k - 1] if k else 0) for k in range(q + 1)]
+        failed = next((k for k, b in enumerate(betti) if b), None)
+    return ranks, failed is None, failed
+
+
+def test_koszul_ranks_are_witnessed_not_eliminated(monkeypatch):
+    # the witnessed ranks C(q - 1, k) are the ranks elimination gives, on
+    # random weights with q <= 6 and on every class of the n = 6, T = 3
+    # box; a correct complex runs no elimination
+    calls = _counting_rank(monkeypatch)
+    rng = random.Random(2011)
+    weights = [w for w in (tuple(rng.randint(-4, 4)
+                                 for _ in range(rng.randint(1, 6)))
+                           for _ in range(60)) if any(w)]
+    spec = TorusSpec(n=6, truncation=3)
+    report = torus_betti(spec)
+    assert len(report.acyclicity_certificates) == 71
+    certified = [(w, koszul_certificate(w, build_mode_complex(w)))
+                 for w in weights]
+    certified += [(_transverse(cert.mode, spec), cert)
+                  for cert in report.acyclicity_certificates]
+    assert calls == [] and len(certified) > 110
+    for w, cert in certified:
+        assert cert.ok and cert.failed_degree is None
+        assert cert.ranks == tuple(comb(len(w) - 1, k) for k in range(len(w)))
+        assert cert.ranks == tuple(rank(d) for d in build_mode_complex(w).d)
+
+
+def _with_row(c, k, i, row):
+    """c with row i of d_k replaced by the integer pairs row."""
+    dk = c.d[k]
+    rows = list(dk.int_rows)
+    rows[i] = tuple(row)
+    d = list(c.d)
+    d[k] = ExactMatrix(dk.rows, dk.cols, dk.den, tuple(rows))
+    return replace(c, d=tuple(d))
+
+
+def _witness_rows(q, k, i0):
+    """(row, column) of the witness entries of d_k: each row J that
+    contains i0 and its column J - {i0}."""
+    columns = {mono: j for j, mono in enumerate(combinations(range(q), k))}
+    return [(i, columns[tuple(x for x in jmono if x != i0)])
+            for i, jmono in enumerate(combinations(range(q), k + 1))
+            if i0 in jmono]
+
+
+def test_a_broken_mode_complex_falls_back_to_elimination(monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    rng = random.Random(2012)
+    mutated = 0
+    for _ in range(12):
+        q = rng.randint(2, 5)
+        w = tuple(rng.randint(-3, 3) for _ in range(q))
+        if not any(w):
+            continue
+        c = build_mode_complex(w)
+        i0 = next(i for i, x in enumerate(w) if x)
+        k = rng.randrange(q)
+        witness = _witness_rows(q, k, i0)
+        i, col = rng.choice(witness)
+        row = dict(c.d[k].int_rows[i])
+        # one entry of the complex changed: a witness entry that stays
+        # nonzero keeps the witness, so only a broken d.d falls back
+        changed = dict(row)
+        changed[col] += rng.choice([-1, 1]) * rng.randint(1, 3)
+        cases = [(changed, None)]
+        # the w_i0 entry of one row zeroed
+        cases.append(({j: x for j, x in row.items() if j != col}, True))
+        # a second nonzero among the columns that avoid i0
+        others = [j for _, j in witness if j != col]
+        if others:
+            cases.append(({**row, rng.choice(others): 1}, True))
+        for case, falls_back in cases:
+            bad = _with_row(c, k, i, sorted((j, x) for j, x in case.items()
+                                            if x))
+            if falls_back is None:
+                falls_back = bad.d_squared_violation() is not None
+            del calls[:]
+            cert = koszul_certificate(w, bad)
+            assert len(calls) == (q if falls_back else 0)
+            assert (cert.ranks, cert.ok, cert.failed_degree) == \
+                _eliminated_certificate(w, bad)
+            mutated += 1
+    assert mutated > 20
+
+
+def test_a_witness_failure_alone_falls_back_to_elimination(monkeypatch):
+    # w = e_1 on R^3: zeroing d_0's only nonzero leaves d.d = 0, so only
+    # the witness sees it; elimination then finds rank d_0 = 0 and a
+    # nonzero H^0
+    calls = _counting_rank(monkeypatch)
+    c = build_mode_complex((0, 5, 0))
+    bad = _with_row(c, 0, 1, ())
+    assert bad.d_squared_violation() is None
+    cert = koszul_certificate((0, 5, 0), bad)
+    assert len(calls) == 3
+    assert (cert.ranks, cert.ok, cert.failed_degree) == ((0, 2, 1), False, 0)
+    assert (cert.ranks, cert.ok, cert.failed_degree) == \
+        _eliminated_certificate((0, 5, 0), bad)
+    # a second nonzero in a witness row of d_1: still d.d = 0 here, and
+    # the eliminated ranks happen to be the witnessed ones
+    c = build_mode_complex((1, 0, 0))
+    row = dict(c.d[1].int_rows[0])
+    bad = _with_row(c, 1, 0, sorted({**row, 2: 1}.items()))
+    assert bad.d_squared_violation() is None
+    del calls[:]
+    cert = koszul_certificate((1, 0, 0), bad)
+    assert len(calls) == 3
+    assert (cert.ranks, cert.ok, cert.failed_degree) == \
+        _eliminated_certificate((1, 0, 0), bad)
+    # a d_0 one column too wide: the rank bounds read the shapes, so the
+    # witness refuses it
+    d0 = c.d[0]
+    wide = replace(c, d=(ExactMatrix(d0.rows, 2, d0.den, d0.int_rows),)
+                   + c.d[1:])
+    assert wide.d_squared_violation() is None
+    del calls[:]
+    cert = koszul_certificate((1, 0, 0), wide)
+    assert len(calls) == 3
+    assert (cert.ranks, cert.ok, cert.failed_degree) == \
+        _eliminated_certificate((1, 0, 0), wide)
 
 
 def test_mode_complex_d_squared_is_zero():
