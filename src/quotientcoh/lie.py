@@ -16,14 +16,14 @@ weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
 The d.d and Jacobi checks are zero tests that multiply row by row and
 stop at the first nonzero row, building no product matrix.
-Each differential is eliminated once: its kernel basis gives both its rank
-(the width minus the kernel size, from which the Betti numbers follow)
-and the candidate cocycles.  Representatives are those integer kernel
-vectors reduced against the image of the previous differential, which
-leaves exactly one representative per cohomology dimension; only the
-report's copies are divided by their lead.  Only the kernel vectors that
-survive are reduced: which ones is read off the image restricted to the
-free columns of the differential (see betti).
+Each differential is eliminated once, from the top degree down and on
+the rows that d.d = 0 leaves independent of the others (see betti): its
+kernel basis gives both its rank (the width minus the kernel size, from
+which the Betti numbers follow) and the candidate cocycles.  The
+representatives are the kernel vectors that lie outside the image of
+the previous differential and the earlier kernel vectors, exactly one
+per cohomology dimension, read off the image restricted to the free
+columns of the differential; the report divides each by its lead.
 
 A Subspace owns the coordinate splitting given by its echelon form:
 its complement is the non-pivot coordinates and its scale the lcm of
@@ -48,7 +48,6 @@ from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
 from .ratio import Ratio, as_ratio
 from .record import record
 from .scalars import (
-    EchelonBasis,
     ExactMatrix,
     IntRow,
     RationalLike,
@@ -405,9 +404,10 @@ class BettiReport:
 
     betti[k] = C(n, k) - rank d_k - rank d_{k-1}, with each rank read
     off the one elimination of d_k that also gave its kernel;
-    generators[k] holds the chosen representative cocycles as sparse
+    generators[k] holds the representative cocycles, the kernel vectors
+    of d_k that survive the image of d_{k-1} (see betti), as sparse
     rows of (column, Ratio) pairs over monomials[k], in increasing
-    column order, each normalized to leading coefficient 1.
+    column order, each divided by its leading coefficient.
     """
 
     dim: int
@@ -434,20 +434,30 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
 
     The kernel basis of d_k has C(n, k) - rank d_k members, so a single
     nullspace_basis call per degree yields both the rank and the
-    candidate cocycles.  Representatives in degree k are those sparse
-    kernel vectors reduced against the image of d_{k-1}, spanned by its
-    rank-many pivot columns, plus the representatives already chosen;
-    exactly betti[k] of them survive.  Only those are reduced: d.d = 0
-    puts the image in the kernel, so kernel_survivors picks them from the
-    image restricted to the free columns of d_k, and a kernel vector that
-    would reduce to zero is never added.  Skipping it leaves the basis as it
-    was, so every representative is the residual it would be if all
-    kernel vectors were reduced in order.  A degree with betti[k] = 0
-    reduces nothing.
+    candidate cocycles.  The kernels are computed from the top degree
+    down, and d_k is eliminated on the rows at the free columns of
+    d_{k+1} alone, the last entries of its kernel vectors (clearing, as
+    in Chen and Kerber's persistent homology "with a twist").  Since
+    d_{k+1} d_k = 0, every column of d_k lies in the kernel of d_{k+1},
+    and a kernel vector is fixed by its free-column entries: its entry
+    at a pivot p of d_{k+1} is the same combination of them for every
+    column.  So the row of d_k at p is that combination of the rows at
+    the free columns, the row space is unchanged, and rref and the
+    kernel of the rows kept are exactly those of the full d_k.  Of those
+    rows, rank d_k are independent and betti[k+1] reduce to zero.
 
-    A non-complex raises ValueError.  checked=True says the caller has
-    already found d_squared_violation() to be None, and skips the
-    products that test it.
+    The representatives in degree k are the kernel vectors v_f of d_k
+    that lie outside the span of the image of d_{k-1} and of the v_f'
+    with f' < f, each divided by its lead.  Exactly betti[k] of them do,
+    and they are independent modulo coboundaries.  kernel_survivors
+    picks them from the pivot columns of d_{k-1}, which span its image,
+    restricted to the free columns of d_k; a degree with betti[k] = 0
+    looks at nothing.
+
+    A non-complex raises ValueError before any kernel is computed, since
+    clearing rests on d.d = 0.  checked=True says the caller has already
+    found d_squared_violation() to be None, and skips the products that
+    test it.
     """
     violation = None if checked else c.d_squared_violation()
     if violation is not None:
@@ -455,39 +465,36 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
             "not a cochain complex: d.d != 0 at degree %d" % violation
         )
     n = c.dim
-    ranks = []
+    kernels = [[((0, 1),)]]  # the top form; d_n = 0
+    for dk in reversed(c.d):
+        rows = tuple([dk.int_rows[v[-1][0]] for v in kernels[-1]])
+        # the integer rows read over 1: a scaled matrix has the same kernel
+        kernels.append(nullspace_basis(ExactMatrix(len(rows), dk.cols, 1,
+                                                   rows)))
+    kernels.reverse()
+    ranks = tuple([comb(n, k) - len(kernel) for k, kernel in
+                   enumerate(kernels[:n])])
+    numbers = betti_numbers(n, ranks)
     gens_out = []
-    monos_out = []
-    kernel: list[IntRow] = []
-    for k in range(n + 1):
-        image: dict[int, dict[int, int]] = {}
-        if k:
+    for k, kernel in enumerate(kernels):
+        survivors = kernel if numbers[k] else ()
+        if survivors and k and ranks[k - 1]:
             # the pivot columns of d_{k-1} span its image: those that are
-            # no kernel vector's free column, which is its last entry
-            image = {p: {} for p in range(c.d[k - 1].cols)}
-            for v in kernel:
+            # no kernel vector's free column, which is its last entry;
+            # read on the rows at the free columns of d_k
+            image = {p: {} for p in range(comb(n, k - 1))}
+            for v in kernels[k - 1]:
                 del image[v[-1][0]]
-        if k < n:
-            kernel = nullspace_basis(c.d[k])
-            ranks.append(comb(n, k) - len(kernel))
-        else:
-            kernel = [((0, 1),)]  # the top form; d_n = 0
-        chosen = []
-        if len(kernel) > len(image):  # betti[k] > 0
-            for i, row in enumerate(c.d[k - 1].int_rows if image else ()):
-                for j, x in row:
+            for v in kernel:
+                f = v[-1][0]
+                for j, x in c.d[k - 1].int_rows[f]:
                     if j in image:
-                        image[j][i] = x
+                        image[j][f] = x
             survivors = kernel_survivors(kernel, image.values())
-            acc = EchelonBasis()
-            for column in image.values():
-                acc.add(column)
-            chosen = [lead_one(acc.add(v)) for v in survivors]
-        gens_out.append(tuple(chosen))
-        monos_out.append(tuple(enumerate_basis(n, k)))
+        gens_out.append(tuple([lead_one(v) for v in survivors]))
     return BettiReport(
-        n, betti_numbers(n, ranks), tuple(ranks), tuple(gens_out),
-        tuple(monos_out),
+        n, numbers, ranks, tuple(gens_out),
+        tuple(tuple(enumerate_basis(n, k)) for k in range(n + 1)),
     )
 
 

@@ -267,12 +267,11 @@ def _make_primitive(w: dict[int, int]) -> dict[int, int]:
     return w
 
 
-def lead_one(row: Mapping[int, int]) -> SparseRow:
-    """A nonzero integer row divided by its leading entry, as (column,
-    Ratio) pairs in increasing column order."""
-    cols = sorted(row)
-    lead = row[cols[0]]
-    return tuple((j, ratio(row[j], lead)) for j in cols)
+def lead_one(row: IntRow) -> SparseRow:
+    """A nonzero integer row of (column, int) pairs in increasing column
+    order divided by its leading entry, as (column, Ratio) pairs."""
+    lead = row[0][1]
+    return tuple([(j, ratio(x, lead)) for j, x in row])
 
 
 class EchelonBasis:
@@ -285,8 +284,7 @@ class EchelonBasis:
     by cross-multiplication, and the residual is divided by its content
     once at the end.  Every step scales a whole row by a nonzero
     constant, which leaves its span, and hence the rank, the pivots, the
-    reduced echelon form and the kernel, unchanged; a caller that wants
-    the lead-1 form divides by the lead (`lead_one`).
+    reduced echelon form and the kernel, unchanged.
     """
 
     def __init__(self):
@@ -416,16 +414,16 @@ def kernel_survivors(kernel: Sequence[IntRow],
                      image: Iterable[Mapping[int, int]]) -> list[IntRow]:
     """The vectors v_f of a nullspace_basis kernel that lie outside the
     span of image and of the v_f' with f' < f, in order, for image
-    vectors inside that kernel.
+    vectors inside that kernel given by their entries at its free
+    columns F.
 
-    A kernel vector is fixed by its entries on the free columns F, where
-    v_f is a positive multiple of the unit vector at f.  So v_f is in
-    that span iff some image vector, restricted to F, has its last
-    nonzero entry at f: iff f is a pivot of the restricted image with
-    its columns taken in decreasing order.
+    A kernel vector is fixed by its entries on F, where v_f is a
+    positive multiple of the unit vector at f.  So v_f is in that span
+    iff some image vector, restricted to F, has its last nonzero entry
+    at f: iff f is a pivot of the restricted image with its columns
+    taken in decreasing order.
     """
-    free = {v[-1][0] for v in kernel}
     restricted = EchelonBasis()
     for v in image:
-        restricted.add({-j: x for j, x in v.items() if j in free})
+        restricted.add({-j: x for j, x in v.items()})
     return [v for v in kernel if -v[-1][0] not in restricted.rows]

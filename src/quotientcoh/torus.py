@@ -50,7 +50,9 @@ by a nonzero factor conjugate the mode complex by invertible maps, so
 all members of a class have the same ranks.  Each class is built and
 certified once, on its lexicographically least member, in the one
 transverse frame of the audit, and reported once with the number of
-modes it stands for.
+modes it stands for.  Every class of an audit lives on the same R^q, so
+the audit builds one template of q differentials, whose entries name
+the coordinate they carry, and reads each class complex off it.
 
 The irrational alpha is handled symbolically: independence and pivot
 columns of the direction matrix A + alpha*B are decided by substituting
@@ -226,13 +228,30 @@ def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, 
     return tuple(mode[f] for f in frame.skeleton.complement)
 
 
-def build_mode_complex(w: Sequence[int]) -> CochainComplex:
+def build_mode_complex(w: Sequence[int],
+                       template: CochainComplex | None = None) -> CochainComplex:
     """The complex of a surviving mode with transverse covector w: the
     cochain complex of R^q with coefficients of weight w, whose d_k is
-    ce_differential(abelian(q), k, w), left wedge with w."""
-    g = abelian(len(w))
-    return CochainComplex(tuple(
-        ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
+    ce_differential(abelian(q), k, w), left wedge with w.
+
+    An audit builds it once with w = (1, ..., q), as the template of all
+    its classes, and reads every other complex off that template: each
+    entry of its d_k is +-u_i for exactly one coordinate i, (-1)^s u_i
+    at the face J - J_s of row J for J_s = i, with u_i = i + 1.  So the
+    complex of w is the template with u_i replaced by w_i and zero
+    entries dropped, and ce_differential stays the only code that
+    places a sign.
+    """
+    if template is None:
+        g = abelian(len(w))
+        return CochainComplex(tuple(
+            ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
+    # [0, w_0, .., w_{q-1}, -w_{q-1}, .., -w_0]: entry +-u_i indexes +-w_i
+    signed = [0, *w, *[-x for x in reversed(w)]]
+    return CochainComplex(tuple([ExactMatrix(dk.rows, dk.cols, 1, tuple([
+        tuple([(j, y) for j, x in row if (y := signed[x])])
+        for row in dk.int_rows])) for dk in template.d]),
+        template.algebra, tuple(w))
 
 
 @record
@@ -256,10 +275,13 @@ class KoszulCertificate:
 
 
 def koszul_certificate(
-    mode: Sequence[int], c: CochainComplex, modes: int = 1
+    mode: Sequence[int], c: CochainComplex, modes: int = 1,
+    witnesses: Sequence[list] = (),
 ) -> KoszulCertificate:
     """Certify exactness of the complex c of a nonzero mode by d.d and a
-    rank witness; modes is the number of audited modes it stands for.
+    rank witness; modes is the number of audited modes it stands for,
+    and witnesses, when given, lists `_monomial_witness(c.dim, i)` for
+    every i.
 
     The ranks need no elimination.  Let q = c.dim and i0 the first
     coordinate with w_i0 != 0 for the weight w.  In d_k = (w ^ .), the
@@ -269,10 +291,10 @@ def koszul_certificate(
     d.d = 0, the image of d_{k-1} lies in the kernel of d_k, so
     rank d_{k-1} + rank d_k <= C(q, k) = C(q - 1, k - 1) + C(q - 1, k).
     The lower bounds then force rank d_k = C(q - 1, k) in every degree,
-    and every Betti number is 0.  `_monomial_witness` checks the
-    submatrices on the built integer rows in one scan; only when d.d or
-    the witness fails are the ranks eliminated (`rank`), so a broken
-    complex gets the exact ranks it has.
+    and every Betti number is 0.  The submatrices are checked on the
+    built integer rows in one scan, after the shapes C(q, k + 1) x
+    C(q, k); only when d.d or the witness fails are the ranks eliminated
+    (`rank`), so a broken complex gets the exact ranks it has.
 
     Wedging with a nonzero covector is exact, so ok is always true for
     a correctly built complex; a failure therefore indicates an
@@ -285,41 +307,41 @@ def koszul_certificate(
     if not any(c.weight):
         raise ValueError("the zero mode is not eligible for an exactness "
                          "certificate; its differential is zero")
+    q = c.dim
+    i0 = next(i for i, x in enumerate(c.weight) if x)
+    witness = witnesses[i0] if witnesses else _monomial_witness(q, i0)
     violation = c.d_squared_violation()
-    if violation is None and _monomial_witness(c):
-        ranks = tuple(comb(c.dim - 1, k) for k in range(c.dim))
+    if violation is None and len(c.d) == q == len(c.weight) and all(
+            (dk.rows, dk.cols) == shape and all(
+                [j for j, x in dk.int_rows[i] if x and outside[j]] == [face]
+                for i, face in pairs)
+            for dk, (shape, outside, pairs) in zip(c.d, witness)):
+        ranks = tuple(comb(q - 1, k) for k in range(q))
     else:
         ranks = tuple(rank(dk) for dk in c.d)
     failed = violation + 1 if violation is not None else next(
-        (k for k, b in enumerate(betti_numbers(c.dim, ranks)) if b), None)
+        (k for k, b in enumerate(betti_numbers(q, ranks)) if b), None)
     return KoszulCertificate(tuple(mode), ranks, failed is None, failed, modes)
 
 
-def _monomial_witness(c: CochainComplex) -> bool:
-    """True iff every d_k of c has the shape C(q, k + 1) x C(q, k) and,
-    for i0 the first nonzero coordinate of the weight, each row J that
-    contains i0 has exactly one nonzero entry among the columns I that
-    do not, at I = J - {i0}: the lower rank bounds of
-    koszul_certificate.  Dropping i0 keeps the lexicographic order, so
-    the m-th such row J is matched with the m-th such column I."""
-    q = c.dim
-    if len(c.d) != q or len(c.weight) != q:
-        return False
-    i0 = next(i for i, x in enumerate(c.weight) if x)
+def _monomial_witness(q: int, i0: int) -> list[tuple]:
+    """What koszul_certificate checks of each d_k on R^q, for i0 the
+    first nonzero coordinate of the weight: the shape (C(q, k + 1),
+    C(q, k)), the mask of the columns I that avoid i0, and the pairs
+    (row J, column J - {i0}) of the rows J that contain i0.  Dropping i0
+    keeps the lexicographic order, so the m-th such row J is matched
+    with the m-th such column I.  It depends on q and i0 alone, so an
+    audit computes it once for each i0."""
+    out = []
     columns = enumerate_basis(q, 0)
-    for k, dk in enumerate(c.d):
+    for k in range(q):
         rows = enumerate_basis(q, k + 1)
-        if (dk.rows, dk.cols) != (len(rows), len(columns)):
-            return False
         outside = [i0 not in mono for mono in columns]
-        faces = iter([j for j, out in enumerate(outside) if out])
-        for jmono, row in zip(rows, dk.int_rows):
-            if i0 in jmono:
-                hits = [j for j, x in row if x and outside[j]]
-                if hits != [next(faces)]:
-                    return False
+        out.append(((len(rows), len(columns)), outside, list(zip(
+            [i for i, mono in enumerate(rows) if i0 in mono],
+            [j for j, out in enumerate(outside) if out]))))
         columns = rows
-    return True
+    return out
 
 
 @record
@@ -408,9 +430,11 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     rescales monomials by signs, and scaling w by a nonzero factor
     scales each differential.  Conjugate complexes have the same rank
     in every degree, so each class is built and certified once, on its
-    lexicographically least member, with exact witnessed ranks.  The
-    report carries one certificate per class, in the order of those
-    least members, and each counts the audited modes of its class.
+    lexicographically least member, with exact witnessed ranks: its
+    complex is read off the audit's one template complex, and its
+    witness lists are the audit's for its i0.  The report carries one
+    certificate per class, in the order of those least members, and
+    each counts the audited modes of its class.
 
     Untouched coordinates U are counted, not visited: for each survivor
     s vanishing on U and each multiset M of |u| over U, the modes s + u
@@ -460,9 +484,11 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
             entry = classes.setdefault(tuple(x // g for x in raw), [least, 0])
             entry[0] = min(entry[0], least)
             entry[1] += count
+    template = build_mode_complex(range(1, q + 1))
+    witnesses = [_monomial_witness(q, i0) for i0 in range(q)]
     certificates = [
-        koszul_certificate(
-            mode, build_mode_complex(_mode_transverse(mode, frame)), count)
+        koszul_certificate(mode, build_mode_complex(
+            _mode_transverse(mode, frame), template), count, witnesses)
         for mode, count in sorted(classes.values())
     ]
     return TorusBettiReport(

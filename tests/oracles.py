@@ -6,7 +6,8 @@ minors, a dense n x n x n structure-constant cube read off the bracket
 matrix, the bilinear bracket, ideal test and quotient table over that
 cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
-evaluation of monomials, cohomology representatives reduced against
+evaluation of monomials, cohomology representatives read off the
+Gauss-Jordan kernel by rank tests and, as residuals, reduced against
 Gauss-Jordan rows of every column of the previous differential, the
 Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, the bump's derivative
@@ -238,31 +239,81 @@ def ce_matrix_bruteforce(g: LieAlgebra, k: int, weight=()):
     ]
 
 
-def naive_generators(d, n):
-    """Representative cocycles per degree of a complex of exterior powers
-    of R^n, given its differentials as dense rows.
+def _gauss_jordan_kernel(rows, width):
+    """One kernel vector per free column of the Gauss-Jordan form of the
+    dense rows: 1 there and minus that column of each reduced row at the
+    row's pivot."""
+    reduced, pivots = naive_rref(rows, width)
+    kernel = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(width)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        kernel.append(v)
+    return kernel
 
-    The kernel of d_k is read off its Gauss-Jordan form: one vector per
-    free column, 1 there and minus that column of each reduced row at
-    the row's pivot.  Each kernel vector in turn is reduced against the
-    Gauss-Jordan rows of every column of d_{k-1} plus the
-    representatives already kept, and kept, scaled to lead 1, when
-    something is left.
-    """
-    out = []
+
+def _kernels_and_images(d, n):
+    """(width, Gauss-Jordan kernel of d_k, columns of d_{k-1}) for
+    k = 0..n; the top form spans the kernel of d_n = 0."""
     for k in range(n + 1):
         width = math.comb(n, k)
-        if k < n:
-            rows, pivots = naive_rref(d[k], width)
-            kernel = []
-            for f in (c for c in range(width) if c not in pivots):
-                v = [Fraction(int(c == f)) for c in range(width)]
-                for row, p in zip(rows, pivots):
-                    v[p] = -row[f]
-                kernel.append(v)
-        else:
-            kernel = [[Fraction(1)]]
-        span = [list(col) for col in zip(*d[k - 1])] if k else []
+        kernel = (_gauss_jordan_kernel(d[k], width) if k < n
+                  else [[Fraction(1)]])
+        yield width, kernel, [list(col) for col in zip(*d[k - 1])] if k else []
+
+
+def _raises_rank(vectors):
+    """For each dense vector in order, whether it lies outside the span of
+    those before it: textbook elimination against the lead-1 rows kept so
+    far, each of which vanishes at the pivots of the rows before it."""
+    basis = []
+    out = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        for p, row in basis:
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x != 0), None)
+        out.append(p is not None)
+        if p is not None:
+            basis.append((p, [x / v[p] for x in v]))
+    return out
+
+
+def naive_kernel_generators(d, n):
+    """Representative cocycles per degree of a complex of exterior powers
+    of R^n, given its differentials as dense rows: the Gauss-Jordan
+    kernel vector at free column f is kept, scaled to lead 1, iff it
+    raises the rank of the columns of d_{k-1} and the kernel vectors at
+    the free columns before f."""
+    out = []
+    for width, kernel, span in _kernels_and_images(d, n):
+        kept = []
+        for v, raises in zip(kernel, _raises_rank(span + kernel)[len(span):]):
+            if raises:
+                lead = next(x for x in v if x != 0)
+                kept.append(tuple(x / lead for x in v))
+        out.append(kept)
+    return out
+
+
+def naive_generators(d, n, candidates=None):
+    """Representative cocycles per degree of a complex of exterior powers
+    of R^n, given its differentials as dense rows, as residuals.
+
+    Each candidate cocycle in turn (by default the Gauss-Jordan kernel
+    vectors of d_k, one per free column) is reduced against the
+    Gauss-Jordan rows of every column of d_{k-1} plus the
+    representatives already kept, and kept, scaled to lead 1, when
+    something is left.  candidates[k], when given, lists dense vectors
+    of degree k instead.
+    """
+    out = []
+    for k, (width, kernel, span) in enumerate(_kernels_and_images(d, n)):
+        if candidates is not None:
+            kernel = [list(v) for v in candidates[k]]
         kept = []
         basis, pivots = naive_rref(span, width)
         for v in kernel:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from quotientcoh import (
-    CochainComplex, ExactMatrix, KoszulCertificate, ce_complex, cli, heisenberg,
+    CochainComplex, ExactMatrix, KoszulCertificate, Subspace, ce_complex, cli,
+    heisenberg, quotient,
 )
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.exterior import enumerate_basis
@@ -20,7 +21,8 @@ from quotientcoh.cli import run_job
 from quotientcoh.record import replace
 
 from oracles import (
-    change_basis, jacobi_failure, random_invertible, random_nonjacobi_table)
+    change_basis, jacobi_failure, naive_generators, naive_kernel_generators,
+    random_invertible, random_nonjacobi_table)
 
 TORUS_CFG = """\
 [torus]
@@ -515,6 +517,32 @@ def test_lie_reports_match_committed_fixtures(name, check):
     # fractional, non-echelon vectors, recorded before echelon rows and
     # subspaces became sparse.
     _matches_fixture(name, check)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["std7-check", "random7-check", "quotient8", "quotient-random8-check"])
+def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
+    # each committed generator, as the report labels it, is the dense
+    # oracle's surviving kernel vector; reduced in order against the
+    # image, the oracle's vectors give the residual representatives the
+    # fixtures held before, so the recorded classes are the same
+    job = parse_config((FIXTURES / (name + ".cfg")).read_text()).lie
+    algebra, names = job.algebra, ["e%d" % i for i in range(job.algebra.dim)]
+    if job.ideal_vectors is not None:
+        sub = Subspace.span(algebra.dim, job.ideal_vectors)
+        algebra = quotient(algebra, sub)
+        names = ["e%d" % c for c in sub.complement]
+    n = algebra.dim
+    d = [dk.entries for dk in ce_complex(algebra).d]
+    oracle = naive_kernel_generators(d, n)
+    assert naive_generators(d, n, oracle) == naive_generators(d, n)
+    labels = [[cli._vector_label(
+        tuple((j, x.as_integer_ratio()) for j, x in enumerate(v) if x),
+        enumerate_basis(n, k), names) for v in gens]
+        for k, gens in enumerate(oracle)]
+    recorded = json.loads((FIXTURES / (name + ".json")).read_text())
+    assert recorded["generators"] == labels
 
 
 @pytest.mark.parametrize(

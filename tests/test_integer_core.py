@@ -1,6 +1,7 @@
 """The exact core on integers: one normal form per rational matrix,
 integer products, ranks and kernels against the dense oracles, the
-certificates that read integer rows, and the image basis of `betti`."""
+certificates that read integer rows, and the cleared kernels and
+kernel-vector representatives of `betti`."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from oracles import (
     gauss_rank,
     jacobi_failure,
     naive_generators,
+    naive_kernel_generators,
     naive_rref,
     random_invertible,
     random_lie_algebra,
@@ -162,9 +164,8 @@ def test_a_broken_rational_table_fails_both_checks_at_the_first_triple():
 
 def _counted_betti(monkeypatch, c):
     """betti(c), and the number of adds to each EchelonBasis it filled,
-    in order: the bases betti and kernel_survivors build, not the
-    eliminations inside nullspace_basis, which scalars runs on its own
-    bases."""
+    in order: the bases kernel_survivors builds, not the eliminations
+    inside nullspace_basis, which scalars runs on its own bases."""
     calls = []
 
     class Counted(EchelonBasis):
@@ -179,10 +180,8 @@ def _counted_betti(monkeypatch, c):
         finally:
             monkeypatch.setattr(scalars, "EchelonBasis", EchelonBasis)
 
-    monkeypatch.setattr(lie, "EchelonBasis", Counted)
     monkeypatch.setattr(lie, "kernel_survivors", counted_survivors)
     report = betti(c)
-    monkeypatch.setattr(lie, "EchelonBasis", EchelonBasis)
     monkeypatch.setattr(lie, "kernel_survivors", kernel_survivors)
     # calls keeps every basis alive, so no two share an id
     return report, [len(list(run)) for _, run in groupby(calls, key=id)]
@@ -191,17 +190,37 @@ def _counted_betti(monkeypatch, c):
 def _expected_adds(c):
     """In degree k, with r = rank d_{k-1} and b = betti[k]: r adds of the
     pivot columns of d_{k-1} restricted to the free columns of d_k, which
-    pick the b surviving kernel vectors (none when r = 0), then r + b to
-    the representative basis; a degree with b = 0 adds nothing."""
+    pick the b surviving kernel vectors; a degree with b = 0 or r = 0
+    adds nothing, and no kernel vector is ever added."""
     n = c.dim
     ranks = [gauss_rank(dk.entries) for dk in c.d] + [0]
     expected = []
     for k in range(n + 1):
         r = ranks[k - 1] if k else 0
-        b = comb(n, k) - ranks[k] - r
-        if b:
-            expected += [r, r + b] if r else [b]
+        if r and comb(n, k) - ranks[k] - r:
+            expected.append(r)
     return expected
+
+
+def _assert_generators(report, c):
+    """The generators are the oracle's surviving kernel vectors, and
+    reduced in order against the image they give the residual
+    representatives, so both name the same classes; they are cocycles
+    independent modulo coboundaries."""
+    n = c.dim
+    d = [dk.entries for dk in c.d]
+    gens = [[densify(v, comb(n, k)) for v in gens]
+            for k, gens in enumerate(report.generators)]
+    assert gens == naive_kernel_generators(d, n)
+    assert naive_generators(d, n, gens) == naive_generators(d, n)
+    for k, vectors in enumerate(gens):
+        assert len(vectors) == report.betti[k]
+        if k < n:
+            assert not any(sum(x * y for x, y in zip(row, v))
+                           for row in d[k] for v in vectors)
+        columns = [list(col) for col in zip(*d[k - 1])] if k else []
+        assert gauss_rank(columns + vectors) == \
+            gauss_rank(columns) + len(vectors)
 
 
 def test_betti_adds_pivot_columns_and_kernel_vectors_only(monkeypatch):
@@ -213,33 +232,78 @@ def test_betti_adds_pivot_columns_and_kernel_vectors_only(monkeypatch):
         c = ce_complex(g)
         report, added = _counted_betti(monkeypatch, c)
         assert added == _expected_adds(c)
-        n = g.dim
-        oracle = naive_generators([dk.entries for dk in c.d], n)
-        assert [[densify(v, comb(n, k)) for v in gens]
-                for k, gens in enumerate(report.generators)] == oracle
+        _assert_generators(report, c)
 
 
 def test_betti_adds_no_kernel_vector_that_lies_in_the_image(monkeypatch):
     # in a random basis, sl2 + sl2 has betti (1, 0, 0, 2, 0, 0, 1) and
-    # sl2 has (1, 0, 0, 1): most kernel vectors are coboundaries, and
-    # the degrees with betti 0 add nothing
+    # sl2 has (1, 0, 0, 1): most kernel vectors are coboundaries, the
+    # degrees with betti 0 add nothing, and neither does a degree whose
+    # image is zero (unimodular algebras have d_{n-1} = 0)
     rng = random.Random(195)
     for g, betti_numbers, adds, before in (
         (change_basis(direct_sum(sl2(), sl2()), random_invertible(rng, 6)),
-         (1, 0, 0, 2, 0, 0, 1), [1, 9, 11, 1], 64),
+         (1, 0, 0, 2, 0, 0, 1), [9], 64),
         (change_basis(sl2(), random_invertible(rng, 3)), (1, 0, 0, 1),
-         [1, 1], 8),
+         [], 8),
     ):
         c = ce_complex(g)
         report, added = _counted_betti(monkeypatch, c)
         assert report.betti == betti_numbers
         assert added == adds == _expected_adds(c)
-        n = g.dim
         # adding every image column and every kernel vector would take
         # rank d_{k-1} + dim ker d_k = 2 rank d_{k-1} + betti[k] adds
         # per degree
         assert sum(2 * r + b for r, b in zip(
             (0,) + report.ranks, report.betti)) == before > sum(added)
-        oracle = naive_generators([dk.entries for dk in c.d], n)
-        assert [[densify(v, comb(n, k)) for v in gens]
-                for k, gens in enumerate(report.generators)] == oracle
+        _assert_generators(report, c)
+
+
+def _recorded_kernels(monkeypatch):
+    """The (matrix, kernel) of every nullspace_basis call betti makes."""
+    calls = []
+
+    def recorded(m):
+        calls.append((m, nullspace_basis(m)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lie, "nullspace_basis", recorded)
+    return calls
+
+
+def test_cleared_kernels_equal_the_kernels_of_the_full_differentials(
+        monkeypatch):
+    # d_k is eliminated on the rows at the free columns of d_{k+1} only,
+    # from the top degree down; its kernel is that of the whole d_k
+    calls = _recorded_kernels(monkeypatch)
+    rng = random.Random(196)
+    algebras = [change_basis(random_lie_algebra(rng, dim),
+                             random_invertible(rng, dim))
+                for dim in (3, 4, 5, 6, 7)]
+    algebras += [change_basis(direct_sum(sl2(), sl2()),
+                              random_invertible(rng, 6)), filiform(8)]
+    fewer = 0
+    for g in algebras:
+        c = ce_complex(g)
+        del calls[:]
+        report = betti(c)
+        n = g.dim
+        assert [m.cols for m, _ in calls] == [comb(n, k)
+                                             for k in reversed(range(n))]
+        for k, (m, kernel) in zip(reversed(range(n)), calls):
+            assert kernel == nullspace_basis(c.d[k])
+            # one row per kernel vector of d_{k+1}: rank d_k + betti[k+1]
+            assert m.rows == report.ranks[k] + report.betti[k + 1]
+            fewer += m.rows < c.d[k].rows
+    assert fewer > 10
+
+
+def test_betti_refuses_a_non_complex_before_any_kernel(monkeypatch):
+    calls = _recorded_kernels(monkeypatch)
+    rng = random.Random(197)
+    for _ in range(4):
+        c = ce_complex(random_nonjacobi_table(rng, rng.randint(3, 5)))
+        assert c.d_squared_violation() == 1
+        with pytest.raises(ValueError, match="not a cochain complex"):
+            betti(c)
+        assert calls == []

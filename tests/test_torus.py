@@ -23,6 +23,7 @@ from quotientcoh import (
     torus_betti,
     transverse_frame,
 )
+from quotientcoh.lie import ce_differential
 from quotientcoh.scalars import ExactMatrix, rank
 from quotientcoh import cli, torus
 from quotientcoh.cli import run_job
@@ -420,6 +421,25 @@ def test_mode_complexes_match_the_weighted_oracle():
     assert checked >= 10
 
 
+def test_mode_complexes_read_off_the_template_are_the_weighted_complexes():
+    # the template's entries +-(i + 1) become +-w_i, zeros dropped: the
+    # result is ce_differential's, with or without a template passed in
+    rng = random.Random(607)
+    zeros = 0
+    for _ in range(120):
+        q = rng.randint(1, 6)
+        w = tuple(rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(q))
+        zeros += 0 in w
+        g = abelian(q)
+        expected = tuple(ce_differential(g, k, w) for k in range(q))
+        u = tuple(range(1, q + 1))
+        template = CochainComplex(
+            tuple(ce_differential(g, k, u) for k in range(q)), g, u)
+        for c in (build_mode_complex(w), build_mode_complex(w, template)):
+            assert (c.d, c.algebra, c.weight) == (expected, g, w)
+    assert zeros > 60
+
+
 def test_torus_betti_example():
     report = torus_betti(example_spec())
     assert report.betti == (1, 2, 1)
@@ -544,8 +564,10 @@ def test_certificate_ranks_match_direct_recomputation():
 
 
 def test_torus_betti_finds_the_frame_once(monkeypatch):
-    # one frame per audit, read by every class; one complex per class
-    calls = {"transverse_frame": 0, "build_mode_complex": 0}
+    # one frame per audit, read by every class; one complex per class,
+    # read off one template complex of q differentials built per audit
+    calls = {"transverse_frame": 0, "build_mode_complex": 0,
+             "ce_differential": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(torus, name)):
             calls[_name] += 1
@@ -562,7 +584,8 @@ def test_torus_betti_finds_the_frame_once(monkeypatch):
         assert len(report.acyclicity_certificates) > 1
         assert calls == {
             "transverse_frame": 1,
-            "build_mode_complex": len(report.acyclicity_certificates),
+            "build_mode_complex": len(report.acyclicity_certificates) + 1,
+            "ce_differential": len(report.frame.skeleton.complement),
         }
 
 
