@@ -139,22 +139,16 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     algebra = job.algebra
     certificates: dict = {"jacobi": True, "ideal": None}
     names = ["e%d" % i for i in range(algebra.dim)]
+    ok, triple = jacobi_check(algebra)
+    if not ok:
+        raise NotALieAlgebra(triple)
     if job.ideal_vectors is not None:
-        ok, triple = jacobi_check(algebra)
-        if not ok:
-            raise NotALieAlgebra(triple)
         sub = Subspace.span(algebra.dim, job.ideal_vectors)
         algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
         names = ["e%d" % c for c in sub.complement]
     complex_ = ce_complex(algebra)
-    violation = complex_.d_squared_violation()
-    if violation == 1 and job.ideal_vectors is None:
-        # d_2 d_1 of the complex of the job's algebra is the product
-        # jacobi_check tests, so the d.d check has run the Jacobi test:
-        # the refusal names the first failing triple
-        raise NotALieAlgebra(jacobi_check(algebra)[1])
-    is_complex = violation is None
+    is_complex = complex_.d_squared_violation() is None
     certificates["d_squared_zero"] = is_complex
     code = 0 if is_complex else 3
     if check:
@@ -207,6 +201,9 @@ def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
     return _payload("witness", certificates), 0
 
 
+_RUNNERS = {"lie": _run_lie, "torus": _run_torus, "witness": _run_witness}
+
+
 def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     """Run one parsed job; returns (payload, exit_code).
 
@@ -214,11 +211,7 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     separate them from ordinary failures.
     """
     _bind(config.mode)
-    if config.mode == "lie":
-        return _run_lie(config.lie, check)
-    if config.mode == "torus":
-        return _run_torus(config.torus, check)
-    return _run_witness(config.witness, check)
+    return _RUNNERS[config.mode](getattr(config, config.mode), check)
 
 
 # json and csv are imported where a report is rendered, after the job's

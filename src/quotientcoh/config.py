@@ -183,11 +183,19 @@ def _section_map(entries: list[tuple[str, str, int]]) -> dict[str, str]:
     return {key: value for key, value, _ in entries}
 
 
+def _int_key(single: dict[str, str], section: str, key: str,
+             default: int | None = None) -> int:
+    """The integer value of a single key, or default when it is absent;
+    a key without a default is required."""
+    if key in single:
+        return _exact_int(key, single[key])
+    if default is None:
+        raise ValidationError(key, "missing required key in [%s]" % section)
+    return default
+
+
 def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
-    single = _section_map(entries)
-    if "dim" not in single:
-        raise ValidationError("dim", "missing required key in [lie]")
-    dim = _exact_int("dim", single["dim"])
+    dim = _int_key(_section_map(entries), "lie", "dim")
     if dim < 0:
         raise ValidationError("dim", "dimension must be nonnegative")
     brackets: dict[tuple[int, int, int], Ratio] = {}
@@ -228,9 +236,7 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
     from .scalars import parse_ext_scalar
 
     single = _section_map(entries)
-    if "n" not in single:
-        raise ValidationError("n", "missing required key in [torus]")
-    n = _exact_int("n", single["n"])
+    n = _int_key(single, "torus", "n")
     dirs: list[tuple[ExtScalar, ...]] = []
     for key, value, _line in entries:
         if key != "foliation":
@@ -250,7 +256,7 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
     if "invariance" in single:
         for token in single["invariance"].split(","):
             invariance.add(_exact_int("invariance", token.strip()))
-    truncation = _exact_int("truncation", single.get("truncation", "3"))
+    truncation = _int_key(single, "torus", "truncation", 3)
     from .torus import TorusSpec
 
     try:
@@ -261,13 +267,8 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
 
 def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
     single = _section_map(entries)
-    for required in ("k_min", "k_max"):
-        if required not in single:
-            raise ValidationError(
-                required, "missing required key in [witness]"
-            )
-    k_min = _exact_int("k_min", single["k_min"])
-    k_max = _exact_int("k_max", single["k_max"])
+    k_min = _int_key(single, "witness", "k_min")
+    k_max = _int_key(single, "witness", "k_max")
     if k_min < 1:
         raise ValidationError("k_min", "levels start at 1")
     if k_max <= k_min:
@@ -276,31 +277,19 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
             "need at least two levels (k_max > k_min) to witness the "
             "obstruction",
         )
-    order = 4
-    if "max_derivative_order" in single:
-        order = _exact_int(
-            "max_derivative_order", single["max_derivative_order"]
+    order = _int_key(single, "witness", "max_derivative_order", 4)
+    if order < 0:
+        raise ValidationError("max_derivative_order", "must be nonnegative")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise ValidationError(
+            "max_derivative_order",
+            "at most %d: the floating-point bump derivatives drift "
+            "from their exact values as the order grows (5e-8 relative "
+            "at order 16)" % MAX_DERIVATIVE_ORDER,
         )
-        if order < 0:
-            raise ValidationError(
-                "max_derivative_order", "must be nonnegative"
-            )
-        if order > MAX_DERIVATIVE_ORDER:
-            raise ValidationError(
-                "max_derivative_order",
-                "at most %d: the floating-point bump derivatives drift "
-                "from their exact values as the order grows (5e-8 relative "
-                "at order 16)" % MAX_DERIVATIVE_ORDER,
-            )
-    samples = 10001
-    if "samples_per_interval" in single:
-        samples = _exact_int(
-            "samples_per_interval", single["samples_per_interval"]
-        )
-        if samples < 3:
-            raise ValidationError(
-                "samples_per_interval", "need at least 3 samples"
-            )
+    samples = _int_key(single, "witness", "samples_per_interval", 10001)
+    if samples < 3:
+        raise ValidationError("samples_per_interval", "need at least 3 samples")
     points = samples * (k_max - k_min + 1)
     if points > MAX_GRID_POINTS:
         raise ValidationError(

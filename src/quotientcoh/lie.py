@@ -131,8 +131,7 @@ def _cleared_brackets(
     weight = [as_ratio(x) for x in weight]
     den = lcm(table.den, *(d for _, d in weight))
     scale = den // table.den
-    rows = table.int_rows if scale == 1 else [
-        tuple((k, c * scale) for k, c in row) for row in table.int_rows]
+    rows = [tuple((k, c * scale) for k, c in row) for row in table.int_rows]
     return den, dict(zip(enumerate_basis(g.dim, 2), rows)), [
         n * (den // d) for n, d in weight]
 
@@ -372,7 +371,7 @@ def ce_differential(
         # the faces J - J_s are distinct columns: no sums in the first term
         row = {col_index[jmono[:s] + jmono[s + 1:]]: -w[i] if s % 2 else w[i]
                for s, i in enumerate(jmono) if w[i]}
-        for s, i in enumerate(jmono if partners else ()):
+        for s, i in enumerate(jmono):
             with_i = partners.get(i)
             if with_i is None:
                 continue

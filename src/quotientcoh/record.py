@@ -34,8 +34,6 @@ so a record's validation runs on the copy too.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 
 class FrozenRecordError(AttributeError):
     """An attempt to assign or delete an attribute of a record."""
@@ -53,11 +51,9 @@ def record(cls):
                             "with one" % after)
     count = len(names)
     post_init = getattr(cls, "__post_init__", None)
-    if count > 1:
-        values = attrgetter(*names)
-    else:
-        def values(self):
-            return tuple(getattr(self, n) for n in names)
+
+    def values(self):
+        return tuple(getattr(self, n) for n in names)
 
     def bind(args, kwargs):
         if len(args) > count:
@@ -78,10 +74,7 @@ def record(cls):
         return bound
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            self.__dict__.update(bind(args, kwargs))
-        else:
-            self.__dict__.update(zip(names, args))
+        self.__dict__.update(bind(args, kwargs))
         if post_init is not None:
             self.__post_init__()
 

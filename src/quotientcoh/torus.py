@@ -395,9 +395,6 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     enumerated = {open_cols[c] for c in constraints.complement}
     values = range(-bound, bound + 1)
     axes = [values if j in enumerated else (0,) for j in range(spec.n)]
-    if not constraints.basis:
-        # the product over per-coordinate ranges is already lexicographic
-        return list(product(*axes))
     # pivot coordinate = (sum of coefficient * enumerated coordinate) / lead
     solved = [
         (open_cols[c], lead, tuple((open_cols[k], -x) for k, x in others))

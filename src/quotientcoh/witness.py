@@ -307,9 +307,6 @@ class BumpFamily:
         """
         if not 0 <= order <= self.max_derivative_order:
             raise ValueError("derivative order %d out of range" % order)
-        if order == 0:
-            # the exponent -1/q is negative: no overflow, and P_0 = 1
-            return [exp(-1.0 / (x * (1.0 - x))) for x in s]
         coeffs = [float(c) for c in reversed(self._polys[order])]
         lead, rest = coeffs[0], coeffs[1:]
         twice = 2 * order
