@@ -29,7 +29,7 @@ _EXPORTS = {
         "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
         "NotALieAlgebra", "NotAnIdeal", "ParseError", "ValidationError",
     ),
-    "exterior": ("enumerate_basis", "wedge_insert"),
+    "exterior": ("enumerate_basis",),
     "lie": (
         "BettiReport", "CochainComplex", "LieAlgebra", "Subspace", "abelian",
         "betti", "ce_complex", "heisenberg", "ideal_check", "jacobi_check",

@@ -166,9 +166,8 @@ def _lie_text(g, ideal=None) -> str:
 
 
 def test_a_broken_table_is_refused_at_its_first_triple(tmp_path, capsys):
-    # with no ideal the d.d check of the job's own complex runs the Jacobi
-    # test; with one, jacobi_check runs before the quotient: both refuse
-    # with the first failing triple, and nothing is reported
+    # every Lie job runs jacobi_check first, with an ideal or without:
+    # both refuse with the first failing triple, and nothing is reported
     rng = random.Random(4243)
     for dim in (3, 4, 5, 5):
         bad = change_basis(random_nonjacobi_table(rng, dim),
@@ -182,6 +181,25 @@ def test_a_broken_table_is_refused_at_its_first_triple(tmp_path, capsys):
                 "engine: refused: NotALieAlgebra: Jacobi identity fails at "
                 "basis triple %s\n" % (triple,))
             assert not out.exists()
+
+
+def test_a_broken_table_is_refused_before_any_complex_is_built(
+        tmp_path, capsys, monkeypatch):
+    # the one Jacobi route: without an ideal too, the refusal comes from
+    # jacobi_check on the job's table, and no cochain complex is built
+    def no_complex(algebra):
+        raise AssertionError("ce_complex called on a broken table")
+
+    monkeypatch.setattr(cli, "ce_complex", no_complex)
+    rng = random.Random(4244)
+    for dim in (3, 4, 5):
+        bad = change_basis(random_nonjacobi_table(rng, dim),
+                           random_invertible(rng, dim))
+        cfg = _write(tmp_path, "job.cfg", _lie_text(bad))
+        assert main(["--input", cfg, "--check"]) == 2
+        assert capsys.readouterr().err == (
+            "engine: refused: NotALieAlgebra: Jacobi identity fails at "
+            "basis triple %s\n" % (jacobi_failure(bad),))
 
 
 def test_degenerate_foliation_refusal(tmp_path, capsys):

@@ -190,12 +190,17 @@ def test_witness_grid_is_capped_at_two_million_points():
 
 
 def test_missing_required_keys():
-    with pytest.raises(ValidationError, match="missing"):
-        parse_config("[torus]\ntruncation = 2\n")
-    with pytest.raises(ValidationError, match="missing"):
-        parse_config("[lie]\nbracket = 0 1 2 1\n")
-    with pytest.raises(ValidationError, match="missing"):
-        parse_config("[witness]\nk_min = 2\n")
+    for text, key, section in (
+            ("[torus]\ntruncation = 2\n", "n", "torus"),
+            ("[lie]\nbracket = 0 1 2 1\n", "dim", "lie"),
+            ("[witness]\nk_max = 3\n", "k_min", "witness"),
+            ("[witness]\nk_min = 2\n", "k_max", "witness")):
+        with pytest.raises(ValidationError) as info:
+            parse_config(text)
+        assert (info.value.key, info.value.reason) == (
+            key, "missing required key in [%s]" % section)
+        assert str(info.value) == (
+            "key %r: missing required key in [%s]" % (key, section))
 
 
 def test_parse_error_carries_line_numbers():

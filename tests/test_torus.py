@@ -670,7 +670,9 @@ def test_untouched_coordinates_are_counted_not_scanned(monkeypatch):
     assert torus_betti(TorusSpec(n=8, truncation=2)).audited_modes == 390624
 
 
-ALPHA6 = Path(__file__).parent / "fixtures" / "torus-alpha6-check.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+ALPHA6 = ROOT / "tests" / "fixtures" / "torus-alpha6-check.cfg"
+KRONECKER = ROOT / "examples" / "kronecker-flow.cfg"
 
 
 def test_check_torus_job_finds_one_frame_and_one_report(monkeypatch):
@@ -753,6 +755,45 @@ def test_cross_check_ce_fails_on_a_skeleton_of_the_wrong_dimension():
     for vectors in ([], [[1, 0, 0], [0, 0, 1]]):
         frame = replace(report.frame, skeleton=Subspace.span(3, vectors))
         assert not cross_check_ce(replace(report, frame=frame)), vectors
+
+
+def test_cross_check_ce_fails_when_the_frame_drops_a_skeleton_row(
+        monkeypatch):
+    # a frame that loses a leafwise direction reports the Betti numbers of
+    # its own smaller skeleton, (1, 2, 1) for the Kronecker flow, and its
+    # modes all certify: only the cross-check against the spec sees it
+    frame_of = torus.transverse_frame
+
+    def dropped_row(spec):
+        frame = frame_of(spec)
+        return replace(frame, skeleton=Subspace(
+            spec.n, frame.skeleton.basis[1:]))
+
+    monkeypatch.setattr(torus, "transverse_frame", dropped_row)
+    payload, code = run_job(parse_config(KRONECKER.read_text()), check=True)
+    certificates = payload["certificates"]
+    assert payload["betti"] == [1, 2, 1]
+    assert certificates["all_modes_acyclic"] is True
+    assert (code, certificates["cross_check_ce"]) == (3, False)
+
+
+def test_cross_check_ce_holds_on_examples_fixtures_and_random_specs():
+    # (1, alpha, 0) and (1, 0, 0) lose rank at the stand-in 0 but not at
+    # the frame's 1 or the other stand-in 2
+    dependent_at_zero = TorusSpec(
+        n=3, foliation_dirs=((E(1), E(0, 1), E(0)), _ints(1, 0, 0)))
+    specs = [dependent_at_zero, TorusSpec(n=2), example_spec(),
+             kronecker_spec()]
+    for path in sorted(ROOT.glob("examples/*.cfg")) + sorted(
+            ROOT.glob("tests/fixtures/torus-*.cfg")):
+        config = parse_config(path.read_text())
+        if config.mode == "torus":
+            specs.append(config.torus)
+    rng = random.Random(17)
+    specs += [_random_spec(rng, rng.randint(2, 5), rng.randint(0, 2))
+              for _ in range(30)]
+    for spec in specs:
+        assert cross_check_ce(torus_betti(replace(spec, truncation=1))), spec
 
 
 def _random_spec(rng: random.Random, n: int, p: int, with_alpha=None) -> TorusSpec:

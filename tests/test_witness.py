@@ -51,6 +51,19 @@ def test_profile_vanishes_to_all_orders_at_the_edges(family):
         assert np.max(np.abs(family.phi_derivative(m, near_edge))) < 1e-300
 
 
+@pytest.mark.parametrize("samples", [2001, 40001])
+def test_order_zero_is_the_closed_form_bit_for_bit(samples):
+    # phi at order 0 runs the Horner route of every order: P_0 = 1 and
+    # 0 * log q add nothing, so each value is exp(-1/q) exactly
+    fam = build_bumps(range(2, 4), max_derivative_order=0,
+                      samples_per_interval=samples)
+    for grid in (fam.s_grid(), fam.level_arguments(3)):
+        points = list(grid)
+        assert len(points) == samples
+        assert fam.phi_derivative(0, grid) == [
+            math.exp(-1.0 / (x * (1.0 - x))) for x in points]
+
+
 def _exact(k):
     return tuple(Fraction(*end) for end in interval(k))
 
