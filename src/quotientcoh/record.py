@@ -53,7 +53,7 @@ def record(cls):
     post_init = getattr(cls, "__post_init__", None)
 
     def values(self):
-        return tuple(getattr(self, n) for n in names)
+        return tuple([getattr(self, n) for n in names])
 
     def bind(args, kwargs):
         if len(args) > count:

@@ -204,7 +204,8 @@ def _directions_at(spec: TorusSpec, stand_in: Ratio,
                    columns: Sequence[int] | None = None) -> ExactMatrix:
     """The direction matrix A + r*B for alpha = r = stand_in, as
     integer rows (times r's denominator), on the given columns or all."""
-    (num, den), (a, b) = stand_in, _direction_parts(spec)
+    num, den = stand_in
+    a, b = _direction_parts(spec)
     columns = range(spec.n) if columns is None else columns
     return ExactMatrix.from_int_rows(spec.n, 1, [
         {j: den * ra[j] + num * rb[j] for j in columns}
@@ -359,8 +360,9 @@ def _monomial_witness(q: int, i0: int) -> list[tuple]:
 class TorusBettiReport:
     """Betti numbers of the invariant basic complex plus the mode audit.
 
-    betti has length n - p + 1 for the spec's n and p, and equals the
-    zero-mode cohomology; acyclicity_certificates hold one
+    spec is the spec the report was computed from.  betti has length
+    n - p + 1 for its n and p, and equals the zero-mode cohomology;
+    acyclicity_certificates hold one
     KoszulCertificate per class of audited nonzero modes, ordered by
     their least members, whose modes counts sum to audited_modes;
     all_modes_acyclic summarizes them.
