@@ -211,7 +211,7 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     separate them from ordinary failures.
     """
     _bind(config.mode)
-    return _RUNNERS[config.mode](getattr(config, config.mode), check)
+    return _RUNNERS[config.mode](config.job, check)
 
 
 # json and csv are imported where a report is rendered, after the job's
@@ -436,11 +436,9 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text)
-        if args["truncation"] is not None and config.torus is not None:
-            config = replace(
-                config,
-                torus=replace(config.torus, truncation=args["truncation"]),
-            )
+        if args["truncation"] is not None and config.mode == "torus":
+            config = replace(config, job=replace(
+                config.job, truncation=args["truncation"]))
     except MathematicalRefusal as exc:
         print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),
               file=sys.stderr)

@@ -55,7 +55,6 @@ _SECTIONS = {
     "output": {"format", "path"},
 }
 _REPEATABLE = {("lie", "bracket"), ("lie", "ideal"), ("torus", "foliation")}
-_MODE_SECTIONS = ("lie", "torus", "witness")
 # the report formats of [output] format and of the --format option
 FORMATS = ("table", "json", "csv")
 # Highest bump derivative order the float evaluation in witness.py may
@@ -103,12 +102,10 @@ class OutputConfig:
 
 @record
 class JobConfig:
-    """One parsed job: exactly one of the three pipelines plus output."""
+    """One parsed job: its mode, that pipeline's job and the output."""
 
     mode: str
-    lie: LieJob | None = None
-    torus: TorusSpec | None = None
-    witness: WitnessJob | None = None
+    job: LieJob | TorusSpec | WitnessJob
     output: OutputConfig = OutputConfig()
 
 
@@ -312,10 +309,14 @@ def _build_output(entries: list[tuple[str, str, int]]) -> OutputConfig:
     return OutputConfig(fmt, single.get("path"))
 
 
+_BUILDERS = {"lie": _build_lie, "torus": _build_torus,
+             "witness": _build_witness}
+
+
 def parse_config(text: str) -> JobConfig:
     """Parse a job file, raising ParseError or ValidationError."""
     sections = _collect_lines(text)
-    modes = [name for name in _MODE_SECTIONS if name in sections]
+    modes = [name for name in _BUILDERS if name in sections]
     if len(modes) != 1:
         raise ValidationError(
             "section",
@@ -324,12 +325,4 @@ def parse_config(text: str) -> JobConfig:
         )
     mode = modes[0]
     output = _build_output(sections.get("output", []))
-    if mode == "lie":
-        return JobConfig(mode, lie=_build_lie(sections["lie"]), output=output)
-    if mode == "torus":
-        return JobConfig(
-            mode, torus=_build_torus(sections["torus"]), output=output
-        )
-    return JobConfig(
-        mode, witness=_build_witness(sections["witness"]), output=output
-    )
+    return JobConfig(mode, _BUILDERS[mode](sections[mode]), output)

@@ -10,8 +10,8 @@ follows the convention
                            ^Y_i, ..., ^Y_j, ..., Y_k),
 
 so in degree one (d a)(X, Y) = -a([X, Y]): d_1 is minus the bracket
-matrix, and d_2 d_1 = 0 is the Jacobi identity, which is how
-jacobi_check tests it.  ce_differential also takes coefficients of
+matrix, and d_2 d_1 = 0 is the Jacobi identity, which jacobi_check
+tests as d_2 @ table = 0.  ce_differential also takes coefficients of
 weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
 The d.d and Jacobi checks are zero tests that multiply row by row and
@@ -156,17 +156,17 @@ def sl2() -> LieAlgebra:
 def jacobi_check(
     g: LieAlgebra,
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi test, read off d_2 d_1.
+    """Exact Jacobi test, read off d_2 times the bracket matrix, -d_1.
 
     Row (i, j, k), column m of d_2 d_1 is (d d e^m)(e_i, e_j, e_k), the
     e_m coordinate of the cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
-    + [[e_k, e_i], e_j].  Rows follow the lexicographic order of the
-    triples i < j < k, so the first nonzero row names the first failing
-    triple; the product is tested row by row and never built.  Returns
-    (True, None), or (False, (i, j, k)) with that triple.
+    + [[e_k, e_i], e_j]; d_2 times the bracket matrix is its negative.
+    Rows follow the lexicographic order of the triples i < j < k, so the
+    first nonzero row names the first failing triple; the product is
+    tested row by row and never built.  Returns (True, None), or
+    (False, (i, j, k)) with that triple.
     """
-    row = ce_differential(g, 2).first_nonzero_product_row(
-        ce_differential(g, 1))
+    row = ce_differential(g, 2).first_nonzero_product_row(g.table)
     if row is None:
         return True, None
     return False, enumerate_basis(g.dim, 3)[row]

@@ -45,11 +45,12 @@ sorted grid the largest |phi^(m)| therefore sits at a grid end or at a
 grid point in or next to a bracket around such a root.  The roots of
 S_(m+1) on (0, 1/4] are isolated once per order by an integer Sturm
 chain bisected at dyadic points (sturm.root_brackets, imported only
-when a family is built), mapped to x on (0, 1/2] and mirrored by
-x -> 1 - x, with each float end checked exactly against its rational
-bracket (critical_brackets); x = 1/2 joins them when m + 1 is odd.
-peak_candidates then picks the grid ends and the points in or next to
-each bracket by bisection, and phi^(m) is evaluated only there.
+when a family is built).  One exact integer test bounds both x roots,
+x(q) and 1 - x(q), of each q bracket end (critical_brackets); x = 1/2
+joins them when m + 1 is odd.  peak_candidates picks the grid ends and
+the points in or next to each bracket by bisection, merging the index
+ranges that touch, so overlapping brackets merge once, as grid ranges;
+phi^(m) is evaluated only there.
 
 No grid is stored.  s_grid and level_arguments return a Grid, which
 computes a point when it is read, so finding the candidates
@@ -64,7 +65,7 @@ the division is correctly rounded; it is not checked again at run time.
 What can fail is that a level has no positive sample at all, when
 exp(-k^2) * phi underflows.  The largest sample of f_k is among the
 order-0 peak candidates, so that is read off the order-0 sup of the
-level, which the sup tables hold anyway.
+level, which verify_bounds tables anyway.
 
 This is the only module that computes with floats, all of it in plain
 Python floats and the math module.  Everything it certifies is either
@@ -175,47 +176,39 @@ def derivative_polynomials(max_order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(polys)
 
 
-def _x_of_q(q: Ratio, up: bool) -> float:
-    """A float x in [0, 1/2] below (or, with up, above) the root
-    x(q) = (1 - sqrt(1 - 4q))/2 of x(1-x) = q, checked exactly: on
-    [0, 1/2] the map x -> x(1-x) increases, so x <= x(q) iff
-    x(1-x) <= q, which for x = n/d is n(d - n) q_d <= q_n d^2."""
+def _x_of_q(q: Ratio, inward: bool) -> tuple[float, float]:
+    """Floats on one side of the two roots x(q) = (1 - sqrt(1 - 4q))/2
+    and 1 - x(q) of x(1-x) = q: toward 1/2 with inward, else away from
+    it, each checked exactly.  x -> x(1-x) increases on [0, 1/2] and
+    decreases on [1/2, 1], so a float y lies between the roots iff
+    y(1-y) >= q, which for y = n/d is n(d - n) q_d >= q_n d^2."""
     qn, qd = q
     qf = qn / qd
     x = min(2.0 * qf / (1.0 + sqrt(max(1.0 - 4.0 * qf, 0.0))), 0.5)
-    step = 0.5 if up else 0.0
-    while True:
-        n, d = x.as_integer_ratio()
-        value, bound = n * (d - n) * qd, qn * d * d
-        if (value >= bound) if up else (value <= bound):
-            return x
-        x = nextafter(x, step)
-
-
-def _one_minus(x: float, up: bool) -> float:
-    """A float below (or, with up, above) 1 - x, checked exactly: for
-    x = a/b and y = c/d, y - (1 - x) has the sign of c b - (b - a) d."""
-    y = 1.0 - x
-    a, b = x.as_integer_ratio()
-    while True:
-        c, d = y.as_integer_ratio()
-        gap = c * b - (b - a) * d
-        if (gap >= 0) if up else (gap <= 0):
-            return y
-        y = nextafter(y, 1.0 if up else 0.0)
+    bounds = []
+    for y, edge in ((x, 0.0), (1.0 - x, 1.0)):
+        while True:
+            n, d = y.as_integer_ratio()
+            value, bound = n * (d - n) * qd, qn * d * d
+            if (value >= bound) if inward else (value <= bound):
+                break
+            y = nextafter(y, 0.5 if inward else edge)
+        bounds.append(y)
+    return bounds[0], bounds[1]
 
 
 def critical_brackets(
     s_next: tuple[int, ...], odd: bool, width: float
 ) -> tuple[tuple[float, float], ...]:
-    """Float brackets [lo, hi], sorted and disjoint, that hold every real
-    root in (0, 1) of (1-2x)^odd * s_next(x(1-x)).
+    """Float brackets [lo, hi], sorted, that hold every real root in
+    (0, 1) of (1-2x)^odd * s_next(x(1-x)).  Brackets may overlap;
+    peak_candidates merges their grid ranges.
 
     The roots of s_next in q on (0, 1/4] come from root_brackets, fine
     enough that each x bracket is at most width wide
-    (|x(q) - x(q')| <= sqrt(|q - q'|)); each is rounded outward to
-    floats on (0, 1/2] and mirrored by x -> 1 - x.  x = 1/2 is added
-    when odd.
+    (|x(q) - x(q')| <= sqrt(|q - q'|)); a q bracket [a, b] gives the
+    floats around both of its x roots, [x(a), x(b)] on (0, 1/2] and
+    [1 - x(b), 1 - x(a)] on [1/2, 1).  x = 1/2 is added when odd.
     """
     from .sturm import root_brackets
 
@@ -223,17 +216,10 @@ def critical_brackets(
     fine = (n * n, d * d)  # width^2, in lowest terms as width is
     brackets = [(0.5, 0.5)] if odd else []
     for a, b in root_brackets(s_next, fine):
-        lo, hi = _x_of_q(a, False), _x_of_q(b, True)
-        brackets.append((lo, hi))
-        brackets.append((_one_minus(hi, False), _one_minus(lo, True)))
-    brackets.sort()
-    merged: list[tuple[float, float]] = []
-    for lo, hi in brackets:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
+        lo, mirror_hi = _x_of_q(a, False)
+        hi, mirror_lo = _x_of_q(b, True)
+        brackets += [(lo, hi), (mirror_lo, mirror_hi)]
+    return tuple(sorted(brackets))
 
 
 def _sup_abs(values) -> float:
@@ -328,7 +314,8 @@ class BumpFamily:
         """The points of the ascending grid where max |phi^(order)| over
         the grid can sit: both ends, and every point in or next to a
         critical bracket.  Between two brackets phi^(order) is monotone,
-        so the grid points there peak at their outermost two.
+        so the grid points there peak at their outermost two.  Brackets
+        that overlap give index ranges that touch, which merge here.
         """
         n = len(grid)
         ranges = [(0, 1)]
@@ -471,30 +458,6 @@ class WitnessReport:
     relative_slack: float = RELATIVE_SLACK
 
 
-def _level_sup(b: BumpFamily, k: int, order: int, grid: Grid) -> float:
-    """max |f_k^(order)| over the level-k grid, read at its peak
-    candidates."""
-    return _sup_abs(b.bump_values(k, order, b.peak_candidates(order, grid)))
-
-
-def _sup_tables(
-    b: BumpFamily, constants: tuple[float, ...]
-) -> dict[str, dict[tuple[int, int], tuple[float, float]]]:
-    """measured and bound for both families at every (k, m)."""
-    out: dict[str, dict[tuple[int, int], tuple[float, float]]] = {
-        "f": {}, "scaled": {}
-    }
-    for k in b.k_range:
-        grid = b.level_arguments(k)
-        for m in range(b.max_derivative_order + 1):
-            measured = _level_sup(b, k, m, grid)
-            bound = constants[m] * _level_scale(k, m)
-            out["f"][(k, m)] = (measured, bound)
-            # the rescaled family 2^k f_k; the factor is exact in floats
-            out["scaled"][(k, m)] = (2.0 ** k * measured, 2.0 ** k * bound)
-    return out
-
-
 def _recovered_levels(
     order0_sups: dict[int, float]
 ) -> tuple[tuple[int, int], ...]:
@@ -518,7 +481,8 @@ def _recovered_levels(
 
 def verify_bounds(b: BumpFamily) -> WitnessReport:
     """Measure every derivative sup, check it against its bound, and
-    record how the sups move in k.
+    record how the sups move in k.  The sups and bounds of f are tabled
+    once; those of the rescaled family are 2^k times them.
 
     A measured sup exceeding its bound beyond the relative slack raises
     BoundViolated: the bounds are identities of the construction, so
@@ -533,34 +497,41 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
     for m, c in enumerate(constants):
         if not isfinite(c):
             raise NonFiniteValue("profile constant C_%d" % m, c)
-    tables = _sup_tables(b, constants)
+    orders = range(b.max_derivative_order + 1)
+    sups = {}  # (k, m) -> measured and bound of f
+    for k in b.k_range:
+        grid = b.level_arguments(k)
+        for m in orders:
+            sups[k, m] = (
+                _sup_abs(b.bump_values(k, m, b.peak_candidates(m, grid))),
+                constants[m] * _level_scale(k, m))
     records = []
     violations = []
     for family in ("f", "scaled"):
-        table = tables[family]
-        for k in b.k_range:
-            for m in range(b.max_derivative_order + 1):
-                measured, bound = table[(k, m)]
-                for what, value in (("sup", measured), ("bound", bound)):
-                    if not isfinite(value):
-                        raise NonFiniteValue(
-                            "%s of %s at level k=%d, order m=%d"
-                            % (what, family, k, m),
-                            value,
-                        )
-                if measured > bound * (1.0 + RELATIVE_SLACK):
-                    raise BoundViolated(k, m, measured, bound)
-                records.append(SupRecord(k, m, family, measured, bound))
-        for m in range(b.max_derivative_order + 1):
+        measured_at = {}
+        for (k, m), (measured, bound) in sups.items():
+            # the rescaled family 2^k f_k; the factor is exact in floats
+            factor = 2.0 ** k if family == "scaled" else 1.0
+            measured, bound = factor * measured, factor * bound
+            for what, value in (("sup", measured), ("bound", bound)):
+                if not isfinite(value):
+                    raise NonFiniteValue(
+                        "%s of %s at level k=%d, order m=%d"
+                        % (what, family, k, m),
+                        value,
+                    )
+            if measured > bound * (1.0 + RELATIVE_SLACK):
+                raise BoundViolated(k, m, measured, bound)
+            records.append(SupRecord(k, m, family, measured, bound))
+            measured_at[k, m] = measured
+        for m in orders:
             for k_prev, k_next in zip(b.k_range, b.k_range[1:]):
-                prev = table[(k_prev, m)][0]
-                here = table[(k_next, m)][0]
+                prev, here = measured_at[k_prev, m], measured_at[k_next, m]
                 if prev > 0.0 and here >= prev:
                     violations.append(
                         MonotoneViolation(family, m, k_prev, k_next, here / prev)
                     )
-    forced = _recovered_levels(
-        {k: tables["f"][(k, 0)][0] for k in b.k_range})
+    forced = _recovered_levels({k: sups[k, 0][0] for k in b.k_range})
     return WitnessReport(
         k_range=b.k_range,
         max_derivative_order=b.max_derivative_order,

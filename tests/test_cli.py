@@ -282,6 +282,18 @@ def test_truncation_override(tmp_path, capsys):
     assert payload["betti"] == [1, 2, 1]
 
 
+@pytest.mark.parametrize("text", [HEISENBERG_CFG, WITNESS_CFG])
+def test_truncation_leaves_lie_and_witness_jobs_alone(tmp_path, capsys,
+                                                      text):
+    # --truncation replaces the job of a torus job only
+    cfg = _write(tmp_path, "job.cfg", text)
+    reports = []
+    for extra in ([], ["--truncation", "1"]):
+        assert main(["--input", cfg, "--format", "json", *extra]) == 0
+        reports.append(canonical_json(json.loads(capsys.readouterr().out)))
+    assert reports[0] == reports[1]
+
+
 def test_negative_truncation_override_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
     code = main(["--input", cfg, "--truncation", "-1"])
@@ -545,7 +557,7 @@ def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
     # oracle's surviving kernel vector; reduced in order against the
     # image, the oracle's vectors give the residual representatives the
     # fixtures held before, so the recorded classes are the same
-    job = parse_config((FIXTURES / (name + ".cfg")).read_text()).lie
+    job = parse_config((FIXTURES / (name + ".cfg")).read_text()).job
     algebra, names = job.algebra, ["e%d" % i for i in range(job.algebra.dim)]
     if job.ideal_vectors is not None:
         sub = Subspace.span(algebra.dim, job.ideal_vectors)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quotientcoh import ExtScalar, LieAlgebra, ParseError, ValidationError
-from quotientcoh.config import MAX_GRID_POINTS, parse_config
+from quotientcoh import (
+    ExtScalar, LieAlgebra, ParseError, TorusSpec, ValidationError)
+from quotientcoh.config import (
+    MAX_GRID_POINTS, JobConfig, LieJob, WitnessJob, parse_config)
 
 EXAMPLE_TORUS = """
 # axis foliation with a dense invariance direction
@@ -23,7 +25,7 @@ format = json
 def test_parse_example_torus():
     cfg = parse_config(EXAMPLE_TORUS)
     assert cfg.mode == "torus"
-    spec = cfg.torus
+    spec = cfg.job
     assert spec.n == 3
     assert spec.foliation_dirs == ((ExtScalar(1), ExtScalar(0), ExtScalar(0)),)
     assert spec.invariance_coords == frozenset({1})
@@ -36,12 +38,12 @@ def test_parse_alpha_entries():
     cfg = parse_config(
         "[torus]\nn = 2\nfoliation = 1,1+1*alpha\n"
     )
-    assert cfg.torus.foliation_dirs[0][1] == ExtScalar(1, 1)
+    assert cfg.job.foliation_dirs[0][1] == ExtScalar(1, 1)
     cfg2 = parse_config(
         "[torus]\nn = 2\nfoliation = -1/2,2-3/4*alpha\n"
     )
-    assert cfg2.torus.foliation_dirs[0][0] == ExtScalar(Fraction(-1, 2))
-    assert cfg2.torus.foliation_dirs[0][1] == ExtScalar(2, Fraction(-3, 4))
+    assert cfg2.job.foliation_dirs[0][0] == ExtScalar(Fraction(-1, 2))
+    assert cfg2.job.foliation_dirs[0][1] == ExtScalar(2, Fraction(-3, 4))
 
 
 def test_parse_lie_job():
@@ -49,18 +51,18 @@ def test_parse_lie_job():
         "[lie]\ndim = 3\nbracket = 0 1 2 1\nideal = 0,0,1\n"
     )
     assert cfg.mode == "lie"
-    assert cfg.lie.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
+    assert cfg.job.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
     assert tuple(tuple(Fraction(*x) for x in v)
-                 for v in cfg.lie.ideal_vectors) == (
+                 for v in cfg.job.ideal_vectors) == (
         (Fraction(0), Fraction(0), Fraction(1)),)
 
 
 def test_parse_witness_job_defaults():
     cfg = parse_config("[witness]\nk_min = 2\nk_max = 8\n")
-    assert cfg.witness.k_min == 2
-    assert cfg.witness.k_max == 8
-    assert cfg.witness.max_derivative_order == 4
-    assert cfg.witness.samples_per_interval == 10001
+    assert cfg.job.k_min == 2
+    assert cfg.job.k_max == 8
+    assert cfg.job.max_derivative_order == 4
+    assert cfg.job.samples_per_interval == 10001
 
 
 def test_bracket_on_the_diagonal_is_rejected():
@@ -68,7 +70,7 @@ def test_bracket_on_the_diagonal_is_rejected():
         parse_config("[lie]\ndim = 2\nbracket = 0 0 1 1\n")
     # an explicit zero on the diagonal is harmless
     cfg = parse_config("[lie]\ndim = 2\nbracket = 0 0 1 0\n")
-    assert cfg.lie.algebra == LieAlgebra.from_brackets(2, {})
+    assert cfg.job.algebra == LieAlgebra.from_brackets(2, {})
 
 
 def test_conflicting_brackets_are_rejected():
@@ -83,7 +85,7 @@ def test_conflicting_brackets_are_rejected():
     cfg = parse_config(
         "[lie]\ndim = 3\nbracket = 0 1 2 1\nbracket = 1 0 2 -1\n"
     )
-    assert cfg.lie.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
+    assert cfg.job.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
 
 
 def test_decimal_literals_are_rejected_everywhere():
@@ -172,7 +174,7 @@ def test_range_validation():
 
 def test_derivative_order_is_capped_at_16():
     job = "[witness]\nk_min = 2\nk_max = 3\nmax_derivative_order = %d\n"
-    assert parse_config(job % 16).witness.max_derivative_order == 16
+    assert parse_config(job % 16).job.max_derivative_order == 16
     for order in (17, 18, 152, 160):
         with pytest.raises(ValidationError, match="at most 16"):
             parse_config(job % order)
@@ -183,7 +185,7 @@ def test_witness_grid_is_capped_at_two_million_points():
     # the job at the cap is never run
     job = "[witness]\nk_min = 2\nk_max = 3\nsamples_per_interval = %d\n"
     assert MAX_GRID_POINTS == 2_000_000
-    at_cap = parse_config(job % 1_000_000).witness
+    at_cap = parse_config(job % 1_000_000).job
     assert at_cap.samples_per_interval * 2 == MAX_GRID_POINTS
     with pytest.raises(ValidationError, match="make 2000002 grid points"):
         parse_config(job % 1_000_001)
@@ -217,4 +219,21 @@ def test_comments_and_blank_lines_are_ignored():
     cfg = parse_config(
         "# leading comment\n\n[torus]\nn = 2  # trailing\n\n# done\n"
     )
-    assert cfg.torus.n == 2
+    assert cfg.job.n == 2
+
+
+@pytest.mark.parametrize("text, job_type", [
+    ("[lie]\ndim = 2\n", LieJob),
+    ("[torus]\nn = 2\n", TorusSpec),
+    ("[witness]\nk_min = 1\nk_max = 2\n", WitnessJob),
+])
+def test_a_parsed_job_is_one_record(text, job_type):
+    # one job field, holding the job of the section's pipeline
+    cfg = parse_config(text)
+    assert type(cfg.job) is job_type
+    assert cfg.mode == text[1:text.index("]")]
+
+
+def test_a_job_config_needs_its_job():
+    with pytest.raises(TypeError, match="missing argument 'job'"):
+        JobConfig("lie")

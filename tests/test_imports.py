@@ -266,8 +266,9 @@ def test_tracer_spans_the_mode_scan_elimination(tmp_path):
 def test_every_imported_name_is_used():
     # a leftover import after a refactor fails here; the only exemptions
     # are the (module, name) sites the bench tracer wraps, which a module
-    # may import for the tracer alone (lie.rank, lie.remove_pair and
-    # torus.wedge_insert)
+    # may import for the tracer alone (lie.rank, lie.remove_pair,
+    # lie.wedge_insert, torus.wedge_insert, torus.quotient,
+    # torus.ce_complex and torus.lie_betti)
     tracer = _tracer_module()
     exempt = {site for table in (tracer.SPANNED, tracer.COUNTED)
               for sites in table.values() for site in sites}

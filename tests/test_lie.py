@@ -25,6 +25,7 @@ from quotientcoh import (
     torus_betti,
     transverse_frame,
 )
+from quotientcoh import lie as lie_module
 from quotientcoh.exterior import enumerate_basis
 from quotientcoh.lie import ce_differential
 from quotientcoh.record import replace
@@ -71,6 +72,33 @@ def test_jacobi_examples():
     ok, triple = jacobi_check(broken)
     assert not ok
     assert triple == (0, 1, 2)
+
+
+def test_jacobi_check_builds_one_differential(monkeypatch):
+    # d_2 is tested against the bracket matrix, -d_1, so d_1 is not built
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return ce_differential(*args)
+
+    monkeypatch.setattr(lie_module, "ce_differential", counted)
+    assert jacobi_check(heisenberg()) == (True, None)
+    assert calls == [(2,)]
+
+
+def test_jacobi_triple_is_the_first_nonzero_row_of_d2_d1():
+    rng = random.Random(3306)
+    for dim in (3, 4, 5, 6, 3, 4, 5, 6):
+        for g in (random_lie_algebra(rng, dim),
+                  change_basis(random_nonjacobi_table(rng, dim),
+                               random_invertible(rng, dim))):
+            product = ce_differential(g, 2) @ ce_differential(g, 1)
+            row = next((i for i, r in enumerate(product.int_rows) if r),
+                       None)
+            expected = (True, None) if row is None else (
+                False, enumerate_basis(dim, 3)[row])
+            assert jacobi_check(g) == expected
 
 
 def test_jacobi_reports_first_violation():

@@ -43,7 +43,7 @@ def test_job_file_tokens_agree_with_fraction():
         exact = Fraction(token).as_integer_ratio()
         job = parse_config("[lie]\ndim = 3\nbracket = 0 1 2 1\n"
                            "ideal = 0,%s,1\n" % token)
-        assert job.lie.ideal_vectors == (((0, 1), exact, (1, 1)),), token
+        assert job.job.ideal_vectors == (((0, 1), exact, (1, 1)),), token
         assert parse_ext_scalar(token).rat == exact, token
         if not token.startswith("-"):
             negated = Fraction("-" + token.lstrip("-")).as_integer_ratio()

@@ -28,7 +28,7 @@ def test_fields_defaults_and_keywords():
     assert fields(Point) == ("x", "y") == fields(Point(1))
     assert Point(1) == Point(1, 0) == Point(x=1) == Point(y=0, x=1)
     assert repr(Point(1, 2)) == "Point(x=1, y=2)"
-    assert JobConfig("lie").output == OutputConfig()
+    assert JobConfig("lie", None).output == OutputConfig()
 
 
 @pytest.mark.parametrize("args, kwargs", [

@@ -706,7 +706,7 @@ def test_frame_skeleton_spans_the_directions_at_its_substitution():
     dependent_at_zero = TorusSpec(
         n=3, foliation_dirs=((E(1), E(0, 1), E(0)), _ints(1, 0, 0)))
     specs = [example_spec(), kronecker_spec(), dependent_at_zero,
-             parse_config(ALPHA6.read_text()).torus, TorusSpec(n=2)]
+             parse_config(ALPHA6.read_text()).job, TorusSpec(n=2)]
     rng = random.Random(16)
     specs += [_random_spec(rng, rng.randint(2, 5), rng.randint(0, 2))
               for _ in range(30)]
@@ -788,7 +788,7 @@ def test_cross_check_ce_holds_on_examples_fixtures_and_random_specs():
             ROOT.glob("tests/fixtures/torus-*.cfg")):
         config = parse_config(path.read_text())
         if config.mode == "torus":
-            specs.append(config.torus)
+            specs.append(config.job)
     rng = random.Random(17)
     specs += [_random_spec(rng, rng.randint(2, 5), rng.randint(0, 2))
               for _ in range(30)]

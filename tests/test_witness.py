@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from quotientcoh import witness
 from quotientcoh.cli import main
 from quotientcoh.errors import LevelNotRecovered, NonFiniteValue
-from quotientcoh.record import fields
+from quotientcoh.record import fields, replace
 from quotientcoh.sturm import root_brackets
 from quotientcoh.witness import (
     BumpFamily,
@@ -656,3 +657,87 @@ def test_verify_bounds_evaluates_phi_at_a_fixed_number_of_points():
         verify_bounds(_recast(Counting, base))
         counts.append(sum(seen))
     assert counts[1] <= counts[0], counts
+
+
+def _union(brackets):
+    """The sorted brackets with every overlapping run merged into one."""
+    merged = []
+    for lo, hi in sorted(brackets):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def test_overlapping_brackets_give_the_candidates_of_their_union():
+    # critical_brackets leaves overlapping brackets unmerged: their grid
+    # ranges touch, so peak_candidates merges them into the range of the
+    # union, on the unit grid and on a level grid
+    base = build_bumps([2, 3], max_derivative_order=0,
+                       samples_per_interval=1001)
+    crafted = ((0.1, 0.2), (0.15, 0.3), (0.16, 0.17), (0.3, 0.35),
+               (0.6, 0.6), (0.6004, 0.61), (0.9991, 0.9999))
+    rng = random.Random(3319)
+    sets = [crafted]
+    for _ in range(40):
+        ends = [rng.random() for _ in range(rng.randint(1, 8))]
+        sets.append(tuple(sorted(
+            (lo, min(lo + rng.choice([0.0, 1e-4, 3e-3, rng.random() / 20]),
+                     0.9999))
+            for lo in ends + ends[:2])))
+    assert _union(crafted) != crafted
+    for brackets in sets:
+        apart = replace(base, _brackets=(brackets,))
+        joined = replace(base, _brackets=(_union(brackets),))
+        for grid in (base.s_grid(), base.level_arguments(3)):
+            assert apart.peak_candidates(0, grid) == \
+                joined.peak_candidates(0, grid), brackets
+
+
+def _walk(x: float, toward: float, steps: int) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def test_both_roots_of_x_one_minus_x_are_bounded_exactly_and_tightly():
+    # _x_of_q bounds x(q) on [0, 1/2] and 1 - x(q) on [1/2, 1], toward
+    # 1/2 (inward) or away from it.  A float y is between the roots iff
+    # y(1 - y) >= q; each bound is on its side, and 4 floats toward its
+    # root it is on the root or past it
+    rng = random.Random(3320)
+    qs = [Fraction(1, 4), Fraction(1, 2 ** 40)]
+    for _ in range(300):
+        d = rng.randint(4, 10 ** rng.randint(1, 18))
+        qs.append(Fraction(rng.randint(1, d // 4), d))
+    for q in qs:
+        for inward in (False, True):
+            lower, upper = witness._x_of_q(
+                (q.numerator, q.denominator), inward)
+            assert 0.0 <= lower <= 0.5 <= upper <= 1.0, q
+            for y, edge in ((lower, 0.0), (upper, 1.0)):
+                def gap(z):
+                    return Fraction(z) * (1 - Fraction(z)) - q
+
+                assert (gap(y) >= 0) if inward else (gap(y) <= 0), (q, y)
+                near = _walk(y, edge if inward else 0.5, 4)
+                assert (gap(near) <= 0) if inward else (gap(near) >= 0), (
+                    q, y)
+
+
+def test_scaled_records_are_two_to_the_k_times_the_f_records():
+    rng = random.Random(3321)
+    for order in range(9):
+        k_min = rng.randint(1, 5)
+        fam = build_bumps(range(k_min, k_min + rng.randint(2, 4)),
+                          max_derivative_order=order,
+                          samples_per_interval=rng.randint(3, 20001))
+        records = verify_bounds(fam).sup_records
+        half = len(records) // 2
+        for f, scaled in zip(records[:half], records[half:]):
+            assert (f.family, scaled.family) == ("f", "scaled")
+            assert (f.level, f.order) == (scaled.level, scaled.order)
+            factor = 2.0 ** f.level
+            assert scaled.measured.hex() == (factor * f.measured).hex()
+            assert scaled.bound.hex() == (factor * f.bound).hex()
