@@ -309,14 +309,14 @@ def _build_output(entries: list[tuple[str, str, int]]) -> OutputConfig:
     return OutputConfig(fmt, single.get("path"))
 
 
-_BUILDERS = {"lie": _build_lie, "torus": _build_torus,
-             "witness": _build_witness}
+_JOB_PARSERS = {"lie": _build_lie, "torus": _build_torus,
+                "witness": _build_witness}
 
 
 def parse_config(text: str) -> JobConfig:
     """Parse a job file, raising ParseError or ValidationError."""
     sections = _collect_lines(text)
-    modes = [name for name in _BUILDERS if name in sections]
+    modes = [name for name in _JOB_PARSERS if name in sections]
     if len(modes) != 1:
         raise ValidationError(
             "section",
@@ -325,4 +325,4 @@ def parse_config(text: str) -> JobConfig:
         )
     mode = modes[0]
     output = _build_output(sections.get("output", []))
-    return JobConfig(mode, _BUILDERS[mode](sections[mode]), output)
+    return JobConfig(mode, _JOB_PARSERS[mode](sections[mode]), output)
