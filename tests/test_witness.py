@@ -701,6 +701,11 @@ def _walk(x: float, toward: float, steps: int) -> float:
     return x
 
 
+def _gap(y: float, q: Fraction) -> Fraction:
+    """y(1 - y) - q, exactly: >= 0 iff y lies between the two roots."""
+    return Fraction(y) * (1 - Fraction(y)) - q
+
+
 def test_both_roots_of_x_one_minus_x_are_bounded_exactly_and_tightly():
     # _x_of_q bounds x(q) on [0, 1/2] and 1 - x(q) on [1/2, 1], toward
     # 1/2 (inward) or away from it.  A float y is between the roots iff
@@ -717,13 +722,11 @@ def test_both_roots_of_x_one_minus_x_are_bounded_exactly_and_tightly():
                 (q.numerator, q.denominator), inward)
             assert 0.0 <= lower <= 0.5 <= upper <= 1.0, q
             for y, edge in ((lower, 0.0), (upper, 1.0)):
-                def gap(z):
-                    return Fraction(z) * (1 - Fraction(z)) - q
-
-                assert (gap(y) >= 0) if inward else (gap(y) <= 0), (q, y)
-                near = _walk(y, edge if inward else 0.5, 4)
-                assert (gap(near) <= 0) if inward else (gap(near) >= 0), (
+                assert (_gap(y, q) >= 0) if inward else (_gap(y, q) <= 0), (
                     q, y)
+                near = _walk(y, edge if inward else 0.5, 4)
+                assert (_gap(near, q) <= 0) if inward else (
+                    _gap(near, q) >= 0), (q, y)
 
 
 def test_scaled_records_are_two_to_the_k_times_the_f_records():
