@@ -25,6 +25,7 @@ __version__ = "0.1.0"
 
 # home module -> the names the package exports from it
 _EXPORTS = {
+    "config": ("parse_ext_scalar",),
     "errors": (
         "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
         "NotALieAlgebra", "NotAnIdeal", "ParseError", "ValidationError",
@@ -32,12 +33,11 @@ _EXPORTS = {
     "exterior": ("enumerate_basis",),
     "lie": (
         "BettiReport", "CochainComplex", "LieAlgebra", "Subspace", "abelian",
-        "betti", "ce_complex", "heisenberg", "ideal_check", "jacobi_check",
-        "phi_sign_check", "quotient", "sl2",
+        "betti", "ce_complex", "heisenberg", "jacobi_check", "phi_sign_check",
+        "quotient", "sl2",
     ),
     "scalars": (
-        "ExactMatrix", "ExtScalar", "nullspace_basis", "parse_ext_scalar",
-        "rank", "rref",
+        "ExactMatrix", "ExtScalar", "nullspace_basis", "rank", "rref",
     ),
     "torus": (
         "KoszulCertificate", "TorusBettiReport", "TorusSpec",

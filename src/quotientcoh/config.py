@@ -14,14 +14,18 @@ The format is a plain sectioned key = value file:
 Sections [lie], [torus] and [witness] select the pipeline; exactly one
 of them must be present.  Keys that repeat to build up a list are
 ``bracket`` and ``ideal`` in [lie] and ``foliation`` in [torus];
-every other key may appear once.  All numeric fields of the exact
-pipelines take integers or ratios a/b only, read into exact
-(numerator, denominator) pairs; decimal literals are rejected with a
-pointed message, since silently rounding them would defeat the purpose
-of an exact engine.  Each section builder imports its own pipeline's
-types once the section's fields have passed these checks, so parsing a
-job loads no other pipeline, and a job whose values do not parse loads
-neither lie nor torus.
+every other key may appear once.
+
+This module owns the whole grammar of exact tokens.  All numeric fields
+of the exact pipelines take integers or ratios a/b only, read into exact
+(numerator, denominator) pairs, and a foliation entry is p, p+q*alpha or
+p-q*alpha with p, q such ratios (parse_ext_scalar).  Decimal literals
+are rejected with a pointed message, since silently rounding them would
+defeat the purpose of an exact engine.  Each section builder imports
+its own pipeline's types once the section's fields have passed these
+checks, and parse_ext_scalar imports ExtScalar only once its token has
+parsed, so parsing a job loads no other pipeline, and a job whose values
+do not parse loads neither lie nor torus.
 
 The parser is deliberately hand-rolled rather than configparser-based:
 repeated keys, exact-field validation and line-precise errors are the
@@ -33,7 +37,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from .errors import DECIMAL_RE, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .ratio import Ratio, parse_ratio
 from .record import record
 
@@ -45,6 +49,12 @@ if TYPE_CHECKING:
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
+_EXT_RE = re.compile(
+    r"^(?P<rat>-?\d+(?:/\d+)?)"
+    r"(?:(?P<sign>[+-])(?P<irr>\d+(?:/\d+)?)\*alpha)?$"
+)
+# a digit on either side of a point: 0.5, .5, -.5, 5.
+_DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal"},
@@ -110,7 +120,7 @@ class JobConfig:
 
 
 def _exact_ratio(key: str, token: str) -> Ratio:
-    if DECIMAL_RE.search(token):
+    if _DECIMAL_RE.search(token):
         raise ValidationError(
             key,
             "decimal literal %r not allowed in an exact field; "
@@ -125,13 +135,42 @@ def _exact_ratio(key: str, token: str) -> Ratio:
 
 
 def _exact_int(key: str, token: str) -> int:
-    if DECIMAL_RE.search(token):
+    if _DECIMAL_RE.search(token):
         raise ValidationError(
             key, "decimal literal %r not allowed; use an integer" % token
         )
     if not _INT_RE.match(token):
         raise ValidationError(key, "cannot parse %r as an integer" % token)
     return int(token)
+
+
+def parse_ext_scalar(text: str) -> ExtScalar:
+    """Parse 'p', 'p+q*alpha' or 'p-q*alpha' with p, q integer or fraction.
+
+    Decimal literals are rejected on purpose: exact fields must stay exact.
+    """
+    raw = text.strip()
+    match = _EXT_RE.match(raw)
+    if match is None:
+        if _DECIMAL_RE.search(raw):
+            raise ValueError(
+                "decimal literal %r not allowed in an exact field; "
+                "use an integer or a fraction like 3/10" % raw
+            )
+        raise ValueError(
+            "cannot parse %r as an exact scalar "
+            "(expected p or p+q*alpha with p, q rational)" % raw
+        )
+    try:
+        rat = parse_ratio(match.group("rat"))
+        irr = parse_ratio(match.group("irr") or "0")
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % raw) from None
+    if match.group("sign") == "-":
+        irr = (-irr[0], irr[1])
+    from .scalars import ExtScalar
+
+    return ExtScalar(rat, irr)
 
 
 def _collect_lines(text: str) -> dict[str, list[tuple[str, str, int]]]:
@@ -230,8 +269,6 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
 
 
 def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
-    from .scalars import parse_ext_scalar
-
     single = _section_map(entries)
     n = _int_key(single, "torus", "n")
     dirs: list[tuple[ExtScalar, ...]] = []

@@ -4,19 +4,10 @@ Errors split into two families: mathematical refusals (the input is
 well-formed but names an object the theory rejects, such as a subspace
 that is not an ideal) and input errors (the job file itself is bad).
 The command line maps the first family to exit code 2 and the second,
-together with genuine internal failures, to exit code 1.  The pattern
-of the decimal literals that exact fields refuse lives here too.
+together with genuine internal failures, to exit code 1.
 """
 
 from __future__ import annotations
-
-import re
-
-# A digit on either side of a point: 0.5, .5, -.5, 5.  Exact fields refuse
-# decimal literals; the job-file parser and scalars.parse_ext_scalar both
-# test for them with this one pattern, which lives here so that parsing a
-# job that needs no exact scalars loads no scalars module.
-DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 
 class EngineError(Exception):

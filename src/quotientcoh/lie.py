@@ -14,6 +14,8 @@ matrix, and d_2 d_1 = 0 is the Jacobi identity, which jacobi_check
 tests as d_2 @ table = 0.  ce_differential also takes coefficients of
 weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
+A LieAlgebra derives its bracket incidence, the nonzero integer bracket
+rows by index pair, once, and each of its differentials reads it.
 The d.d and Jacobi checks are zero tests that multiply row by row and
 stop at the first nonzero row, building no product matrix.
 Each differential is eliminated once, from the top degree down and on
@@ -120,20 +122,25 @@ class LieAlgebra:
             rows[row_of[i, j]][k] = v
         return cls(dim, ExactMatrix.from_sparse(dim, rows))
 
+    @cached_property
+    def _partners(self) -> dict[int, dict[int, IntRow]]:
+        """{i: {j: [e_i, e_j]}} for the pairs i < j with a nonzero
+        bracket, each bracket as (k, int) pairs over table.den."""
+        partners: dict[int, dict[int, IntRow]] = {}
+        for (i, j), row in zip(enumerate_basis(self.dim, 2),
+                               self.table.int_rows):
+            if row:
+                partners.setdefault(i, {})[j] = row
+        return partners
 
-def _cleared_brackets(
-    g: LieAlgebra, weight: Sequence[RationalLike]
-) -> tuple[int, dict[tuple[int, int], IntRow], list[int]]:
-    """(D, brackets, w): the least common denominator D of the bracket
-    matrix and the weight, {(i, j): D [e_i, e_j] as (k, int) pairs} for
-    every i < j, and D times the weight."""
-    table = g.table
+
+def _cleared_weight(g: LieAlgebra, weight: Sequence[RationalLike]
+                    ) -> tuple[int, int, list[int]]:
+    """(D, D / table.den, D w) for D the least common denominator of the
+    bracket matrix and the weight w."""
     weight = [as_ratio(x) for x in weight]
-    den = lcm(table.den, *(d for _, d in weight))
-    scale = den // table.den
-    rows = [tuple((k, c * scale) for k, c in row) for row in table.int_rows]
-    return den, dict(zip(enumerate_basis(g.dim, 2), rows)), [
-        n * (den // d) for n, d in weight]
+    den = lcm(g.table.den, *(d for _, d in weight))
+    return den, den // g.table.den, [n * (den // d) for n, d in weight]
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -275,11 +282,6 @@ def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
     return None
 
 
-def ideal_check(g: LieAlgebra, h: Subspace) -> bool:
-    """True iff [g, h] lies in h, tested on basis vectors exactly."""
-    return _ideal_failure(g, h) is None
-
-
 def quotient(g: LieAlgebra, h: Subspace) -> LieAlgebra:
     """g/h on the coordinates h.complement, raising NotAnIdeal when h is
     not bracket-closed.
@@ -334,9 +336,6 @@ class CochainComplex:
                 return k
         return None
 
-    def d_squared_is_zero(self) -> bool:
-        return self.d_squared_violation() is None
-
 
 def ce_differential(
     g: LieAlgebra, k: int, weight: Sequence[RationalLike] = ()
@@ -351,20 +350,18 @@ def ce_differential(
     with eps the sign of wedge_insert (0 when u repeats an index); d^2 = 0
     iff w vanishes on [g, g].  On abelian R^q only the first sum is left:
     left wedge with w, the complex of one torus Fourier mode of weight w.
-    Only index pairs with a nonzero bracket row are visited; entries are
-    summed as the integers _cleared_brackets gives.  A term is placed by
-    one bisection of rest, the rule of wedge_insert without its input
-    check: rest is a sub-tuple of the increasing J, so it is increasing.
+    Only the pairs of the algebra's bracket incidence are visited.
+    Entries are integers over D = lcm(table.den, weight denominators),
+    each bracket term times D / table.den.  A term is placed by one
+    bisection of rest, the rule of wedge_insert without its input check:
+    rest is a sub-tuple of the increasing J, so it is increasing.
     """
     n = g.dim
     if weight and len(weight) != n:
         raise ValueError("weight length %d != dim %d" % (len(weight), n))
-    den, brackets, w = _cleared_brackets(g, weight)
+    den, scale, w = _cleared_weight(g, weight)
     w = w or [0] * n
-    partners: dict[int, dict[int, IntRow]] = {}
-    for (i, j), bracket in brackets.items():
-        if bracket:
-            partners.setdefault(i, {})[j] = bracket
+    partners = g._partners
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
     rows = []
     for jmono in enumerate_basis(n, k + 1):
@@ -380,7 +377,7 @@ def ce_differential(
                 if bracket is None:
                     continue
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                sign = -1 if (s + t) % 2 else 1
+                sign = -scale if (s + t) % 2 else scale
                 for u, c in bracket:
                     pos = bisect_left(rest, u)
                     if pos < k - 1 and rest[pos] == u:
@@ -414,9 +411,6 @@ class BettiReport:
     ranks: tuple[int, ...]
     generators: tuple[tuple[SparseRow, ...], ...]
     monomials: tuple[tuple[MultiIndex, ...], ...]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
 def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
@@ -513,9 +507,10 @@ def _evaluation_differential(
     J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
     sorts (u, rest) into I, or 0 when (u, rest) does not list I.  The
     first sum is the action of e_{J_s} on the coefficients, absent when
-    weight is empty.  Entries are summed as _cleared_brackets gives them.
+    weight is empty.  Entries are integers over D, as in ce_differential,
+    and a pair outside the algebra's bracket incidence adds nothing.
     """
-    den, brackets, w = _cleared_brackets(g, weight)
+    den, scale, w = _cleared_weight(g, weight)
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
     # (u, rest) -> (column or None, permutation sign), for this call only
     placed: dict[MultiIndex, tuple[int | None, int]] = {}
@@ -526,9 +521,10 @@ def _evaluation_differential(
             if weight:
                 col = col_index[jmono[:s] + jmono[s + 1:]]
                 row[col] = row.get(col, 0) + (-1) ** s * w[jmono[s]]
+            with_s = g._partners.get(jmono[s], {})
             for t in range(s + 1, k + 1):
                 rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                for u, c in brackets[jmono[s], jmono[t]]:
+                for u, c in with_s.get(jmono[t], ()):
                     args = (u,) + rest
                     if args not in placed:
                         placed[args] = (col_index.get(tuple(sorted(args))),
@@ -536,7 +532,7 @@ def _evaluation_differential(
                     col, sign = placed[args]
                     if col is None:
                         continue  # u repeats an index of rest
-                    value = (-1) ** (s + t) * sign * c
+                    value = (-1) ** (s + t) * scale * sign * c
                     row[col] = row.get(col, 0) + value
         rows.append(row)
     return ExactMatrix.from_int_rows(len(col_index), den, rows)
@@ -546,7 +542,7 @@ def phi_sign_check(c: CochainComplex) -> bool:
     """Certify the signs of c against the evaluation formula.
 
     Each D_k is rebuilt from c.algebra and c.weight by
-    _evaluation_differential, which reads the same bracket matrix and
+    _evaluation_differential, which reads the same bracket incidence and
     weight but shares none of ce_differential's sign code (no
     wedge_insert).  With the degreewise
     twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)

@@ -54,26 +54,21 @@ a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
 relation, so p + q*alpha = 0 forces p = q = 0.  ExtScalar is plain data
 with an exact zero test and no arithmetic: the torus pipeline splits
 every direction into its rational and alpha parts and works on those.
+This module parses no text: the job-file grammar, the p + q*alpha
+tokens included, lives in config.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DECIMAL_RE
-from .ratio import Ratio, as_ratio, parse_ratio, ratio
+from .ratio import Ratio, as_ratio, ratio
 from .record import record
 
 # an int, a Fraction (read through its numerator and denominator) or a Ratio
 RationalLike = Union[int, "Fraction", Ratio]
-
-_EXT_RE = re.compile(
-    r"^(?P<rat>-?\d+(?:/\d+)?)"
-    r"(?:(?P<sign>[+-])(?P<irr>\d+(?:/\d+)?)\*alpha)?$"
-)
 
 
 @record
@@ -95,33 +90,6 @@ class ExtScalar:
 
     def is_zero(self) -> bool:
         return not (self.rat[0] or self.irr[0])
-
-
-def parse_ext_scalar(text: str) -> ExtScalar:
-    """Parse 'p', 'p+q*alpha' or 'p-q*alpha' with p, q integer or fraction.
-
-    Decimal literals are rejected on purpose: exact fields must stay exact.
-    """
-    raw = text.strip()
-    match = _EXT_RE.match(raw)
-    if match is None:
-        if DECIMAL_RE.search(raw):
-            raise ValueError(
-                "decimal literal %r not allowed in an exact field; "
-                "use an integer or a fraction like 3/10" % raw
-            )
-        raise ValueError(
-            "cannot parse %r as an exact scalar "
-            "(expected p or p+q*alpha with p, q rational)" % raw
-        )
-    try:
-        rat = parse_ratio(match.group("rat"))
-        irr = parse_ratio(match.group("irr") or "0")
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % raw) from None
-    if match.group("sign") == "-":
-        irr = (-irr[0], irr[1])
-    return ExtScalar(rat, irr)
 
 
 SparseRow = tuple[tuple[int, Ratio], ...]

@@ -80,10 +80,9 @@ with one through the integer pair of float.as_integer_ratio().
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import exp, inf, isfinite, log, nextafter, sqrt
+from math import comb, exp, inf, isfinite, log, nextafter, sqrt
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
-from .exterior import enumerate_basis
 from .ratio import Ratio
 from .record import record
 
@@ -564,13 +563,13 @@ class DegreeOneCertificate:
 def degree_one_obstruction() -> DegreeOneCertificate:
     """Static certificate that the point quotient misses the form dx.
 
-    Dimensions are read off the monomial bases: one-forms on a
-    0-dimensional space versus constant-coefficient one-forms on a
+    Dimensions are the numbers of degree-one monomials, C(n, 1): one-forms
+    on a 0-dimensional space versus constant-coefficient one-forms on a
     line.  A surjection onto a bigger space from a smaller one is
     impossible, which is the whole argument.
     """
-    quotient_dim = len(enumerate_basis(0, 1))
-    upstairs_dim = len(enumerate_basis(1, 1))
+    quotient_dim = comb(0, 1)
+    upstairs_dim = comb(1, 1)
     surjective = quotient_dim >= upstairs_dim
     return DegreeOneCertificate(
         quotient_degree1_dim=quotient_dim,

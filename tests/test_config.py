@@ -104,8 +104,8 @@ def test_decimal_literals_are_rejected_everywhere():
     "[torus]\nn = 2\nfoliation = -.5,1\n",
 ], ids=["bracket", "ideal", "fraction", "foliation"])
 def test_signed_point_decimals_get_the_decimal_message(job):
-    # -.5 has no digit before its point; config and parse_ext_scalar
-    # share one pattern for decimal literals
+    # -.5 has no digit before its point; config's one pattern for
+    # decimal literals serves every exact field, foliation entries too
     with pytest.raises(ValidationError, match="decimal literal '-.5"):
         parse_config(job)
 

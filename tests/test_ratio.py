@@ -37,8 +37,8 @@ def test_the_token_grid_agrees_with_fraction():
 
 
 def test_job_file_tokens_agree_with_fraction():
-    # the lie parser reads ideal and bracket tokens, parse_ext_scalar the
-    # rational and the alpha part of a torus entry
+    # the lie parser reads ideal and bracket tokens, and config's
+    # parse_ext_scalar the rational and the alpha part of a torus entry
     for token in TOKENS:
         exact = Fraction(token).as_integer_ratio()
         job = parse_config("[lie]\ndim = 3\nbracket = 0 1 2 1\n"

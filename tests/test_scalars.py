@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotientcoh.config import parse_ext_scalar
 from quotientcoh.scalars import (
     EchelonBasis,
     ExactMatrix,
     ExtScalar,
     nullspace_basis,
-    parse_ext_scalar,
     rank,
     rref,
 )
