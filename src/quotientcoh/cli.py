@@ -139,8 +139,8 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     algebra = job.algebra
     certificates: dict = {"jacobi": True, "ideal": None}
     names = ["e%d" % i for i in range(algebra.dim)]
-    ok, triple = jacobi_check(algebra)
-    if not ok:
+    triple = jacobi_check(algebra)
+    if triple is not None:
         raise NotALieAlgebra(triple)
     if job.ideal_vectors is not None:
         sub = Subspace.span(algebra.dim, job.ideal_vectors)

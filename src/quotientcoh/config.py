@@ -173,11 +173,12 @@ def parse_ext_scalar(text: str) -> ExtScalar:
     return ExtScalar(rat, irr)
 
 
-def _collect_lines(text: str) -> dict[str, list[tuple[str, str, int]]]:
-    """Group (key, value, line_no) triples by section, validating shape."""
-    sections: dict[str, list[tuple[str, str, int]]] = {}
+def _collect_lines(text: str) -> dict[str, dict]:
+    """Read each section as one key map, validating shape: a key that
+    may appear once maps to its value, and a repeatable key to its
+    (value, line_no) pairs in file order."""
+    sections: dict[str, dict] = {}
     current: str | None = None
-    seen_once: set[tuple[str, str]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,7 +190,7 @@ def _collect_lines(text: str) -> dict[str, list[tuple[str, str, int]]]:
                 raise ParseError(line_no, None, "unknown section [%s]" % name)
             if name in sections:
                 raise ParseError(line_no, None, "duplicate section [%s]" % name)
-            sections[name] = []
+            sections[name] = {}
             current = name
             continue
         if "=" not in line:
@@ -205,60 +206,57 @@ def _collect_lines(text: str) -> dict[str, list[tuple[str, str, int]]]:
             raise ParseError(
                 line_no, key, "unknown key in section [%s]" % current
             )
-        if (current, key) not in _REPEATABLE:
-            if (current, key) in seen_once:
-                raise ParseError(
-                    line_no, key, "duplicate key in section [%s]" % current
-                )
-            seen_once.add((current, key))
-        sections[current].append((key, value, line_no))
+        section = sections[current]
+        if (current, key) in _REPEATABLE:
+            section.setdefault(key, []).append((value, line_no))
+        elif key in section:
+            raise ParseError(
+                line_no, key, "duplicate key in section [%s]" % current
+            )
+        else:
+            section[key] = value
     return sections
 
 
-def _section_map(entries: list[tuple[str, str, int]]) -> dict[str, str]:
-    return {key: value for key, value, _ in entries}
-
-
-def _int_key(single: dict[str, str], section: str, key: str,
+def _int_key(section: dict, name: str, key: str,
              default: int | None = None) -> int:
     """The integer value of a single key, or default when it is absent;
     a key without a default is required."""
-    if key in single:
-        return _exact_int(key, single[key])
+    if key in section:
+        return _exact_int(key, section[key])
     if default is None:
-        raise ValidationError(key, "missing required key in [%s]" % section)
+        raise ValidationError(key, "missing required key in [%s]" % name)
     return default
 
 
-def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
-    dim = _int_key(_section_map(entries), "lie", "dim")
+def _build_lie(section: dict) -> LieJob:
+    dim = _int_key(section, "lie", "dim")
     if dim < 0:
         raise ValidationError("dim", "dimension must be nonnegative")
     brackets: dict[tuple[int, int, int], Ratio] = {}
+    for value, line_no in section.get("bracket", ()):
+        tokens = value.split()
+        if len(tokens) != 4:
+            raise ParseError(
+                line_no, "bracket", "expected 'bracket = i j k value'"
+            )
+        ijk = tuple(_exact_int("bracket", t) for t in tokens[:3])
+        v = _exact_ratio("bracket", tokens[3])
+        # a repeated key would silently overwrite the first value
+        if brackets.setdefault(ijk, v) != v:
+            raise ValidationError(
+                "bracket", "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
+            )
     ideal: list[tuple[Ratio, ...]] = []
-    for key, value, line_no in entries:
-        if key == "bracket":
-            tokens = value.split()
-            if len(tokens) != 4:
-                raise ParseError(
-                    line_no, key, "expected 'bracket = i j k value'"
-                )
-            ijk = tuple(_exact_int(key, t) for t in tokens[:3])
-            v = _exact_ratio(key, tokens[3])
-            # a repeated key would silently overwrite the first value
-            if brackets.setdefault(ijk, v) != v:
-                raise ValidationError(
-                    key, "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
-                )
-        elif key == "ideal":
-            tokens = [t.strip() for t in value.split(",")]
-            if len(tokens) != dim:
-                raise ValidationError(
-                    key,
-                    "ideal vector has %d entries, expected dim = %d"
-                    % (len(tokens), dim),
-                )
-            ideal.append(tuple(_exact_ratio(key, t) for t in tokens))
+    for value, _line in section.get("ideal", ()):
+        tokens = [t.strip() for t in value.split(",")]
+        if len(tokens) != dim:
+            raise ValidationError(
+                "ideal",
+                "ideal vector has %d entries, expected dim = %d"
+                % (len(tokens), dim),
+            )
+        ideal.append(tuple(_exact_ratio("ideal", t) for t in tokens))
     from .lie import LieAlgebra
 
     try:
@@ -268,29 +266,26 @@ def _build_lie(entries: list[tuple[str, str, int]]) -> LieJob:
     return LieJob(algebra, tuple(ideal) if ideal else None)
 
 
-def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
-    single = _section_map(entries)
-    n = _int_key(single, "torus", "n")
+def _build_torus(section: dict) -> TorusSpec:
+    n = _int_key(section, "torus", "n")
     dirs: list[tuple[ExtScalar, ...]] = []
-    for key, value, _line in entries:
-        if key != "foliation":
-            continue
+    for value, _line in section.get("foliation", ()):
         tokens = [t.strip() for t in value.split(",")]
         if len(tokens) != n:
             raise ValidationError(
-                key,
+                "foliation",
                 "direction vector has %d entries, expected n = %d"
                 % (len(tokens), n),
             )
         try:
             dirs.append(tuple(parse_ext_scalar(t) for t in tokens))
         except ValueError as exc:
-            raise ValidationError(key, str(exc)) from exc
+            raise ValidationError("foliation", str(exc)) from exc
     invariance: set[int] = set()
-    if "invariance" in single:
-        for token in single["invariance"].split(","):
+    if "invariance" in section:
+        for token in section["invariance"].split(","):
             invariance.add(_exact_int("invariance", token.strip()))
-    truncation = _int_key(single, "torus", "truncation", 3)
+    truncation = _int_key(section, "torus", "truncation", 3)
     from .torus import TorusSpec
 
     try:
@@ -299,10 +294,9 @@ def _build_torus(entries: list[tuple[str, str, int]]) -> TorusSpec:
         raise ValidationError("torus", str(exc)) from exc
 
 
-def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
-    single = _section_map(entries)
-    k_min = _int_key(single, "witness", "k_min")
-    k_max = _int_key(single, "witness", "k_max")
+def _build_witness(section: dict) -> WitnessJob:
+    k_min = _int_key(section, "witness", "k_min")
+    k_max = _int_key(section, "witness", "k_max")
     if k_min < 1:
         raise ValidationError("k_min", "levels start at 1")
     if k_max <= k_min:
@@ -311,7 +305,7 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
             "need at least two levels (k_max > k_min) to witness the "
             "obstruction",
         )
-    order = _int_key(single, "witness", "max_derivative_order", 4)
+    order = _int_key(section, "witness", "max_derivative_order", 4)
     if order < 0:
         raise ValidationError("max_derivative_order", "must be nonnegative")
     if order > MAX_DERIVATIVE_ORDER:
@@ -321,7 +315,7 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
             "from their exact values as the order grows (5e-8 relative "
             "at order 16)" % MAX_DERIVATIVE_ORDER,
         )
-    samples = _int_key(single, "witness", "samples_per_interval", 10001)
+    samples = _int_key(section, "witness", "samples_per_interval", 10001)
     if samples < 3:
         raise ValidationError("samples_per_interval", "need at least 3 samples")
     points = samples * (k_max - k_min + 1)
@@ -335,15 +329,14 @@ def _build_witness(entries: list[tuple[str, str, int]]) -> WitnessJob:
     return WitnessJob(k_min, k_max, order, samples)
 
 
-def _build_output(entries: list[tuple[str, str, int]]) -> OutputConfig:
-    single = _section_map(entries)
-    fmt = single.get("format", "table")
-    if fmt not in FORMATS:
+def _build_output(section: dict) -> OutputConfig:
+    output = OutputConfig(**section)
+    if output.format not in FORMATS:
         raise ValidationError(
             "format", "unknown format %r; expected one of %s"
-            % (fmt, ", ".join(FORMATS))
+            % (output.format, ", ".join(FORMATS))
         )
-    return OutputConfig(fmt, single.get("path"))
+    return output
 
 
 _JOB_PARSERS = {"lie": _build_lie, "torus": _build_torus,
@@ -361,5 +354,5 @@ def parse_config(text: str) -> JobConfig:
             % len(modes),
         )
     mode = modes[0]
-    output = _build_output(sections.get("output", []))
+    output = _build_output(sections.get("output", {}))
     return JobConfig(mode, _JOB_PARSERS[mode](sections[mode]), output)

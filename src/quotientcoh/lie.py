@@ -160,9 +160,7 @@ def sl2() -> LieAlgebra:
     )
 
 
-def jacobi_check(
-    g: LieAlgebra,
-) -> tuple[bool, tuple[int, int, int] | None]:
+def jacobi_check(g: LieAlgebra) -> tuple[int, int, int] | None:
     """Exact Jacobi test, read off d_2 times the bracket matrix, -d_1.
 
     Row (i, j, k), column m of d_2 d_1 is (d d e^m)(e_i, e_j, e_k), the
@@ -170,13 +168,11 @@ def jacobi_check(
     + [[e_k, e_i], e_j]; d_2 times the bracket matrix is its negative.
     Rows follow the lexicographic order of the triples i < j < k, so the
     first nonzero row names the first failing triple; the product is
-    tested row by row and never built.  Returns (True, None), or
-    (False, (i, j, k)) with that triple.
+    tested row by row and never built.  Returns that triple (i, j, k),
+    or None when the identity holds.
     """
     row = ce_differential(g, 2).first_nonzero_product_row(g.table)
-    if row is None:
-        return True, None
-    return False, enumerate_basis(g.dim, 3)[row]
+    return None if row is None else enumerate_basis(g.dim, 3)[row]
 
 
 @record

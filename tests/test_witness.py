@@ -19,7 +19,6 @@ from quotientcoh.witness import (
     degree_one_obstruction,
     derivative_polynomials,
     interval,
-    intervals_are_disjoint,
     verify_bounds,
 )
 
@@ -82,7 +81,12 @@ def test_intervals_exact():
 
 
 def test_intervals_are_disjoint_far_down():
-    assert intervals_are_disjoint(40)
+    # I_(k+1) ends at 2^-(k+1) + 2^-(2k+2), below the start 2^-k of I_k
+    # for every k >= 1, which is why build_bumps checks no overlap
+    for k in range(1, 60):
+        assert _exact(k + 1)[1] == (Fraction(1, 2 ** (k + 1))
+                                    + Fraction(1, 4 ** (k + 1)))
+        assert _exact(k + 1)[1] < _exact(k)[0] == Fraction(1, 2 ** k)
 
 
 def test_level3_support_is_inside_its_interval(family):
@@ -155,7 +159,8 @@ def test_forced_levels_recover_k(report):
 
 def test_forced_level_ratio_is_exact(family):
     for k in family.k_range:
-        a = np.asarray(family.bump_values(k, 0))
+        a = math.exp(-k * k) * np.asarray(
+            family.phi_derivative(0, family.level_arguments(k)))
         positive = a > 0
         assert positive.any()
         ratios = (2.0 ** k * a)[positive] / a[positive]
@@ -295,11 +300,10 @@ def test_non_finite_derivative_fails_closed(value):
 def test_non_finite_level_sup_fails_closed(value):
     # the profile constants are clean; only the level-3 samples are bad
     class BadLevel(BumpFamily):
-        def bump_values(self, k, order=0, s=None):
-            out = super().bump_values(k, order, s)
-            if k == 3:
-                out[len(out) // 2] = value
-            return out
+        def grid_sup(self, order, grid):
+            if getattr(grid, "left", None) == 2.0 ** -3:
+                return value
+            return super().grid_sup(order, grid)
 
     base = build_bumps([2, 3, 4], max_derivative_order=2,
                        samples_per_interval=501)
@@ -744,3 +748,28 @@ def test_scaled_records_are_two_to_the_k_times_the_f_records():
             factor = 2.0 ** f.level
             assert scaled.measured.hex() == (factor * f.measured).hex()
             assert scaled.bound.hex() == (factor * f.bound).hex()
+
+
+def test_a_level_sup_is_its_scale_times_the_grid_sup():
+    # verify_bounds reads the sup of f_k^(m) as _level_scale(k, m) times
+    # grid_sup on the level grid.  Rounding a finite scale >= 0 times v is
+    # monotone in |v|, so that is the largest |scale * v| over the same
+    # peak candidates bit for bit, also where the scale underflows to 0
+    # (exp(-k^2) does from k = 28 on)
+    rng = random.Random(35)
+    cases = [(0, 3), (16, 3), (0, 20001), (16, 20001)] + [
+        (rng.randint(0, 16), rng.randint(3, 20001)) for _ in range(8)]
+    underflowed = 0
+    for order, samples in cases:
+        fam = build_bumps(range(1, 31), max_derivative_order=order,
+                          samples_per_interval=samples)
+        for k in fam.k_range:
+            grid = fam.level_arguments(k)
+            for m in range(order + 1):
+                scale = witness._level_scale(k, m)
+                values = fam.phi_derivative(m, fam.peak_candidates(m, grid))
+                want = witness._sup_abs([scale * v for v in values])
+                got = scale * fam.grid_sup(m, grid)
+                assert got.hex() == want.hex(), (order, samples, k, m)
+                underflowed += scale == 0.0
+    assert underflowed
