@@ -301,7 +301,7 @@ def test_non_finite_level_sup_fails_closed(value):
     # the profile constants are clean; only the level-3 samples are bad
     class BadLevel(BumpFamily):
         def grid_sup(self, order, grid):
-            if getattr(grid, "left", None) == 2.0 ** -3:
+            if grid.left == 2.0 ** -3:
                 return value
             return super().grid_sup(order, grid)
 
