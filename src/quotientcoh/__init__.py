@@ -42,7 +42,7 @@ _EXPORTS = {
     "torus": (
         "KoszulCertificate", "TorusBettiReport", "TorusSpec",
         "build_mode_complex", "cross_check_ce", "koszul_certificate",
-        "surviving_modes", "survives", "torus_betti", "transverse_frame",
+        "surviving_modes", "torus_betti", "transverse_frame",
     ),
     "witness": (
         "BumpFamily", "DegreeOneCertificate", "WitnessReport", "build_bumps",

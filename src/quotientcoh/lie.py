@@ -552,8 +552,6 @@ def phi_sign_check(c: CochainComplex) -> bool:
     if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
         return False
     for k, dk in enumerate(c.d):
-        if (dk.rows, dk.cols) != (comb(g.dim, k + 1), comb(g.dim, k)):
-            return False
         if _evaluation_differential(g, k, c.weight) != dk:
             return False
     return True

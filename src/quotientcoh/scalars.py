@@ -219,9 +219,6 @@ class ExactMatrix:
                 return i
         return None
 
-    def is_zero(self) -> bool:
-        return not any(self.int_rows)
-
 
 def _make_primitive(w: dict[int, int]) -> dict[int, int]:
     """Divide the nonzero integer row w, in place, by its content, signed

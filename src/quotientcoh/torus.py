@@ -153,23 +153,6 @@ class TorusSpec:
         return len(self.foliation_dirs)
 
 
-def survives(mode: Sequence[int], spec: TorusSpec) -> bool:
-    """Exact test that a Fourier mode carries basic invariant forms.
-
-    The mode must annihilate every direction vector and vanish on every
-    invariance coordinate.  alpha is a pure symbol, so m . v = 0 holds
-    iff m . rat(v) = 0 and m . irr(v) = 0, two exact integer sums once
-    v is cleared of its denominators.
-    """
-    if len(mode) != spec.n:
-        raise ValueError("mode length %d != n = %d" % (len(mode), spec.n))
-    if any(mode[j] != 0 for j in spec.invariance_coords):
-        return False
-    a, b = _direction_parts(spec)
-    return not any(sum(m_i * x for m_i, x in zip(mode, row))
-                   for row in a + b)
-
-
 @record
 class TransverseFrame:
     """Coordinate splitting induced by the echelonized direction matrix.
@@ -399,8 +382,7 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     {-bound..bound}, so the point is reached from its own non-pivot
     coordinates, and the pivot values derived from them are its own.
     It is also sound, since every point kept satisfies R.  The work is (2*bound + 1)^(open - r) for r the
-    rank of the constraint rows, not (2*bound + 1)^open.  `survives` is
-    the reference predicate this is tested against.
+    rank of the constraint rows, not (2*bound + 1)^open.
     """
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
     a, b = _direction_parts(spec)

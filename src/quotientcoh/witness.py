@@ -80,7 +80,7 @@ with one through the integer pair of float.as_integer_ratio().
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb, exp, inf, isfinite, log, nextafter, sqrt
+from math import comb, exp, inf, isfinite, ldexp, log, nextafter, sqrt
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .ratio import Ratio
@@ -105,8 +105,7 @@ class Grid:
     read instead of stored.
 
     With the defaults every x maps to itself: that is the unit grid.  An
-    index gives one float and a slice gives the Points it covers;
-    ``size`` is the point count, as on Points.
+    index gives one float and a slice gives the Points it covers.
     """
 
     __slots__ = ("n1", "left", "width", "scale")
@@ -120,8 +119,6 @@ class Grid:
 
     def __len__(self) -> int:
         return self.n1 - 1
-
-    size = property(__len__)
 
     def __getitem__(self, index):
         i = range(1, self.n1)[index]
@@ -247,9 +244,10 @@ def _insertion(find, grid, x: float) -> int:
 
 def _level_scale(k: int, order: int) -> float:
     """exp(-k^2) * 2^(2k*order), the factor f_k^(order) carries over
-    phi^(order); inf when the power of two overflows a float."""
+    phi^(order), scaled exactly: 0.0 wherever exp(-k^2) underflows
+    (k >= 28), and inf only past the float range, at orders >= 39."""
     try:
-        return exp(-float(k * k)) * 2.0 ** (2 * k * order)
+        return ldexp(exp(-float(k * k)), 2 * k * order)
     except OverflowError:
         return inf
 
@@ -439,21 +437,6 @@ class WitnessReport:
     relative_slack: float = RELATIVE_SLACK
 
 
-def _recovered_levels(
-    order0_sups: dict[int, float]
-) -> tuple[tuple[int, int], ...]:
-    """The pairs (k, k) for the levels of order0_sups, level -> max f_k
-    over the level grid, finite as verify_bounds has checked.  A level
-    whose sup is not positive has no positive sample, so no ratio to
-    read the level off: it raises LevelNotRecovered."""
-    for k, sup in order0_sups.items():
-        if not sup > 0.0:
-            raise LevelNotRecovered(
-                "no positive samples at level %d: the grid is too coarse "
-                "or exp(-k^2) underflows" % k)
-    return tuple((k, k) for k in order0_sups)
-
-
 def verify_bounds(b: BumpFamily) -> WitnessReport:
     """Measure every derivative sup, check it against its bound, and
     record how the sups move in k.  The sups and bounds of f are tabled
@@ -466,8 +449,9 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
     BoundViolated: the bounds are identities of the construction, so
     that can only mean an implementation bug.  A NaN or infinite
     profile constant, sup or bound raises NonFiniteValue, since no
-    comparison with it means anything.  A level with no positive
-    sample raises LevelNotRecovered, after every bound is checked.
+    comparison with it means anything.  Then the first level whose
+    order-0 sup is not positive (no sample to read the level off) raises
+    LevelNotRecovered; every other level k forces k itself.
     Monotonicity breaks are not errors; they are facts of the family
     and land in the report.
     """
@@ -508,7 +492,11 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
                     violations.append(
                         MonotoneViolation(family, m, k_prev, k_next, here / prev)
                     )
-    forced = _recovered_levels({k: sups[k, 0][0] for k in b.k_range})
+    for k in b.k_range:
+        if not sups[k, 0][0] > 0.0:
+            raise LevelNotRecovered(
+                "no positive samples at level %d: the grid is too coarse "
+                "or exp(-k^2) underflows" % k)
     return WitnessReport(
         k_range=b.k_range,
         max_derivative_order=b.max_derivative_order,
@@ -516,8 +504,8 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
         profile_constants=constants,
         sup_records=tuple(records),
         monotone_violations=tuple(violations),
-        forced_levels=forced,
-        lift_obstruction=len({lvl for _, lvl in forced}) >= 2,
+        forced_levels=tuple((k, k) for k in b.k_range),
+        lift_obstruction=len(b.k_range) >= 2,
     )
 
 

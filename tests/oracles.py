@@ -12,9 +12,9 @@ Gauss-Jordan rows of every column of the previous differential, the
 Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, the bump's derivative
 polynomials expanded in x and evaluated exactly, at every point of a
-grid for the grid sups, and the torus mode classes grouped from every
-point of the mode box.  None of it shares code
-paths with the package internals it checks.
+grid for the grid sups, torus mode survival by dot products, and the
+torus mode classes grouped from every point of the mode box.  None of
+it shares code paths with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -571,17 +571,26 @@ def grid_sup_bruteforce(order: int, points) -> float:
     return best
 
 
+def naive_survives(mode, spec) -> bool:
+    """Whether the Fourier mode carries basic invariant forms of the
+    TorusSpec spec: zero on every invariance coordinate, and zero dot
+    product with the rational and with the alpha part of every
+    direction, in Fractions of each entry's rat and irr."""
+    return not (any(mode[j] for j in spec.invariance_coords)
+                or any(sum(m * Fraction(*x.rat) for m, x in zip(mode, v))
+                       or sum(m * Fraction(*x.irr) for m, x in zip(mode, v))
+                       for v in spec.foliation_dirs))
+
+
 def naive_mode_classes(spec, bound: int):
     """(classes, audited) for the torus audit of the TorusSpec spec up to
     sup norm bound: classes lists (least member, number of modes) per
     class of nonzero surviving modes, ordered by least member, and
     audited counts them all.
 
-    Every point of the (2*bound + 1)^n box is tested as `survives`
-    defines survival, by its own dot products: zero on the invariance
-    coordinates, and zero against the rational and the alpha part of
-    every direction.  The transverse columns are the non-pivot columns
-    of the first substitution r = 0..p of alpha that gives the
+    Every point of the (2*bound + 1)^n box is tested by naive_survives,
+    its own dot products.  The transverse columns are the non-pivot
+    columns of the first substitution r = 0..p of alpha that gives the
     directions rank p, and a mode's class is the sorted absolute values
     of its transverse components divided by their gcd.
     """
@@ -594,11 +603,7 @@ def naive_mode_classes(spec, bound: int):
     free = [j for j in range(spec.n) if j not in pivots]
     classes: dict = {}
     for mode in product(range(-bound, bound + 1), repeat=spec.n):
-        if (not any(mode)
-                or any(mode[j] for j in spec.invariance_coords)
-                or any(sum(m * Fraction(*x.rat) for m, x in zip(mode, v))
-                       or sum(m * Fraction(*x.irr) for m, x in zip(mode, v))
-                       for v in spec.foliation_dirs)):
+        if not any(mode) or not naive_survives(mode, spec):
             continue
         raw = sorted(abs(mode[j]) for j in free)
         g = math.gcd(*raw)

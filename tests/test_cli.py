@@ -12,7 +12,7 @@ import pytest
 
 from quotientcoh import (
     CochainComplex, ExactMatrix, KoszulCertificate, Subspace, ce_complex, cli,
-    heisenberg, quotient,
+    heisenberg, quotient, torus,
 )
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.exterior import enumerate_basis
@@ -404,6 +404,36 @@ def test_witness_job(tmp_path, capsys):
     assert payload["betti"] is None
     # orders up to 2 only, so no monotone break in this run
     assert certs["monotone_violations"] == []
+
+
+def test_witness_table_without_monotone_breaks(tmp_path, capsys):
+    # at order 0 both families shrink from level to level
+    cfg = _write(tmp_path, "job.cfg",
+                 "[witness]\nk_min = 5\nk_max = 7\n"
+                 "max_derivative_order = 0\nsamples_per_interval = 101\n")
+    assert main(["--input", cfg, "--format", "table"]) == 0
+    assert "\nmonotone violations: none\n" in capsys.readouterr().out
+
+
+def test_a_failed_mode_certificate_shows_in_the_table(
+        tmp_path, capsys, monkeypatch):
+    # every class complex loses its d_0, so its degree-0 cohomology is
+    # not zero and each Koszul certificate fails
+    build = torus.build_mode_complex
+
+    def broken(w, template=None):
+        c = build(w, template)
+        if template is None:
+            return c
+        zero = ExactMatrix.zero(c.d[0].rows, c.d[0].cols)
+        return replace(c, d=(zero,) + c.d[1:])
+
+    monkeypatch.setattr(torus, "build_mode_complex", broken)
+    cfg = _write(tmp_path, "job.cfg", TORUS_CFG)
+    assert main(["--input", cfg, "--format", "table"]) == 3
+    out = capsys.readouterr().out
+    assert "\naudited nonzero modes: 6 (ACYCLICITY FAILED)\n" in out
+    assert out.endswith("exit: 3\n")
 
 
 def test_report_records_convert_field_by_field():

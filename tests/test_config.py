@@ -172,6 +172,25 @@ def test_range_validation():
         parse_config("[output]\nformat = yaml\n[torus]\nn = 2\n")
 
 
+@pytest.mark.parametrize("job, key, reason", [
+    ("[lie]\ndim = 2\nbracket = 0 1 1 1/x\n", "bracket",
+     "cannot parse '1/x' as a fraction"),
+    ("[lie]\ndim = 2\nbracket = 0 1 z 1\n", "bracket",
+     "cannot parse 'z' as an integer"),
+    ("[lie]\ndim = -1\n", "dim", "dimension must be nonnegative"),
+    ("[lie]\ndim = 3\nbracket = 0 1 2\n", "bracket",
+     "expected 'bracket = i j k value'"),
+    ("[witness]\nk_min = 2\nk_max = 3\nmax_derivative_order = -1\n",
+     "max_derivative_order", "must be nonnegative"),
+    ("[witness]\nk_min = 2\nk_max = 3\nsamples_per_interval = 2\n",
+     "samples_per_interval", "need at least 3 samples"),
+], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples"])
+def test_each_refusal_names_its_key_and_reason(job, key, reason):
+    with pytest.raises((ParseError, ValidationError)) as info:
+        parse_config(job)
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
 def test_derivative_order_is_capped_at_16():
     job = "[witness]\nk_min = 2\nk_max = 3\nmax_derivative_order = %d\n"
     assert parse_config(job % 16).job.max_derivative_order == 16

@@ -302,7 +302,6 @@ def test_every_imported_name_is_used():
 # public names no engine module calls, each kept for a reader outside
 PUBLIC_UNREACHED = {
     "canonical_json",  # the criterion-9 serializer of byte-identical reports
-    "survives",  # the reference predicate the torus tests check modes with
     "heisenberg",  # README "Library use" builds on it
     "sl2",  # the other exported reference algebra, which tests build on
     "entries",  # the dense ExactMatrix view the tests and bench tracer read

@@ -123,7 +123,7 @@ def test_a_zero_product_of_factors_over_den_above_one():
     b = ExactMatrix.from_rows([[Fraction(2, 3)], [-1]])
     assert (a.den, b.den) == (6, 3)
     product = a @ b
-    assert product.is_zero() and product.den == 1
+    assert not any(product.int_rows) and product.den == 1
     assert product == ExactMatrix.zero(1, 1)
 
 
@@ -146,7 +146,7 @@ def test_one_changed_numerator_fails_the_sign_twist():
         c = ce_complex(g)
         assert phi_sign_check(c)
         for k, dk in enumerate(c.d):
-            if dk.is_zero():
+            if not any(dk.int_rows):
                 continue
             assert not phi_sign_check(_with_numerator(c, k, 1)), (g, k)
 

@@ -147,7 +147,7 @@ def test_quotient_heisenberg_by_center():
     q = quotient(heisenberg(), center)
     assert center.complement == (0, 1)
     assert q.dim == 2
-    assert q.table.is_zero()
+    assert not any(q.table.int_rows)
 
 
 def test_quotient_refuses_non_ideal():
@@ -273,7 +273,7 @@ def test_ce_differential_heisenberg_entry():
     assert columns[2] == (Fraction(-1), Fraction(0), Fraction(0))
     assert columns[0] == (Fraction(0),) * 3
     assert columns[1] == (Fraction(0),) * 3
-    assert c.d[0].is_zero()
+    assert not any(c.d[0].int_rows)
 
 
 def test_ce_matrices_match_bruteforce_oracle():
@@ -356,7 +356,7 @@ def test_weighted_differential_squares_to_zero_iff_weight_kills_brackets():
         assert (CochainComplex(tuple(d), g).d_squared_violation() is None) \
             == character, (g.dim, w)
         if not character:
-            assert not (d[1] @ d[0]).is_zero()
+            assert any((d[1] @ d[0]).int_rows)
 
 
 def test_ce_differential_rejects_a_weight_of_the_wrong_length():
@@ -578,7 +578,7 @@ def _built_violation(c):
     """The first k whose built product d_{k+1} @ d_k is not zero."""
     d = c.d
     return next((k for k in range(len(d) - 1)
-                 if not (d[k + 1] @ d[k]).is_zero()), None)
+                 if any((d[k + 1] @ d[k]).int_rows)), None)
 
 
 def _first_built_row(a, b):

@@ -19,7 +19,6 @@ from quotientcoh import (
     cross_check_ce,
     koszul_certificate,
     surviving_modes,
-    survives,
     torus_betti,
     transverse_frame,
 )
@@ -30,7 +29,8 @@ from quotientcoh.cli import run_job
 from quotientcoh.config import parse_config
 from quotientcoh.record import replace
 
-from oracles import ce_matrix_bruteforce, gauss_rank, naive_mode_classes
+from oracles import (
+    ce_matrix_bruteforce, gauss_rank, naive_mode_classes, naive_survives)
 
 E = ExtScalar
 
@@ -58,16 +58,16 @@ def kronecker_spec(truncation=3):
 
 def test_survives_examples():
     spec = example_spec()
-    assert survives((0, 0, 0), spec)
-    assert survives((0, 0, 5), spec)
-    assert not survives((1, 0, 0), spec)
-    assert not survives((0, 1, 0), spec)
-    assert not survives((2, 0, 3), spec)
+    assert naive_survives((0, 0, 0), spec)
+    assert naive_survives((0, 0, 5), spec)
+    assert not naive_survives((1, 0, 0), spec)
+    assert not naive_survives((0, 1, 0), spec)
+    assert not naive_survives((2, 0, 3), spec)
     kron = kronecker_spec()
-    assert survives((0, 0), kron)
-    assert not survives((1, 0), kron)
-    assert not survives((0, 1), kron)
-    assert not survives((3, -2), kron)
+    assert naive_survives((0, 0), kron)
+    assert not naive_survives((1, 0), kron)
+    assert not naive_survives((0, 1), kron)
+    assert not naive_survives((3, -2), kron)
 
 
 def _lattice_specs():
@@ -158,7 +158,7 @@ def test_survives_matches_bruteforce_enumeration():
         expected = [
             m
             for m in product(range(-bound, bound + 1), repeat=spec.n)
-            if survives(m, spec)
+            if naive_survives(m, spec)
         ]
         assert surviving_modes(spec, bound) == expected, spec
 
@@ -397,7 +397,7 @@ def test_mode_complex_d_squared_is_zero():
             continue
         c = build_mode_complex(w)
         for k in range(len(c.d) - 1):
-            assert (c.d[k + 1] @ c.d[k]).is_zero()
+            assert not any((c.d[k + 1] @ c.d[k]).int_rows)
         assert c.d_squared_violation() is None
 
 

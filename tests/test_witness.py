@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quotientcoh import witness
+from quotientcoh import cli, witness
 from quotientcoh.cli import main
-from quotientcoh.errors import LevelNotRecovered, NonFiniteValue
+from quotientcoh.errors import (
+    BoundViolated, LevelNotRecovered, NonFiniteValue)
 from quotientcoh.record import fields, replace
 from quotientcoh.sturm import root_brackets
 from quotientcoh.witness import (
@@ -319,15 +320,37 @@ def test_order_16_bounds_hold():
     assert {r.order for r in report.sup_records} == set(range(17))
 
 
-def test_overflowing_level_scale_fails_closed():
-    # 2^(2km) overflows a float once 2km > 1023: k = 40, m = 13
-    fam = build_bumps([40, 41], max_derivative_order=13,
-                      samples_per_interval=101)
-    with pytest.raises(NonFiniteValue, match="level k=40, order m=13"):
+def test_level_scale_is_exact_and_zero_past_the_damping():
+    # ldexp scales the rounded damping exactly: where 2^(2km) is a float
+    # (2km < 1024) that is the product exp(-k^2) * 2^(2km) bit for bit,
+    # and where it is not (k >= 32 at orders <= 16) exp(-k^2) has
+    # underflowed, so the scale is 0.0 and never inf
+    for k in range(1, 120):
+        for m in range(17):
+            scale = witness._level_scale(k, m)
+            if 2 * k * m < 1024:
+                product = math.exp(-k * k) * 2.0 ** (2 * k * m)
+                assert scale.hex() == product.hex(), (k, m)
+            else:
+                assert scale == 0.0, (k, m)
+
+
+def test_an_infinite_level_scale_fails_closed(monkeypatch):
+    # an order >= 39 library call can still overflow the scale; one inf
+    # scale at (k, m) = (3, 2) is refused naming that level and order
+    scale = witness._level_scale
+    monkeypatch.setattr(
+        witness, "_level_scale",
+        lambda k, m: math.inf if (k, m) == (3, 2) else scale(k, m))
+    fam = build_bumps([2, 3, 4], max_derivative_order=3,
+                      samples_per_interval=501)
+    with pytest.raises(NonFiniteValue, match="level k=3, order m=2 "):
         verify_bounds(fam)
 
 
-def test_non_finite_witness_job_exits_one(tmp_path, capsys):
+def test_a_level_past_the_damping_exits_one_as_underflow(tmp_path, capsys):
+    # 2^(2km) alone overflows at k = 40, m = 13, but the scale is 0.0
+    # there: the job is refused as the underflow it is
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
         "[witness]\nk_min = 40\nk_max = 41\n"
@@ -338,7 +361,38 @@ def test_non_finite_witness_job_exits_one(tmp_path, capsys):
                  "--output", str(out)])
     assert code == 1
     assert not out.exists()
-    assert "not finite" in capsys.readouterr().err
+    assert "no positive samples at level 40" in capsys.readouterr().err
+
+
+def test_a_bound_violation_fails_the_job(tmp_path, capsys, monkeypatch):
+    # the level-3 sups are inflated past the relative slack, the way a
+    # wrong sample would inflate them; the bounds are left alone
+    class Inflated(BumpFamily):
+        def grid_sup(self, order, grid):
+            sup = super().grid_sup(order, grid)
+            if grid.left == 2.0 ** -3:
+                return sup * (1.0 + 1e-8)
+            return sup
+
+    base = build_bumps([2, 3, 4], max_derivative_order=2,
+                       samples_per_interval=501)
+    with pytest.raises(BoundViolated) as info:
+        verify_bounds(_recast(Inflated, base))
+    assert (info.value.level, info.value.order) == (3, 0)
+    assert info.value.measured > info.value.bound * (1.0 + 1e-9)
+
+    def inflated_bumps(*args, **kwargs):
+        return _recast(Inflated, build_bumps(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "build_bumps", inflated_bumps)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(
+        "[witness]\nk_min = 2\nk_max = 4\n"
+        "max_derivative_order = 2\nsamples_per_interval = 501\n"
+    )
+    assert main(["--input", str(cfg), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error: derivative sup at level k=3, order m=0 " in err
 
 
 def test_underflowing_level_is_not_recovered():
@@ -552,6 +606,12 @@ def test_a_root_on_a_bisection_point_gets_its_own_bracket():
                                                      ((3, 16), (3, 16)))
 
 
+def test_a_root_met_while_narrowing_closes_its_bracket():
+    # 32q - 3 changes sign once on (0, 1/4]; plain bisection from there
+    # lands on the root 3/32 as a midpoint and stops with [3/32, 3/32]
+    assert root_brackets((-3, 32), (1, 2 ** 20)) == (((3, 32), (3, 32)),)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_bad_value_anywhere_among_the_candidates_fails_closed(value):
     # max() skips a NaN unless it comes first; the sup must not
@@ -585,7 +645,7 @@ def test_grid_indexing_matches_its_list(n):
     fam = build_bumps([3], max_derivative_order=0, samples_per_interval=n)
     for grid in (fam.s_grid(), fam.level_arguments(3)):
         full = list(grid)
-        assert len(full) == len(grid) == grid.size == n
+        assert len(full) == len(grid) == n
         for i in (0, 1, 4094, n - 1, -1, -2, -4095, -n):
             assert grid[i].hex() == full[i].hex(), i
         for i in (n, -n - 1):
