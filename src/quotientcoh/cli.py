@@ -38,6 +38,7 @@ from .record import fields, replace
 
 if TYPE_CHECKING:
     from .exterior import MultiIndex
+    from .lie import BettiReport
     from .scalars import SparseRow
     from .torus import TorusSpec
 
@@ -79,8 +80,6 @@ def __getattr__(name: str):
 
 
 def _term_join(terms: list[str]) -> str:
-    if not terms:
-        return "0"
     out = terms[0]
     for t in terms[1:]:
         if t.startswith("-"):
@@ -123,6 +122,15 @@ def _named(report, *names: str) -> dict:
     return {name: _json(getattr(report, name)) for name in names}
 
 
+def _cohomology(report: BettiReport, names: list[str]) -> tuple:
+    """(betti, ranks, generators) of report, labelled by coordinate names."""
+    generators = [
+        [_vector_label(v, monomials, names) for v in gens]
+        for gens, monomials in zip(report.generators, report.monomials)
+    ]
+    return _json(report.betti), _json(report.ranks), generators
+
+
 def _payload(mode: str, certificates: dict, betti=None, ranks=None,
              generators=None, audited_modes=None) -> dict:
     return {
@@ -158,20 +166,16 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
             code = 3
     if not is_complex:
         return _payload("lie", certificates), code  # no cohomology to report
-    report = betti(complex_, checked=True)
-    generators = [
-        [_vector_label(v, monomials, names) for v in gens]
-        for gens, monomials in zip(report.generators, report.monomials)
-    ]
-    return _payload("lie", certificates, _json(report.betti),
-                    _json(report.ranks), generators), code
+    return _payload("lie", certificates,
+                    *_cohomology(betti(complex_), names)), code
 
 
 def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     report = torus_betti(spec)  # raises InvalidSpec when refused
     certificates = _named(report, "normalization", "all_modes_acyclic")
-    certificates["transverse_coordinates"] = [
+    transverse = [
         report.coordinate_names[c] for c in report.frame.skeleton.complement]
+    certificates["transverse_coordinates"] = transverse
     certificates["koszul"] = _json(report.acyclicity_certificates)
     code = 0 if report.all_modes_acyclic else 3
     if check:
@@ -179,9 +183,9 @@ def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
         certificates["cross_check_ce"] = agreed
         if not agreed:
             code = 3
-    return _payload("torus", certificates, _json(report.betti),
-                    _json(report.ranks), _json(report.mode_zero_generators),
-                    report.audited_modes), code
+    return _payload("torus", certificates, *_cohomology(
+        report.zero_mode, ["d" + name for name in transverse]),
+        report.audited_modes), code
 
 
 def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:

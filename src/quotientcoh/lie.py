@@ -325,7 +325,11 @@ class CochainComplex:
 
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None; each product
-        is tested row by row and never built."""
+        is tested row by row and never built, once per complex."""
+        return self._d_squared_verdict
+
+    @cached_property
+    def _d_squared_verdict(self) -> int | None:
         d = self.d
         for k in range(len(d) - 1):
             if d[k + 1].first_nonzero_product_row(d[k]) is not None:
@@ -418,7 +422,7 @@ def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
+def betti(c: CochainComplex) -> BettiReport:
     """Betti numbers and representative cocycles, one elimination per d_k.
 
     The kernel basis of d_k has C(n, k) - rank d_k members, so a single
@@ -444,11 +448,10 @@ def betti(c: CochainComplex, *, checked: bool = False) -> BettiReport:
     looks at nothing.
 
     A non-complex raises ValueError before any kernel is computed, since
-    clearing rests on d.d = 0.  checked=True says the caller has already
-    found d_squared_violation() to be None, and skips the products that
-    test it.
+    clearing rests on d.d = 0; the complex tests its products once, so a
+    caller that has asked d_squared_violation() already pays nothing.
     """
-    violation = None if checked else c.d_squared_violation()
+    violation = c.d_squared_violation()
     if violation is not None:
         raise ValueError(
             "not a cochain complex: d.d != 0 at degree %d" % violation

@@ -21,11 +21,12 @@ overall 2*pi*i factor is normalized to 1; a nonzero scalar never
 changes a rank): the lie.CochainComplex of the transverse translation
 algebra R^q with coefficients of weight w.  For a nonzero
 mode w is itself nonzero, which makes the complex exact in every degree.
-The zero mode has zero differential.  Betti numbers are therefore
-binomial coefficients C(n - p, k); the nonzero-mode audit certifies this
-with exact ranks that a monomial submatrix witnesses and the d.d check
-bounds from above, so a correctly built mode complex is never
-eliminated (koszul_certificate).
+The zero mode has zero differential: a Lie quotient job's route
+(quotient, ce_complex, betti) eliminates its complex, that of R^n /
+skeleton, into the Betti numbers C(n - p, k); the nonzero-mode audit
+shows that no other mode adds to them, with exact ranks that a monomial
+submatrix witnesses and the d.d check bounds from above, so a correctly
+built mode complex is never eliminated (koszul_certificate).
 
 The audit covers every surviving mode of sup norm at most the
 truncation T without scanning the box.  Survival is a linear system
@@ -75,11 +76,10 @@ from typing import Sequence
 
 from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
-from .exterior import MultiIndex, enumerate_basis, wedge_insert
-# quotient, ce_complex and lie_betti are unused here, but perfbench/tracer.py
-# wraps torus.quotient, torus.ce_complex and torus.lie_betti by name
-from .lie import (CochainComplex, Subspace, abelian, betti as lie_betti,
-                  betti_numbers, ce_complex, ce_differential, quotient)
+from .exterior import enumerate_basis, wedge_insert
+from .lie import (BettiReport, CochainComplex, Subspace, abelian,
+                  betti as lie_betti, betti_numbers, ce_complex,
+                  ce_differential, quotient)
 from .ratio import Ratio
 from .record import record, replace
 from .scalars import ExactMatrix, ExtScalar, rank, rref
@@ -95,13 +95,6 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     if n <= 3:
         return ("x", "y", "z")[:n]
     return tuple("x%d" % i for i in range(n))
-
-
-def monomial_label(mono: MultiIndex, names: Sequence[str]) -> str:
-    """Pretty form of a wedge monomial: '1', 'dy', 'dy^dz', ..."""
-    if not mono:
-        return "1"
-    return "^".join("d" + names[i] for i in mono)
 
 
 @record
@@ -343,26 +336,28 @@ def _monomial_witness(q: int, i0: int) -> list[tuple]:
 class TorusBettiReport:
     """Betti numbers of the invariant basic complex plus the mode audit.
 
-    spec is the spec the report was computed from.  betti has length
-    n - p + 1 for its n and p, and equals the zero-mode cohomology;
-    acyclicity_certificates hold one
-    KoszulCertificate per class of audited nonzero modes, ordered by
-    their least members, whose modes counts sum to audited_modes;
-    all_modes_acyclic summarizes them.
-    frame is the transverse frame the Betti numbers were read from; its
+    spec is the spec the report was computed from.  zero_mode is the
+    lie.betti report of R^n / frame.skeleton, on the coordinates
+    frame.skeleton.complement, whose betti has length n - p + 1;
+    acyclicity_certificates hold one KoszulCertificate per class of
+    audited nonzero modes, ordered by their least members, whose modes
+    counts sum to audited_modes; all_modes_acyclic summarizes them.
+    frame is the transverse frame the zero mode was computed on; its
     skeleton's ambient dimension is n.
     """
 
     spec: TorusSpec
     frame: TransverseFrame
     coordinate_names: tuple[str, ...]
-    betti: tuple[int, ...]
-    ranks: tuple[int, ...]
-    mode_zero_generators: tuple[tuple[str, ...], ...]
+    zero_mode: BettiReport
     acyclicity_certificates: tuple[KoszulCertificate, ...]
     audited_modes: int
     all_modes_acyclic: bool
     normalization: str = NORMALIZATION_NOTE
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return self.zero_mode.betti
 
 
 def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
@@ -413,8 +408,8 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
 def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     """Betti numbers with an acyclicity audit, one certificate per class.
 
-    The zero mode fixes the Betti numbers, C(n - p, k) on the
-    transverse frame; every other surviving mode with sup norm at most
+    The zero mode fixes the Betti numbers, C(n - p, k), eliminated as
+    a Lie quotient job's; every other surviving mode with sup norm at most
     spec.truncation is certified exact.  The surviving modes are grouped
     by the canonical form of their transverse covector w: sorted |w_i|
     divided by their gcd.  Two modes with the same form have complexes
@@ -439,15 +434,8 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     frame = transverse_frame(spec)
     free = frame.skeleton.complement
     q = len(free)
-    names = coordinate_names(spec.n)
-    betti_out = tuple(comb(q, k) for k in range(q + 1))
-    gens = tuple(
-        tuple(
-            monomial_label(tuple(free[i] for i in mono), names)
-            for mono in enumerate_basis(q, k)
-        )
-        for k in range(q + 1)
-    )
+    zero_mode = lie_betti(ce_complex(quotient(abelian(spec.n),
+                                              frame.skeleton)))
     untouched = [j for j in range(spec.n) if j not in spec.invariance_coords
                  and all(v[j].is_zero() for v in spec.foliation_dirs)]
     constrained = [f for f in free if f not in untouched]
@@ -487,10 +475,8 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     return TorusBettiReport(
         spec=spec,
         frame=frame,
-        coordinate_names=names,
-        betti=betti_out,
-        ranks=(0,) * q,
-        mode_zero_generators=gens,
+        coordinate_names=coordinate_names(spec.n),
+        zero_mode=zero_mode,
         acyclicity_certificates=tuple(certificates),
         audited_modes=sum(cert.modes for cert in certificates),
         all_modes_acyclic=all(cert.ok for cert in certificates),
@@ -498,8 +484,8 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
 
 
 def cross_check_ce(report: TorusBettiReport) -> bool:
-    """Check the frame and the Betti numbers of a torus report against
-    the report's spec, by ranks the audit never computed.
+    """Check the frame and the zero-mode Betti numbers of a torus report
+    against the report's spec, by ranks the audit never computed.
 
     The frame must fit the spec: at the frame's stand-in for alpha, the
     directions restricted to the skeleton's pivot columns have rank p.
@@ -508,8 +494,8 @@ def cross_check_ce(report: TorusBettiReport) -> bool:
     other than the frame's: a p x p minor that is not identically zero
     is a polynomial of degree at most p in alpha, so at most p of those
     p + 1 stand-ins lose rank.  The check holds iff the frame fits, its
-    complement has q = n - (that rank) coordinates and report.betti is
-    (C(q, 0), ..., C(q, q)).
+    complement has q = n - (that rank) coordinates and report.betti,
+    eliminated from the zero-mode complex, is (C(q, 0), ..., C(q, q)).
     """
     spec, frame = report.spec, report.frame
     skeleton = frame.skeleton

@@ -317,9 +317,22 @@ def _counting_d_squared(monkeypatch) -> list:
 
 
 def test_lie_job_runs_the_d_squared_check_once(monkeypatch):
-    calls = _counting_d_squared(monkeypatch)
+    # cli reads the d.d verdict and betti asks for it again, but the
+    # complex tests each product d_{k+1} d_k once; the first pass is
+    # jacobi_check's d_2 against the bracket matrix
+    passes = []
+    product = ExactMatrix.first_nonzero_product_row
+
+    def counted(self, other):
+        passes.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "first_nonzero_product_row", counted)
     payload, code = run_job(parse_config(HEISENBERG_CFG), check=True)
-    assert code == 0 and len(calls) == 1
+    g = heisenberg()
+    d = ce_complex(g).d
+    assert code == 0
+    assert passes == [(d[2], g.table), (d[1], d[0]), (d[2], d[1])]
     assert payload["certificates"]["d_squared_zero"] is True
     assert payload["betti"] == [1, 2, 2, 1]
 
@@ -434,6 +447,41 @@ def test_a_failed_mode_certificate_shows_in_the_table(
     out = capsys.readouterr().out
     assert "\naudited nonzero modes: 6 (ACYCLICITY FAILED)\n" in out
     assert out.endswith("exit: 3\n")
+
+
+def test_a_wrong_zero_mode_complex_fails_the_cross_check(
+        tmp_path, capsys, monkeypatch):
+    # the zero mode goes through torus.ce_complex: the acyclic complex of
+    # weight (1, 0) in its place reports Betti numbers 0, every nonzero
+    # mode still certifies, and only --check sees the mismatch
+    monkeypatch.setattr(torus, "ce_complex", lambda g: (
+        torus.build_mode_complex((1,) + (0,) * (g.dim - 1))))
+    cfg = _write(tmp_path, "job.cfg", "[torus]\nn = 3\nfoliation = 1,0,0\n")
+    assert main(["--input", cfg, "--format", "table"]) == 0
+    assert "\nbetti: 0 0 0\n" in capsys.readouterr().out
+    assert main(["--input", cfg, "--format", "table", "--check"]) == 3
+    out = capsys.readouterr().out
+    assert "\ncross-check against cochain pipeline: MISMATCH\n" in out
+    assert out.endswith("exit: 3\n")
+
+
+def test_a_torus_job_with_no_transverse_coordinate_labels_the_constant():
+    # directions spanning T^2 leave q = 0: the zero mode is the constants
+    payload, code = run_job(parse_config(
+        "[torus]\nn = 2\nfoliation = 1,0\nfoliation = 0,1\n"), check=True)
+    assert code == 0
+    assert (payload["betti"], payload["ranks"], payload["generators"]) == (
+        [1], [], [["1"]])
+    assert payload["certificates"]["cross_check_ce"] is True
+
+
+def test_a_zero_direction_is_refused_when_the_job_is_read(tmp_path, capsys):
+    cfg = _write(tmp_path, "job.cfg", "[torus]\nn = 2\nfoliation = 0,0\n")
+    assert main(["--input", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "engine: refused: InvalidSpec: a foliation direction vector is zero\n")
 
 
 def test_report_records_convert_field_by_field():

@@ -265,14 +265,14 @@ def test_tracer_spans_the_mode_scan_elimination(tmp_path):
 
 
 def test_every_imported_name_is_used():
-    # a leftover import after a refactor fails here; the only exemptions
-    # are the (module, name) sites the bench tracer wraps, which a module
-    # may import for the tracer alone (lie.rank, lie.remove_pair,
-    # lie.wedge_insert, torus.wedge_insert, torus.quotient,
-    # torus.ce_complex and torus.lie_betti)
+    # a leftover import after a refactor fails here.  A module may import
+    # a name for the bench tracer alone, which wraps it by (module, name);
+    # those sites are pinned, so a new tracer-only import fails too, and
+    # so does a pinned one that the engine starts to call
     tracer = _tracer_module()
     exempt = {site for table in (tracer.SPANNED, tracer.COUNTED)
               for sites in table.values() for site in sites}
+    tracer_only = set()
     package = Path(quotientcoh.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -294,9 +294,11 @@ def test_every_imported_name_is_used():
                 # a literal __all__ re-exports what the module imports;
                 # the package's own __all__ is derived and imports nothing
                 used |= set(ast.literal_eval(node.value))
-        unused = {name for name in imported - used
-                  if (path.stem, name) not in exempt}
-        assert not unused, (path.name, sorted(unused))
+        unused = {(path.stem, name) for name in imported - used}
+        tracer_only |= unused & exempt
+        assert not unused - exempt, (path.name, sorted(unused - exempt))
+    assert tracer_only == {("lie", "rank"), ("lie", "remove_pair"),
+                           ("lie", "wedge_insert"), ("torus", "wedge_insert")}
 
 
 # public names no engine module calls, each kept for a reader outside
@@ -411,7 +413,7 @@ for dk in c.d:
 assert len(transverse_frame(spec).skeleton.complement) == 2
 assert surviving_modes(spec, 2)
 # the generators, divided by their leads
-assert lie.betti(c, checked=True).generators
+assert lie.betti(c).generators
 print(json.dumps(sorted(n for n in %r if n in sys.modules)))
 """ % (RATIONALS,)
 

@@ -444,11 +444,48 @@ def test_torus_betti_example():
     report = torus_betti(example_spec())
     assert report.betti == (1, 2, 1)
     assert report.frame.skeleton.complement == (1, 2)
-    assert report.mode_zero_generators == (("1",), ("dy", "dz"), ("dy^dz",))
+    # every monomial of the transverse frame (y, z) is a generator
+    assert report.zero_mode.generators == (
+        (((0, (1, 1)),),), (((0, (1, 1)),), ((1, (1, 1)),)), (((0, (1, 1)),),))
+    assert report.zero_mode.monomials == (((),), ((0,), (1,)), ((0, 1),))
     assert report.audited_modes == 6
     assert report.all_modes_acyclic
     assert all(cert.ok for cert in report.acyclicity_certificates)
-    assert report.ranks == (0, 0)
+    assert report.zero_mode.ranks == (0, 0)
+
+
+def test_zero_mode_generators_are_the_transverse_monomials():
+    # the zero mode's complex has d = 0, so its generators are every
+    # monomial of Lambda(R^q), each a unit vector, in lexicographic
+    # order; q = 0 (the directions span T^2) leaves the constant 1
+    specs = [
+        TorusSpec(n=2, foliation_dirs=(_ints(1, 0), _ints(0, 1))),
+        kronecker_spec(),
+        example_spec(),
+        TorusSpec(n=3, truncation=1),
+    ]
+    for q, spec in enumerate(specs):
+        zero_mode = torus_betti(spec).zero_mode
+        assert zero_mode.dim == q
+        assert zero_mode.betti == tuple(comb(q, k) for k in range(q + 1))
+        assert zero_mode.monomials == tuple(
+            tuple(combinations(range(q), k)) for k in range(q + 1))
+        assert zero_mode.generators == tuple(
+            tuple(((j, (1, 1)),) for j in range(comb(q, k)))
+            for k in range(q + 1))
+
+
+def test_torus_betti_reads_the_zero_mode_off_the_lie_pipeline(monkeypatch):
+    # the zero mode is eliminated, not stated: a ce_complex that returns
+    # the acyclic complex of weight (1, 0, ...) gives Betti numbers 0,
+    # and cross_check_ce, which counts q again from the spec, refuses them
+    monkeypatch.setattr(torus, "ce_complex", lambda g: build_mode_complex(
+        (1,) + (0,) * (g.dim - 1)))
+    report = torus_betti(example_spec())
+    assert report.betti == (0, 0, 0)
+    assert report.zero_mode.ranks == (1, 1)
+    assert report.all_modes_acyclic
+    assert not cross_check_ce(report)
 
 
 def test_torus_betti_kronecker():
@@ -747,7 +784,8 @@ def test_cross_check_ce_fails_on_a_changed_betti_number():
         for k in range(len(report.betti)):
             betti = list(report.betti)
             betti[k] += 1
-            assert not cross_check_ce(replace(report, betti=tuple(betti)))
+            zero_mode = replace(report.zero_mode, betti=tuple(betti))
+            assert not cross_check_ce(replace(report, zero_mode=zero_mode))
 
 
 def test_cross_check_ce_fails_on_a_skeleton_of_the_wrong_dimension():
