@@ -28,7 +28,8 @@ _EXPORTS = {
     "config": ("parse_ext_scalar",),
     "errors": (
         "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
-        "NotALieAlgebra", "NotAnIdeal", "ParseError", "ValidationError",
+        "NotALieAlgebra", "NotAdapted", "NotAnIdeal", "ParseError",
+        "ValidationError",
     ),
     "exterior": ("enumerate_basis",),
     "lie": (

@@ -4,7 +4,8 @@
            [--truncation N] [--check]
 
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
-degenerate foliation, broken Jacobi table), 3 when a certificate fails
+degenerate foliation, broken Jacobi table, a basis not adapted to the
+job's [lie] space), 3 when a certificate fails
 (d.d != 0, a non-acyclic audited mode, or a --check cross-check), 1 for
 bad job files and internal errors.  A malformed command line prints the
 usage and an ``engine: error:`` line to stderr and exits 2; -h or --help
@@ -32,7 +33,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import FORMATS, JobConfig, LieJob, WitnessJob, parse_config
-from .errors import EngineError, MathematicalRefusal, NotALieAlgebra, ParseError, ValidationError
+from .errors import (EngineError, MathematicalRefusal, NotALieAlgebra,
+                     NotAdapted, ParseError, ValidationError)
 from .ratio import ratio_str
 from .record import fields, replace
 
@@ -155,6 +157,13 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
         algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
         names = ["e%d" % c for c in sub.complement]
+    if job.space is not None:
+        from .space import unadapted_bracket
+
+        triple = unadapted_bracket(algebra, job.space)
+        if triple is not None:
+            raise NotAdapted(job.space, tuple(names[x] for x in triple))
+        certificates["space"] = job.space
     complex_ = ce_complex(algebra)
     is_complex = complex_.d_squared_violation() is None
     certificates["d_squared_zero"] = is_complex

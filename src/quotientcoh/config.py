@@ -14,7 +14,9 @@ The format is a plain sectioned key = value file:
 Sections [lie], [torus] and [witness] select the pipeline; exactly one
 of them must be present.  Keys that repeat to build up a list are
 ``bracket`` and ``ideal`` in [lie] and ``foliation`` in [torus];
-every other key may appear once.
+every other key may appear once.  Each value shape has one reader
+(_int_key, _vectors for ``ideal`` and ``foliation``, _choice for
+``format`` and ``space``), and each limit is checked where its key is read.
 
 This module owns the whole grammar of exact tokens.  All numeric fields
 of the exact pipelines take integers or ratios a/b only, read into exact
@@ -57,7 +59,7 @@ _EXT_RE = re.compile(
 _DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 _SECTIONS = {
-    "lie": {"dim", "bracket", "ideal"},
+    "lie": {"dim", "bracket", "ideal", "space"},
     "torus": {"n", "foliation", "invariance", "truncation"},
     "witness": {
         "k_min", "k_max", "max_derivative_order", "samples_per_interval"
@@ -67,6 +69,8 @@ _SECTIONS = {
 _REPEATABLE = {("lie", "bracket"), ("lie", "ideal"), ("torus", "foliation")}
 # the report formats of [output] format and of the --format option
 FORMATS = ("table", "json", "csv")
+# the lattice quotients [lie] space may name (see quotientcoh.space)
+SPACES = ("nilmanifold", "solvmanifold")
 # Highest bump derivative order the float evaluation in witness.py may
 # carry.  Against exact evaluation of P_m on grids of 3 to 10,001 points,
 # the Horner evaluation in q puts C_m within 1e-10 relative through order
@@ -76,22 +80,16 @@ FORMATS = ("table", "json", "csv")
 # overflows, and from order 152 the integer coefficients no longer fit in
 # a float.
 MAX_DERIVATIVE_ORDER = 16
-# Most witness grid points a job may ask for, samples_per_interval times
-# the number of levels.  The cap validates job input; it no longer bounds
-# the engine's work.  phi is evaluated only at the peak candidates of each
-# grid, whose number does not grow with the grid, and the critical brackets
-# are bisected down to one grid spacing, in steps that grow with its
-# logarithm: verify_bounds on four levels at order 8 takes about 6 ms with
-# 2e3 or with 2e9 samples per level on a 2-core VM, and memory stays flat.
-MAX_GRID_POINTS = 2_000_000
 
 
 @record
 class LieJob:
-    """A lie-algebra cohomology job: an algebra and an optional quotient."""
+    """A lie-algebra cohomology job: an algebra, an optional quotient
+    and the lattice quotient space, if any, it claims the cohomology of."""
 
     algebra: LieAlgebra
     ideal_vectors: tuple[tuple[Ratio, ...], ...] | None
+    space: str | None = None
 
 
 @record
@@ -229,6 +227,32 @@ def _int_key(section: dict, name: str, key: str,
     return default
 
 
+def _vectors(section: dict, key: str, noun: str, size_name: str, size: int,
+             parse) -> tuple[tuple, ...]:
+    """The comma-separated vectors of the repeatable key, each of size
+    entries read by parse(token), whose ValueError is key's."""
+    vectors = []
+    for value, _line in section.get(key, ()):
+        tokens = [t.strip() for t in value.split(",")]
+        if len(tokens) != size:
+            raise ValidationError(
+                key, "%s vector has %d entries, expected %s = %d"
+                % (noun, len(tokens), size_name, size))
+        try:
+            vectors.append(tuple(parse(t) for t in tokens))
+        except ValueError as exc:
+            raise ValidationError(key, str(exc)) from exc
+    return tuple(vectors)
+
+
+def _choice(key: str, value: str, choices: tuple[str, ...]) -> str:
+    """value, refused unless it is one of choices."""
+    if value not in choices:
+        raise ValidationError(key, "unknown %s %r; expected one of %s"
+                              % (key, value, ", ".join(choices)))
+    return value
+
+
 def _build_lie(section: dict) -> LieJob:
     dim = _int_key(section, "lie", "dim")
     if dim < 0:
@@ -247,40 +271,23 @@ def _build_lie(section: dict) -> LieJob:
             raise ValidationError(
                 "bracket", "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
             )
-    ideal: list[tuple[Ratio, ...]] = []
-    for value, _line in section.get("ideal", ()):
-        tokens = [t.strip() for t in value.split(",")]
-        if len(tokens) != dim:
-            raise ValidationError(
-                "ideal",
-                "ideal vector has %d entries, expected dim = %d"
-                % (len(tokens), dim),
-            )
-        ideal.append(tuple(_exact_ratio("ideal", t) for t in tokens))
+    ideal = _vectors(section, "ideal", "ideal", "dim", dim,
+                     lambda token: _exact_ratio("ideal", token))
+    space = (_choice("space", section["space"], SPACES)
+             if "space" in section else None)
     from .lie import LieAlgebra
 
     try:
         algebra = LieAlgebra.from_brackets(dim, brackets)
     except ValueError as exc:
         raise ValidationError("bracket", str(exc)) from exc
-    return LieJob(algebra, tuple(ideal) if ideal else None)
+    return LieJob(algebra, ideal or None, space)
 
 
 def _build_torus(section: dict) -> TorusSpec:
     n = _int_key(section, "torus", "n")
-    dirs: list[tuple[ExtScalar, ...]] = []
-    for value, _line in section.get("foliation", ()):
-        tokens = [t.strip() for t in value.split(",")]
-        if len(tokens) != n:
-            raise ValidationError(
-                "foliation",
-                "direction vector has %d entries, expected n = %d"
-                % (len(tokens), n),
-            )
-        try:
-            dirs.append(tuple(parse_ext_scalar(t) for t in tokens))
-        except ValueError as exc:
-            raise ValidationError("foliation", str(exc)) from exc
+    dirs = _vectors(section, "foliation", "direction", "n", n,
+                    parse_ext_scalar)
     invariance: set[int] = set()
     if "invariance" in section:
         for token in section["invariance"].split(","):
@@ -289,7 +296,7 @@ def _build_torus(section: dict) -> TorusSpec:
     from .torus import TorusSpec
 
     try:
-        return TorusSpec(n, tuple(dirs), frozenset(invariance), truncation)
+        return TorusSpec(n, dirs, frozenset(invariance), truncation)
     except ValueError as exc:
         raise ValidationError("torus", str(exc)) from exc
 
@@ -318,25 +325,16 @@ def _build_witness(section: dict) -> WitnessJob:
     samples = _int_key(section, "witness", "samples_per_interval", 10001)
     if samples < 3:
         raise ValidationError("samples_per_interval", "need at least 3 samples")
-    points = samples * (k_max - k_min + 1)
-    if points > MAX_GRID_POINTS:
-        raise ValidationError(
-            "samples_per_interval",
-            "%d samples on each of %d levels make %d grid points, over the "
-            "cap of %d" % (samples, k_max - k_min + 1, points,
-                           MAX_GRID_POINTS),
-        )
+    # No job can run 2^51 samples: level k keeps its points off the ends of
+    # I_k only while samples + 1 < about 2^(53 - k) (level_arguments; at
+    # k = 2 up to 2,001,599,834,386,887), and every job has a level k >= 2.
+    # Below it level_arguments decides each level; far above it len() of a
+    # 2^63-point grid overflows.  Work and memory do not grow with the grid.
+    if samples >= 2 ** 51:
+        raise ValidationError("samples_per_interval", "must be below 2^51: "
+                              "from there on level 2, which every job has, "
+                              "rounds its sample points onto the ends of I_2")
     return WitnessJob(k_min, k_max, order, samples)
-
-
-def _build_output(section: dict) -> OutputConfig:
-    output = OutputConfig(**section)
-    if output.format not in FORMATS:
-        raise ValidationError(
-            "format", "unknown format %r; expected one of %s"
-            % (output.format, ", ".join(FORMATS))
-        )
-    return output
 
 
 _JOB_PARSERS = {"lie": _build_lie, "torus": _build_torus,
@@ -354,5 +352,6 @@ def parse_config(text: str) -> JobConfig:
             % len(modes),
         )
     mode = modes[0]
-    output = _build_output(sections.get("output", {}))
+    output = OutputConfig(**sections.get("output", {}))
+    _choice("format", output.format, FORMATS)
     return JobConfig(mode, _JOB_PARSERS[mode](sections[mode]), output)

@@ -40,6 +40,19 @@ class NotALieAlgebra(MathematicalRefusal):
         )
 
 
+class NotAdapted(MathematicalRefusal):
+    """A Lie job's basis is not adapted to the lattice quotient it names:
+    a bracket leaves the flag of ideals that the claim rests on."""
+
+    def __init__(self, space: str, bracket: tuple[str, str, str]):
+        self.space = space
+        self.bracket = bracket
+        super().__init__(
+            "this basis is not adapted to a %s: [%s, %s] has a nonzero %s "
+            "component" % (space, *bracket)
+        )
+
+
 class InvalidSpec(MathematicalRefusal):
     """A foliation description is degenerate (dependent direction vectors)."""
 

@@ -52,8 +52,8 @@ the span of given kernel elements from those entries alone.
 A single symbolic irrational ``alpha`` is supported through `ExtScalar`,
 a pair p + q*alpha with p, q rational.  ``alpha`` carries no polynomial
 relation, so p + q*alpha = 0 forces p = q = 0.  ExtScalar is plain data
-with an exact zero test and no arithmetic: the torus pipeline splits
-every direction into its rational and alpha parts and works on those.
+with no arithmetic: a torus spec clears each direction once into integer
+rational and alpha parts (TorusSpec.parts), and the pipeline reads those.
 This module parses no text: the job-file grammar, the p + q*alpha
 tokens included, lives in config.
 """
@@ -77,8 +77,8 @@ class ExtScalar:
 
     p and q are stored as Ratios (rat, irr); either may be given as an
     int, a Fraction or a Ratio.  alpha is treated as a pure symbol, so
-    the zero test is exact: the scalar vanishes iff both components
-    vanish.
+    the scalar vanishes iff both components vanish: iff it equals
+    ExtScalar().
     """
 
     rat: Ratio = (0, 1)
@@ -87,9 +87,6 @@ class ExtScalar:
     def __post_init__(self):
         object.__setattr__(self, "rat", as_ratio(self.rat))
         object.__setattr__(self, "irr", as_ratio(self.irr))
-
-    def is_zero(self) -> bool:
-        return not (self.rat[0] or self.irr[0])
 
 
 SparseRow = tuple[tuple[int, Ratio], ...]

@@ -70,6 +70,7 @@ gives the transverse dimension the Betti numbers must be binomials of.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm
 from typing import Sequence
@@ -102,9 +103,9 @@ class TorusSpec:
     """A linear foliation of T^n with translation-invariance coordinates.
 
     foliation_dirs are the spanning direction vectors (entries
-    ExtScalar); invariance_coords are the coordinates along which dense
-    translation invariance is imposed; truncation bounds the sup norm of
-    the nonzero modes audited by torus_betti.
+    ExtScalar), and parts their one integer form; invariance_coords are
+    the coordinates of dense translation invariance; truncation bounds
+    the sup norm of the nonzero modes audited by torus_betti.
     """
 
     n: int
@@ -127,8 +128,8 @@ class TorusSpec:
                 )
             if not all(isinstance(x, ExtScalar) for x in v):
                 raise ValueError("direction entries must be ExtScalar")
-            if all(x.is_zero() for x in v):
-                raise InvalidSpec("a foliation direction vector is zero")
+        if not all(any(a) or any(b) for a, b in zip(*self.parts)):
+            raise InvalidSpec("a foliation direction vector is zero")
         object.__setattr__(
             self, "invariance_coords", frozenset(self.invariance_coords)
         )
@@ -144,6 +145,20 @@ class TorusSpec:
     @property
     def p(self) -> int:
         return len(self.foliation_dirs)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(A, B): the rational and alpha parts of each direction, both
+        times the lcm of that direction's denominators.  A direction
+        scaled by a nonzero constant spans the same line and has the
+        same annihilator, so every span, rank and survival test reads
+        these integer rows."""
+        a, b = [], []
+        for v in self.foliation_dirs:
+            den = lcm(*(x.rat[1] for x in v), *(x.irr[1] for x in v))
+            a.append(tuple(n * (den // d) for n, d in (x.rat for x in v)))
+            b.append(tuple(n * (den // d) for n, d in (x.irr for x in v)))
+        return tuple(a), tuple(b)
 
 
 @record
@@ -162,26 +177,12 @@ class TransverseFrame:
     substitution: Ratio
 
 
-def _direction_parts(spec: TorusSpec) -> tuple[list[list[int]], list[list[int]]]:
-    """(A, B): the rational and alpha parts of each direction, both
-    times the lcm of that direction's denominators.  A direction scaled
-    by a nonzero constant spans the same line and has the same
-    annihilator, so every span, rank and survival test reads these
-    integer rows."""
-    a, b = [], []
-    for v in spec.foliation_dirs:
-        den = lcm(*(x.rat[1] for x in v), *(x.irr[1] for x in v))
-        a.append([n * (den // d) for n, d in (x.rat for x in v)])
-        b.append([n * (den // d) for n, d in (x.irr for x in v)])
-    return a, b
-
-
 def _directions_at(spec: TorusSpec, stand_in: Ratio,
                    columns: Sequence[int] | None = None) -> ExactMatrix:
-    """The direction matrix A + r*B for alpha = r = stand_in, as
+    """The direction matrix A + r*B of spec.parts for alpha = r = stand_in,
     integer rows (times r's denominator), on the given columns or all."""
     num, den = stand_in
-    a, b = _direction_parts(spec)
+    a, b = spec.parts
     columns = range(spec.n) if columns is None else columns
     return ExactMatrix.from_int_rows(spec.n, 1, [
         {j: den * ra[j] + num * rb[j] for j in columns}
@@ -364,9 +365,9 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     """All modes with sup norm <= bound that survive, lexicographically.
 
     Invariance coordinates are pinned to zero up front.  On the other
-    (open) coordinates the survival set is the integer kernel of the
-    rational and alpha parts of the directions (m . (a + alpha*b) = 0
-    splits into m . a = 0 and m . b = 0), which is also the kernel of
+    (open) coordinates the survival set is the integer kernel of
+    spec.parts, the rational and alpha parts of the directions
+    (m . (a + alpha*b) = 0 splits into m . a = 0 and m . b = 0), and of
     their reduced row echelon form R, the basis of their `Subspace`
     span.  Each row of R, a primitive integer row, writes lead * pivot
     coordinate as minus an integer combination of non-pivot ones.
@@ -376,11 +377,11 @@ def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
     point in the box, the non-pivot ones included, lies in
     {-bound..bound}, so the point is reached from its own non-pivot
     coordinates, and the pivot values derived from them are its own.
-    It is also sound, since every point kept satisfies R.  The work is (2*bound + 1)^(open - r) for r the
-    rank of the constraint rows, not (2*bound + 1)^open.
+    It is also sound, since every point kept satisfies R.  The work is
+    (2*bound + 1)^(open - r), r the rank of R, not (2*bound + 1)^open.
     """
     open_cols = [j for j in range(spec.n) if j not in spec.invariance_coords]
-    a, b = _direction_parts(spec)
+    a, b = spec.parts
     constraints = Subspace.span(
         len(open_cols), [[row[j] for j in open_cols] for row in a + b])
     enumerated = {open_cols[c] for c in constraints.complement}
@@ -437,7 +438,7 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     zero_mode = lie_betti(ce_complex(quotient(abelian(spec.n),
                                               frame.skeleton)))
     untouched = [j for j in range(spec.n) if j not in spec.invariance_coords
-                 and all(v[j].is_zero() for v in spec.foliation_dirs)]
+                 and not any(row[j] for rows in spec.parts for row in rows)]
     constrained = [f for f in free if f not in untouched]
     multisets = []  # (M descending, the number of modes it stands for)
     for ms in combinations_with_replacement(range(bound, -1, -1),
@@ -450,7 +451,7 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
     # sorted |w| / gcd -> [least member, number of modes]
     classes: dict[tuple[int, ...], list] = {}
     pinned = replace(spec, invariance_coords=spec.invariance_coords.union(
-        untouched))
+        untouched)) if untouched else spec
     for s in surviving_modes(pinned, bound):
         base = [abs(s[f]) for f in constrained]
         for ms, count in multisets:

@@ -94,7 +94,7 @@ def _random_torus_specs(count: int) -> list[TorusSpec]:
                 vec[rng.randrange(n)] = ExtScalar(
                     Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 2))
                 )
-            if all(x.is_zero() for x in vec):
+            if all(x == ExtScalar() for x in vec):
                 continue
             dirs.append(tuple(vec))
         if len(dirs) < p:

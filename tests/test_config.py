@@ -6,8 +6,8 @@ import pytest
 
 from quotientcoh import (
     ExtScalar, LieAlgebra, ParseError, TorusSpec, ValidationError)
-from quotientcoh.config import (
-    MAX_GRID_POINTS, JobConfig, LieJob, WitnessJob, parse_config)
+from quotientcoh.cli import main
+from quotientcoh.config import JobConfig, LieJob, WitnessJob, parse_config
 
 EXAMPLE_TORUS = """
 # axis foliation with a dense invariance direction
@@ -184,7 +184,33 @@ def test_range_validation():
      "max_derivative_order", "must be nonnegative"),
     ("[witness]\nk_min = 2\nk_max = 3\nsamples_per_interval = 2\n",
      "samples_per_interval", "need at least 3 samples"),
-], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples"])
+    # one vector reader serves ideal and foliation, and one choice check
+    # format and space (tests/test_space.py), each with its key's messages
+    ("[lie]\ndim = 3\nideal = 1,0\n", "ideal",
+     "ideal vector has 2 entries, expected dim = 3"),
+    ("[lie]\ndim = 2\nideal = 1,x\n", "ideal",
+     "cannot parse 'x' as a fraction"),
+    ("[lie]\ndim = 2\nideal = 1,0.5\n", "ideal",
+     "decimal literal '0.5' not allowed in an exact field; use an integer "
+     "or a fraction like 1/2"),
+    ("[lie]\ndim = 2\nideal = 1,1/0\n", "ideal",
+     "zero denominator in '1/0'"),
+    ("[torus]\nn = 3\nfoliation = 1,0\n", "foliation",
+     "direction vector has 2 entries, expected n = 3"),
+    ("[torus]\nn = 2\nfoliation = 1,x\n", "foliation",
+     "cannot parse 'x' as an exact scalar (expected p or p+q*alpha with "
+     "p, q rational)"),
+    ("[torus]\nn = 2\nfoliation = 1,0.5\n", "foliation",
+     "decimal literal '0.5' not allowed in an exact field; use an integer "
+     "or a fraction like 3/10"),
+    ("[torus]\nn = 2\nfoliation = 1,1/0\n", "foliation",
+     "zero denominator in '1/0'"),
+    ("[output]\nformat = yaml\n[torus]\nn = 2\n", "format",
+     "unknown format 'yaml'; expected one of table, json, csv"),
+], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples",
+        "ideal-length", "ideal-token", "ideal-decimal", "ideal-zero-den",
+        "foliation-length", "foliation-token", "foliation-decimal",
+        "foliation-zero-den", "format"])
 def test_each_refusal_names_its_key_and_reason(job, key, reason):
     with pytest.raises((ParseError, ValidationError)) as info:
         parse_config(job)
@@ -199,15 +225,42 @@ def test_derivative_order_is_capped_at_16():
             parse_config(job % order)
 
 
-def test_witness_grid_is_capped_at_two_million_points():
-    # samples_per_interval times the number of levels; only parsed here,
-    # the job at the cap is never run
-    job = "[witness]\nk_min = 2\nk_max = 3\nsamples_per_interval = %d\n"
-    assert MAX_GRID_POINTS == 2_000_000
-    at_cap = parse_config(job % 1_000_000).job
-    assert at_cap.samples_per_interval * 2 == MAX_GRID_POINTS
-    with pytest.raises(ValidationError, match="make 2000002 grid points"):
-        parse_config(job % 1_000_001)
+WITNESS_JOB = """\
+[witness]
+k_min = %d
+k_max = %d
+max_derivative_order = %d
+samples_per_interval = %d
+"""
+
+
+def test_a_grid_of_a_hundred_million_samples_runs(tmp_path, capsys):
+    # no stage reads every grid point, so nothing caps the grid's size
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(WITNESS_JOB % (2, 5, 8, 100_000_001))
+    assert main(["--input", str(cfg)]) == 0
+    assert "samples 100000001" in capsys.readouterr().out
+
+
+def test_samples_from_two_to_the_51_are_refused_at_config():
+    with pytest.raises(ValidationError) as info:
+        parse_config(WITNESS_JOB % (1, 2, 4, 2 ** 51))
+    assert (info.value.key, info.value.reason) == (
+        "samples_per_interval",
+        "must be below 2^51: from there on level 2, which every job has, "
+        "rounds its sample points onto the ends of I_2")
+    assert parse_config(WITNESS_JOB % (1, 2, 4, 2 ** 51 - 1)).job
+
+
+def test_samples_below_the_bound_meet_level_2_at_run_time(tmp_path, capsys):
+    # level 1 keeps its sample points apart up to about 3.6e15 samples,
+    # level 2 only up to about 2.0e15: level_arguments decides each level
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(WITNESS_JOB % (1, 2, 4, 2 ** 51 - 1))
+    assert main(["--input", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "engine: internal error: level 2 lies below float resolution: its "
+        "sample points round onto the ends of I_2\n")
 
 
 def test_missing_required_keys():

@@ -3,6 +3,7 @@ imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
+only a Lie job that names a space loads the space module,
 no job process loads argparse, gettext or locale, nor fractions,
 decimal, _decimal or numbers, only scalars builds dense rows, no module
 imports another's private names or a name it does not use, every
@@ -533,6 +534,41 @@ def test_each_job_loads_only_its_own_pipeline(tmp_path):
         assert code == 0, name
         assert loads in loaded, (name, loaded)
         assert not set(loaded) & absent, (name, loaded)
+
+
+RUN_JOB_PACKAGE = """
+import json, sys
+from quotientcoh.cli import main
+code = main(["--input", sys.argv[1], "--format", "json",
+             "--output", sys.argv[2]])
+print(json.dumps([code, sorted(n for n in sys.modules
+                               if n.split(".")[0] == "quotientcoh")]))
+"""
+
+# the package modules a Lie job without a space key loads
+LIE_JOB_MODULES = [
+    "quotientcoh", "quotientcoh.cli", "quotientcoh.config",
+    "quotientcoh.errors", "quotientcoh.exterior", "quotientcoh.lie",
+    "quotientcoh.ratio", "quotientcoh.record", "quotientcoh.scalars"]
+
+
+def test_only_a_lie_job_with_a_space_loads_the_space_module(tmp_path):
+    # the space certificate is its own module, so a job that names no
+    # space compiles nothing new
+    loaded = {}
+    for name, text in (
+            ("lie", HEISENBERG_CFG),
+            ("space", HEISENBERG_CFG + "space = nilmanifold\n"),
+            ("quotient", QUOTIENT_CFG), ("torus", TORUS_CFG),
+            ("witness", WITNESS_CFG)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        code, loaded[name] = json.loads(_python(
+            RUN_JOB_PACKAGE, str(cfg), str(tmp_path / (name + ".json"))))
+        assert code == 0, name
+    assert loaded["lie"] == loaded["quotient"] == LIE_JOB_MODULES
+    assert loaded["space"] == sorted(LIE_JOB_MODULES + ["quotientcoh.space"])
+    assert "quotientcoh.space" not in loaded["torus"] + loaded["witness"]
 
 
 def test_csv_job_loads_csv_and_renders(tmp_path):

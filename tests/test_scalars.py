@@ -329,7 +329,7 @@ def test_rref_pivots_are_increasing():
 @settings(max_examples=60)
 def test_ext_scalar_zero_test(p_num, q_num):
     a = ExtScalar(Fraction(p_num, 7), Fraction(q_num, 5))
-    assert a.is_zero() == (p_num == 0 and q_num == 0)
+    assert (a == ExtScalar()) == (p_num == 0 and q_num == 0)
 
 
 def test_ext_scalar_products_are_rejected():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, gcd
 from pathlib import Path
@@ -142,7 +143,7 @@ def _lattice_specs():
                 # alpha part a multiple of the rational part
                 irr = [Fraction(rng.randint(-2, 2), 2) * x for x in rat]
             vec = tuple(E(a, b) for a, b in zip(rat, irr))
-            if not all(x.is_zero() for x in vec):
+            if not all(x == ExtScalar() for x in vec):
                 dirs.append(vec)
         inv = frozenset(j for j in range(n) if rng.random() < 0.25)
         specs.append(TorusSpec(
@@ -643,7 +644,7 @@ def _mixed_spec(rng: random.Random) -> TorusSpec:
                         Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3])),
                         Fraction(rng.randint(-2, 2)) if rng.random() < 0.3
                         else 0)
-            if not all(x.is_zero() for x in vec):
+            if not all(x == ExtScalar() for x in vec):
                 dirs.append(tuple(vec))
         bound = rng.randint(0, 3)
         while (2 * bound + 1) ** n > 7 ** 4:
@@ -676,7 +677,7 @@ def test_mode_classes_match_the_box_oracle():
         assert report.audited_modes == audited, spec
         untouched = [j for j in range(spec.n)
                      if j not in spec.invariance_coords
-                     and all(v[j].is_zero() for v in spec.foliation_dirs)]
+                     and all(v[j] == ExtScalar() for v in spec.foliation_dirs)]
         mixed += 0 < len(untouched) < spec.n - len(spec.invariance_coords)
     assert mixed >= 60
 
@@ -730,6 +731,46 @@ def test_check_torus_job_finds_one_frame_and_one_report(monkeypatch):
     payload, code = run_job(parse_config(ALPHA6.read_text()), check=True)
     assert (code, payload["certificates"]["cross_check_ce"]) == (0, True)
     assert calls == {"transverse_frame": 1, "torus_betti": 1}
+
+
+TWO_ALPHA_DIRECTIONS = """\
+[torus]
+n = 3
+foliation = 1,1+1*alpha,0
+foliation = 0,1,1/2-2*alpha
+truncation = 2
+"""
+
+
+def test_a_check_job_clears_its_directions_once(monkeypatch):
+    # the spec clears each direction into its integer parts once, and
+    # the frame search, the mode scan and the --check cross-check all
+    # read that one object
+    cleared = []
+    clear = TorusSpec.parts.func
+
+    def counted(spec):
+        cleared.append(clear(spec))
+        return cleared[-1]
+
+    parts = cached_property(counted)
+    parts.__set_name__(TorusSpec, "parts")
+    monkeypatch.setattr(TorusSpec, "parts", parts)
+    read = []
+    for name in ("_directions_at", "surviving_modes"):
+        def spied(spec, *args, _fn=getattr(torus, name)):
+            read.append(spec.parts)
+            return _fn(spec, *args)
+        monkeypatch.setattr(torus, name, spied)
+    config = parse_config(TWO_ALPHA_DIRECTIONS)
+    assert config.job.p == 2
+    payload, code = run_job(config, check=True)
+    assert (code, payload["certificates"]["cross_check_ce"]) == (0, True)
+    assert len(cleared) == 1
+    # one frame trial, the fit and p + 1 stand-ins of cross_check_ce,
+    # and the scan
+    assert len(read) == 1 + 1 + 3 + 1
+    assert all(parts is cleared[0] for parts in read)
 
 
 def _directions_at(spec, r):
@@ -853,7 +894,7 @@ def _random_spec(rng: random.Random, n: int, p: int, with_alpha=None) -> TorusSp
                 vec[slot] = ExtScalar(
                     vec[slot].rat, Fraction(rng.randint(-2, 2))
                 )
-            if all(x.is_zero() for x in vec):
+            if all(x == ExtScalar() for x in vec):
                 continue
             dirs.append(tuple(vec))
         if len(dirs) < p:
