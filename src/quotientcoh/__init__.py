@@ -34,12 +34,13 @@ _EXPORTS = {
     "exterior": ("enumerate_basis",),
     "lie": (
         "BettiReport", "CochainComplex", "LieAlgebra", "Subspace", "abelian",
-        "betti", "ce_complex", "heisenberg", "jacobi_check", "phi_sign_check",
-        "quotient", "sl2",
+        "betti", "ce_complex", "heisenberg", "jacobi_check", "quotient",
+        "sl2",
     ),
     "scalars": (
         "ExactMatrix", "ExtScalar", "nullspace_basis", "rank", "rref",
     ),
+    "sign_twist": ("phi_sign_check",),
     "torus": (
         "KoszulCertificate", "TorusBettiReport", "TorusSpec",
         "build_mode_complex", "cross_check_ce", "koszul_certificate",

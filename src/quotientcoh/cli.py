@@ -46,12 +46,13 @@ if TYPE_CHECKING:
 
 PROG = "engine"
 
-# pipeline -> the names this module calls from it.  A job imports only its
-# own pipeline: run_job binds that pipeline's names here, and module
-# attribute access (cli.betti) binds them on demand before that.
+# module -> the names this module calls from it.  A job imports only its
+# own pipeline: run_job binds that pipeline's names here, a --check Lie job
+# binds sign_twist too, and module attribute access (cli.betti) binds them
+# on demand before that.
 _PIPELINE_NAMES = {
-    "lie": ("Subspace", "betti", "ce_complex", "jacobi_check",
-            "phi_sign_check", "quotient"),
+    "lie": ("Subspace", "betti", "ce_complex", "jacobi_check", "quotient"),
+    "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
     "witness": ("build_bumps", "degree_one_obstruction", "interval",
                 "verify_bounds"),
@@ -61,7 +62,8 @@ _PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
 
 
 def _bind(pipeline: str) -> None:
-    """Import a pipeline and bind its names in this module's namespace.
+    """Import a module of _PIPELINE_NAMES and bind its names in this
+    module's namespace.
 
     setdefault keeps a name that is already bound: a wrapper installed on
     ``cli.betti`` and the like before the first job (the bench tracer
@@ -169,6 +171,7 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
     certificates["d_squared_zero"] = is_complex
     code = 0 if is_complex else 3
     if check:
+        _bind("sign_twist")
         twist = phi_sign_check(complex_)
         certificates["sign_twist"] = twist
         if not twist:
@@ -227,9 +230,10 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     return _RUNNERS[config.mode](config.job, check)
 
 
-# json and csv are imported where a report is rendered, after the job's
-# pipeline has compiled: their modules then reuse the memory that compile
-# freed instead of raising the process's peak under it.
+# json, csv and the table renderers are imported where a report is
+# rendered, after the job's pipeline has compiled: their modules then reuse
+# the memory that compile freed instead of raising the process's peak
+# under it.
 def _render_json(payload: dict) -> str:
     import json
 
@@ -242,121 +246,12 @@ def canonical_json(payload: dict) -> str:
         {k: v for k, v in payload.items() if k != "timing_seconds"})
 
 
-def _render_table(payload: dict) -> str:
-    lines = ["mode: %s" % payload["mode"]]
-    if payload["mode"] in ("lie", "torus"):
-        if payload["betti"] is None:
-            lines.append("betti: not computed, d.d != 0")
-        else:
-            lines.append(
-                "betti: %s" % " ".join(str(b) for b in payload["betti"])
-            )
-            lines.append("degree | betti | generators")
-            for k, (b, gens) in enumerate(
-                zip(payload["betti"], payload["generators"])
-            ):
-                lines.append("%6d | %5d | %s" % (k, b, ", ".join(gens)))
-        certs = payload["certificates"]
-        if payload["mode"] == "torus":
-            lines.append(
-                "transverse frame: %s"
-                % ", ".join(certs["transverse_coordinates"])
-            )
-            lines.append(
-                "audited nonzero modes: %d (%s)"
-                % (
-                    payload["audited_modes"],
-                    "all acyclic" if certs["all_modes_acyclic"]
-                    else "ACYCLICITY FAILED",
-                )
-            )
-            if "cross_check_ce" in certs:
-                lines.append(
-                    "cross-check against cochain pipeline: %s"
-                    % ("agree" if certs["cross_check_ce"] else "MISMATCH")
-                )
-            lines.append(certs["normalization"])
-        else:
-            lines.append("certificates: %s" % " ".join(
-                "%s=%s" % (name, str(value).lower())
-                for name, value in certs.items() if value is not None))
-    else:
-        certs = payload["certificates"]
-        lines.append(
-            "levels: %d..%d, derivative orders <= %d, samples %d"
-            % (
-                certs["forced_levels"][0][0],
-                certs["forced_levels"][-1][0],
-                len(certs["profile_constants"]) - 1,
-                certs["samples_per_interval"],
-            )
-        )
-        lines.append("family | level | order | measured | bound")
-        for r in certs["sup_bounds"]:
-            lines.append(
-                "%6s | %5d | %5d | %.9e | %.9e"
-                % (r["family"], r["level"], r["order"], r["measured"],
-                   r["bound"])
-            )
-        lines.append(
-            "monotone violations: %s"
-            % (
-                "; ".join(
-                    "%s m=%d k=%d->%d ratio=%.6f"
-                    % (v["family"], v["order"], v["level_from"],
-                       v["level_to"], v["ratio"])
-                    for v in certs["monotone_violations"]
-                )
-                or "none"
-            )
-        )
-        lines.append(
-            "forced levels: %s"
-            % " ".join("%d->%d" % (k, lvl) for k, lvl in certs["forced_levels"])
-        )
-        lines.append("lift obstruction: %s" % str(certs["lift_obstruction"]).lower())
-        deg1 = certs["degree_one"]
-        lines.append(
-            "degree-1: quotient dim %d, invariant dim %d (%s), %s"
-            % (
-                deg1["quotient_degree1_dim"],
-                deg1["invariant_basic_degree1_dim"],
-                deg1["invariant_witness"],
-                deg1["conclusion"],
-            )
-        )
-    lines.append("exit: %d" % payload["exit"])
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(payload: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if payload["mode"] in ("lie", "torus"):
-        writer.writerow(["degree", "betti", "generators"])
-        for k, (b, gens) in enumerate(
-            zip(payload["betti"] or (), payload["generators"] or ())
-        ):
-            writer.writerow([k, b, "; ".join(gens)])
-    else:
-        writer.writerow(["family", "level", "order", "measured", "bound"])
-        for r in payload["certificates"]["sup_bounds"]:
-            writer.writerow(
-                [r["family"], r["level"], r["order"],
-                 repr(r["measured"]), repr(r["bound"])]
-            )
-    return buf.getvalue()
-
-
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _render_json(payload)
-    if fmt == "csv":
-        return _render_csv(payload)
-    return _render_table(payload)
+    from .tables import render_csv, render_table
+
+    return render_csv(payload) if fmt == "csv" else render_table(payload)
 
 
 USAGE = """\

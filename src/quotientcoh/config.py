@@ -36,7 +36,6 @@ whole job, and configparser fights all three.
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, ValidationError
@@ -47,16 +46,6 @@ if TYPE_CHECKING:
     from .lie import LieAlgebra
     from .scalars import ExtScalar
     from .torus import TorusSpec
-
-_SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
-_INT_RE = re.compile(r"^-?\d+$")
-_EXT_RE = re.compile(
-    r"^(?P<rat>-?\d+(?:/\d+)?)"
-    r"(?:(?P<sign>[+-])(?P<irr>\d+(?:/\d+)?)\*alpha)?$"
-)
-# a digit on either side of a point: 0.5, .5, -.5, 5.
-_DECIMAL_RE = re.compile(r"\.\d|\d\.")
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal", "space"},
@@ -117,14 +106,30 @@ class JobConfig:
     output: OutputConfig = OutputConfig()
 
 
+# The token tests are str predicates, so that no job compiles a regular
+# expression.  A digit is a character str.isdecimal accepts: Unicode
+# category Nd, as the \d of a str pattern, and what int() reads.
+def _is_ratio(token: str) -> bool:
+    # an optional minus and digits, then optionally '/' and digits
+    num, slash, den = token.removeprefix("-").partition("/")
+    return num.isdecimal() and (den.isdecimal() or not slash)
+
+
+def _is_decimal_literal(token: str) -> bool:
+    # a digit on either side of a point: 0.5, .5, -.5, 5.
+    return any(c == "." and (token[i - 1:i].isdecimal()
+                             or token[i + 1:i + 2].isdecimal())
+               for i, c in enumerate(token))
+
+
 def _exact_ratio(key: str, token: str) -> Ratio:
-    if _DECIMAL_RE.search(token):
-        raise ValidationError(
-            key,
-            "decimal literal %r not allowed in an exact field; "
-            "use an integer or a fraction like 1/2" % token,
-        )
-    if not _FRACTION_RE.match(token):
+    if not _is_ratio(token):
+        if _is_decimal_literal(token):
+            raise ValidationError(
+                key,
+                "decimal literal %r not allowed in an exact field; "
+                "use an integer or a fraction like 1/2" % token,
+            )
         raise ValidationError(key, "cannot parse %r as a fraction" % token)
     try:
         return parse_ratio(token)
@@ -133,11 +138,11 @@ def _exact_ratio(key: str, token: str) -> Ratio:
 
 
 def _exact_int(key: str, token: str) -> int:
-    if _DECIMAL_RE.search(token):
-        raise ValidationError(
-            key, "decimal literal %r not allowed; use an integer" % token
-        )
-    if not _INT_RE.match(token):
+    if not token.removeprefix("-").isdecimal():
+        if _is_decimal_literal(token):
+            raise ValidationError(
+                key, "decimal literal %r not allowed; use an integer" % token
+            )
         raise ValidationError(key, "cannot parse %r as an integer" % token)
     return int(token)
 
@@ -148,9 +153,14 @@ def parse_ext_scalar(text: str) -> ExtScalar:
     Decimal literals are rejected on purpose: exact fields must stay exact.
     """
     raw = text.strip()
-    match = _EXT_RE.match(raw)
-    if match is None:
-        if _DECIMAL_RE.search(raw):
+    rat, sign, irr = raw, "+", "0"
+    if raw.endswith("*alpha"):
+        # q has no sign, so its sign is the last in raw; without one after
+        # p's, rat is empty or ends in "alph" and is refused
+        at = max(raw.rfind("+"), raw.rfind("-"))
+        rat, sign, irr = raw[:at], raw[at], raw[at + 1:-len("*alpha")]
+    if not (_is_ratio(rat) and _is_ratio(irr)):
+        if _is_decimal_literal(raw):
             raise ValueError(
                 "decimal literal %r not allowed in an exact field; "
                 "use an integer or a fraction like 3/10" % raw
@@ -160,11 +170,10 @@ def parse_ext_scalar(text: str) -> ExtScalar:
             "(expected p or p+q*alpha with p, q rational)" % raw
         )
     try:
-        rat = parse_ratio(match.group("rat"))
-        irr = parse_ratio(match.group("irr") or "0")
+        rat, irr = parse_ratio(rat), parse_ratio(irr)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % raw) from None
-    if match.group("sign") == "-":
+    if sign == "-":
         irr = (-irr[0], irr[1])
     from .scalars import ExtScalar
 
@@ -181,9 +190,10 @@ def _collect_lines(text: str) -> dict[str, dict]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            name = m.group(1)
+        # a section header is [name], name of ASCII lowercase letters
+        name = line[1:-1]
+        if (line[0] == "[" and line[-1] == "]" and name.isascii()
+                and name.isalpha() and name.islower()):
             if name not in _SECTIONS:
                 raise ParseError(line_no, None, "unknown section [%s]" % name)
             if name in sections:

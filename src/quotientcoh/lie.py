@@ -15,7 +15,9 @@ tests as d_2 @ table = 0.  ce_differential also takes coefficients of
 weight w, and a CochainComplex records the weight it was built with;
 on abelian R^q that is the complex of a class of torus Fourier modes.
 A LieAlgebra derives its bracket incidence, the nonzero integer bracket
-rows by index pair, once, and each of its differentials reads it.
+rows by index pair, once, and each of its differentials reads it; it
+builds each trivial-weight differential once too, so the d_2 that
+jacobi_check tests is the one ce_complex returns.
 The d.d and Jacobi checks are zero tests that multiply row by row and
 stop at the first nonzero row, building no product matrix.
 Each differential is eliminated once, from the top degree down and on
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
@@ -123,7 +124,7 @@ class LieAlgebra:
         return cls(dim, ExactMatrix.from_sparse(dim, rows))
 
     @cached_property
-    def _partners(self) -> dict[int, dict[int, IntRow]]:
+    def partners(self) -> dict[int, dict[int, IntRow]]:
         """{i: {j: [e_i, e_j]}} for the pairs i < j with a nonzero
         bracket, each bracket as (k, int) pairs over table.den."""
         partners: dict[int, dict[int, IntRow]] = {}
@@ -133,9 +134,22 @@ class LieAlgebra:
                 partners.setdefault(i, {})[j] = row
         return partners
 
+    @cached_property
+    def _differentials(self) -> dict[int, ExactMatrix]:
+        """{k: ce_differential(self, k)} for the degrees built so far."""
+        return {}
 
-def _cleared_weight(g: LieAlgebra, weight: Sequence[RationalLike]
-                    ) -> tuple[int, int, list[int]]:
+    def _differential(self, k: int) -> ExactMatrix:
+        """The trivial-weight d_k, built once per algebra: jacobi_check's
+        d_2 is the one ce_complex returns."""
+        built = self._differentials
+        if k not in built:
+            built[k] = ce_differential(self, k)
+        return built[k]
+
+
+def cleared_weight(g: LieAlgebra, weight: Sequence[RationalLike]
+                   ) -> tuple[int, int, list[int]]:
     """(D, D / table.den, D w) for D the least common denominator of the
     bracket matrix and the weight w."""
     weight = [as_ratio(x) for x in weight]
@@ -171,7 +185,7 @@ def jacobi_check(g: LieAlgebra) -> tuple[int, int, int] | None:
     tested row by row and never built.  Returns that triple (i, j, k),
     or None when the identity holds.
     """
-    row = ce_differential(g, 2).first_nonzero_product_row(g.table)
+    row = g._differential(2).first_nonzero_product_row(g.table)
     return None if row is None else enumerate_basis(g.dim, 3)[row]
 
 
@@ -359,9 +373,9 @@ def ce_differential(
     n = g.dim
     if weight and len(weight) != n:
         raise ValueError("weight length %d != dim %d" % (len(weight), n))
-    den, scale, w = _cleared_weight(g, weight)
+    den, scale, w = cleared_weight(g, weight)
     w = w or [0] * n
-    partners = g._partners
+    partners = g.partners
     col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
     rows = []
     for jmono in enumerate_basis(n, k + 1):
@@ -391,7 +405,7 @@ def ce_differential(
 
 def ce_complex(g: LieAlgebra) -> CochainComplex:
     """Build every differential matrix of the cochain complex of g."""
-    return CochainComplex(tuple(ce_differential(g, k) for k in range(g.dim)), g)
+    return CochainComplex(tuple(g._differential(k) for k in range(g.dim)), g)
 
 
 @record
@@ -489,72 +503,3 @@ def betti(c: CochainComplex) -> BettiReport:
         tuple(tuple(enumerate_basis(n, k)) for k in range(n + 1)),
     )
 
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    """(-1) to the number of inversions of seq."""
-    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
-
-
-def _evaluation_differential(
-    g: LieAlgebra, k: int, weight: Sequence[RationalLike]
-) -> ExactMatrix:
-    """d_k rebuilt from the evaluation formula alone.
-
-    Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s of (-1)^s
-    w[J_s] e^I(e_{J - J_s}) plus the sum over s < t and u of
-    (-1)^(s+t) c_{J_s J_t}^u e^I(e_u, e_rest), where rest is J without
-    J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
-    sorts (u, rest) into I, or 0 when (u, rest) does not list I.  The
-    first sum is the action of e_{J_s} on the coefficients, absent when
-    weight is empty.  Entries are integers over D, as in ce_differential,
-    and a pair outside the algebra's bracket incidence adds nothing.
-    """
-    den, scale, w = _cleared_weight(g, weight)
-    col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
-    # (u, rest) -> (column or None, permutation sign), for this call only
-    placed: dict[MultiIndex, tuple[int | None, int]] = {}
-    rows = []
-    for jmono in enumerate_basis(g.dim, k + 1):
-        row: dict[int, int] = {}
-        for s in range(k + 1):
-            if weight:
-                col = col_index[jmono[:s] + jmono[s + 1:]]
-                row[col] = row.get(col, 0) + (-1) ** s * w[jmono[s]]
-            with_s = g._partners.get(jmono[s], {})
-            for t in range(s + 1, k + 1):
-                rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                for u, c in with_s.get(jmono[t], ()):
-                    args = (u,) + rest
-                    if args not in placed:
-                        placed[args] = (col_index.get(tuple(sorted(args))),
-                                        _permutation_sign(args))
-                    col, sign = placed[args]
-                    if col is None:
-                        continue  # u repeats an index of rest
-                    value = (-1) ** (s + t) * scale * sign * c
-                    row[col] = row.get(col, 0) + value
-        rows.append(row)
-    return ExactMatrix.from_int_rows(len(col_index), den, rows)
-
-
-def phi_sign_check(c: CochainComplex) -> bool:
-    """Certify the signs of c against the evaluation formula.
-
-    Each D_k is rebuilt from c.algebra and c.weight by
-    _evaluation_differential, which reads the same bracket incidence and
-    weight but shares none of ce_differential's sign code (no
-    wedge_insert).  With the degreewise
-    twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
-    = d_k S_k, which matches evaluation on basis vectors against the
-    algebraic differential.  Both sides are (-1)^k times D_k and d_k, so
-    the identity holds iff D_k = d_k: the two matrices are compared in
-    their normal forms, and the check fails as soon as one entry of one
-    d_k differs from the formula.
-    """
-    g = c.algebra
-    if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
-        return False
-    for k, dk in enumerate(c.d):
-        if _evaluation_differential(g, k, c.weight) != dk:
-            return False
-    return True

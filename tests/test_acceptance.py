@@ -32,7 +32,6 @@ from quotientcoh import (
     cross_check_ce,
     degree_one_obstruction,
     heisenberg,
-    phi_sign_check,
     quotient,
     sl2,
     torus_betti,
@@ -41,6 +40,7 @@ from quotientcoh import (
 )
 from quotientcoh.cli import canonical_json
 from quotientcoh.record import replace
+from quotientcoh.sign_twist import phi_sign_check
 
 from oracles import (
     gauss_rank,

@@ -3,7 +3,9 @@ imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
-only a Lie job that names a space loads the space module,
+only a Lie job that names a space loads the space module, only a
+table or CSV job the renderers and only a --check Lie job the sign
+check, no job compiles a regular expression,
 no job process loads argparse, gettext or locale, nor fractions,
 decimal, _decimal or numbers, only scalars builds dense rows, no module
 imports another's private names or a name it does not use, every
@@ -569,6 +571,89 @@ def test_only_a_lie_job_with_a_space_loads_the_space_module(tmp_path):
     assert loaded["lie"] == loaded["quotient"] == LIE_JOB_MODULES
     assert loaded["space"] == sorted(LIE_JOB_MODULES + ["quotientcoh.space"])
     assert "quotientcoh.space" not in loaded["torus"] + loaded["witness"]
+
+
+# a job run through main with the command line it is given; its exit code
+# and the package modules it loaded
+RUN_JOB_ARGV = """
+import json, sys
+from quotientcoh.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(n for n in sys.modules
+                               if n.split(".")[0] == "quotientcoh")]))
+"""
+
+RENDERERS, SIGN_CHECK = "quotientcoh.tables", "quotientcoh.sign_twist"
+
+
+def test_renderers_and_sign_check_load_only_for_the_jobs_that_use_them(
+        tmp_path):
+    # every bench job renders JSON and only --check Lie jobs run the sign
+    # check, so the other jobs compile neither module
+    for name, text, fmt, check, expected in (
+        ("lie", HEISENBERG_CFG, "json", False, set()),
+        ("lie", HEISENBERG_CFG, "json", True, {SIGN_CHECK}),
+        ("lie", HEISENBERG_CFG, "table", False, {RENDERERS}),
+        ("quotient", QUOTIENT_CFG, "csv", True, {RENDERERS, SIGN_CHECK}),
+        ("torus", TORUS_CFG, "json", False, set()),
+        ("torus", TORUS_CFG, "json", True, set()),
+        ("torus", TORUS_CFG, "table", True, {RENDERERS}),
+        ("witness", WITNESS_CFG, "json", False, set()),
+        ("witness", WITNESS_CFG, "csv", False, {RENDERERS}),
+    ):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        argv = ["--input", str(cfg), "--format", fmt,
+                "--output", str(tmp_path / (name + "." + fmt))]
+        code, loaded = json.loads(
+            _python(RUN_JOB_ARGV, *argv + ["--check"] * check))
+        assert code == 0, (name, fmt, check)
+        assert set(loaded) & {RENDERERS, SIGN_CHECK} == expected, (
+            name, fmt, check, loaded)
+
+
+def test_the_sign_check_resolves_to_its_own_module():
+    from quotientcoh import cli, sign_twist
+
+    assert quotientcoh.phi_sign_check is sign_twist.phi_sign_check
+    assert cli.phi_sign_check is sign_twist.phi_sign_check
+
+
+# every regular expression is compiled, or fetched from re's cache, by
+# re._compile; record the calls made from a quotientcoh frame while the
+# package is imported and one job of each pipeline runs through main
+NO_PATTERN = """
+import json, re, sys
+patterns = []
+compile_ = re._compile
+
+def recorded(pattern, flags):
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__") == "re":
+        frame = frame.f_back
+    if frame.f_globals.get("__name__", "").startswith("quotientcoh"):
+        patterns.append(str(pattern))
+    return compile_(pattern, flags)
+
+re._compile = recorded
+from quotientcoh.cli import main
+out = sys.argv.pop()
+codes = [main(["--input", cfg, "--format", "json", "--check",
+               "--output", out]) for cfg in sys.argv[1:]]
+print(json.dumps([codes, patterns]))
+"""
+
+
+def test_no_job_compiles_a_pattern(tmp_path):
+    cfgs = []
+    for name, text in (("lie", FRACTIONAL_LIE_CFG),
+                       ("torus", FRACTIONAL_TORUS_CFG),
+                       ("witness", WITNESS_CFG), ("decimal", DECIMAL_CFG)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        cfgs.append(str(cfg))
+    out = str(tmp_path / "report.json")
+    assert json.loads(_python(NO_PATTERN, *cfgs, out)) == [[0, 0, 0, 1], []]
 
 
 def test_csv_job_loads_csv_and_renders(tmp_path):

@@ -14,11 +14,12 @@ from math import comb
 import pytest
 
 from quotientcoh import (
-    betti, ce_complex, heisenberg, jacobi_check, lie, phi_sign_check, sl2)
+    betti, ce_complex, heisenberg, jacobi_check, lie, sl2)
 from quotientcoh.record import replace
 from quotientcoh import scalars
 from quotientcoh.scalars import (
     EchelonBasis, ExactMatrix, kernel_survivors, nullspace_basis, rank)
+from quotientcoh.sign_twist import phi_sign_check
 
 from oracles import (
     change_basis,

@@ -18,17 +18,19 @@ from quotientcoh import (
     ce_complex,
     heisenberg,
     jacobi_check,
-    phi_sign_check,
     quotient,
     sl2,
     torus_betti,
     transverse_frame,
 )
 from quotientcoh import lie as lie_module
+from quotientcoh.cli import run_job
+from quotientcoh.config import JobConfig, LieJob
 from quotientcoh.exterior import enumerate_basis
 from quotientcoh.lie import ce_differential
 from quotientcoh.record import replace
 from quotientcoh.scalars import ExactMatrix, rank
+from quotientcoh.sign_twist import phi_sign_check
 
 from oracles import (
     ce_matrix_bruteforce,
@@ -72,7 +74,9 @@ def test_jacobi_examples():
 
 
 def test_jacobi_check_builds_one_differential(monkeypatch):
-    # d_2 is tested against the bracket matrix, -d_1, so d_1 is not built
+    # d_2 is tested against the bracket matrix, -d_1, so d_1 is not built;
+    # a whole Lie job without an ideal builds each d_k once, since
+    # ce_complex takes the d_2 that jacobi_check built
     calls = []
 
     def counted(*args):
@@ -82,6 +86,12 @@ def test_jacobi_check_builds_one_differential(monkeypatch):
     monkeypatch.setattr(lie_module, "ce_differential", counted)
     assert jacobi_check(heisenberg()) is None
     assert calls == [(2,)]
+    for g in (heisenberg(), filiform(6)):
+        calls.clear()
+        payload, code = run_job(JobConfig("lie", LieJob(g, None)), check=True)
+        assert code == 0
+        assert payload["certificates"]["sign_twist"] is True
+        assert calls == [(2,)] + [(k,) for k in range(g.dim) if k != 2]
 
 
 def test_jacobi_triple_is_the_first_nonzero_row_of_d2_d1():
