@@ -25,26 +25,27 @@ __version__ = "0.1.0"
 
 # home module -> the names the package exports from it
 _EXPORTS = {
-    "config": ("parse_ext_scalar",),
+    "algebra": (
+        "LieAlgebra", "abelian", "heisenberg", "jacobi_check", "quotient",
+        "sl2",
+    ),
+    "cochain": ("CochainComplex", "ce_complex"),
     "errors": (
         "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
         "NotALieAlgebra", "NotAdapted", "NotAnIdeal", "ParseError",
         "ValidationError",
     ),
     "exterior": ("enumerate_basis",),
-    "lie": (
-        "BettiReport", "CochainComplex", "LieAlgebra", "Subspace", "abelian",
-        "betti", "ce_complex", "heisenberg", "jacobi_check", "quotient",
-        "sl2",
-    ),
-    "scalars": (
-        "ExactMatrix", "ExtScalar", "nullspace_basis", "rank", "rref",
-    ),
+    "foliation": ("TorusSpec",),
+    "koszul": ("KoszulCertificate", "build_mode_complex", "koszul_certificate"),
+    "lie": ("BettiReport", "Subspace", "betti"),
+    "literals": ("parse_ext_scalar",),
+    "matrix": ("ExactMatrix",),
+    "scalars": ("ExtScalar", "nullspace_basis", "rank", "rref"),
     "sign_twist": ("phi_sign_check",),
     "torus": (
-        "KoszulCertificate", "TorusBettiReport", "TorusSpec",
-        "build_mode_complex", "cross_check_ce", "koszul_certificate",
-        "surviving_modes", "torus_betti", "transverse_frame",
+        "TorusBettiReport", "cross_check_ce", "surviving_modes", "torus_betti",
+        "transverse_frame",
     ),
     "witness": (
         "BumpFamily", "DegreeOneCertificate", "WitnessReport", "build_bumps",

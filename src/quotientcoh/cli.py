@@ -17,11 +17,7 @@ pipeline, or for a lie job whose d.d check failed, are null.
 timing_seconds is informational and excluded from the canonical
 serialization used for byte-identity comparisons.
 
-Every value is read off the pipeline's report records.  An entry of
-koszul, sup_bounds or monotone_violations, and degree_one, is the fields
-of its record (KoszulCertificate, SupRecord, MonotoneViolation,
-DegreeOneCertificate) with None fields left out, so a new record field
-is a new report key.
+Every value is read off the pipeline's report records (see payload).
 """
 
 from __future__ import annotations
@@ -32,26 +28,27 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import FORMATS, JobConfig, LieJob, WitnessJob, parse_config
+from .config import JobConfig, LieJob, WitnessJob, parse_config
 from .errors import (EngineError, MathematicalRefusal, NotALieAlgebra,
                      NotAdapted, ParseError, ValidationError)
+from .options import HELP, USAGE, UsageError, parse_args
+from .payload import as_json, build_payload, cohomology, named
 from .ratio import ratio_str
-from .record import fields, replace
+from .record import replace
 
 if TYPE_CHECKING:
-    from .exterior import MultiIndex
-    from .lie import BettiReport
-    from .scalars import SparseRow
-    from .torus import TorusSpec
+    from .foliation import TorusSpec
 
 PROG = "engine"
 
 # module -> the names this module calls from it.  A job imports only its
-# own pipeline: run_job binds that pipeline's names here, a --check Lie job
-# binds sign_twist too, and module attribute access (cli.betti) binds them
-# on demand before that.
+# own pipeline: run_job binds the modules of that pipeline's names here, a
+# --check Lie job binds sign_twist too, and module attribute access
+# (cli.betti) binds them on demand before that.
 _PIPELINE_NAMES = {
-    "lie": ("Subspace", "betti", "ce_complex", "jacobi_check", "quotient"),
+    "algebra": ("jacobi_check", "quotient"),
+    "cochain": ("ce_complex",),
+    "lie": ("Subspace", "betti"),
     "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
     "witness": ("build_bumps", "degree_one_obstruction", "interval",
@@ -59,6 +56,9 @@ _PIPELINE_NAMES = {
 }
 _PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
                 for name in names}
+# job mode -> the modules of _PIPELINE_NAMES its runner calls
+_JOB_MODULES = {"lie": ("algebra", "cochain", "lie"), "torus": ("torus",),
+                "witness": ("witness",)}
 
 
 def _bind(pipeline: str) -> None:
@@ -81,70 +81,6 @@ def __getattr__(name: str):
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     _bind(pipeline)
     return globals()[name]
-
-
-def _term_join(terms: list[str]) -> str:
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
-
-
-def _vector_label(
-    vec: SparseRow, monomials: tuple[MultiIndex, ...], names: list[str]
-) -> str:
-    terms = []
-    for j, coeff in vec:
-        label = "^".join(names[i] for i in monomials[j])
-        if not label:
-            terms.append(ratio_str(coeff))
-        elif coeff == (1, 1):
-            terms.append(label)
-        elif coeff == (-1, 1):
-            terms.append("-" + label)
-        else:
-            terms.append("%s*%s" % (ratio_str(coeff), label))
-    return _term_join(terms)
-
-
-def _json(value):
-    """A report value as JSON values: a tuple becomes a list, and a record
-    an object of its fields, leaving out a field that is None."""
-    if isinstance(value, tuple):
-        return [_json(v) for v in value]
-    if hasattr(value, "_record_fields"):
-        return {name: _json(getattr(value, name)) for name in fields(value)
-                if getattr(value, name) is not None}
-    return value
-
-
-def _named(report, *names: str) -> dict:
-    """The named fields of a report record, as JSON values."""
-    return {name: _json(getattr(report, name)) for name in names}
-
-
-def _cohomology(report: BettiReport, names: list[str]) -> tuple:
-    """(betti, ranks, generators) of report, labelled by coordinate names."""
-    generators = [
-        [_vector_label(v, monomials, names) for v in gens]
-        for gens, monomials in zip(report.generators, report.monomials)
-    ]
-    return _json(report.betti), _json(report.ranks), generators
-
-
-def _payload(mode: str, certificates: dict, betti=None, ranks=None,
-             generators=None, audited_modes=None) -> dict:
-    return {
-        "mode": mode,
-        "betti": betti,
-        "ranks": ranks,
-        "generators": generators,
-        "certificates": certificates,
-        "audited_modes": audited_modes,
-    }
 
 
 def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
@@ -177,25 +113,25 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
         if not twist:
             code = 3
     if not is_complex:
-        return _payload("lie", certificates), code  # no cohomology to report
-    return _payload("lie", certificates,
-                    *_cohomology(betti(complex_), names)), code
+        return build_payload("lie", certificates), code  # no cohomology
+    return build_payload("lie", certificates,
+                         *cohomology(betti(complex_), names)), code
 
 
 def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
     report = torus_betti(spec)  # raises InvalidSpec when refused
-    certificates = _named(report, "normalization", "all_modes_acyclic")
+    certificates = named(report, "normalization", "all_modes_acyclic")
     transverse = [
         report.coordinate_names[c] for c in report.frame.skeleton.complement]
     certificates["transverse_coordinates"] = transverse
-    certificates["koszul"] = _json(report.acyclicity_certificates)
+    certificates["koszul"] = as_json(report.acyclicity_certificates)
     code = 0 if report.all_modes_acyclic else 3
     if check:
         agreed = cross_check_ce(report)
         certificates["cross_check_ce"] = agreed
         if not agreed:
             code = 3
-    return _payload("torus", certificates, *_cohomology(
+    return build_payload("torus", certificates, *cohomology(
         report.zero_mode, ["d" + name for name in transverse]),
         report.audited_modes), code
 
@@ -207,14 +143,14 @@ def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
         samples_per_interval=job.samples_per_interval,
     )
     report = verify_bounds(family)
-    certificates = _named(
+    certificates = named(
         report, "profile_constants", "relative_slack", "samples_per_interval",
         "monotone_violations", "forced_levels", "lift_obstruction")
-    certificates["sup_bounds"] = _json(report.sup_records)
+    certificates["sup_bounds"] = as_json(report.sup_records)
     certificates["intervals"] = [
         [k, *map(ratio_str, interval(k))] for k in report.k_range]
-    certificates["degree_one"] = _json(degree_one_obstruction())
-    return _payload("witness", certificates), 0
+    certificates["degree_one"] = as_json(degree_one_obstruction())
+    return build_payload("witness", certificates), 0
 
 
 _RUNNERS = {"lie": _run_lie, "torus": _run_torus, "witness": _run_witness}
@@ -226,7 +162,8 @@ def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     Mathematical refusals propagate as exceptions so the caller can
     separate them from ordinary failures.
     """
-    _bind(config.mode)
+    for module in _JOB_MODULES[config.mode]:
+        _bind(module)
     return _RUNNERS[config.mode](config.job, check)
 
 
@@ -254,83 +191,10 @@ def render(payload: dict, fmt: str) -> str:
     return render_csv(payload) if fmt == "csv" else render_table(payload)
 
 
-USAGE = """\
-usage: engine [-h] --input INPUT [--output OUTPUT] [--format {table,json,csv}]
-              [--truncation TRUNCATION] [--check]
-"""
-
-HELP = USAGE + """
-exact cohomology of group quotients via finite invariant complexes
-
-options:
-  -h, --help            show this help message and exit
-  --input INPUT         job file to run
-  --output OUTPUT       write the report here instead of stdout
-  --format {table,json,csv}
-                        report format (default: job file setting, else table)
-  --truncation TRUNCATION
-                        override the audit truncation of a torus job
-  --check               run the redundant cross-checks; mismatch exits 3
-"""
-
-
-class _UsageError(Exception):
-    """A malformed command line; main prints it under the usage."""
-
-
-def _is_option(token: str) -> bool:
-    # a negative integer is a value, so --truncation -1 reaches the
-    # configuration check
-    return token.startswith("-") and not token[1:].isdigit()
-
-
-def _parse_args(argv: list[str]) -> dict | None:
-    """The options of a command line, or None when it asks for help.
-
-    Each option is ``--opt value`` or ``--opt=value``, the last of a
-    repeated one wins, and every malformed token raises _UsageError.
-    """
-    args = {"input": None, "output": None, "format": None,
-            "truncation": None, "check": False}
-    tokens = iter(argv)
-    for token in tokens:
-        if token in ("-h", "--help"):
-            return None
-        option, explicit, value = token.partition("=")
-        key = option[2:]
-        if option == "--check":
-            if explicit:
-                raise _UsageError(
-                    "argument --check: ignored explicit argument %r" % value)
-            args["check"] = True
-            continue
-        if not option.startswith("--") or key not in args:
-            raise _UsageError("unrecognized arguments: %s" % token)
-        if not explicit:
-            value = next(tokens, None)
-            if value is None or _is_option(value):
-                raise _UsageError("argument %s: expected one argument" % option)
-        if key == "format" and value not in FORMATS:
-            raise _UsageError(
-                "argument --format: invalid choice: %r (choose from %s)"
-                % (value, ", ".join(repr(f) for f in FORMATS)))
-        if key == "truncation":
-            try:
-                value = int(value)
-            except ValueError:
-                raise _UsageError(
-                    "argument --truncation: invalid int value: %r" % value
-                ) from None
-        args[key] = value
-    if args["input"] is None:
-        raise _UsageError("the following arguments are required: --input")
-    return args
-
-
 def main(argv=None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
         sys.stderr.write("%s%s: error: %s\n" % (USAGE, PROG, exc))
         return 2
     if args is None:

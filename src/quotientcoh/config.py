@@ -18,16 +18,11 @@ every other key may appear once.  Each value shape has one reader
 (_int_key, _vectors for ``ideal`` and ``foliation``, _choice for
 ``format`` and ``space``), and each limit is checked where its key is read.
 
-This module owns the whole grammar of exact tokens.  All numeric fields
-of the exact pipelines take integers or ratios a/b only, read into exact
-(numerator, denominator) pairs, and a foliation entry is p, p+q*alpha or
-p-q*alpha with p, q such ratios (parse_ext_scalar).  Decimal literals
-are rejected with a pointed message, since silently rounding them would
-defeat the purpose of an exact engine.  Each section builder imports
-its own pipeline's types once the section's fields have passed these
-checks, and parse_ext_scalar imports ExtScalar only once its token has
-parsed, so parsing a job loads no other pipeline, and a job whose values
-do not parse loads neither lie nor torus.
+The exact tokens, integers, ratios a/b and p+-q*alpha, are read by the
+literals module.  Each section builder imports its own pipeline's types
+once the section's fields have passed these checks, so parsing a job
+loads no other pipeline, and a job whose values do not parse loads
+neither lie nor torus.
 
 The parser is deliberately hand-rolled rather than configparser-based:
 repeated keys, exact-field validation and line-precise errors are the
@@ -39,13 +34,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, ValidationError
-from .ratio import Ratio, parse_ratio
+from .literals import exact_int, exact_ratio, parse_ext_scalar
+from .ratio import Ratio
 from .record import record
 
 if TYPE_CHECKING:
-    from .lie import LieAlgebra
-    from .scalars import ExtScalar
-    from .torus import TorusSpec
+    from .algebra import LieAlgebra
+    from .foliation import TorusSpec
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal", "space"},
@@ -106,80 +101,6 @@ class JobConfig:
     output: OutputConfig = OutputConfig()
 
 
-# The token tests are str predicates, so that no job compiles a regular
-# expression.  A digit is a character str.isdecimal accepts: Unicode
-# category Nd, as the \d of a str pattern, and what int() reads.
-def _is_ratio(token: str) -> bool:
-    # an optional minus and digits, then optionally '/' and digits
-    num, slash, den = token.removeprefix("-").partition("/")
-    return num.isdecimal() and (den.isdecimal() or not slash)
-
-
-def _is_decimal_literal(token: str) -> bool:
-    # a digit on either side of a point: 0.5, .5, -.5, 5.
-    return any(c == "." and (token[i - 1:i].isdecimal()
-                             or token[i + 1:i + 2].isdecimal())
-               for i, c in enumerate(token))
-
-
-def _exact_ratio(key: str, token: str) -> Ratio:
-    if not _is_ratio(token):
-        if _is_decimal_literal(token):
-            raise ValidationError(
-                key,
-                "decimal literal %r not allowed in an exact field; "
-                "use an integer or a fraction like 1/2" % token,
-            )
-        raise ValidationError(key, "cannot parse %r as a fraction" % token)
-    try:
-        return parse_ratio(token)
-    except ZeroDivisionError:
-        raise ValidationError(key, "zero denominator in %r" % token) from None
-
-
-def _exact_int(key: str, token: str) -> int:
-    if not token.removeprefix("-").isdecimal():
-        if _is_decimal_literal(token):
-            raise ValidationError(
-                key, "decimal literal %r not allowed; use an integer" % token
-            )
-        raise ValidationError(key, "cannot parse %r as an integer" % token)
-    return int(token)
-
-
-def parse_ext_scalar(text: str) -> ExtScalar:
-    """Parse 'p', 'p+q*alpha' or 'p-q*alpha' with p, q integer or fraction.
-
-    Decimal literals are rejected on purpose: exact fields must stay exact.
-    """
-    raw = text.strip()
-    rat, sign, irr = raw, "+", "0"
-    if raw.endswith("*alpha"):
-        # q has no sign, so its sign is the last in raw; without one after
-        # p's, rat is empty or ends in "alph" and is refused
-        at = max(raw.rfind("+"), raw.rfind("-"))
-        rat, sign, irr = raw[:at], raw[at], raw[at + 1:-len("*alpha")]
-    if not (_is_ratio(rat) and _is_ratio(irr)):
-        if _is_decimal_literal(raw):
-            raise ValueError(
-                "decimal literal %r not allowed in an exact field; "
-                "use an integer or a fraction like 3/10" % raw
-            )
-        raise ValueError(
-            "cannot parse %r as an exact scalar "
-            "(expected p or p+q*alpha with p, q rational)" % raw
-        )
-    try:
-        rat, irr = parse_ratio(rat), parse_ratio(irr)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % raw) from None
-    if sign == "-":
-        irr = (-irr[0], irr[1])
-    from .scalars import ExtScalar
-
-    return ExtScalar(rat, irr)
-
-
 def _collect_lines(text: str) -> dict[str, dict]:
     """Read each section as one key map, validating shape: a key that
     may appear once maps to its value, and a repeatable key to its
@@ -231,7 +152,7 @@ def _int_key(section: dict, name: str, key: str,
     """The integer value of a single key, or default when it is absent;
     a key without a default is required."""
     if key in section:
-        return _exact_int(key, section[key])
+        return exact_int(key, section[key])
     if default is None:
         raise ValidationError(key, "missing required key in [%s]" % name)
     return default
@@ -274,18 +195,18 @@ def _build_lie(section: dict) -> LieJob:
             raise ParseError(
                 line_no, "bracket", "expected 'bracket = i j k value'"
             )
-        ijk = tuple(_exact_int("bracket", t) for t in tokens[:3])
-        v = _exact_ratio("bracket", tokens[3])
+        ijk = tuple(exact_int("bracket", t) for t in tokens[:3])
+        v = exact_ratio("bracket", tokens[3])
         # a repeated key would silently overwrite the first value
         if brackets.setdefault(ijk, v) != v:
             raise ValidationError(
                 "bracket", "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
             )
     ideal = _vectors(section, "ideal", "ideal", "dim", dim,
-                     lambda token: _exact_ratio("ideal", token))
+                     lambda token: exact_ratio("ideal", token))
     space = (_choice("space", section["space"], SPACES)
              if "space" in section else None)
-    from .lie import LieAlgebra
+    from .algebra import LieAlgebra
 
     try:
         algebra = LieAlgebra.from_brackets(dim, brackets)
@@ -301,9 +222,9 @@ def _build_torus(section: dict) -> TorusSpec:
     invariance: set[int] = set()
     if "invariance" in section:
         for token in section["invariance"].split(","):
-            invariance.add(_exact_int("invariance", token.strip()))
+            invariance.add(exact_int("invariance", token.strip()))
     truncation = _int_key(section, "torus", "truncation", 3)
-    from .torus import TorusSpec
+    from .foliation import TorusSpec
 
     try:
         return TorusSpec(n, dirs, frozenset(invariance), truncation)
@@ -336,14 +257,25 @@ def _build_witness(section: dict) -> WitnessJob:
     if samples < 3:
         raise ValidationError("samples_per_interval", "need at least 3 samples")
     # No job can run 2^51 samples: level k keeps its points off the ends of
-    # I_k only while samples + 1 < about 2^(53 - k) (level_arguments; at
-    # k = 2 up to 2,001,599,834,386,887), and every job has a level k >= 2.
-    # Below it level_arguments decides each level; far above it len() of a
-    # 2^63-point grid overflows.  Work and memory do not grow with the grid.
+    # I_k only while samples + 1 < about 2^(53 - k) (at k = 2 up to
+    # 2,001,599,834,386,887), and every job has a level k >= 2; far above
+    # it len() of a 2^63-point grid overflows.  Below it each level is
+    # tested with the float test that level_arguments applies, before any
+    # bump is built, and the first level that fails is named, as
+    # level_arguments would at run time.  Work and memory do not grow
+    # with the grid.
     if samples >= 2 ** 51:
         raise ValidationError("samples_per_interval", "must be below 2^51: "
                               "from there on level 2, which every job has, "
                               "rounds its sample points onto the ends of I_2")
+    from .grid import level_resolves
+
+    for k in range(k_min, k_max + 1):
+        if not level_resolves(k, samples + 1):
+            raise ValidationError(
+                "samples_per_interval",
+                "level %d lies below float resolution: its sample points "
+                "round onto the ends of I_%d" % (k, k))
     return WitnessJob(k_min, k_max, order, samples)
 
 

@@ -1,192 +1,43 @@
-"""Finite-dimensional Lie algebras, quotients, and their cochain cohomology.
+"""Linear subspaces, and the cohomology of cochain complexes.
 
-A Lie algebra is presented by its bracket matrix, the linear map
-Lambda^2 g -> g as one sparse ExactMatrix: row p holds the coordinates
-of [e_i, e_j] for the p-th pair i < j in the lexicographic order of
-exterior.enumerate_basis(n, 2).  The differential on alternating forms
-follows the convention
-
-    (d a)(Y_0, ..., Y_k) = sum_{i<j} (-1)^(i+j) a([Y_i, Y_j], Y_0, ...,
-                           ^Y_i, ..., ^Y_j, ..., Y_k),
-
-so in degree one (d a)(X, Y) = -a([X, Y]): d_1 is minus the bracket
-matrix, and d_2 d_1 = 0 is the Jacobi identity, which jacobi_check
-tests as d_2 @ table = 0.  ce_differential also takes coefficients of
-weight w, and a CochainComplex records the weight it was built with;
-on abelian R^q that is the complex of a class of torus Fourier modes.
-A LieAlgebra derives its bracket incidence, the nonzero integer bracket
-rows by index pair, once, and each of its differentials reads it; it
-builds each trivial-weight differential once too, so the d_2 that
-jacobi_check tests is the one ce_complex returns.
-The d.d and Jacobi checks are zero tests that multiply row by row and
-stop at the first nonzero row, building no product matrix.
-Each differential is eliminated once, from the top degree down and on
-the rows that d.d = 0 leaves independent of the others (see betti): its
-kernel basis gives both its rank (the width minus the kernel size, from
-which the Betti numbers follow) and the candidate cocycles.  The
-representatives are the kernel vectors that lie outside the image of
-the previous differential and the earlier kernel vectors, exactly one
-per cohomology dimension, read off the image restricted to the free
-columns of the differential; the report divides each by its lead.
+Each differential of a cochain.CochainComplex is eliminated once, from
+the top degree down and on the rows that d.d = 0 leaves independent of
+the others (see betti): its kernel basis gives both its rank (the width
+minus the kernel size, from which the Betti numbers follow) and the
+candidate cocycles.  The representatives are the kernel vectors that lie
+outside the image of the previous differential and the earlier kernel
+vectors, exactly one per cohomology dimension, read off the image
+restricted to the free columns of the differential; the report divides
+each by its lead.
 
 A Subspace owns the coordinate splitting given by its echelon form:
 its complement is the non-pivot coordinates and its scale the lcm of
-its leads.  The quotient by an ideal h is the LieAlgebra on
-h.complement whose bracket is the residual of the integer parent
-bracket row after reduction by h, over the parent's denominator times
-h.scale.
+its leads.  algebra.quotient reads it to build the quotient by an ideal,
+and the torus pipeline to split the leafwise and transverse
+coordinates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import NotAnIdeal
+# CochainComplex names betti's argument, and perfbench/tracer.py patches
+# lie.CochainComplex.d_squared_violation by name
+from .cochain import CochainComplex
 # remove_pair and wedge_insert are unused here, but perfbench/tracer.py
 # wraps lie.remove_pair and lie.wedge_insert by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
-from .ratio import Ratio, as_ratio
+from .matrix import ExactMatrix, IntRow, RationalLike, SparseRow
 from .record import record
 from .scalars import (
-    ExactMatrix,
-    IntRow,
-    RationalLike,
-    SparseRow,
     kernel_survivors,
     lead_one,
     nullspace_basis,
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
     rref,
 )
-
-@record
-class LieAlgebra:
-    """A Lie algebra given by its bracket matrix Lambda^2 g -> g.
-
-    Row p of table is [e_i, e_j] for the p-th pair i < j of
-    enumerate_basis(dim, 2), so table has shape C(dim, 2) x dim and is
-    minus the degree-one differential d_1.  Only pairs i < j are stored,
-    so antisymmetry holds by construction; the Jacobi identity is
-    checked separately by jacobi_check so deliberately broken tables can
-    still be built and examined.
-    """
-
-    dim: int
-    table: ExactMatrix
-
-    def __post_init__(self):
-        n = self.dim
-        if n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if (self.table.rows, self.table.cols) != (comb(n, 2), n):
-            raise ValueError(
-                "bracket matrix must be %d x %d" % (comb(n, 2), n)
-            )
-
-    @classmethod
-    def from_brackets(
-        cls,
-        dim: int,
-        brackets: Mapping[tuple[int, int, int], RationalLike],
-    ) -> "LieAlgebra":
-        """Build from sparse entries {(i, j, k): c_ij^k}.
-
-        Values may be ints, Fractions or Ratios.  An entry with i > j is
-        stored as c_ji^k = -c_ij^k; giving both sides is allowed only
-        when they are consistent.
-        """
-        pairs: dict[tuple[int, int, int], Ratio] = {}
-        for (i, j, k), raw in brackets.items():
-            v = as_ratio(raw)
-            for idx in (i, j, k):
-                if not 0 <= idx < dim:
-                    raise ValueError(
-                        "bracket index %d out of range for dim %d" % (idx, dim)
-                    )
-            if i == j:
-                if v[0]:
-                    raise ValueError(
-                        "antisymmetry forces [e_%d, e_%d] = 0" % (i, i)
-                    )
-                continue
-            key, val = ((i, j, k), v) if i < j else ((j, i, k), (-v[0], v[1]))
-            if pairs.setdefault(key, val) != val:
-                raise ValueError(
-                    "conflicting values for c[%d][%d][%d]" % (i, j, k)
-                )
-        row_of = {pair: p for p, pair in enumerate(enumerate_basis(dim, 2))}
-        rows: list[dict[int, Ratio]] = [{} for _ in row_of]
-        for (i, j, k), v in pairs.items():
-            rows[row_of[i, j]][k] = v
-        return cls(dim, ExactMatrix.from_sparse(dim, rows))
-
-    @cached_property
-    def partners(self) -> dict[int, dict[int, IntRow]]:
-        """{i: {j: [e_i, e_j]}} for the pairs i < j with a nonzero
-        bracket, each bracket as (k, int) pairs over table.den."""
-        partners: dict[int, dict[int, IntRow]] = {}
-        for (i, j), row in zip(enumerate_basis(self.dim, 2),
-                               self.table.int_rows):
-            if row:
-                partners.setdefault(i, {})[j] = row
-        return partners
-
-    @cached_property
-    def _differentials(self) -> dict[int, ExactMatrix]:
-        """{k: ce_differential(self, k)} for the degrees built so far."""
-        return {}
-
-    def _differential(self, k: int) -> ExactMatrix:
-        """The trivial-weight d_k, built once per algebra: jacobi_check's
-        d_2 is the one ce_complex returns."""
-        built = self._differentials
-        if k not in built:
-            built[k] = ce_differential(self, k)
-        return built[k]
-
-
-def cleared_weight(g: LieAlgebra, weight: Sequence[RationalLike]
-                   ) -> tuple[int, int, list[int]]:
-    """(D, D / table.den, D w) for D the least common denominator of the
-    bracket matrix and the weight w."""
-    weight = [as_ratio(x) for x in weight]
-    den = lcm(g.table.den, *(d for _, d in weight))
-    return den, den // g.table.den, [n * (den // d) for n, d in weight]
-
-
-def abelian(n: int) -> LieAlgebra:
-    """The abelian Lie algebra R^n (all brackets zero)."""
-    return LieAlgebra(n, ExactMatrix.zero(comb(n, 2), n))
-
-
-def heisenberg() -> LieAlgebra:
-    """The 3-dimensional algebra with [e_0, e_1] = e_2 and center e_2."""
-    return LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
-
-
-def sl2() -> LieAlgebra:
-    """sl(2) in the basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    return LieAlgebra.from_brackets(
-        3, {(0, 1, 1): 2, (0, 2, 2): -2, (1, 2, 0): 1}
-    )
-
-
-def jacobi_check(g: LieAlgebra) -> tuple[int, int, int] | None:
-    """Exact Jacobi test, read off d_2 times the bracket matrix, -d_1.
-
-    Row (i, j, k), column m of d_2 d_1 is (d d e^m)(e_i, e_j, e_k), the
-    e_m coordinate of the cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
-    + [[e_k, e_i], e_j]; d_2 times the bracket matrix is its negative.
-    Rows follow the lexicographic order of the triples i < j < k, so the
-    first nonzero row names the first failing triple; the product is
-    tested row by row and never built.  Returns that triple (i, j, k),
-    or None when the identity holds.
-    """
-    row = g._differential(2).first_nonzero_product_row(g.table)
-    return None if row is None else enumerate_basis(g.dim, 3)[row]
 
 
 @record
@@ -268,144 +119,6 @@ class Subspace:
                 for j, x in row:
                     w[j] = w.get(j, 0) - f * x
         return {j: x for j, x in w.items() if x}
-
-
-def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
-    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None.
-
-    The brackets are one integer sparse product: the rows
-    e_i ^ h.basis[bi], in the pair basis of Lambda^2 g, times the
-    bracket matrix.
-    """
-    if h.ambient_dim != g.dim:
-        raise ValueError("subspace ambient dimension does not match algebra")
-    pair_row = {pair: p for p, pair in enumerate(enumerate_basis(g.dim, 2))}
-    wedges = [
-        {pair_row[min(i, j), max(i, j)]: x if i < j else -x
-         for j, x in b if j != i}
-        for i in range(g.dim) for b in h.basis
-    ]
-    brackets = ExactMatrix.from_int_rows(g.table.rows, 1, wedges) @ g.table
-    for r, row in enumerate(brackets.int_rows):
-        if h.reduce(row):
-            return divmod(r, h.dim)
-    return None
-
-
-def quotient(g: LieAlgebra, h: Subspace) -> LieAlgebra:
-    """g/h on the coordinates h.complement, raising NotAnIdeal when h is
-    not bracket-closed.
-
-    Basis vector p of the quotient is e_c for c = h.complement[p].  The
-    induced bracket of two complement coordinates is the sparse residual
-    of their parent bracket row after reduction by h, which vanishes on
-    every pivot of h.  `Subspace.reduce` returns it times h.scale from
-    integer rows over the table's denominator, so the induced table is
-    those rows over den * h.scale.
-    """
-    failure = _ideal_failure(g, h)
-    if failure is not None:
-        raise NotAnIdeal(*failure)
-    position = {c: p for p, c in enumerate(h.complement)}
-    # parent pairs of complement coordinates come in the lexicographic
-    # order of their positions, since complement is increasing
-    rows = []
-    for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.int_rows):
-        if a in position and b in position:
-            rows.append({position[k]: x for k, x in h.reduce(row).items()})
-    return LieAlgebra(len(position), ExactMatrix.from_int_rows(
-        len(position), g.table.den * h.scale, rows))
-
-
-@record
-class CochainComplex:
-    """The alternating-forms complex of an n-dimensional algebra.
-
-    n is algebra.dim, read as the property dim.  d[k] is the matrix of
-    the degree-k differential with respect to the lexicographic monomial
-    bases, shape C(n, k+1) x C(n, k); the tuple has length n since the
-    top differential is zero.  d[k] is ce_differential(algebra, k,
-    weight), with trivial coefficients when weight is empty; a torus
-    mode class has a nonzero weight on R^q.
-    """
-
-    d: tuple[ExactMatrix, ...]
-    algebra: LieAlgebra
-    weight: tuple[RationalLike, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    def d_squared_violation(self) -> int | None:
-        """First degree k with d_{k+1} d_k != 0, or None; each product
-        is tested row by row and never built, once per complex."""
-        return self._d_squared_verdict
-
-    @cached_property
-    def _d_squared_verdict(self) -> int | None:
-        d = self.d
-        for k in range(len(d) - 1):
-            if d[k + 1].first_nonzero_product_row(d[k]) is not None:
-                return k
-        return None
-
-
-def ce_differential(
-    g: LieAlgebra, k: int, weight: Sequence[RationalLike] = ()
-) -> ExactMatrix:
-    """Degree-k Chevalley-Eilenberg differential of g, shape C(n, k+1) x
-    C(n, k), with coefficients in the character of the given weight
-    (trivial when empty).  For J = (J_0 < ... < J_k), entry (J, I) is
-
-        sum_s (-1)^s w[J_s] [I = J - J_s]
-        + sum_{s<t} (-1)^(s+t) sum_u c_{J_s J_t}^u eps(u, J - {J_s, J_t} -> I)
-
-    with eps the sign of wedge_insert (0 when u repeats an index); d^2 = 0
-    iff w vanishes on [g, g].  On abelian R^q only the first sum is left:
-    left wedge with w, the complex of one torus Fourier mode of weight w.
-    Only the pairs of the algebra's bracket incidence are visited.
-    Entries are integers over D = lcm(table.den, weight denominators),
-    each bracket term times D / table.den.  A term is placed by one
-    bisection of rest, the rule of wedge_insert without its input check:
-    rest is a sub-tuple of the increasing J, so it is increasing.
-    """
-    n = g.dim
-    if weight and len(weight) != n:
-        raise ValueError("weight length %d != dim %d" % (len(weight), n))
-    den, scale, w = cleared_weight(g, weight)
-    w = w or [0] * n
-    partners = g.partners
-    col_index = {mono: c for c, mono in enumerate(enumerate_basis(n, k))}
-    rows = []
-    for jmono in enumerate_basis(n, k + 1):
-        # the faces J - J_s are distinct columns: no sums in the first term
-        row = {col_index[jmono[:s] + jmono[s + 1:]]: -w[i] if s % 2 else w[i]
-               for s, i in enumerate(jmono) if w[i]}
-        for s, i in enumerate(jmono):
-            with_i = partners.get(i)
-            if with_i is None:
-                continue
-            for t in range(s + 1, k + 1):
-                bracket = with_i.get(jmono[t])
-                if bracket is None:
-                    continue
-                rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                sign = -scale if (s + t) % 2 else scale
-                for u, c in bracket:
-                    pos = bisect_left(rest, u)
-                    if pos < k - 1 and rest[pos] == u:
-                        continue
-                    col = col_index[rest[:pos] + (u,) + rest[pos:]]
-                    value = -sign * c if pos % 2 else sign * c
-                    row[col] = row.get(col, 0) + value
-        rows.append(row)
-    return ExactMatrix.from_int_rows(len(col_index), den, rows)
-
-
-def ce_complex(g: LieAlgebra) -> CochainComplex:
-    """Build every differential matrix of the cochain complex of g."""
-    return CochainComplex(tuple(g._differential(k) for k in range(g.dim)), g)
 
 
 @record
@@ -502,4 +215,3 @@ def betti(c: CochainComplex) -> BettiReport:
         n, numbers, ranks, tuple(gens_out),
         tuple(tuple(enumerate_basis(n, k)) for k in range(n + 1)),
     )
-

@@ -12,12 +12,13 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .exterior import MultiIndex, enumerate_basis
-from .lie import cleared_weight
-from .scalars import ExactMatrix
+from .cochain import cleared_weight
+from .matrix import ExactMatrix
 
 if TYPE_CHECKING:
-    from .lie import CochainComplex, LieAlgebra
-    from .scalars import RationalLike
+    from .algebra import LieAlgebra
+    from .cochain import CochainComplex
+    from .matrix import RationalLike
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:

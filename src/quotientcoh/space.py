@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from .exterior import enumerate_basis
 
 if TYPE_CHECKING:
-    from .lie import LieAlgebra
+    from .algebra import LieAlgebra
 
 # space -> how far above j the lowest k of a bracket [e_i, e_j] must lie
 _LOWEST_ABOVE_J = {"solvmanifold": 0, "nilmanifold": 1}

@@ -18,15 +18,16 @@ complement, the non-pivot coordinates.  On one surviving mode the whole
 complex is the exterior algebra of the transverse frame, and the
 differential is left multiplication by the mode covector w (the
 overall 2*pi*i factor is normalized to 1; a nonzero scalar never
-changes a rank): the lie.CochainComplex of the transverse translation
-algebra R^q with coefficients of weight w.  For a nonzero
+changes a rank): the cochain.CochainComplex of the transverse
+translation algebra R^q with coefficients of weight w.  For a nonzero
 mode w is itself nonzero, which makes the complex exact in every degree.
 The zero mode has zero differential: a Lie quotient job's route
 (quotient, ce_complex, betti) eliminates its complex, that of R^n /
 skeleton, into the Betti numbers C(n - p, k); the nonzero-mode audit
 shows that no other mode adds to them, with exact ranks that a monomial
 submatrix witnesses and the d.d check bounds from above, so a correctly
-built mode complex is never eliminated (koszul_certificate).
+built mode complex is never eliminated (the koszul module).  A job's
+foliation is a foliation.TorusSpec.
 
 The audit covers every surviving mode of sup norm at most the
 truncation T without scanning the box.  Survival is a linear system
@@ -68,22 +69,28 @@ the symbolic rank, counted again at the other stand-ins 0, ..., p + 1,
 gives the transverse dimension the Betti numbers must be binomials of.
 """
 
+
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import comb, gcd, lcm
-from typing import Sequence
+from math import comb, gcd
+from typing import TYPE_CHECKING, Sequence
 
+from .algebra import abelian, quotient
+from .cochain import ce_complex
 from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
-from .exterior import enumerate_basis, wedge_insert
-from .lie import (BettiReport, CochainComplex, Subspace, abelian,
-                  betti as lie_betti, betti_numbers, ce_complex,
-                  ce_differential, quotient)
+from .exterior import wedge_insert
+from .koszul import (KoszulCertificate, build_mode_complex, koszul_certificate,
+                     monomial_witness)
+from .lie import BettiReport, Subspace, betti as lie_betti
+from .matrix import ExactMatrix
 from .ratio import Ratio
 from .record import record, replace
-from .scalars import ExactMatrix, ExtScalar, rank, rref
+from .scalars import rank, rref
+
+if TYPE_CHECKING:
+    from .foliation import TorusSpec
 
 NORMALIZATION_NOTE = (
     "fourier differential normalized: the overall 2*pi*i factor is scaled "
@@ -96,69 +103,6 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     if n <= 3:
         return ("x", "y", "z")[:n]
     return tuple("x%d" % i for i in range(n))
-
-
-@record
-class TorusSpec:
-    """A linear foliation of T^n with translation-invariance coordinates.
-
-    foliation_dirs are the spanning direction vectors (entries
-    ExtScalar), and parts their one integer form; invariance_coords are
-    the coordinates of dense translation invariance; truncation bounds
-    the sup norm of the nonzero modes audited by torus_betti.
-    """
-
-    n: int
-    foliation_dirs: tuple[tuple[ExtScalar, ...], ...] = ()
-    invariance_coords: frozenset[int] = frozenset()
-    truncation: int = 3
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("torus dimension must be at least 1")
-        object.__setattr__(
-            self,
-            "foliation_dirs",
-            tuple(tuple(v) for v in self.foliation_dirs),
-        )
-        for v in self.foliation_dirs:
-            if len(v) != self.n:
-                raise ValueError(
-                    "direction vector length %d != n = %d" % (len(v), self.n)
-                )
-            if not all(isinstance(x, ExtScalar) for x in v):
-                raise ValueError("direction entries must be ExtScalar")
-        if not all(any(a) or any(b) for a, b in zip(*self.parts)):
-            raise InvalidSpec("a foliation direction vector is zero")
-        object.__setattr__(
-            self, "invariance_coords", frozenset(self.invariance_coords)
-        )
-        for j in self.invariance_coords:
-            if not 0 <= j < self.n:
-                raise ValueError(
-                    "invariance coordinate %d out of range for n = %d"
-                    % (j, self.n)
-                )
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-
-    @property
-    def p(self) -> int:
-        return len(self.foliation_dirs)
-
-    @cached_property
-    def parts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """(A, B): the rational and alpha parts of each direction, both
-        times the lcm of that direction's denominators.  A direction
-        scaled by a nonzero constant spans the same line and has the
-        same annihilator, so every span, rank and survival test reads
-        these integer rows."""
-        a, b = [], []
-        for v in self.foliation_dirs:
-            den = lcm(*(x.rat[1] for x in v), *(x.irr[1] for x in v))
-            a.append(tuple(n * (den // d) for n, d in (x.rat for x in v)))
-            b.append(tuple(n * (den // d) for n, d in (x.irr for x in v)))
-        return tuple(a), tuple(b)
 
 
 @record
@@ -215,122 +159,6 @@ def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, 
     # both sides agree on the skeleton's complement, and an annihilator
     # element supported on the pivot columns must vanish.
     return tuple(mode[f] for f in frame.skeleton.complement)
-
-
-def build_mode_complex(w: Sequence[int],
-                       template: CochainComplex | None = None) -> CochainComplex:
-    """The complex of a surviving mode with transverse covector w: the
-    cochain complex of R^q with coefficients of weight w, whose d_k is
-    ce_differential(abelian(q), k, w), left wedge with w.
-
-    An audit builds it once with w = (1, ..., q), as the template of all
-    its classes, and reads every other complex off that template: each
-    entry of its d_k is +-u_i for exactly one coordinate i, (-1)^s u_i
-    at the face J - J_s of row J for J_s = i, with u_i = i + 1.  So the
-    complex of w is the template with u_i replaced by w_i and zero
-    entries dropped, and ce_differential stays the only code that
-    places a sign.
-    """
-    if template is None:
-        g = abelian(len(w))
-        return CochainComplex(tuple(
-            ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
-    # [0, w_0, .., w_{q-1}, -w_{q-1}, .., -w_0]: entry +-u_i indexes +-w_i
-    signed = [0, *w, *[-x for x in reversed(w)]]
-    return CochainComplex(tuple([ExactMatrix(dk.rows, dk.cols, 1, tuple([
-        tuple([(j, y) for j, x in row if (y := signed[x])])
-        for row in dk.int_rows])) for dk in template.d]),
-        template.algebra, tuple(w))
-
-
-@record
-class KoszulCertificate:
-    """Rank evidence that nonzero modes contribute no cohomology.
-
-    ranks are the exact ranks of the complex of mode: C(q - 1, k) by the
-    rank witness of koszul_certificate, or eliminated when d.d or the
-    witness fails.  ok holds iff the squares d_{k+1} d_k vanish and every
-    degree has zero cohomology, and on failure failed_degree records the
-    first degree where either fails.  modes counts the audited modes the
-    certificate stands for: mode itself and the members of its class
-    (see torus_betti), which share its ranks.
-    """
-
-    mode: tuple[int, ...]
-    ranks: tuple[int, ...]
-    ok: bool
-    failed_degree: int | None
-    modes: int = 1
-
-
-def koszul_certificate(
-    mode: Sequence[int], c: CochainComplex, modes: int = 1,
-    witnesses: Sequence[list] = (),
-) -> KoszulCertificate:
-    """Certify exactness of the complex c of a nonzero mode by d.d and a
-    rank witness; modes is the number of audited modes it stands for,
-    and witnesses, when given, lists `_monomial_witness(c.dim, i)` for
-    every i.
-
-    The ranks need no elimination.  Let q = c.dim and i0 the first
-    coordinate with w_i0 != 0 for the weight w.  In d_k = (w ^ .), the
-    rows J that contain i0, restricted to the columns I that do not,
-    have one nonzero each, +-w_i0 at I = J - {i0}: a monomial submatrix
-    of size C(q - 1, k), nonsingular, so rank d_k >= C(q - 1, k).  With
-    d.d = 0, the image of d_{k-1} lies in the kernel of d_k, so
-    rank d_{k-1} + rank d_k <= C(q, k) = C(q - 1, k - 1) + C(q - 1, k).
-    The lower bounds then force rank d_k = C(q - 1, k) in every degree,
-    and every Betti number is 0.  The submatrices are checked on the
-    built integer rows in one scan, after the shapes C(q, k + 1) x
-    C(q, k); only when d.d or the witness fails are the ranks eliminated
-    (`rank`), so a broken complex gets the exact ranks it has.
-
-    Wedging with a nonzero covector is exact, so ok is always true for
-    a correctly built complex; a failure therefore indicates an
-    implementation bug, which is exactly what the certificate is for.
-    Ranks cannot see a non-complex, so the first k with d_{k+1} d_k != 0
-    fails at degree k + 1 before any degree with nonzero cohomology
-    does.  A zero weight (the zero mode) is rejected: its differential
-    vanishes and exactness is the wrong question.
-    """
-    if not any(c.weight):
-        raise ValueError("the zero mode is not eligible for an exactness "
-                         "certificate; its differential is zero")
-    q = c.dim
-    i0 = next(i for i, x in enumerate(c.weight) if x)
-    witness = witnesses[i0] if witnesses else _monomial_witness(q, i0)
-    violation = c.d_squared_violation()
-    if violation is None and len(c.d) == q == len(c.weight) and all(
-            (dk.rows, dk.cols) == shape and all(
-                [j for j, x in dk.int_rows[i] if x and outside[j]] == [face]
-                for i, face in pairs)
-            for dk, (shape, outside, pairs) in zip(c.d, witness)):
-        ranks = tuple(comb(q - 1, k) for k in range(q))
-    else:
-        ranks = tuple(rank(dk) for dk in c.d)
-    failed = violation + 1 if violation is not None else next(
-        (k for k, b in enumerate(betti_numbers(q, ranks)) if b), None)
-    return KoszulCertificate(tuple(mode), ranks, failed is None, failed, modes)
-
-
-def _monomial_witness(q: int, i0: int) -> list[tuple]:
-    """What koszul_certificate checks of each d_k on R^q, for i0 the
-    first nonzero coordinate of the weight: the shape (C(q, k + 1),
-    C(q, k)), the mask of the columns I that avoid i0, and the pairs
-    (row J, column J - {i0}) of the rows J that contain i0.  Dropping i0
-    keeps the lexicographic order, so the m-th such row J is matched
-    with the m-th such column I.  It depends on q and i0 alone, so an
-    audit computes it once for each i0."""
-    out = []
-    columns = enumerate_basis(q, 0)
-    for k in range(q):
-        rows = enumerate_basis(q, k + 1)
-        outside = [i0 not in mono for mono in columns]
-        out.append(((len(rows), len(columns)), outside, list(zip(
-            [i for i, mono in enumerate(rows) if i0 in mono],
-            [j for j, out in enumerate(outside) if out]))))
-        columns = rows
-    return out
 
 
 @record
@@ -467,7 +295,7 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
             entry[0] = min(entry[0], least)
             entry[1] += count
     template = build_mode_complex(range(1, q + 1))
-    witnesses = [_monomial_witness(q, i0) for i0 in range(q)]
+    witnesses = [monomial_witness(q, i0) for i0 in range(q)]
     certificates = [
         koszul_certificate(mode, build_mode_complex(
             _mode_transverse(mode, frame), template), count, witnesses)

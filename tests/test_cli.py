@@ -12,7 +12,7 @@ import pytest
 
 from quotientcoh import (
     CochainComplex, ExactMatrix, KoszulCertificate, Subspace, ce_complex, cli,
-    heisenberg, quotient, torus,
+    heisenberg, payload, quotient, torus,
 )
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.exterior import enumerate_basis
@@ -488,10 +488,10 @@ def test_report_records_convert_field_by_field():
     # a record becomes an object of its fields with tuples as lists, and a
     # None field is left out: failed_degree shows only on a failed class
     ok = KoszulCertificate((0, -1), (1, 2), True, None, 4)
-    assert cli._json(ok) == {"mode": [0, -1], "ranks": [1, 2], "ok": True,
+    assert payload.as_json(ok) == {"mode": [0, -1], "ranks": [1, 2], "ok": True,
                              "modes": 4}
     failed = replace(ok, ok=False, failed_degree=1)
-    assert cli._json((failed,)) == [{"mode": [0, -1], "ranks": [1, 2],
+    assert payload.as_json((failed,)) == [{"mode": [0, -1], "ranks": [1, 2],
                                      "ok": False, "failed_degree": 1,
                                      "modes": 4}]
 
@@ -645,7 +645,7 @@ def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
     d = [dk.entries for dk in ce_complex(algebra).d]
     oracle = naive_kernel_generators(d, n)
     assert naive_generators(d, n, oracle) == naive_generators(d, n)
-    labels = [[cli._vector_label(
+    labels = [[payload._vector_label(
         tuple((j, x.as_integer_ratio()) for j, x in enumerate(v) if x),
         enumerate_basis(n, k), names) for v in gens]
         for k, gens in enumerate(oracle)]
@@ -710,7 +710,7 @@ def test_witness_order_above_the_float_range_exits_one(tmp_path, capsys,
 
 def test_witness_level_below_float_resolution_exits_one(tmp_path):
     # the sample points of I_511 round onto its ends, and 2^(2*512)
-    # overflows a float: the job must stop with an engine line
+    # overflows a float: config refuses the job before any bump is built
     cfg = _write(tmp_path, "job.cfg", WITNESS_CFG.replace(
         "k_min = 2\nk_max = 5\nmax_derivative_order = 2\n"
         "samples_per_interval = 2001",
@@ -721,5 +721,7 @@ def test_witness_level_below_float_resolution_exits_one(tmp_path):
     assert proc.returncode == 1
     assert not out.exists()
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("engine: internal error: ")
-    assert "level 511 lies below float resolution" in proc.stderr
+    assert proc.stderr == (
+        "engine: configuration error: key 'samples_per_interval': level 511 "
+        "lies below float resolution: its sample points round onto the "
+        "ends of I_511\n")

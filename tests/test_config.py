@@ -249,18 +249,31 @@ def test_samples_from_two_to_the_51_are_refused_at_config():
         "samples_per_interval",
         "must be below 2^51: from there on level 2, which every job has, "
         "rounds its sample points onto the ends of I_2")
-    assert parse_config(WITNESS_JOB % (1, 2, 4, 2 ** 51 - 1)).job
+    # the most samples whose level-2 points stay inside I_2
+    assert parse_config(WITNESS_JOB % (1, 2, 4, 2_001_599_834_386_886)).job
 
 
 def test_samples_below_the_bound_meet_level_2_at_run_time(tmp_path, capsys):
     # level 1 keeps its sample points apart up to about 3.6e15 samples,
-    # level 2 only up to about 2.0e15: level_arguments decides each level
+    # level 2 only up to about 2.0e15: config applies the float test of
+    # level_arguments to each level, so the job is refused when it is
+    # read, naming the first level that fails, and no bump is built
+    for k_min, samples, level in ((1, 2 ** 51 - 1, 2),
+                                  (2, 1_100_000_000_000_000, 3),
+                                  (1, 2_001_599_834_386_887, 2)):
+        with pytest.raises(ValidationError) as info:
+            parse_config(WITNESS_JOB % (k_min, k_min + 1, 4, samples))
+        assert (info.value.key, info.value.reason) == (
+            "samples_per_interval",
+            "level %d lies below float resolution: its sample points "
+            "round onto the ends of I_%d" % (level, level))
     cfg = tmp_path / "job.cfg"
     cfg.write_text(WITNESS_JOB % (1, 2, 4, 2 ** 51 - 1))
     assert main(["--input", str(cfg)]) == 1
     assert capsys.readouterr().err == (
-        "engine: internal error: level 2 lies below float resolution: its "
-        "sample points round onto the ends of I_2\n")
+        "engine: configuration error: key 'samples_per_interval': level 2 "
+        "lies below float resolution: its sample points round onto the "
+        "ends of I_2\n")
 
 
 def test_missing_required_keys():

@@ -7,10 +7,12 @@ only a Lie job that names a space loads the space module, only a
 table or CSV job the renderers and only a --check Lie job the sign
 check, no job compiles a regular expression,
 no job process loads argparse, gettext or locale, nor fractions,
-decimal, _decimal or numbers, only scalars builds dense rows, no module
-imports another's private names or a name it does not use, every
-public function, class and method is named by some engine module, the
-names the bench tracer wraps still resolve, the test oracles import no
+decimal, _decimal or numbers, only matrix builds dense rows, no engine
+module holds more tokens than the budget, no module imports another's
+private names or a name it does not use, every public function, class
+and method is named by some engine module, the names the bench tracer
+wraps still resolve and traced jobs open the pinned spans, the test
+oracles import no
 production check, and the differentials, their certificates and
 generators, the subspace and quotient code and the torus frame and mode
 scan never load fractions.
@@ -28,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import quotientcoh
@@ -143,17 +146,44 @@ def test_package_compiles_no_source_at_run_time():
             assert not calls.search(line), (path.name, line_no, line)
 
 
-def test_only_scalars_reads_the_dense_view():
+def test_only_matrix_reads_the_dense_view():
     # echelon rows, subspaces and brackets stay sparse; dense rows are
-    # built only in scalars (ExactMatrix.entries), for tests and the
-    # bench tracer, so dropping that view touches one module
+    # built only in matrix (ExactMatrix.entries), for tests and the bench
+    # tracer, so dropping that view touches one module
     dense = re.compile(r"\bdense_row\b|\.entries\b")
     package = Path(quotientcoh.__file__).parent
     for path in sorted(package.glob("*.py")):
-        if path.name == "scalars.py":
+        if path.name == "matrix.py":
             continue
         for line_no, line in enumerate(path.read_text().splitlines(), 1):
             assert not dense.search(line), (path.name, line_no, line)
+
+
+# the most tokens an engine module may hold; the tokens that count are
+# names, operators, numbers and strings (comments, NL, NEWLINE, INDENT,
+# DEDENT and the encoding and end markers do not)
+TOKEN_BUDGET = 1500
+UNCOUNTED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def test_every_engine_module_is_within_the_token_budget():
+    """Without a bytecode cache every job compiles each module it imports,
+    and the compiler holds one module's tokens and syntax tree at a time,
+    so a job's peak RSS is set while its largest module compiles.  In a
+    Lie job the traced compile peak of lie.py, 2,643 tokens, was 1,324 KB
+    against at most 966 KB for any other module; with every module within
+    the budget the largest is 780 KB, and small-jobs peak_rss_mb fell
+    from 14.95 to 14.39 MB (BENCH_module_budget.json)."""
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        with path.open("rb") as source:
+            size = sum(1 for token in tokenize.tokenize(source.readline)
+                       if token.type not in UNCOUNTED)
+        assert size <= TOKEN_BUDGET, (
+            "%s holds %d tokens, over the budget of %d: split it along a "
+            "seam, see README \"Where new code goes\""
+            % (path.name, size, TOKEN_BUDGET))
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -196,14 +226,14 @@ def _tracer_module():
     return module
 
 
-def _traced_spans(tmp_path, name: str, text: str) -> list:
-    """The spans of one traced --check job, which must exit 0."""
+def _traced_spans(tmp_path, name: str, text: str, check: bool = True) -> list:
+    """The spans of one traced job, --check by default, which must exit 0."""
     cfg = tmp_path / (name + ".cfg")
     cfg.write_text(text)
     spans_out = tmp_path / (name + ".spans.json")
     done = subprocess.run(
         [sys.executable, str(TRACER), str(spans_out), "--input",
-         str(cfg), "--format", "json", "--check"],
+         str(cfg), "--format", "json"] + ["--check"] * check,
         capture_output=True, text=True, env=dict(os.environ),
     )
     assert done.returncode == 0, (name, done.stderr)
@@ -229,6 +259,45 @@ def test_tracer_wraps_names_that_exist(tmp_path):
         assert "cli.main" in names, name
         assert names <= allowed, (name, names - allowed)
         assert expected <= names, (name, expected - names)
+
+
+# span name -> how many times a traced job opens it.  The tracer wraps
+# each name where its caller looks it up (betti calls lie.nullspace_basis,
+# nullspace_basis scalars.rref, torus_betti torus.build_mode_complex and
+# torus.koszul_certificate, the runners the cli names), so a module split
+# that moves a call away from its wrapped lookup changes these counts
+TRACED_SPANS = {
+    "lie --check": {
+        "cli.main": 1, "cli.render": 1, "cli.run_job": 1,
+        "config.parse_config": 1, "lie.betti": 1, "lie.ce_complex": 1,
+        "lie.d_squared_violation": 2, "lie.jacobi_check": 1,
+        "lie.phi_sign_check": 1, "scalars.nullspace_basis": 3,
+        "scalars.rref": 3},
+    "quotient": {
+        "cli.main": 1, "cli.render": 1, "cli.run_job": 1,
+        "config.parse_config": 1, "lie.betti": 1, "lie.ce_complex": 1,
+        "lie.d_squared_violation": 2, "lie.jacobi_check": 1,
+        "lie.quotient": 1, "scalars.nullspace_basis": 2, "scalars.rref": 3},
+    "torus --check": {
+        "cli.main": 1, "cli.render": 1, "cli.run_job": 1,
+        "config.parse_config": 1, "lie.betti": 1, "lie.ce_complex": 1,
+        "lie.d_squared_violation": 2, "lie.quotient": 1,
+        "scalars.nullspace_basis": 2, "scalars.rank": 3, "scalars.rref": 4,
+        "torus.build_mode_complex": 2, "torus.cross_check_ce": 1,
+        "torus.koszul_certificate": 1, "torus.surviving_modes": 1,
+        "torus.torus_betti": 1, "torus.transverse_frame": 1},
+}
+
+
+def test_traced_jobs_open_the_pinned_spans(tmp_path):
+    for name, text, check in (("lie --check", HEISENBERG_CFG, True),
+                              ("quotient", QUOTIENT_CFG, False),
+                              ("torus --check", TORUS_CFG, True)):
+        spans = _traced_spans(tmp_path, name.split()[0], text, check)
+        counts = {}
+        for span in spans:
+            counts[span[0]] = counts.get(span[0], 0) + 1
+        assert counts == TRACED_SPANS[name], name
 
 
 def test_tracer_spans_the_class_complexes(tmp_path):
@@ -377,14 +446,14 @@ RATIONALS = ("fractions", "decimal", "_decimal", "numbers")
 # RATIONALS that are loaded
 CORE_BUILDS_NO_FRACTION = """
 import json, sys
-from quotientcoh import ExtScalar, TorusSpec, lie, scalars
+from quotientcoh import ExtScalar, TorusSpec, algebra, cochain, lie, scalars
 from quotientcoh.torus import (
     build_mode_complex, koszul_certificate, surviving_modes,
     transverse_frame)
 
 # filiform(8), and heisenberg + R, as the test oracles build them
-g = lie.LieAlgebra.from_brackets(8, {(0, i, i + 1): 1 for i in range(1, 7)})
-heis_r = lie.LieAlgebra.from_brackets(4, {(0, 1, 2): 1})
+g = algebra.LieAlgebra.from_brackets(8, {(0, i, i + 1): 1 for i in range(1, 7)})
+heis_r = algebra.LieAlgebra.from_brackets(4, {(0, 1, 2): 1})
 half, third = (1, 2), (1, 3)
 # an ideal given by fractional vectors, and one whose echelon row
 # (0, 0, 2, 3) has lead 2 in heisenberg + R, where e2 and e3 are central
@@ -398,16 +467,16 @@ spec = TorusSpec(4, ((ExtScalar(half), ExtScalar(third, 1), ExtScalar(0),
                       ExtScalar((2, 5))),
                      (ExtScalar(0), ExtScalar(1), ExtScalar(2, third),
                       ExtScalar(0))), {3}, 2)
-c = lie.ce_complex(g)
+c = cochain.ce_complex(g)
 assert c.d_squared_violation() is None
 for w in ((1, 0, 0), (2, -3, 0, 1)):
     assert koszul_certificate(w, build_mode_complex(w)).ok
-for algebra, vectors in ideals:
-    h = lie.Subspace.span(algebra.dim, vectors)
-    assert lie.quotient(algebra, h).dim == algebra.dim - h.dim
+for parent, vectors in ideals:
+    h = lie.Subspace.span(parent.dim, vectors)
+    assert algebra.quotient(parent, h).dim == parent.dim - h.dim
 try:
-    lie.quotient(g, lie.Subspace.span(8, not_ideal))
-except lie.NotAnIdeal:
+    algebra.quotient(g, lie.Subspace.span(8, not_ideal))
+except algebra.NotAnIdeal:
     pass
 else:
     raise AssertionError("quotient by a subspace that is not an ideal")
@@ -491,8 +560,9 @@ def test_no_job_process_loads_fractions_or_decimal(tmp_path):
     assert witness["certificates"]["intervals"][0] == [2, "1/4", "5/16"]
 
 
-PIPELINES = ("quotientcoh.lie", "quotientcoh.torus", "quotientcoh.witness",
-             "quotientcoh.sturm")
+PIPELINES = tuple("quotientcoh." + name for name in (
+    "algebra", "cochain", "lie", "foliation", "koszul", "torus", "grid",
+    "witness", "sturm"))
 WATCHED = PIPELINES + ("csv",)
 
 IMPORT_FRONT = """
@@ -511,31 +581,41 @@ code = main(["--input", sys.argv[1], "--format", sys.argv[3],
 print(json.dumps([code, sorted(n for n in %r if n in sys.modules)]))
 """ % (WATCHED + ("quotientcoh.exterior",),)
 
+ZERO_DIRECTION_CFG = """\
+[torus]
+n = 3
+foliation = 0,0,0
+"""
+
 
 def test_package_and_cli_import_load_no_pipeline():
     assert json.loads(_python(IMPORT_FRONT)) == []
 
 
 def test_each_job_loads_only_its_own_pipeline(tmp_path):
-    # a torus job loads lie too: its mode complexes are cochain complexes
-    for name, text, fmt, loads, absent in (
-        ("heisenberg", HEISENBERG_CFG, "json", "quotientcoh.lie",
-         {"quotientcoh.torus", "quotientcoh.witness", "quotientcoh.sturm"}),
-        ("torus", TORUS_CFG, "json", "quotientcoh.torus",
-         {"quotientcoh.witness", "quotientcoh.sturm"}),
-        ("witness", WITNESS_CFG, "json", "quotientcoh.witness",
-         {"quotientcoh.lie", "quotientcoh.torus", "quotientcoh.exterior"}),
-        ("quotient", QUOTIENT_CFG, "table", "quotientcoh.lie",
-         {"quotientcoh.torus", "quotientcoh.witness", "csv"}),
+    # a torus job loads the lie modules too: its mode complexes are
+    # cochain complexes; a torus job refused while its TorusSpec is built
+    # compiles foliation alone, and no Koszul or cochain code
+    lie = {"quotientcoh.algebra", "quotientcoh.cochain", "quotientcoh.lie",
+           "quotientcoh.exterior"}
+    for name, text, fmt, exit_code, loads in (
+        ("heisenberg", HEISENBERG_CFG, "json", 0, lie),
+        ("torus", TORUS_CFG, "json", 0, lie | {
+            "quotientcoh.foliation", "quotientcoh.koszul",
+            "quotientcoh.torus"}),
+        ("zero-direction", ZERO_DIRECTION_CFG, "json", 2,
+         {"quotientcoh.foliation"}),
+        ("witness", WITNESS_CFG, "json", 0, {
+            "quotientcoh.grid", "quotientcoh.sturm", "quotientcoh.witness"}),
+        ("quotient", QUOTIENT_CFG, "table", 0, lie),
     ):
         cfg = tmp_path / (name + ".cfg")
         cfg.write_text(text)
         out = tmp_path / (name + ".out")
         code, loaded = json.loads(
             _python(RUN_JOB_MODULES, str(cfg), str(out), fmt))
-        assert code == 0, name
-        assert loads in loaded, (name, loaded)
-        assert not set(loaded) & absent, (name, loaded)
+        assert code == exit_code, name
+        assert set(loaded) == loads, (name, loaded)
 
 
 RUN_JOB_PACKAGE = """
@@ -547,11 +627,18 @@ print(json.dumps([code, sorted(n for n in sys.modules
                                if n.split(".")[0] == "quotientcoh")]))
 """
 
+# the package modules every job that parses loads: the front, the job
+# file reader and the report payload
+FRONT_MODULES = ["quotientcoh"] + ["quotientcoh." + name for name in (
+    "cli", "config", "errors", "literals", "options", "payload", "ratio",
+    "record")]
 # the package modules a Lie job without a space key loads
-LIE_JOB_MODULES = [
-    "quotientcoh", "quotientcoh.cli", "quotientcoh.config",
-    "quotientcoh.errors", "quotientcoh.exterior", "quotientcoh.lie",
-    "quotientcoh.ratio", "quotientcoh.record", "quotientcoh.scalars"]
+LIE_JOB_MODULES = sorted(FRONT_MODULES + ["quotientcoh." + name for name in (
+    "algebra", "cochain", "exterior", "lie", "matrix", "scalars")])
+TORUS_JOB_MODULES = sorted(LIE_JOB_MODULES + [
+    "quotientcoh.foliation", "quotientcoh.koszul", "quotientcoh.torus"])
+WITNESS_JOB_MODULES = sorted(FRONT_MODULES + [
+    "quotientcoh.grid", "quotientcoh.sturm", "quotientcoh.witness"])
 
 
 def test_only_a_lie_job_with_a_space_loads_the_space_module(tmp_path):
@@ -584,12 +671,15 @@ print(json.dumps([code, sorted(n for n in sys.modules
 """
 
 RENDERERS, SIGN_CHECK = "quotientcoh.tables", "quotientcoh.sign_twist"
+JOB_MODULES = {"lie": LIE_JOB_MODULES, "quotient": LIE_JOB_MODULES,
+               "torus": TORUS_JOB_MODULES, "witness": WITNESS_JOB_MODULES}
 
 
 def test_renderers_and_sign_check_load_only_for_the_jobs_that_use_them(
         tmp_path):
     # every bench job renders JSON and only --check Lie jobs run the sign
-    # check, so the other jobs compile neither module
+    # check, so the other jobs compile neither module; each job loads its
+    # own pipeline's modules and nothing else
     for name, text, fmt, check, expected in (
         ("lie", HEISENBERG_CFG, "json", False, set()),
         ("lie", HEISENBERG_CFG, "json", True, {SIGN_CHECK}),
@@ -608,7 +698,7 @@ def test_renderers_and_sign_check_load_only_for_the_jobs_that_use_them(
         code, loaded = json.loads(
             _python(RUN_JOB_ARGV, *argv + ["--check"] * check))
         assert code == 0, (name, fmt, check)
-        assert set(loaded) & {RENDERERS, SIGN_CHECK} == expected, (
+        assert set(loaded) == set(JOB_MODULES[name]) | expected, (
             name, fmt, check, loaded)
 
 
@@ -679,7 +769,10 @@ def test_every_exported_name_resolves_to_its_home_object():
     for module, names in homes.items():
         home = importlib.import_module("quotientcoh." + module)
         for name in names:
-            assert getattr(quotientcoh, name) is getattr(home, name), name
+            value = getattr(home, name)
+            assert getattr(quotientcoh, name) is value, name
+            # the home module defines it, not one that imports it
+            assert value.__module__ == home.__name__, (name, module)
     assert set(quotientcoh.__all__) <= set(dir(quotientcoh))
     assert "__version__" in dir(quotientcoh)
 
@@ -716,7 +809,9 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_first_access_imports_only_the_home_module():
-    assert json.loads(_python(LAZY_ACCESS)) == ["quotientcoh.lie"]
+    # lie reads CochainComplex from cochain; nothing of torus or witness
+    assert json.loads(_python(LAZY_ACCESS)) == [
+        "quotientcoh.cochain", "quotientcoh.lie"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -17,8 +17,9 @@ from quotientcoh import (
     betti, ce_complex, heisenberg, jacobi_check, lie, sl2)
 from quotientcoh.record import replace
 from quotientcoh import scalars
+from quotientcoh.matrix import ExactMatrix
 from quotientcoh.scalars import (
-    EchelonBasis, ExactMatrix, kernel_survivors, nullspace_basis, rank)
+    EchelonBasis, kernel_survivors, nullspace_basis, rank)
 from quotientcoh.sign_twist import phi_sign_check
 
 from oracles import (

@@ -23,13 +23,14 @@ from quotientcoh import (
     torus_betti,
     transverse_frame,
 )
-from quotientcoh import lie as lie_module
+from quotientcoh import algebra
 from quotientcoh.cli import run_job
 from quotientcoh.config import JobConfig, LieJob
 from quotientcoh.exterior import enumerate_basis
-from quotientcoh.lie import ce_differential
+from quotientcoh.cochain import ce_differential
 from quotientcoh.record import replace
-from quotientcoh.scalars import ExactMatrix, rank
+from quotientcoh.matrix import ExactMatrix
+from quotientcoh.scalars import rank
 from quotientcoh.sign_twist import phi_sign_check
 
 from oracles import (
@@ -83,7 +84,7 @@ def test_jacobi_check_builds_one_differential(monkeypatch):
         calls.append(args[1:])
         return ce_differential(*args)
 
-    monkeypatch.setattr(lie_module, "ce_differential", counted)
+    monkeypatch.setattr(algebra, "ce_differential", counted)
     assert jacobi_check(heisenberg()) is None
     assert calls == [(2,)]
     for g in (heisenberg(), filiform(6)):

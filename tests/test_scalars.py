@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotientcoh.config import parse_ext_scalar
+from quotientcoh.literals import parse_ext_scalar
+from quotientcoh.matrix import ExactMatrix
 from quotientcoh.scalars import (
     EchelonBasis,
-    ExactMatrix,
     ExtScalar,
     nullspace_basis,
     rank,

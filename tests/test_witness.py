@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from quotientcoh import cli, witness
+from quotientcoh import grid as grid_module
 from quotientcoh.cli import main
 from quotientcoh.errors import (
     BoundViolated, LevelNotRecovered, NonFiniteValue)
@@ -782,7 +783,7 @@ def test_both_roots_of_x_one_minus_x_are_bounded_exactly_and_tightly():
         qs.append(Fraction(rng.randint(1, d // 4), d))
     for q in qs:
         for inward in (False, True):
-            lower, upper = witness._x_of_q(
+            lower, upper = grid_module._x_of_q(
                 (q.numerator, q.denominator), inward)
             assert 0.0 <= lower <= 0.5 <= upper <= 1.0, q
             for y, edge in ((lower, 0.0), (upper, 1.0)):
@@ -828,7 +829,7 @@ def test_a_level_sup_is_its_scale_times_the_grid_sup():
             for m in range(order + 1):
                 scale = witness._level_scale(k, m)
                 values = fam.phi_derivative(m, fam.peak_candidates(m, grid))
-                want = witness._sup_abs([scale * v for v in values])
+                want = grid_module.sup_abs([scale * v for v in values])
                 got = scale * fam.grid_sup(m, grid)
                 assert got.hex() == want.hex(), (order, samples, k, m)
                 underflowed += scale == 0.0
