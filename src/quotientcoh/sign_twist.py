@@ -1,91 +1,91 @@
 """The sign-twist certificate of a cochain complex.
 
-phi_sign_check rebuilds each differential of a CochainComplex from the
-evaluation formula for (d a)(Y_0, ..., Y_k), which shares none of
-ce_differential's sign code, and compares the two.  Only a Lie job run
-with --check calls it, so this module is compiled by those jobs alone.
+phi_sign_check certifies the signs of a CochainComplex by the Leibniz
+rule: the w-twisted Chevalley-Eilenberg differential obeys d(a ^ b) =
+da ^ b + (-1)^|a| a ^ db - w ^ a ^ b, and such a map of degree one is
+fixed by its values in degrees 0 and 1 (Chevalley and Eilenberg, Trans.
+AMS 63, 1948; Koszul, Bull. SMF 78, 1950).  Its wedge signs are its own
+merge counts, not ce_differential's; only a --check Lie job compiles it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator
 
-from .exterior import MultiIndex, enumerate_basis
+from .exterior import enumerate_basis
 from .cochain import cleared_weight
-from .matrix import ExactMatrix
 
 if TYPE_CHECKING:
-    from .algebra import LieAlgebra
     from .cochain import CochainComplex
-    from .matrix import RationalLike
 
 
-def _permutation_sign(seq: Sequence[int]) -> int:
-    """(-1) to the number of inversions of seq."""
-    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
+def _factors(col: dict[int, int]) -> Iterator[tuple[int, int, int]]:
+    """A column {a: x}, monomials as bit sets, as factors (a, under, x):
+    under xors the masks below each index of a, so for b apart from a the
+    parity of b & under, that of the pairs x in a, y in b with x > y, is
+    the sign of e^a ^ e^b."""
+    for a, x in col.items():
+        under, bits = 0, a
+        while bits:
+            under ^= (bits & -bits) - 1
+            bits &= bits - 1
+        yield a, under, x
 
 
-def _evaluation_differential(
-    g: LieAlgebra, k: int, weight: Sequence[RationalLike]
-) -> ExactMatrix:
-    """d_k rebuilt from the evaluation formula alone.
-
-    Entry (J, I) is (d e^I)(e_J0, ..., e_Jk) = sum over s of (-1)^s
-    w[J_s] e^I(e_{J - J_s}) plus the sum over s < t and u of
-    (-1)^(s+t) c_{J_s J_t}^u e^I(e_u, e_rest), where rest is J without
-    J_s and J_t, and e^I(e_u, e_rest) is the sign of the permutation that
-    sorts (u, rest) into I, or 0 when (u, rest) does not list I.  The
-    first sum is the action of e_{J_s} on the coefficients, absent when
-    weight is empty.  Entries are integers over D, as in ce_differential,
-    and a pair outside the algebra's bracket incidence adds nothing.
-    """
-    den, scale, w = cleared_weight(g, weight)
-    col_index = {mono: c for c, mono in enumerate(enumerate_basis(g.dim, k))}
-    # (u, rest) -> (column or None, permutation sign), for this call only
-    placed: dict[MultiIndex, tuple[int | None, int]] = {}
-    rows = []
-    for jmono in enumerate_basis(g.dim, k + 1):
-        row: dict[int, int] = {}
-        for s in range(k + 1):
-            if weight:
-                col = col_index[jmono[:s] + jmono[s + 1:]]
-                row[col] = row.get(col, 0) + (-1) ** s * w[jmono[s]]
-            with_s = g.partners.get(jmono[s], {})
-            for t in range(s + 1, k + 1):
-                rest = jmono[:s] + jmono[s + 1:t] + jmono[t + 1:]
-                for u, c in with_s.get(jmono[t], ()):
-                    args = (u,) + rest
-                    if args not in placed:
-                        placed[args] = (col_index.get(tuple(sorted(args))),
-                                        _permutation_sign(args))
-                    col, sign = placed[args]
-                    if col is None:
-                        continue  # u repeats an index of rest
-                    value = (-1) ** (s + t) * scale * sign * c
-                    row[col] = row.get(col, 0) + value
-        rows.append(row)
-    return ExactMatrix.from_int_rows(len(col_index), den, rows)
+def _wedge_into(col: dict[int, int], factors: list[tuple[int, int, int]],
+                b: int) -> None:
+    """Add (the sum of the factors) ^ e^b to col."""
+    for a, under, x in factors:
+        if not a & b:
+            col[a | b] = col.get(a | b, 0) + (
+                -x if (b & under).bit_count() & 1 else x)
 
 
 def phi_sign_check(c: CochainComplex) -> bool:
-    """Certify the signs of c against the evaluation formula.
+    """Certify c as the twisted Chevalley-Eilenberg complex of c.algebra.
 
-    Each D_k is rebuilt from c.algebra and c.weight by
-    _evaluation_differential, which reads the same bracket incidence and
-    weight but shares none of ce_differential's sign code (no
-    wedge_insert).  With the degreewise
-    twist S_k = (-1)^k I, the certificate is the identity S_{k+1} (-D_k)
-    = d_k S_k, which matches evaluation on basis vectors against the
-    algebraic differential.  Both sides are (-1)^k times D_k and d_k, so
-    the identity holds iff D_k = d_k: the two matrices are compared in
-    their normal forms, and the check fails as soon as one entry of one
-    d_k differs from the formula.
+    With w = c.weight, the check holds iff every d_k has shape
+    C(n, k+1) x C(n, k), d_0 is w, column i of d_1 is w ^ e^i minus
+    column i of the bracket matrix, and for k >= 2 column I = (i, I')
+    of d_k, with i = min I, is d_1 e^i ^ e^I' - e^i ^ d_{k-1} e^I' -
+    w ^ e^I (at k = 1 that sum is d_1 e^i).  Each degree's columns are
+    built from the previous degree's, and each entry x / dk.den of d_k
+    matches its expected y / D as x * D = y * dk.den, nonzeros one to one.
     """
-    g = c.algebra
-    if len(c.d) != g.dim or len(c.weight) not in (0, g.dim):
+    g, n = c.algebra, len(c.d)
+    if g.dim != n or len(c.weight) not in (0, n):
         return False
+    den, scale, w = cleared_weight(g, c.weight)
+    expected = {0: {1 << j: x for j, x in enumerate(w) if x}}
+    weight = [*_factors(expected[0])]
+    d1: dict[int, dict[int, int]] = {1 << i: {} for i in range(n)}
+    for i, col in d1.items():
+        _wedge_into(col, weight, i)
+    for (p, q), row in zip(enumerate_basis(n, 2), g.table.int_rows):
+        for i, x in row:
+            col, pq = d1[1 << i], 1 << p | 1 << q
+            col[pq] = col.get(pq, 0) - x * scale
+    factors = {i: [*_factors(col)] for i, col in d1.items()}
+    minus_weight = [(a, under, -x) for a, under, x in weight]
     for k, dk in enumerate(c.d):
-        if _evaluation_differential(g, k, c.weight) != dk:
+        if k:
+            prev, expected = expected, {}
+            for I in rows:  # the rows of d_{k-1} are the columns of d_k
+                bit, col = I & -I, {}
+                _wedge_into(col, factors[bit], I ^ bit)
+                for J, y in prev[I ^ bit].items():
+                    if not J & bit:
+                        col[J | bit] = col.get(J | bit, 0) + (
+                            y if (J & (bit - 1)).bit_count() & 1 else -y)
+                _wedge_into(col, minus_weight, I)
+                expected[I] = {m: x for m, x in col.items() if x}
+        rows = [sum(1 << x for x in m) for m in enumerate_basis(n, k + 1)]
+        columns = [*expected.values()]
+        if (dk.rows, dk.cols, sum(map(len, dk.int_rows))) != (
+                len(rows), len(columns), sum(map(len, columns))):
             return False
+        for J, row in zip(rows, dk.int_rows):
+            for i, x in row:
+                if columns[i].get(J, 0) * dk.den != x * den:
+                    return False
     return True

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from quotientcoh import (
-    CochainComplex, ExactMatrix, KoszulCertificate, Subspace, ce_complex, cli,
-    heisenberg, payload, quotient, torus,
+    CochainComplex, ExactMatrix, KoszulCertificate, Subspace, algebra,
+    ce_complex, cli, heisenberg, payload, quotient, torus,
 )
 from quotientcoh.cli import canonical_json, main, render
 from quotientcoh.exterior import enumerate_basis
@@ -378,6 +378,42 @@ def test_non_complex_report_renders(broken_complex, tmp_path, capsys, fmt):
         assert payload["certificates"]["d_squared_zero"] is False
     else:
         assert captured.out == "degree,betti,generators\n"
+
+
+FILIFORM5_CFG = """\
+[lie]
+dim = 5
+bracket = 0 1 2 1
+bracket = 0 2 3 1
+bracket = 0 3 4 1
+"""
+
+
+def test_a_sign_error_alone_exits_three(tmp_path, monkeypatch):
+    # -d_2 keeps d_2 times the table, both d.d products and every rank at
+    # their values, so Jacobi, d.d and the Betti numbers pass and only the
+    # sign check sees the error
+    build = algebra.ce_differential
+
+    def negated_d2(g, k, weight=()):
+        d = build(g, k, weight)
+        if k != 2:
+            return d
+        return replace(d, int_rows=tuple(
+            tuple((j, -x) for j, x in row) for row in d.int_rows))
+
+    cfg = _write(tmp_path, "job.cfg", FILIFORM5_CFG)
+    out = tmp_path / "report.json"
+    argv = ["--input", cfg, "--format", "json", "--check", "--output", str(out)]
+    assert main(argv) == 0
+    monkeypatch.setattr(algebra, "ce_differential", negated_d2)
+    code = main(argv)
+    payload = json.loads(out.read_text())
+    assert code == payload["exit"] == 3
+    assert payload["certificates"]["jacobi"] is True
+    assert payload["certificates"]["d_squared_zero"] is True
+    assert payload["certificates"]["sign_twist"] is False
+    assert payload["betti"] == [1, 2, 3, 3, 2, 1]
 
 
 def test_torus_report_lists_each_class_once(tmp_path):

@@ -5,7 +5,8 @@ only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
 only a Lie job that names a space loads the space module, only a
 table or CSV job the renderers and only a --check Lie job the sign
-check, no job compiles a regular expression,
+check, the sign check reads no sign code of the differential it
+certifies, no job compiles a regular expression,
 no job process loads argparse, gettext or locale, nor fractions,
 decimal, _decimal or numbers, only matrix builds dense rows, no engine
 module holds more tokens than the budget, no module imports another's
@@ -707,6 +708,34 @@ def test_the_sign_check_resolves_to_its_own_module():
 
     assert quotientcoh.phi_sign_check is sign_twist.phi_sign_check
     assert cli.phi_sign_check is sign_twist.phi_sign_check
+
+
+# all the sign check imports at run time from the package: the weight
+# cleared by one denominator and the monomial order, so it cannot borrow
+# ce_differential's sign placement (its bisection) or exterior.wedge_insert
+SIGN_CHECK_IMPORTS = {"cochain": {"cleared_weight"},
+                      "exterior": {"enumerate_basis"}}
+
+
+def test_the_sign_check_reads_no_sign_code():
+    path = Path(quotientcoh.__file__).with_name("sign_twist.py")
+    tree = ast.parse(path.read_text())
+    # a TYPE_CHECKING import only names a type for an annotation
+    typing_only = {id(node) for block in tree.body
+                   if isinstance(block, ast.If)
+                   and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+    modules, package = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[0])
+            if node.level and id(node) not in typing_only:
+                package.setdefault(node.module, set()).update(
+                    a.name for a in node.names)
+    assert not modules & {"bisect", "itertools"}, modules
+    assert package == SIGN_CHECK_IMPORTS
 
 
 # every regular expression is compiled, or fetched from re's cache, by

@@ -543,17 +543,60 @@ def _with_entry(c, k, i, j, value):
 
 
 def test_phi_sign_check_fails_on_any_single_changed_entry():
-    c = ce_complex(sl2())
-    assert phi_sign_check(c)
-    changed = 0
-    for k, dk in enumerate(c.d):
-        for i, row in enumerate(dk.entries):
-            for j, x in enumerate(row):
-                # flip a nonzero entry's sign, or fill a zero one
-                wrong = -x if x != 0 else Fraction(1)
-                assert not phi_sign_check(_with_entry(c, k, i, j, wrong))
-                changed += 1
-    assert changed == 3 + 9 + 3
+    # sl(2), a seeded dim-5 algebra in a random basis, its transport to
+    # another basis, and a weighted torus class complex
+    rng = random.Random(2718)
+    g = random_lie_algebra(rng, 5)
+    moved = change_basis(g, random_invertible(rng, 5))
+    assert any(g.table.int_rows) and any(moved.table.int_rows)
+    complexes = [ce_complex(sl2()), ce_complex(g), ce_complex(moved),
+                 build_mode_complex((1, 2, 0))]
+    changed, verdicts = [], []
+    for c in complexes:
+        assert phi_sign_check(c)
+        count = 0
+        for k, dk in enumerate(c.d):
+            for i, row in enumerate(dk.entries):
+                for j, x in enumerate(row):
+                    # flip a nonzero entry's sign, or fill a zero one
+                    wrong = -x if x != 0 else Fraction(1)
+                    assert not phi_sign_check(
+                        _with_entry(c, k, i, j, wrong)), (c.dim, k, i, j)
+                    count += 1
+        changed.append(count)
+        # a d_k with one more, zero, row fails the shape clause
+        for k, dk in enumerate(c.d):
+            d = list(c.d)
+            d[k] = ExactMatrix(dk.rows + 1, dk.cols, dk.den,
+                               dk.int_rows + ((),))
+            assert not phi_sign_check(replace(c, d=tuple(d))), (c.dim, k)
+        # the complex kept, any one bracket of its algebra sign-flipped,
+        # fails the degree-1 clause (sl(2) and both dim-5 tables have some)
+        g, table = c.algebra, c.algebra.table
+        for p, row in enumerate(table.int_rows):
+            for at in range(len(row)):
+                rows = list(table.int_rows)
+                rows[p] = tuple((j, -x if t == at else x)
+                                for t, (j, x) in enumerate(row))
+                wrong = replace(table, int_rows=tuple(rows))
+                assert not phi_sign_check(
+                    replace(c, algebra=LieAlgebra(g.dim, wrong))), (p, at)
+        # differentials built with one random rational weight and labelled
+        # with another or the same: the verdict is the oracle's comparison
+        weights = [_fractional_weight(rng, g.dim) for _ in range(2)]
+        for built in weights:
+            d = tuple(ce_differential(g, k, built) for k in range(g.dim))
+            for label in weights:
+                oracle = all(dk == ExactMatrix.from_rows(
+                    ce_matrix_bruteforce(g, k, label))
+                    for k, dk in enumerate(d))
+                verdict = phi_sign_check(CochainComplex(d, g, label))
+                assert verdict == oracle, (g.dim, built, label)
+                verdicts.append(verdict)
+    # every entry of d_1, of each middle d_k and of the top d_k
+    assert changed == [3 + 9 + 3, 5 + 50 + 100 + 50 + 5,
+                       5 + 50 + 100 + 50 + 5, 3 + 9 + 3]
+    assert verdicts.count(True) == verdicts.count(False) == 8
 
 
 def test_d_squared_check_sees_cancelling_row_products():
