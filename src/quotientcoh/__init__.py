@@ -3,7 +3,8 @@
 Three pipelines share an exact linear-algebra core:
 
   * lie: cochain cohomology of a Lie algebra given by its brackets, or of
-    its quotient by an ideal, with certified ranks and representatives;
+    its quotient by an ideal (given, or generated by the Lie algebra of a
+    dense subgroup), with certified ranks and representatives;
   * torus: the translation-invariant basic complex of a linear torus
     foliation, computed mode by mode with one acyclicity certificate
     per class of audited nonzero Fourier modes;
@@ -32,8 +33,8 @@ _EXPORTS = {
     "cochain": ("CochainComplex", "ce_complex"),
     "errors": (
         "BoundViolated", "EngineError", "InvalidSpec", "MathematicalRefusal",
-        "NotALieAlgebra", "NotAdapted", "NotAnIdeal", "ParseError",
-        "ValidationError",
+        "NotALieAlgebra", "NotASubalgebra", "NotAdapted", "NotAnIdeal",
+        "ParseError", "ValidationError",
     ),
     "exterior": ("enumerate_basis",),
     "foliation": ("TorusSpec",),

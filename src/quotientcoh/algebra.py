@@ -42,24 +42,26 @@ class LieAlgebra:
     """A Lie algebra given by its bracket matrix Lambda^2 g -> g.
 
     Row p of table is [e_i, e_j] for the p-th pair i < j of
-    enumerate_basis(dim, 2), so table has shape C(dim, 2) x dim and is
-    minus the degree-one differential d_1.  Only pairs i < j are stored,
-    so antisymmetry holds by construction; the Jacobi identity is
-    checked separately by jacobi_check so deliberately broken tables can
-    still be built and examined.
+    enumerate_basis(dim, 2), so table has shape C(dim, 2) x dim, with
+    dim read off its width, and is minus the degree-one differential
+    d_1.  Only pairs i < j are stored, so antisymmetry holds by
+    construction; the Jacobi identity is checked separately by
+    jacobi_check so deliberately broken tables can still be built and
+    examined.
     """
 
-    dim: int
     table: ExactMatrix
 
     def __post_init__(self):
         n = self.dim
-        if n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if (self.table.rows, self.table.cols) != (comb(n, 2), n):
+        if self.table.rows != comb(n, 2):
             raise ValueError(
                 "bracket matrix must be %d x %d" % (comb(n, 2), n)
             )
+
+    @property
+    def dim(self) -> int:
+        return self.table.cols
 
     @classmethod
     def from_brackets(
@@ -96,7 +98,7 @@ class LieAlgebra:
         rows: list[dict[int, Ratio]] = [{} for _ in row_of]
         for (i, j, k), v in pairs.items():
             rows[row_of[i, j]][k] = v
-        return cls(dim, ExactMatrix.from_sparse(dim, rows))
+        return cls(ExactMatrix.from_sparse(dim, rows))
 
     @cached_property
     def partners(self) -> dict[int, dict[int, IntRow]]:
@@ -125,7 +127,7 @@ class LieAlgebra:
 
 def abelian(n: int) -> LieAlgebra:
     """The abelian Lie algebra R^n (all brackets zero)."""
-    return LieAlgebra(n, ExactMatrix.zero(comb(n, 2), n))
+    return LieAlgebra(ExactMatrix.zero(comb(n, 2), n))
 
 
 def heisenberg() -> LieAlgebra:
@@ -155,11 +157,11 @@ def jacobi_check(g: LieAlgebra) -> tuple[int, int, int] | None:
     return None if row is None else enumerate_basis(g.dim, 3)[row]
 
 
-def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
-    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None.
+def brackets(g: LieAlgebra, h: Subspace) -> ExactMatrix:
+    """[e_i, h.basis[b]] as row i * h.dim + b, times a positive constant.
 
     The brackets are one integer sparse product: the rows
-    e_i ^ h.basis[bi], in the pair basis of Lambda^2 g, times the
+    e_i ^ h.basis[b], in the pair basis of Lambda^2 g, times the
     bracket matrix.
     """
     if h.ambient_dim != g.dim:
@@ -170,8 +172,12 @@ def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
          for j, x in b if j != i}
         for i in range(g.dim) for b in h.basis
     ]
-    brackets = ExactMatrix.from_int_rows(g.table.rows, 1, wedges) @ g.table
-    for r, row in enumerate(brackets.int_rows):
+    return ExactMatrix.from_int_rows(g.table.rows, 1, wedges) @ g.table
+
+
+def _ideal_failure(g: LieAlgebra, h: Subspace) -> tuple[int, int] | None:
+    """The first (i, bi) with [e_i, h.basis[bi]] outside h, or None."""
+    for r, row in enumerate(brackets(g, h).int_rows):
         if h.reduce(row):
             return divmod(r, h.dim)
     return None
@@ -198,5 +204,5 @@ def quotient(g: LieAlgebra, h: Subspace) -> LieAlgebra:
     for (a, b), row in zip(enumerate_basis(g.dim, 2), g.table.int_rows):
         if a in position and b in position:
             rows.append({position[k]: x for k, x in h.reduce(row).items()})
-    return LieAlgebra(len(position), ExactMatrix.from_int_rows(
+    return LieAlgebra(ExactMatrix.from_int_rows(
         len(position), g.table.den * h.scale, rows))

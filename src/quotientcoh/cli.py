@@ -4,8 +4,9 @@
            [--truncation N] [--check]
 
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
-degenerate foliation, broken Jacobi table, a basis not adapted to the
-job's [lie] space), 3 when a certificate fails
+a dense_subalgebra that is no subalgebra, degenerate foliation, broken
+Jacobi table, a basis not adapted to the job's [lie] space), 3 when a
+certificate fails
 (d.d != 0, a non-acyclic audited mode, or a --check cross-check), 1 for
 bad job files and internal errors.  A malformed command line prints the
 usage and an ``engine: error:`` line to stderr and exits 2; -h or --help
@@ -43,11 +44,13 @@ PROG = "engine"
 
 # module -> the names this module calls from it.  A job imports only its
 # own pipeline: run_job binds the modules of that pipeline's names here, a
-# --check Lie job binds sign_twist too, and module attribute access
+# --check Lie job binds sign_twist too, a dense_subalgebra job
+# dense_subalgebra, and module attribute access
 # (cli.betti) binds them on demand before that.
 _PIPELINE_NAMES = {
     "algebra": ("jacobi_check", "quotient"),
     "cochain": ("ce_complex",),
+    "dense_subalgebra": ("generated_ideal",),
     "lie": ("Subspace", "betti"),
     "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
@@ -92,6 +95,10 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
         raise NotALieAlgebra(triple)
     if job.ideal_vectors is not None:
         sub = Subspace.span(algebra.dim, job.ideal_vectors)
+        if job.dense:
+            _bind("dense_subalgebra")
+            sub, certificates["dense_subalgebra"] = generated_ideal(
+                algebra, sub)  # raises NotASubalgebra when refused
         algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
         certificates["ideal"] = True
         names = ["e%d" % c for c in sub.complement]

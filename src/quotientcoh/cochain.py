@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .exterior import enumerate_basis
@@ -48,12 +48,27 @@ class CochainComplex:
     bases, shape C(n, k+1) x C(n, k); the tuple has length n since the
     top differential is zero.  d[k] is ce_differential(algebra, k,
     weight), with trivial coefficients when weight is empty; a torus
-    mode class has a nonzero weight on R^q.
+    mode class has a nonzero weight on R^q.  The constructor refuses any
+    other number or shape of differentials, and a nonempty weight whose
+    length is not n.
     """
 
     d: tuple[ExactMatrix, ...]
     algebra: LieAlgebra
     weight: tuple[RationalLike, ...] = ()
+
+    def __post_init__(self):
+        n = self.dim
+        if len(self.d) != n:
+            raise ValueError("a complex of dim %d needs %d differentials, "
+                             "got %d" % (n, n, len(self.d)))
+        for k, dk in enumerate(self.d):
+            if (dk.rows, dk.cols) != (comb(n, k + 1), comb(n, k)):
+                raise ValueError("d_%d must be %d x %d, got %d x %d" % (
+                    k, comb(n, k + 1), comb(n, k), dk.rows, dk.cols))
+        if self.weight and len(self.weight) != n:
+            raise ValueError("weight length %d != dim %d"
+                             % (len(self.weight), n))
 
     @property
     def dim(self) -> int:

@@ -13,10 +13,11 @@ The format is a plain sectioned key = value file:
 
 Sections [lie], [torus] and [witness] select the pipeline; exactly one
 of them must be present.  Keys that repeat to build up a list are
-``bracket`` and ``ideal`` in [lie] and ``foliation`` in [torus];
-every other key may appear once.  Each value shape has one reader
-(_int_key, _vectors for ``ideal`` and ``foliation``, _choice for
-``format`` and ``space``), and each limit is checked where its key is read.
+``bracket``, ``ideal`` and ``dense_subalgebra`` in [lie] and
+``foliation`` in [torus]; every other key may appear once.  Each value
+shape has one reader (_int_key, _vectors for ``ideal``,
+``dense_subalgebra`` and ``foliation``, _choice for ``format`` and
+``space``), and each limit is checked where its key is read.
 
 The exact tokens, integers, ratios a/b and p+-q*alpha, are read by the
 literals module.  Each section builder imports its own pipeline's types
@@ -43,14 +44,15 @@ if TYPE_CHECKING:
     from .foliation import TorusSpec
 
 _SECTIONS = {
-    "lie": {"dim", "bracket", "ideal", "space"},
+    "lie": {"dim", "bracket", "ideal", "dense_subalgebra", "space"},
     "torus": {"n", "foliation", "invariance", "truncation"},
     "witness": {
         "k_min", "k_max", "max_derivative_order", "samples_per_interval"
     },
     "output": {"format", "path"},
 }
-_REPEATABLE = {("lie", "bracket"), ("lie", "ideal"), ("torus", "foliation")}
+# each key belongs to one section of _SECTIONS
+_REPEATABLE = {"bracket", "ideal", "dense_subalgebra", "foliation"}
 # the report formats of [output] format and of the --format option
 FORMATS = ("table", "json", "csv")
 # the lattice quotients [lie] space may name (see quotientcoh.space)
@@ -69,11 +71,14 @@ MAX_DERIVATIVE_ORDER = 16
 @record
 class LieJob:
     """A lie-algebra cohomology job: an algebra, an optional quotient
-    and the lattice quotient space, if any, it claims the cohomology of."""
+    and the lattice quotient space, if any, it claims the cohomology of.
+    With dense, ideal_vectors span the Lie algebra of a dense subgroup,
+    and the quotient is by the ideal they generate."""
 
     algebra: LieAlgebra
     ideal_vectors: tuple[tuple[Ratio, ...], ...] | None
     space: str | None = None
+    dense: bool = False
 
 
 @record
@@ -136,7 +141,7 @@ def _collect_lines(text: str) -> dict[str, dict]:
                 line_no, key, "unknown key in section [%s]" % current
             )
         section = sections[current]
-        if (current, key) in _REPEATABLE:
+        if key in _REPEATABLE:
             section.setdefault(key, []).append((value, line_no))
         elif key in section:
             raise ParseError(
@@ -202,8 +207,13 @@ def _build_lie(section: dict) -> LieJob:
             raise ValidationError(
                 "bracket", "conflicting values for [e_%d, e_%d] -> e_%d" % ijk
             )
-    ideal = _vectors(section, "ideal", "ideal", "dim", dim,
-                     lambda token: exact_ratio("ideal", token))
+    # each _vectors call parses its tokens before key moves on
+    ideal, dense = (_vectors(section, key, key, "dim", dim,
+                             lambda token: exact_ratio(key, token))
+                    for key in ("ideal", "dense_subalgebra"))
+    if ideal and dense:
+        raise ValidationError("dense_subalgebra",
+                              "give ideal or dense_subalgebra, not both")
     space = (_choice("space", section["space"], SPACES)
              if "space" in section else None)
     from .algebra import LieAlgebra
@@ -212,7 +222,7 @@ def _build_lie(section: dict) -> LieJob:
         algebra = LieAlgebra.from_brackets(dim, brackets)
     except ValueError as exc:
         raise ValidationError("bracket", str(exc)) from exc
-    return LieJob(algebra, ideal or None, space)
+    return LieJob(algebra, ideal or dense or None, space, bool(dense))
 
 
 def _build_torus(section: dict) -> TorusSpec:

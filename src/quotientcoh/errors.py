@@ -30,6 +30,16 @@ class NotAnIdeal(MathematicalRefusal):
         )
 
 
+class NotASubalgebra(MathematicalRefusal):
+    """The vectors of a dense_subalgebra job span no subalgebra."""
+
+    def __init__(self, first: int, second: int):
+        super().__init__(
+            "bracket of subalgebra generators %d and %d leaves their span"
+            % (first, second)
+        )
+
+
 class NotALieAlgebra(MathematicalRefusal):
     """A bracket matrix fails the Jacobi identity."""
 

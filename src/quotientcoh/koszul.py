@@ -45,7 +45,7 @@ def build_mode_complex(w: Sequence[int],
             ce_differential(g, k, w) for k in range(g.dim)), g, tuple(w))
     # [0, w_0, .., w_{q-1}, -w_{q-1}, .., -w_0]: entry +-u_i indexes +-w_i
     signed = [0, *w, *[-x for x in reversed(w)]]
-    return CochainComplex(tuple([ExactMatrix(dk.rows, dk.cols, 1, tuple([
+    return CochainComplex(tuple([ExactMatrix(dk.cols, 1, tuple([
         tuple([(j, y) for j, x in row if (y := signed[x])])
         for row in dk.int_rows])) for dk in template.d]),
         template.algebra, tuple(w))
@@ -89,9 +89,10 @@ def koszul_certificate(
     rank d_{k-1} + rank d_k <= C(q, k) = C(q - 1, k - 1) + C(q - 1, k).
     The lower bounds then force rank d_k = C(q - 1, k) in every degree,
     and every Betti number is 0.  The submatrices are checked on the
-    built integer rows in one scan, after the shapes C(q, k + 1) x
-    C(q, k); only when d.d or the witness fails are the ranks eliminated
-    (`rank`), so a broken complex gets the exact ranks it has.
+    built integer rows in one scan; the complex itself guarantees the
+    shapes C(q, k + 1) x C(q, k) and a weight of length q.  Only when
+    d.d or the witness fails are the ranks eliminated (`rank`), so a
+    broken complex gets the exact ranks it has.
 
     Wedging with a nonzero covector is exact, so ok is always true for
     a correctly built complex; a failure therefore indicates an
@@ -108,11 +109,10 @@ def koszul_certificate(
     i0 = next(i for i, x in enumerate(c.weight) if x)
     witness = witnesses[i0] if witnesses else monomial_witness(q, i0)
     violation = c.d_squared_violation()
-    if violation is None and len(c.d) == q == len(c.weight) and all(
-            (dk.rows, dk.cols) == shape and all(
-                [j for j, x in dk.int_rows[i] if x and outside[j]] == [face]
-                for i, face in pairs)
-            for dk, (shape, outside, pairs) in zip(c.d, witness)):
+    if violation is None and all(
+            [j for j, _ in dk.int_rows[i] if outside[j]] == [face]
+            for dk, (outside, pairs) in zip(c.d, witness)
+            for i, face in pairs):
         ranks = tuple(comb(q - 1, k) for k in range(q))
     else:
         ranks = tuple(rank(dk) for dk in c.d)
@@ -123,18 +123,17 @@ def koszul_certificate(
 
 def monomial_witness(q: int, i0: int) -> list[tuple]:
     """What koszul_certificate checks of each d_k on R^q, for i0 the
-    first nonzero coordinate of the weight: the shape (C(q, k + 1),
-    C(q, k)), the mask of the columns I that avoid i0, and the pairs
-    (row J, column J - {i0}) of the rows J that contain i0.  Dropping i0
-    keeps the lexicographic order, so the m-th such row J is matched
-    with the m-th such column I.  It depends on q and i0 alone, so an
-    audit computes it once for each i0."""
+    first nonzero coordinate of the weight: the mask of the columns I
+    that avoid i0, and the pairs (row J, column J - {i0}) of the rows J
+    that contain i0.  Dropping i0 keeps the lexicographic order, so the
+    m-th such row J is matched with the m-th such column I.  It depends
+    on q and i0 alone, so an audit computes it once for each i0."""
     out = []
     columns = enumerate_basis(q, 0)
     for k in range(q):
         rows = enumerate_basis(q, k + 1)
         outside = [i0 not in mono for mono in columns]
-        out.append(((len(rows), len(columns)), outside, list(zip(
+        out.append((outside, list(zip(
             [i for i, mono in enumerate(rows) if i0 in mono],
             [j for j, out in enumerate(outside) if out]))))
         columns = rows

@@ -58,6 +58,9 @@ class Subspace:
         basis = tuple(tuple((j, x) for j, x in sorted(dict(row).items()) if x)
                       for row in self.basis)
         object.__setattr__(self, "basis", basis)
+        n = self.ambient_dim
+        if any(row[0][0] < 0 or row[-1][0] >= n for row in basis if row):
+            raise ValueError("subspace rows need columns in [0, %d)" % n)
         # reduce() reads the pivots off the leads: accept only rref's form
         leads = [row[0][0] if row else -1 for row in basis]
         if any(b <= a for a, b in zip([-1] + leads, leads)):
@@ -137,7 +140,13 @@ class BettiReport:
     betti: tuple[int, ...]
     ranks: tuple[int, ...]
     generators: tuple[tuple[SparseRow, ...], ...]
-    monomials: tuple[tuple[MultiIndex, ...], ...]
+
+    @property
+    def monomials(self) -> tuple[tuple[MultiIndex, ...], ...]:
+        """monomials[k] lists the degree-k monomials in lexicographic
+        order, the columns of d_k."""
+        return tuple(tuple(enumerate_basis(self.dim, k))
+                     for k in range(self.dim + 1))
 
 
 def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
@@ -188,8 +197,7 @@ def betti(c: CochainComplex) -> BettiReport:
     for dk in reversed(c.d):
         rows = tuple([dk.int_rows[v[-1][0]] for v in kernels[-1]])
         # the integer rows read over 1: a scaled matrix has the same kernel
-        kernels.append(nullspace_basis(ExactMatrix(len(rows), dk.cols, 1,
-                                                   rows)))
+        kernels.append(nullspace_basis(ExactMatrix(dk.cols, 1, rows)))
     kernels.reverse()
     ranks = tuple([comb(n, k) - len(kernel) for k, kernel in
                    enumerate(kernels[:n])])
@@ -211,7 +219,4 @@ def betti(c: CochainComplex) -> BettiReport:
                         image[j][f] = x
             survivors = kernel_survivors(kernel, image.values())
         gens_out.append(tuple([lead_one(v) for v in survivors]))
-    return BettiReport(
-        n, numbers, ranks, tuple(gens_out),
-        tuple(tuple(enumerate_basis(n, k)) for k in range(n + 1)),
-    )
+    return BettiReport(n, numbers, ranks, tuple(gens_out))

@@ -46,30 +46,43 @@ class ExactMatrix:
     """Immutable row-sparse rational matrix: integer rows over one denominator.
 
     int_rows[i] lists the nonzero entries of row i, times den, as
-    (column, int) pairs in increasing column order.  den is positive and
-    has no common factor with all the numerators, so two matrices are
-    equal iff their fields are.
+    (column, int) pairs in strictly increasing column order within
+    [0, cols); the row count is len(int_rows).  den is positive and has
+    no common factor with all the numerators, so two matrices are equal
+    iff their fields are.  The constructor refuses any other row and
+    divides out a common factor of den.
     """
 
-    rows: int
     cols: int
     den: int
     int_rows: tuple[IntRow, ...]
 
     def __post_init__(self):
-        den = self.den
+        cols, den = self.cols, self.den
+        if cols < 0:
+            raise ValueError("width must be nonnegative, got %d" % cols)
         if den < 1:
             raise ValueError("denominator must be positive, got %d" % den)
         for row in self.int_rows:
-            for _, x in row:
-                if den == 1:
-                    return
-                den = gcd(den, x)
-        if den != 1:  # also reached by a zero matrix over den > 1
+            last = -1
+            for j, x in row:
+                if not (last < j < cols and x):
+                    raise ValueError(
+                        "row %d entry (%d, %d) is off the normal form: "
+                        "nonzeros at increasing columns in [0, %d)"
+                        % (self.int_rows.index(row), j, x, cols))
+                last = j
+        if den > 1:
+            den = gcd(den, *[x for row in self.int_rows for _, x in row])
+        if den > 1:  # also reached by a zero matrix over den > 1
             object.__setattr__(self, "den", self.den // den)
             object.__setattr__(self, "int_rows", tuple(
                 tuple((j, x // den) for j, x in row) for row in self.int_rows
             ))
+
+    @property
+    def rows(self) -> int:
+        return len(self.int_rows)
 
     @classmethod
     def from_int_rows(cls, cols: int, den: int,
@@ -81,7 +94,7 @@ class ExactMatrix:
             if 0 in row.values():
                 row = {j: x for j, x in row.items() if x}
             out.append(tuple(sorted(row.items())))
-        return cls(len(rows), cols, den, tuple(out))
+        return cls(cols, den, tuple(out))
 
     @classmethod
     def from_sparse(cls, cols: int, rows: Sequence[Mapping[int, RationalLike]]
@@ -89,10 +102,6 @@ class ExactMatrix:
         """Build from one {column: value} map per row, with int,
         Fraction or Ratio values cleared by their least common
         denominator."""
-        outside = [j for row in rows for j in row if not 0 <= j < cols]
-        if outside:
-            raise ValueError("column %d out of range for width %d"
-                             % (outside[0], cols))
         rows = [{j: as_ratio(x) for j, x in row.items()} for row in rows]
         den = lcm(*{d for row in rows for _, d in row.values()})
         return cls.from_int_rows(cols, den, [
@@ -116,7 +125,7 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, 1, ((),) * rows)
+        return cls(cols, 1, ((),) * rows)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -31,7 +31,7 @@ def _term_join(terms: list[str]) -> str:
     return out
 
 
-def _vector_label(
+def vector_label(
     vec: SparseRow, monomials: tuple[MultiIndex, ...], names: list[str]
 ) -> str:
     terms = []
@@ -67,7 +67,7 @@ def named(report, *names: str) -> dict:
 def cohomology(report: BettiReport, names: list[str]) -> tuple:
     """(betti, ranks, generators) of report, labelled by coordinate names."""
     generators = [
-        [_vector_label(v, monomials, names) for v in gens]
+        [vector_label(v, monomials, names) for v in gens]
         for gens, monomials in zip(report.generators, report.monomials)
     ]
     return as_json(report.betti), as_json(report.ranks), generators

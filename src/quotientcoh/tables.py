@@ -8,6 +8,16 @@ compiles neither renderer.
 from __future__ import annotations
 
 
+def _certificate(value) -> str:
+    """A Lie certificate's value: a flag or name in lower case, a record
+    (the dense_subalgebra closure) as its fields, lists joined."""
+    if isinstance(value, dict):
+        return "(%s)" % "; ".join(
+            "%s: %s" % (key, ", ".join(v) if isinstance(v, list) else v)
+            for key, v in value.items())
+    return str(value).lower()
+
+
 def render_table(payload: dict) -> str:
     """The report as aligned text lines, ending with its exit code."""
     lines = ["mode: %s" % payload["mode"]]
@@ -45,7 +55,7 @@ def render_table(payload: dict) -> str:
             lines.append(certs["normalization"])
         else:
             lines.append("certificates: %s" % " ".join(
-                "%s=%s" % (name, str(value).lower())
+                "%s=%s" % (name, _certificate(value))
                 for name, value in certs.items() if value is not None))
     else:
         certs = payload["certificates"]

@@ -681,7 +681,7 @@ def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
     d = [dk.entries for dk in ce_complex(algebra).d]
     oracle = naive_kernel_generators(d, n)
     assert naive_generators(d, n, oracle) == naive_generators(d, n)
-    labels = [[payload._vector_label(
+    labels = [[payload.vector_label(
         tuple((j, x.as_integer_ratio()) for j, x in enumerate(v) if x),
         enumerate_basis(n, k), names) for v in gens]
         for k, gens in enumerate(oracle)]

@@ -10,18 +10,53 @@ from __future__ import annotations
 import pytest
 
 from quotientcoh import (
-    ExactMatrix, ExtScalar, LieAlgebra, Subspace, TorusSpec, abelian,
-    build_bumps, quotient)
+    CochainComplex, ExactMatrix, ExtScalar, LieAlgebra, Subspace, TorusSpec,
+    abelian, build_bumps, ce_complex, quotient)
 from quotientcoh.record import record
 from quotientcoh.witness import interval
 
+# the message of a row entry (i, j, x) off the normal form at width w
+OFF_NORMAL_FORM = ("row 0 entry (%d, %d) is off the normal form: nonzeros "
+                   "at increasing columns in [0, %d)")
+
 GUARDS = [
     ("negative Lie dimension",
-     lambda: LieAlgebra(-1, ExactMatrix.zero(0, 0)),
-     ValueError, "dimension must be nonnegative"),
+     lambda: LieAlgebra.from_brackets(-1, {}),
+     ValueError, "width must be nonnegative, got -1"),
     ("wrong bracket table shape",
-     lambda: LieAlgebra(2, ExactMatrix.zero(2, 2)),
+     lambda: LieAlgebra(ExactMatrix.zero(2, 2)),
      ValueError, "bracket matrix must be 1 x 2"),
+    ("negative matrix width",
+     lambda: ExactMatrix(-1, 1, ()),
+     ValueError, "width must be nonnegative, got -1"),
+    ("stored zero",
+     lambda: ExactMatrix(1, 1, (((0, 0),),)),
+     ValueError, OFF_NORMAL_FORM % (0, 0, 1)),
+    ("unsorted columns",
+     lambda: ExactMatrix(2, 1, (((1, 2), (0, 3)),)),
+     ValueError, OFF_NORMAL_FORM % (0, 3, 2)),
+    ("repeated column",
+     lambda: ExactMatrix(2, 1, (((1, 2), (1, 3)),)),
+     ValueError, OFF_NORMAL_FORM % (1, 3, 2)),
+    ("column at the width",
+     lambda: ExactMatrix(2, 1, (((2, 1),),)),
+     ValueError, OFF_NORMAL_FORM % (2, 1, 2)),
+    ("negative column",
+     lambda: ExactMatrix(2, 1, (((-1, 1),),)),
+     ValueError, OFF_NORMAL_FORM % (-1, 1, 2)),
+    ("complex missing a differential",
+     lambda: CochainComplex((), abelian(2)),
+     ValueError, "a complex of dim 2 needs 2 differentials, got 0"),
+    ("misshapen differential",
+     lambda: CochainComplex((ExactMatrix.zero(2, 1), ExactMatrix.zero(1, 3)),
+                            abelian(2)),
+     ValueError, "d_1 must be 1 x 2, got 1 x 3"),
+    ("weight of the wrong length",
+     lambda: CochainComplex(ce_complex(abelian(2)).d, abelian(2), (1,)),
+     ValueError, "weight length 1 != dim 2"),
+    ("subspace column outside its ambient space",
+     lambda: Subspace(2, (((5, 1),),)),
+     ValueError, "subspace rows need columns in [0, 2)"),
     ("short spanning vector",
      lambda: Subspace.span(3, [[1, 0]]),
      ValueError, "vector length 2 != ambient dim 3"),

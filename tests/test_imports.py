@@ -3,7 +3,8 @@ imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
 a wrapper set on a cli name before the first job is the one called,
-only a Lie job that names a space loads the space module, only a
+only a Lie job that names a space loads the space module and only a
+dense_subalgebra job the closure module, only a
 table or CSV job the renderers and only a --check Lie job the sign
 check, the sign check reads no sign code of the differential it
 certifies, no job compiles a regular expression,
@@ -659,6 +660,23 @@ def test_only_a_lie_job_with_a_space_loads_the_space_module(tmp_path):
     assert loaded["lie"] == loaded["quotient"] == LIE_JOB_MODULES
     assert loaded["space"] == sorted(LIE_JOB_MODULES + ["quotientcoh.space"])
     assert "quotientcoh.space" not in loaded["torus"] + loaded["witness"]
+
+
+def test_only_a_dense_subalgebra_job_loads_its_module(tmp_path):
+    # the closure is its own module, bound by cli for these jobs alone;
+    # an ideal job with the same vector loads none of it
+    loaded = {}
+    for name, text in (
+            ("dense", HEISENBERG_CFG + "dense_subalgebra = 1,0,0\n"),
+            ("ideal", HEISENBERG_CFG + "ideal = 0,0,1\n")):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        code, loaded[name] = json.loads(_python(
+            RUN_JOB_PACKAGE, str(cfg), str(tmp_path / (name + ".json"))))
+        assert code == 0, name
+    assert loaded["ideal"] == LIE_JOB_MODULES
+    assert loaded["dense"] == sorted(
+        LIE_JOB_MODULES + ["quotientcoh.dense_subalgebra"])
 
 
 # a job run through main with the command line it is given; its exit code

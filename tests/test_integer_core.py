@@ -85,9 +85,9 @@ def test_one_normal_form_whatever_the_construction():
             assert m.entries == tuple(tuple(Fraction(x) for x in r)
                                       for r in dense)
     with pytest.raises(ValueError, match="denominator must be positive"):
-        ExactMatrix(1, 1, 0, ())
+        ExactMatrix(1, 0, ())
     with pytest.raises(ValueError, match="denominator must be positive"):
-        ExactMatrix(1, 1, -2, (((0, 1),),))
+        ExactMatrix(1, -2, (((0, 1),),))
 
 
 def test_integer_operations_against_dense_oracles():
@@ -130,14 +130,15 @@ def test_a_zero_product_of_factors_over_den_above_one():
 
 
 def _with_numerator(c, k, delta):
-    """c with the first nonzero numerator of d_k moved by delta."""
+    """c with the first nonzero numerator of d_k moved by delta; one
+    moved to zero is dropped, as the normal form stores no zero."""
     dk = c.d[k]
     i = next(i for i, row in enumerate(dk.int_rows) if row)
     rows = list(dk.int_rows)
     (j, x), *rest = rows[i]
-    rows[i] = ((j, x + delta), *rest)
+    rows[i] = ((j, x + delta), *rest) if x + delta else tuple(rest)
     d = list(c.d)
-    d[k] = ExactMatrix(dk.rows, dk.cols, dk.den, tuple(rows))
+    d[k] = ExactMatrix(dk.cols, dk.den, tuple(rows))
     return replace(c, d=tuple(d))
 
 

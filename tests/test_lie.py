@@ -530,7 +530,8 @@ def test_phi_sign_check_on_torus_class_complexes():
     assert phi_sign_check(c)
     assert not phi_sign_check(replace(c, weight=(1, -2, 0)))
     assert not phi_sign_check(replace(c, weight=()))
-    assert not phi_sign_check(replace(c, weight=(1, 2)))
+    with pytest.raises(ValueError, match="weight length 2 != dim 3"):
+        replace(c, weight=(1, 2))
 
 
 def _with_entry(c, k, i, j, value):
@@ -564,12 +565,14 @@ def test_phi_sign_check_fails_on_any_single_changed_entry():
                         _with_entry(c, k, i, j, wrong)), (c.dim, k, i, j)
                     count += 1
         changed.append(count)
-        # a d_k with one more, zero, row fails the shape clause
+        # a d_k with one more, zero, row is refused by the complex itself
         for k, dk in enumerate(c.d):
             d = list(c.d)
-            d[k] = ExactMatrix(dk.rows + 1, dk.cols, dk.den,
-                               dk.int_rows + ((),))
-            assert not phi_sign_check(replace(c, d=tuple(d))), (c.dim, k)
+            d[k] = ExactMatrix(dk.cols, dk.den, dk.int_rows + ((),))
+            with pytest.raises(ValueError, match="d_%d must be %d x %d, "
+                               "got %d x" % (k, dk.rows, dk.cols,
+                                             dk.rows + 1)):
+                replace(c, d=tuple(d))
         # the complex kept, any one bracket of its algebra sign-flipped,
         # fails the degree-1 clause (sl(2) and both dim-5 tables have some)
         g, table = c.algebra, c.algebra.table
@@ -580,7 +583,7 @@ def test_phi_sign_check_fails_on_any_single_changed_entry():
                                 for t, (j, x) in enumerate(row))
                 wrong = replace(table, int_rows=tuple(rows))
                 assert not phi_sign_check(
-                    replace(c, algebra=LieAlgebra(g.dim, wrong))), (p, at)
+                    replace(c, algebra=LieAlgebra(wrong))), (p, at)
         # differentials built with one random rational weight and labelled
         # with another or the same: the verdict is the oracle's comparison
         weights = [_fractional_weight(rng, g.dim) for _ in range(2)]

@@ -301,7 +301,7 @@ def _with_row(c, k, i, row):
     rows = list(dk.int_rows)
     rows[i] = tuple(row)
     d = list(c.d)
-    d[k] = ExactMatrix(dk.rows, dk.cols, dk.den, tuple(rows))
+    d[k] = ExactMatrix(dk.cols, dk.den, tuple(rows))
     return replace(c, d=tuple(d))
 
 
@@ -378,17 +378,11 @@ def test_a_witness_failure_alone_falls_back_to_elimination(monkeypatch):
     assert len(calls) == 3
     assert (cert.ranks, cert.ok, cert.failed_degree) == \
         _eliminated_certificate((1, 0, 0), bad)
-    # a d_0 one column too wide: the rank bounds read the shapes, so the
-    # witness refuses it
+    # a d_0 one column too wide: the rank bounds rest on the shapes, and
+    # the complex refuses it before any certificate reads it
     d0 = c.d[0]
-    wide = replace(c, d=(ExactMatrix(d0.rows, 2, d0.den, d0.int_rows),)
-                   + c.d[1:])
-    assert wide.d_squared_violation() is None
-    del calls[:]
-    cert = koszul_certificate((1, 0, 0), wide)
-    assert len(calls) == 3
-    assert (cert.ranks, cert.ok, cert.failed_degree) == \
-        _eliminated_certificate((1, 0, 0), wide)
+    with pytest.raises(ValueError, match="d_0 must be 3 x 1, got 3 x 2"):
+        replace(c, d=(ExactMatrix(2, d0.den, d0.int_rows),) + c.d[1:])
 
 
 def test_mode_complex_d_squared_is_zero():
