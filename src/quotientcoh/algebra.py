@@ -24,17 +24,20 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
-from typing import TYPE_CHECKING, Mapping
 
 from .cochain import ce_differential
 from .errors import NotAnIdeal
 from .exterior import enumerate_basis
-from .matrix import ExactMatrix, IntRow, RationalLike
+from .matrix import ExactMatrix, IntRow
 from .ratio import Ratio, as_ratio
 from .record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Mapping
+
     from .lie import Subspace
+    from .matrix import RationalLike
 
 
 @record

@@ -26,10 +26,8 @@ from __future__ import annotations
 import sys
 import time
 from importlib import import_module
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .config import JobConfig, LieJob, WitnessJob, parse_config
+from .config import parse_config
 from .errors import (EngineError, MathematicalRefusal, NotALieAlgebra,
                      NotAdapted, ParseError, ValidationError)
 from .options import HELP, USAGE, UsageError, parse_args
@@ -37,7 +35,9 @@ from .payload import as_json, build_payload, cohomology, named
 from .ratio import ratio_str
 from .record import replace
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .config import JobConfig, LieJob, WitnessJob
     from .foliation import TorusSpec
 
 PROG = "engine"
@@ -45,12 +45,13 @@ PROG = "engine"
 # module -> the names this module calls from it.  A job imports only its
 # own pipeline: run_job binds the modules of that pipeline's names here, a
 # --check Lie job binds sign_twist too, a dense_subalgebra job
-# dense_subalgebra, and module attribute access
-# (cli.betti) binds them on demand before that.
+# dense_subalgebra, a torus job with discrete coordinates discrete, and
+# module attribute access (cli.betti) binds them on demand before that.
 _PIPELINE_NAMES = {
     "algebra": ("jacobi_check", "quotient"),
     "cochain": ("ce_complex",),
     "dense_subalgebra": ("generated_ideal",),
+    "discrete": ("discrete_certificate", "discrete_jobs"),
     "lie": ("Subspace", "betti"),
     "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
@@ -126,6 +127,10 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
 
 
 def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
+    quotient = None
+    if spec.discrete_coords:
+        _bind("discrete")
+        spec, quotient = discrete_jobs(spec)
     report = torus_betti(spec)  # raises InvalidSpec when refused
     certificates = named(report, "normalization", "all_modes_acyclic")
     transverse = [
@@ -138,6 +143,9 @@ def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
         certificates["cross_check_ce"] = agreed
         if not agreed:
             code = 3
+    if quotient is not None:
+        certificates["discrete"] = discrete_certificate(
+            report.betti, torus_betti(quotient).betti)
     return build_payload("torus", certificates, *cohomology(
         report.zero_mode, ["d" + name for name in transverse]),
         report.audited_modes), code
@@ -209,7 +217,8 @@ def main(argv=None) -> int:
         return 0
     started = time.perf_counter()
     try:
-        text = Path(args["input"]).read_text(encoding="utf-8")
+        with open(args["input"], encoding="utf-8") as source:
+            text = source.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read input: %s" % (PROG, exc), file=sys.stderr)
         return 1
@@ -240,7 +249,8 @@ def main(argv=None) -> int:
     out_path = args["output"] or config.output.path
     if out_path:
         try:
-            Path(out_path).write_text(rendered)
+            with open(out_path, "w", encoding="utf-8") as sink:
+                sink.write(rendered)
         except OSError as exc:
             print("%s: cannot write output: %s" % (PROG, exc),
                   file=sys.stderr)

@@ -19,15 +19,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from math import comb, lcm
-from typing import TYPE_CHECKING, Sequence
 
 from .exterior import enumerate_basis
-from .matrix import ExactMatrix, RationalLike
+from .matrix import ExactMatrix
 from .ratio import as_ratio
 from .record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Sequence
+
     from .algebra import LieAlgebra
+    from .matrix import RationalLike
 
 
 def cleared_weight(g: LieAlgebra, weight: Sequence[RationalLike]

@@ -7,6 +7,7 @@ The format is a plain sectioned key = value file:
     foliation = 1,0,0
     invariance = 1
     truncation = 3
+    discrete = 0
 
     [output]
     format = table
@@ -16,8 +17,9 @@ of them must be present.  Keys that repeat to build up a list are
 ``bracket``, ``ideal`` and ``dense_subalgebra`` in [lie] and
 ``foliation`` in [torus]; every other key may appear once.  Each value
 shape has one reader (_int_key, _vectors for ``ideal``,
-``dense_subalgebra`` and ``foliation``, _choice for ``format`` and
-``space``), and each limit is checked where its key is read.
+``dense_subalgebra`` and ``foliation``, _coordinates for ``invariance``
+and ``discrete``, _choice for ``format`` and ``space``), and each limit
+is checked where its key is read.
 
 The exact tokens, integers, ratios a/b and p+-q*alpha, are read by the
 literals module.  Each section builder imports its own pipeline's types
@@ -32,20 +34,19 @@ whole job, and configparser fights all three.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import ParseError, ValidationError
 from .literals import exact_int, exact_ratio, parse_ext_scalar
 from .ratio import Ratio
 from .record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
     from .foliation import TorusSpec
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal", "dense_subalgebra", "space"},
-    "torus": {"n", "foliation", "invariance", "truncation"},
+    "torus": {"n", "foliation", "invariance", "truncation", "discrete"},
     "witness": {
         "k_min", "k_max", "max_derivative_order", "samples_per_interval"
     },
@@ -181,6 +182,14 @@ def _vectors(section: dict, key: str, noun: str, size_name: str, size: int,
     return tuple(vectors)
 
 
+def _coordinates(section: dict, key: str) -> frozenset[int]:
+    """The comma-separated coordinate indices of key, none when absent."""
+    if key not in section:
+        return frozenset()
+    return frozenset(exact_int(key, token.strip())
+                     for token in section[key].split(","))
+
+
 def _choice(key: str, value: str, choices: tuple[str, ...]) -> str:
     """value, refused unless it is one of choices."""
     if value not in choices:
@@ -229,15 +238,13 @@ def _build_torus(section: dict) -> TorusSpec:
     n = _int_key(section, "torus", "n")
     dirs = _vectors(section, "foliation", "direction", "n", n,
                     parse_ext_scalar)
-    invariance: set[int] = set()
-    if "invariance" in section:
-        for token in section["invariance"].split(","):
-            invariance.add(exact_int("invariance", token.strip()))
+    invariance = _coordinates(section, "invariance")
     truncation = _int_key(section, "torus", "truncation", 3)
+    discrete = _coordinates(section, "discrete")
     from .foliation import TorusSpec
 
     try:
-        return TorusSpec(n, dirs, frozenset(invariance), truncation)
+        return TorusSpec(n, dirs, invariance, truncation, discrete)
     except ValueError as exc:
         raise ValidationError("torus", str(exc)) from exc
 

@@ -23,12 +23,16 @@ dense_subalgebra key import this module.
 
 from __future__ import annotations
 
-from .algebra import LieAlgebra, brackets
+from .algebra import brackets
 from .errors import NotASubalgebra
 from .lie import Subspace
 from .matrix import ExactMatrix, IntRow
 from .payload import vector_label
 from .scalars import rref
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
 
 
 def close_once(g: LieAlgebra, h: Subspace

@@ -3,10 +3,11 @@
 A constant-coefficient foliation of the n-torus is spanned by direction
 vectors whose entries are rational or rational + rational*alpha for one
 fixed irrational alpha (scalars.ExtScalar).  A TorusSpec holds those
-directions, the coordinates of dense translation invariance and the
-truncation of the mode audit, and clears each direction once into the
-integer rows every span, rank and survival test of the torus pipeline
-reads.  It is all a job needs to be read and refused, so a torus job
+directions, the coordinates of dense translation invariance, the
+truncation of the mode audit and the coordinates of discrete
+translations (the discrete module), and clears each direction once into
+the integer rows every span, rank and survival test of the torus
+pipeline reads.  It is all a job needs to be read and refused, so a torus job
 refused while its spec is built compiles none of that pipeline.
 """
 
@@ -27,13 +28,17 @@ class TorusSpec:
     foliation_dirs are the spanning direction vectors (entries
     ExtScalar), and parts their one integer form; invariance_coords are
     the coordinates of dense translation invariance; truncation bounds
-    the sup norm of the nonzero modes audited by torus_betti.
+    the sup norm of the nonzero modes audited by torus_betti;
+    discrete_coords are the coordinates j of a job modulo every
+    translation along e_j with the discrete topology, which torus_betti
+    does not read (see the discrete module).
     """
 
     n: int
     foliation_dirs: tuple[tuple[ExtScalar, ...], ...] = ()
     invariance_coords: frozenset[int] = frozenset()
     truncation: int = 3
+    discrete_coords: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,15 +57,13 @@ class TorusSpec:
                 raise ValueError("direction entries must be ExtScalar")
         if not all(any(a) or any(b) for a, b in zip(*self.parts)):
             raise InvalidSpec("a foliation direction vector is zero")
-        object.__setattr__(
-            self, "invariance_coords", frozenset(self.invariance_coords)
-        )
-        for j in self.invariance_coords:
-            if not 0 <= j < self.n:
-                raise ValueError(
-                    "invariance coordinate %d out of range for n = %d"
-                    % (j, self.n)
-                )
+        for kind in ("invariance", "discrete"):
+            coords = frozenset(getattr(self, kind + "_coords"))
+            object.__setattr__(self, kind + "_coords", coords)
+            for j in coords:
+                if not 0 <= j < self.n:
+                    raise ValueError("%s coordinate %d out of range for "
+                                     "n = %d" % (kind, j, self.n))
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
 

@@ -14,7 +14,6 @@ Only torus jobs import this module.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
 
 from .algebra import abelian
 from .cochain import CochainComplex, ce_differential
@@ -23,6 +22,10 @@ from .lie import betti_numbers
 from .matrix import ExactMatrix
 from .record import record
 from .scalars import rank
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 
 def build_mode_complex(w: Sequence[int],

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence
 
 # CochainComplex names betti's argument, and perfbench/tracer.py patches
 # lie.CochainComplex.d_squared_violation by name
@@ -29,7 +28,7 @@ from .cochain import CochainComplex
 # remove_pair and wedge_insert are unused here, but perfbench/tracer.py
 # wraps lie.remove_pair and lie.wedge_insert by name
 from .exterior import MultiIndex, enumerate_basis, remove_pair, wedge_insert
-from .matrix import ExactMatrix, IntRow, RationalLike, SparseRow
+from .matrix import ExactMatrix, IntRow, SparseRow
 from .record import record
 from .scalars import (
     kernel_survivors,
@@ -38,6 +37,12 @@ from .scalars import (
     rank,  # unused here, but perfbench/tracer.py wraps lie.rank by name
     rref,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Mapping, Sequence
+
+    from .matrix import RationalLike
 
 
 @record

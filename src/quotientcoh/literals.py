@@ -11,11 +11,10 @@ has parsed, so a job whose values do not parse loads no pipeline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import ValidationError
 from .ratio import Ratio, parse_ratio
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .scalars import ExtScalar
 

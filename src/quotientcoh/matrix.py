@@ -29,13 +29,18 @@ need not vanish when A @ B does.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
 
 from .ratio import Ratio, as_ratio
 from .record import record
 
-# an int, a Fraction (read through its numerator and denominator) or a Ratio
-RationalLike = Union[int, "Fraction", Ratio]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Iterable, Mapping, Sequence
+
+    # an int, a Fraction (read through its numerator and denominator) or
+    # a Ratio
+    RationalLike = int | Fraction | Ratio
 
 SparseRow = tuple[tuple[int, Ratio], ...]
 IntRow = tuple[tuple[int, int], ...]

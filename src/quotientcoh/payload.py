@@ -10,11 +10,10 @@ their complex, with coefficients rendered from exact pairs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .ratio import ratio_str
 from .record import fields
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .exterior import MultiIndex
     from .lie import BettiReport

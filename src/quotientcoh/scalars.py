@@ -39,12 +39,14 @@ from __future__ import annotations
 
 from bisect import insort
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ratio import Ratio, as_ratio, ratio
 from .record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Mapping, Sequence
+
     from .matrix import ExactMatrix, IntRow, SparseRow
 
 

@@ -10,12 +10,13 @@ merge counts, not ce_differential's; only a --check Lie job compiles it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
-
 from .exterior import enumerate_basis
 from .cochain import cleared_weight
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterator
+
     from .cochain import CochainComplex
 
 

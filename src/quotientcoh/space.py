@@ -39,10 +39,9 @@ at (0, 2, 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .exterior import enumerate_basis
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
 

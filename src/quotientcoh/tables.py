@@ -52,6 +52,13 @@ def render_table(payload: dict) -> str:
                     "cross-check against cochain pipeline: %s"
                     % ("agree" if certs["cross_check_ce"] else "MISMATCH")
                 )
+            if "discrete" in certs:
+                discrete = certs["discrete"]
+                lines.append(
+                    "discrete: invariant basic betti %s, quotient betti %s: %s"
+                    % (" ".join(map(str, discrete["invariant_basic_betti"])),
+                       " ".join(map(str, discrete["quotient_betti"])),
+                       discrete["conclusion"]))
             lines.append(certs["normalization"])
         else:
             lines.append("certificates: %s" % " ".join(

@@ -74,23 +74,26 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
-from typing import TYPE_CHECKING, Sequence
 
 from .algebra import abelian, quotient
 from .cochain import ce_complex
 from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
 from .exterior import wedge_insert
-from .koszul import (KoszulCertificate, build_mode_complex, koszul_certificate,
-                     monomial_witness)
-from .lie import BettiReport, Subspace, betti as lie_betti
+from .koszul import build_mode_complex, koszul_certificate, monomial_witness
+from .lie import Subspace, betti as lie_betti
 from .matrix import ExactMatrix
 from .ratio import Ratio
 from .record import record, replace
 from .scalars import rank, rref
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Sequence
+
     from .foliation import TorusSpec
+    from .koszul import KoszulCertificate
+    from .lie import BettiReport
 
 NORMALIZATION_NOTE = (
     "fourier differential normalized: the overall 2*pi*i factor is scaled "

@@ -9,8 +9,10 @@ table or CSV job the renderers and only a --check Lie job the sign
 check, the sign check reads no sign code of the differential it
 certifies, no job compiles a regular expression,
 no job process loads argparse, gettext or locale, nor fractions,
-decimal, _decimal or numbers, only matrix builds dense rows, no engine
-module holds more tokens than the budget, no module imports another's
+decimal, _decimal or numbers, nor, in an interpreter that preloads
+nothing, typing or pathlib, no module imports pathlib or typing at run
+time, only a discrete torus job loads the discrete module, only matrix
+builds dense rows, no engine module holds more tokens than the budget, no module imports another's
 private names or a name it does not use, every public function, class
 and method is named by some engine module, the names the bench tracer
 wraps still resolve and traced jobs open the pinned spans, the test
@@ -108,12 +110,12 @@ samples_per_interval = 2001
 """
 
 
-def _python(code: str, *args: str) -> str:
+def _python(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     done = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=env, check=True,
     )
     return done.stdout
@@ -138,6 +140,78 @@ def test_no_job_process_loads_argparse_gettext_or_locale(tmp_path):
     assert json.loads(_python(NO_ARGPARSE, *cfgs, out)) == [
         ["import", None, []], ["lie", 0, []], ["torus", 0, []],
         ["witness", 0, []], ["usage", 2, []]]
+
+
+# what a site-packages .pth file may preload (one that imports certifi
+# loads all four), so an interpreter started with -S, whose site module
+# preloads nothing, shows what the engine itself imports.  pathlib brings
+# fnmatch and urllib.parse; a JSON report still loads re and enum, since
+# json.decoder and json.encoder import re
+PRELOADED = ("typing", "pathlib", "re", "enum")
+NOT_AT_RUN_TIME = ("typing", "pathlib", "fnmatch", "urllib.parse")
+
+# written before json is imported, and printed as a literal, so that the
+# script loads nothing it checks for
+CLEAN_INTERPRETER = """
+import sys
+import quotientcoh.cli
+steps = [["import", None, sorted(n for n in %r if n in sys.modules)]]
+from quotientcoh.cli import main
+out = sys.argv.pop()
+jobs = sys.argv[1:]
+for i in range(0, len(jobs), 4):
+    name, cfg, fmt, check = jobs[i:i + 4]
+    code = main(["--input", cfg, "--format", fmt, "--output",
+                 out + "/" + name + "." + fmt] + check.split())
+    steps.append([name, code, sorted(n for n in %r if n in sys.modules)])
+print(repr(steps))
+""" % (PRELOADED, NOT_AT_RUN_TIME)
+
+
+def test_a_clean_interpreter_job_loads_neither_typing_nor_pathlib(tmp_path):
+    jobs = []
+    for name, text, fmt, check in (
+            ("lie", HEISENBERG_CFG, "json", "--check"),
+            ("torus", TORUS_CFG, "json", ""),
+            ("witness", WITNESS_CFG, "json", ""),
+            ("table", QUOTIENT_CFG, "table", ""),
+            ("refused", ZERO_DIRECTION_CFG, "json", "")):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        jobs += [name, str(cfg), fmt, check]
+    steps = ast.literal_eval(_python(CLEAN_INTERPRETER, *jobs, str(tmp_path),
+                                     flags=("-S",)))
+    assert steps == [["import", None, []], ["lie", 0, []], ["torus", 0, []],
+                     ["witness", 0, []], ["table", 0, []],
+                     ["refused", 2, []]]
+
+
+def test_no_module_imports_pathlib_or_typing_at_run_time():
+    # a name used only in annotations is imported under the module's own
+    # TYPE_CHECKING = False, which type checkers read as true by its name;
+    # typing.TYPE_CHECKING would load typing to read a constant
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        guarded = {id(node) for block in tree.body
+                   if isinstance(block, ast.If)
+                   and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+        flags = [ast.unparse(node) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "TYPE_CHECKING"]
+        assert flags == (["TYPE_CHECKING = False"] if guarded else []), (
+            path.name, flags)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                roots = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            assert "pathlib" not in roots, (path.name, ast.unparse(node))
+            assert "typing" not in roots or id(node) in guarded, (
+                path.name, ast.unparse(node))
 
 
 def test_package_compiles_no_source_at_run_time():
@@ -677,6 +751,22 @@ def test_only_a_dense_subalgebra_job_loads_its_module(tmp_path):
     assert loaded["ideal"] == LIE_JOB_MODULES
     assert loaded["dense"] == sorted(
         LIE_JOB_MODULES + ["quotientcoh.dense_subalgebra"])
+
+
+def test_only_a_discrete_torus_job_loads_its_module(tmp_path):
+    # the second torus job and the comparison are their own module, bound
+    # by cli for jobs with discrete coordinates alone
+    loaded = {}
+    for name, text in (("torus", TORUS_CFG),
+                       ("discrete", TORUS_CFG + "discrete = 0\n")):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        code, loaded[name] = json.loads(_python(
+            RUN_JOB_PACKAGE, str(cfg), str(tmp_path / (name + ".json"))))
+        assert code == 0, name
+    assert loaded["torus"] == TORUS_JOB_MODULES
+    assert loaded["discrete"] == sorted(
+        TORUS_JOB_MODULES + ["quotientcoh.discrete"])
 
 
 # a job run through main with the command line it is given; its exit code
