@@ -12,6 +12,9 @@ Three pipelines share an exact linear-algebra core:
     local data need not lift through a quotient map, plus the static
     degree-one obstruction certificate.
 
+A fourth, the automorphism module, reads and runs a [torus] job with
+automorphism rows: T^n modulo the Z that a matrix in GL(n, Z) generates.
+
 The command line entry point is ``engine``; see the cli module.
 
 Importing the package loads no pipeline.  Each exported name resolves on

@@ -5,12 +5,17 @@
 
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
 a dense_subalgebra that is no subalgebra, degenerate foliation, broken
-Jacobi table, a basis not adapted to the job's [lie] space), 3 when a
-certificate fails
-(d.d != 0, a non-acyclic audited mode, or a --check cross-check), 1 for
-bad job files and internal errors.  A malformed command line prints the
-usage and an ``engine: error:`` line to stderr and exits 2; -h or --help
-prints the options to stdout and exits 0.
+Jacobi table, a basis not adapted to the job's [lie] space, an
+automorphism that is not unimodular or has a root-of-unity eigenvalue),
+1 for bad job files and internal errors.  A malformed command line
+prints the usage and an ``engine: error:`` line to stderr and exits 2;
+-h or --help prints the options to stdout and exits 0.
+
+A report that is written exits 3 iff one of its top-level certificates
+is false, and 0 otherwise; run_job alone reads that verdict off the
+report.  The certificates that can be false are d_squared_zero and,
+under --check, sign_twist for lie jobs, and all_modes_acyclic and,
+under --check, cross_check_ce for torus jobs.
 
 The JSON report always carries the keys mode, betti, ranks, generators,
 certificates, audited_modes and exit; fields that make no sense for a
@@ -37,18 +42,20 @@ from .record import replace
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .automorphism import AutomorphismJob
     from .config import JobConfig, LieJob, WitnessJob
     from .foliation import TorusSpec
 
 PROG = "engine"
 
 # module -> the names this module calls from it.  A job imports only its
-# own pipeline: run_job binds the modules of that pipeline's names here, a
-# --check Lie job binds sign_twist too, a dense_subalgebra job
-# dense_subalgebra, a torus job with discrete coordinates discrete, and
+# own pipeline: each runner binds the modules it calls here as it starts
+# (a --check Lie job binds sign_twist too, a dense_subalgebra job
+# dense_subalgebra, a torus job with discrete coordinates discrete), and
 # module attribute access (cli.betti) binds them on demand before that.
 _PIPELINE_NAMES = {
     "algebra": ("jacobi_check", "quotient"),
+    "automorphism": ("automorphism_payload",),
     "cochain": ("ce_complex",),
     "dense_subalgebra": ("generated_ideal",),
     "discrete": ("discrete_certificate", "discrete_jobs"),
@@ -60,23 +67,21 @@ _PIPELINE_NAMES = {
 }
 _PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
                 for name in names}
-# job mode -> the modules of _PIPELINE_NAMES its runner calls
-_JOB_MODULES = {"lie": ("algebra", "cochain", "lie"), "torus": ("torus",),
-                "witness": ("witness",)}
 
 
-def _bind(pipeline: str) -> None:
-    """Import a module of _PIPELINE_NAMES and bind its names in this
-    module's namespace.
+def _bind(*pipelines: str) -> None:
+    """Import modules of _PIPELINE_NAMES, in order, and bind their names
+    in this module's namespace.
 
     setdefault keeps a name that is already bound: a wrapper installed on
     ``cli.betti`` and the like before the first job (the bench tracer
     patches them by name) stays the callable the job calls.
     """
-    module = import_module("." + pipeline, __package__)
     namespace = globals()
-    for name in _PIPELINE_NAMES[pipeline]:
-        namespace.setdefault(name, getattr(module, name))
+    for pipeline in pipelines:
+        module = import_module("." + pipeline, __package__)
+        for name in _PIPELINE_NAMES[pipeline]:
+            namespace.setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
@@ -87,7 +92,8 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
+def _run_lie(job: LieJob, check: bool) -> dict:
+    _bind("algebra", "cochain", "lie")
     algebra = job.algebra
     certificates: dict = {"jacobi": True, "ideal": None}
     names = ["e%d" % i for i in range(algebra.dim)]
@@ -111,47 +117,43 @@ def _run_lie(job: LieJob, check: bool) -> tuple[dict, int]:
             raise NotAdapted(job.space, tuple(names[x] for x in triple))
         certificates["space"] = job.space
     complex_ = ce_complex(algebra)
-    is_complex = complex_.d_squared_violation() is None
-    certificates["d_squared_zero"] = is_complex
-    code = 0 if is_complex else 3
+    certificates["d_squared_zero"] = complex_.d_squared_violation() is None
     if check:
         _bind("sign_twist")
-        twist = phi_sign_check(complex_)
-        certificates["sign_twist"] = twist
-        if not twist:
-            code = 3
-    if not is_complex:
-        return build_payload("lie", certificates), code  # no cohomology
+        certificates["sign_twist"] = phi_sign_check(complex_)
+    if not certificates["d_squared_zero"]:
+        return build_payload("lie", certificates)  # no cohomology
     return build_payload("lie", certificates,
-                         *cohomology(betti(complex_), names)), code
+                         *cohomology(betti(complex_), names))
 
 
-def _run_torus(spec: TorusSpec, check: bool) -> tuple[dict, int]:
+def _run_torus(spec: TorusSpec, check: bool) -> dict:
+    _bind("torus")
     quotient = None
     if spec.discrete_coords:
         _bind("discrete")
         spec, quotient = discrete_jobs(spec)
     report = torus_betti(spec)  # raises InvalidSpec when refused
-    certificates = named(report, "normalization", "all_modes_acyclic")
     transverse = [
         report.coordinate_names[c] for c in report.frame.skeleton.complement]
-    certificates["transverse_coordinates"] = transverse
-    certificates["koszul"] = as_json(report.acyclicity_certificates)
-    code = 0 if report.all_modes_acyclic else 3
+    certificates = {
+        "normalization": report.normalization,
+        "all_modes_acyclic": report.all_modes_acyclic,
+        "transverse_coordinates": transverse,
+        "koszul": as_json(report.acyclicity_certificates),
+    }
     if check:
-        agreed = cross_check_ce(report)
-        certificates["cross_check_ce"] = agreed
-        if not agreed:
-            code = 3
+        certificates["cross_check_ce"] = cross_check_ce(report)
     if quotient is not None:
         certificates["discrete"] = discrete_certificate(
             report.betti, torus_betti(quotient).betti)
     return build_payload("torus", certificates, *cohomology(
         report.zero_mode, ["d" + name for name in transverse]),
-        report.audited_modes), code
+        report.audited_modes)
 
 
-def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
+def _run_witness(job: WitnessJob, check: bool) -> dict:
+    _bind("witness")
     family = build_bumps(
         range(job.k_min, job.k_max + 1),
         max_derivative_order=job.max_derivative_order,
@@ -160,26 +162,35 @@ def _run_witness(job: WitnessJob, check: bool) -> tuple[dict, int]:
     report = verify_bounds(family)
     certificates = named(
         report, "profile_constants", "relative_slack", "samples_per_interval",
-        "monotone_violations", "forced_levels", "lift_obstruction")
+        "monotone_violations")
+    certificates["forced_levels"] = as_json(report.forced_levels)
+    certificates["lift_obstruction"] = report.lift_obstruction
     certificates["sup_bounds"] = as_json(report.sup_records)
     certificates["intervals"] = [
         [k, *map(ratio_str, interval(k))] for k in report.k_range]
     certificates["degree_one"] = as_json(degree_one_obstruction())
-    return build_payload("witness", certificates), 0
+    return build_payload("witness", certificates)
 
 
-_RUNNERS = {"lie": _run_lie, "torus": _run_torus, "witness": _run_witness}
+def _run_automorphism(job: AutomorphismJob, check: bool) -> dict:
+    _bind("automorphism")
+    return automorphism_payload(job)  # raises InvalidSpec when refused
+
+
+_RUNNERS = {"lie": _run_lie, "torus": _run_torus, "witness": _run_witness,
+            "automorphism": _run_automorphism}
 
 
 def run_job(config: JobConfig, check: bool = False) -> tuple[dict, int]:
     """Run one parsed job; returns (payload, exit_code).
 
-    Mathematical refusals propagate as exceptions so the caller can
-    separate them from ordinary failures.
+    The exit code is read off the report: 3 iff one of its top-level
+    certificates is False, 0 otherwise.  Mathematical refusals propagate
+    as exceptions so the caller can separate them from ordinary failures.
     """
-    for module in _JOB_MODULES[config.mode]:
-        _bind(module)
-    return _RUNNERS[config.mode](config.job, check)
+    payload = _RUNNERS[config.mode](config.job, check)
+    failed = any(value is False for value in payload["certificates"].values())
+    return payload, 3 if failed else 0
 
 
 # json, csv and the table renderers are imported where a report is

@@ -13,9 +13,11 @@ The format is a plain sectioned key = value file:
     format = table
 
 Sections [lie], [torus] and [witness] select the pipeline; exactly one
-of them must be present.  Keys that repeat to build up a list are
-``bracket``, ``ideal`` and ``dense_subalgebra`` in [lie] and
-``foliation`` in [torus]; every other key may appear once.  Each value
+of them must be present.  A [torus] section with ``automorphism`` rows
+is read by the automorphism module instead, and its job names its own
+mode.  Keys that repeat to build up a list are ``bracket``, ``ideal``
+and ``dense_subalgebra`` in [lie] and ``foliation`` and
+``automorphism`` in [torus]; every other key may appear once.  Each value
 shape has one reader (_int_key, _vectors for ``ideal``,
 ``dense_subalgebra`` and ``foliation``, _coordinates for ``invariance``
 and ``discrete``, _choice for ``format`` and ``space``), and each limit
@@ -42,18 +44,21 @@ from .record import record
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
+    from .automorphism import AutomorphismJob
     from .foliation import TorusSpec
 
 _SECTIONS = {
     "lie": {"dim", "bracket", "ideal", "dense_subalgebra", "space"},
-    "torus": {"n", "foliation", "invariance", "truncation", "discrete"},
+    "torus": {"n", "foliation", "invariance", "truncation", "discrete",
+              "automorphism"},
     "witness": {
         "k_min", "k_max", "max_derivative_order", "samples_per_interval"
     },
     "output": {"format", "path"},
 }
 # each key belongs to one section of _SECTIONS
-_REPEATABLE = {"bracket", "ideal", "dense_subalgebra", "foliation"}
+_REPEATABLE = {"bracket", "ideal", "dense_subalgebra", "foliation",
+               "automorphism"}
 # the report formats of [output] format and of the --format option
 FORMATS = ("table", "json", "csv")
 # the lattice quotients [lie] space may name (see quotientcoh.space)
@@ -103,7 +108,7 @@ class JobConfig:
     """One parsed job: its mode, that pipeline's job and the output."""
 
     mode: str
-    job: LieJob | TorusSpec | WitnessJob
+    job: LieJob | TorusSpec | AutomorphismJob | WitnessJob
     output: OutputConfig = OutputConfig()
 
 
@@ -111,8 +116,8 @@ def _collect_lines(text: str) -> dict[str, dict]:
     """Read each section as one key map, validating shape: a key that
     may appear once maps to its value, and a repeatable key to its
     (value, line_no) pairs in file order."""
-    sections: dict[str, dict] = {}
-    current: str | None = None
+    sections = {}
+    current = None  # the name of the section being read
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,7 +207,7 @@ def _build_lie(section: dict) -> LieJob:
     dim = _int_key(section, "lie", "dim")
     if dim < 0:
         raise ValidationError("dim", "dimension must be nonnegative")
-    brackets: dict[tuple[int, int, int], Ratio] = {}
+    brackets = {}  # (i, j, k) -> the Ratio of [e_i, e_j] at e_k
     for value, line_no in section.get("bracket", ()):
         tokens = value.split()
         if len(tokens) != 4:
@@ -234,8 +239,12 @@ def _build_lie(section: dict) -> LieJob:
     return LieJob(algebra, ideal or dense or None, space, bool(dense))
 
 
-def _build_torus(section: dict) -> TorusSpec:
+def _build_torus(section: dict) -> TorusSpec | AutomorphismJob:
     n = _int_key(section, "torus", "n")
+    if "automorphism" in section:
+        from .automorphism import read_job
+
+        return read_job(section, n)
     dirs = _vectors(section, "foliation", "direction", "n", n,
                     parse_ext_scalar)
     invariance = _coordinates(section, "invariance")
@@ -313,4 +322,6 @@ def parse_config(text: str) -> JobConfig:
     mode = modes[0]
     output = OutputConfig(**sections.get("output", {}))
     _choice("format", output.format, FORMATS)
-    return JobConfig(mode, _JOB_PARSERS[mode](sections[mode]), output)
+    job = _JOB_PARSERS[mode](sections[mode])
+    # an automorphism job names its own mode
+    return JobConfig(getattr(job, "mode", mode), job, output)

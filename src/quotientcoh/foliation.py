@@ -21,6 +21,14 @@ from .record import record
 from .scalars import ExtScalar
 
 
+def coordinate_names(n: int) -> tuple[str, ...]:
+    """The names of the coordinates of T^n: x, y, z for n <= 3, else
+    x0..x{n-1}."""
+    if n <= 3:
+        return ("x", "y", "z")[:n]
+    return tuple("x%d" % i for i in range(n))
+
+
 @record
 class TorusSpec:
     """A linear foliation of T^n with translation-invariance coordinates.

@@ -133,18 +133,22 @@ class Subspace:
 class BettiReport:
     """Cohomology of one cochain complex with audit data.
 
-    betti[k] = C(n, k) - rank d_k - rank d_{k-1}, with each rank read
-    off the one elimination of d_k that also gave its kernel;
-    generators[k] holds the representative cocycles, the kernel vectors
-    of d_k that survive the image of d_{k-1} (see betti), as sparse
-    rows of (column, Ratio) pairs over monomials[k], in increasing
-    column order, each divided by its leading coefficient.
+    ranks[k] is rank d_k, read off the one elimination of d_k that also
+    gave its kernel, and betti[k] = C(n, k) - rank d_k - rank d_{k-1}
+    follows from them; generators[k] holds the representative
+    cocycles, the kernel vectors of d_k that survive the image of
+    d_{k-1} (see betti), as sparse rows of (column, Ratio) pairs over
+    monomials[k], in increasing column order, each divided by its
+    leading coefficient.
     """
 
     dim: int
-    betti: tuple[int, ...]
     ranks: tuple[int, ...]
     generators: tuple[tuple[SparseRow, ...], ...]
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return betti_numbers(self.dim, self.ranks)
 
     @property
     def monomials(self) -> tuple[tuple[MultiIndex, ...], ...]:
@@ -224,4 +228,4 @@ def betti(c: CochainComplex) -> BettiReport:
                         image[j][f] = x
             survivors = kernel_survivors(kernel, image.values())
         gens_out.append(tuple([lead_one(v) for v in survivors]))
-    return BettiReport(n, numbers, ranks, tuple(gens_out))
+    return BettiReport(n, ranks, tuple(gens_out))

@@ -21,7 +21,7 @@ def _certificate(value) -> str:
 def render_table(payload: dict) -> str:
     """The report as aligned text lines, ending with its exit code."""
     lines = ["mode: %s" % payload["mode"]]
-    if payload["mode"] in ("lie", "torus"):
+    if payload["mode"] != "witness":
         if payload["betti"] is None:
             lines.append("betti: not computed, d.d != 0")
         else:
@@ -60,6 +60,13 @@ def render_table(payload: dict) -> str:
                        " ".join(map(str, discrete["quotient_betti"])),
                        discrete["conclusion"]))
             lines.append(certs["normalization"])
+        elif payload["mode"] == "automorphism":
+            automorphism = certs["automorphism"]
+            lines.append(
+                "automorphism: det %d, no cyclotomic factor Phi_m of the "
+                "characteristic polynomial for m = %s"
+                % (automorphism["determinant"], " ".join(
+                    map(str, automorphism["cyclotomic_factors_ruled_out"]))))
         else:
             lines.append("certificates: %s" % " ".join(
                 "%s=%s" % (name, _certificate(value))
@@ -120,7 +127,7 @@ def render_csv(payload: dict) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if payload["mode"] in ("lie", "torus"):
+    if payload["mode"] != "witness":
         writer.writerow(["degree", "betti", "generators"])
         for k, (b, gens) in enumerate(
             zip(payload["betti"] or (), payload["generators"] or ())

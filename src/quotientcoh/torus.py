@@ -80,6 +80,7 @@ from .cochain import ce_complex
 from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
 from .exterior import wedge_insert
+from .foliation import coordinate_names
 from .koszul import build_mode_complex, koszul_certificate, monomial_witness
 from .lie import Subspace, betti as lie_betti
 from .matrix import ExactMatrix
@@ -94,18 +95,6 @@ if TYPE_CHECKING:
     from .foliation import TorusSpec
     from .koszul import KoszulCertificate
     from .lie import BettiReport
-
-NORMALIZATION_NOTE = (
-    "fourier differential normalized: the overall 2*pi*i factor is scaled "
-    "to 1 (ranks and kernels are unchanged by a nonzero scalar)"
-)
-
-
-def coordinate_names(n: int) -> tuple[str, ...]:
-    """x, y, z for n <= 3, else x0..x{n-1}."""
-    if n <= 3:
-        return ("x", "y", "z")[:n]
-    return tuple("x%d" % i for i in range(n))
 
 
 @record
@@ -172,24 +161,37 @@ class TorusBettiReport:
     lie.betti report of R^n / frame.skeleton, on the coordinates
     frame.skeleton.complement, whose betti has length n - p + 1;
     acyclicity_certificates hold one KoszulCertificate per class of
-    audited nonzero modes, ordered by their least members, whose modes
-    counts sum to audited_modes; all_modes_acyclic summarizes them.
-    frame is the transverse frame the zero mode was computed on; its
-    skeleton's ambient dimension is n.
+    audited nonzero modes, ordered by their least members.  frame is
+    the transverse frame the zero mode was computed on; its skeleton's
+    ambient dimension is n.  The summaries are read off these fields.
     """
 
     spec: TorusSpec
     frame: TransverseFrame
-    coordinate_names: tuple[str, ...]
     zero_mode: BettiReport
     acyclicity_certificates: tuple[KoszulCertificate, ...]
-    audited_modes: int
-    all_modes_acyclic: bool
-    normalization: str = NORMALIZATION_NOTE
+
+    normalization = (
+        "fourier differential normalized: the overall 2*pi*i factor is "
+        "scaled to 1 (ranks and kernels are unchanged by a nonzero scalar)")
 
     @property
     def betti(self) -> tuple[int, ...]:
         return self.zero_mode.betti
+
+    @property
+    def coordinate_names(self) -> tuple[str, ...]:
+        return coordinate_names(self.spec.n)  # foliation's function
+
+    @property
+    def audited_modes(self) -> int:
+        """The number of audited nonzero modes: the sum of the modes
+        counts of the class certificates."""
+        return sum(cert.modes for cert in self.acyclicity_certificates)
+
+    @property
+    def all_modes_acyclic(self) -> bool:
+        return all(cert.ok for cert in self.acyclicity_certificates)
 
 
 def surviving_modes(spec: TorusSpec, bound: int) -> list[tuple[int, ...]]:
@@ -304,15 +306,7 @@ def torus_betti(spec: TorusSpec) -> TorusBettiReport:
             _mode_transverse(mode, frame), template), count, witnesses)
         for mode, count in sorted(classes.values())
     ]
-    return TorusBettiReport(
-        spec=spec,
-        frame=frame,
-        coordinate_names=coordinate_names(spec.n),
-        zero_mode=zero_mode,
-        acyclicity_certificates=tuple(certificates),
-        audited_modes=sum(cert.modes for cert in certificates),
-        all_modes_acyclic=all(cert.ok for cert in certificates),
-    )
+    return TorusBettiReport(spec, frame, zero_mode, tuple(certificates))
 
 
 def cross_check_ce(report: TorusBettiReport) -> bool:

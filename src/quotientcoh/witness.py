@@ -88,8 +88,6 @@ from .grid import (Grid, Points, critical_brackets, derivative_polynomials,
 from .ratio import Ratio
 from .record import record
 
-RELATIVE_SLACK = 1e-9
-
 
 def interval(k: int) -> tuple[Ratio, Ratio]:
     """The open support interval I_k = (2^-k, 2^-k + 2^-2k), exactly:
@@ -271,11 +269,7 @@ class MonotoneViolation:
 class WitnessReport:
     """Everything verify_bounds measured, plus the lift obstruction.
 
-    forced_levels pairs each k with the level read off the ratio of the
-    two families on I_k.  lift_obstruction is true iff two of those
-    levels differ: with the supports marching down to zero and a
-    different level forced on each, no neighbourhood of zero admits a
-    single choice, which is the obstruction.
+    relative_slack is the slack every sup was checked against.
     """
 
     k_range: tuple[int, ...]
@@ -284,9 +278,23 @@ class WitnessReport:
     profile_constants: tuple[float, ...]
     sup_records: tuple[SupRecord, ...]
     monotone_violations: tuple[MonotoneViolation, ...]
-    forced_levels: tuple[tuple[int, int], ...]
-    lift_obstruction: bool
-    relative_slack: float = RELATIVE_SLACK
+
+    relative_slack = 1e-9
+
+    @property
+    def forced_levels(self) -> tuple[tuple[int, int], ...]:
+        """Each k paired with the level read off the ratio of the two
+        families on I_k, which is k itself: verify_bounds refuses a
+        level it cannot read (see the module docstring)."""
+        return tuple((k, k) for k in self.k_range)
+
+    @property
+    def lift_obstruction(self) -> bool:
+        """True iff two forced levels differ: with the supports marching
+        down to zero and a different level forced on each, no
+        neighbourhood of zero admits a single choice, which is the
+        obstruction."""
+        return len({level for _, level in self.forced_levels}) > 1
 
 
 def verify_bounds(b: BumpFamily) -> WitnessReport:
@@ -333,7 +341,7 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
                         % (what, family, k, m),
                         value,
                     )
-            if measured > bound * (1.0 + RELATIVE_SLACK):
+            if measured > bound * (1.0 + WitnessReport.relative_slack):
                 raise BoundViolated(k, m, measured, bound)
             records.append(SupRecord(k, m, family, measured, bound))
             measured_at[k, m] = measured
@@ -356,8 +364,6 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
         profile_constants=constants,
         sup_records=tuple(records),
         monotone_violations=tuple(violations),
-        forced_levels=tuple((k, k) for k in b.k_range),
-        lift_obstruction=len(b.k_range) >= 2,
     )
 
 

@@ -612,3 +612,18 @@ def naive_mode_classes(spec, bound: int):
     found = sorted((min(members), len(members))
                    for members in classes.values())
     return found, sum(count for _, count in found)
+
+
+def fixed_form_dimensions(a) -> list[int]:
+    """dim ker(Lambda^k A^T - I) for k = 0..n, densely: entry (J, I) of
+    Lambda^k A^T is the minor det A[I, J] by cofactor expansion, and
+    the kernel dimension is C(n, k) minus a Gaussian elimination rank."""
+    n = len(a)
+    out = []
+    for k in range(n + 1):
+        monomials = list(combinations(range(n), k))
+        rows = [[det_laplace([[a[i][j] for j in cols] for i in mono])
+                 - (mono == cols) for mono in monomials]
+                for cols in monomials]
+        out.append(len(monomials) - gauss_rank(rows))
+    return out

@@ -1,0 +1,208 @@
+"""Tori modulo a linear automorphism A in GL(n, Z): the job file, the two
+checks that refuse A (det A = +-1, no cyclotomic factor of the
+characteristic polynomial) and the invariant forms ker(Lambda^k A^T - I),
+against a dense oracle and under unimodular conjugation.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from oracles import det_laplace, fixed_form_dimensions
+from quotientcoh import InvalidSpec, ValidationError
+from quotientcoh.automorphism import (AutomorphismJob, automorphism_payload,
+                                      cyclotomic, divide)
+from quotientcoh.cli import main, run_job
+from quotientcoh.config import parse_config
+
+CAT = ((2, 1), (1, 1))
+GOLDEN = ((1, 1), (1, 0))
+PLASTIC = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
+ROWS = [(CAT, [1, 0, 1]), (GOLDEN, [1, 0, 0]), (PLASTIC, [1, 0, 0, 1])]
+
+
+def _text(a) -> str:
+    return "[torus]\nn = %d\n" % len(a) + "".join(
+        "automorphism = %s\n" % ",".join(map(str, row)) for row in a)
+
+
+def _betti(a) -> list[int]:
+    return automorphism_payload(AutomorphismJob(a))["betti"]
+
+
+def _multiply(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
+def _unimodular(rng: random.Random, n: int):
+    """A random P in GL(n, Z) and its inverse: a product of elementary
+    matrices E = I + c e_j e_i^T (row j += c row i), whose inverse
+    subtracts c times column j from column i."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in p]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[j] = [x + c * y for x, y in zip(p[j], p[i])]
+        for row in inverse:
+            row[i] -= c * row[j]
+    return p, inverse
+
+
+@pytest.mark.parametrize("a, betti", ROWS, ids=["cat", "golden", "plastic"])
+def test_the_catalogue_rows(a, betti):
+    payload, code = run_job(parse_config(_text(a)))
+    assert code == 0
+    assert payload["mode"] == "automorphism"
+    assert payload["betti"] == betti == fixed_form_dimensions(a)
+    assert (payload["ranks"], payload["audited_modes"]) == (None, None)
+    # the constants and, where A preserves orientation, the volume form
+    top = "^".join("d" + x for x in "xyz"[:len(a)])
+    assert payload["generators"] == [
+        ["1"]] + [[]] * (len(a) - 1) + [[top] if betti[-1] else []]
+    assert payload["certificates"] == {"automorphism": {
+        "determinant": 1 if a != GOLDEN else -1,
+        "cyclotomic_factors_ruled_out": [1, 2, 3, 4, 6]}}
+
+
+def _form(label: str, names: list[str]) -> dict:
+    """The {monomial: Fraction} coefficients of a generator label such as
+    'dx0^dx2 - 1/3*dx1^dx3'."""
+    form = {}
+    for term in label.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coefficient, _, monomial = term.lstrip("-").rpartition("*")
+        form[tuple(names.index(x) for x in monomial.split("^"))] = (
+            sign * Fraction(coefficient or 1))
+    return form
+
+
+def test_the_generators_are_invariant_forms():
+    # A = B + B on T^4 with B = [[2, 1], [3, 2]], not symmetric: its
+    # invariant 2-forms include mixed ones, and the pullback
+    # A^* dx_I = sum_J det A[I, J] dx_J fixes each labelled generator
+    b = ((2, 1), (3, 2))
+    a = tuple(tuple(b[i % 2][j % 2] if i // 2 == j // 2 else 0
+                    for j in range(4)) for i in range(4))
+    payload = automorphism_payload(AutomorphismJob(a))
+    assert payload["betti"] == [1, 0, 4, 0, 1] == fixed_form_dimensions(a)
+    names = ["dx%d" % i for i in range(4)]
+    for k, labels in enumerate(payload["generators"]):
+        monomials = list(combinations(range(4), k))
+        for label in labels:
+            form = _form(label, names) if k else {(): Fraction(label)}
+            pulled = {cols: sum(c * det_laplace([[a[i][j] for j in cols]
+                                                 for i in mono])
+                                for mono, c in form.items())
+                      for cols in monomials}
+            assert pulled == {cols: form.get(cols, 0) for cols in monomials}
+
+
+@pytest.mark.parametrize("a, m", [
+    (((1, 1), (0, 1)), 1),  # the Dehn twist: 1 is an eigenvalue
+    (((-1,),), 2),
+    (((0, -1), (1, -1)), 3),
+    (((0, -1), (1, 0)), 4),
+    (((0, -1), (1, 1)), 6),
+    (((1, 0, 0), (0, 2, 1), (0, 1, 1)), 1),  # the cat map times a circle
+], ids=["dehn-twist", "minus-one", "order-3", "order-4", "order-6",
+        "cat-times-circle"])
+def test_a_root_of_unity_eigenvalue_is_refused_at_its_order(
+        tmp_path, capsys, a, m):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(_text(a))
+    assert main(["--input", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "engine: refused: InvalidSpec: Phi_%d divides the characteristic "
+        "polynomial of the automorphism" % m)
+    assert "ROADMAP item 3" in captured.err
+
+
+@pytest.mark.parametrize("a", [((2, 0), (0, 1)), ((1, 2), (2, 1)),
+                               ((0, 0), (0, 0))], ids=["2", "-3", "0"])
+def test_a_matrix_that_is_not_unimodular_is_refused(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    with pytest.raises(InvalidSpec, match="determinant %d, not " % det):
+        _betti(a)
+
+
+@pytest.mark.parametrize("a, betti", ROWS, ids=["cat", "golden", "plastic"])
+def test_a_unimodular_conjugate_gives_the_same_numbers(a, betti):
+    rng = random.Random(len(a))
+    for _ in range(5):
+        p, inverse = _unimodular(rng, len(a))
+        assert _multiply(p, inverse) == tuple(
+            tuple(int(i == j) for j in range(len(a))) for i in range(len(a)))
+        conjugate = _multiply(_multiply(p, a), inverse)
+        assert _betti(conjugate) == betti, conjugate
+
+
+def _has_root_of_unity_eigenvalue(a) -> bool:
+    # an eigenvalue of order m has phi(m) <= n, so m <= 2 n^2, and then
+    # A^m - I is singular
+    n = len(a)
+    power = a
+    for m in range(1, 2 * n * n + 1):
+        if det_laplace([[x - (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(power)]) == 0:
+            return True
+        power = _multiply(power, a)
+    return False
+
+
+def test_random_unimodular_matrices_against_the_dense_oracle():
+    rng = random.Random(24)
+    refused = computed = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        a, _ = _unimodular(rng, n)
+        if rng.random() < 0.5:  # a sign flip gives det -1
+            a[0] = [-x for x in a[0]]
+        a = tuple(map(tuple, a))
+        if _has_root_of_unity_eigenvalue(a):
+            with pytest.raises(InvalidSpec, match="root of unity"):
+                _betti(a)
+            refused += 1
+        else:
+            assert _betti(a) == fixed_form_dimensions(a), a
+            computed += 1
+    assert refused > 5 and computed > 5
+
+
+def test_cyclotomic_polynomials_and_division():
+    phi = cyclotomic(4)
+    assert list(phi) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+    assert phi[1] == [-1, 1] and phi[6] == [1, -1, 1]
+    assert phi[12] == [1, 0, -1, 0, 1]
+    # x^3 - x - 1 = (x^2 + x) (x - 1) - 1
+    assert divide([-1, -1, 0, 1], [-1, 1]) == ([0, 1, 1], [-1])
+
+
+@pytest.mark.parametrize("key", ["foliation", "invariance", "discrete",
+                                 "truncation"])
+def test_automorphism_rows_go_with_no_other_torus_key(key):
+    with pytest.raises(ValidationError) as caught:
+        parse_config(_text(CAT) + "%s = 0\n" % key)
+    assert caught.value.key == key
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[torus]\nn = 2\nautomorphism = 2,1\n", "1 rows, expected n = 2"),
+    ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n",
+     "a row of 1 entries in a matrix of 2 rows"),
+    ("[torus]\nn = 1\nautomorphism = 1/2\n", "cannot parse '1/2'"),
+], ids=["too-few-rows", "short-row", "fraction"])
+def test_a_malformed_matrix_exits_one(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    assert main(["--input", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("engine: configuration error: key 'automorphism'")
+    assert reason in err

@@ -389,7 +389,7 @@ bracket = 0 3 4 1
 """
 
 
-def test_a_sign_error_alone_exits_three(tmp_path, monkeypatch):
+def _negate_d2(monkeypatch):
     # -d_2 keeps d_2 times the table, both d.d products and every rank at
     # their values, so Jacobi, d.d and the Betti numbers pass and only the
     # sign check sees the error
@@ -402,11 +402,15 @@ def test_a_sign_error_alone_exits_three(tmp_path, monkeypatch):
         return replace(d, int_rows=tuple(
             tuple((j, -x) for j, x in row) for row in d.int_rows))
 
+    monkeypatch.setattr(algebra, "ce_differential", negated_d2)
+
+
+def test_a_sign_error_alone_exits_three(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "job.cfg", FILIFORM5_CFG)
     out = tmp_path / "report.json"
     argv = ["--input", cfg, "--format", "json", "--check", "--output", str(out)]
     assert main(argv) == 0
-    monkeypatch.setattr(algebra, "ce_differential", negated_d2)
+    _negate_d2(monkeypatch)
     code = main(argv)
     payload = json.loads(out.read_text())
     assert code == payload["exit"] == 3
@@ -414,6 +418,75 @@ def test_a_sign_error_alone_exits_three(tmp_path, monkeypatch):
     assert payload["certificates"]["d_squared_zero"] is True
     assert payload["certificates"]["sign_twist"] is False
     assert payload["betti"] == [1, 2, 3, 3, 2, 1]
+
+
+def _false_certificates(payload) -> list[str]:
+    return [name for name, value in payload["certificates"].items()
+            if value is False]
+
+
+def _break_d_squared(monkeypatch):
+    # d_0 e^() = e_last: the Jacobi table is fine, d_1 d_0 is not zero
+    build = algebra.ce_differential
+
+    def wrong_d0(g, k, weight=()):
+        if k:
+            return build(g, k, weight)
+        return ExactMatrix(1, 1, ((),) * (g.dim - 1) + (((0, 1),),))
+
+    monkeypatch.setattr(algebra, "ce_differential", wrong_d0)
+
+
+def _drop_a_template_entry(monkeypatch):
+    # the audit's template d_0 loses its first entry, so every class
+    # complex read off it does: a class with w_0 and w_1 both nonzero
+    # fails d.d, one with w_1 = 0 keeps degree-0 cohomology
+    build = torus.build_mode_complex
+
+    def patched(w, template=None):
+        c = build(w, template)
+        if template is not None:
+            return c
+        d0 = c.d[0]
+        return replace(c, d=(replace(d0, int_rows=((),) + d0.int_rows[1:]),)
+                       + c.d[1:])
+
+    monkeypatch.setattr(torus, "build_mode_complex", patched)
+
+
+def _drop_a_frame_row(monkeypatch):
+    # as in test_cross_check_ce_fails_when_the_frame_drops_a_skeleton_row
+    frame_of = torus.transverse_frame
+
+    def dropped_row(spec):
+        frame = frame_of(spec)
+        return replace(frame, skeleton=Subspace(
+            spec.n, frame.skeleton.basis[1:]))
+
+    monkeypatch.setattr(torus, "transverse_frame", dropped_row)
+
+
+VERDICTS = [
+    ("d_squared_zero", HEISENBERG_CFG, False, _break_d_squared),
+    ("sign_twist", FILIFORM5_CFG, True, _negate_d2),
+    ("all_modes_acyclic", "[torus]\nn = 2\ntruncation = 1\n", True,
+     _drop_a_template_entry),
+    ("cross_check_ce", "[torus]\nn = 2\nfoliation = 1,0+1*alpha\n", True,
+     _drop_a_frame_row),
+]
+
+
+@pytest.mark.parametrize("failing, text, check, breaks", VERDICTS,
+                         ids=[case[0] for case in VERDICTS])
+def test_each_failing_certificate_alone_exits_three(
+        monkeypatch, failing, text, check, breaks):
+    # run_job reads the exit code off the report: 3 iff a top-level
+    # certificate is False; each break makes exactly one of them False
+    payload, code = run_job(parse_config(text), check=check)
+    assert (code, _false_certificates(payload)) == (0, [])
+    breaks(monkeypatch)
+    payload, code = run_job(parse_config(text), check=check)
+    assert (code, _false_certificates(payload)) == (3, [failing])
 
 
 def test_torus_report_lists_each_class_once(tmp_path):
@@ -637,8 +710,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _fixture_payload(name, check):
+    # every fixture passes its certificates: none is False, and it exits 0
     text = (FIXTURES / (name + ".cfg")).read_text()
     payload, code = run_job(parse_config(text), check=check)
+    assert (code, _false_certificates(payload)) == (0, [])
     payload["exit"] = code
     return payload
 

@@ -769,6 +769,22 @@ def test_only_a_discrete_torus_job_loads_its_module(tmp_path):
         TORUS_JOB_MODULES + ["quotientcoh.discrete"])
 
 
+def test_only_an_automorphism_job_loads_its_module(tmp_path):
+    # a [torus] section with automorphism rows is read and run by its own
+    # module, which needs no Lie, cochain or torus code (the torus job's
+    # exact module set is asserted above)
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text(
+        "[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1,1\n")
+    code, loaded = json.loads(_python(
+        RUN_JOB_PACKAGE, str(cfg), str(tmp_path / "cat.json")))
+    assert code == 0
+    assert loaded == sorted(FRONT_MODULES + ["quotientcoh." + name for name
+                                             in ("automorphism", "exterior",
+                                                 "foliation", "matrix",
+                                                 "scalars")])
+
+
 # a job run through main with the command line it is given; its exit code
 # and the package modules it loaded
 RUN_JOB_ARGV = """

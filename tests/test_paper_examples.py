@@ -1,7 +1,7 @@
 """Spaces of the paper that the engine computes today, each a job file in
-examples/ run as `python -m quotientcoh` and checked against the Betti
-vector its header states, and the README table that lists them with the
-rows still pending.
+examples/ run as `python -m quotientcoh` in every report format and
+checked against the Betti vector its header states, and the README table
+that lists them with the rows still pending.
 """
 
 from __future__ import annotations
@@ -24,15 +24,33 @@ def _header_betti(path: Path) -> list[int]:
     return [int(b) for b in match.group(1).split(",")]
 
 
-@pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-def test_paper_example_betti_numbers(path):
+# every example in each report format; a JSON run keeps the example's
+# own name as its id
+RUNS = [(path, fmt) for path in EXAMPLES for fmt in ("json", "table", "csv")]
+
+
+@pytest.mark.parametrize("path, fmt", RUNS, ids=[
+    path.stem if fmt == "json" else "%s-%s" % (path.stem, fmt)
+    for path, fmt in RUNS])
+def test_paper_example_betti_numbers(path, fmt):
     proc = subprocess.run(
         [sys.executable, "-m", "quotientcoh", "--input", str(path),
-         "--format", "json"], capture_output=True, text=True)
+         "--format", fmt], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    payload = json.loads(proc.stdout)
-    assert payload["betti"] == _header_betti(path)
-    assert payload["exit"] == 0
+    if fmt == "json":
+        payload = json.loads(proc.stdout)
+        assert payload["betti"] == _header_betti(path)
+        assert payload["exit"] == 0
+    elif fmt == "table":
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "betti: " + " ".join(
+            map(str, _header_betti(path)))
+        assert lines[-1] == "exit: 0"
+    else:
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "degree,betti,generators"
+        assert [int(row.split(",")[1]) for row in rows[1:]] == (
+            _header_betti(path))
 
 
 def _table_rows() -> list[list[str]]:

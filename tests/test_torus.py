@@ -450,6 +450,18 @@ def test_torus_betti_example():
     assert report.zero_mode.ranks == (0, 0)
 
 
+def test_the_audit_summaries_are_read_off_the_certificates():
+    # a report holding one failing class certificate is not acyclic, and
+    # its audited modes are whatever its certificates count
+    report = torus_betti(example_spec())
+    first, *rest = report.acyclicity_certificates
+    failed = replace(first, ok=False, failed_degree=0, modes=first.modes + 5)
+    broken = replace(report, acyclicity_certificates=(failed, *rest))
+    assert report.all_modes_acyclic and not broken.all_modes_acyclic
+    assert broken.audited_modes == report.audited_modes + 5 == sum(
+        cert.modes for cert in broken.acyclicity_certificates)
+
+
 def test_zero_mode_generators_are_the_transverse_monomials():
     # the zero mode's complex has d = 0, so its generators are every
     # monomial of Lambda(R^q), each a unit vector, in lexicographic
@@ -818,13 +830,16 @@ def test_cross_check_ce():
 
 
 def test_cross_check_ce_fails_on_a_changed_betti_number():
+    # a report's Betti numbers are read off its ranks: rank d_k one too
+    # high lowers betti[k] and betti[k + 1], which the cross-check sees
     for spec in (example_spec(), kronecker_spec()):
         report = torus_betti(spec)
         assert cross_check_ce(report)
-        for k in range(len(report.betti)):
-            betti = list(report.betti)
-            betti[k] += 1
-            zero_mode = replace(report.zero_mode, betti=tuple(betti))
+        for k in range(len(report.zero_mode.ranks)):
+            ranks = list(report.zero_mode.ranks)
+            ranks[k] += 1
+            zero_mode = replace(report.zero_mode, ranks=tuple(ranks))
+            assert zero_mode.betti != report.betti
             assert not cross_check_ce(replace(report, zero_mode=zero_mode))
 
 
