@@ -1,4 +1,5 @@
-"""Tori modulo a linear automorphism: H = Z acting on T^n by A in GL(n, Z).
+"""Tori modulo a linear automorphism: H = Z acting on T^n by A in GL(n, Z),
+and with a rational foliation that A preserves.
 
 A [torus] job with ``automorphism =`` rows, n rows of n integers, is the
 quotient of T^n by the group generated by the matrix A of those rows.
@@ -23,17 +24,42 @@ and rapid decay forces its coefficients to zero.  Then Omega(T^n)^A is
 the A-invariant part of the constant forms Lambda(R^n)*, with d = 0,
 and b_k = dim ker(Lambda^k A^T - I).
 
-Two checks can fail, and each refuses the job (InvalidSpec): det A is
-+-1, so A is invertible over the integers; and no cyclotomic
-polynomial Phi_m with phi(m) <= n divides the characteristic
-polynomial of A, an exact integer division.  A root of unity of order
-m is a root of Phi_m, which is irreducible of degree phi(m), so the
-second check rules out every root-of-unity eigenvalue.  The report
-gives b_k, the kernel vectors of Lambda^k A^T - I from the exact
-elimination as generators, labelled by dx monomials, and a certificate
-that states det A and the m it ruled out.  No differential is built,
-so the report's ranks are null.  Only automorphism jobs import this
-module; config hands it the [torus] section.
+With ``foliation =`` rows beside A (phase 2), H = R^p x| Z: the
+translations along W, the span of p rational directions, and A, which
+must map W onto itself.  H_0 = R^p, and the paper identifies the
+quotient's forms with the A-invariant forms that are basic for the
+foliation by W.  A basic form has its modes m in the lattice W^perp cap
+Z^n and its coefficients in Lambda((R^n / W)*).  Since A W = W, A^T maps
+W^perp to itself, so that lattice is A^T-stable, and A^T acts on it
+through the dual of the map A-bar that A induces on R^n / W; that
+lattice has rank n - p and A-bar has det +-1 on it.  The orbit argument
+above, run on this lattice with A-bar in place of A, leaves the zero
+mode alone when A-bar has no root-of-unity eigenvalue, and then
+b_k = dim ker(Lambda^k A-bar^T - I).  A itself is not tested: a shear
+that fixes a direction of W has the eigenvalue 1 and may still induce
+a hyperbolic A-bar.  A direction with an alpha part is refused: the
+modes an irrational foliation leaves form a lattice of rank below
+n - p, which needs its own orbit count (ROADMAP item 24, phase 3).
+
+The checks, each refusing the job (InvalidSpec): det A is +-1, so A is
+invertible over the integers; with a foliation, the directions are
+nonzero and independent and A maps each echelon row of W into W; and no
+X^m with phi(m) <= q fixes a nonzero vector, for X = A and q = n, or
+X = A-bar and q = n - p.  A root of unity of order m is a root of the
+cyclotomic polynomial Phi_m, irreducible of degree phi(m), so every
+root-of-unity eigenvalue has an order m with phi(m) <= q, and X^m - I is
+then singular.  Tested in increasing m, the first X^m with a fixed
+vector names the least such order: the least m with Phi_m dividing the
+characteristic polynomial.  Both the refusal and the invariant forms
+are one fixed-space test, ker(X - I) by the exact elimination.  A-bar
+is read on the complement coordinates of W, as Lie quotients read
+their induced brackets.  The report gives b_k, the kernel vectors of
+Lambda^k X^T - I as generators, labelled by the dx monomials of those
+coordinates, and a certificate that states det A, read off the one
+entry of Lambda^n A^T, and the m it ruled out.  No differential is
+built, so the report's ranks are null.  Only automorphism jobs import
+this module, and only those with foliation rows import lie for its
+Subspace; config hands it the [torus] section.
 """
 
 from __future__ import annotations
@@ -42,25 +68,27 @@ from math import gcd
 
 from .errors import InvalidSpec, ValidationError
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .foliation import coordinate_names
-from .literals import exact_int
-from .matrix import ExactMatrix
+from .foliation import TorusSpec, coordinate_names
+from .literals import exact_int, parse_ext_scalar
+from .matrix import ExactMatrix, IntRow
 from .payload import build_payload, vector_label
 from .record import record
 from .scalars import lead_one, nullspace_basis
 
-# the [torus] keys an automorphism job refuses: a foliation, invariance
-# or discrete coordinates together with A are not supported yet, and no
-# mode is audited
-REFUSED_KEYS = ("foliation", "invariance", "discrete", "truncation")
+# the [torus] keys an automorphism job refuses: invariance or discrete
+# coordinates together with A are not supported yet, and no mode is
+# audited
+REFUSED_KEYS = ("invariance", "discrete", "truncation")
 
 
 @record
 class AutomorphismJob:
     """T^n modulo the group generated by the integer matrix A, given by
-    its rows."""
+    its rows, and by the translations along the rational directions of
+    foliation, given as integer rows (none for phase 1)."""
 
     rows: tuple[tuple[int, ...], ...]
+    foliation: tuple[tuple[int, ...], ...] = ()
 
     # the cli runner of this job; config reads it as the job's mode
     mode = "automorphism"
@@ -68,6 +96,8 @@ class AutomorphismJob:
     def __post_init__(self):
         n = len(self.rows)
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        object.__setattr__(self, "foliation",
+                           tuple(map(tuple, self.foliation)))
         if not n:
             raise ValueError("the matrix needs at least one row")
         for row in self.rows:
@@ -78,7 +108,8 @@ class AutomorphismJob:
 
 def read_job(section: dict, n: int) -> AutomorphismJob:
     """The job of a [torus] section with automorphism rows: n rows of
-    n integers, and none of REFUSED_KEYS."""
+    n integers, foliation rows as a torus job reads and refuses them,
+    with no alpha part, and none of REFUSED_KEYS."""
     for key in REFUSED_KEYS:
         if key in section:
             raise ValidationError(key, "not allowed with automorphism rows")
@@ -87,22 +118,39 @@ def read_job(section: dict, n: int) -> AutomorphismJob:
         raise ValidationError("automorphism", "%d rows, expected n = %d"
                               % (len(rows), n))
     try:
-        return AutomorphismJob(tuple(
+        job = AutomorphismJob(tuple(
             tuple(exact_int("automorphism", token.strip())
                   for token in value.split(","))
             for value, _line in rows))
     except ValueError as exc:
         raise ValidationError("automorphism", str(exc)) from exc
+    if "foliation" not in section:
+        return job
+    try:  # TorusSpec refuses a zero direction (InvalidSpec)
+        spec = TorusSpec(n, tuple(
+            tuple(map(parse_ext_scalar, value.split(",")))
+            for value, _line in section["foliation"]))
+    except ValueError as exc:
+        raise ValidationError("foliation", str(exc)) from exc
+    rational, alpha = spec.parts
+    if any(map(any, alpha)):
+        raise ValidationError(
+            "foliation", "a direction with an alpha part is ROADMAP item 24 "
+            "phase 3: the modes an irrational foliation leaves form a "
+            "lattice of lower rank than its transverse frame")
+    return AutomorphismJob(job.rows, rational)
 
 
-def exterior_power(a: tuple[tuple[int, ...], ...],
-                   k: int) -> list[dict[MultiIndex, int]]:
-    """Lambda^k A^T, row J for each k-monomial J in lexicographic order:
-    the coefficients of A e_j1 ^ ... ^ A e_jk on the monomials e_I,
-    which are the k x k minors det A[I, J]."""
+def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
+                   den: int = 1) -> ExactMatrix:
+    """Lambda^k A^T for A = a / den, row J for each k-monomial J in
+    lexicographic order: the coefficients of A e_j1 ^ ... ^ A e_jk on
+    the monomials e_I, which are the k x k minors det A[I, J]."""
     n = len(a)
-    out = []
-    for monomial in enumerate_basis(n, k):
+    monomials = enumerate_basis(n, k)
+    column = {monomial: c for c, monomial in enumerate(monomials)}
+    rows = []
+    for monomial in monomials:
         wedge = {(): 1}
         for j in reversed(monomial):  # A e_j wedged on from the left
             grown: dict[MultiIndex, int] = {}
@@ -114,80 +162,88 @@ def exterior_power(a: tuple[tuple[int, ...], ...],
                         grown[merged] = (grown.get(merged, 0)
                                          + sign * a[i][j] * c)
             wedge = grown
-        out.append(wedge)
-    return out
+        rows.append({column[m]: c for m, c in wedge.items()})
+    return ExactMatrix.from_int_rows(len(monomials), den ** k, rows)
 
 
-def divide(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of the integer polynomial p by the monic q,
-    both lowest coefficient first: exact integer long division."""
-    p = list(p)
-    d = len(q) - 1
-    quotient = [0] * max(len(p) - d, 0)
-    for top in range(len(p) - 1, d - 1, -1):
-        c = quotient[top - d] = p[top]
-        for i, x in enumerate(q):
-            p[top - d + i] -= c * x
-    return quotient, p[:d]
+def induced_map(job: AutomorphismJob
+                ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """(rows, den, coordinates): the map A induces on R^n / W, W the span
+    of the foliation directions, as integer rows over den on the
+    complement coordinates of W, or InvalidSpec when the directions are
+    dependent or A moves W.  Column c of the map is A e_c reduced along
+    W, which Subspace.reduce returns times W.scale."""
+    from .lie import Subspace
+
+    a = job.rows
+    n = len(a)
+    w = Subspace.span(n, job.foliation)
+    if w.dim < len(job.foliation):
+        raise InvalidSpec(
+            "foliation directions are linearly dependent over the scalars")
+
+    def image(v: IntRow) -> dict[int, int]:
+        return {i: sum(a[i][j] * x for j, x in v) for i in range(n)}
+
+    for row in w.basis:
+        if w.reduce(image(row)):
+            raise InvalidSpec(
+                "the automorphism moves the foliation: it maps (%s), in "
+                "the span of the directions, out of that span"
+                % ", ".join(str(dict(row).get(j, 0)) for j in range(n)))
+    columns = [w.reduce(image(((c, 1),))) for c in w.complement]
+    return (tuple(tuple(column.get(r, 0) for column in columns)
+                  for r in w.complement), w.scale, w.complement)
 
 
-def cyclotomic(n: int) -> dict[int, list[int]]:
-    """Phi_m, lowest coefficient first, for every m with phi(m) <= n, in
-    increasing m.  phi(m) >= sqrt(m / 2) bounds m by 2 n^2, and each
-    Phi_m is x^m - 1 divided by the Phi_d of its proper divisors d, whose
-    phi(d) <= phi(m) puts them in the table already."""
-    out: dict[int, list[int]] = {}
-    for m in range(1, 2 * n * n + 1):
-        if sum(gcd(m, j) == 1 for j in range(1, m + 1)) <= n:
-            phi = [-1] + [0] * (m - 1) + [1]
-            for d, factor in out.items():
-                if m % d == 0:
-                    phi = divide(phi, factor)[0]
-            out[m] = phi
-    return out
+def fixed_space(x: ExactMatrix) -> list[IntRow]:
+    """The kernel of X - I, a nullspace_basis: the vectors X fixes."""
+    rows = []
+    for i, row in enumerate(x.int_rows):
+        entries = dict(row)
+        entries[i] = entries.get(i, 0) - x.den
+        rows.append(entries)
+    return nullspace_basis(ExactMatrix.from_int_rows(x.cols, 1, rows))
 
 
 def automorphism_payload(job: AutomorphismJob) -> dict:
     """The report of an automorphism job, or InvalidSpec when A fails
-    either check (see the module docstring)."""
+    a check (see the module docstring)."""
     a = job.rows
     n = len(a)
-    powers = [exterior_power(a, k) for k in range(n + 1)]
-    # tr Lambda^k A: det(x - A) = sum_k (-1)^k tr(Lambda^k A) x^(n - k)
-    traces = [sum(row.get(monomial, 0) for monomial, row in
-                  zip(enumerate_basis(n, k), rows))
-              for k, rows in enumerate(powers)]
-    det = traces[n]
+    det = dict(exterior_power(a, n).int_rows[0]).get(0, 0)  # 1 x 1
     if det not in (1, -1):
         raise InvalidSpec("the automorphism has determinant %d, not +-1: "
                           "it is not invertible over the integers" % det)
-    charpoly = [(-1) ** (n - d) * traces[n - d] for d in range(n + 1)]
-    ruled_out = []
-    for m, phi in cyclotomic(n).items():
-        if not any(divide(charpoly, phi)[1]):
+    den, coordinates, noun = 1, range(n), "automorphism"
+    if job.foliation:
+        a, den, coordinates = induced_map(job)
+        noun = "map the automorphism induces across the foliation"
+    q = len(a)
+    # phi(m) >= sqrt(m / 2), so every m with phi(m) <= q is below 2 q^2
+    orders = [m for m in range(1, 2 * q * q + 1)
+              if sum(gcd(m, j) == 1 for j in range(1, m + 1)) <= q]
+    # A^T, whose powers fix spaces of the dimensions that A's powers fix
+    power = transpose = exterior_power(a, 1, den)
+    for m in range(1, max(orders, default=0) + 1):
+        if m in orders and fixed_space(power):
             raise InvalidSpec(
-                "Phi_%d divides the characteristic polynomial of the "
-                "automorphism: it has an eigenvalue that is a root of unity "
-                "of order %d, so some nonzero modes have finite orbits, "
-                "which need the component-group invariants of ROADMAP "
-                "item 3" % (m, m))
-        ruled_out.append(m)
-    names = ["d" + name for name in coordinate_names(n)]
+                "Phi_%d divides the characteristic polynomial of the %s: "
+                "it has an eigenvalue that is a root of unity of order %d, "
+                "so some nonzero modes have finite orbits, which need the "
+                "component-group invariants of ROADMAP item 3"
+                % (m, noun, m))
+        power = power @ transpose
+    names = coordinate_names(n)
+    names = ["d" + names[c] for c in coordinates]
     betti, generators = [], []
-    for k, rows in enumerate(powers):
-        monomials = enumerate_basis(n, k)
-        column = {monomial: c for c, monomial in enumerate(monomials)}
-        fixed = []  # the rows of Lambda^k A^T - I
-        for c, row in enumerate(rows):
-            entries = {column[monomial]: x for monomial, x in row.items()}
-            entries[c] = entries.get(c, 0) - 1
-            fixed.append(entries)
-        kernel = nullspace_basis(
-            ExactMatrix.from_int_rows(len(monomials), 1, fixed))
+    for k in range(q + 1):
+        kernel = fixed_space(exterior_power(a, k, den))
+        monomials = enumerate_basis(q, k)
         betti.append(len(kernel))
         generators.append([vector_label(lead_one(v), monomials, names)
                            for v in kernel])
     certificate = {"determinant": det, "cyclotomic_factors_ruled_out":
-                   ruled_out}
+                   orders}
     return build_payload("automorphism", {"automorphism": certificate},
                          betti, None, generators)

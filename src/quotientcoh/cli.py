@@ -6,10 +6,12 @@
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
 a dense_subalgebra that is no subalgebra, degenerate foliation, broken
 Jacobi table, a basis not adapted to the job's [lie] space, an
-automorphism that is not unimodular or has a root-of-unity eigenvalue),
-1 for bad job files and internal errors.  A malformed command line
-prints the usage and an ``engine: error:`` line to stderr and exits 2;
--h or --help prints the options to stdout and exits 0.
+automorphism that is not unimodular, moves its foliation or has, itself
+or across that foliation, a root-of-unity eigenvalue), 1 for bad job
+files and internal errors.  A job file may start with a UTF-8 byte-order
+mark.  A malformed command line prints the usage and an ``engine:
+error:`` line to stderr and exits 2; -h or --help prints the options to
+stdout and exits 0.
 
 A report that is written exits 3 iff one of its top-level certificates
 is false, and 0 otherwise; run_job alone reads that verdict off the
@@ -229,7 +231,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         with open(args["input"], encoding="utf-8") as source:
-            text = source.read()
+            # a UTF-8 byte-order mark, which str.strip keeps, is dropped
+            text = source.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read input: %s" % (PROG, exc), file=sys.stderr)
         return 1

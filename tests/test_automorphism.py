@@ -1,7 +1,10 @@
 """Tori modulo a linear automorphism A in GL(n, Z): the job file, the two
-checks that refuse A (det A = +-1, no cyclotomic factor of the
-characteristic polynomial) and the invariant forms ker(Lambda^k A^T - I),
-against a dense oracle and under unimodular conjugation.
+checks that refuse A (det A = +-1, no A^m with phi(m) <= n fixing a
+vector) and the invariant forms ker(Lambda^k A^T - I), against a dense
+oracle and under unimodular conjugation.  With foliation rows (phase 2)
+the same checks and forms run on the map A-bar that A induces on R^n
+modulo the directions, after the refusals of a zero, dependent, alpha or
+moved direction; A-bar is checked against a dense Fraction solve.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import det_laplace, fixed_form_dimensions
+from oracles import (det_laplace, fixed_form_dimensions, gauss_rank,
+                     invert_fraction_matrix)
 from quotientcoh import InvalidSpec, ValidationError
-from quotientcoh.automorphism import (AutomorphismJob, automorphism_payload,
-                                      cyclotomic, divide)
+from quotientcoh.automorphism import AutomorphismJob, automorphism_payload
 from quotientcoh.cli import main, run_job
 from quotientcoh.config import parse_config
 
@@ -23,6 +26,8 @@ CAT = ((2, 1), (1, 1))
 GOLDEN = ((1, 1), (1, 0))
 PLASTIC = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
 ROWS = [(CAT, [1, 0, 1]), (GOLDEN, [1, 0, 0]), (PLASTIC, [1, 0, 0, 1])]
+# fixes e_z and induces the cat map on R^3 modulo the z direction
+SHEAR = ((2, 1, 0), (1, 1, 0), (1, -1, 1))
 
 
 def _text(a) -> str:
@@ -110,8 +115,13 @@ def test_the_generators_are_invariant_forms():
     (((0, -1), (1, 0)), 4),
     (((0, -1), (1, 1)), 6),
     (((1, 0, 0), (0, 2, 1), (0, 1, 1)), 1),  # the cat map times a circle
+    # two orders at once: the least is named
+    (((-1, 0, 0), (0, 0, -1), (0, 1, 0)), 2),  # (-1) + a quarter turn
+    (((0, -1, 0, 0), (1, -1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)), 3),
+    # without its foliation (phase 2), where the induced map is tested
+    (SHEAR, 1),
 ], ids=["dehn-twist", "minus-one", "order-3", "order-4", "order-6",
-        "cat-times-circle"])
+        "cat-times-circle", "orders-2-and-4", "orders-3-and-4", "shear"])
 def test_a_root_of_unity_eigenvalue_is_refused_at_its_order(
         tmp_path, capsys, a, m):
     cfg = tmp_path / "job.cfg"
@@ -176,17 +186,7 @@ def test_random_unimodular_matrices_against_the_dense_oracle():
     assert refused > 5 and computed > 5
 
 
-def test_cyclotomic_polynomials_and_division():
-    phi = cyclotomic(4)
-    assert list(phi) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
-    assert phi[1] == [-1, 1] and phi[6] == [1, -1, 1]
-    assert phi[12] == [1, 0, -1, 0, 1]
-    # x^3 - x - 1 = (x^2 + x) (x - 1) - 1
-    assert divide([-1, -1, 0, 1], [-1, 1]) == ([0, 1, 1], [-1])
-
-
-@pytest.mark.parametrize("key", ["foliation", "invariance", "discrete",
-                                 "truncation"])
+@pytest.mark.parametrize("key", ["invariance", "discrete", "truncation"])
 def test_automorphism_rows_go_with_no_other_torus_key(key):
     with pytest.raises(ValidationError) as caught:
         parse_config(_text(CAT) + "%s = 0\n" % key)
@@ -198,11 +198,140 @@ def test_automorphism_rows_go_with_no_other_torus_key(key):
     ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n",
      "a row of 1 entries in a matrix of 2 rows"),
     ("[torus]\nn = 1\nautomorphism = 1/2\n", "cannot parse '1/2'"),
-], ids=["too-few-rows", "short-row", "fraction"])
+    # a foliation row beside A: an alpha part is phase 3
+    (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "ROADMAP item 24 phase 3"),
+    (_text(SHEAR) + "foliation = 0,1\n", "direction vector length 2 != n"),
+    (_text(SHEAR) + "foliation = 0,0,0.5\n", "decimal literal '0.5'"),
+], ids=["too-few-rows", "short-row", "fraction", "alpha-direction",
+        "short-direction", "decimal-direction"])
 def test_a_malformed_matrix_exits_one(tmp_path, capsys, text, reason):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(text)
     assert main(["--input", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("engine: configuration error: key 'automorphism'")
+    key = "foliation" if "foliation" in text else "automorphism"
+    assert err.startswith("engine: configuration error: key '%s'" % key)
     assert reason in err
+
+
+# Phase 2: A preserves the rational foliation spanned by the directions,
+# H = R^p x| Z, and the checks and forms run on the induced map A-bar.
+PHASE_TWO = [
+    (SHEAR, ((0, 0, 1),), [1, 0, 1], ["dx^dy"]),
+    (((2, -1, 1), (0, 1, 0), (1, -1, 1)), ((1, 1, 0),), [1, 0, 1],
+     ["dy^dz"]),  # A-bar = [[2, -1], [-1, 1]]
+    (((1, 0, 1), (0, 1, 0), (1, -1, 0)), ((1, 1, 0),), [1, 0, 0], []),
+]
+
+
+def _foliated(a, directions) -> str:
+    return _text(a) + "".join("foliation = %s\n" % ",".join(map(str, d))
+                              for d in directions)
+
+
+def _foliated_betti(a, directions) -> list[int]:
+    return automorphism_payload(parse_config(_foliated(a, directions)).job)[
+        "betti"]
+
+
+def _induced_oracle(a, directions):
+    """A-bar on R^n / W, densely: complete the directions by unit vectors
+    to a basis B of R^n, solve B c = A e_i for each added unit vector e_i
+    and keep the unit-vector coordinates of c."""
+    n = len(a)
+    basis = [[Fraction(x) for x in d] for d in directions]
+    added = []
+    for i in range(n):
+        unit = [Fraction(int(i == j)) for j in range(n)]
+        if gauss_rank(basis + [unit]) > len(basis):
+            basis.append(unit)
+            added.append(i)
+    inverse = invert_fraction_matrix([list(col) for col in zip(*basis)])
+    p = len(directions)
+    solved = [[sum(row[j] * a[j][i] for j in range(n)) for row in inverse]
+              for i in added]  # solved[c]: the B coordinates of A e_c
+    return [[solved[c][p + r] for c in range(n - p)] for r in range(n - p)]
+
+
+@pytest.mark.parametrize("a, directions, betti, top", PHASE_TWO,
+                         ids=["shear", "tilted", "flip"])
+def test_a_preserved_foliation_runs_on_the_induced_map(a, directions,
+                                                       betti, top):
+    payload, code = run_job(parse_config(_foliated(a, directions)))
+    assert code == 0
+    assert payload["betti"] == betti
+    assert betti == fixed_form_dimensions(_induced_oracle(a, directions))
+    assert payload["generators"] == [["1"], [], top]
+    assert payload["certificates"]["automorphism"] == {
+        "determinant": det_laplace(a), "cyclotomic_factors_ruled_out":
+        [1, 2, 3, 4, 6]}
+
+
+@pytest.mark.parametrize("a, directions, betti",
+                         [row[:3] for row in PHASE_TWO],
+                         ids=["shear", "tilted", "flip"])
+def test_a_conjugate_foliated_job_gives_the_same_numbers(a, directions,
+                                                         betti):
+    # x -> P x carries the foliation by W to that by P W and A to
+    # P A P^-1
+    rng = random.Random(3)
+    for _ in range(5):
+        p, inverse = _unimodular(rng, 3)
+        moved = [tuple(sum(x * y for x, y in zip(row, d)) for row in p)
+                 for d in directions]
+        conjugate = _multiply(_multiply(p, a), inverse)
+        assert _foliated_betti(conjugate, moved) == betti, (conjugate, moved)
+
+
+def test_random_foliated_jobs_against_the_dense_oracle():
+    # A = P [[B, C], [0, D]] P^-1 preserves W = P span(e_0, ..., e_(p-1)),
+    # and A-bar is conjugate to D
+    rng = random.Random(45)
+    refused = computed = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        p = rng.randint(1, n - 1)
+        block = [[0] * n for _ in range(n)]
+        for lo, hi in ((0, p), (p, n)):
+            square = ([[1]] if hi - lo == 1 else _unimodular(rng, hi - lo)[0])
+            if rng.random() < 0.5:  # a sign flip gives det -1
+                square[0] = [-x for x in square[0]]
+            for i in range(hi - lo):
+                block[lo + i][lo:hi] = square[i]
+        for i in range(p):
+            block[i][p:] = [rng.randint(-2, 2) for _ in range(n - p)]
+        change, inverse = _unimodular(rng, n)
+        a = _multiply(_multiply(change, block), inverse)
+        directions = [tuple(row[j] for row in change) for j in range(p)]
+        induced = _induced_oracle(a, directions)
+        if _has_root_of_unity_eigenvalue(induced):
+            with pytest.raises(InvalidSpec, match="root of unity"):
+                _foliated_betti(a, directions)
+            refused += 1
+        else:
+            assert _foliated_betti(a, directions) == fixed_form_dimensions(
+                induced), (a, directions)
+            computed += 1
+    assert refused > 5 and computed > 5
+
+
+@pytest.mark.parametrize("a, directions, reason", [
+    (((2, 1, 0), (1, 1, 0), (0, 0, 1)), ((1, 0, 0),),
+     "the automorphism moves the foliation: it maps (1, 0, 0), in the "
+     "span of the directions, out of that span"),
+    (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0)),
+     "Phi_2 divides the characteristic polynomial of the map the "
+     "automorphism induces across the foliation"),
+    (SHEAR, ((0, 0, 1), (0, 0, 2)),
+     "foliation directions are linearly dependent over the scalars"),
+    (SHEAR, ((0, 0, 0),), "a foliation direction vector is zero"),
+    (((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),),
+     "the automorphism has determinant 2, not +-1"),
+], ids=["moved", "induced-minus-one", "dependent", "zero", "det-2"])
+def test_a_foliated_job_is_refused(tmp_path, capsys, a, directions, reason):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(_foliated(a, directions))
+    assert main(["--input", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine: refused: InvalidSpec: " + reason)

@@ -252,6 +252,12 @@ def test_non_utf8_input_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("engine: cannot read input: ")
+    # a UTF-8 byte order mark is read past: the report is the plain file's
+    plain = _run_cli(["--input", _write(tmp_path, "plain.cfg", TORUS_CFG)])
+    cfg.write_bytes(b"\xef\xbb\xbf" + TORUS_CFG.encode())
+    proc = _run_cli(["--input", str(cfg)])
+    assert (proc.returncode, proc.stderr) == (plain.returncode, "") == (0, "")
+    assert proc.stdout == plain.stdout  # the table, which holds no timing
 
 
 def test_unwritable_output_exits_one_without_traceback(tmp_path):
@@ -765,7 +771,8 @@ def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["torus-alpha6-check", "torus-inv6", "torus-mixed6-check"])
+    "name", ["torus-alpha6-check", "torus-inv6", "torus-mixed6-check",
+             "automorphism-cat-sum4"])
 def test_torus_reports_match_committed_fixtures(name):
     # alpha6-check: two directions with fractional rational and alpha
     # parts (dependent at alpha = 0, so the frame substitutes 1), an
@@ -777,8 +784,10 @@ def test_torus_reports_match_committed_fixtures(name):
     # form.  mixed6-check: alpha parts on three coordinates, one
     # invariance coordinate and two untouched ones, so both the pinned
     # survivors and the untouched box are nontrivial.  Both recorded
-    # while every survivor was still grouped one by one.  A -check name
-    # runs with --check.
+    # while every survivor was still grouped one by one.  cat-sum4: the
+    # cat map on each T^2 factor of T^4, a [torus] job with automorphism
+    # rows, recorded while the cyclotomic factors were still divided out
+    # of the characteristic polynomial.  A -check name runs with --check.
     _matches_fixture(name, name.endswith("-check"))
 
 
@@ -794,13 +803,14 @@ def test_witness_reports_match_committed_fixtures():
 @pytest.mark.parametrize(
     "name, check",
     [("quotient-random8-check", True), ("torus-mixed6-check", True),
-     ("witness-order4", False)],
+     ("witness-order4", False), ("automorphism-cat-sum4", False)],
 )
 def test_rendered_reports_match_committed_fixtures(name, check, fmt):
     # the table and CSV renders byte for byte: a Lie quotient with every
     # certificate on the table's certificates line, a torus job with its
-    # cross-check line, and the witness sup table with its monotone
-    # breaks, forced levels and degree-one line
+    # cross-check line, the witness sup table with its monotone breaks,
+    # forced levels and degree-one line, and an automorphism job with its
+    # det and ruled-out Phi_m line
     payload = _fixture_payload(name, check)
     expected = (FIXTURES / ("%s.%s" % (name, fmt))).read_text()
     assert render(payload, fmt) == expected

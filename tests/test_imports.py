@@ -785,6 +785,22 @@ def test_only_an_automorphism_job_loads_its_module(tmp_path):
                                                  "scalars")])
 
 
+def test_a_foliated_automorphism_job_adds_only_the_lie_subspace(tmp_path):
+    # with foliation rows the induced map is read off a lie.Subspace, so
+    # the job adds lie and the cochain module it imports, and no torus
+    # code
+    cfg = tmp_path / "shear.cfg"
+    cfg.write_text("[torus]\nn = 3\nfoliation = 0,0,1\nautomorphism = 2,1,0\n"
+                   "automorphism = 1,1,0\nautomorphism = 1,-1,1\n")
+    code, loaded = json.loads(_python(
+        RUN_JOB_PACKAGE, str(cfg), str(tmp_path / "shear.json")))
+    assert code == 0
+    assert loaded == sorted(FRONT_MODULES + ["quotientcoh." + name for name
+                                             in ("automorphism", "cochain",
+                                                 "exterior", "foliation",
+                                                 "lie", "matrix", "scalars")])
+
+
 # a job run through main with the command line it is given; its exit code
 # and the package modules it loaded
 RUN_JOB_ARGV = """
