@@ -12,8 +12,10 @@ Three pipelines share an exact linear-algebra core:
     local data need not lift through a quotient map, plus the static
     degree-one obstruction certificate.
 
-A fourth, the automorphism module, reads and runs a [torus] job with
-automorphism rows: T^n modulo the Z that a matrix in GL(n, Z) generates.
+A fourth, the automorphism module, runs a [torus] job with automorphism
+rows, which config reads: T^n modulo the Z that a matrix in GL(n, Z)
+generates.  Each job section is read beside the code its job loads:
+[lie] by lie_job, [witness] by witness_job and [torus] by config.
 
 The command line entry point is ``engine``; see the cli module.
 
@@ -51,9 +53,9 @@ _EXPORTS = {
         "TorusBettiReport", "cross_check_ce", "surviving_modes", "torus_betti",
         "transverse_frame",
     ),
-    "witness": (
-        "BumpFamily", "DegreeOneCertificate", "WitnessReport", "build_bumps",
-        "degree_one_obstruction", "verify_bounds",
+    "witness": ("BumpFamily", "build_bumps", "verify_bounds"),
+    "witness_job": (
+        "DegreeOneCertificate", "WitnessReport", "degree_one_obstruction",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -56,10 +56,17 @@ is read on the complement coordinates of W, as Lie quotients read
 their induced brackets.  The report gives b_k, the kernel vectors of
 Lambda^k X^T - I as generators, labelled by the dx monomials of those
 coordinates, and a certificate that states det A, read off the one
-entry of Lambda^n A^T, and the m it ruled out.  No differential is
-built, so the report's ranks are null.  Only automorphism jobs import
-this module, and only those with foliation rows import lie for its
-Subspace; config hands it the [torus] section.
+entry of Lambda^n A^T, and the m it ruled out.  With a foliation those
+m were tested on A-bar, not on A, so the certificate nests them under
+``induced_map`` beside A-bar's coordinates.  No differential is built,
+so the report's ranks are null.
+
+This module reads no job text.  config's torus builder reads every
+[torus] value once, with the readers every job section shares; it
+refuses REFUSED_KEYS beside the rows and a row count other than n, and
+hands automorphism_job only parsed values: n, the direction vectors and
+the integer rows.  Only automorphism jobs import this module, and only
+those with foliation rows import lie for its Subspace.
 """
 
 from __future__ import annotations
@@ -68,16 +75,19 @@ from math import gcd
 
 from .errors import InvalidSpec, ValidationError
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .foliation import TorusSpec, coordinate_names
-from .literals import exact_int, parse_ext_scalar
+from .foliation import DEPENDENT_DIRECTIONS, TorusSpec, coordinate_names
 from .matrix import ExactMatrix, IntRow
 from .payload import build_payload, vector_label
 from .record import record
 from .scalars import lead_one, nullspace_basis
 
-# the [torus] keys an automorphism job refuses: invariance or discrete
-# coordinates together with A are not supported yet, and no mode is
-# audited
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .scalars import ExtScalar
+
+# the [torus] keys config refuses beside automorphism rows: invariance
+# or discrete coordinates together with A are not supported yet, and no
+# mode is audited
 REFUSED_KEYS = ("invariance", "discrete", "truncation")
 
 
@@ -106,39 +116,19 @@ class AutomorphismJob:
                                  "rows" % (len(row), n))
 
 
-def read_job(section: dict, n: int) -> AutomorphismJob:
-    """The job of a [torus] section with automorphism rows: n rows of
-    n integers, foliation rows as a torus job reads and refuses them,
-    with no alpha part, and none of REFUSED_KEYS."""
-    for key in REFUSED_KEYS:
-        if key in section:
-            raise ValidationError(key, "not allowed with automorphism rows")
-    rows = section["automorphism"]
-    if len(rows) != n:
-        raise ValidationError("automorphism", "%d rows, expected n = %d"
-                              % (len(rows), n))
-    try:
-        job = AutomorphismJob(tuple(
-            tuple(exact_int("automorphism", token.strip())
-                  for token in value.split(","))
-            for value, _line in rows))
-    except ValueError as exc:
-        raise ValidationError("automorphism", str(exc)) from exc
-    if "foliation" not in section:
-        return job
-    try:  # TorusSpec refuses a zero direction (InvalidSpec)
-        spec = TorusSpec(n, tuple(
-            tuple(map(parse_ext_scalar, value.split(",")))
-            for value, _line in section["foliation"]))
-    except ValueError as exc:
-        raise ValidationError("foliation", str(exc)) from exc
-    rational, alpha = spec.parts
+def automorphism_job(n: int, directions: tuple[tuple[ExtScalar, ...], ...],
+                     rows: tuple[tuple[int, ...], ...]) -> AutomorphismJob:
+    """The job of the n rows of n integers and the foliation directions
+    that config read off a [torus] section: the directions are refused as
+    a torus job refuses them (a zero one by TorusSpec, with InvalidSpec),
+    and so is an alpha part."""
+    rational, alpha = TorusSpec(n, directions).parts
     if any(map(any, alpha)):
         raise ValidationError(
             "foliation", "a direction with an alpha part is ROADMAP item 24 "
             "phase 3: the modes an irrational foliation leaves form a "
             "lattice of lower rank than its transverse frame")
-    return AutomorphismJob(job.rows, rational)
+    return AutomorphismJob(rows, rational)
 
 
 def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
@@ -179,8 +169,7 @@ def induced_map(job: AutomorphismJob
     n = len(a)
     w = Subspace.span(n, job.foliation)
     if w.dim < len(job.foliation):
-        raise InvalidSpec(
-            "foliation directions are linearly dependent over the scalars")
+        raise InvalidSpec(DEPENDENT_DIRECTIONS)
 
     def image(v: IntRow) -> dict[int, int]:
         return {i: sum(a[i][j] * x for j, x in v) for i in range(n)}
@@ -235,15 +224,19 @@ def automorphism_payload(job: AutomorphismJob) -> dict:
                 % (m, noun, m))
         power = power @ transpose
     names = coordinate_names(n)
-    names = ["d" + names[c] for c in coordinates]
+    names = [names[c] for c in coordinates]
+    labels = ["d" + name for name in names]
     betti, generators = [], []
     for k in range(q + 1):
         kernel = fixed_space(exterior_power(a, k, den))
         monomials = enumerate_basis(q, k)
         betti.append(len(kernel))
-        generators.append([vector_label(lead_one(v), monomials, names)
+        generators.append([vector_label(lead_one(v), monomials, labels)
                            for v in kernel])
-    certificate = {"determinant": det, "cyclotomic_factors_ruled_out":
-                   orders}
-    return build_payload("automorphism", {"automorphism": certificate},
-                         betti, None, generators)
+    # the orders are those tested, on A-bar, with its coordinates, when
+    # the job has a foliation; det is A's in either case
+    tested = {"cyclotomic_factors_ruled_out": orders}
+    if job.foliation:
+        tested = {"induced_map": {"coordinates": names, **tested}}
+    return build_payload("automorphism", {"automorphism": {
+        "determinant": det, **tested}}, betti, None, generators)

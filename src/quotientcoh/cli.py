@@ -45,8 +45,10 @@ from .record import replace
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .automorphism import AutomorphismJob
-    from .config import JobConfig, LieJob, WitnessJob
+    from .config import JobConfig
     from .foliation import TorusSpec
+    from .lie_job import LieJob
+    from .witness_job import WitnessJob
 
 PROG = "engine"
 
@@ -64,8 +66,8 @@ _PIPELINE_NAMES = {
     "lie": ("Subspace", "betti"),
     "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
-    "witness": ("build_bumps", "degree_one_obstruction", "interval",
-                "verify_bounds"),
+    "witness": ("build_bumps", "interval", "verify_bounds"),
+    "witness_job": ("degree_one_obstruction",),
 }
 _PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
                 for name in names}
@@ -155,7 +157,7 @@ def _run_torus(spec: TorusSpec, check: bool) -> dict:
 
 
 def _run_witness(job: WitnessJob, check: bool) -> dict:
-    _bind("witness")
+    _bind("witness", "witness_job")
     family = build_bumps(
         range(job.k_min, job.k_max + 1),
         max_derivative_order=job.max_derivative_order,
@@ -164,8 +166,7 @@ def _run_witness(job: WitnessJob, check: bool) -> dict:
     report = verify_bounds(family)
     certificates = named(
         report, "profile_constants", "relative_slack", "samples_per_interval",
-        "monotone_violations")
-    certificates["forced_levels"] = as_json(report.forced_levels)
+        "monotone_violations", "forced_levels")
     certificates["lift_obstruction"] = report.lift_obstruction
     certificates["sup_bounds"] = as_json(report.sup_records)
     certificates["intervals"] = [
@@ -236,19 +237,16 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read input: %s" % (PROG, exc), file=sys.stderr)
         return 1
-    try:
-        config = parse_config(text)
-        if args["truncation"] is not None and config.mode == "torus":
-            config = replace(config, job=replace(
-                config.job, truncation=args["truncation"]))
-    except MathematicalRefusal as exc:
-        print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),
-              file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError, ValueError) as exc:
-        print("%s: configuration error: %s" % (PROG, exc), file=sys.stderr)
-        return 1
-    try:
+    try:  # a refusal while the job is read or while it runs exits 2
+        try:
+            config = parse_config(text)
+            if args["truncation"] is not None and config.mode == "torus":
+                config = replace(config, job=replace(
+                    config.job, truncation=args["truncation"]))
+        except (ParseError, ValidationError, ValueError) as exc:
+            print("%s: configuration error: %s" % (PROG, exc),
+                  file=sys.stderr)
+            return 1
         payload, code = run_job(config, check=args["check"])
     except MathematicalRefusal as exc:
         print("%s: refused: %s: %s" % (PROG, type(exc).__name__, exc),

@@ -20,6 +20,11 @@ from .errors import InvalidSpec
 from .record import record
 from .scalars import ExtScalar
 
+# the refusal of directions that span less than their number, raised by
+# the torus frame and by an automorphism job's induced map
+DEPENDENT_DIRECTIONS = (
+    "foliation directions are linearly dependent over the scalars")
+
 
 def coordinate_names(n: int) -> tuple[str, ...]:
     """The names of the coordinates of T^n: x, y, z for n <= 3, else

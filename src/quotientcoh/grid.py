@@ -13,8 +13,8 @@ the peak candidates of a grid materialises only the candidates, and
 neither the time nor the memory of a witness job grows with the grid.
 level_resolves is the float test that decides whether the points of
 level k stay apart from the ends of I_k; the witness applies it to each
-level it samples, and config to each level of a job before any bump is
-built.
+level it samples, and witness_job, which reads the [witness] section, to
+each level of a job before any bump is built.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ entry is p, p+q*alpha or p-q*alpha with p, q such ratios
 (parse_ext_scalar).  Decimal literals are rejected with a pointed
 message, since silently rounding them would defeat the purpose of an
 exact engine.  parse_ext_scalar imports ExtScalar only once its token
-has parsed, so a job whose values do not parse loads no pipeline.
+has parsed, so a job whose values do not parse loads no pipeline.  Only
+the section readers, config and lie_job, import this module, so each
+value shape keeps one reader and no pipeline module parses job text.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ relation, so p + q*alpha = 0 forces p = q = 0.  ExtScalar is plain data
 with no arithmetic: a torus spec clears each direction once into integer
 rational and alpha parts (TorusSpec.parts), and the pipeline reads those.
 This module parses no text: the job-file grammar, the p + q*alpha
-tokens included, lives in config and literals.
+tokens included, lives in config, lie_job and literals.
 """
 
 from __future__ import annotations

@@ -62,11 +62,16 @@ def render_table(payload: dict) -> str:
             lines.append(certs["normalization"])
         elif payload["mode"] == "automorphism":
             automorphism = certs["automorphism"]
+            # a foliated job tests the orders on the induced map A-bar
+            induced = automorphism.get("induced_map")
             lines.append(
                 "automorphism: det %d, no cyclotomic factor Phi_m of the "
-                "characteristic polynomial for m = %s"
-                % (automorphism["determinant"], " ".join(
-                    map(str, automorphism["cyclotomic_factors_ruled_out"]))))
+                "characteristic polynomial %sfor m = %s"
+                % (automorphism["determinant"],
+                   "of the induced map A-bar on %s " % ", ".join(
+                       induced["coordinates"]) if induced else "",
+                   " ".join(map(str, (induced or automorphism)[
+                       "cyclotomic_factors_ruled_out"]))))
         else:
             lines.append("certificates: %s" % " ".join(
                 "%s=%s" % (name, _certificate(value))

@@ -80,7 +80,7 @@ from .cochain import ce_complex
 from .errors import InvalidSpec
 # wedge_insert is unused here, but perfbench/tracer.py wraps torus.wedge_insert by name
 from .exterior import wedge_insert
-from .foliation import coordinate_names
+from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
 from .koszul import build_mode_complex, koszul_certificate, monomial_witness
 from .lie import Subspace, betti as lie_betti
 from .matrix import ExactMatrix
@@ -140,9 +140,7 @@ def transverse_frame(spec: TorusSpec) -> TransverseFrame:
         if len(reduced) == spec.p:
             return TransverseFrame(Subspace(spec.n, tuple(reduced.values())),
                                    (r, 1))
-    raise InvalidSpec(
-        "foliation directions are linearly dependent over the scalars"
-    )
+    raise InvalidSpec(DEPENDENT_DIRECTIONS)
 
 
 def _mode_transverse(mode: Sequence[int], frame: TransverseFrame) -> tuple[int, ...]:

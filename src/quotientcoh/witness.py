@@ -75,18 +75,22 @@ NonFiniteValue instead of passing a comparison.  The exact side is
 integers: the support intervals and the Sturm brackets are dyadic
 Ratios, (numerator, denominator) int pairs, and a float is compared
 with one through the integer pair of float.as_integer_ratio().
+
+The report's records and the static degree-one certificate live in the
+witness_job module, beside the [witness] section reader.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb, exp, inf, isfinite, ldexp, log
+from math import exp, inf, isfinite, ldexp, log
 
 from .errors import BoundViolated, LevelNotRecovered, NonFiniteValue
 from .grid import (Grid, Points, critical_brackets, derivative_polynomials,
                    insertion, level_resolves, sup_abs)
 from .ratio import Ratio
 from .record import record
+from .witness_job import MonotoneViolation, SupRecord, WitnessReport
 
 
 def interval(k: int) -> tuple[Ratio, Ratio]:
@@ -243,60 +247,6 @@ def build_bumps(
     )
 
 
-@record
-class SupRecord:
-    """Measured derivative sup against its certified bound."""
-
-    level: int
-    order: int
-    family: str
-    measured: float
-    bound: float
-
-
-@record
-class MonotoneViolation:
-    """Consecutive levels where a derivative sup grew instead of shrinking."""
-
-    family: str
-    order: int
-    level_from: int
-    level_to: int
-    ratio: float
-
-
-@record
-class WitnessReport:
-    """Everything verify_bounds measured, plus the lift obstruction.
-
-    relative_slack is the slack every sup was checked against.
-    """
-
-    k_range: tuple[int, ...]
-    max_derivative_order: int
-    samples_per_interval: int
-    profile_constants: tuple[float, ...]
-    sup_records: tuple[SupRecord, ...]
-    monotone_violations: tuple[MonotoneViolation, ...]
-
-    relative_slack = 1e-9
-
-    @property
-    def forced_levels(self) -> tuple[tuple[int, int], ...]:
-        """Each k paired with the level read off the ratio of the two
-        families on I_k, which is k itself: verify_bounds refuses a
-        level it cannot read (see the module docstring)."""
-        return tuple((k, k) for k in self.k_range)
-
-    @property
-    def lift_obstruction(self) -> bool:
-        """True iff two forced levels differ: with the supports marching
-        down to zero and a different level forced on each, no
-        neighbourhood of zero admits a single choice, which is the
-        obstruction."""
-        return len({level for _, level in self.forced_levels}) > 1
-
-
 def verify_bounds(b: BumpFamily) -> WitnessReport:
     """Measure every derivative sup, check it against its bound, and
     record how the sups move in k.  The sups and bounds of f are tabled
@@ -364,43 +314,4 @@ def verify_bounds(b: BumpFamily) -> WitnessReport:
         profile_constants=constants,
         sup_records=tuple(records),
         monotone_violations=tuple(violations),
-    )
-
-
-@record
-class DegreeOneCertificate:
-    """Dimension bookkeeping for the degree-one pullback obstruction.
-
-    The quotient in question is a point, so it has no one-forms at all,
-    while the invariant constant-coefficient complex upstairs keeps the
-    span of dx.  The pullback therefore cannot be surjective in degree
-    one.
-    """
-
-    quotient_degree1_dim: int
-    invariant_basic_degree1_dim: int
-    invariant_witness: str
-    pullback_surjective_degree1: bool
-    conclusion: str
-
-
-def degree_one_obstruction() -> DegreeOneCertificate:
-    """Static certificate that the point quotient misses the form dx.
-
-    Dimensions are the numbers of degree-one monomials, C(n, 1): one-forms
-    on a 0-dimensional space versus constant-coefficient one-forms on a
-    line.  A surjection onto a bigger space from a smaller one is
-    impossible, which is the whole argument.
-    """
-    quotient_dim = comb(0, 1)
-    upstairs_dim = comb(1, 1)
-    surjective = quotient_dim >= upstairs_dim
-    return DegreeOneCertificate(
-        quotient_degree1_dim=quotient_dim,
-        invariant_basic_degree1_dim=upstairs_dim,
-        invariant_witness="dx",
-        pullback_surjective_degree1=surjective,
-        conclusion=(
-            "pullback-not-surjective" if not surjective else "no-obstruction"
-        ),
     )

@@ -195,12 +195,14 @@ def test_automorphism_rows_go_with_no_other_torus_key(key):
 
 @pytest.mark.parametrize("text, reason", [
     ("[torus]\nn = 2\nautomorphism = 2,1\n", "1 rows, expected n = 2"),
+    # config reads the rows and the directions with one vector reader
     ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n",
-     "a row of 1 entries in a matrix of 2 rows"),
+     "row vector has 1 entries, expected n = 2"),
     ("[torus]\nn = 1\nautomorphism = 1/2\n", "cannot parse '1/2'"),
     # a foliation row beside A: an alpha part is phase 3
     (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "ROADMAP item 24 phase 3"),
-    (_text(SHEAR) + "foliation = 0,1\n", "direction vector length 2 != n"),
+    (_text(SHEAR) + "foliation = 0,1\n",
+     "direction vector has 2 entries, expected n = 3"),
     (_text(SHEAR) + "foliation = 0,0,0.5\n", "decimal literal '0.5'"),
 ], ids=["too-few-rows", "short-row", "fraction", "alpha-direction",
         "short-direction", "decimal-direction"])
@@ -215,12 +217,14 @@ def test_a_malformed_matrix_exits_one(tmp_path, capsys, text, reason):
 
 
 # Phase 2: A preserves the rational foliation spanned by the directions,
-# H = R^p x| Z, and the checks and forms run on the induced map A-bar.
+# H = R^p x| Z, and the checks and forms run on the induced map A-bar, on
+# the complement coordinates of the directions' echelon rows.
 PHASE_TWO = [
-    (SHEAR, ((0, 0, 1),), [1, 0, 1], ["dx^dy"]),
+    (SHEAR, ((0, 0, 1),), [1, 0, 1], ["dx^dy"], ["x", "y"]),
     (((2, -1, 1), (0, 1, 0), (1, -1, 1)), ((1, 1, 0),), [1, 0, 1],
-     ["dy^dz"]),  # A-bar = [[2, -1], [-1, 1]]
-    (((1, 0, 1), (0, 1, 0), (1, -1, 0)), ((1, 1, 0),), [1, 0, 0], []),
+     ["dy^dz"], ["y", "z"]),  # A-bar = [[2, -1], [-1, 1]]
+    (((1, 0, 1), (0, 1, 0), (1, -1, 0)), ((1, 1, 0),), [1, 0, 0], [],
+     ["y", "z"]),
 ]
 
 
@@ -253,18 +257,35 @@ def _induced_oracle(a, directions):
     return [[solved[c][p + r] for c in range(n - p)] for r in range(n - p)]
 
 
-@pytest.mark.parametrize("a, directions, betti, top", PHASE_TWO,
-                         ids=["shear", "tilted", "flip"])
+@pytest.mark.parametrize("a, directions, betti, top, coordinates",
+                         PHASE_TWO, ids=["shear", "tilted", "flip"])
 def test_a_preserved_foliation_runs_on_the_induced_map(a, directions,
-                                                       betti, top):
+                                                       betti, top,
+                                                       coordinates):
     payload, code = run_job(parse_config(_foliated(a, directions)))
     assert code == 0
     assert payload["betti"] == betti
     assert betti == fixed_form_dimensions(_induced_oracle(a, directions))
     assert payload["generators"] == [["1"], [], top]
+    # det is A's; the orders were tested on A-bar, so they sit under it
     assert payload["certificates"]["automorphism"] == {
-        "determinant": det_laplace(a), "cyclotomic_factors_ruled_out":
-        [1, 2, 3, 4, 6]}
+        "determinant": det_laplace(a), "induced_map": {
+            "coordinates": coordinates,
+            "cyclotomic_factors_ruled_out": [1, 2, 3, 4, 6]}}
+
+
+def test_the_shear_table_line_names_the_induced_map(tmp_path, capsys):
+    # A fixes e_z, so Phi_1 divides A's characteristic polynomial: the
+    # orders ruled out belong to A-bar on x, y, and the line says so
+    assert det_laplace([[x - (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(SHEAR)]) == 0
+    cfg = tmp_path / "shear.cfg"
+    cfg.write_text(_foliated(SHEAR, ((0, 0, 1),)))
+    assert main(["--input", str(cfg), "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "automorphism: det 1, no cyclotomic factor Phi_m of the "
+        "characteristic polynomial of the induced map A-bar on x, y for "
+        "m = 1 2 3 4 6")
 
 
 @pytest.mark.parametrize("a, directions, betti",

@@ -7,7 +7,9 @@ import pytest
 from quotientcoh import (
     ExtScalar, LieAlgebra, ParseError, TorusSpec, ValidationError)
 from quotientcoh.cli import main
-from quotientcoh.config import JobConfig, LieJob, WitnessJob, parse_config
+from quotientcoh.config import JobConfig, parse_config
+from quotientcoh.lie_job import LieJob
+from quotientcoh.witness_job import WitnessJob
 
 EXAMPLE_TORUS = """
 # axis foliation with a dense invariance direction
@@ -172,6 +174,11 @@ def test_range_validation():
         parse_config("[output]\nformat = yaml\n[torus]\nn = 2\n")
 
 
+# the rows of a shear of T^3 that fixes e_z (tests/test_automorphism.py)
+SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
+              "automorphism = 1,-1,1\n")
+
+
 @pytest.mark.parametrize("job, key, reason", [
     ("[lie]\ndim = 2\nbracket = 0 1 1 1/x\n", "bracket",
      "cannot parse '1/x' as a fraction"),
@@ -205,12 +212,25 @@ def test_range_validation():
      "or a fraction like 3/10"),
     ("[torus]\nn = 2\nfoliation = 1,1/0\n", "foliation",
      "zero denominator in '1/0'"),
+    # beside automorphism rows the directions are read by the same reader
+    (SHEAR_ROWS + "foliation = 1,0\n", "foliation",
+     "direction vector has 2 entries, expected n = 3"),
+    (SHEAR_ROWS + "foliation = 0,0,x\n", "foliation",
+     "cannot parse 'x' as an exact scalar (expected p or p+q*alpha with "
+     "p, q rational)"),
+    (SHEAR_ROWS + "foliation = 0,0,0.5\n", "foliation",
+     "decimal literal '0.5' not allowed in an exact field; use an integer "
+     "or a fraction like 3/10"),
+    (SHEAR_ROWS + "foliation = 0,0,1/0\n", "foliation",
+     "zero denominator in '1/0'"),
     ("[output]\nformat = yaml\n[torus]\nn = 2\n", "format",
      "unknown format 'yaml'; expected one of table, json, csv"),
 ], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples",
         "ideal-length", "ideal-token", "ideal-decimal", "ideal-zero-den",
         "foliation-length", "foliation-token", "foliation-decimal",
-        "foliation-zero-den", "format"])
+        "foliation-zero-den", "automorphism-foliation-length",
+        "automorphism-foliation-token", "automorphism-foliation-decimal",
+        "automorphism-foliation-zero-den", "format"])
 def test_each_refusal_names_its_key_and_reason(job, key, reason):
     with pytest.raises((ParseError, ValidationError)) as info:
         parse_config(job)

@@ -16,7 +16,7 @@ import pytest
 from quotientcoh import ExtScalar, InvalidSpec, TorusSpec, torus_betti
 from quotientcoh import discrete
 from quotientcoh.discrete import discrete_certificate, discrete_jobs
-from quotientcoh.witness import degree_one_obstruction
+from quotientcoh.witness_job import degree_one_obstruction
 
 E = ExtScalar
 KRONECKER = ((E(1), E(0, 1)),)  # the direction (1, alpha) on T^2

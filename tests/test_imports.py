@@ -12,7 +12,8 @@ no job process loads argparse, gettext or locale, nor fractions,
 decimal, _decimal or numbers, nor, in an interpreter that preloads
 nothing, typing or pathlib, no module imports pathlib or typing at run
 time, only a discrete torus job loads the discrete module, only matrix
-builds dense rows, no engine module holds more tokens than the budget, no module imports another's
+builds dense rows, no engine module holds more tokens than the budget,
+only config and lie_job import the token reader, no module imports another's
 private names or a name it does not use, every public function, class
 and method is named by some engine module, the names the bench tracer
 wraps still resolve and traced jobs open the pinned spans, the test
@@ -260,6 +261,31 @@ def test_every_engine_module_is_within_the_token_budget():
             "%s holds %d tokens, over the budget of %d: split it along a "
             "seam, see README \"Where new code goes\""
             % (path.name, size, TOKEN_BUDGET))
+
+
+# the modules that read job text: config, which reads [torus] and the
+# shared value shapes, and lie_job, which reads the bracket lines
+TOKEN_READERS = {"config.py", "lie_job.py"}
+
+
+def test_only_the_section_readers_import_the_token_reader():
+    # each value shape keeps one reader, and no pipeline module parses job
+    # text: only config and lie_job import literals
+    package = Path(quotientcoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in TOKEN_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                modules = [module] + [module + "." + a.name
+                                      for a in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "literals"
+                           for m in modules), (path.name, ast.unparse(node))
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -708,13 +734,17 @@ print(json.dumps([code, sorted(n for n in sys.modules
 FRONT_MODULES = ["quotientcoh"] + ["quotientcoh." + name for name in (
     "cli", "config", "errors", "literals", "options", "payload", "ratio",
     "record")]
-# the package modules a Lie job without a space key loads
-LIE_JOB_MODULES = sorted(FRONT_MODULES + ["quotientcoh." + name for name in (
-    "algebra", "cochain", "exterior", "lie", "matrix", "scalars")])
-TORUS_JOB_MODULES = sorted(LIE_JOB_MODULES + [
+# the Lie pipeline, which a torus job loads too
+LIE_PIPELINE = ["quotientcoh." + name for name in (
+    "algebra", "cochain", "exterior", "lie", "matrix", "scalars")]
+# the package modules a Lie job without a space key loads: the pipeline
+# and the reader of its [lie] section
+LIE_JOB_MODULES = sorted(FRONT_MODULES + LIE_PIPELINE + ["quotientcoh.lie_job"])
+TORUS_JOB_MODULES = sorted(FRONT_MODULES + LIE_PIPELINE + [
     "quotientcoh.foliation", "quotientcoh.koszul", "quotientcoh.torus"])
 WITNESS_JOB_MODULES = sorted(FRONT_MODULES + [
-    "quotientcoh.grid", "quotientcoh.sturm", "quotientcoh.witness"])
+    "quotientcoh.grid", "quotientcoh.sturm", "quotientcoh.witness",
+    "quotientcoh.witness_job"])
 
 
 def test_only_a_lie_job_with_a_space_loads_the_space_module(tmp_path):
@@ -770,9 +800,9 @@ def test_only_a_discrete_torus_job_loads_its_module(tmp_path):
 
 
 def test_only_an_automorphism_job_loads_its_module(tmp_path):
-    # a [torus] section with automorphism rows is read and run by its own
-    # module, which needs no Lie, cochain or torus code (the torus job's
-    # exact module set is asserted above)
+    # a [torus] section with automorphism rows is read by config and run
+    # by its own module, which needs no Lie, cochain or torus code (the
+    # torus job's exact module set is asserted above)
     cfg = tmp_path / "cat.cfg"
     cfg.write_text(
         "[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1,1\n")

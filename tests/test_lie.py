@@ -25,7 +25,8 @@ from quotientcoh import (
 )
 from quotientcoh import algebra
 from quotientcoh.cli import run_job
-from quotientcoh.config import JobConfig, LieJob
+from quotientcoh.config import JobConfig
+from quotientcoh.lie_job import LieJob
 from quotientcoh.exterior import enumerate_basis
 from quotientcoh.cochain import ce_differential
 from quotientcoh.record import replace

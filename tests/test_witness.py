@@ -18,11 +18,11 @@ from quotientcoh.sturm import root_brackets
 from quotientcoh.witness import (
     BumpFamily,
     build_bumps,
-    degree_one_obstruction,
     derivative_polynomials,
     interval,
     verify_bounds,
 )
+from quotientcoh.witness_job import degree_one_obstruction
 
 from oracles import (
     bump_polynomials_x,
@@ -240,7 +240,7 @@ def test_profile_constants_agree_with_exact_evaluation_at_order_10():
 @pytest.mark.parametrize("samples", [3, 10001])
 def test_profile_constants_stay_within_the_stated_error_up_to_order_16(
         samples):
-    # config.MAX_DERIVATIVE_ORDER and the README state the measured drift:
+    # witness_job.MAX_DERIVATIVE_ORDER and the README state the measured drift:
     # 1e-10 relative through order 11, 5e-8 through order 16 (C_16 is
     # off by 3.6e-8 on 3 points), so past the 1e-9 slack from order 12
     fam = build_bumps([2, 3], max_derivative_order=16,
