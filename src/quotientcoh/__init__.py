@@ -13,9 +13,10 @@ Three pipelines share an exact linear-algebra core:
     degree-one obstruction certificate.
 
 A fourth, the automorphism module, runs a [torus] job with automorphism
-rows, which config reads: T^n modulo the Z that a matrix in GL(n, Z)
-generates.  Each job section is read beside the code its job loads:
-[lie] by lie_job, [witness] by witness_job and [torus] by config.
+rows, which config reads into the section's one TorusSpec: T^n modulo
+the Z that a matrix in GL(n, Z) generates.  Each job section is read
+beside the code its job loads: [lie] by lie_job, [witness] by
+witness_job and [torus] by config.
 
 The command line entry point is ``engine``; see the cli module.
 

@@ -41,94 +41,73 @@ a hyperbolic A-bar.  A direction with an alpha part is refused: the
 modes an irrational foliation leaves form a lattice of rank below
 n - p, which needs its own orbit count (ROADMAP item 24, phase 3).
 
+Finite order.  When the map X, A or A-bar, has finite order r, H = Z
+acts through Z/r, and the orbit argument does not apply: every nonzero
+orbit is finite.  The identification above still holds, since a discrete
+group acts locally freely.  Averaging over Z/r, P = (1/r) sum_j (X^j)^*,
+projects the forms onto the invariant ones and commutes with d, so the
+invariant forms have for cohomology the invariant part of the
+cohomology of the torus (Bredon, Introduction to Compact Transformation
+Groups, Academic Press 1972, ch. III, on orbit spaces of finite groups):
+of T^n, or, with a foliation, of the leaf space T^(n - p), on which A
+acts by A-bar.  That cohomology is the constant forms, on which X acts
+by Lambda^k X^T, so again b_k = dim ker(Lambda^k X^T - I).
+
 The checks, each refusing the job (InvalidSpec): det A is +-1, so A is
 invertible over the integers; with a foliation, the directions are
-nonzero and independent and A maps each echelon row of W into W; and no
-X^m with phi(m) <= q fixes a nonzero vector, for X = A and q = n, or
-X = A-bar and q = n - p.  A root of unity of order m is a root of the
-cyclotomic polynomial Phi_m, irreducible of degree phi(m), so every
-root-of-unity eigenvalue has an order m with phi(m) <= q, and X^m - I is
-then singular.  Tested in increasing m, the first X^m with a fixed
-vector names the least such order: the least m with Phi_m dividing the
-characteristic polynomial.  Both the refusal and the invariant forms
+nonzero and independent and A maps each echelon row of W into W; and,
+for X = A and q = n or X = A-bar and q = n - p, X has finite order when
+some X^m with phi(m) <= q fixes a nonzero vector.  A root of unity of
+order m is a root of the cyclotomic polynomial Phi_m, irreducible of
+degree phi(m), so every root-of-unity eigenvalue has an order m with
+phi(m) <= q, and X^m - I is then singular.  Tested in increasing m, the
+first X^m with a fixed vector names the least such order: the least m
+with Phi_m dividing the characteristic polynomial.  X then has finite
+order iff X^N = I for N the lcm of the listed m: a finite-order X is
+diagonalizable over C with root-of-unity eigenvalues of those orders,
+and its order r is the least divisor of N with X^r = I.  An X of
+infinite order with a root-of-unity eigenvalue, such as the Dehn twist
+[[1, 1], [0, 1]], whose invariant forms have an infinite-dimensional
+H^2, is refused at the least m.  Both the refusal and the invariant forms
 are one fixed-space test, ker(X - I) by the exact elimination.  A-bar
 is read on the complement coordinates of W, as Lie quotients read
 their induced brackets.  The report gives b_k, the kernel vectors of
 Lambda^k X^T - I as generators, labelled by the dx monomials of those
 coordinates, and a certificate that states det A, read off the one
-entry of Lambda^n A^T, and the m it ruled out.  With a foliation those
-m were tested on A-bar, not on A, so the certificate nests them under
-``induced_map`` beside A-bar's coordinates.  No differential is built,
-so the report's ranks are null.
+entry of Lambda^n A^T, and either the m it ruled out or the finite
+order r.  With a foliation those were tested on A-bar, not on A, so the
+certificate nests them under ``induced_map`` beside A-bar's
+coordinates.  No differential is built, so the report's ranks are null.
 
 This module reads no job text.  config's torus builder reads every
-[torus] value once, with the readers every job section shares; it
-refuses REFUSED_KEYS beside the rows and a row count other than n, and
-hands automorphism_job only parsed values: n, the direction vectors and
-the integer rows.  Only automorphism jobs import this module, and only
-those with foliation rows import lie for its Subspace.
+[torus] value once into one foliation.TorusSpec, with the readers every
+job section shares; it refuses REFUSED_KEYS beside the rows, a row
+count other than n and a direction with an alpha part, and the spec
+checks n, the directions and the shape of the rows.  This module reads
+the spec's automorphism rows and the rational parts of its directions.
+Only automorphism jobs import this module, and only those with
+foliation rows import lie for its Subspace.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
-from .errors import InvalidSpec, ValidationError
+from .errors import InvalidSpec
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
-from .foliation import DEPENDENT_DIRECTIONS, TorusSpec, coordinate_names
+from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
 from .matrix import ExactMatrix, IntRow
 from .payload import build_payload, vector_label
-from .record import record
 from .scalars import lead_one, nullspace_basis
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .scalars import ExtScalar
+    from .foliation import TorusSpec
 
 # the [torus] keys config refuses beside automorphism rows: invariance
 # or discrete coordinates together with A are not supported yet, and no
 # mode is audited
 REFUSED_KEYS = ("invariance", "discrete", "truncation")
-
-
-@record
-class AutomorphismJob:
-    """T^n modulo the group generated by the integer matrix A, given by
-    its rows, and by the translations along the rational directions of
-    foliation, given as integer rows (none for phase 1)."""
-
-    rows: tuple[tuple[int, ...], ...]
-    foliation: tuple[tuple[int, ...], ...] = ()
-
-    # the cli runner of this job; config reads it as the job's mode
-    mode = "automorphism"
-
-    def __post_init__(self):
-        n = len(self.rows)
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        object.__setattr__(self, "foliation",
-                           tuple(map(tuple, self.foliation)))
-        if not n:
-            raise ValueError("the matrix needs at least one row")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("a row of %d entries in a matrix of %d "
-                                 "rows" % (len(row), n))
-
-
-def automorphism_job(n: int, directions: tuple[tuple[ExtScalar, ...], ...],
-                     rows: tuple[tuple[int, ...], ...]) -> AutomorphismJob:
-    """The job of the n rows of n integers and the foliation directions
-    that config read off a [torus] section: the directions are refused as
-    a torus job refuses them (a zero one by TorusSpec, with InvalidSpec),
-    and so is an alpha part."""
-    rational, alpha = TorusSpec(n, directions).parts
-    if any(map(any, alpha)):
-        raise ValidationError(
-            "foliation", "a direction with an alpha part is ROADMAP item 24 "
-            "phase 3: the modes an irrational foliation leaves form a "
-            "lattice of lower rank than its transverse frame")
-    return AutomorphismJob(rows, rational)
 
 
 def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
@@ -156,7 +135,7 @@ def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
     return ExactMatrix.from_int_rows(len(monomials), den ** k, rows)
 
 
-def induced_map(job: AutomorphismJob
+def induced_map(spec: TorusSpec
                 ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
     """(rows, den, coordinates): the map A induces on R^n / W, W the span
     of the foliation directions, as integer rows over den on the
@@ -165,10 +144,10 @@ def induced_map(job: AutomorphismJob
     W, which Subspace.reduce returns times W.scale."""
     from .lie import Subspace
 
-    a = job.rows
+    a, directions = spec.automorphism, spec.parts[0]
     n = len(a)
-    w = Subspace.span(n, job.foliation)
-    if w.dim < len(job.foliation):
+    w = Subspace.span(n, directions)
+    if w.dim < len(directions):
         raise InvalidSpec(DEPENDENT_DIRECTIONS)
 
     def image(v: IntRow) -> dict[int, int]:
@@ -195,18 +174,38 @@ def fixed_space(x: ExactMatrix) -> list[IntRow]:
     return nullspace_basis(ExactMatrix.from_int_rows(x.cols, 1, rows))
 
 
-def automorphism_payload(job: AutomorphismJob) -> dict:
+def finite_order(x: ExactMatrix, bound: int) -> int | None:
+    """The order of X, the least divisor r of bound with X^r = I, or
+    None when X^bound is not I."""
+    identity = ExactMatrix.from_int_rows(
+        x.cols, 1, [{i: 1} for i in range(x.cols)])
+
+    def power(e: int) -> ExactMatrix:  # X^e, by repeated squaring
+        result, square = identity, x
+        while e:
+            if e & 1:
+                result = result @ square
+            square, e = square @ square, e >> 1
+        return result
+
+    if power(bound) != identity:
+        return None
+    return next(r for r in range(1, bound + 1)
+                if bound % r == 0 and power(r) == identity)
+
+
+def automorphism_payload(spec: TorusSpec) -> dict:
     """The report of an automorphism job, or InvalidSpec when A fails
     a check (see the module docstring)."""
-    a = job.rows
+    a = spec.automorphism
     n = len(a)
     det = dict(exterior_power(a, n).int_rows[0]).get(0, 0)  # 1 x 1
     if det not in (1, -1):
         raise InvalidSpec("the automorphism has determinant %d, not +-1: "
                           "it is not invertible over the integers" % det)
     den, coordinates, noun = 1, range(n), "automorphism"
-    if job.foliation:
-        a, den, coordinates = induced_map(job)
+    if spec.foliation_dirs:
+        a, den, coordinates = induced_map(spec)
         noun = "map the automorphism induces across the foliation"
     q = len(a)
     # phi(m) >= sqrt(m / 2), so every m with phi(m) <= q is below 2 q^2
@@ -214,14 +213,19 @@ def automorphism_payload(job: AutomorphismJob) -> dict:
               if sum(gcd(m, j) == 1 for j in range(1, m + 1)) <= q]
     # A^T, whose powers fix spaces of the dimensions that A's powers fix
     power = transpose = exterior_power(a, 1, den)
+    order = None
     for m in range(1, max(orders, default=0) + 1):
         if m in orders and fixed_space(power):
-            raise InvalidSpec(
-                "Phi_%d divides the characteristic polynomial of the %s: "
-                "it has an eigenvalue that is a root of unity of order %d, "
-                "so some nonzero modes have finite orbits, which need the "
-                "component-group invariants of ROADMAP item 3"
-                % (m, noun, m))
+            order = finite_order(transpose, lcm(*orders))
+            if order is None:
+                raise InvalidSpec(
+                    "Phi_%d divides the characteristic polynomial of the "
+                    "%s: it has an eigenvalue that is a root of unity of "
+                    "order %d, so some nonzero modes have finite orbits, "
+                    "and it has infinite order, so no finite group average "
+                    "gives its invariant forms (ROADMAP item 29, phase 2)"
+                    % (m, noun, m))
+            break
         power = power @ transpose
     names = coordinate_names(n)
     names = [names[c] for c in coordinates]
@@ -233,10 +237,11 @@ def automorphism_payload(job: AutomorphismJob) -> dict:
         betti.append(len(kernel))
         generators.append([vector_label(lead_one(v), monomials, labels)
                            for v in kernel])
-    # the orders are those tested, on A-bar, with its coordinates, when
-    # the job has a foliation; det is A's in either case
-    tested = {"cyclotomic_factors_ruled_out": orders}
-    if job.foliation:
+    # the finite order or the orders ruled out, of A-bar, with its
+    # coordinates, when the job has a foliation; det is A's in either case
+    tested = ({"finite_order": order} if order
+              else {"cyclotomic_factors_ruled_out": orders})
+    if spec.foliation_dirs:
         tested = {"induced_map": {"coordinates": names, **tested}}
     return build_payload("automorphism", {"automorphism": {
         "determinant": det, **tested}}, betti, None, generators)

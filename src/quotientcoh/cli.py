@@ -6,8 +6,9 @@
 Exit codes: 0 success, 2 mathematical refusal (non-ideal quotient,
 a dense_subalgebra that is no subalgebra, degenerate foliation, broken
 Jacobi table, a basis not adapted to the job's [lie] space, an
-automorphism that is not unimodular, moves its foliation or has, itself
-or across that foliation, a root-of-unity eigenvalue), 1 for bad job
+automorphism that is not unimodular, moves its foliation or is, itself
+or across that foliation, of infinite order with a root-of-unity
+eigenvalue), 1 for bad job
 files and internal errors.  A job file may start with a UTF-8 byte-order
 mark.  A malformed command line prints the usage and an ``engine:
 error:`` line to stderr and exits 2; -h or --help prints the options to
@@ -44,7 +45,6 @@ from .record import replace
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .automorphism import AutomorphismJob
     from .config import JobConfig
     from .foliation import TorusSpec
     from .lie_job import LieJob
@@ -175,9 +175,9 @@ def _run_witness(job: WitnessJob, check: bool) -> dict:
     return build_payload("witness", certificates)
 
 
-def _run_automorphism(job: AutomorphismJob, check: bool) -> dict:
+def _run_automorphism(spec: TorusSpec, check: bool) -> dict:
     _bind("automorphism")
-    return automorphism_payload(job)  # raises InvalidSpec when refused
+    return automorphism_payload(spec)  # raises InvalidSpec when refused
 
 
 _RUNNERS = {"lie": _run_lie, "torus": _run_torus, "witness": _run_witness,

@@ -23,9 +23,9 @@ This module collects the lines into one key map per section and reads
 job loads anyway: [lie] by the lie_job module and [witness] by the
 witness_job module, each imported by parse_config for its own section
 only, and [torus] here.  The torus builder reads every [torus] value
-once, the ``automorphism`` rows included, and hands an automorphism job
-only parsed values: n, the direction vectors and the integer rows.  That
-job names its own mode.
+once, the ``automorphism`` rows included, into one foliation.TorusSpec,
+which checks n, the directions and the rows for plain and automorphism
+jobs alike; the spec names its own mode.
 
 Each value shape has one reader, shared by every section: int_key,
 vectors (``ideal``, ``dense_subalgebra``, ``foliation`` and
@@ -51,7 +51,6 @@ from .record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .automorphism import AutomorphismJob
     from .foliation import TorusSpec
     from .lie_job import LieJob
     from .witness_job import WitnessJob
@@ -83,7 +82,7 @@ class JobConfig:
     """One parsed job: its mode, that pipeline's job and the output."""
 
     mode: str
-    job: LieJob | TorusSpec | AutomorphismJob | WitnessJob
+    job: LieJob | TorusSpec | WitnessJob
     output: OutputConfig = OutputConfig()
 
 
@@ -153,8 +152,9 @@ def vectors(section: dict, key: str, noun: str, size_name: str, size: int,
         tokens = [t.strip() for t in value.split(",")]
         if len(tokens) != size:
             raise ValidationError(
-                key, "%s vector has %d entries, expected %s = %d"
-                % (noun, len(tokens), size_name, size))
+                key, "%s vector has %d entr%s, expected %s = %d"
+                % (noun, len(tokens), "y" if len(tokens) == 1 else "ies",
+                   size_name, size))
         try:
             read.append(tuple(parse(t) for t in tokens))
         except ValueError as exc:
@@ -178,35 +178,46 @@ def choice(key: str, value: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _build_torus(section: dict) -> TorusSpec | AutomorphismJob:
+def _torus_spec(*fields) -> TorusSpec:
+    """The TorusSpec of fields, its ValueError a ValidationError of the
+    key torus."""
+    from .foliation import TorusSpec
+
+    try:
+        return TorusSpec(*fields)
+    except ValueError as exc:
+        raise ValidationError("torus", str(exc)) from exc
+
+
+def _build_torus(section: dict) -> TorusSpec:
     n = int_key(section, "torus", "n")
     rows = section.get("automorphism", ())
     if rows:
-        from .automorphism import REFUSED_KEYS, automorphism_job
+        from .automorphism import REFUSED_KEYS
 
         for key in REFUSED_KEYS:
             if key in section:
                 raise ValidationError(key,
                                       "not allowed with automorphism rows")
+        _torus_spec(n)  # n >= 1 before the rows are counted against it
         if len(rows) != n:
-            raise ValidationError("automorphism", "%d rows, expected n = %d"
-                                  % (len(rows), n))
+            raise ValidationError("automorphism", "%d row%s, expected n = %d"
+                                  % (len(rows), "" if len(rows) == 1 else "s",
+                                     n))
         # the integer rows of A, read once the row count is right
         rows = vectors(section, "automorphism", "row", "n", n,
                        lambda token: exact_int("automorphism", token))
     dirs = vectors(section, "foliation", "direction", "n", n,
                    parse_ext_scalar)
-    if rows:
-        return automorphism_job(n, dirs, rows)
-    invariance = coordinates(section, "invariance")
-    truncation = int_key(section, "torus", "truncation", 3)
-    discrete = coordinates(section, "discrete")
-    from .foliation import TorusSpec
-
-    try:
-        return TorusSpec(n, dirs, invariance, truncation, discrete)
-    except ValueError as exc:
-        raise ValidationError("torus", str(exc)) from exc
+    spec = _torus_spec(n, dirs, coordinates(section, "invariance"),
+                       int_key(section, "torus", "truncation", 3),
+                       coordinates(section, "discrete"), rows)
+    if rows and any(map(any, spec.parts[1])):
+        raise ValidationError(
+            "foliation", "a direction with an alpha part is ROADMAP item 24 "
+            "phase 3: the modes an irrational foliation leaves form a "
+            "lattice of lower rank than its transverse frame")
+    return spec
 
 
 def parse_config(text: str) -> JobConfig:
@@ -231,5 +242,5 @@ def parse_config(text: str) -> JobConfig:
     else:
         build = _build_torus
     job = build(sections[mode])
-    # an automorphism job names its own mode
+    # a torus job names its own mode, automorphism when A is given
     return JobConfig(getattr(job, "mode", mode), job, output)

@@ -4,11 +4,13 @@ A constant-coefficient foliation of the n-torus is spanned by direction
 vectors whose entries are rational or rational + rational*alpha for one
 fixed irrational alpha (scalars.ExtScalar).  A TorusSpec holds those
 directions, the coordinates of dense translation invariance, the
-truncation of the mode audit and the coordinates of discrete
-translations (the discrete module), and clears each direction once into
-the integer rows every span, rank and survival test of the torus
-pipeline reads.  It is all a job needs to be read and refused, so a torus job
-refused while its spec is built compiles none of that pipeline.
+truncation of the mode audit, the coordinates of discrete translations
+(the discrete module) and the rows of an automorphism A (the
+automorphism module), and clears each direction once into the integer
+rows every span, rank and survival test of the torus pipeline reads.
+One [torus] section is one TorusSpec, and its mode names the module
+that runs it.  It is all a job needs to be read and refused, so a torus
+job refused while its spec is built compiles none of that pipeline.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ class TorusSpec:
     the coordinates of dense translation invariance; truncation bounds
     the sup norm of the nonzero modes audited by torus_betti;
     discrete_coords are the coordinates j of a job modulo every
-    translation along e_j with the discrete topology, which torus_betti
-    does not read (see the discrete module).
+    translation along e_j with the discrete topology, and automorphism
+    the n integer rows of a matrix A for T^n modulo the group A
+    generates, none for a plain job.  torus_betti reads neither of the
+    last two (see the discrete and automorphism modules), and A goes
+    with no invariance or discrete coordinates.
     """
 
     n: int
@@ -52,6 +57,7 @@ class TorusSpec:
     invariance_coords: frozenset[int] = frozenset()
     truncation: int = 3
     discrete_coords: frozenset[int] = frozenset()
+    automorphism: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -79,6 +85,20 @@ class TorusSpec:
                                      "n = %d" % (kind, j, self.n))
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
+        rows = tuple(map(tuple, self.automorphism))
+        object.__setattr__(self, "automorphism", rows)
+        if rows:
+            if len(rows) != self.n or any(len(r) != self.n for r in rows):
+                raise ValueError("the automorphism needs n = %d rows of n "
+                                 "entries" % self.n)
+            if self.invariance_coords or self.discrete_coords:
+                raise ValueError("automorphism rows go with no invariance "
+                                 "or discrete coordinates")
+
+    @property
+    def mode(self) -> str:
+        """The cli runner of this job: automorphism when it has rows."""
+        return "automorphism" if self.automorphism else "torus"
 
     @property
     def p(self) -> int:

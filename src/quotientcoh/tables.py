@@ -64,14 +64,17 @@ def render_table(payload: dict) -> str:
             automorphism = certs["automorphism"]
             # a foliated job tests the orders on the induced map A-bar
             induced = automorphism.get("induced_map")
-            lines.append(
-                "automorphism: det %d, no cyclotomic factor Phi_m of the "
-                "characteristic polynomial %sfor m = %s"
-                % (automorphism["determinant"],
-                   "of the induced map A-bar on %s " % ", ".join(
-                       induced["coordinates"]) if induced else "",
-                   " ".join(map(str, (induced or automorphism)[
-                       "cyclotomic_factors_ruled_out"]))))
+            tested = induced or automorphism
+            on = " of the induced map A-bar on %s" % ", ".join(
+                induced["coordinates"]) if induced else ""
+            order = tested.get("finite_order")
+            lines.append("automorphism: det %d, " % automorphism[
+                "determinant"] + (
+                "finite order %d%s, invariant forms averaged over Z/%d"
+                % (order, on, order) if order else
+                "no cyclotomic factor Phi_m of the characteristic "
+                "polynomial%s for m = %s" % (on, " ".join(map(
+                    str, tested["cyclotomic_factors_ruled_out"])))))
         else:
             lines.append("certificates: %s" % " ".join(
                 "%s=%s" % (name, _certificate(value))

@@ -627,3 +627,43 @@ def fixed_form_dimensions(a) -> list[int]:
                 for cols in monomials]
         out.append(len(monomials) - gauss_rank(rows))
     return out
+
+
+def _dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def dense_order(a, bound: int = 120):
+    """The least j <= bound with A^j = I, by dense products, or None."""
+    identity = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    power = [list(row) for row in a]
+    for j in range(1, bound + 1):
+        if power == identity:
+            return j
+        power = _dense_product(power, a)
+    return None
+
+
+def averaged_form_dimensions(a, order: int) -> list[int]:
+    """dim of the forms Lambda^k A^T fixes, for A of the given order, by
+    averaging over the group: sum_j (Lambda^k A^T)^j over j < order is
+    order times the projection onto those forms, so its rank is their
+    dimension.  Lambda^k A^T is built from minors by cofactor expansion,
+    and order is checked: its power of Lambda^k A^T is I."""
+    n = len(a)
+    out = []
+    for k in range(n + 1):
+        monomials = list(combinations(range(n), k))
+        step = [[det_laplace([[a[i][j] for j in cols] for i in mono])
+                 for mono in monomials] for cols in monomials]
+        identity = [[int(i == j) for j in range(len(monomials))]
+                    for i in range(len(monomials))]
+        power, total = identity, [[0] * len(monomials) for _ in monomials]
+        for _ in range(order):
+            total = [[x + y for x, y in zip(r, s)]
+                     for r, s in zip(total, power)]
+            power = _dense_product(power, step)
+        assert power == identity, (a, order, k)
+        out.append(gauss_rank(total))
+    return out

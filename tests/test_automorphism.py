@@ -1,24 +1,28 @@
-"""Tori modulo a linear automorphism A in GL(n, Z): the job file, the two
-checks that refuse A (det A = +-1, no A^m with phi(m) <= n fixing a
-vector) and the invariant forms ker(Lambda^k A^T - I), against a dense
-oracle and under unimodular conjugation.  With foliation rows (phase 2)
-the same checks and forms run on the map A-bar that A induces on R^n
-modulo the directions, after the refusals of a zero, dependent, alpha or
-moved direction; A-bar is checked against a dense Fraction solve.
+"""Tori modulo a linear automorphism A in GL(n, Z): the job file, read
+into the section's one TorusSpec, the two checks that refuse A (det A =
++-1, and finite order when some A^m with phi(m) <= n fixes a vector)
+and the invariant forms ker(Lambda^k A^T - I), against a dense oracle,
+against averaging over Z/r when A has finite order r, and under
+unimodular conjugation.  With foliation rows (phase 2) the same checks
+and forms run on the map A-bar that A induces on R^n modulo the
+directions, after the refusals of a zero, dependent, alpha or moved
+direction; A-bar is checked against a dense Fraction solve.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from oracles import (det_laplace, fixed_form_dimensions, gauss_rank,
-                     invert_fraction_matrix)
-from quotientcoh import InvalidSpec, ValidationError
-from quotientcoh.automorphism import AutomorphismJob, automorphism_payload
+from oracles import (averaged_form_dimensions, dense_order, det_laplace,
+                     fixed_form_dimensions, gauss_rank, invert_fraction_matrix)
+from quotientcoh import InvalidSpec, TorusSpec, ValidationError
+from quotientcoh.automorphism import automorphism_payload
 from quotientcoh.cli import main, run_job
 from quotientcoh.config import parse_config
 
@@ -36,7 +40,7 @@ def _text(a) -> str:
 
 
 def _betti(a) -> list[int]:
-    return automorphism_payload(AutomorphismJob(a))["betti"]
+    return automorphism_payload(TorusSpec(len(a), automorphism=a))["betti"]
 
 
 def _multiply(a, b):
@@ -94,7 +98,7 @@ def test_the_generators_are_invariant_forms():
     b = ((2, 1), (3, 2))
     a = tuple(tuple(b[i % 2][j % 2] if i // 2 == j // 2 else 0
                     for j in range(4)) for i in range(4))
-    payload = automorphism_payload(AutomorphismJob(a))
+    payload = automorphism_payload(TorusSpec(len(a), automorphism=a))
     assert payload["betti"] == [1, 0, 4, 0, 1] == fixed_form_dimensions(a)
     names = ["dx%d" % i for i in range(4)]
     for k, labels in enumerate(payload["generators"]):
@@ -108,31 +112,47 @@ def test_the_generators_are_invariant_forms():
             assert pulled == {cols: form.get(cols, 0) for cols in monomials}
 
 
-@pytest.mark.parametrize("a, m", [
-    (((1, 1), (0, 1)), 1),  # the Dehn twist: 1 is an eigenvalue
-    (((-1,),), 2),
-    (((0, -1), (1, -1)), 3),
-    (((0, -1), (1, 0)), 4),
-    (((0, -1), (1, 1)), 6),
-    (((1, 0, 0), (0, 2, 1), (0, 1, 1)), 1),  # the cat map times a circle
-    # two orders at once: the least is named
-    (((-1, 0, 0), (0, 0, -1), (0, 1, 0)), 2),  # (-1) + a quarter turn
-    (((0, -1, 0, 0), (1, -1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)), 3),
+# A with a root-of-unity eigenvalue, the least order m of one, and the
+# order r of A when it is finite: such an A runs, averaged over Z/r, and
+# one of infinite order is refused at m
+@pytest.mark.parametrize("a, m, r", [
+    (((1, 1), (0, 1)), 1, None),  # the Dehn twist: 1 is an eigenvalue
+    (((-1,),), 2, 2),
+    (((0, -1), (1, -1)), 3, 3),
+    (((0, -1), (1, 0)), 4, 4),
+    (((0, -1), (1, 1)), 6, 6),
+    (((1, 0, 0), (0, 2, 1), (0, 1, 1)), 1, None),  # the cat map times a circle
+    # two orders at once: the least is named, and r is their lcm
+    (((-1, 0, 0), (0, 0, -1), (0, 1, 0)), 2, 4),  # (-1) + a quarter turn
+    (((0, -1, 0, 0), (1, -1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)), 3, 12),
     # without its foliation (phase 2), where the induced map is tested
-    (SHEAR, 1),
+    (SHEAR, 1, None),
 ], ids=["dehn-twist", "minus-one", "order-3", "order-4", "order-6",
         "cat-times-circle", "orders-2-and-4", "orders-3-and-4", "shear"])
 def test_a_root_of_unity_eigenvalue_is_refused_at_its_order(
-        tmp_path, capsys, a, m):
+        tmp_path, capsys, a, m, r):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(_text(a))
+    assert dense_order(a) == r
+    if r is not None:
+        assert main(["--input", str(cfg), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["betti"] == averaged_form_dimensions(a, r)
+        assert payload["certificates"] == {"automorphism": {
+            "determinant": det_laplace(a), "finite_order": r}}
+        assert main(["--input", str(cfg), "--format", "table"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2] == (
+            "automorphism: det %d, finite order %d, invariant forms "
+            "averaged over Z/%d" % (det_laplace(a), r, r))
+        return
     assert main(["--input", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
         "engine: refused: InvalidSpec: Phi_%d divides the characteristic "
         "polynomial of the automorphism" % m)
-    assert "ROADMAP item 3" in captured.err
+    assert "and it has infinite order" in captured.err
+    assert "ROADMAP item 29, phase 2" in captured.err
 
 
 @pytest.mark.parametrize("a", [((2, 0), (0, 1)), ((1, 2), (2, 1)),
@@ -176,11 +196,11 @@ def test_random_unimodular_matrices_against_the_dense_oracle():
         if rng.random() < 0.5:  # a sign flip gives det -1
             a[0] = [-x for x in a[0]]
         a = tuple(map(tuple, a))
-        if _has_root_of_unity_eigenvalue(a):
+        if _has_root_of_unity_eigenvalue(a) and dense_order(a) is None:
             with pytest.raises(InvalidSpec, match="root of unity"):
                 _betti(a)
             refused += 1
-        else:
+        else:  # with finite order too: averaging gives the same numbers
             assert _betti(a) == fixed_form_dimensions(a), a
             computed += 1
     assert refused > 5 and computed > 5
@@ -193,25 +213,33 @@ def test_automorphism_rows_go_with_no_other_torus_key(key):
     assert caught.value.key == key
 
 
-@pytest.mark.parametrize("text, reason", [
-    ("[torus]\nn = 2\nautomorphism = 2,1\n", "1 rows, expected n = 2"),
+@pytest.mark.parametrize("text, key, reason", [
+    ("[torus]\nn = 2\nautomorphism = 2,1\n", "automorphism",
+     "1 row, expected n = 2"),
     # config reads the rows and the directions with one vector reader
     ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n",
-     "row vector has 1 entries, expected n = 2"),
-    ("[torus]\nn = 1\nautomorphism = 1/2\n", "cannot parse '1/2'"),
+     "automorphism", "row vector has 1 entry, expected n = 2"),
+    ("[torus]\nn = 1\nautomorphism = 1/2\n", "automorphism",
+     "cannot parse '1/2'"),
     # a foliation row beside A: an alpha part is phase 3
-    (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "ROADMAP item 24 phase 3"),
-    (_text(SHEAR) + "foliation = 0,1\n",
+    (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "foliation",
+     "ROADMAP item 24 phase 3"),
+    (_text(SHEAR) + "foliation = 0,1\n", "foliation",
      "direction vector has 2 entries, expected n = 3"),
-    (_text(SHEAR) + "foliation = 0,0,0.5\n", "decimal literal '0.5'"),
+    (_text(SHEAR) + "foliation = 0,0,0.5\n", "foliation",
+     "decimal literal '0.5'"),
+    # the section's one TorusSpec checks n before the rows are counted
+    ("[torus]\nn = 0\nautomorphism = 1\n", "torus",
+     "torus dimension must be at least 1"),
+    ("[torus]\nn = -1\nautomorphism = 1\n", "torus",
+     "torus dimension must be at least 1"),
 ], ids=["too-few-rows", "short-row", "fraction", "alpha-direction",
-        "short-direction", "decimal-direction"])
-def test_a_malformed_matrix_exits_one(tmp_path, capsys, text, reason):
+        "short-direction", "decimal-direction", "n-zero", "n-minus-one"])
+def test_a_malformed_matrix_exits_one(tmp_path, capsys, text, key, reason):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(text)
     assert main(["--input", str(cfg)]) == 1
     err = capsys.readouterr().err
-    key = "foliation" if "foliation" in text else "automorphism"
     assert err.startswith("engine: configuration error: key '%s'" % key)
     assert reason in err
 
@@ -306,10 +334,12 @@ def test_a_conjugate_foliated_job_gives_the_same_numbers(a, directions,
 
 def test_random_foliated_jobs_against_the_dense_oracle():
     # A = P [[B, C], [0, D]] P^-1 preserves W = P span(e_0, ..., e_(p-1)),
-    # and A-bar is conjugate to D
+    # and A-bar is conjugate to D.  Most D of size 1 or with a
+    # root-of-unity eigenvalue have finite order, so the jobs are many
+    # enough for more than five refusals
     rng = random.Random(45)
-    refused = computed = 0
-    for _ in range(40):
+    refused = finite = computed = 0
+    for _ in range(160):
         n = rng.randint(2, 4)
         p = rng.randint(1, n - 1)
         block = [[0] * n for _ in range(n)]
@@ -325,30 +355,33 @@ def test_random_foliated_jobs_against_the_dense_oracle():
         a = _multiply(_multiply(change, block), inverse)
         directions = [tuple(row[j] for row in change) for j in range(p)]
         induced = _induced_oracle(a, directions)
-        if _has_root_of_unity_eigenvalue(induced):
+        order = dense_order(induced)
+        if order is None and _has_root_of_unity_eigenvalue(induced):
             with pytest.raises(InvalidSpec, match="root of unity"):
                 _foliated_betti(a, directions)
             refused += 1
-        else:
+        else:  # averaged over Z/order when A-bar has finite order
             assert _foliated_betti(a, directions) == fixed_form_dimensions(
                 induced), (a, directions)
-            computed += 1
-    assert refused > 5 and computed > 5
+            finite += order is not None
+            computed += order is None
+    assert refused > 5 and finite > 5 and computed > 5
 
 
 @pytest.mark.parametrize("a, directions, reason", [
     (((2, 1, 0), (1, 1, 0), (0, 0, 1)), ((1, 0, 0),),
      "the automorphism moves the foliation: it maps (1, 0, 0), in the "
      "span of the directions, out of that span"),
-    (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0)),
-     "Phi_2 divides the characteristic polynomial of the map the "
+    # A-bar is the Dehn twist on y, z: of infinite order
+    (((1, 0, 0), (0, 1, 1), (0, 0, 1)), ((1, 0, 0),),
+     "Phi_1 divides the characteristic polynomial of the map the "
      "automorphism induces across the foliation"),
     (SHEAR, ((0, 0, 1), (0, 0, 2)),
      "foliation directions are linearly dependent over the scalars"),
     (SHEAR, ((0, 0, 0),), "a foliation direction vector is zero"),
     (((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),),
      "the automorphism has determinant 2, not +-1"),
-], ids=["moved", "induced-minus-one", "dependent", "zero", "det-2"])
+], ids=["moved", "induced-dehn-twist", "dependent", "zero", "det-2"])
 def test_a_foliated_job_is_refused(tmp_path, capsys, a, directions, reason):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(_foliated(a, directions))
@@ -356,3 +389,45 @@ def test_a_foliated_job_is_refused(tmp_path, capsys, a, directions, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("engine: refused: InvalidSpec: " + reason)
+
+
+# A-bar of finite order: the job runs, averaged over Z/r, and the order
+# sits under induced_map as the ruled-out orders do
+@pytest.mark.parametrize("a, directions, betti, top, coordinates, r", [
+    (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((1, 0, 0), (0, 1, 0)), [1, 0],
+     [], ["z"], 2),
+    (((1, 0, 0), (0, -1, 0), (0, 0, -1)), ((1, 0, 0),), [1, 0, 1],
+     ["dy^dz"], ["y", "z"], 2),
+], ids=["induced-minus-one", "induced-minus-identity"])
+def test_a_foliated_job_with_a_finite_order_induced_map_runs(
+        tmp_path, capsys, a, directions, betti, top, coordinates, r):
+    payload, code = run_job(parse_config(_foliated(a, directions)))
+    assert code == 0
+    induced = _induced_oracle(a, directions)
+    assert dense_order(induced) == r
+    assert payload["betti"] == betti == averaged_form_dimensions(induced, r)
+    assert payload["generators"] == [["1"]] + [[]] * (len(betti) - 2) + [top]
+    assert payload["certificates"]["automorphism"] == {
+        "determinant": det_laplace(a), "induced_map": {
+            "coordinates": coordinates, "finite_order": r}}
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(_foliated(a, directions))
+    assert main(["--input", str(cfg), "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "automorphism: det %d, finite order 2 of the induced map A-bar on "
+        "%s, invariant forms averaged over Z/2"
+        % (det_laplace(a), ", ".join(coordinates)))
+
+
+def test_each_torus_example_parses_to_one_spec_of_its_reports_mode():
+    examples = Path(__file__).resolve().parents[1] / "examples"
+    seen = set()
+    for path in sorted(examples.glob("*.cfg")):
+        config = parse_config(path.read_text())
+        if not isinstance(config.job, TorusSpec):
+            continue
+        payload, code = run_job(config)
+        assert code == 0
+        assert config.job.mode == config.mode == payload["mode"], path.name
+        seen.add(payload["mode"])
+    assert seen == {"torus", "automorphism"}

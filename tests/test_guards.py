@@ -69,6 +69,26 @@ GUARDS = [
     ("torus direction entry that is no ExtScalar",
      lambda: TorusSpec(n=2, foliation_dirs=((ExtScalar(1), 0),)),
      ValueError, "direction entries must be ExtScalar"),
+    # the automorphism rows of a [torus] section join its one TorusSpec
+    ("one automorphism row on T^2",
+     lambda: TorusSpec(n=2, automorphism=((1, 0),)),
+     ValueError, "the automorphism needs n = 2 rows of n entries"),
+    ("short automorphism row",
+     lambda: TorusSpec(n=2, automorphism=((1, 0), (0,))),
+     ValueError, "the automorphism needs n = 2 rows of n entries"),
+    ("three automorphism rows on T^2",
+     lambda: TorusSpec(n=2, automorphism=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+     ValueError, "the automorphism needs n = 2 rows of n entries"),
+    ("automorphism rows beside invariance",
+     lambda: TorusSpec(n=2, invariance_coords={0},
+                       automorphism=((2, 1), (1, 1))),
+     ValueError,
+     "automorphism rows go with no invariance or discrete coordinates"),
+    ("automorphism rows beside discrete coordinates",
+     lambda: TorusSpec(n=2, discrete_coords={1},
+                       automorphism=((2, 1), (1, 1))),
+     ValueError,
+     "automorphism rows go with no invariance or discrete coordinates"),
     ("support interval of level 0",
      lambda: interval(0),
      ValueError, "levels start at k = 1"),
