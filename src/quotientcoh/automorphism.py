@@ -68,16 +68,19 @@ diagonalizable over C with root-of-unity eigenvalues of those orders,
 and its order r is the least divisor of N with X^r = I.  An X of
 infinite order with a root-of-unity eigenvalue, such as the Dehn twist
 [[1, 1], [0, 1]], whose invariant forms have an infinite-dimensional
-H^2, is refused at the least m.  Both the refusal and the invariant forms
-are one fixed-space test, ker(X - I) by the exact elimination.  A-bar
-is read on the complement coordinates of W, as Lie quotients read
-their induced brackets.  The report gives b_k, the kernel vectors of
-Lambda^k X^T - I as generators, labelled by the dx monomials of those
-coordinates, and a certificate that states det A, read off the one
-entry of Lambda^n A^T, and either the m it ruled out or the finite
-order r.  With a foliation those were tested on A-bar, not on A, so the
-certificate nests them under ``induced_map`` beside A-bar's
-coordinates.  No differential is built, so the report's ranks are null.
+H^2, is refused at the least m, by the kernel of X^m - I.  A-bar is
+read on the complement coordinates of W, as Lie quotients read their
+induced brackets.  The invariant forms are the kernel subcomplex
+(subcomplex.kernel_subcomplex) of the constant forms, the complex of
+abelian R^q with d = 0, cut out by Lambda^k X^T - I in each degree k,
+and lie.betti computes their cohomology as it does a Lie job's.  The
+report gives b_k, its ranks (the restricted differentials, all 0), the
+kernel vectors of Lambda^k X^T - I as generators, labelled by
+payload.cohomology over the dx monomials of those coordinates, and a
+certificate that states det A, read off the one entry of Lambda^n A^T,
+and either the m it ruled out or the finite order r.  With a foliation
+those were tested on A-bar, not on A, so the certificate nests them
+under ``induced_map`` beside A-bar's coordinates.
 
 This module reads no job text.  config's torus builder reads every
 [torus] value once into one foliation.TorusSpec, with the readers every
@@ -85,20 +88,24 @@ job section shares; it refuses REFUSED_KEYS beside the rows, a row
 count other than n and a direction with an alpha part, and the spec
 checks n, the directions and the shape of the rows.  This module reads
 the spec's automorphism rows and the rational parts of its directions.
-Only automorphism jobs import this module, and only those with
-foliation rows import lie for its Subspace.
+Only automorphism jobs import this module, and with it the Lie pipeline
+and the subcomplex module.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
+from .algebra import abelian
+from .cochain import ce_complex
 from .errors import InvalidSpec
 from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
+from .lie import Subspace, betti
 from .matrix import ExactMatrix, IntRow
-from .payload import build_payload, vector_label
-from .scalars import lead_one, nullspace_basis
+from .payload import build_payload, cohomology
+from .scalars import nullspace_basis
+from .subcomplex import kernel_subcomplex
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -142,8 +149,6 @@ def induced_map(spec: TorusSpec
     complement coordinates of W, or InvalidSpec when the directions are
     dependent or A moves W.  Column c of the map is A e_c reduced along
     W, which Subspace.reduce returns times W.scale."""
-    from .lie import Subspace
-
     a, directions = spec.automorphism, spec.parts[0]
     n = len(a)
     w = Subspace.span(n, directions)
@@ -164,14 +169,15 @@ def induced_map(spec: TorusSpec
                   for r in w.complement), w.scale, w.complement)
 
 
-def fixed_space(x: ExactMatrix) -> list[IntRow]:
-    """The kernel of X - I, a nullspace_basis: the vectors X fixes."""
+def minus_identity(x: ExactMatrix) -> ExactMatrix:
+    """X - I times the denominator of X, whose kernel is the vectors X
+    fixes."""
     rows = []
     for i, row in enumerate(x.int_rows):
         entries = dict(row)
         entries[i] = entries.get(i, 0) - x.den
         rows.append(entries)
-    return nullspace_basis(ExactMatrix.from_int_rows(x.cols, 1, rows))
+    return ExactMatrix.from_int_rows(x.cols, 1, rows)
 
 
 def finite_order(x: ExactMatrix, bound: int) -> int | None:
@@ -215,7 +221,7 @@ def automorphism_payload(spec: TorusSpec) -> dict:
     power = transpose = exterior_power(a, 1, den)
     order = None
     for m in range(1, max(orders, default=0) + 1):
-        if m in orders and fixed_space(power):
+        if m in orders and nullspace_basis(minus_identity(power)):
             order = finite_order(transpose, lcm(*orders))
             if order is None:
                 raise InvalidSpec(
@@ -229,14 +235,10 @@ def automorphism_payload(spec: TorusSpec) -> dict:
         power = power @ transpose
     names = coordinate_names(n)
     names = [names[c] for c in coordinates]
-    labels = ["d" + name for name in names]
-    betti, generators = [], []
-    for k in range(q + 1):
-        kernel = fixed_space(exterior_power(a, k, den))
-        monomials = enumerate_basis(q, k)
-        betti.append(len(kernel))
-        generators.append([vector_label(lead_one(v), monomials, labels)
-                           for v in kernel])
+    # the invariant forms: the constant forms (d = 0) that each
+    # Lambda^k X^T fixes
+    report = betti(kernel_subcomplex(ce_complex(abelian(q)), [
+        minus_identity(exterior_power(a, k, den)) for k in range(q + 1)]))
     # the finite order or the orders ruled out, of A-bar, with its
     # coordinates, when the job has a foliation; det is A's in either case
     tested = ({"finite_order": order} if order
@@ -244,4 +246,5 @@ def automorphism_payload(spec: TorusSpec) -> dict:
     if spec.foliation_dirs:
         tested = {"induced_map": {"coordinates": names, **tested}}
     return build_payload("automorphism", {"automorphism": {
-        "determinant": det, **tested}}, betti, None, generators)
+        "determinant": det, **tested}}, *cohomology(
+            report, ["d" + name for name in names]))

@@ -22,7 +22,9 @@ under --check, cross_check_ce for torus jobs.
 
 The JSON report always carries the keys mode, betti, ranks, generators,
 certificates, audited_modes and exit; fields that make no sense for a
-pipeline, or for a lie job whose d.d check failed, are null.
+pipeline, or for a lie job whose d.d check failed, are null.  An
+automorphism job's ranks are those of its invariant forms, a subcomplex
+with d = 0, so all 0.
 timing_seconds is informational and excluded from the canonical
 serialization used for byte-identity comparisons.
 

@@ -77,6 +77,12 @@ class CochainComplex:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @property
+    def cochains(self) -> tuple[int, ...]:
+        """C(n, k) for k = 0..n: the number of degree-k cochains."""
+        n = self.dim
+        return tuple([comb(n, k) for k in range(n + 1)])
+
     def d_squared_violation(self) -> int | None:
         """First degree k with d_{k+1} d_k != 0, or None; each product
         is tested row by row and never built, once per complex."""

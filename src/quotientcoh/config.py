@@ -191,6 +191,8 @@ def _torus_spec(*fields) -> TorusSpec:
 
 def _build_torus(section: dict) -> TorusSpec:
     n = int_key(section, "torus", "n")
+    if n < 1:  # the spec's refusal, before a vector is read against n
+        _torus_spec(n)
     rows = section.get("automorphism", ())
     if rows:
         from .automorphism import REFUSED_KEYS
@@ -199,7 +201,6 @@ def _build_torus(section: dict) -> TorusSpec:
             if key in section:
                 raise ValidationError(key,
                                       "not allowed with automorphism rows")
-        _torus_spec(n)  # n >= 1 before the rows are counted against it
         if len(rows) != n:
             raise ValidationError("automorphism", "%d row%s, expected n = %d"
                                   % (len(rows), "" if len(rows) == 1 else "s",

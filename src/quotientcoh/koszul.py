@@ -120,7 +120,7 @@ def koszul_certificate(
     else:
         ranks = tuple(rank(dk) for dk in c.d)
     failed = violation + 1 if violation is not None else next(
-        (k for k, b in enumerate(betti_numbers(q, ranks)) if b), None)
+        (k for k, b in enumerate(betti_numbers(c.cochains, ranks)) if b), None)
     return KoszulCertificate(tuple(mode), ranks, failed is None, failed, modes)
 
 

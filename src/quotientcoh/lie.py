@@ -8,7 +8,9 @@ candidate cocycles.  The representatives are the kernel vectors that lie
 outside the image of the previous differential and the earlier kernel
 vectors, exactly one per cohomology dimension, read off the image
 restricted to the free columns of the differential; the report divides
-each by its lead.
+each by its lead.  A subcomplex.Subcomplex is read the same way, on its
+restricted differentials, and its representatives are lifted to the
+ambient monomials.
 
 A Subspace owns the coordinate splitting given by its echelon form:
 its complement is the non-pivot coordinates and its scale the lcm of
@@ -20,7 +22,7 @@ coordinates.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 # CochainComplex names betti's argument, and perfbench/tracer.py patches
 # lie.CochainComplex.d_squared_violation by name
@@ -43,6 +45,7 @@ if TYPE_CHECKING:
     from typing import Mapping, Sequence
 
     from .matrix import RationalLike
+    from .subcomplex import Subcomplex
 
 
 @record
@@ -133,22 +136,25 @@ class Subspace:
 class BettiReport:
     """Cohomology of one cochain complex with audit data.
 
-    ranks[k] is rank d_k, read off the one elimination of d_k that also
-    gave its kernel, and betti[k] = C(n, k) - rank d_k - rank d_{k-1}
-    follows from them; generators[k] holds the representative
-    cocycles, the kernel vectors of d_k that survive the image of
-    d_{k-1} (see betti), as sparse rows of (column, Ratio) pairs over
-    monomials[k], in increasing column order, each divided by its
-    leading coefficient.
+    cochains[k] is the number of degree-k cochains of the complex,
+    C(n, k) for a CochainComplex and dim S_k for a subcomplex; ranks[k]
+    is rank d_k, read off the one elimination of d_k that also gave its
+    kernel, and betti[k] = cochains[k] - rank d_k - rank d_{k-1} follows
+    from them; generators[k] holds the representative cocycles, the
+    kernel vectors of d_k that survive the image of d_{k-1} (see betti),
+    as sparse rows of (column, Ratio) pairs over monomials[k], the
+    monomials of the n-dimensional ambient algebra, in increasing column
+    order, each divided by its leading coefficient.
     """
 
     dim: int
+    cochains: tuple[int, ...]
     ranks: tuple[int, ...]
     generators: tuple[tuple[SparseRow, ...], ...]
 
     @property
     def betti(self) -> tuple[int, ...]:
-        return betti_numbers(self.dim, self.ranks)
+        return betti_numbers(self.cochains, self.ranks)
 
     @property
     def monomials(self) -> tuple[tuple[MultiIndex, ...], ...]:
@@ -158,19 +164,34 @@ class BettiReport:
                      for k in range(self.dim + 1))
 
 
-def betti_numbers(n: int, ranks: Sequence[int]) -> tuple[int, ...]:
-    """C(n, k) - rank d_k - rank d_{k-1} for k = 0..n, where ranks lists
-    the n differentials of a complex of exterior powers of R^n."""
+def betti_numbers(cochains: Sequence[int], ranks: Sequence[int]
+                  ) -> tuple[int, ...]:
+    """cochains[k] - rank d_k - rank d_{k-1} for k = 0..n, where ranks
+    lists the n differentials of a complex with cochains[k] cochains in
+    degree k."""
+    n = len(ranks)
     return tuple(
-        comb(n, k) - (ranks[k] if k < n else 0) - (ranks[k - 1] if k else 0)
-        for k in range(n + 1)
+        size - (ranks[k] if k < n else 0) - (ranks[k - 1] if k else 0)
+        for k, size in enumerate(cochains)
     )
 
 
-def betti(c: CochainComplex) -> BettiReport:
+def _lift(v: IntRow, basis: Sequence[IntRow]) -> IntRow:
+    """The combination sum_i v_i basis[i], as sorted nonzero pairs."""
+    out: dict[int, int] = {}
+    for i, x in v:
+        for j, y in basis[i]:
+            out[j] = out.get(j, 0) + x * y
+    return tuple(sorted((j, x) for j, x in out.items() if x))
+
+
+def betti(c: CochainComplex | Subcomplex) -> BettiReport:
     """Betti numbers and representative cocycles, one elimination per d_k.
 
-    The kernel basis of d_k has C(n, k) - rank d_k members, so a single
+    c is a CochainComplex or a subcomplex.Subcomplex, whose cochains are
+    combinations of its basis S_k and whose d_k is the restricted
+    differential; each reads its degree-k cochain count off itself.  The
+    kernel basis of d_k has cochains[k] - rank d_k members, so a single
     nullspace_basis call per degree yields both the rank and the
     candidate cocycles.  The kernels are computed from the top degree
     down, and d_k is eliminated on the rows at the free columns of
@@ -190,27 +211,34 @@ def betti(c: CochainComplex) -> BettiReport:
     and they are independent modulo coboundaries.  kernel_survivors
     picks them from the pivot columns of d_{k-1}, which span its image,
     restricted to the free columns of d_k; a degree with betti[k] = 0
-    looks at nothing.
+    looks at nothing.  A subcomplex's representatives are lifted to the
+    ambient monomials, sum_i v_i s_i over its basis S_k.
 
     A non-complex raises ValueError before any kernel is computed, since
     clearing rests on d.d = 0; the complex tests its products once, so a
-    caller that has asked d_squared_violation() already pays nothing.
+    caller that has asked d_squared_violation() already pays nothing.  A
+    subcomplex whose d-stability residual is nonzero is refused the same
+    way: its d_k is then no restriction of the ambient one.
     """
     violation = c.d_squared_violation()
     if violation is not None:
         raise ValueError(
             "not a cochain complex: d.d != 0 at degree %d" % violation
         )
-    n = c.dim
-    kernels = [[((0, 1),)]]  # the top form; d_n = 0
+    basis = getattr(c, "basis", None)  # a Subcomplex's S_k
+    if basis is not None and c.unstable is not None:
+        raise ValueError("not a subcomplex: d_%d maps S_%d out of S_%d"
+                         % (c.unstable, c.unstable, c.unstable + 1))
+    cochains = c.cochains
+    kernels = [[((i, 1),) for i in range(cochains[-1])]]  # d_n = 0
     for dk in reversed(c.d):
         rows = tuple([dk.int_rows[v[-1][0]] for v in kernels[-1]])
         # the integer rows read over 1: a scaled matrix has the same kernel
         kernels.append(nullspace_basis(ExactMatrix(dk.cols, 1, rows)))
     kernels.reverse()
-    ranks = tuple([comb(n, k) - len(kernel) for k, kernel in
-                   enumerate(kernels[:n])])
-    numbers = betti_numbers(n, ranks)
+    ranks = tuple([size - len(kernel)
+                   for size, kernel in zip(cochains, kernels[:-1])])
+    numbers = betti_numbers(cochains, ranks)
     gens_out = []
     for k, kernel in enumerate(kernels):
         survivors = kernel if numbers[k] else ()
@@ -218,7 +246,7 @@ def betti(c: CochainComplex) -> BettiReport:
             # the pivot columns of d_{k-1} span its image: those that are
             # no kernel vector's free column, which is its last entry;
             # read on the rows at the free columns of d_k
-            image = {p: {} for p in range(comb(n, k - 1))}
+            image = {p: {} for p in range(cochains[k - 1])}
             for v in kernels[k - 1]:
                 del image[v[-1][0]]
             for v in kernel:
@@ -227,5 +255,7 @@ def betti(c: CochainComplex) -> BettiReport:
                     if j in image:
                         image[j][f] = x
             survivors = kernel_survivors(kernel, image.values())
+        if basis:
+            survivors = [_lift(v, basis[k]) for v in survivors]
         gens_out.append(tuple([lead_one(v) for v in survivors]))
-    return BettiReport(n, ranks, tuple(gens_out))
+    return BettiReport(c.dim, cochains, ranks, tuple(gens_out))

@@ -12,8 +12,9 @@ Gauss-Jordan rows of every column of the previous differential, the
 Jacobiator as a cyclic sum over that cube,
 the bump-sup level ratios in closed form, the bump's derivative
 polynomials expanded in x and evaluated exactly, at every point of a
-grid for the grid sups, torus mode survival by dot products, and the
-torus mode classes grouped from every point of the mode box.  None of
+grid for the grid sups, torus mode survival by dot products, the
+torus mode classes grouped from every point of the mode box, and the
+forms that meet dense condition rows, by Gauss-Jordan kernels.  None of
 it shares code paths with the package internals it checks.
 """
 
@@ -627,6 +628,16 @@ def fixed_form_dimensions(a) -> list[int]:
                 for cols in monomials]
         out.append(len(monomials) - gauss_rank(rows))
     return out
+
+
+def condition_kernels(conditions, q: int):
+    """For k = 0..q, the Gauss-Jordan kernel of the dense rows
+    conditions[k] over the C(q, k) monomials of Lambda^k(R^q): the
+    k-forms that meet every condition.  On abelian R^q d = 0, so every
+    condition set cuts out a subcomplex, whose b_k is the kernel's size
+    and whose cocycles span the kernel."""
+    return [_gauss_jordan_kernel(rows, math.comb(q, k))
+            for k, rows in enumerate(conditions)]
 
 
 def _dense_product(a, b):

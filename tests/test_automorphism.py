@@ -69,7 +69,9 @@ def test_the_catalogue_rows(a, betti):
     assert code == 0
     assert payload["mode"] == "automorphism"
     assert payload["betti"] == betti == fixed_form_dimensions(a)
-    assert (payload["ranks"], payload["audited_modes"]) == (None, None)
+    # the invariant forms have d = 0: every restricted rank is 0
+    assert (payload["ranks"], payload["audited_modes"]) == (
+        [0] * len(a), None)
     # the constants and, where A preserves orientation, the volume form
     top = "^".join("d" + x for x in "xyz"[:len(a)])
     assert payload["generators"] == [

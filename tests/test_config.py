@@ -223,6 +223,12 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
      "or a fraction like 3/10"),
     (SHEAR_ROWS + "foliation = 0,0,1/0\n", "foliation",
      "zero denominator in '1/0'"),
+    # n is checked before any direction is read against it, as it is
+    # before automorphism rows are (tests/test_automorphism.py)
+    ("[torus]\nn = 0\nfoliation = 1\n", "torus",
+     "torus dimension must be at least 1"),
+    ("[torus]\nn = -1\nfoliation = 1\n", "torus",
+     "torus dimension must be at least 1"),
     ("[output]\nformat = yaml\n[torus]\nn = 2\n", "format",
      "unknown format 'yaml'; expected one of table, json, csv"),
 ], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples",
@@ -230,7 +236,8 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
         "foliation-length", "foliation-token", "foliation-decimal",
         "foliation-zero-den", "automorphism-foliation-length",
         "automorphism-foliation-token", "automorphism-foliation-decimal",
-        "automorphism-foliation-zero-den", "format"])
+        "automorphism-foliation-zero-den", "n-zero-direction",
+        "n-negative-direction", "format"])
 def test_each_refusal_names_its_key_and_reason(job, key, reason):
     with pytest.raises((ParseError, ValidationError)) as info:
         parse_config(job)

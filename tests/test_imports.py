@@ -799,36 +799,62 @@ def test_only_a_discrete_torus_job_loads_its_module(tmp_path):
         TORUS_JOB_MODULES + ["quotientcoh.discrete"])
 
 
+# an automorphism job computes its invariant forms as a kernel subcomplex
+# of the abelian Lie algebra's complex, read by lie.betti
+AUTOMORPHISM_JOB_MODULES = sorted(FRONT_MODULES + LIE_PIPELINE + [
+    "quotientcoh." + name for name in ("automorphism", "foliation",
+                                       "subcomplex")])
+
+
 def test_only_an_automorphism_job_loads_its_module(tmp_path):
     # a [torus] section with automorphism rows is read by config and run
-    # by its own module, which needs no Lie, cochain or torus code (the
-    # torus job's exact module set is asserted above)
+    # by its own module, which needs the Lie pipeline and the subcomplex
+    # module and no torus code (the torus job's exact module set is
+    # asserted above)
     cfg = tmp_path / "cat.cfg"
     cfg.write_text(
         "[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1,1\n")
     code, loaded = json.loads(_python(
         RUN_JOB_PACKAGE, str(cfg), str(tmp_path / "cat.json")))
     assert code == 0
-    assert loaded == sorted(FRONT_MODULES + ["quotientcoh." + name for name
-                                             in ("automorphism", "exterior",
-                                                 "foliation", "matrix",
-                                                 "scalars")])
+    assert loaded == AUTOMORPHISM_JOB_MODULES
 
 
-def test_a_foliated_automorphism_job_adds_only_the_lie_subspace(tmp_path):
-    # with foliation rows the induced map is read off a lie.Subspace, so
-    # the job adds lie and the cochain module it imports, and no torus
-    # code
+def test_a_foliated_automorphism_job_loads_no_more_modules(tmp_path):
+    # with foliation rows the induced map is read off a lie.Subspace,
+    # whose module every automorphism job loads for betti already
     cfg = tmp_path / "shear.cfg"
     cfg.write_text("[torus]\nn = 3\nfoliation = 0,0,1\nautomorphism = 2,1,0\n"
                    "automorphism = 1,1,0\nautomorphism = 1,-1,1\n")
     code, loaded = json.loads(_python(
         RUN_JOB_PACKAGE, str(cfg), str(tmp_path / "shear.json")))
     assert code == 0
-    assert loaded == sorted(FRONT_MODULES + ["quotientcoh." + name for name
-                                             in ("automorphism", "cochain",
-                                                 "exterior", "foliation",
-                                                 "lie", "matrix", "scalars")])
+    assert loaded == AUTOMORPHISM_JOB_MODULES
+
+
+def test_only_automorphism_jobs_load_the_subcomplex_module(tmp_path):
+    # lie, quotient, torus and witness jobs keep their module sets, and
+    # no engine module but automorphism imports subcomplex at run time
+    for name, text in (("lie", HEISENBERG_CFG), ("quotient", QUOTIENT_CFG),
+                       ("torus", TORUS_CFG), ("witness", WITNESS_CFG)):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(text)
+        code, loaded = json.loads(_python(
+            RUN_JOB_PACKAGE, str(cfg), str(tmp_path / (name + ".json"))))
+        assert (code, loaded) == (0, JOB_MODULES[name]), name
+    package = Path(quotientcoh.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        guarded = {id(node) for block in tree.body
+                   if isinstance(block, ast.If)
+                   and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+        importers |= {path.stem for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and node.module == "subcomplex"
+                      and id(node) not in guarded}
+    assert importers == {"automorphism"}
 
 
 # a job run through main with the command line it is given; its exit code

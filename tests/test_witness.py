@@ -334,6 +334,9 @@ def test_level_scale_is_exact_and_zero_past_the_damping():
                 assert scale.hex() == product.hex(), (k, m)
             else:
                 assert scale == 0.0, (k, m)
+    # past the float range, at an order no job reaches, ldexp overflows
+    # and the scale is inf
+    assert witness._level_scale(1, 600) == math.inf
 
 
 def test_an_infinite_level_scale_fails_closed(monkeypatch):
@@ -602,6 +605,8 @@ def test_a_root_on_a_bisection_point_gets_its_own_bracket():
     assert len(_fraction_brackets(squared, width)) == 2
     assert _fraction_brackets((-1, 4), width) == (
         (Fraction(1, 4), Fraction(1, 4)),)
+    # a zero last coefficient is stripped: -1 + 8q + 0q^2 is 8q - 1
+    assert root_brackets((-1, 8, 0), (1, 1024)) == (((1, 8), (1, 8)),)
     # the ends come back as dyadic pairs in lowest terms
     assert root_brackets(poly, (1, 2 ** 20))[:2] == (((1, 8), (1, 8)),
                                                      ((3, 16), (3, 16)))
