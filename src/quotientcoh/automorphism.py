@@ -53,27 +53,43 @@ of T^n, or, with a foliation, of the leaf space T^(n - p), on which A
 acts by A-bar.  That cohomology is the constant forms, on which X acts
 by Lambda^k X^T, so again b_k = dim ker(Lambda^k X^T - I).
 
+Whether X, a q x q rational matrix, has a root-of-unity eigenvalue or
+finite order is read off one table.  A root of unity of order m is a
+root of the cyclotomic polynomial Phi_m, irreducible over Q of degree
+phi(m), so its m has phi(m) <= q; the set of those m holds every
+divisor of its members, since phi(d) <= phi(m) when d | m, and M is its
+largest.  For each such m let e_m = dim ker Phi_m(X).  Since x^m - 1 is
+the product of the Phi_d(x) over d | m, and these are pairwise coprime,
+ker(X^m - I) is the direct sum of the ker Phi_d(X) over d | m, so
+q - rank(X^m - I) = sum of e_d over d | m, and e_m is that number less
+the e_d of the divisors d < m.  The kernels ker Phi_m(X) of distinct m
+are independent, for the same reason.  X has finite order iff they fill
+Q^q, that is, iff the e_m sum to q: X^m = I on ker Phi_m(X), and if
+X^r = I, Q^q = ker(X^r - I) is the sum of the ker Phi_d(X) over d | r.
+The order is then lcm{m : e_m > 0}: on a nonzero ker Phi_m(X) the
+minimal polynomial of X is the irreducible Phi_m, which divides x^s - 1
+iff m | s.  The table takes the powers X, X^2, ..., X^M, each from the
+last, and the rank of X^m - I for each m in the set; it forms no power
+of X past X^M (M = 60 for q = 16).
+
 The checks, each refusing the job (InvalidSpec): det A is +-1, so A is
 invertible over the integers; with a foliation, the directions are
 nonzero and independent and A maps each echelon row of W into W; and,
-for X = A and q = n or X = A-bar and q = n - p, X has finite order when
-some X^m with phi(m) <= q fixes a nonzero vector.  A root of unity of
-order m is a root of the cyclotomic polynomial Phi_m, irreducible of
-degree phi(m), so every root-of-unity eigenvalue has an order m with
-phi(m) <= q, and X^m - I is then singular.  Tested in increasing m, the
-first X^m with a fixed vector names the least such order: the least m
-with Phi_m dividing the characteristic polynomial.  X then has finite
-order iff X^N = I for N the lcm of the listed m: a finite-order X is
-diagonalizable over C with root-of-unity eigenvalues of those orders,
-and its order r is the least divisor of N with X^r = I.  An X of
-infinite order with a root-of-unity eigenvalue, such as the Dehn twist
-[[1, 1], [0, 1]], whose invariant forms have an infinite-dimensional
-H^2, is refused at the least m, by the kernel of X^m - I.  A-bar is
-read on the complement coordinates of W, as Lie quotients read their
-induced brackets.  The invariant forms are the kernel subcomplex
-(subcomplex.kernel_subcomplex) of the constant forms, the complex of
-abelian R^q with d = 0, cut out by Lambda^k X^T - I in each degree k,
-and lie.betti computes their cohomology as it does a Lie job's.  The
+for X = A and q = n or X = A-bar and q = n - p, the table gives one of
+three verdicts.  Every e_m = 0: X has no root-of-unity eigenvalue, the
+orbit argument applies, and the certificate lists the m ruled out.  The
+e_m sum to q: X has finite order r = lcm{m : e_m > 0}, and the forms
+are averaged over Z/r.  Otherwise X has a root-of-unity eigenvalue and
+infinite order, such as the Dehn twist [[1, 1], [0, 1]], whose
+invariant forms have an infinite-dimensional H^2, and the job is
+refused at the least m with e_m > 0, which is the least m with X^m - I
+singular: the least m with Phi_m dividing the characteristic
+polynomial.  A-bar is read on the complement coordinates of W, as Lie
+quotients read their induced brackets.  The invariant forms are the
+kernel subcomplex (subcomplex.kernel_subcomplex) of the constant
+forms, the complex of abelian R^q with d = 0, cut out by
+Lambda^k X^T - I in each degree k, and lie.betti computes their
+cohomology as it does a Lie job's.  The
 report gives b_k, its ranks (the restricted differentials, all 0), the
 kernel vectors of Lambda^k X^T - I as generators, labelled by
 payload.cohomology over the dx monomials of those coordinates, and a
@@ -104,7 +120,7 @@ from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
 from .lie import Subspace, betti
 from .matrix import ExactMatrix, IntRow
 from .payload import build_payload, cohomology
-from .scalars import nullspace_basis
+from .scalars import rank
 from .subcomplex import kernel_subcomplex
 
 TYPE_CHECKING = False
@@ -180,26 +196,6 @@ def minus_identity(x: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_int_rows(x.cols, 1, rows)
 
 
-def finite_order(x: ExactMatrix, bound: int) -> int | None:
-    """The order of X, the least divisor r of bound with X^r = I, or
-    None when X^bound is not I."""
-    identity = ExactMatrix.from_int_rows(
-        x.cols, 1, [{i: 1} for i in range(x.cols)])
-
-    def power(e: int) -> ExactMatrix:  # X^e, by repeated squaring
-        result, square = identity, x
-        while e:
-            if e & 1:
-                result = result @ square
-            square, e = square @ square, e >> 1
-        return result
-
-    if power(bound) != identity:
-        return None
-    return next(r for r in range(1, bound + 1)
-                if bound % r == 0 and power(r) == identity)
-
-
 def automorphism_payload(spec: TorusSpec) -> dict:
     """The report of an automorphism job, or InvalidSpec when A fails
     a check (see the module docstring)."""
@@ -217,22 +213,24 @@ def automorphism_payload(spec: TorusSpec) -> dict:
     # phi(m) >= sqrt(m / 2), so every m with phi(m) <= q is below 2 q^2
     orders = [m for m in range(1, 2 * q * q + 1)
               if sum(gcd(m, j) == 1 for j in range(1, m + 1)) <= q]
-    # A^T, whose powers fix spaces of the dimensions that A's powers fix
-    power = transpose = exterior_power(a, 1, den)
-    order = None
+    # A^T, whose powers fix spaces of the dimensions that A's powers
+    # fix; kernel[m] = dim ker Phi_m(X), q - rank(X^m - I) less the
+    # kernel[d] of the divisors d < m of m
+    transpose = exterior_power(a, 1, den)
+    kernel: dict[int, int] = {}
     for m in range(1, max(orders, default=0) + 1):
-        if m in orders and nullspace_basis(minus_identity(power)):
-            order = finite_order(transpose, lcm(*orders))
-            if order is None:
-                raise InvalidSpec(
-                    "Phi_%d divides the characteristic polynomial of the "
-                    "%s: it has an eigenvalue that is a root of unity of "
-                    "order %d, so some nonzero modes have finite orbits, "
-                    "and it has infinite order, so no finite group average "
-                    "gives its invariant forms (ROADMAP item 29, phase 2)"
-                    % (m, noun, m))
-            break
-        power = power @ transpose
+        power = power @ transpose if m > 1 else transpose
+        if m in orders:
+            kernel[m] = q - rank(minus_identity(power)) - sum(
+                e for d, e in kernel.items() if m % d == 0)
+    factors = [m for m in orders if kernel[m]]
+    if factors and sum(kernel.values()) < q:
+        raise InvalidSpec(
+            "Phi_%d divides the characteristic polynomial of the %s: it "
+            "has an eigenvalue that is a root of unity of order %d, so "
+            "some nonzero modes have finite orbits, and it has infinite "
+            "order, so no finite group average gives its invariant forms "
+            "(ROADMAP item 29, phase 2)" % (factors[0], noun, factors[0]))
     names = coordinate_names(n)
     names = [names[c] for c in coordinates]
     # the invariant forms: the constant forms (d = 0) that each
@@ -241,7 +239,7 @@ def automorphism_payload(spec: TorusSpec) -> dict:
         minus_identity(exterior_power(a, k, den)) for k in range(q + 1)]))
     # the finite order or the orders ruled out, of A-bar, with its
     # coordinates, when the job has a foliation; det is A's in either case
-    tested = ({"finite_order": order} if order
+    tested = ({"finite_order": lcm(*factors)} if factors
               else {"cyclotomic_factors_ruled_out": orders})
     if spec.foliation_dirs:
         tested = {"induced_map": {"coordinates": names, **tested}}

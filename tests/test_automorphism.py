@@ -1,9 +1,11 @@
 """Tori modulo a linear automorphism A in GL(n, Z): the job file, read
 into the section's one TorusSpec, the two checks that refuse A (det A =
-+-1, and finite order when some A^m with phi(m) <= n fixes a vector)
-and the invariant forms ker(Lambda^k A^T - I), against a dense oracle,
-against averaging over Z/r when A has finite order r, and under
-unimodular conjugation.  With foliation rows (phase 2) the same checks
++-1, and finite order when some A^m with phi(m) <= n fixes a vector),
+with the order and the refused m against dense oracles, on hidden
+cyclotomic blocks and on a T^16 job that must finish quickly, and the
+invariant forms ker(Lambda^k A^T - I), against a dense oracle, against
+averaging over Z/r when A has finite order r, and under unimodular
+conjugation.  With foliation rows (phase 2) the same checks
 and forms run on the map A-bar that A induces on R^n modulo the
 directions, after the refusals of a zero, dependent, alpha or moved
 direction; A-bar is checked against a dense Fraction solve.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -61,6 +65,36 @@ def _unimodular(rng: random.Random, n: int):
         for row in inverse:
             row[i] -= c * row[j]
     return p, inverse
+
+
+def _companion(*c):
+    """The companion matrix of x^k + c[k-1] x^(k-1) + ... + c[0]."""
+    k = len(c)
+    return tuple(tuple(-c[i] if j == k - 1 else int(i == j + 1)
+                       for j in range(k)) for i in range(k))
+
+
+# the cyclotomic polynomials Phi_m, m = 1, 2, 3, 4, 5, 8, 10, 12, as
+# companion matrices, and two blocks of infinite order
+PHI = {1: _companion(-1), 2: _companion(1), 3: _companion(1, 1),
+       4: _companion(1, 0), 5: _companion(1, 1, 1, 1),
+       8: _companion(1, 0, 0, 0), 10: _companion(1, -1, 1, -1),
+       12: _companion(1, 0, -1, 0)}
+DEHN = ((1, 1), (0, 1))
+
+
+def _hidden(*blocks):
+    """P (B_1 + ... + B_s) P^-1 for a fixed unimodular P: the block sum,
+    with its blocks mixed so that no block shows in the rows."""
+    n = sum(map(len, blocks))
+    total = [[0] * n for _ in range(n)]
+    lo = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            total[lo + i][lo:lo + len(row)] = row
+        lo += len(block)
+    p, inverse = _unimodular(random.Random(n), n)
+    return _multiply(_multiply(p, total), inverse)
 
 
 @pytest.mark.parametrize("a, betti", ROWS, ids=["cat", "golden", "plastic"])
@@ -129,8 +163,23 @@ def test_the_generators_are_invariant_forms():
     (((0, -1, 0, 0), (1, -1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)), 3, 12),
     # without its foliation (phase 2), where the induced map is tested
     (SHEAR, 1, None),
+    # cyclotomic blocks of degree 4, alone and beside others, conjugated
+    # by a unimodular P: the order is the lcm of the blocks' orders, and
+    # a block of infinite order is refused at the least m
+    (_hidden(PHI[5]), 5, 5),
+    (_hidden(PHI[8]), 8, 8),
+    (_hidden(PHI[10]), 10, 10),
+    (_hidden(PHI[12]), 12, 12),
+    (_hidden(PHI[5], PHI[2]), 2, 10),
+    (_hidden(PHI[8], PHI[3]), 3, 24),
+    (_hidden(PHI[5], PHI[3], PHI[1]), 1, 15),
+    (_hidden(PHI[10], CAT), 10, None),
+    (_hidden(CAT, PHI[4]), 4, None),
+    (_hidden(DEHN, PHI[3]), 1, None),
 ], ids=["dehn-twist", "minus-one", "order-3", "order-4", "order-6",
-        "cat-times-circle", "orders-2-and-4", "orders-3-and-4", "shear"])
+        "cat-times-circle", "orders-2-and-4", "orders-3-and-4", "shear",
+        "phi5", "phi8", "phi10", "phi12", "phi5-phi2", "phi8-phi3",
+        "phi5-phi3-phi1", "phi10-cat", "cat-phi4", "dehn-phi3"])
 def test_a_root_of_unity_eigenvalue_is_refused_at_its_order(
         tmp_path, capsys, a, m, r):
     cfg = tmp_path / "job.cfg"
@@ -157,6 +206,24 @@ def test_a_root_of_unity_eigenvalue_is_refused_at_its_order(
     assert "ROADMAP item 29, phase 2" in captured.err
 
 
+def test_a_large_torus_with_a_fixed_direction_is_refused_quickly(tmp_path):
+    # cat + I_14 on T^16: Phi_1 divides, and A has infinite order.  The
+    # verdict reads q - rank(A^m - I) for the m with phi(m) <= 16, up to
+    # m = 60, and forms no higher power of A; a subprocess with a timeout
+    # fails this test instead of hanging the suite if that ever grows
+    a = tuple(tuple(CAT[i][j] if i < 2 and j < 2 else int(i == j)
+                    for j in range(16)) for i in range(16))
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(_text(a))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quotientcoh", "--input", str(cfg)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        "engine: refused: InvalidSpec: Phi_1 divides the characteristic "
+        "polynomial of the automorphism")
+
+
 @pytest.mark.parametrize("a", [((2, 0), (0, 1)), ((1, 2), (2, 1)),
                                ((0, 0), (0, 0))], ids=["2", "-3", "0"])
 def test_a_matrix_that_is_not_unimodular_is_refused(a):
@@ -176,17 +243,38 @@ def test_a_unimodular_conjugate_gives_the_same_numbers(a, betti):
         assert _betti(conjugate) == betti, conjugate
 
 
-def _has_root_of_unity_eigenvalue(a) -> bool:
-    # an eigenvalue of order m has phi(m) <= n, so m <= 2 n^2, and then
-    # A^m - I is singular
+def _least_root_of_unity_order(a) -> int | None:
+    """The least m with det(A^m - I) = 0, or None: an eigenvalue of
+    order m has phi(m) <= n, so m <= 2 n^2, and then A^m - I is
+    singular."""
     n = len(a)
     power = a
     for m in range(1, 2 * n * n + 1):
         if det_laplace([[x - (i == j) for j, x in enumerate(row)]
                         for i, row in enumerate(power)]) == 0:
-            return True
+            return m
         power = _multiply(power, a)
-    return False
+    return None
+
+
+def _check_verdict(payload_of, x, tested_of):
+    """Run payload_of(), and check its verdict on the map X against the
+    dense oracles: a refusal names the least m with det(X^m - I) = 0
+    when X has such an m and infinite order, and otherwise the
+    certificate, tested_of(payload), holds X's finite order or, when X
+    has none, the orders ruled out.  Returns the payload, or None."""
+    least, order = _least_root_of_unity_order(x), dense_order(x)
+    if least is not None and order is None:
+        with pytest.raises(InvalidSpec, match="root of unity") as caught:
+            payload_of()
+        assert str(caught.value).startswith(
+            "Phi_%d divides the characteristic polynomial" % least)
+        return None
+    payload = payload_of()
+    tested = tested_of(payload)
+    assert tested.get("finite_order") == order, x
+    assert ("cyclotomic_factors_ruled_out" in tested) == (order is None)
+    return payload
 
 
 def test_random_unimodular_matrices_against_the_dense_oracle():
@@ -198,12 +286,13 @@ def test_random_unimodular_matrices_against_the_dense_oracle():
         if rng.random() < 0.5:  # a sign flip gives det -1
             a[0] = [-x for x in a[0]]
         a = tuple(map(tuple, a))
-        if _has_root_of_unity_eigenvalue(a) and dense_order(a) is None:
-            with pytest.raises(InvalidSpec, match="root of unity"):
-                _betti(a)
+        payload = _check_verdict(
+            lambda: automorphism_payload(TorusSpec(n, automorphism=a)), a,
+            lambda payload: payload["certificates"]["automorphism"])
+        if payload is None:
             refused += 1
         else:  # with finite order too: averaging gives the same numbers
-            assert _betti(a) == fixed_form_dimensions(a), a
+            assert payload["betti"] == fixed_form_dimensions(a), a
             computed += 1
     assert refused > 5 and computed > 5
 
@@ -358,12 +447,15 @@ def test_random_foliated_jobs_against_the_dense_oracle():
         directions = [tuple(row[j] for row in change) for j in range(p)]
         induced = _induced_oracle(a, directions)
         order = dense_order(induced)
-        if order is None and _has_root_of_unity_eigenvalue(induced):
-            with pytest.raises(InvalidSpec, match="root of unity"):
-                _foliated_betti(a, directions)
+        payload = _check_verdict(
+            lambda: automorphism_payload(
+                parse_config(_foliated(a, directions)).job), induced,
+            lambda payload: payload["certificates"]["automorphism"][
+                "induced_map"])
+        if payload is None:
             refused += 1
         else:  # averaged over Z/order when A-bar has finite order
-            assert _foliated_betti(a, directions) == fixed_form_dimensions(
+            assert payload["betti"] == fixed_form_dimensions(
                 induced), (a, directions)
             finite += order is not None
             computed += order is None
