@@ -26,9 +26,8 @@ from __future__ import annotations
 from .algebra import brackets
 from .errors import NotASubalgebra
 from .lie import Subspace
-from .matrix import ExactMatrix, IntRow
+from .matrix import IntRow
 from .payload import vector_label
-from .scalars import rref
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -45,9 +44,7 @@ def close_once(g: LieAlgebra, h: Subspace
         if grown.reduce(row):
             i, b = divmod(r, h.dim)
             added.append((i, h.basis[b]))
-            reduced = rref(ExactMatrix.from_int_rows(
-                g.dim, 1, [dict(v) for v in grown.basis + (row,)]))
-            grown = Subspace(g.dim, tuple(reduced.values()))
+            grown = Subspace(g.dim, grown.basis + (row,))
     return grown, added
 
 

@@ -12,17 +12,20 @@ each by its lead.  A subcomplex.Subcomplex is read the same way, on its
 restricted differentials, and its representatives are lifted to the
 ambient monomials.
 
-A Subspace owns the coordinate splitting given by its echelon form:
-its complement is the non-pivot coordinates and its scale the lcm of
-its leads.  algebra.quotient reads it to build the quotient by an ideal,
-and the torus pipeline to split the leafwise and transverse
-coordinates.
+A Subspace is the span of any integer rows it is given: its
+constructor stores their rref, the one echelon form every caller reads.
+It owns the coordinate splitting given by that form: its complement is
+the non-pivot coordinates and its scale the lcm of its leads.
+algebra.quotient reads it to build the quotient by an ideal, the torus
+pipeline to split the leafwise and transverse coordinates, the
+automorphism pipeline for the W it preserves, and dense_subalgebra
+grows the generated ideal one spanning row at a time.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 # CochainComplex names betti's argument, and perfbench/tracer.py patches
 # lie.CochainComplex.d_squared_violation by name
@@ -50,48 +53,40 @@ if TYPE_CHECKING:
 
 @record
 class Subspace:
-    """A linear subspace stored as the reduced echelon basis of its span.
+    """A linear subspace, the span of the integer rows it is given.
 
-    The rows are `rref`'s primitive integer rows, as (column, int)
-    pairs: content 1, a positive lead, and zero at every other row's
-    pivot.  They are a canonical representative: two spanning sets give
-    equal Subspace objects iff they span the same subspace.
+    basis may be any spanning integer rows, as (column, int) pairs or
+    {column: int} maps, with dependent and zero rows allowed; the
+    constructor stores the rows of their `rref`, (column, int) pairs in
+    increasing column order: content 1, a positive lead, and zero at
+    every other row's pivot.  They are a canonical representative: two
+    spanning sets give equal Subspace objects iff they span the same
+    subspace.  A column outside [0, ambient_dim) is refused by
+    ExactMatrix.
     """
 
     ambient_dim: int
     basis: tuple[IntRow, ...]
 
     def __post_init__(self):
-        # each row as sorted (column, value) pairs, zeros dropped
-        basis = tuple(tuple((j, x) for j, x in sorted(dict(row).items()) if x)
-                      for row in self.basis)
-        object.__setattr__(self, "basis", basis)
-        n = self.ambient_dim
-        if any(row[0][0] < 0 or row[-1][0] >= n for row in basis if row):
-            raise ValueError("subspace rows need columns in [0, %d)" % n)
-        # reduce() reads the pivots off the leads: accept only rref's form
-        leads = [row[0][0] if row else -1 for row in basis]
-        if any(b <= a for a, b in zip([-1] + leads, leads)):
-            raise ValueError("subspace rows need strictly increasing leads")
-        if any(row[0][1] < 1 for row in basis):
-            raise ValueError("subspace rows need a positive lead")
-        if any(gcd(*(x for _, x in row)) != 1 for row in basis):
-            raise ValueError("subspace rows need content 1")
-        pivots = set(leads)
-        if any(j in pivots for row in basis for j, _ in row[1:]):
-            raise ValueError("a subspace row is nonzero at another row's pivot")
+        reduced = rref(ExactMatrix.from_int_rows(
+            self.ambient_dim, 1, [dict(row) for row in self.basis]))
+        object.__setattr__(self, "basis", tuple(
+            [tuple(sorted(row.items())) for row in reduced.values()]))
 
     @classmethod
     def span(
         cls, ambient_dim: int, vectors: Sequence[Sequence[RationalLike]]
     ) -> "Subspace":
+        """The span of dense rational vectors, each of length
+        ambient_dim: their rows cleared to integers span it too."""
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError(
                     "vector length %d != ambient dim %d" % (len(v), ambient_dim)
                 )
-        reduced = rref(ExactMatrix.from_rows(vectors, cols=ambient_dim))
-        return cls(ambient_dim, tuple(reduced.values()))
+        return cls(ambient_dim,
+                   ExactMatrix.from_rows(vectors, cols=ambient_dim).int_rows)
 
     @property
     def dim(self) -> int:

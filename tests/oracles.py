@@ -656,18 +656,27 @@ def dense_order(a, bound: int = 120):
     return None
 
 
+def _int_minor(a, rows, cols) -> int:
+    """The minor det A[rows, cols] by cofactor expansion, as an int: A
+    has integer minors."""
+    minor = det_laplace([[a[i][j] for j in cols] for i in rows])
+    assert minor.denominator == 1, (a, rows, cols)
+    return minor.numerator
+
+
 def averaged_form_dimensions(a, order: int) -> list[int]:
     """dim of the forms Lambda^k A^T fixes, for A of the given order, by
     averaging over the group: sum_j (Lambda^k A^T)^j over j < order is
     order times the projection onto those forms, so its rank is their
-    dimension.  Lambda^k A^T is built from minors by cofactor expansion,
-    and order is checked: its power of Lambda^k A^T is I."""
+    dimension.  Lambda^k A^T is built from integer minors by cofactor
+    expansion, so its powers and their sum stay on ints, and order is
+    checked: its power of Lambda^k A^T is I."""
     n = len(a)
     out = []
     for k in range(n + 1):
         monomials = list(combinations(range(n), k))
-        step = [[det_laplace([[a[i][j] for j in cols] for i in mono])
-                 for mono in monomials] for cols in monomials]
+        step = [[_int_minor(a, mono, cols) for mono in monomials]
+                for cols in monomials]
         identity = [[int(i == j) for j in range(len(monomials))]
                     for i in range(len(monomials))]
         power, total = identity, [[0] * len(monomials) for _ in monomials]

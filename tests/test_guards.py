@@ -56,7 +56,7 @@ GUARDS = [
      ValueError, "weight length 1 != dim 2"),
     ("subspace column outside its ambient space",
      lambda: Subspace(2, (((5, 1),),)),
-     ValueError, "subspace rows need columns in [0, 2)"),
+     ValueError, OFF_NORMAL_FORM % (5, 1, 2)),
     ("short spanning vector",
      lambda: Subspace.span(3, [[1, 0]]),
      ValueError, "vector length 2 != ambient dim 3"),

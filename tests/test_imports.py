@@ -365,9 +365,10 @@ def test_tracer_wraps_names_that_exist(tmp_path):
 
 # span name -> how many times a traced job opens it.  The tracer wraps
 # each name where its caller looks it up (betti calls lie.nullspace_basis,
-# nullspace_basis scalars.rref, torus_betti torus.build_mode_complex and
-# torus.koszul_certificate, the runners the cli names), so a module split
-# that moves a call away from its wrapped lookup changes these counts
+# nullspace_basis scalars.rref, the Subspace constructor lie.rref,
+# torus_betti torus.build_mode_complex and torus.koszul_certificate, the
+# runners the cli names), so a module split that moves a call away from
+# its wrapped lookup changes these counts
 TRACED_SPANS = {
     "lie --check": {
         "cli.main": 1, "cli.render": 1, "cli.run_job": 1,
@@ -384,7 +385,7 @@ TRACED_SPANS = {
         "cli.main": 1, "cli.render": 1, "cli.run_job": 1,
         "config.parse_config": 1, "lie.betti": 1, "lie.ce_complex": 1,
         "lie.d_squared_violation": 2, "lie.quotient": 1,
-        "scalars.nullspace_basis": 2, "scalars.rank": 3, "scalars.rref": 4,
+        "scalars.nullspace_basis": 2, "scalars.rank": 3, "scalars.rref": 5,
         "torus.build_mode_complex": 2, "torus.cross_check_ce": 1,
         "torus.koszul_certificate": 1, "torus.surviving_modes": 1,
         "torus.torus_betti": 1, "torus.transverse_frame": 1},

@@ -131,27 +131,69 @@ def test_subspace_is_canonical():
     assert a.dim == 2
 
 
-@pytest.mark.parametrize("rows, message", [
-    ((((1, 1),), ((0, 1),)), "increasing leads"),
-    ((((0, 1),), ((0, 1), (2, 3))), "increasing leads"),
-    ((((0, 1),), ()), "increasing leads"),
-    ((((0, 2),),), "content 1"),
-    ((((0, 2), (1, 1)), ((1, 1),)), "another row's pivot"),
-    ((((0, -1), (2, 3)),), "positive lead"),
-    ((((0, 3), (2, 6)), ((1, 1),)), "content 1"),
-    ((((0, 1), (2, 1)), ((2, 1),)), "another row's pivot"),
+@pytest.mark.parametrize("rows", [
+    (((1, 1),), ((0, 1),)),
+    (((0, 1),), ((0, 1), (2, 3))),
+    (((0, 1),), ()),
+    (((0, 2),),),
+    (((0, 2), (1, 1)), ((1, 1),)),
+    (((0, -1), (2, 3)),),
+    (((0, 3), (2, 6)), ((1, 1),)),
+    (((0, 1), (2, 1)), ((2, 1),)),
 ], ids=["decreasing", "repeated", "empty", "lead-2", "pivot-entry",
         "negative-lead", "content-3", "entry-at-later-pivot"])
-def test_subspace_rejects_rows_not_in_reduced_form(rows, message):
-    # equality needs rref's canonical rows (content 1, positive lead),
-    # and reduce() subtracts each row once, so a row nonzero at another
-    # pivot would leave a residual there for vectors in the span
-    with pytest.raises(ValueError, match=message):
-        Subspace(3, rows)
+def test_subspace_rejects_rows_not_in_reduced_form(rows):
+    # the rows given are not kept: the constructor stores their rref, the
+    # canonical rows that equality compares (content 1, positive lead)
+    # and that reduce() subtracts once each (zero at the other pivots)
+    subspace = Subspace(3, rows)
+    dense = [densify(row, 3) for row in rows]
+    assert subspace == Subspace.span(3, dense)
+    assert subspace == Subspace(3, tuple(dict(row) for row in rows))
+    assert all(subspace.reduce(row) == {} for row in rows)
     assert Subspace.span(3, [[2, 0, 0]]).reduce({0: 1}) == {}
     reduced = Subspace(3, (((0, 2), (2, 1)), ((1, 1),)))
     assert reduced == Subspace.span(3, [[2, 0, 1], [0, 3, 0]])
     assert reduced == Subspace(3, ({2: 1, 0: 2}, {1: 1}))
+
+
+def test_subspace_of_any_spanning_rows_is_canonical():
+    # random integer rows, and a second spanning set of the same span:
+    # rows added to one another, scaled by nonzero integers, shuffled,
+    # with dependent and zero rows mixed in.  Both give one Subspace,
+    # whose rows over their leads are the dense Gauss-Jordan rows
+    rng = random.Random(5050)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        spanning = [list(row) for row in rows]
+        for _ in range(3):
+            if len(spanning) > 1:
+                i, j = rng.sample(range(len(spanning)), 2)
+                t = rng.randint(-3, 3)
+                spanning[i] = [x + t * y
+                               for x, y in zip(spanning[i], spanning[j])]
+        spanning = [[c * x for x in row] for row, c in zip(
+            spanning, rng.choices((-3, -2, -1, 1, 2, 5), k=len(spanning)))]
+        for _ in range(rng.randint(0, 2)):
+            c = [rng.randint(-2, 2) for _ in rows]
+            spanning.append([sum(a * row[j] for a, row in zip(c, rows))
+                             for j in range(n)])
+        spanning += [[0] * n] * rng.randint(0, 2)
+        rng.shuffle(spanning)
+        pairs = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                      for row in rows)
+        maps = tuple({j: x for j, x in enumerate(row) if x}
+                     for row in spanning)
+        subspace = Subspace(n, pairs)
+        assert subspace == Subspace(n, maps), (rows, spanning)
+        assert subspace.dim == gauss_rank(rows)
+        expected, pivots = naive_rref(rows, n)
+        assert subspace.pivots == pivots
+        assert tuple(densify([(j, Fraction(x, row[0][1])) for j, x in row],
+                             n) for row in subspace.basis) == expected
+        assert all(subspace.reduce(row) == {} for row in maps)
 
 
 def test_quotient_heisenberg_by_center():
