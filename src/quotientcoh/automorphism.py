@@ -86,12 +86,12 @@ refused at the least m with e_m > 0, which is the least m with X^m - I
 singular: the least m with Phi_m dividing the characteristic
 polynomial.  A-bar is read on the complement coordinates of W, as Lie
 quotients read their induced brackets.  The invariant forms are the
-kernel subcomplex (subcomplex.kernel_subcomplex) of the constant
-forms, the complex of abelian R^q with d = 0, cut out by
-Lambda^k X^T - I in each degree k, and lie.betti computes their
-cohomology as it does a Lie job's.  The
-report gives b_k, its ranks (the restricted differentials, all 0), the
-kernel vectors of Lambda^k X^T - I as generators, labelled by
+subcomplex.Subcomplex of the constant forms, the complex of abelian
+R^q with d = 0, cut out by the rows of Lambda^k X^T - I that the
+subcomplex module builds in each degree k, and lie.betti computes
+their cohomology as it does a Lie job's.  The report gives b_k, its
+ranks (the restricted differentials, all 0), the kernel vectors of
+Lambda^k X^T - I as generators, labelled by
 payload.cohomology over the dx monomials of those coordinates, and a
 certificate that states det A, read off the one entry of Lambda^n A^T,
 and either the m it ruled out or the finite order r.  With a foliation
@@ -115,13 +115,12 @@ from math import gcd, lcm
 from .algebra import abelian
 from .cochain import ce_complex
 from .errors import InvalidSpec
-from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
 from .lie import Subspace, betti
-from .matrix import ExactMatrix, IntRow
+from .matrix import IntRow
 from .payload import build_payload, cohomology
 from .scalars import rank
-from .subcomplex import kernel_subcomplex
+from .subcomplex import Subcomplex, exterior_power, minus_identity
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -131,31 +130,6 @@ if TYPE_CHECKING:
 # or discrete coordinates together with A are not supported yet, and no
 # mode is audited
 REFUSED_KEYS = ("invariance", "discrete", "truncation")
-
-
-def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
-                   den: int = 1) -> ExactMatrix:
-    """Lambda^k A^T for A = a / den, row J for each k-monomial J in
-    lexicographic order: the coefficients of A e_j1 ^ ... ^ A e_jk on
-    the monomials e_I, which are the k x k minors det A[I, J]."""
-    n = len(a)
-    monomials = enumerate_basis(n, k)
-    column = {monomial: c for c, monomial in enumerate(monomials)}
-    rows = []
-    for monomial in monomials:
-        wedge = {(): 1}
-        for j in reversed(monomial):  # A e_j wedged on from the left
-            grown: dict[MultiIndex, int] = {}
-            for m, c in wedge.items():
-                for i in range(n):
-                    hit = wedge_insert(i, m) if a[i][j] else None
-                    if hit:
-                        sign, merged = hit
-                        grown[merged] = (grown.get(merged, 0)
-                                         + sign * a[i][j] * c)
-            wedge = grown
-        rows.append({column[m]: c for m, c in wedge.items()})
-    return ExactMatrix.from_int_rows(len(monomials), den ** k, rows)
 
 
 def induced_map(spec: TorusSpec
@@ -183,17 +157,6 @@ def induced_map(spec: TorusSpec
     columns = [w.reduce(image(((c, 1),))) for c in w.complement]
     return (tuple(tuple(column.get(r, 0) for column in columns)
                   for r in w.complement), w.scale, w.complement)
-
-
-def minus_identity(x: ExactMatrix) -> ExactMatrix:
-    """X - I times the denominator of X, whose kernel is the vectors X
-    fixes."""
-    rows = []
-    for i, row in enumerate(x.int_rows):
-        entries = dict(row)
-        entries[i] = entries.get(i, 0) - x.den
-        rows.append(entries)
-    return ExactMatrix.from_int_rows(x.cols, 1, rows)
 
 
 def automorphism_payload(spec: TorusSpec) -> dict:
@@ -235,7 +198,7 @@ def automorphism_payload(spec: TorusSpec) -> dict:
     names = [names[c] for c in coordinates]
     # the invariant forms: the constant forms (d = 0) that each
     # Lambda^k X^T fixes
-    report = betti(kernel_subcomplex(ce_complex(abelian(q)), [
+    report = betti(Subcomplex(ce_complex(abelian(q)), [
         minus_identity(exterior_power(a, k, den)) for k in range(q + 1)]))
     # the finite order or the orders ruled out, of A-bar, with its
     # coordinates, when the job has a foliation; det is A's in either case

@@ -3,11 +3,12 @@
 The paper identifies the forms of M/H with the H-invariant basic forms,
 a subcomplex of the forms upstairs cut out by linear conditions (the
 equivariant form of Hector, Macias-Virgos and Sanmartin-Carbon, Indag.
-Math. 21, 2011).  kernel_subcomplex takes one matrix of condition rows
-per degree k of a cochain.CochainComplex, and keeps the common kernel
-S_k = nullspace_basis(conditions[k]) of the degree-k cochains.  The
-forms invariant under a group are the common kernel of Lambda^k g^T - I
-over its generators g; relative to a subalgebra h, the conditions are
+Math. 21, 2011).  A Subcomplex is built from one matrix of condition
+rows per degree k of a cochain.CochainComplex, and keeps the common
+kernel S_k = nullspace_basis(conditions[k]) of the degree-k cochains.
+The forms invariant under a group are the common kernel of
+Lambda^k g^T - I over its generators g, whose rows exterior_power and
+minus_identity build; relative to a subalgebra h, the conditions are
 iota_X and L_X = d iota_X + iota_X d for X in h.
 
 A kernel vector s_f has a positive entry a_f at its own free column f
@@ -23,8 +24,7 @@ dropped condition can make it fail.
 
 from __future__ import annotations
 
-from functools import cached_property
-
+from .exterior import MultiIndex, enumerate_basis, wedge_insert
 from .matrix import ExactMatrix
 from .record import record
 from .scalars import nullspace_basis
@@ -39,22 +39,36 @@ if TYPE_CHECKING:
 
 @record
 class Subcomplex:
-    """The span of basis[k], integer rows over the degree-k monomials of
-    ambient, in each degree k = 0..n; d[k] is the restricted d'_k in
-    those bases, of shape dim S_(k+1) x dim S_k.  The constructor
-    refuses any other number or shape of bases and differentials."""
+    """The subcomplex of ambient cut out by conditions[k], a matrix on
+    the degree-k cochains, for k = 0..n (see the module docstring); the
+    constructor refuses a condition matrix of another width.  It keeps
+    basis[k], the integer rows of S_k over the degree-k monomials of
+    ambient; d[k], the restricted d'_k in those bases, of shape
+    dim S_(k+1) x dim S_k; and unstable, the first degree k with a
+    nonzero d-stability residual, d_k s minus sum_f d'_k[f, s] s_f for
+    some s in S_k, or None."""
 
     ambient: CochainComplex
-    basis: tuple[tuple[IntRow, ...], ...]
-    d: tuple[ExactMatrix, ...]
+    conditions: tuple[ExactMatrix, ...]
 
     def __post_init__(self):
-        sizes = self.cochains
-        shapes = [(dk.rows, dk.cols) for dk in self.d]
-        if len(sizes) != self.dim + 1 or shapes != list(zip(sizes[1:], sizes)):
-            raise ValueError("a subcomplex needs a basis in each degree "
-                             "0..%d and d_k of shape dim S_(k+1) x dim S_k"
-                             % self.dim)
+        conditions = tuple(self.conditions)
+        if [c.cols for c in conditions] != list(self.ambient.cochains):
+            raise ValueError("conditions need one matrix of width C(n, k) "
+                             "for each degree k = 0..%d" % self.dim)
+        basis = tuple([tuple(nullspace_basis(c)) for c in conditions])
+        d, unstable = [], None
+        for k, dk in enumerate(self.ambient.d):
+            image = dk @ _columns(basis[k], dk.cols)  # d_k s, one column per s
+            # (d_k s)_f / a_f, a_f the entry of s_f at its free column f
+            d.append(ExactMatrix.from_sparse(len(basis[k]), [
+                {j: (x, a * image.den) for j, x in image.int_rows[f]}
+                for f, a in (v[-1] for v in basis[k + 1])]))
+            if unstable is None and (
+                    image != _columns(basis[k + 1], dk.rows) @ d[k]):
+                unstable = k
+        self.__dict__.update(conditions=conditions, basis=basis,
+                             d=tuple(d), unstable=unstable)
 
     @property
     def dim(self) -> int:
@@ -70,16 +84,6 @@ class Subcomplex:
         d'.d' = 0 follows from d.d = 0."""
         return self.ambient.d_squared_violation()
 
-    @cached_property
-    def unstable(self) -> int | None:
-        """The first degree k with a nonzero d-stability residual, d_k s
-        minus sum_f d'_k[f, s] s_f for some s in S_k, or None."""
-        for k, dk in enumerate(self.ambient.d):
-            if (dk @ _columns(self.basis[k], dk.cols)
-                    != _columns(self.basis[k + 1], dk.rows) @ self.d[k]):
-                return k
-        return None
-
 
 def _columns(vectors: Sequence[IntRow], height: int) -> ExactMatrix:
     """The height x len(vectors) integer matrix with the given columns."""
@@ -90,20 +94,37 @@ def _columns(vectors: Sequence[IntRow], height: int) -> ExactMatrix:
     return ExactMatrix.from_int_rows(len(vectors), 1, rows)
 
 
-def kernel_subcomplex(ambient: CochainComplex,
-                      conditions: Sequence[ExactMatrix]) -> Subcomplex:
-    """The subcomplex of ambient cut out by conditions[k], a matrix on
-    the degree-k cochains, for k = 0..n (see the module docstring), or
-    ValueError when a condition matrix has another width."""
-    if [c.cols for c in conditions] != list(ambient.cochains):
-        raise ValueError("conditions need one matrix of width C(n, k) for "
-                         "each degree k = 0..%d" % ambient.dim)
-    basis = tuple([tuple(nullspace_basis(c)) for c in conditions])
-    d = []
-    for k, dk in enumerate(ambient.d):
-        image = dk @ _columns(basis[k], dk.cols)  # d_k s, one column per s
-        # (d_k s)_f / a_f, a_f the entry of s_f at its free column f
-        d.append(ExactMatrix.from_sparse(len(basis[k]), [
-            {j: (x, a * image.den) for j, x in image.int_rows[f]}
-            for f, a in (v[-1] for v in basis[k + 1])]))
-    return Subcomplex(ambient, basis, tuple(d))
+def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
+                   den: int = 1) -> ExactMatrix:
+    """Lambda^k A^T for A = a / den, row J for each k-monomial J in
+    lexicographic order: the coefficients of A e_j1 ^ ... ^ A e_jk on
+    the monomials e_I, which are the k x k minors det A[I, J]."""
+    n = len(a)
+    monomials = enumerate_basis(n, k)
+    column = {monomial: c for c, monomial in enumerate(monomials)}
+    rows = []
+    for monomial in monomials:
+        wedge = {(): 1}
+        for j in reversed(monomial):  # A e_j wedged on from the left
+            grown: dict[MultiIndex, int] = {}
+            for m, c in wedge.items():
+                for i in range(n):
+                    hit = wedge_insert(i, m) if a[i][j] else None
+                    if hit:
+                        sign, merged = hit
+                        grown[merged] = (grown.get(merged, 0)
+                                         + sign * a[i][j] * c)
+            wedge = grown
+        rows.append({column[m]: c for m, c in wedge.items()})
+    return ExactMatrix.from_int_rows(len(monomials), den ** k, rows)
+
+
+def minus_identity(x: ExactMatrix) -> ExactMatrix:
+    """X - I times the denominator of X, whose kernel is the vectors X
+    fixes."""
+    rows = []
+    for i, row in enumerate(x.int_rows):
+        entries = dict(row)
+        entries[i] = entries.get(i, 0) - x.den
+        rows.append(entries)
+    return ExactMatrix.from_int_rows(x.cols, 1, rows)

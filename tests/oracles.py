@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: plain Gaussian and Gauss-Jordan
 elimination over dense rows of Fractions, determinant expansion by
-minors, a dense n x n x n structure-constant cube read off the bracket
-matrix, the bilinear bracket, ideal test and quotient table over that
+minors, the minors of exterior powers by Gaussian elimination, a
+dense n x n x n structure-constant cube read off the bracket matrix,
+the bilinear bracket, ideal test and quotient table over that
 cube, differential entries (with an optional character weight)
 evaluated from the alternating-sum definition with determinant
 evaluation of monomials, cohomology representatives read off the
@@ -99,6 +100,26 @@ def det_laplace(rows) -> Fraction:
         ]
         total += (-1) ** j * Fraction(rows[0][j]) * det_laplace(minor)
     return total
+
+
+def det_gauss(rows) -> Fraction:
+    """Determinant by textbook Gaussian elimination over Fractions: the
+    product of the pivots, negated once for each row swap."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            if a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def minor_rank(rows) -> int:
@@ -617,13 +638,13 @@ def naive_mode_classes(spec, bound: int):
 
 def fixed_form_dimensions(a) -> list[int]:
     """dim ker(Lambda^k A^T - I) for k = 0..n, densely: entry (J, I) of
-    Lambda^k A^T is the minor det A[I, J] by cofactor expansion, and
+    Lambda^k A^T is the minor det A[I, J] by Gaussian elimination, and
     the kernel dimension is C(n, k) minus a Gaussian elimination rank."""
     n = len(a)
     out = []
     for k in range(n + 1):
         monomials = list(combinations(range(n), k))
-        rows = [[det_laplace([[a[i][j] for j in cols] for i in mono])
+        rows = [[det_gauss([[a[i][j] for j in cols] for i in mono])
                  - (mono == cols) for mono in monomials]
                 for cols in monomials]
         out.append(len(monomials) - gauss_rank(rows))
@@ -657,9 +678,9 @@ def dense_order(a, bound: int = 120):
 
 
 def _int_minor(a, rows, cols) -> int:
-    """The minor det A[rows, cols] by cofactor expansion, as an int: A
+    """The minor det A[rows, cols] by Gaussian elimination, as an int: A
     has integer minors."""
-    minor = det_laplace([[a[i][j] for j in cols] for i in rows])
+    minor = det_gauss([[a[i][j] for j in cols] for i in rows])
     assert minor.denominator == 1, (a, rows, cols)
     return minor.numerator
 
@@ -668,8 +689,8 @@ def averaged_form_dimensions(a, order: int) -> list[int]:
     """dim of the forms Lambda^k A^T fixes, for A of the given order, by
     averaging over the group: sum_j (Lambda^k A^T)^j over j < order is
     order times the projection onto those forms, so its rank is their
-    dimension.  Lambda^k A^T is built from integer minors by cofactor
-    expansion, so its powers and their sum stay on ints, and order is
+    dimension.  Lambda^k A^T is built from integer minors by Gaussian
+    elimination, so its powers and their sum stay on ints, and order is
     checked: its power of Lambda^k A^T is I."""
     n = len(a)
     out = []

@@ -858,6 +858,24 @@ def test_only_automorphism_jobs_load_the_subcomplex_module(tmp_path):
     assert importers == {"automorphism"}
 
 
+def test_only_the_subcomplex_module_calls_wedge_insert():
+    # the condition rows that cut out subcomplexes, Lambda^k X^T - I now
+    # and the iota_X and L_X rows of a subalgebra later, are built beside
+    # Subcomplex; lie and torus import wedge_insert for the bench tracer
+    # alone, and no other engine module calls exterior.wedge_insert
+    package = Path(quotientcoh.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "wedge_insert":
+                    callers.add(path.stem)
+    assert callers == {"subcomplex"}
+
+
 # a job run through main with the command line it is given; its exit code
 # and the package modules it loaded
 RUN_JOB_ARGV = """

@@ -7,7 +7,9 @@ X in a basis of h, cuts out Lambda(g/h)*, so the subcomplex has the
 Betti numbers of the quotient g/h.  The condition rows are built here,
 from ce_complex's differentials and exterior.wedge_insert.  On abelian
 R^q, where d = 0, random integer condition rows are checked against a
-dense Gauss-Jordan kernel (tests/oracles.py).
+dense Gauss-Jordan kernel (tests/oracles.py).  A Subcomplex is built
+from its conditions alone, so any spanning set of the same rows gives
+the same subcomplex and report.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from quotientcoh.config import parse_config
 from quotientcoh.exterior import enumerate_basis, wedge_insert
 from quotientcoh.lie import Subspace, betti
 from quotientcoh.matrix import ExactMatrix
-from quotientcoh.subcomplex import Subcomplex, kernel_subcomplex
+from quotientcoh.subcomplex import Subcomplex
 
 ROOT = Path(__file__).resolve().parents[1]
 # each job with a degree k whose conditions, dropped, let d leave S: the
@@ -107,7 +109,7 @@ def test_an_ideal_as_conditions_gives_the_quotient_numbers(path, degree):
     c = ce_complex(g)
     iotas, lies = _relative_conditions(c, h)
     conditions = _conditions(c, iotas, lies)
-    sub = kernel_subcomplex(c, conditions)
+    sub = Subcomplex(c, conditions)
     assert sub.unstable is None
     report = betti(sub)
     ideal = Subspace.span(g.dim, h)
@@ -124,10 +126,10 @@ def test_an_ideal_as_conditions_gives_the_quotient_numbers(path, degree):
     # iota_Y w = 0 for every Y in h puts w in Lambda(g/h)*, a subcomplex
     # for an ideal, so L_X w = iota_X d w = 0 already: the L_X rows
     # change no S_k, and dropping any of them cannot make d leave S
-    assert kernel_subcomplex(c, _conditions(c, iotas)).basis == sub.basis
+    assert Subcomplex(c, _conditions(c, iotas)).basis == sub.basis
     # dropping the conditions of that degree leaves S_k all k-forms, and
     # the verdict fails there
-    broken = kernel_subcomplex(c, _conditions(c, *(
+    broken = Subcomplex(c, _conditions(c, *(
         [rows if k != degree else [] for k, rows in enumerate(per_degree)]
         for per_degree in (iotas, lies))))
     assert broken.unstable == degree
@@ -142,7 +144,7 @@ def test_no_conditions_give_the_ambient_report():
     rng = random.Random(7)
     for g in (heisenberg(), sl2(), random_lie_algebra(rng, 5)):
         c = ce_complex(g)
-        sub = kernel_subcomplex(c, [ExactMatrix.zero(0, w)
+        sub = Subcomplex(c, [ExactMatrix.zero(0, w)
                                     for w in c.cochains])
         assert sub.d == c.d
         assert betti(sub) == betti(c)
@@ -161,7 +163,7 @@ def test_random_conditions_on_abelian_ambients_against_the_dense_oracle():
             if rows and rng.random() < 0.3:  # a dependent row
                 rows.append([3 * x for x in rows[0]])
             conditions.append(rows)
-        sub = kernel_subcomplex(ce_complex(abelian(q)), [
+        sub = Subcomplex(ce_complex(abelian(q)), [
             ExactMatrix.from_rows(rows, cols=comb(q, k))
             for k, rows in enumerate(conditions)])
         report = betti(sub)
@@ -174,14 +176,101 @@ def test_random_conditions_on_abelian_ambients_against_the_dense_oracle():
                 kernel)
 
 
-def test_conditions_and_bases_of_the_wrong_shape_are_refused():
+def test_conditions_of_the_wrong_width_are_refused():
     c = ce_complex(abelian(2))
     with pytest.raises(ValueError, match="width C\\(n, k\\)"):
-        kernel_subcomplex(c, [ExactMatrix.zero(0, w) for w in (1, 2)])
+        Subcomplex(c, [ExactMatrix.zero(0, w) for w in (1, 2)])
     with pytest.raises(ValueError, match="width C\\(n, k\\)"):
-        kernel_subcomplex(c, [ExactMatrix.zero(0, w) for w in (1, 1, 1)])
-    sub = kernel_subcomplex(c, [ExactMatrix.zero(0, w) for w in (1, 2, 1)])
-    with pytest.raises(ValueError, match="shape dim S_\\(k\\+1\\)"):
-        Subcomplex(c, sub.basis, (sub.d[0], ExactMatrix.zero(1, 1)))
-    with pytest.raises(ValueError, match="a basis in each degree 0..2"):
-        Subcomplex(c, sub.basis[:2], sub.d[:1])
+        Subcomplex(c, [ExactMatrix.zero(0, w) for w in (1, 1, 1)])
+
+
+def _respanned(rng, rows, width):
+    """A second spanning set of the dense integer rows: rows added to one
+    another and scaled by nonzero integers, with dependent and zero rows
+    appended, shuffled."""
+    out = [list(row) for row in rows]
+    for _ in range(3):
+        if len(out) > 1:
+            i, j = rng.sample(range(len(out)), 2)
+            t = rng.choice((-3, -2, -1, 1, 2, 3))
+            out[i] = [x + t * y for x, y in zip(out[i], out[j])]
+    out = [[c * x for x in row] for row, c in zip(
+        out, rng.choices((-3, -2, -1, 1, 2, 5), k=len(out)))]
+    for _ in range(rng.randint(0, 2)):
+        c = [rng.randint(-2, 2) for _ in rows]
+        out.append([sum(a * row[j] for a, row in zip(c, rows))
+                    for j in range(width)])
+    out += [[0] * width] * rng.randint(0, 2)
+    rng.shuffle(out)
+    return out
+
+
+def _dense(m: ExactMatrix) -> list[list[int]]:
+    """The integer rows of m, densely: m times its denominator."""
+    return [[dict(row).get(j, 0) for j in range(m.cols)]
+            for row in m.int_rows]
+
+
+def _betti_or_refusal(sub):
+    try:
+        return betti(sub)
+    except ValueError as refusal:
+        return str(refusal)
+
+
+def _assert_canonical(rng, c, conditions):
+    sub = Subcomplex(c, conditions)
+    other = Subcomplex(c, [
+        ExactMatrix.from_rows(_respanned(rng, _dense(m), m.cols), cols=m.cols)
+        for m in conditions])
+    assert (other.basis, other.d, other.unstable) == (
+        sub.basis, sub.d, sub.unstable)
+    assert _betti_or_refusal(other) == _betti_or_refusal(sub)
+    return sub
+
+
+def test_subcomplex_of_any_spanning_conditions_is_canonical():
+    # the conditions of each degree and a second spanning set of the
+    # same rows cut out the same S_k, d'_k and verdict, and betti gives
+    # one report (or one refusal): random rows on abelian R^q, and the
+    # iota/L conditions of the ideal jobs, whole and with the degree
+    # dropped whose verdict fails
+    rng = random.Random(51)
+    for _ in range(60):
+        q = rng.randint(1, 4)
+        c = ce_complex(abelian(q))
+        _assert_canonical(rng, c, [ExactMatrix.from_rows(
+            [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(w)]
+             for _ in range(rng.randint(0, w))], cols=w)
+            for w in c.cochains])
+    for path, degree in IDEAL_JOBS:
+        job = parse_config(path.read_text()).job
+        c = ce_complex(job.algebra)
+        iotas, lies = _relative_conditions(c, job.ideal_vectors)
+        assert _assert_canonical(rng, c, _conditions(
+            c, iotas, lies)).unstable is None
+        assert _assert_canonical(rng, c, _conditions(c, *(
+            [rows if k != degree else [] for k, rows in enumerate(per_degree)]
+            for per_degree in (iotas, lies)))).unstable == degree
+
+
+def test_a_subcomplex_and_its_report_take_two_products_a_degree(monkeypatch):
+    # d_k S_k gives both d'_k and its d-stability residual, which
+    # subtracts S_(k+1) d'_k: two ExactMatrix products for each of the n
+    # differentials, and betti forms none
+    products = []
+    matmul = ExactMatrix.__matmul__
+
+    def spy(a, b):
+        products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", spy)
+    for path, _ in IDEAL_JOBS:
+        job = parse_config(path.read_text()).job
+        c = ce_complex(job.algebra)
+        conditions = _conditions(c, *_relative_conditions(
+            c, job.ideal_vectors))
+        products.clear()
+        betti(Subcomplex(c, conditions))
+        assert len(products) == 2 * c.dim, path.stem
