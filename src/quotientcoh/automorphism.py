@@ -103,7 +103,8 @@ This module reads no job text.  config's torus builder reads every
 job section shares; it refuses REFUSED_KEYS beside the rows, a row
 count other than n and a direction with an alpha part, and the spec
 checks n, the directions and the shape of the rows.  This module reads
-the spec's automorphism rows and the rational parts of its directions.
+the spec's automorphism rows once, into the ExactMatrix A^T (row j is
+A e_j), and the rational parts of its directions.
 Only automorphism jobs import this module, and with it the Lie pipeline
 and the subcomplex module.
 """
@@ -117,7 +118,7 @@ from .cochain import ce_complex
 from .errors import InvalidSpec
 from .foliation import DEPENDENT_DIRECTIONS, coordinate_names
 from .lie import Subspace, betti
-from .matrix import IntRow
+from .matrix import ExactMatrix
 from .payload import build_payload, cohomology
 from .scalars import rank
 from .subcomplex import Subcomplex, exterior_power, minus_identity
@@ -132,57 +133,57 @@ if TYPE_CHECKING:
 REFUSED_KEYS = ("invariance", "discrete", "truncation")
 
 
-def induced_map(spec: TorusSpec
-                ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """(rows, den, coordinates): the map A induces on R^n / W, W the span
-    of the foliation directions, as integer rows over den on the
-    complement coordinates of W, or InvalidSpec when the directions are
-    dependent or A moves W.  Column c of the map is A e_c reduced along
-    W, which Subspace.reduce returns times W.scale."""
-    a, directions = spec.automorphism, spec.parts[0]
-    n = len(a)
+def induced_map(spec: TorusSpec, x: ExactMatrix
+                ) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """(A-bar^T, coordinates), for the map A-bar that A induces on
+    R^n / W, W the span of the foliation directions, given x = A^T: its
+    integer rows over W.scale on the complement coordinates of W, or
+    InvalidSpec when the directions are dependent or A moves W.  Row p
+    is A e_c, c the p-th complement coordinate, reduced along W, which
+    Subspace.reduce returns times W.scale."""
+    directions = spec.parts[0]
+    n = x.rows
     w = Subspace.span(n, directions)
     if w.dim < len(directions):
         raise InvalidSpec(DEPENDENT_DIRECTIONS)
-
-    def image(v: IntRow) -> dict[int, int]:
-        return {i: sum(a[i][j] * x for j, x in v) for i in range(n)}
-
-    for row in w.basis:
-        if w.reduce(image(row)):
+    images = ExactMatrix(n, 1, w.basis) @ x  # row i: A times basis row i
+    for row, image in zip(w.basis, images.int_rows):
+        if w.reduce(image):
             raise InvalidSpec(
                 "the automorphism moves the foliation: it maps (%s), in "
                 "the span of the directions, out of that span"
                 % ", ".join(str(dict(row).get(j, 0)) for j in range(n)))
-    columns = [w.reduce(image(((c, 1),))) for c in w.complement]
-    return (tuple(tuple(column.get(r, 0) for column in columns)
-                  for r in w.complement), w.scale, w.complement)
+    position = {c: p for p, c in enumerate(w.complement)}
+    return ExactMatrix.from_int_rows(len(position), w.scale, [
+        {position[j]: v for j, v in w.reduce(x.int_rows[c]).items()}
+        for c in w.complement]), w.complement
 
 
 def automorphism_payload(spec: TorusSpec) -> dict:
     """The report of an automorphism job, or InvalidSpec when A fails
     a check (see the module docstring)."""
-    a = spec.automorphism
-    n = len(a)
-    det = dict(exterior_power(a, n).int_rows[0]).get(0, 0)  # 1 x 1
+    n = len(spec.automorphism)
+    # A^T, row j the image A e_j, and with a foliation A-bar^T: X^T for
+    # the map X tested, whose powers fix spaces of the dimensions that
+    # X's powers fix
+    x = ExactMatrix.from_rows(list(zip(*spec.automorphism)))
+    det = dict(exterior_power(x, n).int_rows[0]).get(0, 0)  # 1 x 1
     if det not in (1, -1):
         raise InvalidSpec("the automorphism has determinant %d, not +-1: "
                           "it is not invertible over the integers" % det)
-    den, coordinates, noun = 1, range(n), "automorphism"
+    coordinates, noun = range(n), "automorphism"
     if spec.foliation_dirs:
-        a, den, coordinates = induced_map(spec)
+        x, coordinates = induced_map(spec, x)
         noun = "map the automorphism induces across the foliation"
-    q = len(a)
+    q = x.rows
     # phi(m) >= sqrt(m / 2), so every m with phi(m) <= q is below 2 q^2
     orders = [m for m in range(1, 2 * q * q + 1)
               if sum(gcd(m, j) == 1 for j in range(1, m + 1)) <= q]
-    # A^T, whose powers fix spaces of the dimensions that A's powers
-    # fix; kernel[m] = dim ker Phi_m(X), q - rank(X^m - I) less the
-    # kernel[d] of the divisors d < m of m
-    transpose = exterior_power(a, 1, den)
+    # kernel[m] = dim ker Phi_m(X), q - rank(X^m - I) less the kernel[d]
+    # of the divisors d < m of m
     kernel: dict[int, int] = {}
     for m in range(1, max(orders, default=0) + 1):
-        power = power @ transpose if m > 1 else transpose
+        power = power @ x if m > 1 else x
         if m in orders:
             kernel[m] = q - rank(minus_identity(power)) - sum(
                 e for d, e in kernel.items() if m % d == 0)
@@ -199,7 +200,7 @@ def automorphism_payload(spec: TorusSpec) -> dict:
     # the invariant forms: the constant forms (d = 0) that each
     # Lambda^k X^T fixes
     report = betti(Subcomplex(ce_complex(abelian(q)), [
-        minus_identity(exterior_power(a, k, den)) for k in range(q + 1)]))
+        minus_identity(exterior_power(x, k)) for k in range(q + 1)]))
     # the finite order or the orders ruled out, of A-bar, with its
     # coordinates, when the job has a foliation; det is A's in either case
     tested = ({"finite_order": lcm(*factors)} if factors

@@ -7,9 +7,10 @@ Math. 21, 2011).  A Subcomplex is built from one matrix of condition
 rows per degree k of a cochain.CochainComplex, and keeps the common
 kernel S_k = nullspace_basis(conditions[k]) of the degree-k cochains.
 The forms invariant under a group are the common kernel of
-Lambda^k g^T - I over its generators g, whose rows exterior_power and
-minus_identity build; relative to a subalgebra h, the conditions are
-iota_X and L_X = d iota_X + iota_X d for X in h.
+Lambda^k g^T - I over its generators g, whose rows minus_identity and
+exterior_power, which wedges the sparse rows of any ExactMatrix, build;
+relative to a subalgebra h, the conditions are iota_X and
+L_X = d iota_X + iota_X d for X in h.
 
 A kernel vector s_f has a positive entry a_f at its own free column f
 and 0 at the other free columns, so a cochain t in the span of S_(k+1)
@@ -94,29 +95,25 @@ def _columns(vectors: Sequence[IntRow], height: int) -> ExactMatrix:
     return ExactMatrix.from_int_rows(len(vectors), 1, rows)
 
 
-def exterior_power(a: tuple[tuple[int, ...], ...], k: int,
-                   den: int = 1) -> ExactMatrix:
-    """Lambda^k A^T for A = a / den, row J for each k-monomial J in
-    lexicographic order: the coefficients of A e_j1 ^ ... ^ A e_jk on
-    the monomials e_I, which are the k x k minors det A[I, J]."""
-    n = len(a)
-    monomials = enumerate_basis(n, k)
-    column = {monomial: c for c, monomial in enumerate(monomials)}
+def exterior_power(x: ExactMatrix, k: int) -> ExactMatrix:
+    """Lambda^k X over x.den ** k: row J, for each k-subset J of the rows
+    in lexicographic order, is the wedge of rows j1..jk of X on the
+    k-subsets I of the columns, whose entries are the minors det X[J, I]."""
+    column = {m: c for c, m in enumerate(enumerate_basis(x.cols, k))}
     rows = []
-    for monomial in monomials:
+    for monomial in enumerate_basis(x.rows, k):
         wedge = {(): 1}
-        for j in reversed(monomial):  # A e_j wedged on from the left
+        for j in reversed(monomial):  # row j wedged on from the left
             grown: dict[MultiIndex, int] = {}
             for m, c in wedge.items():
-                for i in range(n):
-                    hit = wedge_insert(i, m) if a[i][j] else None
+                for i, v in x.int_rows[j]:
+                    hit = wedge_insert(i, m)
                     if hit:
                         sign, merged = hit
-                        grown[merged] = (grown.get(merged, 0)
-                                         + sign * a[i][j] * c)
+                        grown[merged] = grown.get(merged, 0) + sign * v * c
             wedge = grown
         rows.append({column[m]: c for m, c in wedge.items()})
-    return ExactMatrix.from_int_rows(len(monomials), den ** k, rows)
+    return ExactMatrix.from_int_rows(len(column), x.den ** k, rows)
 
 
 def minus_identity(x: ExactMatrix) -> ExactMatrix:

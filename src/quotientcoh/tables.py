@@ -8,12 +8,17 @@ compiles neither renderer.
 from __future__ import annotations
 
 
+def _joined(items, sep: str = ", ") -> str:
+    """A report's list joined, or none when it is empty."""
+    return sep.join(items) or "none"
+
+
 def _certificate(value) -> str:
     """A Lie certificate's value: a flag or name in lower case, a record
     (the dense_subalgebra closure) as its fields, lists joined."""
     if isinstance(value, dict):
         return "(%s)" % "; ".join(
-            "%s: %s" % (key, ", ".join(v) if isinstance(v, list) else v)
+            "%s: %s" % (key, _joined(v) if isinstance(v, list) else v)
             for key, v in value.items())
     return str(value).lower()
 
@@ -37,7 +42,7 @@ def render_table(payload: dict) -> str:
         if payload["mode"] == "torus":
             lines.append(
                 "transverse frame: %s"
-                % ", ".join(certs["transverse_coordinates"])
+                % _joined(certs["transverse_coordinates"])
             )
             lines.append(
                 "audited nonzero modes: %d (%s)"
@@ -65,7 +70,7 @@ def render_table(payload: dict) -> str:
             # a foliated job tests the orders on the induced map A-bar
             induced = automorphism.get("induced_map")
             tested = induced or automorphism
-            on = " of the induced map A-bar on %s" % ", ".join(
+            on = " of the induced map A-bar on %s" % _joined(
                 induced["coordinates"]) if induced else ""
             order = tested.get("finite_order")
             lines.append("automorphism: det %d, " % automorphism[
@@ -73,8 +78,8 @@ def render_table(payload: dict) -> str:
                 "finite order %d%s, invariant forms averaged over Z/%d"
                 % (order, on, order) if order else
                 "no cyclotomic factor Phi_m of the characteristic "
-                "polynomial%s for m = %s" % (on, " ".join(map(
-                    str, tested["cyclotomic_factors_ruled_out"])))))
+                "polynomial%s for m = %s" % (on, _joined(map(
+                    str, tested["cyclotomic_factors_ruled_out"]), " "))))
         else:
             lines.append("certificates: %s" % " ".join(
                 "%s=%s" % (name, _certificate(value))
@@ -99,15 +104,11 @@ def render_table(payload: dict) -> str:
             )
         lines.append(
             "monotone violations: %s"
-            % (
-                "; ".join(
-                    "%s m=%d k=%d->%d ratio=%.6f"
-                    % (v["family"], v["order"], v["level_from"],
-                       v["level_to"], v["ratio"])
-                    for v in certs["monotone_violations"]
-                )
-                or "none"
-            )
+            % _joined((
+                "%s m=%d k=%d->%d ratio=%.6f"
+                % (v["family"], v["order"], v["level_from"],
+                   v["level_to"], v["ratio"])
+                for v in certs["monotone_violations"]), "; ")
         )
         lines.append(
             "forced levels: %s"

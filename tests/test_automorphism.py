@@ -423,6 +423,19 @@ def test_the_shear_table_line_names_the_induced_map(tmp_path, capsys):
         "m = 1 2 3 4 6")
 
 
+def test_a_foliation_that_spans_the_torus_reads_none_in_the_table(
+        tmp_path, capsys):
+    # q = 0: A-bar acts on no coordinates and no order m has phi(m) <= 0,
+    # so both lists are empty and the line says none, not nothing
+    cfg = tmp_path / "spanning.cfg"
+    cfg.write_text(_foliated(CAT, ((1, 0), (0, 1))))
+    assert main(["--input", str(cfg), "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "automorphism: det 1, no cyclotomic factor Phi_m of the "
+        "characteristic polynomial of the induced map A-bar on none for "
+        "m = none")
+
+
 @pytest.mark.parametrize("a, directions, betti",
                          [row[:3] for row in PHASE_TWO],
                          ids=["shear", "tilted", "flip"])

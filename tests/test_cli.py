@@ -543,6 +543,15 @@ def test_witness_table_without_monotone_breaks(tmp_path, capsys):
     assert "\nmonotone violations: none\n" in capsys.readouterr().out
 
 
+def test_a_torus_table_with_no_transverse_coordinate_says_none(
+        tmp_path, capsys):
+    # directions that span R^2 leave an empty transverse frame
+    cfg = _write(tmp_path, "job.cfg",
+                 "[torus]\nn = 2\nfoliation = 1,0\nfoliation = 0,1\n")
+    assert main(["--input", cfg, "--format", "table"]) == 0
+    assert "\ntransverse frame: none\n" in capsys.readouterr().out
+
+
 def test_a_failed_mode_certificate_shows_in_the_table(
         tmp_path, capsys, monkeypatch):
     # every class complex loses its d_0, so its degree-0 cohomology is

@@ -130,3 +130,16 @@ def test_the_table_lists_the_closure_certificate(tmp_path):
             "[e1, e0]; generated_ideal: e0, e2; assumption: the subgroup is "
             "dense in the connected group) d_squared_zero=true\n"
             ) in proc.stdout
+
+
+def test_the_table_says_none_when_no_bracket_is_added(tmp_path):
+    # e2 is central, so <e2> is already an ideal and the closure adds no
+    # bracket: the empty list reads none
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(DENSE_CFG + "dense_subalgebra = 0,0,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quotientcoh", "--input", str(cfg)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "dense_subalgebra=(added: none; generated_ideal: e2; " in (
+        proc.stdout)

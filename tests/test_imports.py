@@ -12,7 +12,8 @@ no job process loads argparse, gettext or locale, nor fractions,
 decimal, _decimal or numbers, nor, in an interpreter that preloads
 nothing, typing or pathlib, no module imports pathlib or typing at run
 time, only a discrete torus job loads the discrete module, only matrix
-builds dense rows, no engine module holds more tokens than the budget,
+builds dense rows and only lie and automorphism read them into a
+matrix, no engine module holds more tokens than the budget,
 only config and lie_job import the token reader, no module imports another's
 private names or a name it does not use, every public function, class
 and method is named by some engine module, the names the bench tracer
@@ -874,6 +875,21 @@ def test_only_the_subcomplex_module_calls_wedge_insert():
                 if name == "wedge_insert":
                     callers.add(path.stem)
     assert callers == {"subcomplex"}
+
+
+def test_only_job_input_builds_a_matrix_from_dense_rows():
+    # dense rows enter the engine once, at job input: the vectors of a
+    # Subspace.span and an automorphism job's A^T; every other matrix is
+    # built from sparse rows, so no engine module indexes a dense a[i][j]
+    package = Path(quotientcoh.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_rows"):
+                callers.add(path.stem)
+    assert callers == {"lie", "automorphism"}
 
 
 # a job run through main with the command line it is given; its exit code

@@ -9,7 +9,10 @@ from ce_complex's differentials and exterior.wedge_insert.  On abelian
 R^q, where d = 0, random integer condition rows are checked against a
 dense Gauss-Jordan kernel (tests/oracles.py).  A Subcomplex is built
 from its conditions alone, so any spanning set of the same rows gives
-the same subcomplex and report.
+the same subcomplex and report.  Lambda^k X, whose rows build the
+conditions Lambda^k X - I of a group's invariant forms, is checked
+entry by entry against the minors of random rational X and against
+Cauchy-Binet.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (condition_kernels, densify, gauss_rank,
+from oracles import (condition_kernels, densify, det_gauss, gauss_rank,
                      random_lie_algebra)
 from quotientcoh import abelian, heisenberg, quotient, sl2
 from quotientcoh.cochain import ce_complex
@@ -29,7 +32,7 @@ from quotientcoh.config import parse_config
 from quotientcoh.exterior import enumerate_basis, wedge_insert
 from quotientcoh.lie import Subspace, betti
 from quotientcoh.matrix import ExactMatrix
-from quotientcoh.subcomplex import Subcomplex
+from quotientcoh.subcomplex import Subcomplex, exterior_power
 
 ROOT = Path(__file__).resolve().parents[1]
 # each job with a degree k whose conditions, dropped, let d leave S: the
@@ -274,3 +277,42 @@ def test_a_subcomplex_and_its_report_take_two_products_a_degree(monkeypatch):
         products.clear()
         betti(Subcomplex(c, conditions))
         assert len(products) == 2 * c.dim, path.stem
+
+
+def _random_rational(rng, rows: int, cols: int) -> ExactMatrix:
+    """A rows x cols rational matrix over a denominator above 1, with
+    about a third of its rows zero."""
+    den = rng.randint(2, 6)
+    return ExactMatrix.from_sparse(cols, [
+        {} if rng.random() < 0.3 else
+        {j: Fraction(rng.randint(-4, 4), den) for j in range(cols)
+         if rng.random() < 0.7} for _ in range(rows)])
+
+
+def test_exterior_power_entries_are_the_minors():
+    # entry (J, I) of Lambda^k X is det X[J, I], J and I the k-subsets of
+    # the rows and the columns, for k from 0 past both sizes
+    rng = random.Random(52)
+    for _ in range(200):
+        x = _random_rational(rng, rng.randint(0, 4), rng.randint(0, 4))
+        dense = x.entries
+        for k in range(max(x.rows, x.cols) + 2):
+            power = exterior_power(x, k)
+            assert x.den ** k % power.den == 0
+            assert power.entries == tuple(
+                tuple(det_gauss([[dense[j][i] for i in cols] for j in rows])
+                      for cols in enumerate_basis(x.cols, k))
+                for rows in enumerate_basis(x.rows, k))
+            assert power.cols == comb(x.cols, k)
+
+
+def test_exterior_power_satisfies_cauchy_binet():
+    # Lambda^k (X Y) = Lambda^k X Lambda^k Y, past the inner size too,
+    # where both sides vanish
+    rng = random.Random(52)
+    for _ in range(200):
+        r, s, t = (rng.randint(0, 4) for _ in range(3))
+        x, y = _random_rational(rng, r, s), _random_rational(rng, s, t)
+        for k in range(max(r, s, t) + 2):
+            assert exterior_power(x @ y, k) == (
+                exterior_power(x, k) @ exterior_power(y, k)), (x, y, k)
