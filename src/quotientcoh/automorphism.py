@@ -100,9 +100,10 @@ under ``induced_map`` beside A-bar's coordinates.
 
 This module reads no job text.  config's torus builder reads every
 [torus] value once into one foliation.TorusSpec, with the readers every
-job section shares; it refuses REFUSED_KEYS beside the rows, a row
-count other than n and a direction with an alpha part, and the spec
-checks n, the directions and the shape of the rows.  This module reads
+job section shares, and refuses a truncation beside the rows; the spec
+checks n, the directions and the shape of the rows, and refuses
+invariance or discrete coordinates and an alpha part beside them, so a
+job refused there never imports this module.  This module reads
 the spec's automorphism rows once, into the ExactMatrix A^T (row j is
 A e_j), and the rational parts of its directions.
 Only automorphism jobs import this module, and with it the Lie pipeline
@@ -126,12 +127,6 @@ from .subcomplex import Subcomplex, exterior_power, minus_identity
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .foliation import TorusSpec
-
-# the [torus] keys config refuses beside automorphism rows: invariance
-# or discrete coordinates together with A are not supported yet, and no
-# mode is audited
-REFUSED_KEYS = ("invariance", "discrete", "truncation")
-
 
 def induced_map(spec: TorusSpec, x: ExactMatrix
                 ) -> tuple[ExactMatrix, tuple[int, ...]]:

@@ -65,7 +65,7 @@ _PIPELINE_NAMES = {
     "cochain": ("ce_complex",),
     "dense_subalgebra": ("generated_ideal",),
     "discrete": ("discrete_certificate", "discrete_jobs"),
-    "lie": ("Subspace", "betti"),
+    "lie": ("betti",),
     "sign_twist": ("phi_sign_check",),
     "torus": ("cross_check_ce", "torus_betti"),
     "witness": ("build_bumps", "interval", "verify_bounds"),
@@ -106,8 +106,8 @@ def _run_lie(job: LieJob, check: bool) -> dict:
     triple = jacobi_check(algebra)
     if triple is not None:
         raise NotALieAlgebra(triple)
-    if job.ideal_vectors is not None:
-        sub = Subspace.span(algebra.dim, job.ideal_vectors)
+    sub = job.ideal
+    if sub is not None:
         if job.dense:
             _bind("dense_subalgebra")
             sub, certificates["dense_subalgebra"] = generated_ideal(

@@ -24,19 +24,23 @@ job loads anyway: [lie] by the lie_job module and [witness] by the
 witness_job module, each imported by parse_config for its own section
 only, and [torus] here.  The torus builder reads every [torus] value
 once, the ``automorphism`` rows included, into one foliation.TorusSpec,
-which checks n, the directions and the rows for plain and automorphism
-jobs alike; the spec names its own mode.
+which checks n, the directions, the coordinates and the rows for plain
+and automorphism jobs alike; the spec names its own mode.  The builder
+refuses only a ``truncation`` beside the rows, which the spec cannot
+tell from its default.
 
 Each value shape has one reader, shared by every section: int_key,
 vectors (``ideal``, ``dense_subalgebra``, ``foliation`` and
 ``automorphism``), coordinates (``invariance`` and ``discrete``) and
-choice (``format`` and ``space``); each limit is checked where its key
-is read.  The exact tokens, integers, ratios a/b and p+-q*alpha, are
-read by the literals module, which only this module and lie_job import.
-Each section builder imports its own pipeline's types once the
-section's fields have passed these checks, so parsing a job loads no
-other pipeline, and a job whose values do not parse loads neither lie
-nor torus.
+choice (``format`` and ``space``).  Readers parse and records check:
+the TorusSpec and an ideal's lie.Subspace check the shape of what they
+hold, vector lengths included, and a reader checks only the limits of a
+value on its own, such as a nonnegative dim.  The exact tokens,
+integers, ratios a/b and p+-q*alpha, are read by the literals module,
+which only this module and lie_job import.  Each section builder
+imports its own pipeline's types once the section's values have
+parsed, so parsing a job loads no other pipeline, and a job whose
+values do not parse loads neither lie nor torus.
 
 The parser is deliberately hand-rolled rather than configparser-based:
 repeated keys, exact-field validation and line-precise errors are the
@@ -143,23 +147,15 @@ def int_key(section: dict, name: str, key: str,
     return default
 
 
-def vectors(section: dict, key: str, noun: str, size_name: str, size: int,
-            parse) -> tuple[tuple, ...]:
-    """The comma-separated vectors of the repeatable key, each of size
-    entries read by parse(token), whose ValueError is key's."""
-    read = []
-    for value, _line in section.get(key, ()):
-        tokens = [t.strip() for t in value.split(",")]
-        if len(tokens) != size:
-            raise ValidationError(
-                key, "%s vector has %d entr%s, expected %s = %d"
-                % (noun, len(tokens), "y" if len(tokens) == 1 else "ies",
-                   size_name, size))
-        try:
-            read.append(tuple(parse(t) for t in tokens))
-        except ValueError as exc:
-            raise ValidationError(key, str(exc)) from exc
-    return tuple(read)
+def vectors(section: dict, key: str, parse) -> tuple[tuple, ...]:
+    """The comma-separated vectors of the repeatable key, each token read
+    by parse(token), whose ValueError is key's; the record that holds
+    them checks their lengths."""
+    try:
+        return tuple(tuple(parse(token.strip()) for token in value.split(","))
+                     for value, _line in section.get(key, ()))
+    except ValueError as exc:
+        raise ValidationError(key, str(exc)) from exc
 
 
 def coordinates(section: dict, key: str) -> frozenset[int]:
@@ -178,47 +174,24 @@ def choice(key: str, value: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _torus_spec(*fields) -> TorusSpec:
-    """The TorusSpec of fields, its ValueError a ValidationError of the
-    key torus."""
+def _build_torus(section: dict) -> TorusSpec:
+    n = int_key(section, "torus", "n")
+    rows = vectors(section, "automorphism",
+                   lambda token: exact_int("automorphism", token))
+    # the spec cannot tell a given truncation from its default
+    if rows and "truncation" in section:
+        raise ValidationError("truncation",
+                              "not allowed with automorphism rows")
+    fields = (n, vectors(section, "foliation", parse_ext_scalar),
+              coordinates(section, "invariance"),
+              int_key(section, "torus", "truncation", 3),
+              coordinates(section, "discrete"), rows)
     from .foliation import TorusSpec
 
-    try:
+    try:  # the spec checks the shape of every field
         return TorusSpec(*fields)
     except ValueError as exc:
         raise ValidationError("torus", str(exc)) from exc
-
-
-def _build_torus(section: dict) -> TorusSpec:
-    n = int_key(section, "torus", "n")
-    if n < 1:  # the spec's refusal, before a vector is read against n
-        _torus_spec(n)
-    rows = section.get("automorphism", ())
-    if rows:
-        from .automorphism import REFUSED_KEYS
-
-        for key in REFUSED_KEYS:
-            if key in section:
-                raise ValidationError(key,
-                                      "not allowed with automorphism rows")
-        if len(rows) != n:
-            raise ValidationError("automorphism", "%d row%s, expected n = %d"
-                                  % (len(rows), "" if len(rows) == 1 else "s",
-                                     n))
-        # the integer rows of A, read once the row count is right
-        rows = vectors(section, "automorphism", "row", "n", n,
-                       lambda token: exact_int("automorphism", token))
-    dirs = vectors(section, "foliation", "direction", "n", n,
-                   parse_ext_scalar)
-    spec = _torus_spec(n, dirs, coordinates(section, "invariance"),
-                       int_key(section, "torus", "truncation", 3),
-                       coordinates(section, "discrete"), rows)
-    if rows and any(map(any, spec.parts[1])):
-        raise ValidationError(
-            "foliation", "a direction with an alpha part is ROADMAP item 24 "
-            "phase 3: the modes an irrational foliation leaves form a "
-            "lattice of lower rank than its transverse frame")
-    return spec
 
 
 def parse_config(text: str) -> JobConfig:

@@ -9,8 +9,13 @@ truncation of the mode audit, the coordinates of discrete translations
 automorphism module), and clears each direction once into the integer
 rows every span, rank and survival test of the torus pipeline reads.
 One [torus] section is one TorusSpec, and its mode names the module
-that runs it.  It is all a job needs to be read and refused, so a torus
-job refused while its spec is built compiles none of that pipeline.
+that runs it.  The spec is the one holder of the section's shape: the
+job file reader only parses tokens, and the spec refuses, with the key
+each refusal concerns, a count or length that is not n, a row entry
+that is no integer, and invariance or discrete coordinates or an alpha
+part beside automorphism rows.  It is all a job needs to be read and
+refused, so a torus job refused while its spec is built compiles none
+of that pipeline, the automorphism module included.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class TorusSpec:
     the n integer rows of a matrix A for T^n modulo the group A
     generates, none for a plain job.  torus_betti reads neither of the
     last two (see the discrete and automorphism modules), and A goes
-    with no invariance or discrete coordinates.
+    with no invariance or discrete coordinates and no alpha part.
     """
 
     n: int
@@ -60,40 +65,50 @@ class TorusSpec:
     automorphism: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("torus dimension must be at least 1")
-        object.__setattr__(
-            self,
-            "foliation_dirs",
-            tuple(tuple(v) for v in self.foliation_dirs),
-        )
-        for v in self.foliation_dirs:
-            if len(v) != self.n:
-                raise ValueError(
-                    "direction vector length %d != n = %d" % (len(v), self.n)
-                )
-            if not all(isinstance(x, ExtScalar) for x in v):
-                raise ValueError("direction entries must be ExtScalar")
-        if not all(any(a) or any(b) for a, b in zip(*self.parts)):
-            raise InvalidSpec("a foliation direction vector is zero")
+        rows = tuple(map(tuple, self.automorphism))
+        dirs = tuple(map(tuple, self.foliation_dirs))
+        object.__setattr__(self, "automorphism", rows)
+        object.__setattr__(self, "foliation_dirs", dirs)
+        if rows and len(rows) != n:
+            raise ValueError("automorphism: %d row%s, expected n = %d"
+                             % (len(rows), "" if len(rows) == 1 else "s", n))
+        for key, noun, vectors in (("automorphism", "row", rows),
+                                   ("foliation", "direction", dirs)):
+            for v in vectors:
+                if len(v) != n:
+                    raise ValueError(
+                        "%s: %s vector has %d entr%s, expected n = %d"
+                        % (key, noun, len(v), "y" if len(v) == 1 else "ies",
+                           n))
+        odd = [x for row in rows for x in row if not isinstance(x, int)]
+        if odd:
+            raise ValueError("automorphism: entry %s is not an integer"
+                             % (odd[0],))
+        if not all(isinstance(x, ExtScalar) for v in dirs for x in v):
+            raise ValueError("direction entries must be ExtScalar")
         for kind in ("invariance", "discrete"):
             coords = frozenset(getattr(self, kind + "_coords"))
             object.__setattr__(self, kind + "_coords", coords)
-            for j in coords:
-                if not 0 <= j < self.n:
+            if rows and coords:
+                raise ValueError("%s: not allowed with automorphism rows"
+                                 % kind)
+        if rows and any(map(any, self.parts[1])):
+            raise ValueError(
+                "foliation: a direction with an alpha part is ROADMAP item "
+                "24 phase 3: the modes an irrational foliation leaves form "
+                "a lattice of lower rank than its transverse frame")
+        if not all(any(a) or any(b) for a, b in zip(*self.parts)):
+            raise InvalidSpec("a foliation direction vector is zero")
+        for kind in ("invariance", "discrete"):
+            for j in getattr(self, kind + "_coords"):
+                if not 0 <= j < n:
                     raise ValueError("%s coordinate %d out of range for "
-                                     "n = %d" % (kind, j, self.n))
+                                     "n = %d" % (kind, j, n))
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        rows = tuple(map(tuple, self.automorphism))
-        object.__setattr__(self, "automorphism", rows)
-        if rows:
-            if len(rows) != self.n or any(len(r) != self.n for r in rows):
-                raise ValueError("the automorphism needs n = %d rows of n "
-                                 "entries" % self.n)
-            if self.invariance_coords or self.discrete_coords:
-                raise ValueError("automorphism rows go with no invariance "
-                                 "or discrete coordinates")
 
     @property
     def mode(self) -> str:

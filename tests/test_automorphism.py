@@ -313,26 +313,34 @@ def test_random_unimodular_matrices_against_the_dense_oracle():
     assert refused > 5 and computed > 5
 
 
-@pytest.mark.parametrize("key", ["invariance", "discrete", "truncation"])
-def test_automorphism_rows_go_with_no_other_torus_key(key):
+# the spec refuses invariance and discrete coordinates beside the rows,
+# and config a truncation, which the spec cannot tell from its default
+@pytest.mark.parametrize("key, refused_by, reason", [
+    ("invariance", "torus", "invariance: not allowed with automorphism rows"),
+    ("discrete", "torus", "discrete: not allowed with automorphism rows"),
+    ("truncation", "truncation", "not allowed with automorphism rows")],
+    ids=["invariance", "discrete", "truncation"])
+def test_automorphism_rows_go_with_no_other_torus_key(
+        key, refused_by, reason):
     with pytest.raises(ValidationError) as caught:
         parse_config(_text(CAT) + "%s = 0\n" % key)
-    assert caught.value.key == key
+    assert (caught.value.key, caught.value.reason) == (refused_by, reason)
 
 
 @pytest.mark.parametrize("text, key, reason", [
-    ("[torus]\nn = 2\nautomorphism = 2,1\n", "automorphism",
-     "1 row, expected n = 2"),
-    # config reads the rows and the directions with one vector reader
+    # the section's one TorusSpec counts the rows and the entries of the
+    # rows and the directions, and names the key of each refusal
+    ("[torus]\nn = 2\nautomorphism = 2,1\n", "torus",
+     "automorphism: 1 row, expected n = 2"),
     ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n",
-     "automorphism", "row vector has 1 entry, expected n = 2"),
+     "torus", "automorphism: row vector has 1 entry, expected n = 2"),
     ("[torus]\nn = 1\nautomorphism = 1/2\n", "automorphism",
      "cannot parse '1/2'"),
     # a foliation row beside A: an alpha part is phase 3
-    (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "foliation",
-     "ROADMAP item 24 phase 3"),
-    (_text(SHEAR) + "foliation = 0,1\n", "foliation",
-     "direction vector has 2 entries, expected n = 3"),
+    (_text(SHEAR) + "foliation = 0,0,1+1*alpha\n", "torus",
+     "foliation: a direction with an alpha part is ROADMAP item 24 phase 3"),
+    (_text(SHEAR) + "foliation = 0,1\n", "torus",
+     "foliation: direction vector has 2 entries, expected n = 3"),
     (_text(SHEAR) + "foliation = 0,0,0.5\n", "foliation",
      "decimal literal '0.5'"),
     # the section's one TorusSpec checks n before the rows are counted

@@ -763,8 +763,8 @@ def test_lie_fixture_generators_are_the_oracle_kernel_vectors(name):
     # fixtures held before, so the recorded classes are the same
     job = parse_config((FIXTURES / (name + ".cfg")).read_text()).job
     algebra, names = job.algebra, ["e%d" % i for i in range(job.algebra.dim)]
-    if job.ideal_vectors is not None:
-        sub = Subspace.span(algebra.dim, job.ideal_vectors)
+    sub = job.ideal
+    if sub is not None:
         algebra = quotient(algebra, sub)
         names = ["e%d" % c for c in sub.complement]
     n = algebra.dim

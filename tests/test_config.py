@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quotientcoh import (
-    ExtScalar, LieAlgebra, ParseError, TorusSpec, ValidationError)
+    ExtScalar, LieAlgebra, ParseError, Subspace, TorusSpec, ValidationError)
 from quotientcoh.cli import main
 from quotientcoh.config import JobConfig, parse_config
 from quotientcoh.lie_job import LieJob
@@ -54,9 +54,7 @@ def test_parse_lie_job():
     )
     assert cfg.mode == "lie"
     assert cfg.job.algebra == LieAlgebra.from_brackets(3, {(0, 1, 2): 1})
-    assert tuple(tuple(Fraction(*x) for x in v)
-                 for v in cfg.job.ideal_vectors) == (
-        (Fraction(0), Fraction(0), Fraction(1)),)
+    assert cfg.job.ideal == Subspace.span(3, [[0, 0, 1]])
 
 
 def test_parse_witness_job_defaults():
@@ -153,7 +151,7 @@ def test_exactly_one_mode_section():
 def test_vector_length_mismatches():
     with pytest.raises(ValidationError, match="entries"):
         parse_config("[torus]\nn = 3\nfoliation = 1,0\n")
-    with pytest.raises(ValidationError, match="entries"):
+    with pytest.raises(ValidationError, match="vector length 2"):
         parse_config("[lie]\ndim = 3\nideal = 1,0\n")
 
 
@@ -194,7 +192,7 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
     # one vector reader serves ideal and foliation, and one choice check
     # format and space (tests/test_space.py), each with its key's messages
     ("[lie]\ndim = 3\nideal = 1,0\n", "ideal",
-     "ideal vector has 2 entries, expected dim = 3"),
+     "vector length 2 != ambient dim 3"),
     ("[lie]\ndim = 2\nideal = 1,x\n", "ideal",
      "cannot parse 'x' as a fraction"),
     ("[lie]\ndim = 2\nideal = 1,0.5\n", "ideal",
@@ -202,8 +200,28 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
      "or a fraction like 1/2"),
     ("[lie]\ndim = 2\nideal = 1,1/0\n", "ideal",
      "zero denominator in '1/0'"),
-    ("[torus]\nn = 3\nfoliation = 1,0\n", "foliation",
-     "direction vector has 2 entries, expected n = 3"),
+    # the section's one TorusSpec refuses each malformed shape with the
+    # message the spec itself raises (tests/test_guards.py)
+    ("[torus]\nn = 3\nfoliation = 1,0\n", "torus",
+     "foliation: direction vector has 2 entries, expected n = 3"),
+    ("[torus]\nn = 2\nfoliation = 1,1,1\n", "torus",
+     "foliation: direction vector has 3 entries, expected n = 2"),
+    ("[torus]\nn = 2\nautomorphism = 2,1\n", "torus",
+     "automorphism: 1 row, expected n = 2"),
+    ("[torus]\nn = 2\nautomorphism = 1,0\nautomorphism = 0,1\n"
+     "automorphism = 1,1\n", "torus", "automorphism: 3 rows, expected n = 2"),
+    ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1\n", "torus",
+     "automorphism: row vector has 1 entry, expected n = 2"),
+    ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1,1\n"
+     "invariance = 0\n", "torus",
+     "invariance: not allowed with automorphism rows"),
+    ("[torus]\nn = 2\nautomorphism = 2,1\nautomorphism = 1,1\n"
+     "discrete = 0\n", "torus",
+     "discrete: not allowed with automorphism rows"),
+    (SHEAR_ROWS + "foliation = 0,0,1+1*alpha\n", "torus",
+     "foliation: a direction with an alpha part is ROADMAP item 24 phase 3: "
+     "the modes an irrational foliation leaves form a lattice of lower rank "
+     "than its transverse frame"),
     ("[torus]\nn = 2\nfoliation = 1,x\n", "foliation",
      "cannot parse 'x' as an exact scalar (expected p or p+q*alpha with "
      "p, q rational)"),
@@ -213,8 +231,8 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
     ("[torus]\nn = 2\nfoliation = 1,1/0\n", "foliation",
      "zero denominator in '1/0'"),
     # beside automorphism rows the directions are read by the same reader
-    (SHEAR_ROWS + "foliation = 1,0\n", "foliation",
-     "direction vector has 2 entries, expected n = 3"),
+    (SHEAR_ROWS + "foliation = 1,0\n", "torus",
+     "foliation: direction vector has 2 entries, expected n = 3"),
     (SHEAR_ROWS + "foliation = 0,0,x\n", "foliation",
      "cannot parse 'x' as an exact scalar (expected p or p+q*alpha with "
      "p, q rational)"),
@@ -223,8 +241,8 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
      "or a fraction like 3/10"),
     (SHEAR_ROWS + "foliation = 0,0,1/0\n", "foliation",
      "zero denominator in '1/0'"),
-    # n is checked before any direction is read against it, as it is
-    # before automorphism rows are (tests/test_automorphism.py)
+    # the spec checks n before it counts any direction or row against it,
+    # as it does beside automorphism rows (tests/test_automorphism.py)
     ("[torus]\nn = 0\nfoliation = 1\n", "torus",
      "torus dimension must be at least 1"),
     ("[torus]\nn = -1\nfoliation = 1\n", "torus",
@@ -233,7 +251,10 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
      "unknown format 'yaml'; expected one of table, json, csv"),
 ], ids=["fraction", "integer", "dim", "bracket-tokens", "order", "samples",
         "ideal-length", "ideal-token", "ideal-decimal", "ideal-zero-den",
-        "foliation-length", "foliation-token", "foliation-decimal",
+        "foliation-length", "foliation-long", "too-few-rows",
+        "too-many-rows", "short-row", "invariance-beside-rows",
+        "discrete-beside-rows", "alpha-beside-rows", "foliation-token",
+        "foliation-decimal",
         "foliation-zero-den", "automorphism-foliation-length",
         "automorphism-foliation-token", "automorphism-foliation-decimal",
         "automorphism-foliation-zero-den", "n-zero-direction",

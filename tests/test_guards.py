@@ -1,11 +1,18 @@
-"""Input guards that no job reaches.
+"""Constructor guards of the engine's records.
 
-config validates a job file before the engine's constructors see it,
-so each guard below is met only by a library caller.  Each case checks
-the exception and its message.
+Most guards below are met only by a library caller, since a job file
+either cannot state the input or is refused before the record is built.
+The TorusSpec cases and the short vector of Subspace.span are the
+exceptions: the spec is the one holder of a [torus] section's shape,
+and the span of an ideal's vectors, so a job file with the same fault
+is refused by the same check, with the same message
+(tests/test_config.py).  Each case checks the exception and its
+message.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -63,32 +70,46 @@ GUARDS = [
     ("quotient by a subspace of another space",
      lambda: quotient(abelian(3), Subspace.span(2, [[1, 0]])),
      ValueError, "subspace ambient dimension does not match algebra"),
+    # a TorusSpec holds the shape of a [torus] section alone: each of its
+    # refusals names the key it concerns, and a job file refused there
+    # prints it after "key 'torus': " (tests/test_config.py)
     ("short torus direction",
      lambda: TorusSpec(n=3, foliation_dirs=((ExtScalar(1), ExtScalar(0)),)),
-     ValueError, "direction vector length 2 != n = 3"),
+     ValueError, "foliation: direction vector has 2 entries, expected n = 3"),
+    ("long torus direction",
+     lambda: TorusSpec(n=2, foliation_dirs=((ExtScalar(1),) * 3,)),
+     ValueError, "foliation: direction vector has 3 entries, expected n = 2"),
     ("torus direction entry that is no ExtScalar",
      lambda: TorusSpec(n=2, foliation_dirs=((ExtScalar(1), 0),)),
      ValueError, "direction entries must be ExtScalar"),
-    # the automorphism rows of a [torus] section join its one TorusSpec
     ("one automorphism row on T^2",
      lambda: TorusSpec(n=2, automorphism=((1, 0),)),
-     ValueError, "the automorphism needs n = 2 rows of n entries"),
+     ValueError, "automorphism: 1 row, expected n = 2"),
     ("short automorphism row",
      lambda: TorusSpec(n=2, automorphism=((1, 0), (0,))),
-     ValueError, "the automorphism needs n = 2 rows of n entries"),
+     ValueError, "automorphism: row vector has 1 entry, expected n = 2"),
     ("three automorphism rows on T^2",
      lambda: TorusSpec(n=2, automorphism=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-     ValueError, "the automorphism needs n = 2 rows of n entries"),
+     ValueError, "automorphism: 3 rows, expected n = 2"),
     ("automorphism rows beside invariance",
      lambda: TorusSpec(n=2, invariance_coords={0},
                        automorphism=((2, 1), (1, 1))),
-     ValueError,
-     "automorphism rows go with no invariance or discrete coordinates"),
+     ValueError, "invariance: not allowed with automorphism rows"),
     ("automorphism rows beside discrete coordinates",
      lambda: TorusSpec(n=2, discrete_coords={1},
                        automorphism=((2, 1), (1, 1))),
-     ValueError,
-     "automorphism rows go with no invariance or discrete coordinates"),
+     ValueError, "discrete: not allowed with automorphism rows"),
+    ("alpha direction beside automorphism rows",
+     lambda: TorusSpec(n=3, foliation_dirs=(
+         (ExtScalar(0), ExtScalar(0), ExtScalar(1, 1)),),
+         automorphism=((2, 1, 0), (1, 1, 0), (1, -1, 1))),
+     ValueError, "foliation: a direction with an alpha part is ROADMAP item "
+     "24 phase 3: the modes an irrational foliation leaves form a lattice "
+     "of lower rank than its transverse frame"),
+    # diag(1/2, 2) has determinant 1 but does not act on T^2
+    ("automorphism entry that is no integer",
+     lambda: TorusSpec(n=2, automorphism=((Fraction(1, 2), 0), (0, 2))),
+     ValueError, "automorphism: entry 1/2 is not an integer"),
     ("support interval of level 0",
      lambda: interval(0),
      ValueError, "levels start at k = 1"),

@@ -666,7 +666,7 @@ def test_no_job_process_loads_fractions_or_decimal(tmp_path):
 
 PIPELINES = tuple("quotientcoh." + name for name in (
     "algebra", "cochain", "lie", "foliation", "koszul", "torus", "grid",
-    "witness", "sturm"))
+    "witness", "sturm", "automorphism", "subcomplex"))
 WATCHED = PIPELINES + ("csv",)
 
 IMPORT_FRONT = """
@@ -699,7 +699,8 @@ def test_package_and_cli_import_load_no_pipeline():
 def test_each_job_loads_only_its_own_pipeline(tmp_path):
     # a torus job loads the lie modules too: its mode complexes are
     # cochain complexes; a torus job refused while its TorusSpec is built
-    # compiles foliation alone, and no Koszul or cochain code
+    # compiles foliation alone, and no Koszul or cochain code, and so
+    # does an automorphism job whose rows the spec refuses
     lie = {"quotientcoh.algebra", "quotientcoh.cochain", "quotientcoh.lie",
            "quotientcoh.exterior"}
     for name, text, fmt, exit_code, loads in (
@@ -709,6 +710,8 @@ def test_each_job_loads_only_its_own_pipeline(tmp_path):
             "quotientcoh.torus"}),
         ("zero-direction", ZERO_DIRECTION_CFG, "json", 2,
          {"quotientcoh.foliation"}),
+        ("short-row", "[torus]\nn = 2\nautomorphism = 2,1\n"
+         "automorphism = 1\n", "json", 1, {"quotientcoh.foliation"}),
         ("witness", WITNESS_CFG, "json", 0, {
             "quotientcoh.grid", "quotientcoh.sturm", "quotientcoh.witness"}),
         ("quotient", QUOTIENT_CFG, "table", 0, lie),

@@ -30,7 +30,7 @@ from quotientcoh import abelian, heisenberg, quotient, sl2
 from quotientcoh.cochain import ce_complex
 from quotientcoh.config import parse_config
 from quotientcoh.exterior import enumerate_basis, wedge_insert
-from quotientcoh.lie import Subspace, betti
+from quotientcoh.lie import betti
 from quotientcoh.matrix import ExactMatrix
 from quotientcoh.subcomplex import Subcomplex, exterior_power
 
@@ -73,14 +73,15 @@ def _plus(a: ExactMatrix, b: ExactMatrix) -> list[dict[int, Fraction]]:
 
 
 def _relative_conditions(c, h):
-    """(iota rows, L rows) per degree k = 0..n, for X in h: iota_X on the
-    k-forms and L_X = d_(k-1) iota_X + iota_X d_k."""
+    """(iota rows, L rows) per degree k = 0..n, for X a basis row of the
+    Subspace h: iota_X on the k-forms and L_X = d_(k-1) iota_X + iota_X
+    d_k."""
     n = c.dim
     iotas, lies = [], []
     for k in range(n + 1):
         iota_rows, lie_rows = [], []
-        for x in h:
-            x = [Fraction(*v) for v in x]
+        for row in h.basis:
+            x = [Fraction(dict(row).get(j, 0)) for j in range(n)]
             up = _iota(x, n, k + 1) @ c.d[k] if k < n else None
             if k:
                 iota_rows += _rows(_iota(x, n, k))
@@ -108,14 +109,13 @@ def _times(m: ExactMatrix, v: dict[int, Fraction]) -> list[Fraction]:
                          ids=[path.stem for path, _ in IDEAL_JOBS])
 def test_an_ideal_as_conditions_gives_the_quotient_numbers(path, degree):
     job = parse_config(path.read_text()).job
-    g, h = job.algebra, job.ideal_vectors
+    g, ideal = job.algebra, job.ideal
     c = ce_complex(g)
-    iotas, lies = _relative_conditions(c, h)
+    iotas, lies = _relative_conditions(c, ideal)
     conditions = _conditions(c, iotas, lies)
     sub = Subcomplex(c, conditions)
     assert sub.unstable is None
     report = betti(sub)
-    ideal = Subspace.span(g.dim, h)
     expected = betti(ce_complex(quotient(g, ideal))).betti
     assert report.betti == expected + (0,) * ideal.dim
     # each generator, in g's monomials, meets every condition and is a
@@ -249,7 +249,7 @@ def test_subcomplex_of_any_spanning_conditions_is_canonical():
     for path, degree in IDEAL_JOBS:
         job = parse_config(path.read_text()).job
         c = ce_complex(job.algebra)
-        iotas, lies = _relative_conditions(c, job.ideal_vectors)
+        iotas, lies = _relative_conditions(c, job.ideal)
         assert _assert_canonical(rng, c, _conditions(
             c, iotas, lies)).unstable is None
         assert _assert_canonical(rng, c, _conditions(c, *(
@@ -273,7 +273,7 @@ def test_a_subcomplex_and_its_report_take_two_products_a_degree(monkeypatch):
         job = parse_config(path.read_text()).job
         c = ce_complex(job.algebra)
         conditions = _conditions(c, *_relative_conditions(
-            c, job.ideal_vectors))
+            c, job.ideal))
         products.clear()
         betti(Subcomplex(c, conditions))
         assert len(products) == 2 * c.dim, path.stem
