@@ -23,7 +23,9 @@ The command line entry point is ``engine``; see the cli module.
 Importing the package loads no pipeline.  Each exported name resolves on
 first access, which imports its home module (PEP 562), so
 ``from quotientcoh import betti`` loads the lie pipeline and nothing of
-the torus or the witness.
+the torus or the witness.  The export table below is the one place that
+says where a name lives: the cli's runners resolve their names through
+this namespace too.
 """
 
 from importlib import import_module

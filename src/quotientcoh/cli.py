@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import sys
 import time
-from importlib import import_module
+
+import quotientcoh
 
 from .config import parse_config
 from .errors import (EngineError, MathematicalRefusal, NotALieAlgebra,
@@ -54,52 +55,34 @@ if TYPE_CHECKING:
 
 PROG = "engine"
 
-# module -> the names this module calls from it.  A job imports only its
-# own pipeline: each runner binds the modules it calls here as it starts
-# (a --check Lie job binds sign_twist too, a dense_subalgebra job
-# dense_subalgebra, a torus job with discrete coordinates discrete), and
-# module attribute access (cli.betti) binds them on demand before that.
-_PIPELINE_NAMES = {
-    "algebra": ("jacobi_check", "quotient"),
-    "automorphism": ("automorphism_payload",),
-    "cochain": ("ce_complex",),
-    "dense_subalgebra": ("generated_ideal",),
-    "discrete": ("discrete_certificate", "discrete_jobs"),
-    "lie": ("betti",),
-    "sign_twist": ("phi_sign_check",),
-    "torus": ("cross_check_ce", "torus_betti"),
-    "witness": ("build_bumps", "interval", "verify_bounds"),
-    "witness_job": ("degree_one_obstruction",),
-}
-_PIPELINE_OF = {name: pipeline for pipeline, names in _PIPELINE_NAMES.items()
-                for name in names}
-
-
-def _bind(*pipelines: str) -> None:
-    """Import modules of _PIPELINE_NAMES, in order, and bind their names
-    in this module's namespace.
+# The package's export table (quotientcoh._EXPORTS) is the one place that
+# says where a name lives.  A job imports only its own pipeline: each runner
+# binds the exported names it calls as it starts (a --check Lie job binds
+# phi_sign_check too), and module attribute access (cli.betti) binds any
+# exported name on demand before that.  A name only one runner calls, and
+# no bench wrapper replaces, is imported inside that runner.
+def _bind(*names: str) -> None:
+    """Bind exported names in this module's namespace; the package's
+    __getattr__ imports each one's home module on first access.
 
     setdefault keeps a name that is already bound: a wrapper installed on
     ``cli.betti`` and the like before the first job (the bench tracer
     patches them by name) stays the callable the job calls.
     """
     namespace = globals()
-    for pipeline in pipelines:
-        module = import_module("." + pipeline, __package__)
-        for name in _PIPELINE_NAMES[pipeline]:
-            namespace.setdefault(name, getattr(module, name))
+    for name in names:
+        namespace.setdefault(name, getattr(quotientcoh, name))
 
 
 def __getattr__(name: str):
-    pipeline = _PIPELINE_OF.get(name)
-    if pipeline is None:
+    if name not in quotientcoh.__all__:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    _bind(pipeline)
+    _bind(name)
     return globals()[name]
 
 
 def _run_lie(job: LieJob, check: bool) -> dict:
-    _bind("algebra", "cochain", "lie")
+    _bind("jacobi_check", "quotient", "ce_complex", "betti")
     algebra = job.algebra
     certificates: dict = {"jacobi": True, "ideal": None}
     names = ["e%d" % i for i in range(algebra.dim)]
@@ -109,7 +92,8 @@ def _run_lie(job: LieJob, check: bool) -> dict:
     sub = job.ideal
     if sub is not None:
         if job.dense:
-            _bind("dense_subalgebra")
+            from .dense_subalgebra import generated_ideal
+
             sub, certificates["dense_subalgebra"] = generated_ideal(
                 algebra, sub)  # raises NotASubalgebra when refused
         algebra = quotient(algebra, sub)  # raises NotAnIdeal when refused
@@ -125,7 +109,7 @@ def _run_lie(job: LieJob, check: bool) -> dict:
     complex_ = ce_complex(algebra)
     certificates["d_squared_zero"] = complex_.d_squared_violation() is None
     if check:
-        _bind("sign_twist")
+        _bind("phi_sign_check")
         certificates["sign_twist"] = phi_sign_check(complex_)
     if not certificates["d_squared_zero"]:
         return build_payload("lie", certificates)  # no cohomology
@@ -134,10 +118,11 @@ def _run_lie(job: LieJob, check: bool) -> dict:
 
 
 def _run_torus(spec: TorusSpec, check: bool) -> dict:
-    _bind("torus")
+    _bind("torus_betti", "cross_check_ce")
     quotient = None
     if spec.discrete_coords:
-        _bind("discrete")
+        from .discrete import discrete_certificate, discrete_jobs
+
         spec, quotient = discrete_jobs(spec)
     report = torus_betti(spec)  # raises InvalidSpec when refused
     transverse = [
@@ -159,7 +144,10 @@ def _run_torus(spec: TorusSpec, check: bool) -> dict:
 
 
 def _run_witness(job: WitnessJob, check: bool) -> dict:
-    _bind("witness", "witness_job")
+    from .witness import interval
+    from .witness_job import degree_one_obstruction
+
+    _bind("build_bumps", "verify_bounds")
     family = build_bumps(
         range(job.k_min, job.k_max + 1),
         max_derivative_order=job.max_derivative_order,
@@ -178,7 +166,8 @@ def _run_witness(job: WitnessJob, check: bool) -> dict:
 
 
 def _run_automorphism(spec: TorusSpec, check: bool) -> dict:
-    _bind("automorphism")
+    from .automorphism import automorphism_payload
+
     return automorphism_payload(spec)  # raises InvalidSpec when refused
 
 

@@ -79,12 +79,8 @@ class Subspace:
         cls, ambient_dim: int, vectors: Sequence[Sequence[RationalLike]]
     ) -> "Subspace":
         """The span of dense rational vectors, each of length
-        ambient_dim: their rows cleared to integers span it too."""
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError(
-                    "vector length %d != ambient dim %d" % (len(v), ambient_dim)
-                )
+        ambient_dim (from_rows refuses any other): their rows cleared to
+        integers span it too."""
         return cls(ambient_dim,
                    ExactMatrix.from_rows(vectors, cols=ambient_dim).int_rows)
 

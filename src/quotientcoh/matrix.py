@@ -125,7 +125,8 @@ class ExactMatrix:
             cols = len(data[0])
         for r in data:
             if len(r) != cols:
-                raise ValueError("ragged rows: %d != %d" % (len(r), cols))
+                raise ValueError("vector has %d entries, expected %d"
+                                 % (len(r), cols))
         return cls.from_sparse(cols, data)
 
     @classmethod

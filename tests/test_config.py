@@ -151,7 +151,7 @@ def test_exactly_one_mode_section():
 def test_vector_length_mismatches():
     with pytest.raises(ValidationError, match="entries"):
         parse_config("[torus]\nn = 3\nfoliation = 1,0\n")
-    with pytest.raises(ValidationError, match="vector length 2"):
+    with pytest.raises(ValidationError, match="vector has 2 entries, expected 3"):
         parse_config("[lie]\ndim = 3\nideal = 1,0\n")
 
 
@@ -192,7 +192,7 @@ SHEAR_ROWS = ("[torus]\nn = 3\nautomorphism = 2,1,0\nautomorphism = 1,1,0\n"
     # one vector reader serves ideal and foliation, and one choice check
     # format and space (tests/test_space.py), each with its key's messages
     ("[lie]\ndim = 3\nideal = 1,0\n", "ideal",
-     "vector length 2 != ambient dim 3"),
+     "vector has 2 entries, expected 3"),
     ("[lie]\ndim = 2\nideal = 1,x\n", "ideal",
      "cannot parse 'x' as a fraction"),
     ("[lie]\ndim = 2\nideal = 1,0.5\n", "ideal",

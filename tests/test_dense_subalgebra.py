@@ -101,7 +101,7 @@ bracket = 0 1 2 1
      "dense_subalgebra, not both\n"),
     ("dense_subalgebra = 1,0\n", 1,
      "engine: configuration error: key 'dense_subalgebra': "
-     "vector length 2 != ambient dim 3\n"),
+     "vector has 2 entries, expected 3\n"),
 ], ids=["dense", "not-a-subalgebra", "both-keys", "short-vector"])
 def test_dense_subalgebra_jobs_through_the_command_line(
         tmp_path, keys, code, stderr):

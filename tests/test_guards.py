@@ -66,7 +66,7 @@ GUARDS = [
      ValueError, OFF_NORMAL_FORM % (5, 1, 2)),
     ("short spanning vector",
      lambda: Subspace.span(3, [[1, 0]]),
-     ValueError, "vector length 2 != ambient dim 3"),
+     ValueError, "vector has 2 entries, expected 3"),
     ("quotient by a subspace of another space",
      lambda: quotient(abelian(3), Subspace.span(2, [[1, 0]])),
      ValueError, "subspace ambient dimension does not match algebra"),

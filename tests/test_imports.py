@@ -2,6 +2,7 @@
 imports without dataclasses or inspect and compiles no source at run
 time, importing the package or the cli loads no pipeline and a job loads
 only its own, the package's names resolve lazily to their home objects,
+cli binds only the package's exported names and refuses any other,
 a wrapper set on a cli name before the first job is the one called,
 only a Lie job that names a space loads the space module and only a
 dense_subalgebra job the closure module, only a
@@ -1111,15 +1112,19 @@ def wrapper(*args, **kwargs):
 
 setattr(cli, name, wrapper)
 code = cli.main(["--input", sys.argv[1], "--format", "json",
-                 "--output", sys.argv[2]])
+                 "--output", sys.argv[2], "--check"])
 print(json.dumps([code, calls, getattr(cli, name) is wrapper]))
 """
 
 
 def test_wrapper_set_before_first_job_is_called(tmp_path):
+    # the job runs with --check, so the names only a checked job calls,
+    # the sign check and the torus cross-check, are called too
     for name, home, text in (
         ("betti", "lie", HEISENBERG_CFG),
+        ("phi_sign_check", "sign_twist", HEISENBERG_CFG),
         ("torus_betti", "torus", TORUS_CFG),
+        ("cross_check_ce", "torus", TORUS_CFG),
         ("build_bumps", "witness", WITNESS_CFG),
     ):
         cfg = tmp_path / (name + ".cfg")
@@ -1129,3 +1134,28 @@ def test_wrapper_set_before_first_job_is_called(tmp_path):
             code, calls, kept = json.loads(_python(
                 WRAP_BEFORE_FIRST_JOB, str(cfg), str(out), how, name, home))
             assert (code, calls, kept) == (0, [name], True), (name, how)
+
+
+def test_cli_binds_only_exported_names():
+    # the package's export table is the one place that says where a name
+    # lives: each runner binds its names through it, by name
+    tree = ast.parse((Path(quotientcoh.__file__).parent / "cli.py").read_text())
+    # __getattr__'s _bind(name) is guarded by the same table at run time
+    bound = [arg.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_bind"
+             for arg in node.args if isinstance(arg, ast.Constant)]
+    assert bound
+    assert set(bound) <= set(quotientcoh.__all__), (
+        sorted(set(bound) - set(quotientcoh.__all__)))
+
+
+def test_unknown_cli_name_raises_attribute_error():
+    import pytest
+
+    from quotientcoh import cli
+
+    with pytest.raises(AttributeError,
+                       match="'quotientcoh.cli' has no attribute "
+                             "'no_such_name'"):
+        cli.no_such_name
